@@ -3,7 +3,8 @@
 //! [`Client`] wraps one TCP connection, sends the preamble on connect,
 //! and reuses the connection for every subsequent call — the loadgen
 //! binary and tests never pay a reconnect per statement. Simple calls
-//! are request/response; [`Client::pipeline`] and
+//! are request/response, one `write` out and (through a read buffer)
+//! one `read` back; [`Client::pipeline`] and
 //! [`Client::pipeline_execute`] write a batch of request frames
 //! back-to-back and then read the batch's responses, which the server
 //! guarantees to return **in request order** (a failed statement yields
@@ -20,7 +21,7 @@
 //! connection is still usable, and `retryable` says whether resubmitting
 //! may succeed).
 
-use std::io::Write;
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -128,38 +129,55 @@ pub enum QueryReply {
 
 /// One BFNET1 connection.
 pub struct Client {
-    stream: TcpStream,
+    /// The socket behind the client's read side; requests are written
+    /// to it directly.
+    reader: BufReader<TcpStream>,
+    /// The request frame being sent, kept to reuse its allocation.
+    frame: Vec<u8>,
+}
+
+/// Wraps a response source in the client's read side: a buffer, so a
+/// frame's header and payload — and, on a pipelined batch, the frames
+/// behind it — arrive in one `read` instead of two per frame. Payloads
+/// larger than the buffer are read straight into their own allocation.
+pub(crate) fn read_side<R: Read>(source: R) -> BufReader<R> {
+    BufReader::with_capacity(16 << 10, source)
 }
 
 impl Client {
-    /// Connects and sends the preamble.
-    pub fn connect(addr: impl ToSocketAddrs) -> ClientResult<Client> {
-        let mut stream = TcpStream::connect(addr)?;
+    fn handshake(mut stream: TcpStream) -> ClientResult<Client> {
         stream.set_nodelay(true).ok();
         wire::write_preamble(&mut stream)?;
-        Ok(Client { stream })
+        Ok(Client {
+            reader: read_side(stream),
+            frame: Vec::new(),
+        })
+    }
+
+    /// Connects and sends the preamble.
+    pub fn connect(addr: impl ToSocketAddrs) -> ClientResult<Client> {
+        Self::handshake(TcpStream::connect(addr)?)
     }
 
     /// As [`Client::connect`] with a connect timeout per resolved
     /// address.
     pub fn connect_timeout(addr: &std::net::SocketAddr, timeout: Duration) -> ClientResult<Client> {
-        let mut stream = TcpStream::connect_timeout(addr, timeout)?;
-        stream.set_nodelay(true).ok();
-        wire::write_preamble(&mut stream)?;
-        Ok(Client { stream })
+        Self::handshake(TcpStream::connect_timeout(addr, timeout)?)
     }
 
-    /// Writes one request frame without reading a response; pair with
-    /// [`Client::recv`] for pipelined batches.
+    /// Writes one request frame, in one `write`, without reading a
+    /// response; pair with [`Client::recv`] for pipelined batches.
     fn send(&mut self, request: &Request) -> ClientResult<()> {
-        wire::write_frame(&mut self.stream, &request.encode())?;
+        self.frame.clear();
+        request.encode_into(&mut self.frame);
+        self.reader.get_mut().write_all(&self.frame)?;
         Ok(())
     }
 
     /// Reads one response, reassembling chunked `ROWS` results that the
     /// server split across frames.
     fn recv(&mut self) -> ClientResult<Response> {
-        wire::read_response(&mut self.stream)
+        wire::read_response(&mut self.reader)
             .map_err(|e| ClientError::Protocol(e.to_string()))?
             .ok_or_else(|| {
                 ClientError::Io(std::io::Error::new(
@@ -281,11 +299,10 @@ impl Client {
     ) -> ClientResult<Vec<ClientResult<QueryReply>>> {
         let mut frames: Vec<u8> = Vec::new();
         for request in requests {
-            // Writes to a Vec are infallible.
-            let _ = wire::write_frame(&mut frames, &request.encode());
+            request.encode_into(&mut frames);
         }
         if frames.len() <= Self::PIPELINE_BURST_MAX {
-            self.stream.write_all(&frames)?;
+            self.reader.get_mut().write_all(&frames)?;
             let mut replies = Vec::with_capacity(requests.len());
             for _ in requests {
                 replies.push(Self::reply_of(self.recv()?));
@@ -298,7 +315,7 @@ impl Client {
         // writing requests, the server blocks writing responses) and
         // trip the server's write timeout. A helper thread streams the
         // requests while this thread drains responses as they arrive.
-        let mut writer = self.stream.try_clone()?;
+        let mut writer = self.reader.get_ref().try_clone()?;
         let sender = std::thread::Builder::new()
             .name("bf-client-pipeline".into())
             .spawn(move || writer.write_all(&frames))
@@ -545,5 +562,58 @@ impl Client {
                 "unexpected cluster reply {other:?}"
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bullfrog_common::row;
+
+    /// A source that hands over everything it has per call, like a
+    /// socket with the bytes already arrived, and counts the calls.
+    struct CountingRead {
+        reads: usize,
+        bytes: std::io::Cursor<Vec<u8>>,
+    }
+
+    impl Read for CountingRead {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn the_read_side_takes_one_read_for_what_has_arrived() {
+        let first = Response::Rows {
+            names: vec!["id".into(), "owner".into()],
+            rows: vec![row![1, "alice"], row![2, "bob"]],
+        };
+        let second = Response::Ok { affected: 7 };
+        let mut arrived = Vec::new();
+        first.encode_into(&mut arrived);
+        second.encode_into(&mut arrived);
+
+        let mut reader = read_side(CountingRead {
+            reads: 0,
+            bytes: std::io::Cursor::new(arrived.clone()),
+        });
+        // Header and payload of the first response: one read. The
+        // second came with it, as a pipelined reply does: no read at all.
+        assert_eq!(wire::read_response(&mut reader).unwrap(), Some(first));
+        assert_eq!(reader.get_ref().reads, 1);
+        assert_eq!(wire::read_response(&mut reader).unwrap(), Some(second));
+        assert_eq!(reader.get_ref().reads, 1);
+
+        // Unbuffered, the same bytes cost a read for every header and
+        // one for every payload.
+        let mut raw = CountingRead {
+            reads: 0,
+            bytes: std::io::Cursor::new(arrived),
+        };
+        wire::read_response(&mut raw).unwrap();
+        wire::read_response(&mut raw).unwrap();
+        assert_eq!(raw.reads, 4);
     }
 }

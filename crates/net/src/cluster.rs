@@ -38,7 +38,7 @@ use bullfrog_core::{MigrationPlan, Tracking};
 use bullfrog_engine::db::Database;
 use bullfrog_query::{conjuncts, AggFunc, CmpOp, Expr, OutputColumn};
 use bullfrog_sql::Statement;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use parking_lot::Mutex;
 
 use crate::wire::{self, err_code, Response};
@@ -71,7 +71,7 @@ impl ShardMap {
     }
 
     /// Wire encoding (u64 version, then the node address list).
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u64(self.version);
         buf.put_u32(self.nodes.len() as u32);
         for n in &self.nodes {
@@ -138,7 +138,7 @@ mod sub {
 
 impl ClusterReq {
     /// Wire encoding (sub-op byte + fields), appended to `buf`.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         match self {
             ClusterReq::GetMap => buf.put_u8(sub::GET_MAP),
             ClusterReq::SetMap { self_index, map } => {
@@ -214,7 +214,7 @@ fn agg_from_byte(b: u8) -> Result<AggFunc> {
 
 impl ExchangeSpec {
     /// Wire encoding, appended to `buf`.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         wire::put_str(buf, &self.table);
         buf.put_u32(self.key_cols.len() as u32);
         for k in &self.key_cols {
@@ -668,9 +668,9 @@ mod tests {
             ClusterReq::Abort,
             ClusterReq::EndExchange,
         ] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             op.encode_into(&mut buf);
-            let mut bytes = buf.freeze();
+            let mut bytes = Bytes::from(buf);
             assert_eq!(ClusterReq::decode(&mut bytes).unwrap(), op);
             assert!(bytes.is_empty());
         }
@@ -688,9 +688,9 @@ mod tests {
                 ("hi".into(), AggFunc::Max),
             ],
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         spec.encode_into(&mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = Bytes::from(buf);
         assert_eq!(ExchangeSpec::decode(&mut bytes).unwrap(), spec);
         assert!(bytes.is_empty());
     }

@@ -14,7 +14,11 @@
 //! poller. That gives pipelining for free: a client may write N request
 //! frames back-to-back and read N responses afterwards, and responses
 //! always come back in request order — an error response occupies its
-//! slot in the sequence rather than desynchronizing the stream. The
+//! slot in the sequence rather than desynchronizing the stream. A
+//! round trip of one statement costs the worker one `read`, one `write`
+//! and the re-arm: a read that comes back short has emptied the socket,
+//! and responses go out nonblocking, waiting for writability only when
+//! the peer's window is full. The
 //! engine's locking model still drives each
 //! [`Transaction`](bullfrog_txn::Transaction) from a single thread at a
 //! time: a connection is processed by at most one worker at once (its
@@ -41,7 +45,7 @@
 //! and reports its counters under `STATUS`.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -65,18 +69,23 @@ const POLL_SLICE: Duration = Duration::from_millis(25);
 /// sweep at this cadence, so it shrinks under small idle timeouts.
 const POLL_WAIT_CAP: Duration = Duration::from_millis(500);
 
-/// One nonblocking read's scratch size.
-const READ_CHUNK: usize = 64 * 1024;
+/// A connection's receive buffer starts this small — ten thousand
+/// parked connections each hold one — and doubles while reads fill it.
+const RECV_MIN: usize = 4 * 1024;
+
+/// The most receive buffer an idle connection keeps between passes; one
+/// grown past it by a burst is released once empty.
+const RECV_KEEP: usize = 64 * 1024;
 
 /// Per-connection receive buffer high-water mark: one maximum frame plus
-/// header and a read chunk of pipelined follow-on bytes. Reaching it is
-/// backpressure, not a violation — the worker stops draining, executes
+/// header and [`RECV_KEEP`] bytes of pipelined follow-on frames. Reaching
+/// it is backpressure, not a violation — the worker stops draining, executes
 /// the complete frames already buffered (freeing their bytes), then
 /// resumes draining, so a fast pipeliner may legally stream any amount
 /// in one burst. Sized so a buffer at the mark always holds at least
 /// one complete legal frame, which is what guarantees each
 /// drain/execute round makes progress.
-const MAX_BUFFERED: usize = wire::MAX_FRAME_BYTES + 4 + READ_CHUNK;
+const MAX_BUFFERED: usize = wire::MAX_FRAME_BYTES + 4 + RECV_KEEP;
 
 /// How long an above-resident worker lingers idle before exiting.
 const WORKER_LINGER: Duration = Duration::from_secs(2);
@@ -260,12 +269,16 @@ impl std::fmt::Debug for ServerConfig {
 /// One parked connection: the socket, its session, and the bytes read
 /// so far. At most one worker processes a connection at a time (the
 /// state mutex); the poll thread and the idle sweep only touch the
-/// atomics and `last_activity`.
+/// atomics.
 struct Conn {
     id: usize,
     stream: TcpStream,
     state: Mutex<ConnState>,
-    last_activity: Mutex<Instant>,
+    /// Registry-clock µs of the last readiness event or finished pass.
+    /// The idle sweep reads it, and a worker picking the connection up
+    /// reads the poll thread's stamp to time the hand-off. A statistic:
+    /// `Relaxed` throughout, it publishes nothing.
+    last_activity: AtomicU64,
     /// Set exactly once by whoever closes the connection; guards the
     /// active-slot release against double decrements.
     closed: AtomicBool,
@@ -273,8 +286,103 @@ struct Conn {
 
 struct ConnState {
     session: Session,
-    buf: Vec<u8>,
+    recv: RecvBuf,
     preamble_ok: bool,
+}
+
+/// A connection's receive buffer: `data[head..tail]` is received and
+/// not yet consumed, `data[tail..]` is room for the next read. `data`
+/// is initialized to its full length once, when it grows, so a read
+/// lands in it directly; consuming a frame moves `head`, and the
+/// unconsumed remainder moves to the front at most once per pass.
+#[derive(Default)]
+struct RecvBuf {
+    data: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+/// What one [`RecvBuf::fill`] learned about the socket.
+enum Fill {
+    /// The peer shut down its write side.
+    Eof,
+    /// The read came back short: the socket is empty for now.
+    Drained,
+    /// The read filled all the room there was; more may be waiting.
+    Filled,
+}
+
+impl RecvBuf {
+    fn len(&self) -> usize {
+        self.tail - self.head
+    }
+
+    fn pending(&self) -> &[u8] {
+        &self.data[self.head..self.tail]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.head += n;
+    }
+
+    /// One `read` into the free room, doubling the buffer first if it
+    /// has none. Callers stop once [`MAX_BUFFERED`] bytes are pending,
+    /// so there is always room to make.
+    fn fill(&mut self, mut stream: &TcpStream) -> io::Result<Fill> {
+        if self.tail == self.data.len() {
+            let grown = (self.data.len() * 2).clamp(RECV_MIN, MAX_BUFFERED);
+            self.data.resize(grown, 0);
+        }
+        let room = self.data.len() - self.tail;
+        assert!(room > 0, "fill on a full receive buffer would read as EOF");
+        let n = stream.read(&mut self.data[self.tail..])?;
+        self.tail += n;
+        Ok(match n {
+            0 => Fill::Eof,
+            n if n < room => Fill::Drained,
+            _ => Fill::Filled,
+        })
+    }
+
+    /// Extracts the next complete frame, or `None` if more bytes are
+    /// needed. `Err` means the peer announced a frame over the cap — a
+    /// protocol violation that closes the connection.
+    fn take_frame(&mut self) -> std::result::Result<Option<Bytes>, ()> {
+        let pending = self.pending();
+        let Some((header, body)) = pending.split_first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(*header) as usize;
+        if len > wire::MAX_FRAME_BYTES {
+            return Err(());
+        }
+        let Some(payload) = body.get(..len) else {
+            return Ok(None);
+        };
+        let payload = Bytes::copy_from_slice(payload);
+        self.consume(4 + len);
+        Ok(Some(payload))
+    }
+
+    /// Moves what is left unconsumed to the front so the room behind it
+    /// is whole again: once per drain/execute round, however many
+    /// frames the round consumed. Usually nothing is left and this only
+    /// resets the cursors.
+    fn compact(&mut self) {
+        if self.head > 0 {
+            self.data.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+    }
+
+    /// Gives back a buffer a burst grew, once it is empty; what a parked
+    /// connection holds stays bounded by [`RECV_KEEP`].
+    fn release_if_idle(&mut self) {
+        if self.len() == 0 && self.data.len() > RECV_KEEP {
+            *self = RecvBuf::default();
+        }
+    }
 }
 
 /// Dynamic worker pool bookkeeping: the ready queue plus idle/total
@@ -282,7 +390,7 @@ struct ConnState {
 /// [`WORKER_LINGER`] without work.
 #[derive(Default)]
 struct PoolState {
-    queue: VecDeque<usize>,
+    queue: VecDeque<Arc<Conn>>,
     idle: usize,
     total: usize,
 }
@@ -317,6 +425,12 @@ struct Shared {
     hist_execute: Arc<bullfrog_obs::Histogram>,
     hist_pipelined: Arc<bullfrog_obs::Histogram>,
     hist_admin: Arc<bullfrog_obs::Histogram>,
+    /// Readiness event → a worker starts on the connection: what the
+    /// poller → queue → condvar hand-off costs a statement.
+    hist_queue_wait: Arc<bullfrog_obs::Histogram>,
+    /// Frames executed per worker pass. 1 is a plain round trip, more a
+    /// pipelined burst, 0 a wake-up that found no complete frame.
+    hist_frames_per_pass: Arc<bullfrog_obs::Histogram>,
     hist_cluster_prepare: Arc<bullfrog_obs::Histogram>,
     hist_cluster_commit: Arc<bullfrog_obs::Histogram>,
     hist_cluster_exchange: Arc<bullfrog_obs::Histogram>,
@@ -393,6 +507,8 @@ impl Server {
             hist_execute: obs.histogram("net.execute_us"),
             hist_pipelined: obs.histogram("net.pipelined_us"),
             hist_admin: obs.histogram("net.admin_us"),
+            hist_queue_wait: obs.histogram("net.queue_wait_us"),
+            hist_frames_per_pass: obs.histogram("net.frames_per_pass"),
             hist_cluster_prepare: obs.histogram("cluster.prepare_us"),
             hist_cluster_commit: obs.histogram("cluster.commit_us"),
             hist_cluster_exchange: obs.histogram("cluster.exchange_us"),
@@ -581,9 +697,6 @@ fn admit(mut stream: TcpStream, shared: &Arc<Shared>) {
         return;
     }
     stream.set_nodelay(true).ok();
-    // Response writes happen in blocking mode; bound them so a client
-    // that stops reading cannot pin a worker forever.
-    stream.set_write_timeout(Some(Duration::from_secs(5))).ok();
     if stream.set_nonblocking(true).is_err() {
         shared.active.fetch_sub(1, Ordering::AcqRel);
         return;
@@ -611,10 +724,10 @@ fn admit(mut stream: TcpStream, shared: &Arc<Shared>) {
         stream,
         state: Mutex::new(ConnState {
             session,
-            buf: Vec::new(),
+            recv: RecvBuf::default(),
             preamble_ok: false,
         }),
-        last_activity: Mutex::new(Instant::now()),
+        last_activity: AtomicU64::new(shared.obs.now_us()),
         closed: AtomicBool::new(false),
     });
     shared.conns.lock().unwrap().insert(id, Arc::clone(&conn));
@@ -643,11 +756,13 @@ fn poll_loop(shared: Arc<Shared>) {
             std::thread::sleep(Duration::from_millis(10));
             continue;
         }
+        let now = shared.obs.now_us();
         for ev in events.iter() {
-            if let Some(conn) = shared.conns.lock().unwrap().get(&ev.key) {
-                *conn.last_activity.lock().unwrap() = Instant::now();
+            let conn = shared.conns.lock().unwrap().get(&ev.key).cloned();
+            if let Some(conn) = conn {
+                conn.last_activity.store(now, Ordering::Relaxed);
+                enqueue(&shared, conn);
             }
-            enqueue(&shared, ev.key);
         }
         // Sweeping walks the whole registry, so a busy poll loop over a
         // large parked herd must not pay that O(connections) on every
@@ -663,11 +778,11 @@ fn poll_loop(shared: Arc<Shared>) {
 /// `try_lock` skips connections a worker currently owns — those are by
 /// definition not idle.
 fn sweep_idle(shared: &Arc<Shared>) {
-    let now = Instant::now();
+    let now = shared.obs.now_us();
     let parked: Vec<Arc<Conn>> = shared.conns.lock().unwrap().values().cloned().collect();
     for conn in parked {
-        let idle = now.duration_since(*conn.last_activity.lock().unwrap());
-        if idle < shared.config.idle_timeout {
+        let idle = now.saturating_sub(conn.last_activity.load(Ordering::Relaxed));
+        if Duration::from_micros(idle) < shared.config.idle_timeout {
             continue;
         }
         if let Ok(mut st) = conn.state.try_lock() {
@@ -681,10 +796,10 @@ fn sweep_idle(shared: &Arc<Shared>) {
 /// growth matters for liveness, not just latency: under 2PL a parked
 /// session can hold locks a runnable one needs, so the pool must be
 /// able to run every admitted connection at once in the worst case.
-fn enqueue(shared: &Arc<Shared>, id: usize) {
+fn enqueue(shared: &Arc<Shared>, conn: Arc<Conn>) {
     let cap = shared.config.max_connections + WORKER_SLACK;
     let mut pool = shared.pool.state.lock().unwrap();
-    pool.queue.push_back(id);
+    pool.queue.push_back(conn);
     if pool.idle == 0 && pool.total < cap {
         pool.total += 1;
         drop(pool);
@@ -696,6 +811,9 @@ fn enqueue(shared: &Arc<Shared>, id: usize) {
             shared.pool.state.lock().unwrap().total -= 1;
         }
     } else {
+        // Unlock before waking: the woken worker's first act is to take
+        // this lock, and it may run before this thread's next line.
+        drop(pool);
         shared.pool.cv.notify_one();
     }
 }
@@ -704,14 +822,13 @@ fn enqueue(shared: &Arc<Shared>, id: usize) {
 /// above the resident count exit after lingering idle; resident ones
 /// stay for the server's lifetime.
 fn worker_loop(shared: Arc<Shared>) {
+    let mut tx = Outbox::default();
     let mut pool = shared.pool.state.lock().unwrap();
     loop {
-        if let Some(id) = pool.queue.pop_front() {
+        if let Some(conn) = pool.queue.pop_front() {
             drop(pool);
-            let conn = shared.conns.lock().unwrap().get(&id).cloned();
-            if let Some(conn) = conn {
-                process_conn(&conn, &shared);
-            }
+            process_conn(&conn, &shared, &mut tx);
+            tx.reset();
             pool = shared.pool.state.lock().unwrap();
             continue;
         }
@@ -761,59 +878,92 @@ fn rearm(conn: &Conn, st: &mut MutexGuard<'_, ConnState>, shared: &Shared) {
     }
 }
 
-/// Writes one response in blocking mode, restoring nonblocking mode for
-/// the poller afterwards. Large `ROWS` results are chunked across
-/// frames by [`wire::write_response`].
-fn respond(conn: &Conn, response: &Response) -> std::io::Result<()> {
-    conn.stream.set_nonblocking(false)?;
-    let wrote = wire::write_response(&mut &conn.stream, response);
-    let restored = conn.stream.set_nonblocking(true);
-    wrote?;
-    restored
-}
-
 /// Responses coalesced past this size flush mid-batch, bounding the
 /// worker's buffer while a long pipeline drains.
 const RESPOND_COALESCE_MAX: usize = 256 << 10;
 
-/// Row counts at or above this stream straight to the socket instead of
-/// through the coalescing buffer — a large scan is already one frame
-/// sequence, and buffering it would double its memory.
-const STREAM_ROWS_THRESHOLD: usize = 256;
+/// How long a response write may make no progress — the peer's receive
+/// window stays full — before the connection is closed, so a client
+/// that stops reading cannot pin a worker forever.
+const WRITE_STALL_BOUND: Duration = Duration::from_secs(5);
 
-/// Flushes coalesced response bytes in blocking mode, restoring
-/// nonblocking mode for the poller afterwards. One write (and one
-/// blocking-mode toggle) per batch of pipelined responses is a large
-/// part of what pipelining buys server-side.
-fn flush_out(conn: &Conn, out: &mut Vec<u8>) -> std::io::Result<()> {
-    if out.is_empty() {
-        return Ok(());
-    }
-    conn.stream.set_nonblocking(false)?;
-    let wrote = (&conn.stream).write_all(out);
-    let restored = conn.stream.set_nonblocking(true);
-    out.clear();
-    wrote?;
-    restored
+/// A worker's send side, kept across passes: the buffer responses are
+/// encoded into, and what it takes to wait on a full socket.
+#[derive(Default)]
+struct Outbox {
+    /// Encoded response frames not yet written. Empty between passes.
+    out: Vec<u8>,
+    /// A poller of the worker's own for writability waits, made the
+    /// first time a peer falls behind (most workers never need one).
+    wait: Option<(Poller, Events)>,
 }
 
-/// Extracts the next complete frame from the receive buffer, or `None`
-/// if more bytes are needed. `Err` means the peer announced a frame
-/// over the cap — a protocol violation that closes the connection.
-fn take_frame(buf: &mut Vec<u8>) -> std::result::Result<Option<Bytes>, ()> {
-    if buf.len() < 4 {
-        return Ok(None);
+impl Outbox {
+    /// Writes out every buffered response frame; `out` is empty after,
+    /// whatever the outcome.
+    fn flush(&mut self, stream: &TcpStream) -> io::Result<()> {
+        send_all(stream, &mut self.out, &mut self.wait)
     }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > wire::MAX_FRAME_BYTES {
-        return Err(());
+
+    /// Readies the outbox for the next connection: nothing one
+    /// connection left unsent may reach another, and a buffer a large
+    /// result grew is given back.
+    fn reset(&mut self) {
+        self.out.clear();
+        if self.out.capacity() > 2 * RESPOND_COALESCE_MAX {
+            self.out = Vec::new();
+        }
     }
-    if buf.len() < 4 + len {
-        return Ok(None);
+}
+
+/// Writes all of `out` to the nonblocking `stream` and clears it. The
+/// common case is one `write` that takes everything; only when the
+/// socket's send buffer is full does the worker wait for writability,
+/// at most [`WRITE_STALL_BOUND`] per stall.
+fn send_all(
+    mut stream: &TcpStream,
+    out: &mut Vec<u8>,
+    wait: &mut Option<(Poller, Events)>,
+) -> io::Result<()> {
+    let mut sent = 0;
+    let result = loop {
+        if sent == out.len() {
+            break Ok(());
+        }
+        match stream.write(&out[sent..]) {
+            Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if let Err(e) = wait_writable(stream, wait) {
+                    break Err(e);
+                }
+            }
+            Err(e) => break Err(e),
+        }
+    };
+    out.clear();
+    result
+}
+
+/// Blocks until `stream` accepts bytes again, or fails with `TimedOut`
+/// after [`WRITE_STALL_BOUND`]. The connection's registration with the
+/// server's poller is disarmed while a worker owns it, so the wait uses
+/// the worker's own poller; a hung-up peer reports writable and the
+/// next `write` returns its error.
+fn wait_writable(stream: &TcpStream, wait: &mut Option<(Poller, Events)>) -> io::Result<()> {
+    let (poller, events) = match wait {
+        Some(w) => w,
+        None => wait.insert((Poller::new()?, Events::new())),
+    };
+    poller.add(stream, Event::writable(0))?;
+    events.clear();
+    let waited = poller.wait(events, Some(WRITE_STALL_BOUND));
+    let _ = poller.delete(stream);
+    match waited? {
+        0 => Err(io::ErrorKind::TimedOut.into()),
+        _ => Ok(()),
     }
-    let payload = Bytes::copy_from_slice(&buf[4..4 + len]);
-    buf.drain(..4 + len);
-    Ok(Some(payload))
 }
 
 /// One processing pass over a ready connection: drain the socket,
@@ -824,6 +974,12 @@ fn take_frame(buf: &mut Vec<u8>) -> std::result::Result<Option<Bytes>, ()> {
 /// order, and a failed statement produces an `ERR` in its slot without
 /// desynchronizing the stream.
 ///
+/// The syscalls of a pass that finds one small request: one `read`
+/// (it comes back short, which on a stream socket means the socket is
+/// empty — no second `read` to be told `EAGAIN`), one `write`, and the
+/// poller re-arm. Interest is level-triggered, so bytes that land after
+/// the short read raise a new event the moment the pass re-arms.
+///
 /// Draining and executing alternate: once the receive buffer reaches
 /// [`MAX_BUFFERED`], buffered frames are executed (freeing their
 /// bytes) before draining resumes, so a burst of any size is absorbed
@@ -832,7 +988,7 @@ fn take_frame(buf: &mut Vec<u8>) -> std::result::Result<Option<Bytes>, ()> {
 /// [`wire::MAX_FRAME_BYTES`]. EOF means "no more requests", not abort:
 /// frames already buffered still execute and their responses still
 /// flush before the connection closes.
-fn process_conn(conn: &Arc<Conn>, shared: &Arc<Shared>) {
+fn process_conn(conn: &Arc<Conn>, shared: &Arc<Shared>, tx: &mut Outbox) {
     if conn.closed.load(Ordering::Acquire) {
         return;
     }
@@ -840,111 +996,107 @@ fn process_conn(conn: &Arc<Conn>, shared: &Arc<Shared>) {
     if conn.closed.load(Ordering::Acquire) {
         return;
     }
+    let ready_at = conn.last_activity.load(Ordering::Relaxed);
+    shared
+        .hist_queue_wait
+        .record(shared.obs.now_us().saturating_sub(ready_at));
 
-    let mut chunk = [0u8; READ_CHUNK];
-    // Responses coalesce here across drain/execute rounds and flush in
-    // batched blocking writes — the pipelining contract only requires
-    // *order*, not a write per statement.
-    let mut out: Vec<u8> = Vec::new();
-    let (mut dry, mut eof);
+    let mut frames = 0u64;
+    let mut eof = false;
     loop {
         // Drain phase: pull bytes until the socket is dry, the peer is
         // done writing, or the buffer holds a full burst's worth;
         // nonblocking reads never stall the worker.
-        dry = false;
-        eof = false;
-        while st.buf.len() < MAX_BUFFERED {
-            match (&conn.stream).read(&mut chunk) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => st.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    dry = true;
-                    break;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+        let mut dry = false;
+        while st.recv.len() < MAX_BUFFERED {
+            match st.recv.fill(&conn.stream) {
+                Ok(Fill::Eof) => eof = true,
+                Ok(Fill::Drained) => dry = true,
+                Ok(Fill::Filled) => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => dry = true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    let _ = flush_out(conn, &mut out);
+                    let _ = tx.flush(&conn.stream);
                     return close_conn(conn, &mut st, shared);
                 }
             }
+            break;
         }
-        *conn.last_activity.lock().unwrap() = Instant::now();
 
         // Preamble first: reject strangers before touching the database.
         if !st.preamble_ok {
-            if st.buf.len() < wire::PREAMBLE.len() {
+            let got = st.recv.pending();
+            if got.len() < wire::PREAMBLE.len() {
                 if eof {
                     return close_conn(conn, &mut st, shared);
                 }
                 return rearm(conn, &mut st, shared);
             }
-            if st.buf[..wire::PREAMBLE.len()] != wire::PREAMBLE {
+            if got[..wire::PREAMBLE.len()] != wire::PREAMBLE {
                 return close_conn(conn, &mut st, shared);
             }
-            st.buf.drain(..wire::PREAMBLE.len());
+            st.recv.consume(wire::PREAMBLE.len());
             st.preamble_ok = true;
         }
 
-        if !execute_buffered(conn, shared, &mut st, &mut out) {
+        if !execute_buffered(conn, shared, &mut st, tx, &mut frames) {
             return;
         }
-
-        if eof {
-            // The peer shut down its write side after pipelining: no
-            // more requests will come, but every response already owed
-            // goes out before the connection closes.
-            let _ = flush_out(conn, &mut out);
-            return close_conn(conn, &mut st, shared);
-        }
-        if dry {
+        st.recv.compact();
+        if eof || dry {
             break;
         }
         // Neither dry nor EOF: the buffer hit its high-water mark with
         // the socket still readable. Executing just freed at least one
         // frame's bytes, so the next drain round makes progress.
     }
-    if flush_out(conn, &mut out).is_err() {
+    shared.hist_frames_per_pass.record(frames);
+    // After EOF the peer sends no more requests, but every response
+    // already owed goes out before the connection closes.
+    if tx.flush(&conn.stream).is_err() || eof {
         return close_conn(conn, &mut st, shared);
     }
-    *conn.last_activity.lock().unwrap() = Instant::now();
+    st.recv.release_if_idle();
+    conn.last_activity
+        .store(shared.obs.now_us(), Ordering::Relaxed);
     rearm(conn, &mut st, shared);
 }
 
 /// Execute phase of [`process_conn`]: runs every complete buffered
-/// frame in order, coalescing responses into `out`. Returns `false` if
-/// the connection was closed or handed off (the caller must return
-/// without touching it again), `true` if the pass completed and the
-/// connection is still owned by the caller.
+/// frame in order, coalescing responses into the outbox. Returns
+/// `false` if the connection was closed or handed off (the caller must
+/// return without touching it again), `true` if the round completed and
+/// the connection is still owned by the caller. `frames` counts the
+/// pass's frames across rounds.
 fn execute_buffered(
     conn: &Arc<Conn>,
     shared: &Arc<Shared>,
     st: &mut MutexGuard<'_, ConnState>,
-    out: &mut Vec<u8>,
+    tx: &mut Outbox,
+    frames: &mut u64,
 ) -> bool {
-    // Frames executed after the first in this pass arrived pipelined;
-    // their latency goes to `net.pipelined_us` (see `Shared`).
-    let mut nth_frame = 0usize;
     loop {
         // A shutdown requested elsewhere stops this connection between
         // frames; the statement that was already running has finished.
         if shared.stopping() {
-            let _ = flush_out(conn, out);
+            let _ = tx.flush(&conn.stream);
             close_conn(conn, st, shared);
             return false;
         }
-        let payload = match take_frame(&mut st.buf) {
+        let payload = match st.recv.take_frame() {
             Ok(Some(p)) => p,
             Ok(None) => break,
             Err(()) => {
-                let _ = flush_out(conn, out);
+                let _ = tx.flush(&conn.stream);
                 close_conn(conn, st, shared);
                 return false;
             }
         };
-        nth_frame += 1;
+        // Frames executed after the first in this pass arrived
+        // pipelined; their latency goes to `net.pipelined_us` (see
+        // `Shared`).
+        *frames += 1;
+        let nth_frame = *frames;
         let frame_started = Instant::now();
         let response = match Request::decode(payload) {
             Err(e) => Response::from_error(&e),
@@ -978,10 +1130,8 @@ fn execute_buffered(
                 // STATUS encodes straight into the output buffer from
                 // interned keys — the common poll opcode allocates no
                 // key strings and builds no `Response`.
-                let payload = wire::encode_stats(&status_pairs(shared));
-                out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-                out.extend_from_slice(&payload);
-                if out.len() >= RESPOND_COALESCE_MAX && flush_out(conn, out).is_err() {
+                wire::append_stats(&mut tx.out, &status_pairs(shared));
+                if tx.out.len() >= RESPOND_COALESCE_MAX && tx.flush(&conn.stream).is_err() {
                     close_conn(conn, st, shared);
                     return false;
                 }
@@ -989,8 +1139,8 @@ fn execute_buffered(
             }
             Ok(Request::Metrics) => Response::Metrics(metrics_snapshot(shared)),
             Ok(Request::Shutdown) => {
-                let _ = wire::write_response(out, &Response::Ok { affected: 0 });
-                let _ = flush_out(conn, out);
+                Response::Ok { affected: 0 }.encode_into(&mut tx.out);
+                let _ = tx.flush(&conn.stream);
                 close_conn(conn, st, shared);
                 shared.request_stop();
                 return false;
@@ -1007,7 +1157,7 @@ fn execute_buffered(
                     // so shutdown drains subscriptions like any session.
                     // Responses owed for earlier pipelined frames go out
                     // first, before the sender takes over framing.
-                    if flush_out(conn, out).is_err() {
+                    if tx.flush(&conn.stream).is_err() {
                         close_conn(conn, st, shared);
                         return false;
                     }
@@ -1058,23 +1208,17 @@ fn execute_buffered(
                 },
             },
         };
-        // Large scans stream straight to the socket (they are their own
-        // frame sequence and would only bloat the buffer); everything
-        // else coalesces, flushing once the buffer grows past the cap.
-        let stream_directly =
-            matches!(&response, Response::Rows { rows, .. } if rows.len() >= STREAM_ROWS_THRESHOLD);
-        let wrote = if stream_directly {
-            flush_out(conn, out).and_then(|()| respond(conn, &response))
-        } else {
-            // Writes to a Vec are infallible; size errors (a row over
-            // the frame cap) are encoded as an ERR response instead.
-            let _ = wire::write_response(out, &response);
-            if out.len() >= RESPOND_COALESCE_MAX {
-                flush_out(conn, out)
-            } else {
-                Ok(())
-            }
-        };
+        // The response is encoded once, straight into the outbox, which
+        // goes to the socket once it passes the coalescing cap or the
+        // pass ends. A result set over the frame cap is shipped chunk by
+        // chunk as it is encoded (a row over the cap becomes an ERR
+        // response), so the outbox never holds more than one chunk.
+        let Outbox { out, wait } = &mut *tx;
+        let mut wrote =
+            wire::append_response(out, &response, |out| send_all(&conn.stream, out, wait));
+        if wrote.is_ok() && tx.out.len() >= RESPOND_COALESCE_MAX {
+            wrote = tx.flush(&conn.stream);
+        }
         if wrote.is_err() {
             close_conn(conn, st, shared);
             return false;
@@ -1087,7 +1231,7 @@ fn execute_buffered(
 /// pass into its opcode histogram, pipelined followers into
 /// `net.pipelined_us` — their wall clock includes queueing behind the
 /// frames ahead of them, which must not skew the opcode distributions.
-fn record_stmt(shared: &Shared, hist: &bullfrog_obs::Histogram, nth: usize, started: Instant) {
+fn record_stmt(shared: &Shared, hist: &bullfrog_obs::Histogram, nth: u64, started: Instant) {
     let h = if nth > 1 {
         &*shared.hist_pipelined
     } else {
@@ -1143,10 +1287,13 @@ fn subscribe_handoff(
     }
     let _ = shared.poller.delete(&conn.stream);
     shared.conns.lock().unwrap().remove(&conn.id);
-    let stream = conn
-        .stream
-        .try_clone()
-        .and_then(|s| s.set_nonblocking(false).map(|()| s));
+    // The sender writes in blocking mode; bound its writes like a
+    // worker's, so a replica that stops reading cannot pin it.
+    let stream = conn.stream.try_clone().and_then(|s| {
+        s.set_nonblocking(false)?;
+        s.set_write_timeout(Some(WRITE_STALL_BOUND))?;
+        Ok(s)
+    });
     let stream = match stream {
         Ok(s) => s,
         Err(_) => {

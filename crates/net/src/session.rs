@@ -93,14 +93,6 @@ const FINALIZE_WAIT: Duration = Duration::from_secs(5);
 /// id past this is refused rather than silently evicting.
 const MAX_PREPARED: usize = 256;
 
-/// One cached `PREPARE`: the parsed template plus its original text
-/// (kept for error context; templates are DML-only so the text never
-/// reaches the DDL journal).
-struct PreparedStmt {
-    template: PreparedTemplate,
-    sql: String,
-}
-
 /// One client session.
 pub struct Session {
     bf: Arc<Bullfrog>,
@@ -120,7 +112,7 @@ pub struct Session {
     /// node is not the leaseholder.
     ha: Option<Arc<dyn HaHooks>>,
     /// `PREPARE`d statement templates, keyed by the client-chosen id.
-    prepared: HashMap<u64, PreparedStmt>,
+    prepared: HashMap<u64, PreparedTemplate>,
     /// Set once this connection issues a cluster-control operation: the
     /// coordinator's own statements (flip DDL, the exchange's
     /// cross-shard reads and merge writes) bypass enforcement.
@@ -296,13 +288,7 @@ impl Session {
             )));
         }
         let n_params = template.n_params();
-        self.prepared.insert(
-            id,
-            PreparedStmt {
-                template,
-                sql: sql.to_string(),
-            },
-        );
+        self.prepared.insert(id, template);
         Response::Ok {
             affected: u64::from(n_params),
         }
@@ -315,15 +301,16 @@ impl Session {
     pub fn execute_prepared(&mut self, id: u64, params: &Row) -> Response {
         SessionCounters::bump(&self.counters.statements, 1);
         let started = Instant::now();
-        let Some(entry) = self.prepared.get(&id) else {
+        let Some(template) = self.prepared.get(&id) else {
             return self.fail(&Error::Eval(format!("unknown prepared statement {id}")));
         };
-        let sql = entry.sql.clone();
-        let stmt = match entry.template.bind(&params.0) {
+        let stmt = match template.bind(&params.0) {
             Ok(stmt) => stmt,
             Err(e) => return self.fail(&e),
         };
-        self.gate_and_run(stmt, &sql, started)
+        // The statement text only ever reaches the DDL journal, and
+        // `prepare` admits DML alone: there is no text to carry.
+        self.gate_and_run(stmt, "", started)
     }
 
     /// Drops the cached template `id`, freeing its cache slot.

@@ -339,11 +339,23 @@ pub enum Response {
 impl Request {
     /// Encodes the request as one frame payload.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
+        self.put(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// Appends the request to `out` as one complete frame: the length
+    /// prefix, then exactly the bytes [`encode`](Self::encode) returns,
+    /// written in place with the length patched in afterwards.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_frame(out, |out| self.put(out));
+    }
+
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Query(sql) => {
                 buf.put_u8(req::QUERY);
-                put_str(&mut buf, sql);
+                put_str(buf, sql);
             }
             Request::Checkpoint => buf.put_u8(req::CHECKPOINT),
             Request::Status => buf.put_u8(req::STATUS),
@@ -367,7 +379,7 @@ impl Request {
             }
             Request::Cluster(op) => {
                 buf.put_u8(req::CLUSTER);
-                op.encode_into(&mut buf);
+                op.encode_into(buf);
             }
             Request::Ha(op) => {
                 buf.put_u8(req::HA);
@@ -379,7 +391,7 @@ impl Request {
                     } => {
                         buf.put_u8(1);
                         buf.put_u64(*epoch);
-                        put_str(&mut buf, leader);
+                        put_str(buf, leader);
                         buf.put_u64(*ttl_ms);
                     }
                     HaReq::Vote {
@@ -389,7 +401,7 @@ impl Request {
                     } => {
                         buf.put_u8(2);
                         buf.put_u64(*epoch);
-                        put_str(&mut buf, candidate);
+                        put_str(buf, candidate);
                         buf.put_u8(u8::from(*forced));
                     }
                     HaReq::Promote => buf.put_u8(3),
@@ -399,12 +411,12 @@ impl Request {
             Request::Prepare { id, sql } => {
                 buf.put_u8(req::PREPARE);
                 buf.put_u64(*id);
-                put_str(&mut buf, sql);
+                put_str(buf, sql);
             }
             Request::Execute { id, params } => {
                 buf.put_u8(req::EXECUTE);
                 buf.put_u64(*id);
-                codec::put_row(&mut buf, params);
+                codec::put_row(buf, params);
             }
             Request::CloseStmt { id } => {
                 buf.put_u8(req::CLOSE_STMT);
@@ -412,7 +424,6 @@ impl Request {
             }
             Request::Metrics => buf.put_u8(req::METRICS),
         }
-        buf.freeze()
     }
 
     /// Decodes a frame payload as a request.
@@ -477,29 +488,36 @@ impl Request {
 impl Response {
     /// Encodes the response as one frame payload.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
+        self.put(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// Appends the response to `out` as one complete frame: the length
+    /// prefix, then exactly the bytes [`encode`](Self::encode) returns.
+    /// Never chunks — [`append_response`] is the form that splits an
+    /// oversized row set.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_frame(out, |out| self.put(out));
+    }
+
+    fn put(&self, buf: &mut Vec<u8>) {
         match self {
             Response::Rows { names, rows } => {
                 buf.put_u8(resp::ROWS);
-                buf.put_u32(names.len() as u32);
-                for n in names {
-                    put_str(&mut buf, n);
-                }
+                put_names(buf, names);
                 buf.put_u32(rows.len() as u32);
                 for r in rows {
-                    codec::put_row(&mut buf, r);
+                    codec::put_row(buf, r);
                 }
             }
             Response::RowsChunk { more, names, rows } => {
                 buf.put_u8(resp::ROWS_CHUNK);
                 buf.put_u8(u8::from(*more));
-                buf.put_u32(names.len() as u32);
-                for n in names {
-                    put_str(&mut buf, n);
-                }
+                put_names(buf, names);
                 buf.put_u32(rows.len() as u32);
                 for r in rows {
-                    codec::put_row(&mut buf, r);
+                    codec::put_row(buf, r);
                 }
             }
             Response::Ok { affected } => {
@@ -513,21 +531,16 @@ impl Response {
             } => {
                 buf.put_u8(resp::ERR);
                 buf.put_u8(u8::from(*retryable));
-                put_str(&mut buf, message);
+                put_str(buf, message);
                 // Trailing so a pre-code decoder sees a valid payload.
                 buf.put_u8(*code);
             }
             Response::Stats(pairs) => {
-                buf.put_u8(resp::STATS);
-                buf.put_u32(pairs.len() as u32);
-                for (k, v) in pairs {
-                    put_str(&mut buf, k);
-                    buf.put_u64(*v as u64);
-                }
+                put_stats(buf, pairs.iter().map(|(k, v)| (k.as_str(), *v)));
             }
             Response::Metrics(snap) => {
                 buf.put_u8(resp::METRICS);
-                put_metrics(&mut buf, snap);
+                put_metrics(buf, snap);
             }
             Response::Frames {
                 durable_lsn,
@@ -547,7 +560,7 @@ impl Response {
                 buf.put_u32(records.len() as u32);
                 for (lsn, r) in records {
                     buf.put_u64(*lsn);
-                    codec::put_record(&mut buf, r);
+                    codec::put_record(buf, r);
                 }
                 // Trailing so a pre-HA decoder sees a valid payload.
                 buf.put_u64(*epoch);
@@ -559,13 +572,13 @@ impl Response {
             }
             Response::ShardMap(map) => {
                 buf.put_u8(resp::SHARD_MAP);
-                map.encode_into(&mut buf);
+                map.encode_into(buf);
             }
             Response::Prepared { exchange } => {
                 buf.put_u8(resp::PREPARED);
                 buf.put_u32(exchange.len() as u32);
                 for e in exchange {
-                    e.encode_into(&mut buf);
+                    e.encode_into(buf);
                 }
             }
             Response::HaState {
@@ -578,12 +591,11 @@ impl Response {
                 buf.put_u8(resp::HA_STATE);
                 buf.put_u8(u8::from(*granted));
                 buf.put_u64(*epoch);
-                put_str(&mut buf, role);
-                put_str(&mut buf, leader);
+                put_str(buf, role);
+                put_str(buf, leader);
                 buf.put_u64(*lease_ms);
             }
         }
-        buf.freeze()
     }
 
     /// Decodes a frame payload as a response.
@@ -737,11 +749,23 @@ pub fn read_preamble(r: &mut impl Read) -> Result<()> {
     Ok(())
 }
 
-/// Writes one frame (length prefix + payload).
+/// Payload bytes that ride in the same `write` as the frame header. A
+/// frame at or under this size leaves in exactly one `write`; a larger
+/// one follows its first `write` with the rest straight from the
+/// payload, so big payloads are never copied whole.
+const FRAME_HEAD_BYTES: usize = 16 << 10;
+
+/// Writes one frame (length prefix + payload). Header and payload go
+/// out together: on a `TCP_NODELAY` socket a header-only `write` is its
+/// own segment, and the peer is woken once for four bytes it cannot act
+/// on and again for the payload.
 pub fn write_frame(w: &mut impl Write, payload: &Bytes) -> std::io::Result<()> {
-    let len = (payload.len() as u32).to_be_bytes();
-    w.write_all(&len)?;
-    w.write_all(payload)?;
+    let head = payload.len().min(FRAME_HEAD_BYTES);
+    let mut first = Vec::with_capacity(4 + head);
+    first.put_u32(payload.len() as u32);
+    first.extend_from_slice(&payload[..head]);
+    w.write_all(&first)?;
+    w.write_all(&payload[head..])?;
     w.flush()
 }
 
@@ -759,101 +783,148 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Bytes>> {
             "frame of {len} bytes exceeds cap {MAX_FRAME_BYTES}"
         )));
     }
-    let mut payload = vec![0u8; len];
+    let mut payload = BytesMut::zeroed(len);
     r.read_exact(&mut payload)
         .map_err(|e| Error::Eval(format!("frame body read failed: {e}")))?;
-    Ok(Some(Bytes::copy_from_slice(&payload)))
+    Ok(Some(payload.freeze()))
+}
+
+/// Appends one frame to `out`: a length placeholder, whatever `payload`
+/// appends, then the real length patched over the placeholder.
+fn put_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let frame = out.len();
+    out.put_u32(0);
+    payload(out);
+    patch_frame_len(out, frame);
+}
+
+/// Closes the frame opened at `frame` (where its length placeholder
+/// sits): everything after the placeholder is its payload.
+fn patch_frame_len(out: &mut [u8], frame: usize) {
+    patch_u32(out, frame, (out.len() - frame - 4) as u32);
+}
+
+fn patch_u32(out: &mut [u8], at: usize, v: u32) {
+    out[at..at + 4].copy_from_slice(&v.to_be_bytes());
 }
 
 /// Soft target for one chunk of a split row set — comfortably under
 /// [`MAX_FRAME_BYTES`] so names + framing never push a chunk over the cap.
 const CHUNK_TARGET_BYTES: usize = 4 << 20;
 
-/// Writes one logical response as one or more frames. [`Response::Rows`]
-/// payloads that would exceed the frame cap are split into a
-/// `ROWS_CHUNK` sequence (continuation flag set on all but the last);
-/// results that fit stay a single plain `ROWS` frame, so old clients
-/// only ever see the new opcode on results they could not have received
-/// at all before. A single row too large for any frame errors that one
-/// statement instead of killing the session — even when earlier chunks
-/// of the same result already went out: an `ERR` frame is a legal
-/// terminator of a chunk sequence (see [`read_response`]), so the
-/// stream stays in frame sync and the statement alone fails.
+/// Writes one logical response as one or more frames (see
+/// [`append_response`] for how oversized row sets split). A response
+/// that fits one frame leaves in one `write`; a chunked one, one `write`
+/// per chunk.
 pub fn write_response(w: &mut impl Write, response: &Response) -> std::io::Result<()> {
+    let mut out = Vec::new();
+    append_response(&mut out, response, |out| {
+        w.write_all(out)?;
+        out.clear();
+        Ok(())
+    })?;
+    w.write_all(&out)?;
+    w.flush()
+}
+
+/// Appends one logical response to `out` as one or more complete frames,
+/// each row encoded once, in place. [`Response::Rows`] payloads that
+/// would exceed the frame cap are split into a `ROWS_CHUNK` sequence
+/// (continuation flag set on all but the last); results that fit stay a
+/// single plain `ROWS` frame, so old clients only ever see the new
+/// opcode on results they could not have received at all before. A
+/// single row too large for any frame errors that one statement instead
+/// of killing the session — even when earlier chunks of the same result
+/// already went out: an `ERR` frame is a legal terminator of a chunk
+/// sequence (see [`read_response`]), so the stream stays in frame sync
+/// and the statement alone fails.
+///
+/// `flush` runs each time a chunk closes, with `out` ending on a frame
+/// boundary: a caller that ships `out` and clears it there holds one
+/// chunk of a huge result at a time instead of all of it. Only chunked
+/// results ever call it; what is left in `out` on return is the
+/// caller's to send.
+pub fn append_response(
+    out: &mut Vec<u8>,
+    response: &Response,
+    mut flush: impl FnMut(&mut Vec<u8>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let (names, rows) = match response {
         Response::Rows { names, rows } => (names, rows),
-        other => return write_frame(w, &other.encode()),
+        other => {
+            other.encode_into(out);
+            return Ok(());
+        }
     };
-    let mut names_buf = BytesMut::new();
-    names_buf.put_u32(names.len() as u32);
-    for n in names {
-        put_str(&mut names_buf, n);
-    }
+    // The frame opens as plain ROWS in the hope that everything fits.
+    let (mut frame, mut rows_at) = open_rows_frame(out, false, names);
     // opcode + continuation flag + names + row count.
-    let header = 2 + names_buf.len() + 4;
+    let header = rows_at - frame - 4 + 1;
     let budget = CHUNK_TARGET_BYTES.max(header + 1);
-
-    // One-chunk lookahead: `pending` only flushes (with the continuation
-    // flag set) once a second chunk exists, so single-chunk results fall
-    // through to the plain ROWS encoding.
-    let mut pending: Option<(u32, BytesMut)> = None;
-    let mut cur = BytesMut::new();
-    let mut cur_rows: u32 = 0;
-    let mut scratch = BytesMut::new();
+    let mut chunked = false;
+    let mut n_rows: u32 = 0;
     for row in rows {
-        scratch.clear();
-        codec::put_row(&mut scratch, row);
-        if header + scratch.len() > MAX_FRAME_BYTES {
-            let err = Response::Err {
+        let row_at = out.len();
+        codec::put_row(out, row);
+        let row_len = out.len() - row_at;
+        if header + row_len > MAX_FRAME_BYTES {
+            // Chunks already closed stay (their flag says more follows);
+            // the open one is dropped and ERR ends the sequence.
+            out.truncate(frame);
+            Response::Err {
                 retryable: false,
                 code: err_code::GENERAL,
                 message: format!(
-                    "result row of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame cap",
-                    scratch.len()
+                    "result row of {row_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame cap"
                 ),
-            };
-            return write_frame(w, &err.encode());
-        }
-        if !cur.is_empty() && header + cur.len() + scratch.len() > budget {
-            if let Some((n, body)) = pending.take() {
-                write_rows_chunk(w, &names_buf, n, &body, true)?;
             }
-            pending = Some((cur_rows, std::mem::take(&mut cur)));
-            cur_rows = 0;
+            .encode_into(out);
+            return Ok(());
         }
-        cur.extend_from_slice(&scratch);
-        cur_rows += 1;
+        if n_rows > 0 && header + (row_at - rows_at) + row_len > budget {
+            // This row starts the next chunk; set it aside while the
+            // open frame closes with its continuation flag set.
+            let tail = out.split_off(row_at);
+            if chunked {
+                out[frame + 5] = 1;
+            } else {
+                // The first frame turns out not to be the only one:
+                // retag it and make room for the flag byte.
+                out[frame + 4] = resp::ROWS_CHUNK;
+                out.insert(frame + 5, 1);
+                rows_at += 1;
+                chunked = true;
+            }
+            patch_u32(out, rows_at - 4, n_rows);
+            patch_frame_len(out, frame);
+            flush(out)?;
+            (frame, rows_at) = open_rows_frame(out, true, names);
+            out.extend_from_slice(&tail);
+            n_rows = 0;
+        }
+        n_rows += 1;
     }
-    match pending.take() {
-        None => {
-            let mut payload = BytesMut::with_capacity(1 + names_buf.len() + 4 + cur.len());
-            payload.put_u8(resp::ROWS);
-            payload.extend_from_slice(&names_buf);
-            payload.put_u32(cur_rows);
-            payload.extend_from_slice(&cur);
-            write_frame(w, &payload.freeze())
-        }
-        Some((n, body)) => {
-            write_rows_chunk(w, &names_buf, n, &body, true)?;
-            write_rows_chunk(w, &names_buf, cur_rows, &cur, false)
-        }
-    }
+    patch_u32(out, rows_at - 4, n_rows);
+    patch_frame_len(out, frame);
+    Ok(())
 }
 
-fn write_rows_chunk(
-    w: &mut impl Write,
-    names_buf: &BytesMut,
-    n_rows: u32,
-    body: &[u8],
-    more: bool,
-) -> std::io::Result<()> {
-    let mut payload = BytesMut::with_capacity(2 + names_buf.len() + 4 + body.len());
-    payload.put_u8(resp::ROWS_CHUNK);
-    payload.put_u8(u8::from(more));
-    payload.extend_from_slice(names_buf);
-    payload.put_u32(n_rows);
-    payload.extend_from_slice(body);
-    write_frame(w, &payload.freeze())
+/// Opens a `ROWS` frame, or a `ROWS_CHUNK` frame with its continuation
+/// flag clear, at the end of `out`: length placeholder, opcode, flag,
+/// names, row-count placeholder. Returns where the frame and its first
+/// row start.
+fn open_rows_frame(out: &mut Vec<u8>, chunk: bool, names: &[String]) -> (usize, usize) {
+    let frame = out.len();
+    out.put_u32(0);
+    if chunk {
+        out.put_u8(resp::ROWS_CHUNK);
+        out.put_u8(0);
+    } else {
+        out.put_u8(resp::ROWS);
+    }
+    put_names(out, names);
+    out.put_u32(0);
+    (frame, out.len())
 }
 
 /// Reads one logical response, reassembling a `ROWS_CHUNK` sequence into
@@ -898,24 +969,33 @@ pub fn read_response(r: &mut impl Read) -> Result<Option<Response>> {
     }))
 }
 
-/// Encodes a `STATS` frame payload from borrowed keys — the server's
+/// Appends a `STATS` frame built from borrowed keys — the server's
 /// `STATUS` fast path. Decodes as [`Response::Stats`]; byte-identical
-/// to `Response::Stats(pairs.to_owned()).encode()` without cloning a
-/// key string per pair.
-pub fn encode_stats(pairs: &[(&str, i64)]) -> Bytes {
-    let mut buf = BytesMut::new();
+/// to `Response::Stats(pairs.to_owned()).encode_into(out)` without
+/// cloning a key string per pair.
+pub fn append_stats(out: &mut Vec<u8>, pairs: &[(&str, i64)]) {
+    put_frame(out, |out| put_stats(out, pairs.iter().copied()));
+}
+
+fn put_stats<'a>(buf: &mut Vec<u8>, pairs: impl ExactSizeIterator<Item = (&'a str, i64)>) {
     buf.put_u8(resp::STATS);
     buf.put_u32(pairs.len() as u32);
     for (k, v) in pairs {
-        put_str(&mut buf, k);
-        buf.put_u64(*v as u64);
+        put_str(buf, k);
+        buf.put_u64(v as u64);
     }
-    buf.freeze()
 }
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
+pub(crate) fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32(s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
+    buf.put_slice(s.as_bytes());
+}
+
+fn put_names(buf: &mut Vec<u8>, names: &[String]) {
+    buf.put_u32(names.len() as u32);
+    for n in names {
+        put_str(buf, n);
+    }
 }
 
 pub(crate) fn get_str(buf: &mut Bytes) -> Result<String> {
@@ -952,7 +1032,7 @@ pub(crate) fn get_trailing_u64(buf: &mut Bytes) -> Result<u64> {
 /// Histograms go out sparse (non-empty buckets only) with four
 /// precomputed quantiles in front, so a consumer without the bucket
 /// layout can still read p50/p99 straight off the wire.
-fn put_metrics(buf: &mut BytesMut, snap: &bullfrog_obs::MetricsSnapshot) {
+fn put_metrics(buf: &mut Vec<u8>, snap: &bullfrog_obs::MetricsSnapshot) {
     buf.put_u64(snap.uptime_us);
     buf.put_u32(snap.counters.len() as u32);
     for (k, v) in &snap.counters {
@@ -1061,9 +1141,9 @@ mod tests {
     use super::*;
     use bullfrog_common::row;
 
-    #[test]
-    fn requests_round_trip() {
-        for r in [
+    /// One of every request variant (and sub-operation).
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Query("SELECT a FROM t WHERE café = 'naïve'".into()),
             Request::Checkpoint,
             Request::Status,
@@ -1123,19 +1203,26 @@ mod tests {
             },
             Request::CloseStmt { id: u64::MAX },
             Request::Metrics,
-        ] {
-            assert_eq!(Request::decode(r.encode()).unwrap(), r);
-        }
+        ]
     }
 
-    #[test]
-    fn responses_round_trip() {
+    /// One of every response variant.
+    fn sample_responses() -> Vec<Response> {
         use bullfrog_common::TxnId;
-        for r in [
+        let reg = bullfrog_obs::Registry::new();
+        reg.counter("sessions.statements").add(3);
+        reg.histogram("net.query_us").record(40);
+        vec![
             Response::Rows {
                 names: vec!["id".into(), "owner".into()],
                 rows: vec![row![1, "alice"], row![2, "✈"]],
             },
+            Response::RowsChunk {
+                more: true,
+                names: vec!["id".into()],
+                rows: vec![row![1], row![2]],
+            },
+            Response::Metrics(reg.snapshot()),
             Response::Ok { affected: 7 },
             Response::Err {
                 retryable: true,
@@ -1180,9 +1267,104 @@ mod tests {
                 leader: "127.0.0.1:7001".into(),
                 lease_ms: 900,
             },
-        ] {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for r in sample_requests() {
+            assert_eq!(Request::decode(r.encode()).unwrap(), r);
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for r in sample_responses() {
             assert_eq!(Response::decode(r.encode()).unwrap(), r);
         }
+    }
+
+    /// What `write_frame` puts on the wire for `payload`.
+    fn framed(payload: &Bytes) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_the_frame_of_encode() {
+        // Appended after bytes already there, and nothing but appended.
+        let before = [0xAAu8, 0xBB];
+        for r in sample_requests() {
+            let mut out = before.to_vec();
+            r.encode_into(&mut out);
+            assert_eq!(out[..2], before, "{r:?}");
+            assert_eq!(out[2..], framed(&r.encode()), "{r:?}");
+        }
+        for r in sample_responses() {
+            let mut out = before.to_vec();
+            r.encode_into(&mut out);
+            assert_eq!(out[..2], before, "{r:?}");
+            assert_eq!(out[2..], framed(&r.encode()), "{r:?}");
+            // Nothing here needs chunking, so the chunk-aware form is
+            // the same bytes and never asks for a flush.
+            let mut appended = before.to_vec();
+            append_response(&mut appended, &r, |_| {
+                panic!("flush on an unchunked response")
+            })
+            .unwrap();
+            assert_eq!(appended, out, "{r:?}");
+        }
+        let pairs = [("wal.flushes", 12i64), ("neg", -3)];
+        let owned = Response::Stats(pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect());
+        let mut out = Vec::new();
+        append_stats(&mut out, &pairs);
+        assert_eq!(out, framed(&owned.encode()));
+    }
+
+    /// A sink that takes whatever it is offered and counts the calls.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        for r in sample_requests() {
+            let mut w = CountingWrite::default();
+            write_frame(&mut w, &r.encode()).unwrap();
+            assert_eq!(w.writes, 1, "{r:?}");
+            assert_eq!(w.bytes, framed(&r.encode()), "{r:?}");
+        }
+        for r in sample_responses() {
+            let mut w = CountingWrite::default();
+            write_response(&mut w, &r).unwrap();
+            assert_eq!(w.writes, 1, "{r:?}");
+            assert_eq!(w.bytes, framed(&r.encode()), "{r:?}");
+        }
+        // Past the size that rides with the header, the rest follows
+        // from the payload itself: two writes, the same bytes.
+        let big = Response::Snapshot {
+            payload: Bytes::from(vec![7u8; 4 * FRAME_HEAD_BYTES]),
+        }
+        .encode();
+        let mut w = CountingWrite::default();
+        write_frame(&mut w, &big).unwrap();
+        assert_eq!(w.writes, 2);
+        assert_eq!(w.bytes, framed(&big));
     }
 
     #[test]
@@ -1420,6 +1602,13 @@ mod tests {
         }
         assert!(n_chunks > 1, "expected multiple chunks, got {n_chunks}");
         assert!(!last_more, "final chunk must clear the continuation flag");
+
+        // One write per chunk, each a whole frame: the writer never
+        // holds more than one chunk of the result.
+        let mut w = CountingWrite::default();
+        write_response(&mut w, &resp).unwrap();
+        assert_eq!(w.writes, n_chunks);
+        assert_eq!(w.bytes, buf);
 
         // Logical view: read_response reassembles the original rows.
         let mut r = std::io::Cursor::new(&buf);

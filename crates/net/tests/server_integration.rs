@@ -3,13 +3,17 @@
 //! backpressure, idle timeout, transaction lifecycle across frames,
 //! admin opcodes, and the shutdown durability guarantee.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use bullfrog_common::Value;
+use bullfrog_common::{row, Value};
 use bullfrog_core::Bullfrog;
 use bullfrog_engine::{recovery, Database, DbConfig, EngineMode};
-use bullfrog_net::{Client, ClientError, QueryReply, Server, ServerConfig};
+use bullfrog_net::{
+    wire, Client, ClientError, QueryReply, Request, Response, Server, ServerConfig,
+};
 
 /// Boots a server on an ephemeral loopback port over a fresh in-memory
 /// database.
@@ -475,6 +479,15 @@ fn metrics_snapshot_matches_status_in_both_engine_modes() {
             hist_count("net.pipelined_us") >= 1,
             "the pipelined burst records follow-on frames ({mode:?})"
         );
+        // The hand-off and the pass shape are on the same surface: every
+        // worker pass timed its wait in the queue, and the passes between
+        // them executed at least every statement frame.
+        assert!(hist_count("net.queue_wait_us") >= 1, "({mode:?})");
+        let passes = snap
+            .histogram("net.frames_per_pass")
+            .unwrap_or_else(|| panic!("METRICS missing net.frames_per_pass ({mode:?})"));
+        assert!(passes.count() >= 1, "({mode:?})");
+        assert!(passes.sum >= recorded, "({mode:?})");
 
         // The migration lifecycle left latency evidence behind.
         for name in [
@@ -537,4 +550,155 @@ fn migration_ddl_works_over_the_wire() {
         panic!("expected rows");
     };
     assert_eq!(rows.len(), 3);
+}
+
+/// A raw connection past the preamble, with `t(id, v)` holding
+/// `(1, 10), (2, 20), (3, 30)`.
+fn raw_conn_with_table(addr: std::net::SocketAddr) -> TcpStream {
+    let mut admin = Client::connect(addr).unwrap();
+    admin
+        .execute("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")
+        .unwrap();
+    admin
+        .execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        .unwrap();
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_nodelay(true).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    wire::write_preamble(&mut s).unwrap();
+    s
+}
+
+fn select_v(id: i64) -> Vec<u8> {
+    let mut frame = Vec::new();
+    Request::Query(format!("SELECT v FROM t WHERE id = {id}")).encode_into(&mut frame);
+    frame
+}
+
+fn expect_v(s: &mut TcpStream, v: i64) {
+    match wire::read_response(s).unwrap().expect("connection open") {
+        Response::Rows { rows, .. } => assert_eq!(rows, vec![row![v]]),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// Sends `bytes` as separate segments, `piece` bytes at a time. The
+/// pause gives each piece its own worker pass; nothing asserted depends
+/// on the server having seen them apart.
+fn dribble(s: &mut TcpStream, bytes: &[u8], piece: usize) {
+    for part in bytes.chunks(piece) {
+        s.write_all(part).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_request_in_pieces_still_gets_its_response() {
+    let (_server, addr) = serve(quick_config());
+    let mut s = raw_conn_with_table(addr);
+    let frame = select_v(2);
+
+    // Split at every offset of header and payload.
+    for cut in 1..frame.len() {
+        dribble(&mut s, &frame[..cut], cut);
+        dribble(&mut s, &frame[cut..], frame.len());
+        expect_v(&mut s, 20);
+    }
+
+    // One byte per segment, preamble included, on a fresh connection.
+    let mut t = TcpStream::connect(addr).unwrap();
+    t.set_nodelay(true).unwrap();
+    t.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    dribble(&mut t, &wire::PREAMBLE, 1);
+    dribble(&mut t, &frame, 1);
+    expect_v(&mut t, 20);
+
+    // The pieces really were served apart: passes that found no whole
+    // frame are on record.
+    let snap = Client::connect(addr).unwrap().metrics().unwrap();
+    let passes = snap.histogram("net.frames_per_pass").unwrap();
+    let empty_passes = passes
+        .sparse()
+        .iter()
+        .find(|&&(bucket, _)| bucket as usize == bullfrog_obs::bucket_of(0))
+        .map_or(0, |&(_, n)| n);
+    assert!(empty_passes > 0, "{:?}", passes.sparse());
+}
+
+#[test]
+fn a_truncated_third_frame_waits_for_its_tail() {
+    let (_server, addr) = serve(quick_config());
+    let mut s = raw_conn_with_table(addr);
+    let mut burst = select_v(1);
+    burst.extend(select_v(2));
+    let third = select_v(3);
+    let cut = third.len() / 2;
+    burst.extend(&third[..cut]);
+
+    // Two whole frames and half of a third in one segment: the two are
+    // answered, the half waits.
+    s.write_all(&burst).unwrap();
+    expect_v(&mut s, 10);
+    expect_v(&mut s, 20);
+    s.set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut probe = [0u8; 1];
+    assert!(
+        std::io::Read::read(&mut s, &mut probe).is_err(),
+        "no third response before the third request is whole"
+    );
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(&third[cut..]).unwrap();
+    expect_v(&mut s, 30);
+}
+
+#[test]
+fn a_client_that_never_reads_is_closed_and_its_worker_released() {
+    let (server, addr) = serve(quick_config());
+    let mut admin = Client::connect(addr).unwrap();
+    admin
+        .execute("CREATE TABLE big (id INT, pad CHAR(1024), PRIMARY KEY (id))")
+        .unwrap();
+    let pad = "x".repeat(1024);
+    for chunk in 0..20 {
+        let values: Vec<String> = (0..100)
+            .map(|i| format!("({}, '{pad}')", chunk * 100 + i))
+            .collect();
+        admin
+            .execute(&format!("INSERT INTO big VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+
+    // 32 pipelined scans of ~2 MiB each and not one read: far more than
+    // the socket buffers of both ends hold, so the worker's write stalls.
+    let mut deaf = TcpStream::connect(addr).unwrap();
+    wire::write_preamble(&mut deaf).unwrap();
+    let mut burst = Vec::new();
+    for _ in 0..32 {
+        Request::Query("SELECT id, pad FROM big".into()).encode_into(&mut burst);
+    }
+    deaf.write_all(&burst).unwrap();
+    let sent = Instant::now();
+    let wait_for_sessions = |n: usize, what: &str| {
+        while server.active_sessions() != n {
+            assert!(sent.elapsed() < Duration::from_secs(30), "{what}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    };
+    wait_for_sessions(2, "the burst's connection was never admitted");
+
+    // The stall is bounded (5 s without progress): the connection is
+    // closed, and its session slot and worker come back.
+    wait_for_sessions(1, "a peer that stopped reading still holds its session");
+    assert!(
+        sent.elapsed() >= Duration::from_secs(4),
+        "closed after {:?}: the write never stalled, the test sent too little",
+        sent.elapsed()
+    );
+    let status = admin.status().unwrap();
+    let of = |key: &str| status.iter().find(|(k, _)| k == key).unwrap().1;
+    // Every worker but the one answering this STATUS is idle again.
+    assert_eq!(of("server.pool_idle"), of("server.pool_workers") - 1);
+    assert_eq!(of("server.parked_connections"), 1);
+    drop(deaf);
 }

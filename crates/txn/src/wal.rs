@@ -1822,7 +1822,7 @@ const TAG_COMMIT_TS: u8 = 8;
 /// Fencing-epoch raise (`BFWAL4`+ only).
 const TAG_EPOCH: u8 = 9;
 
-fn encode_record(buf: &mut BytesMut, r: &LogRecord) {
+fn encode_record(buf: &mut impl BufMut, r: &LogRecord) {
     match r {
         LogRecord::Begin(t) => {
             buf.put_u8(TAG_BEGIN);
@@ -1937,7 +1937,7 @@ fn decode_record(buf: &mut Bytes) -> Result<LogRecord> {
     }
 }
 
-fn put_granule(buf: &mut BytesMut, granule: &GranuleKey) {
+fn put_granule(buf: &mut impl BufMut, granule: &GranuleKey) {
     match granule {
         GranuleKey::Ordinal(o) => {
             buf.put_u8(0);
@@ -1968,7 +1968,7 @@ fn get_granule(buf: &mut Bytes) -> Result<GranuleKey> {
     }
 }
 
-fn put_rid(buf: &mut BytesMut, rid: RowId) {
+fn put_rid(buf: &mut impl BufMut, rid: RowId) {
     buf.put_u32(rid.page());
     buf.put_u16(rid.slot());
 }
@@ -1977,7 +1977,7 @@ fn get_rid(buf: &mut Bytes) -> Result<RowId> {
     Ok(RowId::new(get_u32(buf)?, get_u16(buf)?))
 }
 
-fn put_row(buf: &mut BytesMut, row: &Row) {
+fn put_row(buf: &mut impl BufMut, row: &Row) {
     buf.put_u32(row.arity() as u32);
     for v in row.iter() {
         put_value(buf, v);
@@ -1993,7 +1993,7 @@ fn get_row(buf: &mut Bytes) -> Result<Row> {
     Ok(Row(vals))
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+fn put_value(buf: &mut impl BufMut, v: &Value) {
     match v {
         Value::Null => buf.put_u8(0),
         Value::Bool(b) => {
@@ -2102,7 +2102,7 @@ pub mod codec {
     use super::*;
 
     /// Encodes a row.
-    pub fn put_row(buf: &mut BytesMut, row: &Row) {
+    pub fn put_row(buf: &mut impl BufMut, row: &Row) {
         super::put_row(buf, row);
     }
 
@@ -2112,7 +2112,7 @@ pub mod codec {
     }
 
     /// Encodes a row id.
-    pub fn put_rid(buf: &mut BytesMut, rid: RowId) {
+    pub fn put_rid(buf: &mut impl BufMut, rid: RowId) {
         super::put_rid(buf, rid);
     }
 
@@ -2122,7 +2122,7 @@ pub mod codec {
     }
 
     /// Encodes a granule key.
-    pub fn put_granule(buf: &mut BytesMut, granule: &GranuleKey) {
+    pub fn put_granule(buf: &mut impl BufMut, granule: &GranuleKey) {
         super::put_granule(buf, granule);
     }
 
@@ -2133,7 +2133,7 @@ pub mod codec {
 
     /// Encodes a full log record (the WAL's on-disk record format; also
     /// the payload format of replication `FRAMES`).
-    pub fn put_record(buf: &mut BytesMut, r: &LogRecord) {
+    pub fn put_record(buf: &mut impl BufMut, r: &LogRecord) {
         super::encode_record(buf, r);
     }
 

@@ -144,6 +144,9 @@ BENCH_NET_JSON="$PWD/target/BENCH_net.json" \
 grep -q '"bench": "net"' target/BENCH_net.json
 grep -q '"obs_overhead_pct"' target/BENCH_net.json
 
+echo "== bfbench smoke (the benchmark builds and runs against the crates as they are) =="
+cargo test --release -q --manifest-path bfbench/Cargo.toml
+
 echo "== obs crate (histogram proptests, registry, tracer) =="
 cargo test -q -p bullfrog-obs
 

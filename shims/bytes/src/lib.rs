@@ -3,7 +3,7 @@
 //! big-endian `Buf`/`BufMut` read/write traits, matching the wire
 //! behaviour of the real crate for the subset the workspace uses.
 
-use std::ops::{Deref, RangeBounds};
+use std::ops::{Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// Immutable, reference-counted byte slice. Cloning and slicing are O(1)
@@ -25,7 +25,11 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(slice: &[u8]) -> Self {
-        Bytes::from(slice.to_vec())
+        Bytes {
+            data: Arc::from(slice),
+            start: 0,
+            end: slice.len(),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -138,6 +142,11 @@ impl BytesMut {
         }
     }
 
+    /// A buffer of `len` zero bytes, e.g. to `read_exact` into.
+    pub fn zeroed(len: usize) -> Self {
+        BytesMut { vec: vec![0; len] }
+    }
+
     pub fn len(&self) -> usize {
         self.vec.len()
     }
@@ -171,6 +180,12 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.vec
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.vec
     }
 }
 
@@ -343,6 +358,15 @@ mod tests {
         assert!(tail.is_empty());
         // Original untouched.
         assert_eq!(b.as_ref(), &[1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn zeroed_buffer_is_writable_in_place() {
+        let mut buf = BytesMut::zeroed(4);
+        assert_eq!(buf.as_ref(), &[0, 0, 0, 0]);
+        buf[1..3].copy_from_slice(&[7, 9]);
+        assert_eq!(buf.freeze().as_ref(), &[0, 7, 9, 0]);
+        assert_eq!(Bytes::copy_from_slice(b"abc").as_ref(), b"abc");
     }
 
     #[test]

@@ -54,15 +54,18 @@ impl Event {
     }
 }
 
-/// Buffer of events filled by [`Poller::wait`].
+/// Buffer of events filled by [`Poller::wait`]. It also owns the raw
+/// kernel-facing array `wait` fills, so a poll loop that reuses one
+/// `Events` pays for that array once, not per call.
 #[derive(Debug, Default)]
 pub struct Events {
     inner: Vec<Event>,
+    raw: sys::RawEvents,
 }
 
 impl Events {
     pub fn new() -> Events {
-        Events { inner: Vec::new() }
+        Events::default()
     }
 
     pub fn clear(&mut self) {
@@ -119,11 +122,14 @@ mod sys {
     // natural alignment.
     #[repr(C)]
     #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
+    #[derive(Clone, Copy, Debug)]
+    pub(super) struct EpollEvent {
         events: u32,
         data: u64,
     }
+
+    /// The array `epoll_wait` writes into; sized on first use.
+    pub(super) type RawEvents = Vec<EpollEvent>;
 
     extern "C" {
         fn epoll_create1(flags: i32) -> i32;
@@ -202,7 +208,10 @@ mod sys {
 
         pub fn wait(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<usize> {
             const CAP: usize = 1024;
-            let mut raw = [EpollEvent { events: 0, data: 0 }; CAP];
+            if events.raw.len() < CAP {
+                events.raw.resize(CAP, EpollEvent { events: 0, data: 0 });
+            }
+            let raw = &mut events.raw;
             let n = loop {
                 let ret = unsafe {
                     epoll_wait(self.epfd, raw.as_mut_ptr(), CAP as i32, timeout_ms(timeout))
@@ -216,7 +225,7 @@ mod sys {
                 }
             };
             let before = events.inner.len();
-            for ev in raw.iter().take(n) {
+            for ev in events.raw.iter().take(n) {
                 let key = ev.data as usize;
                 if key == NOTIFY_KEY {
                     let mut buf = [0u8; 8];
@@ -284,6 +293,10 @@ mod sys {
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     }
+
+    /// `poll(2)` rebuilds its descriptor list per call; nothing to keep.
+    #[derive(Debug, Default)]
+    pub(super) struct RawEvents;
 
     /// poll(2)-backed fallback with emulated oneshot interest.
     #[derive(Debug)]
