@@ -71,7 +71,7 @@ fn mode_pairs(c: &mut Criterion) {
                 // Bound resident chain length: with no live snapshots the
                 // horizon is the stable frontier, so GC strips everything
                 // this bench installed (no-op under 2PL).
-                if i % 8192 == 0 {
+                if i.is_multiple_of(8192) {
                     db.version_gc();
                 }
                 let rid = rids[(i % ROWS as u64) as usize];
@@ -130,7 +130,7 @@ fn si_only(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            if i % 8192 == 0 {
+            if i.is_multiple_of(8192) {
                 db.version_gc();
             }
             let mut loser = db.begin();

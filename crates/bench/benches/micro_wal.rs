@@ -57,7 +57,7 @@ fn batch(worker: usize, i: usize) -> Vec<LogRecord> {
             txn,
             table: TableId(1),
             rid: RowId::from_ordinal((i * ROWS_PER_TXN + r) as u64, 64),
-            row: row![(r as i64), payload.as_str()],
+            row: row![r as i64, payload.as_str()],
         });
     }
     records.push(LogRecord::Commit(txn));
@@ -92,7 +92,7 @@ fn wal_commit(c: &mut Criterion) {
                             let wal = Arc::clone(&wal);
                             s.spawn(move || {
                                 for i in 0..TXNS_PER_COMMITTER {
-                                    black_box(wal.append_batch_durable(batch(w, i)));
+                                    black_box(wal.append(batch(w, i), None)).wait();
                                 }
                             });
                         }
@@ -118,7 +118,7 @@ fn wal_commit(c: &mut Criterion) {
                             s.spawn(move || {
                                 let mut last = None;
                                 for i in 0..TXNS_PER_COMMITTER {
-                                    last = Some(wal.append_batch_enqueue(batch(w, i)));
+                                    last = Some(wal.append(batch(w, i), None));
                                 }
                                 // Ack latency is off the committer's
                                 // path; only the burst's last ticket is

@@ -148,7 +148,7 @@ fn run_node(listen: &str, wal_dir: Option<&str>) {
             let dir = std::path::PathBuf::from(dir);
             std::fs::create_dir_all(&dir)
                 .unwrap_or_else(|e| fail(&format!("create {}: {e}", dir.display())));
-            Database::with_wal_file(config, &dir.join("clusterd.wal"))
+            Database::with_wal_file(config, dir.join("clusterd.wal"))
                 .unwrap_or_else(|e| fail(&format!("open WAL under {}: {e}", dir.display())))
         }
         None => Database::with_config(config),

@@ -42,15 +42,15 @@ impl EagerMigrator {
     }
 
     /// Runs the whole migration synchronously; returns when the new schema
-    /// is fully populated. The logical flip happens at call time: clients
-    /// seeing [`SchemaVersion::New`] will block on the table locks until
-    /// the copy finishes.
+    /// is fully populated. The logical flip happens once every affected
+    /// table is X-locked: clients seeing [`SchemaVersion::New`] block on
+    /// the table locks until the copy finishes, and none can read the
+    /// still-empty output before the locks are held.
     pub fn migrate(&self, mut plan: MigrationPlan) -> Result<()> {
         plan.resolve(&self.db)?;
         for s in &plan.statements {
             self.db.create_table(s.output.clone())?;
         }
-        self.flipped.store(true, Ordering::Release);
 
         let mut txn = self.db.begin();
         let result = (|| -> Result<()> {
@@ -73,6 +73,7 @@ impl EagerMigrator {
                         }
                     })?;
             }
+            self.flipped.store(true, Ordering::Release);
             for s in &plan.statements {
                 let out = execute_spec(&self.db, &mut txn, &s.spec, &ExecOptions::default())?;
                 for row in out.rows {

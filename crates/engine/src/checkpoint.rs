@@ -30,13 +30,8 @@ use parking_lot::Mutex;
 
 use crate::db::Database;
 
-/// Magic prefix of checkpoint sidecar files (v2: carries `base_ts`).
+/// Magic prefix of checkpoint sidecar files, the only image format.
 const CKPT_MAGIC: [u8; 7] = *b"BFCKPT2";
-/// Previous sidecar format, still accepted on open. v1 images predate
-/// commit timestamps, so they decode with `base_ts = 0` — correct, since
-/// a v1 image can only have been written by a 2PL-only build whose log
-/// never drew a timestamp.
-const CKPT_MAGIC_V1: [u8; 7] = *b"BFCKPT1";
 
 /// The effect of replaying the committed log prefix below `base_lsn`:
 /// every table's rows (at their original row ids) and the committed
@@ -134,7 +129,7 @@ impl CheckpointImage {
             }
         }
         // Keep the timestamp oracle past the image's commit horizon
-        // (no-op for v1/2PL images, whose base_ts is 0).
+        // (no-op for 2PL images, whose base_ts is 0).
         db.wal().oracle().resume_past(self.base_ts);
         Ok(applied)
     }
@@ -162,22 +157,16 @@ impl CheckpointImage {
         buf.freeze()
     }
 
-    /// Parses an image produced by [`CheckpointImage::encode`], current
-    /// (v2) or previous (v1, pre-timestamp) format. A v1 sidecar upgrades
-    /// transparently: the next checkpoint persists it back as v2.
+    /// Parses an image produced by [`CheckpointImage::encode`]; any other
+    /// format is an error.
     pub fn decode(bytes: impl Into<Bytes>) -> Result<Self> {
         let mut bytes = bytes.into();
-        if bytes.len() < CKPT_MAGIC.len() {
+        if !bytes.starts_with(&CKPT_MAGIC) {
             return Err(Error::Wal("bad checkpoint magic".into()));
         }
-        let v1 = match &bytes[..CKPT_MAGIC.len()] {
-            m if *m == CKPT_MAGIC => false,
-            m if *m == CKPT_MAGIC_V1 => true,
-            _ => return Err(Error::Wal("bad checkpoint magic".into())),
-        };
         bytes.advance(CKPT_MAGIC.len());
         let base_lsn = codec::get_u64(&mut bytes)?;
-        let base_ts = if v1 { 0 } else { codec::get_u64(&mut bytes)? };
+        let base_ts = codec::get_u64(&mut bytes)?;
         let mut tables = BTreeMap::new();
         let ntables = codec::get_u32(&mut bytes)?;
         for _ in 0..ntables {
@@ -405,34 +394,12 @@ mod tests {
         assert!(CheckpointImage::decode(Bytes::from_static(b"nope")).is_err());
         let good = sample_image().encode();
         assert!(CheckpointImage::decode(good.slice(..good.len() - 1)).is_err());
-        // A future/unknown version must be rejected, not misparsed.
-        let mut bad = good.to_vec();
-        bad[..7].copy_from_slice(b"BFCKPT9");
-        assert!(CheckpointImage::decode(Bytes::from(bad)).is_err());
-    }
-
-    /// Encodes `img` in the previous (v1, pre-`base_ts`) sidecar format.
-    fn encode_v1(img: &CheckpointImage) -> Bytes {
-        let v2 = img.encode();
-        let mut buf = BytesMut::new();
-        buf.put_slice(&CKPT_MAGIC_V1);
-        buf.put_u64(img.base_lsn);
-        // Everything after (magic, base_lsn, base_ts) is format-identical.
-        buf.put_slice(&v2[CKPT_MAGIC.len() + 16..]);
-        buf.freeze()
-    }
-
-    #[test]
-    fn stale_v1_image_upgrades_on_open() {
-        let img = sample_image();
-        let decoded = CheckpointImage::decode(encode_v1(&img)).unwrap();
-        assert_eq!(decoded.base_lsn, img.base_lsn);
-        assert_eq!(decoded.base_ts, 0, "v1 images predate timestamps");
-        assert_eq!(decoded.tables, img.tables);
-        assert_eq!(decoded.migrated, img.migrated);
-        // Re-encoding persists the current format.
-        let reencoded = CheckpointImage::decode(decoded.encode()).unwrap();
-        assert_eq!(reencoded, decoded);
+        // Any other version, older or newer, is rejected, not misparsed.
+        for magic in [b"BFCKPT1", b"BFCKPT9"] {
+            let mut bad = good.to_vec();
+            bad[..7].copy_from_slice(magic);
+            assert!(CheckpointImage::decode(Bytes::from(bad)).is_err());
+        }
     }
 
     #[test]

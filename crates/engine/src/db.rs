@@ -333,7 +333,7 @@ impl Database {
         if !txn.redo.is_empty() {
             let mut batch = std::mem::take(&mut txn.redo);
             batch.push(LogRecord::Commit(txn.id()));
-            (_, outcome) = self.wal.append_batch_acked(batch);
+            outcome = self.wal.append(batch, None).wait_acked();
         }
         txn.mark_committed()?;
         self.release_locks(txn);
@@ -362,7 +362,11 @@ impl Database {
             return Ok(());
         }
         let batch = std::mem::take(&mut txn.redo);
-        let (_first_lsn, ts, outcome) = self.wal.append_commit_acked(batch, txn.id());
+        let ticket = self.wal.append(batch, Some(txn.id()));
+        let outcome = ticket.wait_acked();
+        let ts = ticket
+            .commit_ts()
+            .expect("a stamped append draws a timestamp");
         self.install_versions(txn, ts);
         self.wal.oracle().finish(ts);
         txn.release_snapshot();
@@ -435,7 +439,10 @@ impl Database {
             // 2PL NOWAIT path, which releases X locks at enqueue. A crash
             // may lose the batch, but never an acknowledged dependent.
             let batch = std::mem::take(&mut txn.redo);
-            let (ticket, ts) = self.wal.append_commit_enqueue(batch, txn.id());
+            let ticket = self.wal.append(batch, Some(txn.id()));
+            let ts = ticket
+                .commit_ts()
+                .expect("a stamped append draws a timestamp");
             self.install_versions(txn, ts);
             self.wal.oracle().finish(ts);
             txn.release_snapshot();
@@ -445,7 +452,7 @@ impl Database {
         } else {
             let mut batch = std::mem::take(&mut txn.redo);
             batch.push(LogRecord::Commit(txn.id()));
-            self.wal.append_batch_enqueue(batch)
+            self.wal.append(batch, None)
         };
         txn.mark_committed()?;
         self.release_locks(txn);
@@ -519,7 +526,7 @@ impl Database {
         txn.redo.clear();
         // A transaction that never wrote leaves no trace to disclaim.
         if wrote {
-            self.wal.append(LogRecord::Abort(txn.id()));
+            self.wal.append([LogRecord::Abort(txn.id())], None);
         }
         txn.mark_aborted().expect("active checked above");
         self.release_locks(txn);

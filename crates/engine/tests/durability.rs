@@ -6,11 +6,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bullfrog_common::{row, ColumnDef, DataType, TableSchema, Value};
+use bullfrog_common::{row, ColumnDef, DataType, Error, TableSchema, Value};
 use bullfrog_engine::checkpoint::checkpoint_path_for;
 use bullfrog_engine::{recovery, Database, DbConfig, LockPolicy};
 use bullfrog_txn::wal::{shard_file_path, shard_of};
-use bullfrog_txn::WalOptions;
+use bullfrog_txn::{AckOutcome, WalOptions};
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -118,6 +118,39 @@ fn read_only_commit_issues_zero_flushes() {
     assert!(ticket.is_durable());
 
     drop(db);
+    remove_wal_shards(&wal_path);
+    let _ = std::fs::remove_file(&ckpt_path);
+}
+
+/// A fenced node refuses every writing commit, in-memory or file-backed
+/// log alike: the synchronous path returns `Error::Fenced` and the
+/// ticket's acked wait says `Fenced`. A read-only transaction appends
+/// nothing and still commits on both paths.
+#[test]
+fn fenced_gate_refuses_writing_commits_on_every_log() {
+    let mem = Database::new();
+    mem.create_table(schema()).unwrap();
+    let (file, wal_path, ckpt_path) = file_db("fenced", 2);
+    for db in [&mem, &file] {
+        db.wal().sync_gate().fence(None);
+        let mut txn = db.begin();
+        db.insert(&mut txn, "t", row![1, 1]).unwrap();
+        assert!(matches!(db.commit(&mut txn), Err(Error::Fenced { .. })));
+        let mut txn = db.begin();
+        db.insert(&mut txn, "t", row![2, 2]).unwrap();
+        let ticket = db.commit_nowait(&mut txn).unwrap();
+        assert_eq!(ticket.wait_acked(), AckOutcome::Fenced);
+
+        let read = |txn: &mut _| db.get_by_pk(txn, "t", &[Value::Int(1)], LockPolicy::Shared);
+        let mut txn = db.begin();
+        assert!(read(&mut txn).unwrap().is_some());
+        db.commit(&mut txn).unwrap();
+        let mut txn = db.begin();
+        assert!(read(&mut txn).unwrap().is_some());
+        let ticket = db.commit_nowait(&mut txn).unwrap();
+        assert_eq!(ticket.wait_acked(), AckOutcome::Synced);
+    }
+    drop(file);
     remove_wal_shards(&wal_path);
     let _ = std::fs::remove_file(&ckpt_path);
 }

@@ -75,8 +75,8 @@ struct Args {
     /// final scatter-gathered scan checked byte-identical to a
     /// single-node oracle.
     cluster: usize,
-    /// Run the HA failover scenario: spawn a `repld` primary + replica
-    /// + witness as child processes, kill the primary mid-migration
+    /// Run the HA failover scenario: spawn a `repld` primary, replica
+    /// and witness as child processes, kill the primary mid-migration
     /// under load, and verify zero lost acked commits on the survivor.
     failover: bool,
     /// When > 0, run the high-connection network scenario instead: park

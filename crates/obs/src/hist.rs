@@ -265,7 +265,7 @@ mod tests {
             prev = b;
         }
         assert_eq!(bucket_of(u64::MAX), TOP_BUCKET);
-        assert!(TOP_BUCKET < NUM_BUCKETS);
+        const { assert!(TOP_BUCKET < NUM_BUCKETS) };
     }
 
     #[test]

@@ -388,14 +388,12 @@ impl Replica {
         // The id cannot collide with live transactions (allocation is
         // monotonically increasing from 1).
         let txn = TxnId(u64::MAX);
-        self.bf.db().wal().append_batch_durable([
-            LogRecord::Begin(txn),
-            LogRecord::Epoch {
-                txn,
-                epoch: new_epoch,
-            },
-            LogRecord::Commit(txn),
-        ]);
+        let epoch = LogRecord::Epoch {
+            txn,
+            epoch: new_epoch,
+        };
+        let batch = [LogRecord::Begin(txn), epoch, LogRecord::Commit(txn)];
+        self.bf.db().wal().append(batch, None).wait();
         // Mid-flight lazy migrations mirrored from the old primary now
         // belong to this node: restart their background sweepers.
         self.bf.respawn_background();

@@ -1,7 +1,7 @@
 //! The commit-timestamp oracle (Snapshot engine mode).
 //!
 //! Commit timestamps are drawn under the WAL's core mutex (see
-//! [`crate::wal::Wal::append_commit_durable`]) so timestamp order and LSN
+//! [`crate::wal::Wal::append`]) so timestamp order and LSN
 //! order agree: if `ts_a < ts_b` then `lsn_a < lsn_b`. Readers never see a
 //! timestamp until its transaction finished installing versions — the
 //! **stable** timestamp trails the oldest drawn-but-unfinished commit, and

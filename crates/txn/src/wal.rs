@@ -34,11 +34,19 @@
 //! staged or in flight (and `next_lsn` when all are drained). It is
 //! recomputed under the log mutex whenever a shard completes a flush, so
 //! it is exactly the horizon a single-flusher log would expose — every
-//! record below it is on disk in some shard file. Committers that need
-//! durability ([`Wal::append_batch_durable`]) park on the barrier;
-//! asynchronous committers ([`Wal::append_batch_enqueue`]) get a
-//! [`CommitTicket`] back at enqueue time and may wait (or poll) later.
-//! No fsync ever happens under the log lock.
+//! record below it is on disk in some shard file.
+//!
+//! # One append path
+//!
+//! [`Wal::append`] is the only way into the log. It stages a batch and
+//! returns a [`CommitTicket`] at enqueue time; the caller picks the wait:
+//! [`CommitTicket::wait`] parks on the barrier (local durability),
+//! [`CommitTicket::wait_acked`] additionally consults the [`SyncGate`]
+//! (replica quorum, fencing), and an asynchronous committer may simply
+//! keep the ticket and wait (or poll) later. A `stamp` makes the batch a
+//! snapshot-mode commit: a [`LogRecord::CommitTs`] is appended whose
+//! timestamp is drawn under the log mutex, so timestamp order equals LSN
+//! order. No fsync ever happens under the log lock.
 //!
 //! Acknowledgements deliberately wait on the **merged** horizon, never on
 //! just the acknowledging transaction's own shard: asynchronous commits
@@ -57,10 +65,11 @@
 //! the payload is one or more contiguous records starting at `first_lsn`.
 //! Explicit frame LSNs are what let [`Wal::load_sharded`] merge the shard
 //! files back into one totally ordered stream (duplicates from a crash
-//! mid-rotation dedupe by LSN). Legacy single-file logs — `BFWAL1` flat
-//! headers or headerless files — are still read, and are upgraded in
-//! place to the framed format when opened for appending. The scanner
-//! tolerates a torn tail frame from a crash mid-write.
+//! mid-rotation dedupe by LSN). `BFWAL4` is the only format: a file with
+//! any other header is refused with [`Error::Wal`] and left untouched.
+//! The scanner tolerates a torn tail frame from a crash mid-write, and a
+//! file shorter than a header whose bytes are a prefix of one (a crash
+//! tore the header write) is reset to an empty log.
 //!
 //! [`Wal::truncate_to`] supports checkpointing: once a caller has
 //! persisted a snapshot of the committed prefix (see
@@ -144,7 +153,7 @@ pub enum LogRecord {
     Commit(TxnId),
     /// Transaction committed at commit timestamp `ts` (Snapshot engine
     /// mode). The timestamp is drawn under the same mutex that assigns
-    /// LSNs ([`Wal::append_commit_durable`]), so timestamp order and LSN
+    /// LSNs (a stamped [`Wal::append`]), so timestamp order and LSN
     /// order agree; replay treats it exactly like [`LogRecord::Commit`]
     /// and additionally resumes the timestamp oracle past `ts`.
     CommitTs {
@@ -209,24 +218,10 @@ impl LogRecord {
 /// one partially-covered segment.
 const SEGMENT_RECORDS: usize = 1024;
 
-/// Magic prefix of sharded/framed WAL files (base LSN + shard id header).
-/// `BFWAL4` added the `Epoch` record tag (`BFWAL3` before it added
-/// `CommitTs`); the frame layout is unchanged all the way back to
-/// `BFWAL2`, but an older reader would reject a newer tag, so files that
-/// may carry one must say so.
+/// Magic prefix of WAL shard files, the only on-disk log format.
 const FILE_MAGIC: [u8; 6] = *b"BFWAL4";
-/// Previous framed magics: same layout, progressively fewer record tags.
-/// Read directly; files opened for appending are re-stamped `BFWAL4` in
-/// place (only the magic differs) before any new record lands.
-const V3_MAGIC: [u8; 6] = *b"BFWAL3";
-const V2_MAGIC: [u8; 6] = *b"BFWAL2";
-/// Magic prefix of pre-sharding flat files (base LSN header, records
-/// concatenated positionally). Read-supported, upgraded on open.
-const LEGACY_MAGIC: [u8; 6] = *b"BFWAL1";
-/// `BFWAL2` header: magic + base_lsn:u64 + shard:u32 + shards:u32.
+/// File header: magic + base_lsn:u64 + shard:u32 + shards:u32.
 const HEADER_LEN: usize = FILE_MAGIC.len() + 8 + 4 + 4;
-/// `BFWAL1` header: magic + base_lsn:u64.
-const LEGACY_HEADER_LEN: usize = LEGACY_MAGIC.len() + 8;
 /// Frame header: first_lsn:u64 + nbytes:u32.
 const FRAME_HEADER_LEN: usize = 8 + 4;
 /// Rotation closes a run's frame once its payload reaches this size, so a
@@ -269,25 +264,15 @@ fn rotate_tmp_path(spath: &Path) -> PathBuf {
 /// under `Arc` so readers iterate without cloning records or holding the
 /// log lock.
 #[derive(Debug)]
-pub struct Segment {
+struct Segment {
     base_lsn: u64,
     records: Vec<LogRecord>,
 }
 
 impl Segment {
-    /// LSN of the first record in the segment.
-    pub fn base_lsn(&self) -> u64 {
-        self.base_lsn
-    }
-
     /// One past the LSN of the last record.
-    pub fn end_lsn(&self) -> u64 {
+    fn end_lsn(&self) -> u64 {
         self.base_lsn + self.records.len() as u64
-    }
-
-    /// The records.
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
     }
 }
 
@@ -492,8 +477,8 @@ struct WalShared {
     durable: Condvar,
     /// The merged durable horizon: all records with LSN below this are on
     /// disk (in whichever shard file owns them). Every acknowledgement —
-    /// `append_batch_durable` and ticket waits alike — parks on this, not
-    /// on the acknowledging shard's own frontier: with locks released at
+    /// every [`CommitTicket`] wait — parks on this, not on the
+    /// acknowledging shard's own frontier: with locks released at
     /// enqueue time a commit may depend on an earlier-LSN batch staged on
     /// a *different* shard, and an ack must cover that dependency too.
     durable_lsn: AtomicU64,
@@ -586,17 +571,19 @@ fn wait_durable_shared(shared: &WalShared, lsn: u64) {
     }
 }
 
-/// An acknowledgement handle from an asynchronous commit
-/// ([`Wal::append_batch_enqueue`]): the batch is in the log and will be
-/// flushed by its shard, but may not be durable yet. Detached from the
-/// `Wal` handle, so it can outlive it — dropping the `Wal` drains every
-/// shard, at which point all tickets are trivially durable.
+/// The acknowledgement handle [`Wal::append`] returns at enqueue time:
+/// the batch is in the log and will be flushed by its shard, but may not
+/// be durable yet. Detached from the `Wal` handle, so it can outlive it —
+/// dropping the `Wal` drains every shard, at which point all tickets are
+/// trivially durable.
 #[derive(Clone)]
 pub struct CommitTicket {
-    /// `None` for in-memory logs (and read-only commits): durability is
-    /// immediate by definition.
+    /// `None` for read-only commits ([`Wal::durable_ticket`]): nothing was
+    /// appended, so there is nothing to wait for and no gate to consult.
     shared: Option<Arc<WalShared>>,
     lsn: u64,
+    /// The commit timestamp a stamped append drew.
+    ts: Option<u64>,
 }
 
 impl CommitTicket {
@@ -606,11 +593,21 @@ impl CommitTicket {
         self.lsn
     }
 
-    /// True once the merged horizon covers the batch. Never blocks.
+    /// The commit timestamp drawn for a stamped append (`None` otherwise).
+    /// The caller owns finishing it: after installing its versions it
+    /// must call [`TsOracle::finish`], or the stable horizon (and every
+    /// future snapshot) stalls behind this commit forever — fenced or not,
+    /// since the commit is in the log either way.
+    pub fn commit_ts(&self) -> Option<u64> {
+        self.ts
+    }
+
+    /// True once the merged horizon covers the batch (always, for an
+    /// in-memory log). Never blocks.
     pub fn is_durable(&self) -> bool {
         match &self.shared {
             None => true,
-            Some(s) => s.durable_lsn.load(Ordering::Acquire) >= self.lsn,
+            Some(s) => !s.file_backed || s.durable_lsn.load(Ordering::Acquire) >= self.lsn,
         }
     }
 
@@ -620,7 +617,7 @@ impl CommitTicket {
     /// sound: an earlier enqueued commit whose locks were already
     /// released may be this one's dependency, and it must not be lost
     /// while this one survives. Panics if a flusher died of an IO error —
-    /// same contract as [`Wal::wait_durable`].
+    /// acknowledging a commit without durability would be a lie.
     pub fn wait(&self) {
         if let Some(s) = &self.shared {
             wait_durable_shared(s, self.lsn);
@@ -632,7 +629,8 @@ impl CommitTicket {
     /// quorum second. Returns how the commit may be acknowledged — a
     /// [`AckOutcome::Fenced`] commit is durable locally but must be
     /// reported to the client as a failure, because a promoted peer may
-    /// never have seen it.
+    /// never have seen it. In-memory logs consult the gate too, so a
+    /// fenced node refuses their commits alike.
     pub fn wait_acked(&self) -> AckOutcome {
         match &self.shared {
             None => AckOutcome::Synced,
@@ -762,31 +760,12 @@ impl Wal {
         }
     }
 
-    /// Reads every shard file rooted at `path` and merges them into one
-    /// LSN-ordered record stream (without LSNs; see [`Wal::load_sharded`]
-    /// for the LSN-tagged form). Torn tail frames are tolerated; crashes
-    /// mid-rotation may leave a record in two files, which dedupes by LSN.
-    pub fn load_file(path: impl AsRef<Path>) -> Result<Vec<LogRecord>> {
-        Ok(Self::load_sharded(path)?
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect())
-    }
-
-    /// Reads **one** WAL file (not its sibling shards), returning the base
-    /// LSN from its header and its records in LSN order. Kept for
-    /// single-shard logs and legacy flat files; sharded recovery wants
-    /// [`Wal::load_sharded`].
-    pub fn load_file_with_base(path: impl AsRef<Path>) -> Result<(u64, Vec<LogRecord>)> {
-        let (base, frames) = load_shard_file(path.as_ref())?;
-        Ok((base, frames.into_iter().map(|(_, r)| r).collect()))
-    }
-
     /// Reads every shard file rooted at `path` — `path` itself plus each
     /// existing `<path>.s<i>` — and merges them into one LSN-ordered
-    /// stream. Duplicated LSNs (possible only from a crash between
-    /// per-shard rotations) keep one copy; the copies are byte-identical
-    /// because rotation rewrites the same records at the same LSNs.
+    /// stream. Torn tail frames are tolerated. Duplicated LSNs (possible
+    /// only from a crash between per-shard rotations) keep one copy; the
+    /// copies are byte-identical because rotation rewrites the same
+    /// records at the same LSNs.
     pub fn load_sharded(path: impl AsRef<Path>) -> Result<Vec<(u64, LogRecord)>> {
         let path = path.as_ref();
         let mut merged: BTreeMap<u64, LogRecord> = BTreeMap::new();
@@ -807,111 +786,88 @@ impl Wal {
         Ok(merged.into_iter().collect())
     }
 
-    /// Decodes records until the bytes run out or a record is torn;
-    /// returns the records and how many bytes were consumed cleanly.
-    pub fn decode_prefix(bytes: Bytes) -> (Vec<LogRecord>, usize) {
-        let total = bytes.len();
-        let mut buf = bytes;
-        let mut out = Vec::new();
-        let mut consumed = 0usize;
-        loop {
-            if !buf.has_remaining() {
-                break;
-            }
-            let before = buf.remaining();
-            match decode_record(&mut buf) {
-                Ok(r) => {
-                    out.push(r);
-                    consumed += before - buf.remaining();
-                }
-                Err(_) => break,
-            }
-        }
-        debug_assert!(consumed <= total);
-        (out, consumed)
-    }
-
-    /// Appends a batch atomically (a committing transaction appends its
-    /// redo records followed by its `Commit` in one call, so no reader can
-    /// observe a commit record without its payload). Returns the LSN of
-    /// the first appended record without waiting for durability; use
-    /// [`Wal::append_batch_durable`] on the commit path.
-    pub fn append_batch(&self, batch: impl IntoIterator<Item = LogRecord>) -> u64 {
-        self.append_batch_inner(batch).0
-    }
-
-    /// Appends a batch and blocks until the merged durable horizon covers
-    /// it — this commit and everything ordered before it, on every shard,
-    /// is then on disk. Waiting on the merged horizon (not just the
-    /// batch's own shard) is required for correctness, not politeness:
-    /// asynchronous commits release locks at enqueue time, so this
-    /// transaction may have read rows whose redo is still in flight on a
-    /// neighbour shard at a lower LSN, and acknowledging this commit
-    /// while that dependency can still be lost would let a crash recover
-    /// a durable `Commit` whose inputs never existed. The shards still
-    /// flush concurrently, so throughput keeps the fan-out win; only the
-    /// ack observes the slowest outstanding shard. In-memory logs return
-    /// immediately. Returns the LSN of the first record.
-    pub fn append_batch_durable(&self, batch: impl IntoIterator<Item = LogRecord>) -> u64 {
-        let (first, end, _shard) = self.append_batch_inner(batch);
-        wait_durable_shared(&self.shared, end);
-        first
-    }
-
-    /// As [`Wal::append_batch_durable`], then composes the [`SyncGate`]:
-    /// the returned outcome says whether the commit reached the required
-    /// replica quorum, was acknowledged degraded, or must be refused
-    /// because this node is fenced. Identical to `append_batch_durable`
-    /// when no sync replication is configured.
-    pub fn append_batch_acked(
+    /// Appends a batch atomically and returns its [`CommitTicket`] at
+    /// enqueue time, without waiting for durability. A committing
+    /// transaction appends its redo records and its commit record in one
+    /// call, so no reader can observe a commit without its payload.
+    ///
+    /// With `stamp: Some(txn)` a [`LogRecord::CommitTs`] for `txn` closes
+    /// the batch, its timestamp drawn **under the core mutex** so that two
+    /// commits' timestamps compare exactly like their LSNs; the ticket
+    /// carries it ([`CommitTicket::commit_ts`]). An empty unstamped batch
+    /// stages nothing.
+    ///
+    /// The body is encoded outside the lock, so appenders pay
+    /// serialization in parallel and the critical section is push + queue
+    /// staging; only the fixed-size `CommitTs` is encoded inside it,
+    /// because its timestamp does not exist until drawn.
+    ///
+    /// Acknowledge with [`CommitTicket::wait`] or
+    /// [`CommitTicket::wait_acked`]. Both park on the merged horizon, not
+    /// just the batch's own shard — required for correctness: asynchronous
+    /// commits release locks at enqueue time, so this transaction may have
+    /// read rows whose redo is still in flight on a neighbour shard at a
+    /// lower LSN, and acknowledging it while that dependency can still be
+    /// lost would let a crash recover a durable commit whose inputs never
+    /// existed.
+    pub fn append(
         &self,
         batch: impl IntoIterator<Item = LogRecord>,
-    ) -> (u64, AckOutcome) {
-        let (first, end, _shard) = self.append_batch_inner(batch);
-        wait_durable_shared(&self.shared, end);
-        (first, self.shared.sync.wait_acked(end))
-    }
-
-    /// Appends a batch and returns an acknowledgement ticket **at enqueue
-    /// time**: the caller keeps running while the shard flusher makes the
-    /// batch durable in the background. [`CommitTicket::wait`] parks on
-    /// the same barrier `append_batch_durable` uses.
-    pub fn append_batch_enqueue(&self, batch: impl IntoIterator<Item = LogRecord>) -> CommitTicket {
-        let (_, end, _shard) = self.append_batch_inner(batch);
+        stamp: Option<TxnId>,
+    ) -> CommitTicket {
+        let started = Instant::now();
+        let shared = &self.shared;
+        let records: Vec<LogRecord> = batch.into_iter().collect();
+        let owner = records.first().map(LogRecord::txn).or(stamp);
+        let mut staged = match owner {
+            Some(owner) if shared.file_backed => {
+                let mut buf = BytesMut::new();
+                for r in &records {
+                    codec::put_record(&mut buf, r);
+                }
+                Some((buf, shard_of(owner, shared.shard_work.len())))
+            }
+            _ => None,
+        };
+        let mut core = shared.core.lock();
+        let first = core.next_lsn;
+        for r in records {
+            core.push(r);
+        }
+        let ts = stamp.map(|txn| {
+            let ts = shared.oracle.draw();
+            let commit = LogRecord::CommitTs { txn, ts };
+            if let Some((buf, _)) = &mut staged {
+                codec::put_record(buf, &commit);
+            }
+            core.push(commit);
+            ts
+        });
+        let end = core.next_lsn;
+        if let Some((buf, shard)) = staged {
+            let sp = &mut core.shards[shard];
+            if sp.queue.is_empty() {
+                sp.pending_since = Some(Instant::now());
+            }
+            sp.queue.push((first, buf.freeze()));
+            sp.queued_batches += 1;
+            shared.shard_work[shard].notify_one();
+        }
+        drop(core);
+        if let Some(o) = shared.obs.get() {
+            o.append.record_micros(started.elapsed());
+        }
         CommitTicket {
-            shared: self.shared.file_backed.then(|| Arc::clone(&self.shared)),
+            shared: Some(Arc::clone(shared)),
             lsn: end,
+            ts,
         }
     }
 
-    /// The commit-timestamp oracle backing [`Wal::append_commit_durable`]
-    /// (snapshot engines also read it for begin-snapshot and GC horizons).
+    /// The commit-timestamp oracle stamped appends draw from (snapshot
+    /// engines also read it for begin-snapshot and GC horizons).
     pub fn oracle(&self) -> Arc<TsOracle> {
         Arc::clone(&self.shared.oracle)
-    }
-
-    /// Appends `batch` plus a [`LogRecord::CommitTs`] for `txn`, drawing
-    /// the commit timestamp **under the core mutex** so that two commits'
-    /// timestamps compare exactly like their LSNs, then blocks until the
-    /// merged durable horizon covers the batch. Returns `(first_lsn, ts)`.
-    ///
-    /// The caller owns finishing the timestamp: after installing its
-    /// versions it must call [`TsOracle::finish`], or the stable horizon
-    /// (and every future snapshot) stalls behind this commit forever.
-    pub fn append_commit_durable(&self, batch: Vec<LogRecord>, txn: TxnId) -> (u64, u64) {
-        let (first, end, ts) = self.append_commit_inner(batch, txn);
-        wait_durable_shared(&self.shared, end);
-        (first, ts)
-    }
-
-    /// As [`Wal::append_commit_durable`], then composes the [`SyncGate`]
-    /// (see [`Wal::append_batch_acked`]). The caller still owes a
-    /// [`TsOracle::finish`] whatever the outcome — a fenced commit is in
-    /// the log and must not stall the stable horizon.
-    pub fn append_commit_acked(&self, batch: Vec<LogRecord>, txn: TxnId) -> (u64, u64, AckOutcome) {
-        let (first, end, ts) = self.append_commit_inner(batch, txn);
-        wait_durable_shared(&self.shared, end);
-        (first, ts, self.shared.sync.wait_acked(end))
     }
 
     /// The synchronous-replication gate shared with every ticket minted
@@ -934,120 +890,15 @@ impl Wal {
         });
     }
 
-    /// As [`Wal::append_commit_durable`], but acknowledged at enqueue
-    /// time with a [`CommitTicket`] (async commit). The caller still owes
-    /// a [`TsOracle::finish`] once its versions are installed.
-    pub fn append_commit_enqueue(&self, batch: Vec<LogRecord>, txn: TxnId) -> (CommitTicket, u64) {
-        let (_, end, ts) = self.append_commit_inner(batch, txn);
-        let ticket = CommitTicket {
-            shared: self.shared.file_backed.then(|| Arc::clone(&self.shared)),
-            lsn: end,
-        };
-        (ticket, ts)
-    }
-
-    /// Returns `(first_lsn, end_lsn, commit_ts)`. The batch body is
-    /// encoded outside the lock (as in [`Wal::append_batch_inner`]); only
-    /// the fixed-size `CommitTs` record is encoded inside it, because its
-    /// timestamp does not exist until drawn.
-    fn append_commit_inner(&self, batch: Vec<LogRecord>, txn: TxnId) -> (u64, u64, u64) {
-        let started = Instant::now();
-        let file_backed = self.shared.file_backed;
-        let mut buf = BytesMut::new();
-        if file_backed {
-            for r in &batch {
-                encode_record(&mut buf, r);
-            }
-        }
-        let owner = batch.first().map_or(txn, LogRecord::txn);
-        let shard = shard_of(owner, self.shared.shard_work.len());
-        let mut core = self.shared.core.lock();
-        let ts = self.shared.oracle.draw();
-        let commit = LogRecord::CommitTs { txn, ts };
-        let first = core.next_lsn;
-        for r in batch {
-            core.push(r);
-        }
-        if file_backed {
-            encode_record(&mut buf, &commit);
-        }
-        core.push(commit);
-        let end = core.next_lsn;
-        if file_backed {
-            let bytes = buf.freeze();
-            let sp = &mut core.shards[shard];
-            if sp.queue.is_empty() {
-                sp.pending_since = Some(Instant::now());
-            }
-            sp.queue.push((first, bytes));
-            sp.queued_batches += 1;
-            self.shared.shard_work[shard].notify_one();
-        }
-        drop(core);
-        if let Some(o) = self.shared.obs.get() {
-            o.append.record_micros(started.elapsed());
-        }
-        (first, end, ts)
-    }
-
-    /// A ticket that is already durable (read-only commits, in-memory
-    /// logs): carries the current horizon and never blocks.
+    /// A ticket for a commit that appended nothing (read-only
+    /// transactions): carries the current horizon, never blocks, and
+    /// acknowledges without consulting the gate.
     pub fn durable_ticket(&self) -> CommitTicket {
         CommitTicket {
             shared: None,
             lsn: self.durable_lsn(),
+            ts: None,
         }
-    }
-
-    /// Returns `(first_lsn, end_lsn, owning shard)` of the appended batch.
-    fn append_batch_inner(&self, batch: impl IntoIterator<Item = LogRecord>) -> (u64, u64, usize) {
-        let started = Instant::now();
-        let records: Vec<LogRecord> = batch.into_iter().collect();
-        // Encode (and pick the shard) outside the lock; appenders pay
-        // serialization in parallel and the critical section is push +
-        // queue staging.
-        let (encoded, shard) = if self.shared.file_backed && !records.is_empty() {
-            let mut buf = BytesMut::new();
-            for r in &records {
-                encode_record(&mut buf, r);
-            }
-            let shard = shard_of(records[0].txn(), self.shared.shard_work.len());
-            (Some(buf.freeze()), shard)
-        } else {
-            (None, 0)
-        };
-        let mut core = self.shared.core.lock();
-        let first = core.next_lsn;
-        for r in records {
-            core.push(r);
-        }
-        let end = core.next_lsn;
-        if let Some(bytes) = encoded {
-            let sp = &mut core.shards[shard];
-            if sp.queue.is_empty() {
-                sp.pending_since = Some(Instant::now());
-            }
-            sp.queue.push((first, bytes));
-            sp.queued_batches += 1;
-            self.shared.shard_work[shard].notify_one();
-        }
-        drop(core);
-        if let Some(o) = self.shared.obs.get() {
-            o.append.record_micros(started.elapsed());
-        }
-        (first, end, shard)
-    }
-
-    /// Appends one record.
-    pub fn append(&self, record: LogRecord) -> u64 {
-        self.append_batch([record])
-    }
-
-    /// Blocks until every record below `lsn` is on disk (no-op for
-    /// in-memory logs). Panics if a flusher died of an IO error —
-    /// acknowledging a commit without durability would be a lie.
-    pub fn wait_durable(&self, lsn: u64) {
-        wait_durable_shared(&self.shared, lsn);
     }
 
     /// Forces everything appended so far to disk and waits for it.
@@ -1056,7 +907,7 @@ impl Wal {
         for cv in &self.shared.shard_work {
             cv.notify_one();
         }
-        self.wait_durable(lsn);
+        wait_durable_shared(&self.shared, lsn);
     }
 
     /// The merged durability horizon: every record below this LSN is on
@@ -1185,7 +1036,7 @@ impl Wal {
 
     /// Blocks until the merged horizon reaches `lsn` or `timeout`
     /// elapses; returns the horizon either way. The tailing-reader
-    /// variant of [`Wal::wait_durable`] — a sender with nothing to ship
+    /// variant of [`CommitTicket::wait`] — a sender with nothing to ship
     /// parks here instead of spinning.
     pub fn wait_durable_timeout(&self, lsn: u64, timeout: Duration) -> u64 {
         if !self.shared.file_backed {
@@ -1251,12 +1102,12 @@ impl Wal {
         for seg in &sealed {
             for (i, r) in seg.records.iter().enumerate() {
                 if seg.base_lsn + i as u64 >= base {
-                    encode_record(&mut buf, r);
+                    codec::put_record(&mut buf, r);
                 }
             }
         }
         for r in &open {
-            encode_record(&mut buf, r);
+            codec::put_record(&mut buf, r);
         }
         buf.freeze()
     }
@@ -1265,7 +1116,7 @@ impl Wal {
     pub fn decode_all(mut bytes: Bytes) -> Result<Vec<LogRecord>> {
         let mut out = Vec::new();
         while bytes.has_remaining() {
-            out.push(decode_record(&mut bytes)?);
+            out.push(codec::get_record(&mut bytes)?);
         }
         Ok(out)
     }
@@ -1364,7 +1215,7 @@ impl Wal {
                 }
                 match &mut runs[s] {
                     Some(run) => {
-                        encode_record(&mut run.payload, r);
+                        codec::put_record(&mut run.payload, r);
                         run.count += 1;
                         if run.payload.len() >= MAX_ROTATION_FRAME {
                             let run = runs[s].take().expect("just matched");
@@ -1373,7 +1224,7 @@ impl Wal {
                     }
                     None => {
                         let mut payload = BytesMut::new();
-                        encode_record(&mut payload, r);
+                        codec::put_record(&mut payload, r);
                         runs[s] = Some(Run {
                             first: lsn,
                             count: 1,
@@ -1602,51 +1453,21 @@ fn encode_header(base_lsn: u64, shard: u32, shards: u32) -> [u8; HEADER_LEN] {
     h
 }
 
-/// What a WAL file's leading bytes say about its format.
-enum WalHeader {
-    /// `BFWAL2`..`BFWAL4`: framed records, explicit LSNs. `stale_magic`
-    /// marks an older framed file that must be re-stamped before records
-    /// its advertised version lacks (`CommitTs`, `Epoch`) may be
-    /// appended to it.
-    Framed { base: u64, stale_magic: bool },
-    /// `BFWAL1` or headerless legacy: records concatenated positionally
-    /// from `base`, starting at byte `offset`.
-    Flat { base: u64, offset: usize },
-    /// A magic prefix with the rest of the header cut off by a crash:
-    /// treat as an empty log.
-    Torn,
-}
-
-fn parse_file_header(bytes: &[u8]) -> WalHeader {
-    let framed = bytes.len() >= FILE_MAGIC.len()
-        && (bytes[..FILE_MAGIC.len()] == FILE_MAGIC
-            || bytes[..V3_MAGIC.len()] == V3_MAGIC
-            || bytes[..V2_MAGIC.len()] == V2_MAGIC);
-    if framed {
-        if bytes.len() >= HEADER_LEN {
-            let mut base = [0u8; 8];
-            base.copy_from_slice(&bytes[6..14]);
-            WalHeader::Framed {
-                base: u64::from_be_bytes(base),
-                stale_magic: bytes[..FILE_MAGIC.len()] != FILE_MAGIC,
-            }
-        } else {
-            WalHeader::Torn
-        }
-    } else if bytes.len() >= LEGACY_MAGIC.len() && bytes[..LEGACY_MAGIC.len()] == LEGACY_MAGIC {
-        if bytes.len() >= LEGACY_HEADER_LEN {
-            let mut base = [0u8; 8];
-            base.copy_from_slice(&bytes[6..14]);
-            WalHeader::Flat {
-                base: u64::from_be_bytes(base),
-                offset: LEGACY_HEADER_LEN,
-            }
-        } else {
-            WalHeader::Torn
-        }
-    } else {
-        WalHeader::Flat { base: 0, offset: 0 }
+/// Reads a shard file's header: `Some(base_lsn)` for a `BFWAL4` file,
+/// `None` for a file shorter than a header whose bytes are a prefix of
+/// one (a crash tore the header write, so the log is empty), and an
+/// error for anything else.
+fn parse_file_header(bytes: &[u8]) -> Result<Option<u64>> {
+    let magic = bytes.len().min(FILE_MAGIC.len());
+    if bytes[..magic] != FILE_MAGIC[..magic] {
+        return Err(Error::Wal("not a BFWAL4 log file".into()));
     }
+    if bytes.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    let mut base = [0u8; 8];
+    base.copy_from_slice(&bytes[6..14]);
+    Ok(Some(u64::from_be_bytes(base)))
 }
 
 /// Appends one frame: `first_lsn:u64 nbytes:u32 payload`. The length
@@ -1687,7 +1508,7 @@ fn decode_frames(bytes: &[u8], start: usize) -> (Vec<(u64, LogRecord)>, usize) {
         }
         let payload =
             Bytes::copy_from_slice(&bytes[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + n]);
-        let (records, consumed) = Wal::decode_prefix(payload);
+        let (records, consumed) = decode_prefix(payload);
         if consumed != n {
             break;
         }
@@ -1699,12 +1520,29 @@ fn decode_frames(bytes: &[u8], start: usize) -> (Vec<(u64, LogRecord)>, usize) {
     (out, pos)
 }
 
+/// Decodes records until the bytes run out or a record is torn;
+/// returns the records and how many bytes were consumed cleanly.
+fn decode_prefix(mut buf: Bytes) -> (Vec<LogRecord>, usize) {
+    let mut out = Vec::new();
+    let mut consumed = 0usize;
+    while buf.has_remaining() {
+        let before = buf.remaining();
+        match codec::get_record(&mut buf) {
+            Ok(r) => {
+                out.push(r);
+                consumed += before - buf.remaining();
+            }
+            Err(_) => break,
+        }
+    }
+    (out, consumed)
+}
+
 /// Opens one shard file for appending, returning the append handle and
-/// one past the highest LSN the file holds. Fresh files get a `BFWAL4`
-/// header; legacy flat files (`BFWAL1` or headerless) are upgraded in
-/// place to a framed file holding their records in a single frame; torn
-/// tail frames from a crash are truncated away so the next flush appends
-/// cleanly.
+/// one past the highest LSN the file holds. A fresh file, or one whose
+/// header write a crash tore, gets a fresh `BFWAL4` header; torn tail
+/// frames are truncated away so the next flush appends cleanly. A file
+/// in any other format is refused and left as it is.
 fn open_shard(spath: &Path, shard: u32, shards: u32) -> Result<(std::fs::File, u64)> {
     let mut file = std::fs::OpenOptions::new()
         .create(true)
@@ -1712,444 +1550,348 @@ fn open_shard(spath: &Path, shard: u32, shards: u32) -> Result<(std::fs::File, u
         .open(spath)
         .map_err(|e| Error::Wal(format!("open wal file: {e}")))?;
     let bytes = std::fs::read(spath).map_err(|e| Error::Wal(format!("read wal file: {e}")))?;
-    if bytes.is_empty() {
+    let Some(base) = parse_file_header(&bytes)? else {
+        file.set_len(0)
+            .map_err(|e| Error::Wal(format!("reset torn wal header: {e}")))?;
         file.write_all(&encode_header(0, shard, shards))
             .and_then(|()| file.sync_data())
             .map_err(|e| Error::Wal(format!("write wal header: {e}")))?;
         return Ok((file, 0));
+    };
+    let (frames, clean) = decode_frames(&bytes, HEADER_LEN);
+    if clean < bytes.len() {
+        // Torn tail from a crash mid-flush: drop it so appended frames
+        // stay scannable.
+        file.set_len(clean as u64)
+            .map_err(|e| Error::Wal(format!("truncate torn wal tail: {e}")))?;
     }
-    match parse_file_header(&bytes) {
-        WalHeader::Framed { base, stale_magic } => {
-            let (frames, clean) = decode_frames(&bytes, HEADER_LEN);
-            if clean < bytes.len() {
-                // Torn tail from a crash mid-flush: drop it so appended
-                // frames stay scannable.
-                file.set_len(clean as u64)
-                    .map_err(|e| Error::Wal(format!("truncate torn wal tail: {e}")))?;
-            }
-            if stale_magic {
-                // Older framed file, identical layout: re-stamp the
-                // magic so the file honestly advertises that newer
-                // record tags (`CommitTs`, `Epoch`) may follow. Done
-                // before any append, through a separate write handle
-                // (the append handle cannot seek to 0).
-                (|| -> std::io::Result<()> {
-                    use std::io::{Seek, SeekFrom};
-                    let mut w = std::fs::OpenOptions::new().write(true).open(spath)?;
-                    w.seek(SeekFrom::Start(0))?;
-                    w.write_all(&FILE_MAGIC)?;
-                    w.sync_data()
-                })()
-                .map_err(|e| Error::Wal(format!("upgrade wal magic: {e}")))?;
-            }
-            let end = frames.last().map(|(l, _)| l + 1).unwrap_or(base).max(base);
-            Ok((file, end))
-        }
-        WalHeader::Flat { base, offset } => {
-            let (records, consumed) = Wal::decode_prefix(Bytes::copy_from_slice(&bytes[offset..]));
-            let mut image = BytesMut::new();
-            image.put_slice(&encode_header(base, shard, shards));
-            if consumed > 0 {
-                put_frame(&mut image, base, &bytes[offset..offset + consumed]);
-            }
-            let tmp = rotate_tmp_path(spath);
-            let upgraded = (|| -> std::io::Result<std::fs::File> {
-                let mut f = std::fs::File::create(&tmp)?;
-                f.write_all(&image)?;
-                f.sync_all()?;
-                std::fs::rename(&tmp, spath)?;
-                std::fs::OpenOptions::new().append(true).open(spath)
-            })()
-            .map_err(|e| Error::Wal(format!("upgrade legacy wal file: {e}")))?;
-            Ok((upgraded, base + records.len() as u64))
-        }
-        WalHeader::Torn => {
-            file.set_len(0)
-                .map_err(|e| Error::Wal(format!("reset torn wal header: {e}")))?;
-            file.write_all(&encode_header(0, shard, shards))
-                .and_then(|()| file.sync_data())
-                .map_err(|e| Error::Wal(format!("write wal header: {e}")))?;
-            Ok((file, 0))
-        }
-    }
+    let end = frames.last().map(|(l, _)| l + 1).unwrap_or(base).max(base);
+    Ok((file, end))
 }
 
-/// Reads one WAL file (any supported format) into LSN-tagged records.
+/// Reads one shard file into its base LSN and LSN-tagged records.
 fn load_shard_file(spath: &Path) -> Result<(u64, Vec<(u64, LogRecord)>)> {
     let bytes = std::fs::read(spath).map_err(|e| Error::Wal(format!("read wal file: {e}")))?;
-    match parse_file_header(&bytes) {
-        WalHeader::Framed { base, .. } => {
-            let (frames, _) = decode_frames(&bytes, HEADER_LEN);
-            Ok((base, frames))
-        }
-        WalHeader::Flat { base, offset } => {
-            let (records, _) = Wal::decode_prefix(Bytes::from(bytes).slice(offset..));
-            Ok((
-                base,
-                records
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, r)| (base + i as u64, r))
-                    .collect(),
-            ))
-        }
-        WalHeader::Torn => Ok((0, Vec::new())),
-    }
+    Ok(match parse_file_header(&bytes)? {
+        Some(base) => (base, decode_frames(&bytes, HEADER_LEN).0),
+        None => (0, Vec::new()),
+    })
 }
 
 // --- binary format -------------------------------------------------------
 //
 // file    := header frame*
 // header  := "BFWAL4" base_lsn:u64 shard:u32 shards:u32
-//            (same layout as "BFWAL3", which lacked the epoch tag, and
-//             "BFWAL2", which also lacked commit_ts;
-//             legacy: "BFWAL1" base_lsn:u64 record*, or bare record*)
 // frame   := first_lsn:u64 nbytes:u32 record*
 // record  := tag:u8 body
 // value   := vtag:u8 payload
 // row     := count:u32 value*
 // string  := len:u32 utf8-bytes
 
-const TAG_BEGIN: u8 = 1;
-const TAG_INSERT: u8 = 2;
-const TAG_UPDATE: u8 = 3;
-const TAG_DELETE: u8 = 4;
-const TAG_GRANULE: u8 = 5;
-const TAG_COMMIT: u8 = 6;
-const TAG_ABORT: u8 = 7;
-/// Commit with an explicit commit timestamp (`BFWAL3`+ only).
-const TAG_COMMIT_TS: u8 = 8;
-/// Fencing-epoch raise (`BFWAL4`+ only).
-const TAG_EPOCH: u8 = 9;
-
-fn encode_record(buf: &mut impl BufMut, r: &LogRecord) {
-    match r {
-        LogRecord::Begin(t) => {
-            buf.put_u8(TAG_BEGIN);
-            buf.put_u64(t.0);
-        }
-        LogRecord::Insert {
-            txn,
-            table,
-            rid,
-            row,
-        } => {
-            buf.put_u8(TAG_INSERT);
-            buf.put_u64(txn.0);
-            buf.put_u32(table.0);
-            put_rid(buf, *rid);
-            put_row(buf, row);
-        }
-        LogRecord::Update {
-            txn,
-            table,
-            rid,
-            after,
-        } => {
-            buf.put_u8(TAG_UPDATE);
-            buf.put_u64(txn.0);
-            buf.put_u32(table.0);
-            put_rid(buf, *rid);
-            put_row(buf, after);
-        }
-        LogRecord::Delete { txn, table, rid } => {
-            buf.put_u8(TAG_DELETE);
-            buf.put_u64(txn.0);
-            buf.put_u32(table.0);
-            put_rid(buf, *rid);
-        }
-        LogRecord::MigrationGranule {
-            txn,
-            migration,
-            granule,
-        } => {
-            buf.put_u8(TAG_GRANULE);
-            buf.put_u64(txn.0);
-            buf.put_u32(*migration);
-            put_granule(buf, granule);
-        }
-        LogRecord::Commit(t) => {
-            buf.put_u8(TAG_COMMIT);
-            buf.put_u64(t.0);
-        }
-        LogRecord::CommitTs { txn, ts } => {
-            buf.put_u8(TAG_COMMIT_TS);
-            buf.put_u64(txn.0);
-            buf.put_u64(*ts);
-        }
-        LogRecord::Abort(t) => {
-            buf.put_u8(TAG_ABORT);
-            buf.put_u64(t.0);
-        }
-        LogRecord::Epoch { txn, epoch } => {
-            buf.put_u8(TAG_EPOCH);
-            buf.put_u64(txn.0);
-            buf.put_u64(*epoch);
-        }
-    }
-}
-
-fn decode_record(buf: &mut Bytes) -> Result<LogRecord> {
-    if buf.remaining() < 1 {
-        return Err(Error::Wal("truncated record tag".into()));
-    }
-    let tag = buf.get_u8();
-    match tag {
-        TAG_BEGIN => Ok(LogRecord::Begin(TxnId(get_u64(buf)?))),
-        TAG_INSERT => Ok(LogRecord::Insert {
-            txn: TxnId(get_u64(buf)?),
-            table: TableId(get_u32(buf)?),
-            rid: get_rid(buf)?,
-            row: get_row(buf)?,
-        }),
-        TAG_UPDATE => Ok(LogRecord::Update {
-            txn: TxnId(get_u64(buf)?),
-            table: TableId(get_u32(buf)?),
-            rid: get_rid(buf)?,
-            after: get_row(buf)?,
-        }),
-        TAG_DELETE => Ok(LogRecord::Delete {
-            txn: TxnId(get_u64(buf)?),
-            table: TableId(get_u32(buf)?),
-            rid: get_rid(buf)?,
-        }),
-        TAG_GRANULE => {
-            let txn = TxnId(get_u64(buf)?);
-            let migration = get_u32(buf)?;
-            let granule = get_granule(buf)?;
-            Ok(LogRecord::MigrationGranule {
-                txn,
-                migration,
-                granule,
-            })
-        }
-        TAG_COMMIT => Ok(LogRecord::Commit(TxnId(get_u64(buf)?))),
-        TAG_ABORT => Ok(LogRecord::Abort(TxnId(get_u64(buf)?))),
-        TAG_COMMIT_TS => Ok(LogRecord::CommitTs {
-            txn: TxnId(get_u64(buf)?),
-            ts: get_u64(buf)?,
-        }),
-        TAG_EPOCH => Ok(LogRecord::Epoch {
-            txn: TxnId(get_u64(buf)?),
-            epoch: get_u64(buf)?,
-        }),
-        t => Err(Error::Wal(format!("bad record tag {t}"))),
-    }
-}
-
-fn put_granule(buf: &mut impl BufMut, granule: &GranuleKey) {
-    match granule {
-        GranuleKey::Ordinal(o) => {
-            buf.put_u8(0);
-            buf.put_u64(*o);
-        }
-        GranuleKey::Group(vals) => {
-            buf.put_u8(1);
-            buf.put_u32(vals.len() as u32);
-            for v in vals {
-                put_value(buf, v);
-            }
-        }
-    }
-}
-
-fn get_granule(buf: &mut Bytes) -> Result<GranuleKey> {
-    match get_u8(buf)? {
-        0 => Ok(GranuleKey::Ordinal(get_u64(buf)?)),
-        1 => {
-            let n = get_u32(buf)? as usize;
-            let mut vals = Vec::with_capacity(n);
-            for _ in 0..n {
-                vals.push(get_value(buf)?);
-            }
-            Ok(GranuleKey::Group(vals))
-        }
-        k => Err(Error::Wal(format!("bad granule kind {k}"))),
-    }
-}
-
-fn put_rid(buf: &mut impl BufMut, rid: RowId) {
-    buf.put_u32(rid.page());
-    buf.put_u16(rid.slot());
-}
-
-fn get_rid(buf: &mut Bytes) -> Result<RowId> {
-    Ok(RowId::new(get_u32(buf)?, get_u16(buf)?))
-}
-
-fn put_row(buf: &mut impl BufMut, row: &Row) {
-    buf.put_u32(row.arity() as u32);
-    for v in row.iter() {
-        put_value(buf, v);
-    }
-}
-
-fn get_row(buf: &mut Bytes) -> Result<Row> {
-    let n = get_u32(buf)? as usize;
-    let mut vals = Vec::with_capacity(n);
-    for _ in 0..n {
-        vals.push(get_value(buf)?);
-    }
-    Ok(Row(vals))
-}
-
-fn put_value(buf: &mut impl BufMut, v: &Value) {
-    match v {
-        Value::Null => buf.put_u8(0),
-        Value::Bool(b) => {
-            buf.put_u8(1);
-            buf.put_u8(*b as u8);
-        }
-        Value::Int(i) => {
-            buf.put_u8(2);
-            buf.put_i64(*i);
-        }
-        Value::Float(f) => {
-            buf.put_u8(3);
-            buf.put_f64(*f);
-        }
-        Value::Decimal(d) => {
-            buf.put_u8(4);
-            buf.put_i64(*d);
-        }
-        Value::Text(s) => {
-            buf.put_u8(5);
-            buf.put_u32(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        }
-        Value::Date(d) => {
-            buf.put_u8(6);
-            buf.put_i32(*d);
-        }
-        Value::Timestamp(t) => {
-            buf.put_u8(7);
-            buf.put_i64(*t);
-        }
-    }
-}
-
-fn get_value(buf: &mut Bytes) -> Result<Value> {
-    match get_u8(buf)? {
-        0 => Ok(Value::Null),
-        1 => Ok(Value::Bool(get_u8(buf)? != 0)),
-        2 => Ok(Value::Int(get_i64(buf)?)),
-        3 => {
-            if buf.remaining() < 8 {
-                return Err(Error::Wal("truncated float".into()));
-            }
-            Ok(Value::Float(buf.get_f64()))
-        }
-        4 => Ok(Value::Decimal(get_i64(buf)?)),
-        5 => {
-            let n = get_u32(buf)? as usize;
-            if buf.remaining() < n {
-                return Err(Error::Wal("truncated string".into()));
-            }
-            let bytes = buf.copy_to_bytes(n);
-            String::from_utf8(bytes.to_vec())
-                .map(Value::Text)
-                .map_err(|_| Error::Wal("invalid utf8 in string".into()))
-        }
-        6 => {
-            if buf.remaining() < 4 {
-                return Err(Error::Wal("truncated date".into()));
-            }
-            Ok(Value::Date(buf.get_i32()))
-        }
-        7 => Ok(Value::Timestamp(get_i64(buf)?)),
-        t => Err(Error::Wal(format!("bad value tag {t}"))),
-    }
-}
-
-fn get_u8(buf: &mut Bytes) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(Error::Wal("truncated u8".into()));
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u16(buf: &mut Bytes) -> Result<u16> {
-    if buf.remaining() < 2 {
-        return Err(Error::Wal("truncated u16".into()));
-    }
-    Ok(buf.get_u16())
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(Error::Wal("truncated u32".into()));
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64> {
-    if buf.remaining() < 8 {
-        return Err(Error::Wal("truncated u64".into()));
-    }
-    Ok(buf.get_u64())
-}
-
-fn get_i64(buf: &mut Bytes) -> Result<i64> {
-    if buf.remaining() < 8 {
-        return Err(Error::Wal("truncated i64".into()));
-    }
-    Ok(buf.get_i64())
-}
-
-/// Wire-format helpers shared with the checkpoint image codec in
-/// `bullfrog-engine` (same value/row/granule encoding as the log itself).
+/// The record codec: the log's on-disk record encoding, shared with the
+/// checkpoint image in `bullfrog-engine`, the BFNET1 wire protocol, and
+/// replication `FRAMES` (same value/row/granule encoding everywhere).
 pub mod codec {
-    use super::*;
+    use bullfrog_common::{Error, Result, Row, RowId, TableId, TxnId, Value};
+    use bytes::{Buf, BufMut, Bytes};
 
-    /// Encodes a row.
-    pub fn put_row(buf: &mut impl BufMut, row: &Row) {
-        super::put_row(buf, row);
-    }
+    use super::{GranuleKey, LogRecord};
 
-    /// Decodes a row.
-    pub fn get_row(buf: &mut Bytes) -> Result<Row> {
-        super::get_row(buf)
-    }
-
-    /// Encodes a row id.
-    pub fn put_rid(buf: &mut impl BufMut, rid: RowId) {
-        super::put_rid(buf, rid);
-    }
-
-    /// Decodes a row id.
-    pub fn get_rid(buf: &mut Bytes) -> Result<RowId> {
-        super::get_rid(buf)
-    }
-
-    /// Encodes a granule key.
-    pub fn put_granule(buf: &mut impl BufMut, granule: &GranuleKey) {
-        super::put_granule(buf, granule);
-    }
-
-    /// Decodes a granule key.
-    pub fn get_granule(buf: &mut Bytes) -> Result<GranuleKey> {
-        super::get_granule(buf)
-    }
+    const TAG_BEGIN: u8 = 1;
+    const TAG_INSERT: u8 = 2;
+    const TAG_UPDATE: u8 = 3;
+    const TAG_DELETE: u8 = 4;
+    const TAG_GRANULE: u8 = 5;
+    const TAG_COMMIT: u8 = 6;
+    const TAG_ABORT: u8 = 7;
+    /// Commit with an explicit commit timestamp.
+    const TAG_COMMIT_TS: u8 = 8;
+    /// Fencing-epoch raise.
+    const TAG_EPOCH: u8 = 9;
 
     /// Encodes a full log record (the WAL's on-disk record format; also
     /// the payload format of replication `FRAMES`).
     pub fn put_record(buf: &mut impl BufMut, r: &LogRecord) {
-        super::encode_record(buf, r);
+        match r {
+            LogRecord::Begin(t) => {
+                buf.put_u8(TAG_BEGIN);
+                buf.put_u64(t.0);
+            }
+            LogRecord::Insert {
+                txn,
+                table,
+                rid,
+                row,
+            } => {
+                buf.put_u8(TAG_INSERT);
+                buf.put_u64(txn.0);
+                buf.put_u32(table.0);
+                put_rid(buf, *rid);
+                put_row(buf, row);
+            }
+            LogRecord::Update {
+                txn,
+                table,
+                rid,
+                after,
+            } => {
+                buf.put_u8(TAG_UPDATE);
+                buf.put_u64(txn.0);
+                buf.put_u32(table.0);
+                put_rid(buf, *rid);
+                put_row(buf, after);
+            }
+            LogRecord::Delete { txn, table, rid } => {
+                buf.put_u8(TAG_DELETE);
+                buf.put_u64(txn.0);
+                buf.put_u32(table.0);
+                put_rid(buf, *rid);
+            }
+            LogRecord::MigrationGranule {
+                txn,
+                migration,
+                granule,
+            } => {
+                buf.put_u8(TAG_GRANULE);
+                buf.put_u64(txn.0);
+                buf.put_u32(*migration);
+                put_granule(buf, granule);
+            }
+            LogRecord::Commit(t) => {
+                buf.put_u8(TAG_COMMIT);
+                buf.put_u64(t.0);
+            }
+            LogRecord::CommitTs { txn, ts } => {
+                buf.put_u8(TAG_COMMIT_TS);
+                buf.put_u64(txn.0);
+                buf.put_u64(*ts);
+            }
+            LogRecord::Abort(t) => {
+                buf.put_u8(TAG_ABORT);
+                buf.put_u64(t.0);
+            }
+            LogRecord::Epoch { txn, epoch } => {
+                buf.put_u8(TAG_EPOCH);
+                buf.put_u64(txn.0);
+                buf.put_u64(*epoch);
+            }
+        }
     }
 
     /// Decodes a log record written by [`put_record`].
     pub fn get_record(buf: &mut Bytes) -> Result<LogRecord> {
-        super::decode_record(buf)
+        if buf.remaining() < 1 {
+            return Err(Error::Wal("truncated record tag".into()));
+        }
+        let tag = buf.get_u8();
+        match tag {
+            TAG_BEGIN => Ok(LogRecord::Begin(TxnId(get_u64(buf)?))),
+            TAG_INSERT => Ok(LogRecord::Insert {
+                txn: TxnId(get_u64(buf)?),
+                table: TableId(get_u32(buf)?),
+                rid: get_rid(buf)?,
+                row: get_row(buf)?,
+            }),
+            TAG_UPDATE => Ok(LogRecord::Update {
+                txn: TxnId(get_u64(buf)?),
+                table: TableId(get_u32(buf)?),
+                rid: get_rid(buf)?,
+                after: get_row(buf)?,
+            }),
+            TAG_DELETE => Ok(LogRecord::Delete {
+                txn: TxnId(get_u64(buf)?),
+                table: TableId(get_u32(buf)?),
+                rid: get_rid(buf)?,
+            }),
+            TAG_GRANULE => {
+                let txn = TxnId(get_u64(buf)?);
+                let migration = get_u32(buf)?;
+                let granule = get_granule(buf)?;
+                Ok(LogRecord::MigrationGranule {
+                    txn,
+                    migration,
+                    granule,
+                })
+            }
+            TAG_COMMIT => Ok(LogRecord::Commit(TxnId(get_u64(buf)?))),
+            TAG_ABORT => Ok(LogRecord::Abort(TxnId(get_u64(buf)?))),
+            TAG_COMMIT_TS => Ok(LogRecord::CommitTs {
+                txn: TxnId(get_u64(buf)?),
+                ts: get_u64(buf)?,
+            }),
+            TAG_EPOCH => Ok(LogRecord::Epoch {
+                txn: TxnId(get_u64(buf)?),
+                epoch: get_u64(buf)?,
+            }),
+            t => Err(Error::Wal(format!("bad record tag {t}"))),
+        }
+    }
+
+    /// Encodes a granule key.
+    pub fn put_granule(buf: &mut impl BufMut, granule: &GranuleKey) {
+        match granule {
+            GranuleKey::Ordinal(o) => {
+                buf.put_u8(0);
+                buf.put_u64(*o);
+            }
+            GranuleKey::Group(vals) => {
+                buf.put_u8(1);
+                buf.put_u32(vals.len() as u32);
+                for v in vals {
+                    put_value(buf, v);
+                }
+            }
+        }
+    }
+
+    /// Decodes a granule key.
+    pub fn get_granule(buf: &mut Bytes) -> Result<GranuleKey> {
+        match get_u8(buf)? {
+            0 => Ok(GranuleKey::Ordinal(get_u64(buf)?)),
+            1 => {
+                let n = get_u32(buf)? as usize;
+                let mut vals = Vec::with_capacity(n);
+                for _ in 0..n {
+                    vals.push(get_value(buf)?);
+                }
+                Ok(GranuleKey::Group(vals))
+            }
+            k => Err(Error::Wal(format!("bad granule kind {k}"))),
+        }
+    }
+
+    /// Encodes a row id.
+    pub fn put_rid(buf: &mut impl BufMut, rid: RowId) {
+        buf.put_u32(rid.page());
+        buf.put_u16(rid.slot());
+    }
+
+    /// Decodes a row id.
+    pub fn get_rid(buf: &mut Bytes) -> Result<RowId> {
+        Ok(RowId::new(get_u32(buf)?, get_u16(buf)?))
+    }
+
+    /// Encodes a row.
+    pub fn put_row(buf: &mut impl BufMut, row: &Row) {
+        buf.put_u32(row.arity() as u32);
+        for v in row.iter() {
+            put_value(buf, v);
+        }
+    }
+
+    /// Decodes a row.
+    pub fn get_row(buf: &mut Bytes) -> Result<Row> {
+        let n = get_u32(buf)? as usize;
+        let mut vals = Vec::with_capacity(n);
+        for _ in 0..n {
+            vals.push(get_value(buf)?);
+        }
+        Ok(Row(vals))
+    }
+
+    fn put_value(buf: &mut impl BufMut, v: &Value) {
+        match v {
+            Value::Null => buf.put_u8(0),
+            Value::Bool(b) => {
+                buf.put_u8(1);
+                buf.put_u8(*b as u8);
+            }
+            Value::Int(i) => {
+                buf.put_u8(2);
+                buf.put_i64(*i);
+            }
+            Value::Float(f) => {
+                buf.put_u8(3);
+                buf.put_f64(*f);
+            }
+            Value::Decimal(d) => {
+                buf.put_u8(4);
+                buf.put_i64(*d);
+            }
+            Value::Text(s) => {
+                buf.put_u8(5);
+                buf.put_u32(s.len() as u32);
+                buf.put_slice(s.as_bytes());
+            }
+            Value::Date(d) => {
+                buf.put_u8(6);
+                buf.put_i32(*d);
+            }
+            Value::Timestamp(t) => {
+                buf.put_u8(7);
+                buf.put_i64(*t);
+            }
+        }
+    }
+
+    fn get_value(buf: &mut Bytes) -> Result<Value> {
+        match get_u8(buf)? {
+            0 => Ok(Value::Null),
+            1 => Ok(Value::Bool(get_u8(buf)? != 0)),
+            2 => Ok(Value::Int(get_i64(buf)?)),
+            3 => {
+                if buf.remaining() < 8 {
+                    return Err(Error::Wal("truncated float".into()));
+                }
+                Ok(Value::Float(buf.get_f64()))
+            }
+            4 => Ok(Value::Decimal(get_i64(buf)?)),
+            5 => {
+                let n = get_u32(buf)? as usize;
+                if buf.remaining() < n {
+                    return Err(Error::Wal("truncated string".into()));
+                }
+                let bytes = buf.copy_to_bytes(n);
+                String::from_utf8(bytes.to_vec())
+                    .map(Value::Text)
+                    .map_err(|_| Error::Wal("invalid utf8 in string".into()))
+            }
+            6 => {
+                if buf.remaining() < 4 {
+                    return Err(Error::Wal("truncated date".into()));
+                }
+                Ok(Value::Date(buf.get_i32()))
+            }
+            7 => Ok(Value::Timestamp(get_i64(buf)?)),
+            t => Err(Error::Wal(format!("bad value tag {t}"))),
+        }
+    }
+
+    fn get_u8(buf: &mut Bytes) -> Result<u8> {
+        if buf.remaining() < 1 {
+            return Err(Error::Wal("truncated u8".into()));
+        }
+        Ok(buf.get_u8())
+    }
+
+    fn get_u16(buf: &mut Bytes) -> Result<u16> {
+        if buf.remaining() < 2 {
+            return Err(Error::Wal("truncated u16".into()));
+        }
+        Ok(buf.get_u16())
     }
 
     /// Decodes a u32 with truncation checking.
     pub fn get_u32(buf: &mut Bytes) -> Result<u32> {
-        super::get_u32(buf)
+        if buf.remaining() < 4 {
+            return Err(Error::Wal("truncated u32".into()));
+        }
+        Ok(buf.get_u32())
     }
 
     /// Decodes a u64 with truncation checking.
     pub fn get_u64(buf: &mut Bytes) -> Result<u64> {
-        super::get_u64(buf)
+        if buf.remaining() < 8 {
+            return Err(Error::Wal("truncated u64".into()));
+        }
+        Ok(buf.get_u64())
+    }
+
+    fn get_i64(buf: &mut Bytes) -> Result<i64> {
+        if buf.remaining() < 8 {
+            return Err(Error::Wal("truncated i64".into()));
+        }
+        Ok(buf.get_i64())
     }
 }
 
@@ -2222,10 +1964,16 @@ mod tests {
         }
     }
 
+    /// Every shard file's records, merged in LSN order, without LSNs.
+    fn load(path: &Path) -> Vec<LogRecord> {
+        let merged = Wal::load_sharded(path).unwrap();
+        merged.into_iter().map(|(_, r)| r).collect()
+    }
+
     #[test]
     fn binary_round_trip() {
         let wal = Wal::new();
-        wal.append_batch(sample_records());
+        wal.append(sample_records(), None);
         let bytes = wal.encode_all();
         let decoded = Wal::decode_all(bytes).unwrap();
         assert_eq!(decoded, sample_records());
@@ -2238,9 +1986,9 @@ mod tests {
             ts: 41,
         };
         let mut buf = BytesMut::new();
-        encode_record(&mut buf, &rec);
+        codec::put_record(&mut buf, &rec);
         let mut bytes = buf.freeze();
-        assert_eq!(decode_record(&mut bytes).unwrap(), rec);
+        assert_eq!(codec::get_record(&mut bytes).unwrap(), rec);
         assert_eq!(rec.txn(), TxnId(7));
         assert_eq!(rec.commit_ts(), Some(41));
         assert!(rec.is_commit());
@@ -2248,7 +1996,7 @@ mod tests {
     }
 
     #[test]
-    fn append_commit_draws_ts_in_lsn_order() {
+    fn stamped_append_draws_ts_in_lsn_order() {
         let wal = Arc::new(Wal::new());
         let mut handles = Vec::new();
         for t in 1..=8u64 {
@@ -2264,7 +2012,7 @@ mod tests {
                             rid: RowId::new(0, 0),
                         },
                     ];
-                    let (_, ts) = wal.append_commit_durable(batch, txn);
+                    let ts = wal.append(batch, Some(txn)).commit_ts().unwrap();
                     wal.oracle().finish(ts);
                 }
             }));
@@ -2285,44 +2033,48 @@ mod tests {
     }
 
     #[test]
-    fn v2_magic_upgrades_on_open() {
-        let path = temp_wal("v2magic");
-        {
-            let wal = Wal::with_file_opts(&path, one_shard(Duration::ZERO)).unwrap();
-            wal.append_batch_durable(sample_records());
+    fn foreign_header_is_refused_and_left_untouched() {
+        let path = temp_wal("foreign");
+        let mut records = BytesMut::new();
+        for r in &sample_records() {
+            codec::put_record(&mut records, r);
         }
-        // Rewind the magic to BFWAL2 — a log written before CommitTs
-        // existed (the layout is otherwise identical).
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[..V2_MAGIC.len()].copy_from_slice(&V2_MAGIC);
-        std::fs::write(&path, &bytes).unwrap();
-        // Read path accepts the old magic directly.
-        assert_eq!(Wal::load_file(&path).unwrap(), sample_records());
-        // Opening for append re-stamps it and CommitTs appends cleanly.
-        {
-            let wal = Wal::with_file_opts(&path, one_shard(Duration::ZERO)).unwrap();
-            assert_eq!(wal.len(), sample_records().len());
-            let (_, ts) = wal.append_commit_durable(vec![LogRecord::Begin(TxnId(9))], TxnId(9));
-            wal.oracle().finish(ts);
+        let mut bfwal1 = b"BFWAL1".to_vec();
+        bfwal1.extend_from_slice(&5u64.to_be_bytes());
+        bfwal1.extend_from_slice(&records);
+        let mut bfwal2 = BytesMut::new();
+        bfwal2.put_slice(b"BFWAL2");
+        bfwal2.put_slice(&encode_header(0, 0, 1)[FILE_MAGIC.len()..]);
+        put_frame(&mut bfwal2, 0, &records);
+        let cases: [&[u8]; 4] = [b"not a log\n", &records, &bfwal1, &bfwal2];
+        for bytes in cases {
+            std::fs::write(&path, bytes).unwrap();
+            assert!(Wal::with_file_opts(&path, one_shard(Duration::ZERO)).is_err());
+            assert!(Wal::load_sharded(&path).is_err());
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "file was modified");
         }
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[..FILE_MAGIC.len()], &FILE_MAGIC);
-        let loaded = Wal::load_file(&path).unwrap();
-        assert_eq!(loaded.len(), sample_records().len() + 2);
-        assert_eq!(
-            loaded.last().unwrap(),
-            &LogRecord::CommitTs {
-                txn: TxnId(9),
-                ts: 1
-            }
-        );
+        remove_sharded(&path);
+    }
+
+    #[test]
+    fn torn_magic_prefix_resets_to_empty() {
+        let path = temp_wal("torn-header");
+        for n in 1..FILE_MAGIC.len() {
+            std::fs::write(&path, &FILE_MAGIC[..n]).unwrap();
+            assert!(load(&path).is_empty());
+            let wal = Wal::with_file_opts(&path, one_shard(Duration::ZERO)).unwrap();
+            assert_eq!(wal.len(), 0);
+            wal.append([LogRecord::Begin(TxnId(1))], None).wait();
+            drop(wal);
+            assert_eq!(load(&path), vec![LogRecord::Begin(TxnId(1))]);
+        }
         remove_sharded(&path);
     }
 
     #[test]
     fn decode_rejects_truncation() {
         let wal = Wal::new();
-        wal.append_batch(sample_records());
+        wal.append(sample_records(), None);
         let bytes = wal.encode_all();
         for cut in [1usize, 5, bytes.len() - 1] {
             let truncated = bytes.slice(..cut);
@@ -2342,16 +2094,17 @@ mod tests {
     #[test]
     fn lsn_is_record_offset() {
         let wal = Wal::new();
-        assert_eq!(wal.append(LogRecord::Begin(TxnId(1))), 0);
-        assert_eq!(
-            wal.append_batch([LogRecord::Commit(TxnId(1)), LogRecord::Begin(TxnId(2))]),
-            1
-        );
+        let ticket = wal.append([LogRecord::Begin(TxnId(1))], None);
+        assert_eq!(ticket.wait_lsn(), 1);
+        let batch = [LogRecord::Commit(TxnId(1)), LogRecord::Begin(TxnId(2))];
+        assert_eq!(wal.append(batch, None).wait_lsn(), 3);
+        // An empty batch stages nothing and ends where the log does.
+        assert_eq!(wal.append([], None).wait_lsn(), 3);
         assert_eq!(wal.len(), 3);
     }
 
     #[test]
-    fn append_batch_is_atomic_under_concurrency() {
+    fn append_is_atomic_under_concurrency() {
         let wal = Arc::new(Wal::new());
         let mut handles = Vec::new();
         for t in 1..=8u64 {
@@ -2359,15 +2112,18 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
                     let txn = TxnId(t * 1000 + i);
-                    wal.append_batch([
-                        LogRecord::Begin(txn),
-                        LogRecord::Delete {
-                            txn,
-                            table: TableId(1),
-                            rid: RowId::new(0, 0),
-                        },
-                        LogRecord::Commit(txn),
-                    ]);
+                    wal.append(
+                        [
+                            LogRecord::Begin(txn),
+                            LogRecord::Delete {
+                                txn,
+                                table: TableId(1),
+                                rid: RowId::new(0, 0),
+                            },
+                            LogRecord::Commit(txn),
+                        ],
+                        None,
+                    );
                 }
             }));
         }
@@ -2391,16 +2147,16 @@ mod tests {
         let path = temp_wal("mirror");
         {
             let wal = Wal::with_file(&path).unwrap();
-            wal.append_batch(sample_records());
+            wal.append(sample_records(), None);
         }
-        let loaded = Wal::load_file(&path).unwrap();
+        let loaded = load(&path);
         assert_eq!(loaded, sample_records());
         // Reopening an existing sharded log keeps prior records and
         // resumes the LSN frontier past them.
         {
             let wal = Wal::with_file(&path).unwrap();
             assert_eq!(wal.len(), sample_records().len());
-            wal.append(LogRecord::Begin(TxnId(9)));
+            wal.append([LogRecord::Begin(TxnId(9))], None);
         }
         let loaded = Wal::load_sharded(&path).unwrap();
         assert_eq!(loaded.len(), sample_records().len() + 1);
@@ -2419,86 +2175,37 @@ mod tests {
             // One frame per record, so chopping the tail kills exactly
             // the last frame.
             for r in sample_records() {
-                wal.append_batch_durable([r]);
+                wal.append([r], None).wait();
             }
         }
         // Chop a few bytes off the end — a crash mid-append.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let loaded = Wal::load_file(&path).unwrap();
+        let loaded = load(&path);
         assert_eq!(loaded.len(), sample_records().len() - 1);
         assert_eq!(loaded[..], sample_records()[..loaded.len()]);
         // Reopening truncates the torn frame and appends cleanly after it.
         {
             let wal = Wal::with_file_opts(&path, one_shard(Duration::ZERO)).unwrap();
             assert_eq!(wal.len(), sample_records().len() - 1);
-            wal.append_batch_durable([LogRecord::Begin(TxnId(50))]);
+            wal.append([LogRecord::Begin(TxnId(50))], None).wait();
         }
-        let loaded = Wal::load_file(&path).unwrap();
+        let loaded = load(&path);
         assert_eq!(loaded.len(), sample_records().len());
         assert_eq!(loaded.last().unwrap(), &LogRecord::Begin(TxnId(50)));
         remove_sharded(&path);
     }
 
     #[test]
-    fn legacy_headerless_file_reads_as_base_zero() {
-        let path = temp_wal("legacy");
-        let mut buf = BytesMut::new();
-        for r in &sample_records() {
-            encode_record(&mut buf, r);
-        }
-        std::fs::write(&path, &buf).unwrap();
-        let (base, records) = Wal::load_file_with_base(&path).unwrap();
-        assert_eq!(base, 0);
-        assert_eq!(records, sample_records());
-        remove_sharded(&path);
-    }
-
-    #[test]
-    fn legacy_flat_file_upgrades_on_open() {
-        let path = temp_wal("upgrade");
-        // A pre-sharding BFWAL1 flat file with a non-zero base LSN.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&LEGACY_MAGIC);
-        buf.put_u64(5);
-        for r in &sample_records() {
-            encode_record(&mut buf, r);
-        }
-        std::fs::write(&path, &buf).unwrap();
-        {
-            let wal = Wal::with_file_opts(&path, one_shard(Duration::ZERO)).unwrap();
-            assert_eq!(wal.len(), 5 + sample_records().len());
-            wal.append_batch_durable([LogRecord::Begin(TxnId(9))]);
-        }
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(
-            &bytes[..FILE_MAGIC.len()],
-            &FILE_MAGIC,
-            "upgraded to framed format"
-        );
-        let loaded = Wal::load_sharded(&path).unwrap();
-        assert_eq!(loaded.first().unwrap().0, 5);
-        assert_eq!(loaded.len(), sample_records().len() + 1);
-        assert_eq!(
-            loaded.last().unwrap(),
-            &(
-                5 + sample_records().len() as u64,
-                LogRecord::Begin(TxnId(9))
-            )
-        );
-        remove_sharded(&path);
-    }
-
-    #[test]
     fn decode_prefix_reports_consumed_bytes() {
         let wal = Wal::new();
-        wal.append_batch(sample_records());
+        wal.append(sample_records(), None);
         let bytes = wal.encode_all();
         let full = bytes.len();
-        let (records, consumed) = Wal::decode_prefix(bytes.clone());
+        let (records, consumed) = decode_prefix(bytes.clone());
         assert_eq!(records.len(), sample_records().len());
         assert_eq!(consumed, full);
-        let (records, consumed) = Wal::decode_prefix(bytes.slice(..full - 1));
+        let (records, consumed) = decode_prefix(bytes.slice(..full - 1));
         assert!(consumed < full - 1 || records.len() == sample_records().len() - 1);
     }
 
@@ -2514,9 +2221,9 @@ mod tests {
     fn durable_append_is_on_disk_when_it_returns() {
         let path = temp_wal("durable");
         let wal = Wal::with_file(&path).unwrap();
-        wal.append_batch_durable(sample_records());
+        wal.append(sample_records(), None).wait();
         // No drop, no join: the shard files must already hold every record.
-        let loaded = Wal::load_file(&path).unwrap();
+        let loaded = load(&path);
         assert_eq!(loaded, sample_records());
         assert_eq!(wal.durable_lsn(), sample_records().len() as u64);
         drop(wal);
@@ -2527,25 +2234,31 @@ mod tests {
     fn commit_ticket_acknowledges_durability() {
         let path = temp_wal("ticket");
         let wal = Wal::with_file(&path).unwrap();
-        let ticket = wal.append_batch_enqueue(sample_records());
+        let ticket = wal.append(sample_records(), None);
         assert_eq!(ticket.wait_lsn(), sample_records().len() as u64);
         ticket.wait();
         assert!(ticket.is_durable());
         assert!(wal.durable_lsn() >= ticket.wait_lsn());
         // A ticket outlives the handle: dropping the log drains every
         // shard first, so the ticket resolves durable.
-        let late = wal.append_batch_enqueue([LogRecord::Begin(TxnId(42))]);
+        let late = wal.append([LogRecord::Begin(TxnId(42))], None);
         drop(wal);
         late.wait();
         assert!(late.is_durable());
-        let loaded = Wal::load_file(&path).unwrap();
+        let loaded = load(&path);
         assert_eq!(loaded.len(), sample_records().len() + 1);
         remove_sharded(&path);
-        // In-memory logs hand out trivially-durable tickets.
+        // In-memory logs hand out trivially-durable tickets; a stamped
+        // append's ticket carries the timestamp it drew.
         let mem = Wal::new();
-        let t = mem.append_batch_enqueue(sample_records());
+        let t = mem.append(sample_records(), None);
         assert!(t.is_durable());
         t.wait();
+        assert_eq!(t.commit_ts(), None);
+        let stamped = mem.append([LogRecord::Begin(TxnId(3))], Some(TxnId(3)));
+        assert_eq!(stamped.commit_ts(), Some(1));
+        assert_eq!(stamped.wait_acked(), AckOutcome::Synced);
+        mem.oracle().finish(1);
         assert_eq!(mem.durable_ticket().wait_lsn(), 0);
     }
 
@@ -2566,7 +2279,8 @@ mod tests {
                 barrier.wait();
                 for i in 0..TXNS {
                     let txn = TxnId(t * 1000 + i);
-                    wal.append_batch_durable([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+                    wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
+                        .wait();
                 }
             }));
         }
@@ -2606,7 +2320,8 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 barrier.wait();
                 let txn = TxnId(t + 1);
-                wal.append_batch_durable([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+                wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
+                    .wait();
             }));
         }
         for h in handles {
@@ -2642,14 +2357,18 @@ mod tests {
             let s = shard_of(TxnId(t), n);
             if !covered[s] {
                 covered[s] = true;
-                tickets.push(wal.append_batch_enqueue([
-                    LogRecord::Begin(TxnId(t)),
-                    LogRecord::Commit(TxnId(t)),
-                ]));
+                tickets.push(wal.append(
+                    [LogRecord::Begin(TxnId(t)), LogRecord::Commit(TxnId(t))],
+                    None,
+                ));
             }
             t += 1;
         }
-        wal.append_batch_durable([LogRecord::Begin(TxnId(t)), LogRecord::Commit(TxnId(t))]);
+        wal.append(
+            [LogRecord::Begin(TxnId(t)), LogRecord::Commit(TxnId(t))],
+            None,
+        )
+        .wait();
         for ticket in &tickets {
             assert!(
                 ticket.is_durable(),
@@ -2677,7 +2396,8 @@ mod tests {
             .unwrap();
             for t in 0..16u64 {
                 let txn = TxnId(t);
-                wal.append_batch_durable([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+                wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
+                    .wait();
             }
         }
         assert!(shard_file_path(&path, 2).exists());
@@ -2692,7 +2412,8 @@ mod tests {
         .unwrap();
         assert_eq!(wal.len(), 32, "stale files still bound the LSN frontier");
         let txn = TxnId(100);
-        wal.append_batch_durable([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+        wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
+            .wait();
         let cut = wal.safe_cut();
         assert_eq!(cut, 34);
         wal.truncate_to(cut).unwrap();
@@ -2702,7 +2423,8 @@ mod tests {
         );
         // The shrunk log keeps working and holds only the new tail.
         let txn = TxnId(101);
-        wal.append_batch_durable([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+        wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
+            .wait();
         drop(wal);
         let loaded = Wal::load_sharded(&path).unwrap();
         assert_eq!(
@@ -2719,15 +2441,15 @@ mod tests {
     fn safe_cut_respects_unresolved_transactions() {
         let wal = Wal::new();
         let t1 = TxnId(1);
-        wal.append_batch([LogRecord::Begin(t1), LogRecord::Commit(t1)]);
+        wal.append([LogRecord::Begin(t1), LogRecord::Commit(t1)], None);
         assert_eq!(wal.safe_cut(), 2);
         // An unresolved transaction pins the cut below its first record.
         let t2 = TxnId(2);
-        wal.append_batch([LogRecord::Begin(t2)]);
+        wal.append([LogRecord::Begin(t2)], None);
         let t3 = TxnId(3);
-        wal.append_batch([LogRecord::Begin(t3), LogRecord::Commit(t3)]);
+        wal.append([LogRecord::Begin(t3), LogRecord::Commit(t3)], None);
         assert_eq!(wal.safe_cut(), 2);
-        wal.append(LogRecord::Commit(t2));
+        wal.append([LogRecord::Commit(t2)], None);
         assert_eq!(wal.safe_cut(), wal.len() as u64);
     }
 
@@ -2739,7 +2461,7 @@ mod tests {
         let wal = Wal::new();
         for t in 0..100u64 {
             let txn = TxnId(t);
-            wal.append_batch([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None);
         }
         let (id, granted) = wal.register_retain(40);
         assert_eq!(granted, 40);
@@ -2770,7 +2492,7 @@ mod tests {
         let wal = Wal::new();
         for t in 0..10u64 {
             let txn = TxnId(t);
-            wal.append_batch([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None);
         }
         wal.truncate_to(wal.safe_cut()).unwrap();
         assert_eq!(wal.base_lsn(), 20);
@@ -2783,7 +2505,8 @@ mod tests {
         let path = temp_wal("durable-from");
         let wal = Wal::with_file_opts(&path, one_shard(Duration::ZERO)).unwrap();
         let t1 = TxnId(1);
-        wal.append_batch_durable([LogRecord::Begin(t1), LogRecord::Commit(t1)]);
+        wal.append([LogRecord::Begin(t1), LogRecord::Commit(t1)], None)
+            .wait();
         let (recs, durable) = wal.durable_records_from(0, usize::MAX);
         assert_eq!(durable, 2);
         assert_eq!(
@@ -2803,7 +2526,7 @@ mod tests {
         let wal = Wal::new();
         for t in 0..3000u64 {
             let txn = TxnId(t);
-            wal.append_batch([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None);
         }
         let before = wal.resident_records();
         assert_eq!(before, 6000);
@@ -2822,10 +2545,8 @@ mod tests {
         assert_eq!(stats.truncated_records, dropped);
         // The log keeps working after truncation.
         let txn = TxnId(9000);
-        assert_eq!(
-            wal.append_batch([LogRecord::Begin(txn), LogRecord::Commit(txn)]),
-            6000
-        );
+        let ticket = wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None);
+        assert_eq!(ticket.wait_lsn(), 6002);
         assert_eq!(wal.snapshot().len(), 2);
     }
 
@@ -2835,28 +2556,33 @@ mod tests {
         let wal = Wal::with_file_opts(&path, one_shard(Duration::ZERO)).unwrap();
         for t in 0..50u64 {
             let txn = TxnId(t);
-            wal.append_batch_durable([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
+                .wait();
         }
         let cut = wal.safe_cut();
         assert_eq!(cut, 100);
         wal.truncate_to(cut).unwrap();
         // Post-truncation appends land in the rotated file.
         let txn = TxnId(77);
-        wal.append_batch_durable([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+        wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
+            .wait();
         drop(wal);
-        let (base, records) = Wal::load_file_with_base(&path).unwrap();
+        let (base, records) = load_shard_file(&path).unwrap();
         assert_eq!(base, 100);
         assert_eq!(
             records,
-            vec![LogRecord::Begin(TxnId(77)), LogRecord::Commit(TxnId(77))]
+            vec![
+                (100, LogRecord::Begin(TxnId(77))),
+                (101, LogRecord::Commit(TxnId(77)))
+            ]
         );
         // Reopening appends after the rotated tail.
         {
             let wal = Wal::with_file_opts(&path, one_shard(Duration::ZERO)).unwrap();
             assert_eq!(wal.len(), 102);
-            wal.append(LogRecord::Begin(TxnId(78)));
+            wal.append([LogRecord::Begin(TxnId(78))], None);
         }
-        let (base, records) = Wal::load_file_with_base(&path).unwrap();
+        let (base, records) = load_shard_file(&path).unwrap();
         assert_eq!(base, 100);
         assert_eq!(records.len(), 3);
         remove_sharded(&path);
@@ -2873,8 +2599,8 @@ mod tests {
         let (t1, t2) = (TxnId(1), TxnId(2));
         // Both batches are staged but unflushed: the 5s group window
         // keeps the flusher parked.
-        wal.append_batch([LogRecord::Begin(t1), LogRecord::Commit(t1)]);
-        wal.append_batch([LogRecord::Begin(t2), LogRecord::Commit(t2)]);
+        wal.append([LogRecord::Begin(t1), LogRecord::Commit(t1)], None);
+        wal.append([LogRecord::Begin(t2), LogRecord::Commit(t2)], None);
         assert_eq!(wal.durable_lsn(), 0);
         // Checkpoint cuts between the batches while both sit staged.
         wal.truncate_to(2).unwrap();
@@ -2896,14 +2622,16 @@ mod tests {
         let wal = Wal::with_file(&path).unwrap();
         for t in 0..50u64 {
             let txn = TxnId(t);
-            wal.append_batch_durable([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
+                .wait();
         }
         // An unresolved transaction pins the cut at its first record, so
         // the rotated tail spans many transactions (and shards).
-        wal.append_batch_durable([LogRecord::Begin(TxnId(500))]);
+        wal.append([LogRecord::Begin(TxnId(500))], None).wait();
         for t in 600..610u64 {
             let txn = TxnId(t);
-            wal.append_batch_durable([LogRecord::Begin(txn), LogRecord::Commit(txn)]);
+            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
+                .wait();
         }
         let cut = wal.safe_cut();
         assert_eq!(cut, 100);
@@ -2922,7 +2650,7 @@ mod tests {
     fn records_in_walks_segment_ranges() {
         let wal = Wal::new();
         for t in 0..2000u64 {
-            wal.append(LogRecord::Begin(TxnId(t)));
+            wal.append([LogRecord::Begin(TxnId(t))], None);
         }
         let mid = wal.records_in(1500, 1503);
         assert_eq!(
@@ -2988,7 +2716,7 @@ mod tests {
                         let txn = TxnId(txn);
                         let mut batch = vec![LogRecord::Begin(txn)];
                         batch.extend((1..count).map(|_| LogRecord::Commit(txn)));
-                        wal.append_batch_durable(batch);
+                        wal.append(batch, None).wait();
                     }
                 }));
             }

@@ -192,7 +192,7 @@ fn wal_image_survives_byte_round_trip() {
     assert_eq!(records.len(), db.wal().len());
     // Re-encode equals original image (canonical format).
     let wal2 = Wal::new();
-    wal2.append_batch(records);
+    wal2.append(records, None);
     assert_eq!(wal2.encode_all(), image);
 }
 
@@ -231,7 +231,11 @@ fn durable_wal_file_survives_process_style_crash() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
 
-    let records = Wal::load_file(&path).unwrap();
+    let records: Vec<_> = Wal::load_sharded(&path)
+        .unwrap()
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect();
     let db = Arc::new(Database::new());
     make_schema(&db);
     replay(&db, &records).unwrap();
@@ -309,7 +313,11 @@ fn torn_tail_mid_group_commit_batch_keeps_atomicity() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
 
-    let records = Wal::load_file(&path).unwrap();
+    let records: Vec<_> = Wal::load_sharded(&path)
+        .unwrap()
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect();
     let db = Arc::new(Database::new());
     make_schema(&db);
     let stats = replay(&db, &records).unwrap();
