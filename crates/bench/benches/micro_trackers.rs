@@ -115,7 +115,7 @@ fn hashmap_ops(c: &mut Criterion) {
 fn lock_shard_hash(c: &mut Criterion) {
     use bullfrog_common::{RowId, TableId, TxnId};
     use bullfrog_txn::{LockKey, LockManager, LockMode};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     let mut g = c.benchmark_group("lock_shard");
     // The deterministic FNV hash that picks a lock-table shard (and a
@@ -154,6 +154,40 @@ fn lock_shard_hash(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         )
+    });
+    // The post-flip NewOrder lock set: one table IS plus the S locks the
+    // stock probe takes on every row of the item in all four warehouses,
+    // released at commit. The harness line is per round; the line before
+    // it splits a round into ns per lock for the acquires and the release.
+    g.bench_function("is_plus_1440_s_release_all", |b| {
+        const ROWS: u64 = 1440;
+        let lm = LockManager::new(Duration::from_millis(50));
+        let table = LockKey::Table(TableId(3));
+        let rows: Vec<LockKey> = (0..ROWS)
+            .map(|r| LockKey::Row(TableId(3), RowId::from_ordinal(r * 7, 64)))
+            .collect();
+        let mut keys = Vec::with_capacity(rows.len() + 1);
+        let (mut acquire, mut release, mut rounds) = (Duration::ZERO, Duration::ZERO, 0u32);
+        b.iter(|| {
+            let t0 = Instant::now();
+            lm.acquire(TxnId(1), table, LockMode::IS).unwrap();
+            keys.push(table);
+            for &key in &rows {
+                lm.acquire(TxnId(1), key, LockMode::S).unwrap();
+                keys.push(key);
+            }
+            let t1 = Instant::now();
+            lm.release_all(TxnId(1), keys.drain(..));
+            acquire += t1 - t0;
+            release += t1.elapsed();
+            rounds += 1;
+        });
+        let per_lock = |d: Duration| d.as_nanos() as f64 / (rounds as f64 * (ROWS + 1) as f64);
+        println!(
+            "lock_shard/is_plus_1440_s per lock: acquire {:.1} ns, release {:.1} ns",
+            per_lock(acquire),
+            per_lock(release)
+        );
     });
     g.finish();
 }

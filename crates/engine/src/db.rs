@@ -130,6 +130,8 @@ pub struct Database {
     /// End-to-end commit latency (append + group-commit wait + version
     /// install), microseconds. Cached handle off `obs`.
     commit_hist: Arc<bullfrog_obs::Histogram>,
+    /// Lock keys a 2PL transaction held at commit. Cached handle off `obs`.
+    locks_hist: Arc<bullfrog_obs::Histogram>,
 }
 
 impl Database {
@@ -143,9 +145,11 @@ impl Database {
         let obs = Arc::new(bullfrog_obs::Registry::new());
         let wal = Wal::new();
         wal.attach_obs(&obs);
+        let lm = LockManager::new(config.lock_timeout);
+        lm.attach_obs(&obs);
         Database {
             catalog: Catalog::new(),
-            lm: LockManager::new(config.lock_timeout),
+            lm,
             tm: TxnManager::new(),
             wal,
             ckpt: crate::checkpoint::Checkpointer::new(None),
@@ -153,6 +157,7 @@ impl Database {
             si_commits: AtomicU64::new(0),
             gc_reclaimed: AtomicU64::new(0),
             commit_hist: obs.histogram("engine.commit_us"),
+            locks_hist: obs.histogram("txn.locks_per_commit"),
             obs,
         }
     }
@@ -183,9 +188,11 @@ impl Database {
         let obs = Arc::new(bullfrog_obs::Registry::new());
         let wal = Wal::with_file_opts(path, opts)?;
         wal.attach_obs(&obs);
+        let lm = LockManager::new(config.lock_timeout);
+        lm.attach_obs(&obs);
         Ok(Database {
             catalog: Catalog::new(),
-            lm: LockManager::new(config.lock_timeout),
+            lm,
             tm: TxnManager::new(),
             wal,
             ckpt: crate::checkpoint::Checkpointer::new(Some(
@@ -195,6 +202,7 @@ impl Database {
             si_commits: AtomicU64::new(0),
             gc_reclaimed: AtomicU64::new(0),
             commit_hist: obs.histogram("engine.commit_us"),
+            locks_hist: obs.histogram("txn.locks_per_commit"),
             obs,
         })
     }
@@ -336,6 +344,7 @@ impl Database {
             outcome = self.wal.append(batch, None).wait_acked();
         }
         txn.mark_committed()?;
+        self.locks_hist.record(txn.locks.len() as u64);
         self.release_locks(txn);
         self.commit_hist.record_micros(started.elapsed());
         if outcome == AckOutcome::Fenced {
@@ -533,7 +542,7 @@ impl Database {
     }
 
     fn release_locks(&self, txn: &mut Transaction) {
-        let keys = std::mem::take(&mut txn.locks);
+        let keys = txn.take_locks();
         self.lm.release_all(txn.id(), keys);
     }
 
@@ -573,15 +582,21 @@ impl Database {
     // --- locking helpers ---------------------------------------------------
 
     /// Acquires a lock and records it on the transaction. A declared ally
-    /// (`Transaction::ally`) never conflicts with the request.
+    /// (`Transaction::ally`) never conflicts with the request. A table
+    /// request the transaction's remembered table mode already covers
+    /// returns without asking the lock manager.
     pub fn lock(&self, txn: &mut Transaction, key: LockKey, mode: LockMode) -> Result<()> {
         txn.assert_active()?;
+        if txn.table_mode(key).is_some_and(|held| held.covers(mode)) {
+            return Ok(());
+        }
         if self
             .lm
             .acquire_deadline_ally(txn.id(), key, mode, self.lm.timeout(), txn.ally())?
         {
             txn.record_lock(key);
         }
+        txn.note_table_mode(key, mode);
         Ok(())
     }
 

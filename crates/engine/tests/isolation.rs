@@ -5,13 +5,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bullfrog_common::{row, ColumnDef, DataType, Error, TableSchema, Value};
-use bullfrog_engine::{Database, DbConfig, LockPolicy};
+use bullfrog_engine::{Database, DbConfig, EngineMode, LockPolicy};
+use bullfrog_txn::{LockKey, LockMode};
 
 fn db() -> Arc<Database> {
-    let db = Arc::new(Database::with_config(DbConfig {
+    db_with(DbConfig {
         lock_timeout: Duration::from_millis(40),
         ..Default::default()
-    }));
+    })
+}
+
+fn db_with(config: DbConfig) -> Arc<Database> {
+    let db = Arc::new(Database::with_config(config));
     db.create_table(
         TableSchema::new(
             "t",
@@ -186,4 +191,39 @@ fn committed_writes_are_immediately_visible_to_new_readers() {
         h.join().unwrap();
     }
     assert_eq!(db.table("t").unwrap().live_count(), 400);
+}
+
+#[test]
+fn table_intents_are_taken_once_and_fold_into_the_held_mode() {
+    // Row reads lock only under 2PL; snapshot reads take no locks.
+    let db = db_with(DbConfig {
+        mode: EngineMode::TwoPL,
+        ..Default::default()
+    });
+    db.with_txn(|txn| {
+        for i in 0..500 {
+            db.insert(txn, "t", row![i, i])?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let table = LockKey::Table(db.table("t").unwrap().id());
+    let lm = db.lock_manager();
+
+    let mut txn = db.begin();
+    let rows = db.select(&mut txn, "t", None, LockPolicy::Shared).unwrap();
+    assert_eq!(rows.len(), 500);
+    assert_eq!(txn.locks.len(), 501, "one table key plus one key per row");
+    assert_eq!(lm.held(txn.id(), table), Some(LockMode::IS));
+    db.insert(&mut txn, "t", row![500, 0]).unwrap();
+    assert_eq!(lm.held(txn.id(), table), Some(LockMode::IX));
+    db.commit(&mut txn).unwrap();
+
+    let mut txn = db.begin();
+    db.lock(&mut txn, table, LockMode::S).unwrap();
+    db.lock(&mut txn, table, LockMode::IX).unwrap();
+    assert_eq!(lm.held(txn.id(), table), Some(LockMode::SIX));
+    assert_eq!(txn.locks, vec![table], "upgrades record the key once");
+    db.commit(&mut txn).unwrap();
+    assert_eq!(lm.locked_key_count(), 0);
 }

@@ -500,6 +500,20 @@ fn metrics_snapshot_matches_status_in_both_engine_modes() {
                 .unwrap_or_else(|| panic!("METRICS missing histogram {name} ({mode:?})"));
             assert!(h.count() >= 1, "{name} is empty ({mode:?})");
         }
+        // The lock manager's histograms are exported from the start; only
+        // 2PL commits record a lock count, and only parked requests a wait.
+        assert!(
+            snap.histogram("txn.lock_wait_us").is_some(),
+            "METRICS missing txn.lock_wait_us ({mode:?})"
+        );
+        let per_commit = snap
+            .histogram("txn.locks_per_commit")
+            .unwrap_or_else(|| panic!("METRICS missing txn.locks_per_commit ({mode:?})"));
+        assert_eq!(
+            per_commit.count() >= 1,
+            mode == EngineMode::TwoPL,
+            "({mode:?})"
+        );
         assert!(
             snap.spans_named("migrate.granule").next().is_some(),
             "tracer captured granule spans ({mode:?})"

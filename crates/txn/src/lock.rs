@@ -6,10 +6,11 @@
 //! expected to abort and retry — this is the deadlock-avoidance policy.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use bullfrog_common::{Error, Result, RowId, TableId, TxnId};
+use bullfrog_common::{Error, FnvHasher, Result, RowId, TableId, TxnId};
 use parking_lot::{Condvar, Mutex};
 
 /// Lock modes, in the classical hierarchy.
@@ -149,27 +150,62 @@ impl LockState {
             .find(|(t, _)| *t == txn)
             .map(|(_, m)| *m)
     }
+
+    fn is_idle(&self) -> bool {
+        self.holders.is_empty() && self.waiters.is_empty()
+    }
+}
+
+/// One shard's lock table, plus how many requests are parked on the
+/// shard's condvar right now.
+#[derive(Default)]
+struct ShardTable {
+    locks: HashMap<LockKey, LockState, BuildHasherDefault<FnvHasher>>,
+    /// Requests inside `wait_until`. Grants and releases notify only
+    /// while it is non-zero: on the `std`-backed shim every `notify_all`
+    /// is a futex syscall, even with nobody waiting.
+    parked: usize,
 }
 
 struct Shard {
-    locks: Mutex<HashMap<LockKey, LockState>>,
-    /// Woken whenever any lock in this shard is released.
+    table: Mutex<ShardTable>,
+    /// Woken when a change in this shard may let a parked request through.
     released: Condvar,
+}
+
+impl Shard {
+    /// Wakes this shard's parked requests, if any, so they recheck.
+    /// Called with the shard mutex held, after the change.
+    fn wake(&self, table: &ShardTable) {
+        if table.parked > 0 {
+            self.released.notify_all();
+        }
+    }
 }
 
 /// The sharded lock table.
 ///
 /// Granting a lock takes one shard mutex; waiting blocks on the shard's
-/// condvar and rechecks on every release. Shards remove the obvious global
+/// condvar and rechecks on every wake-up. Shards remove the obvious global
 /// bottleneck (the paper partitions its migration data structures for the
 /// same reason).
 pub struct LockManager {
     shards: Vec<Shard>,
     default_timeout: Duration,
+    /// `txn.lock_wait_us`, attached once by the owning database (see
+    /// [`LockManager::attach_obs`]). Unattached managers skip recording.
+    wait_hist: OnceLock<Arc<bullfrog_obs::Histogram>>,
 }
 
 /// Number of lock-table shards (power of two).
 const SHARDS: usize = 64;
+
+/// The shard `key` lives in. Deterministic FNV (not the
+/// per-process-seeded DefaultHasher), so shard assignment is reproducible
+/// across runs — same reasoning as the trackers' partitioning.
+fn shard_index(key: &LockKey) -> usize {
+    (bullfrog_common::fnv_hash_one(key) as usize) & (SHARDS - 1)
+}
 
 impl LockManager {
     /// Creates a lock manager with the given wait deadline.
@@ -177,12 +213,21 @@ impl LockManager {
         LockManager {
             shards: (0..SHARDS)
                 .map(|_| Shard {
-                    locks: Mutex::new(HashMap::new()),
+                    table: Mutex::new(ShardTable::default()),
                     released: Condvar::new(),
                 })
                 .collect(),
             default_timeout,
+            wait_hist: OnceLock::new(),
         }
+    }
+
+    /// Attaches the `txn.lock_wait_us` histogram from `reg`: how long a
+    /// request stayed parked before it was granted or timed out. A
+    /// request granted without parking records nothing. Idempotent; the
+    /// first registry wins.
+    pub fn attach_obs(&self, reg: &bullfrog_obs::Registry) {
+        let _ = self.wait_hist.set(reg.histogram("txn.lock_wait_us"));
     }
 
     /// The configured lock-wait deadline.
@@ -191,10 +236,14 @@ impl LockManager {
     }
 
     fn shard(&self, key: &LockKey) -> &Shard {
-        // Deterministic FNV (not the per-process-seeded DefaultHasher), so
-        // shard assignment is reproducible across runs — same reasoning as
-        // the trackers' partitioning.
-        &self.shards[(bullfrog_common::fnv_hash_one(key) as usize) & (SHARDS - 1)]
+        &self.shards[shard_index(key)]
+    }
+
+    /// Records a parked request's wait; no-op for one that never parked.
+    fn record_wait(&self, parked_since: Option<Instant>) {
+        if let (Some(since), Some(hist)) = (parked_since, self.wait_hist.get()) {
+            hist.record_micros(since.elapsed());
+        }
     }
 
     /// Acquires `mode` on `key` for `txn`, blocking up to the default
@@ -234,10 +283,12 @@ impl LockManager {
         ally: Option<TxnId>,
     ) -> Result<bool> {
         let shard = self.shard(&key);
-        let deadline = Instant::now() + timeout;
-        let mut locks = shard.locks.lock();
+        let mut table = shard.table.lock();
+        // The clock is read only once the request has to park: the
+        // deadline runs from then.
+        let mut parked_since = None;
         loop {
-            let state = locks.entry(key).or_default();
+            let state = table.locks.entry(key).or_default();
             if let Some(held) = state.held_mode(txn) {
                 if held.covers(mode) {
                     state.dequeue(txn);
@@ -250,18 +301,26 @@ impl LockManager {
                 state.dequeue(txn);
                 // A grant can unblock queued requests behind us (e.g. two
                 // queued readers); let them recheck.
-                shard.released.notify_all();
+                shard.wake(&table);
+                self.record_wait(parked_since);
                 return Ok(newly);
             }
             state.enqueue(txn, mode);
-            if shard.released.wait_until(&mut locks, deadline).timed_out() {
-                if let Some(state) = locks.get_mut(&key) {
+            let deadline = *parked_since.get_or_insert_with(Instant::now) + timeout;
+            table.parked += 1;
+            let timed_out = shard.released.wait_until(&mut table, deadline).timed_out();
+            table.parked -= 1;
+            if timed_out {
+                if let Some(state) = table.locks.get_mut(&key) {
                     state.dequeue(txn);
-                    if state.holders.is_empty() && state.waiters.is_empty() {
-                        locks.remove(&key);
+                    if state.is_idle() {
+                        table.locks.remove(&key);
                     }
                 }
-                shard.released.notify_all();
+                // Our queue entry may have been what held back the
+                // requests behind it.
+                shard.wake(&table);
+                self.record_wait(parked_since);
                 return Err(Error::LockTimeout {
                     txn,
                     table: key.table(),
@@ -273,9 +332,8 @@ impl LockManager {
     /// Non-blocking acquire; `Ok(false)`/`Ok(true)` as in `acquire`, error
     /// when the lock is unavailable *now*.
     pub fn try_acquire(&self, txn: TxnId, key: LockKey, mode: LockMode) -> Result<bool> {
-        let shard = self.shard(&key);
-        let mut locks = shard.locks.lock();
-        let state = locks.entry(key).or_default();
+        let mut table = self.shard(&key).table.lock();
+        let state = table.locks.entry(key).or_default();
         if let Some(held) = state.held_mode(txn) {
             if held.covers(mode) {
                 return Ok(false);
@@ -294,30 +352,41 @@ impl LockManager {
     }
 
     /// Releases every given key held by `txn` (commit/abort time — strict
-    /// 2PL never releases early).
+    /// 2PL never releases early). Keys are grouped by shard, so each
+    /// shard mutex is taken once and each shard woken at most once.
     pub fn release_all(&self, txn: TxnId, keys: impl IntoIterator<Item = LockKey>) {
-        for key in keys {
-            let shard = self.shard(&key);
-            let mut locks = shard.locks.lock();
-            if let Some(state) = locks.get_mut(&key) {
-                state.holders.retain(|(t, _)| *t != txn);
-                state.dequeue(txn);
-                if state.holders.is_empty() && state.waiters.is_empty() {
-                    locks.remove(&key);
+        let mut keyed: Vec<(usize, LockKey)> =
+            keys.into_iter().map(|k| (shard_index(&k), k)).collect();
+        keyed.sort_unstable_by_key(|&(shard, _)| shard);
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let shard = &self.shards[run[0].0];
+            let mut table = shard.table.lock();
+            for (_, key) in run {
+                if let Some(state) = table.locks.get_mut(key) {
+                    state.holders.retain(|(t, _)| *t != txn);
+                    state.dequeue(txn);
+                    if state.is_idle() {
+                        table.locks.remove(key);
+                    }
                 }
             }
-            shard.released.notify_all();
+            shard.wake(&table);
         }
     }
 
     /// The mode `txn` currently holds on `key`, if any (diagnostics).
     pub fn held(&self, txn: TxnId, key: LockKey) -> Option<LockMode> {
-        self.shard(&key).locks.lock().get(&key)?.held_mode(txn)
+        self.shard(&key)
+            .table
+            .lock()
+            .locks
+            .get(&key)?
+            .held_mode(txn)
     }
 
     /// Total number of keys with at least one holder (diagnostics/tests).
     pub fn locked_key_count(&self) -> usize {
-        self.shards.iter().map(|s| s.locks.lock().len()).sum()
+        self.shards.iter().map(|s| s.table.lock().locks.len()).sum()
     }
 }
 
@@ -520,6 +589,119 @@ mod tests {
         lm.release_all(T1, [row(1)]);
         lm.acquire(TxnId(3), row(1), LockMode::S).unwrap();
         assert_eq!(lm.locked_key_count(), 1);
+    }
+
+    /// Blocks until `n` requests are queued on `key`.
+    fn await_queued(lm: &LockManager, key: LockKey, n: usize) {
+        let t0 = Instant::now();
+        while lm
+            .shard(&key)
+            .table
+            .lock()
+            .locks
+            .get(&key)
+            .map_or(0, |s| s.waiters.len())
+            < n
+        {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "{n} waiters never queued"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn one_release_wakes_waiters_in_every_shard() {
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let mut keys: Vec<Option<LockKey>> = vec![None; SHARDS];
+        let mut n = 0;
+        while keys.iter().any(Option::is_none) {
+            let key = row(n);
+            keys[shard_index(&key)].get_or_insert(key);
+            n += 1;
+        }
+        let keys: Vec<LockKey> = keys.into_iter().flatten().collect();
+        for &key in &keys {
+            lm.acquire(T1, key, LockMode::X).unwrap();
+        }
+        let waiters: Vec<_> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &key)| {
+                let lm = Arc::clone(&lm);
+                std::thread::spawn(move || lm.acquire(TxnId(100 + i as u64), key, LockMode::X))
+            })
+            .collect();
+        for &key in &keys {
+            await_queued(&lm, key, 1);
+        }
+        let t0 = Instant::now();
+        lm.release_all(T1, keys.iter().copied());
+        for w in waiters {
+            assert!(w.join().unwrap().unwrap(), "waiter granted as a new holder");
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "waiters granted only after {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(lm.locked_key_count(), SHARDS);
+    }
+
+    #[test]
+    fn waiter_timeout_wakes_the_request_queued_behind_it() {
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let key = row(1);
+        lm.acquire(T1, key, LockMode::S).unwrap();
+        let lm2 = Arc::clone(&lm);
+        let writer = std::thread::spawn(move || {
+            let r = lm2.acquire_deadline(T2, key, LockMode::X, Duration::from_millis(20));
+            (r, Instant::now())
+        });
+        await_queued(&lm, key, 1);
+        // S is compatible with T1's S but queues behind T2's X.
+        let lm3 = Arc::clone(&lm);
+        let reader = std::thread::spawn(move || {
+            let r = lm3.acquire_deadline(TxnId(3), key, LockMode::S, Duration::from_secs(5));
+            (r, Instant::now())
+        });
+        let (w, timed_out_at) = writer.join().unwrap();
+        assert!(matches!(w, Err(Error::LockTimeout { txn: T2, .. })));
+        let (r, granted_at) = reader.join().unwrap();
+        assert!(r.unwrap());
+        assert!(
+            granted_at.saturating_duration_since(timed_out_at) < Duration::from_secs(1),
+            "reader waited {:?} past the writer's timeout",
+            granted_at.saturating_duration_since(timed_out_at)
+        );
+        assert_eq!(lm.held(T1, key), Some(LockMode::S));
+    }
+
+    #[test]
+    fn release_grants_every_compatible_waiter() {
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let reg = bullfrog_obs::Registry::new();
+        lm.attach_obs(&reg);
+        let key = row(1);
+        lm.acquire(T1, key, LockMode::X).unwrap();
+        let readers: Vec<_> = [T2, TxnId(3)]
+            .into_iter()
+            .map(|txn| {
+                let lm = Arc::clone(&lm);
+                std::thread::spawn(move || lm.acquire(txn, key, LockMode::S))
+            })
+            .collect();
+        await_queued(&lm, key, 2);
+        lm.release_all(T1, [key]);
+        for r in readers {
+            assert!(r.join().unwrap().unwrap());
+        }
+        assert_eq!(lm.held(T2, key), Some(LockMode::S));
+        assert_eq!(lm.held(TxnId(3), key), Some(LockMode::S));
+        let waits = reg.snapshot();
+        let waits = waits.histogram("txn.lock_wait_us").unwrap();
+        assert_eq!(waits.count(), 2, "the two parked readers, not the X grant");
     }
 
     #[test]

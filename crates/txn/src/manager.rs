@@ -2,9 +2,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bullfrog_common::{Error, Result, TxnId};
+use bullfrog_common::{Error, Result, TableId, TxnId};
 
-use crate::lock::LockKey;
+use crate::lock::{LockKey, LockMode};
 use crate::ts::SnapshotHandle;
 use crate::undo::UndoRecord;
 use crate::wal::LogRecord;
@@ -37,6 +37,10 @@ pub struct Transaction {
     /// Every lock key acquired (released wholesale at commit/abort; strict
     /// 2PL never releases early).
     pub locks: Vec<LockKey>,
+    /// The mode held on each table locked so far, folded with
+    /// [`LockMode::combine`]. Lets the engine answer a repeated table
+    /// intent (one per row read) without the lock manager.
+    table_modes: Vec<(TableId, LockMode)>,
     /// Undo records in acquisition order (applied in reverse on abort).
     pub undo: Vec<UndoRecord>,
     /// Redo records appended to the WAL at commit.
@@ -59,6 +63,7 @@ impl Transaction {
             state: TxnState::Active,
             ally: None,
             locks: Vec::new(),
+            table_modes: Vec::new(),
             undo: Vec::new(),
             redo: Vec::new(),
             snapshot: None,
@@ -135,6 +140,37 @@ impl Transaction {
     /// Records a newly acquired lock for release at end-of-transaction.
     pub fn record_lock(&mut self, key: LockKey) {
         self.locks.push(key);
+    }
+
+    /// The mode this transaction holds on `key` when it is a table it
+    /// locked before; `None` for rows and for tables not yet locked.
+    pub fn table_mode(&self, key: LockKey) -> Option<LockMode> {
+        let LockKey::Table(table) = key else {
+            return None;
+        };
+        self.table_modes
+            .iter()
+            .find(|(t, _)| *t == table)
+            .map(|(_, m)| *m)
+    }
+
+    /// Folds a granted `mode` into the one remembered for `key` (no-op
+    /// for row keys).
+    pub fn note_table_mode(&mut self, key: LockKey, mode: LockMode) {
+        let LockKey::Table(table) = key else {
+            return;
+        };
+        match self.table_modes.iter_mut().find(|(t, _)| *t == table) {
+            Some(slot) => slot.1 = slot.1.combine(mode),
+            None => self.table_modes.push((table, mode)),
+        }
+    }
+
+    /// Hands over every recorded lock key for release and forgets the
+    /// table modes (commit/abort).
+    pub fn take_locks(&mut self) -> Vec<LockKey> {
+        self.table_modes.clear();
+        std::mem::take(&mut self.locks)
     }
 
     /// Appends an undo record.

@@ -9,9 +9,10 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== WAL tests under high thread pressure =="
+echo "== WAL and lock-manager tests under high thread pressure =="
 RUST_TEST_THREADS=16 cargo test -q -p bullfrog-txn wal
 RUST_TEST_THREADS=16 cargo test -q -p bullfrog-engine --test durability
+RUST_TEST_THREADS=16 cargo test -q -p bullfrog-txn lock
 
 echo "== server integration tests =="
 cargo test -q -p bullfrog-net --test server_integration --test migration_race
