@@ -21,7 +21,7 @@
 //! - `clusterd shutdown --nodes <a,b,c>` — remote graceful shutdown of
 //!   every node.
 //!
-//! The verify script drives a three-process loopback cluster through
+//! `tests/clusterd.rs` drives a three-process loopback cluster through
 //! this binary; it is also the smallest real deployment shape.
 
 use std::io::Write;

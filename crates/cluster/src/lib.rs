@@ -18,8 +18,8 @@
 //!   after every node's local lazy migration drains, partial aggregates
 //!   are shipped to each group key's owning node and folded in, then the
 //!   hold on the output tables is released.
-//! - [`LocalCluster`] — an in-process loopback cluster for tests and
-//!   `loadgen --cluster N`.
+//! - [`LocalCluster`] — an in-process loopback cluster for the
+//!   integration tests (`tests/cluster.rs`).
 //! - `clusterd` — the multi-process binary (`node` / `init` / `migrate`
 //!   / `status` / `shutdown` subcommands).
 //!

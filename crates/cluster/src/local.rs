@@ -4,7 +4,7 @@
 //! 127.0.0.1 ports, each with its own [`Database`] partition and a
 //! [`ClusterMember`] enforcing shard ownership and flip windows, and
 //! installs one [`ShardMap`] across them. It is the substrate for the
-//! cluster integration tests and `loadgen --cluster N`: everything above
+//! cluster integration tests: everything above
 //! the TCP socket is identical to a real multi-machine deployment, so
 //! the routing, flip, and exchange paths exercised here are the ones
 //! `clusterd` serves.

@@ -1,10 +1,10 @@
 //! Three-node loopback cluster integration tests.
 //!
-//! Engine mode comes from `BULLFROG_ENGINE_MODE` (the verify script
-//! runs the suite under both `2pl` and `si`), so every test exercises
-//! the cluster paths over whichever concurrency control the run
-//! selects.
+//! The flip race under traffic runs both engine modes in one body. The
+//! other tests take the mode from `BULLFROG_ENGINE_MODE` (the verify
+//! script runs the suite under both `2pl` and `si`).
 
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -240,6 +240,154 @@ fn three_node_scan_matches_single_node_oracle() {
     assert_eq!(get("cluster.nodes"), 3);
     assert!(get("cluster.shardmap_version") >= 1);
     assert_eq!(get("cluster.flip_pending"), 0, "no flip left pending");
+}
+
+/// One transfer of 7 from `a` to `b`, both owned by the node `c` talks
+/// to; returns whether it committed. A server error (a `FLIP_PENDING`
+/// bounce, a lock timeout, a retired or not yet created table) aborts
+/// it, and the worker moves on to its next pair.
+fn transfer(c: &mut Client, table: &str, a: i64, b: i64) -> bool {
+    let attempt = (|| -> Result<(), ClientError> {
+        c.execute("BEGIN")?;
+        let debited = c.execute(&format!(
+            "UPDATE {table} SET balance = balance - 7 WHERE id = {a}"
+        ))?;
+        let credited = c.execute(&format!(
+            "UPDATE {table} SET balance = balance + 7 WHERE id = {b}"
+        ))?;
+        assert_eq!((debited, credited), (1, 1), "transfer {a}->{b} on {table}");
+        c.execute("COMMIT").map(drop)
+    })();
+    match attempt {
+        Ok(()) => true,
+        Err(ClientError::Server { .. }) => false,
+        Err(e) => panic!("transport failure mid-transfer: {e}"),
+    }
+}
+
+/// Routed transfer workers race a mid-traffic two-phase 1:1 flip, under
+/// each engine mode. Each worker moves balance between two accounts its
+/// node owns and books every acked commit in a per-account ledger. The
+/// flip migrates every row exactly once cluster-wide, and no acked
+/// commit is lost: every final balance is its initial value plus its
+/// ledger delta.
+#[test]
+fn routed_transfers_race_the_cluster_flip_without_losing_a_commit() {
+    const ACCOUNTS: i64 = 120;
+    const WORKERS_PER_NODE: usize = 4;
+    for mode in [EngineMode::TwoPL, EngineMode::Snapshot] {
+        let cluster = LocalCluster::start(3, mode).expect("start cluster");
+        let mut coord = Coordinator::connect(&cluster.addrs()).expect("coordinator");
+        coord
+            .execute_all(CREATE_ACCOUNTS)
+            .expect("create everywhere");
+        let mut router = ClusterClient::connect(&cluster.addrs()[0]).expect("routing client");
+        let map = router.map().clone();
+        let mut owned: Vec<Vec<i64>> = vec![Vec::new(); map.nodes.len()];
+        for id in 0..ACCOUNTS {
+            router
+                .execute_key(
+                    &[Value::Int(id)],
+                    &format!(
+                        "INSERT INTO accounts VALUES ({id}, 'o{}', {INITIAL_BALANCE})",
+                        id % 8
+                    ),
+                )
+                .expect("routed load");
+            owned[map.owner_of(&[Value::Int(id)])].push(id);
+        }
+
+        let on_v2 = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        let ledger: Arc<Vec<AtomicI64>> =
+            Arc::new((0..ACCOUNTS).map(|_| AtomicI64::new(0)).collect());
+        let workers: Vec<_> = (0..map.nodes.len() * WORKERS_PER_NODE)
+            .map(|w| {
+                let node = w % map.nodes.len();
+                let ids = owned[node].clone();
+                assert!(ids.len() >= 2, "node {node} owns {} accounts", ids.len());
+                let addr = map.nodes[node].clone();
+                let (on_v2, stop, ledger) =
+                    (Arc::clone(&on_v2), Arc::clone(&stop), Arc::clone(&ledger));
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr.as_str()).expect("worker connect");
+                    let mut n = w;
+                    let mut committed = 0u64;
+                    while !stop.load(Ordering::Acquire) {
+                        let table = if on_v2.load(Ordering::Acquire) {
+                            "accounts_v2"
+                        } else {
+                            "accounts"
+                        };
+                        n = (n * 31 + 17) % ids.len();
+                        let (a, b) = (ids[n], ids[(n + 1 + w) % ids.len()]);
+                        if a != b && transfer(&mut c, table, a, b) {
+                            ledger[a as usize].fetch_sub(7, Ordering::Relaxed);
+                            ledger[b as usize].fetch_add(7, Ordering::Relaxed);
+                            committed += 1;
+                        }
+                    }
+                    committed
+                })
+            })
+            .collect();
+
+        std::thread::sleep(Duration::from_millis(150));
+        let specs = coord.migrate(MIGRATE_1TO1).expect("1:1 cluster flip");
+        assert!(specs.is_empty(), "1:1 migration owes no exchange");
+        on_v2.store(true, Ordering::Release);
+        assert!(
+            coord
+                .wait_all_complete(Duration::from_secs(30))
+                .expect("poll"),
+            "{mode:?}: 1:1 lazy migration never drained on every node"
+        );
+        // Progress counters are read while the migration is live, since
+        // FINALIZE retires them.
+        let status = coord.aggregate_status().expect("cluster status");
+        let get = |k: &str| bullfrog_cluster::coordinator::stat(&status, k);
+        assert_eq!(
+            get("migration.rows_migrated"),
+            ACCOUNTS,
+            "{mode:?}: every row migrated exactly once cluster-wide"
+        );
+        assert_eq!(
+            get("migration.conflict_skips"),
+            0,
+            "{mode:?}: duplicate migration attempts"
+        );
+        assert_eq!(
+            get("migration.rows_dropped"),
+            0,
+            "{mode:?}: migration dropped rows"
+        );
+        let (done, total) = (
+            get("migration.granules_done"),
+            get("migration.granules_total"),
+        );
+        assert!(
+            done > 0 && done <= total,
+            "{mode:?}: granule gauges {done}/{total}"
+        );
+        coord.run_exchange(&specs).expect("release hold");
+
+        stop.store(true, Ordering::Release);
+        let committed: u64 = workers.into_iter().map(|w| w.join().expect("worker")).sum();
+        assert!(committed > 0, "{mode:?}: no transfer committed");
+        coord.finalize_all(true).expect("finalize 1:1");
+        let (_, rows) = router
+            .scatter_rows("SELECT id, balance FROM accounts_v2")
+            .expect("scatter accounts_v2");
+        assert_eq!(rows.len() as i64, ACCOUNTS, "{mode:?}: row count changed");
+        for row in &rows {
+            let id = row[0].as_i64().unwrap();
+            assert_eq!(
+                row[1].as_i64().unwrap(),
+                INITIAL_BALANCE + ledger[id as usize].load(Ordering::Acquire),
+                "{mode:?}: account {id} lost an acked commit or gained a phantom one"
+            );
+        }
+    }
 }
 
 /// A client holding a rotated (stale) shard map must recover by

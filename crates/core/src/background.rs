@@ -73,7 +73,10 @@ pub fn spawn_background(
             let cfg = cfg.clone();
             let opts = Arc::clone(&opts);
             let shutdown = Arc::clone(&shutdown);
-            handles.push(std::thread::spawn(move || {
+            // Fits the 15-byte Linux thread name for statements and
+            // workers below 100.
+            let name = format!("bf-mig-bg-{idx}-{worker}");
+            let spawned = std::thread::Builder::new().name(name).spawn(move || {
                 // Interruptible start delay.
                 let deadline = std::time::Instant::now() + cfg.start_delay;
                 while std::time::Instant::now() < deadline {
@@ -83,7 +86,8 @@ pub fn spawn_background(
                     std::thread::sleep(Duration::from_millis(2).min(cfg.start_delay));
                 }
                 run_worker(&db, &migration, idx, &rt, worker, &cfg, &opts, &shutdown);
-            }));
+            });
+            handles.push(spawned.expect("spawn background migration worker"));
         }
     }
     handles
@@ -175,5 +179,87 @@ mod tests {
         let c = BackgroundConfig::default();
         assert!(c.enabled);
         assert!(c.threads >= 1);
+    }
+
+    /// Polls `/proc/self/task/*/comm` until the names starting with
+    /// `bf-mig-bg-` are exactly `want`. A thread names itself as it
+    /// starts, and its task entry can outlive the join that reaps it.
+    #[cfg(target_os = "linux")]
+    fn wait_for_background_threads(want: &[&str]) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+                .expect("list /proc/self/task")
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .map(|comm| comm.trim_end().to_string())
+                .filter(|comm| comm.starts_with("bf-mig-bg-"))
+                .collect();
+            names.sort();
+            if names == want {
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "background threads never matched {want:?}: saw {names:?}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Every background worker is named for its statement and worker
+    /// index in `/proc/*/task/*/comm`, where profilers and affinity
+    /// tools find it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn background_threads_are_named_per_statement_and_worker() {
+        use bullfrog_common::{row, ColumnDef, DataType, TableSchema};
+        use bullfrog_query::{Expr, SelectSpec};
+
+        use crate::{Bullfrog, BullfrogConfig, MigrationPlan, MigrationStatement};
+
+        let db = Arc::new(Database::new());
+        let cols = |names: &[&str]| -> Vec<ColumnDef> {
+            names
+                .iter()
+                .map(|n| ColumnDef::new(*n, DataType::Int))
+                .collect()
+        };
+        db.create_table(TableSchema::new("t", cols(&["id", "a", "b"])).with_primary_key(&["id"]))
+            .unwrap();
+        for i in 0..10 {
+            db.insert_unlogged("t", row![i, i, i]).unwrap();
+        }
+        let mut plan = MigrationPlan::new("split");
+        for col in ["a", "b"] {
+            plan = plan.with_statement(MigrationStatement::new(
+                TableSchema::new(format!("t_{col}"), cols(&["id", col])).with_primary_key(&["id"]),
+                SelectSpec::new()
+                    .from_table("t", "t")
+                    .select("id", Expr::col("t", "id"))
+                    .select(col, Expr::col("t", col)),
+            ));
+        }
+        // The workers sit in their start delay until shut down.
+        let bf = Bullfrog::with_config(
+            db,
+            BullfrogConfig {
+                background: BackgroundConfig {
+                    start_delay: Duration::from_secs(60),
+                    threads: 2,
+                    ..BackgroundConfig::default()
+                },
+                ..BullfrogConfig::default()
+            },
+        );
+        bf.submit_migration(plan).unwrap();
+
+        wait_for_background_threads(&[
+            "bf-mig-bg-0-0",
+            "bf-mig-bg-0-1",
+            "bf-mig-bg-1-0",
+            "bf-mig-bg-1-1",
+        ]);
+        bf.shutdown_background();
+        wait_for_background_threads(&[]);
     }
 }

@@ -35,9 +35,10 @@ pub enum EngineMode {
 impl EngineMode {
     /// Resolves the mode from `BULLFROG_ENGINE_MODE` (`si`, `snapshot`,
     /// or `mvcc` select [`EngineMode::Snapshot`]; anything else, including
-    /// unset, selects [`EngineMode::TwoPL`]). This is how the test suites
-    /// and `scripts/verify.sh` run every engine consumer in both modes
-    /// without threading a flag through each binary.
+    /// unset, selects [`EngineMode::TwoPL`]). This is how
+    /// `scripts/verify.sh` re-runs the suites in snapshot mode, and how
+    /// the `repld` and `clusterd` daemons pick theirs, without threading
+    /// a flag through each binary.
     pub fn from_env() -> Self {
         match std::env::var("BULLFROG_ENGINE_MODE") {
             Ok(v) => match v.to_ascii_lowercase().as_str() {
@@ -123,8 +124,8 @@ pub struct Database {
     si_commits: AtomicU64,
     /// Version-chain nodes reclaimed by GC over the database's lifetime.
     gc_reclaimed: AtomicU64,
-    /// This instance's metrics registry. Per-database (tests and
-    /// `loadgen` run several servers in one process), shared with the
+    /// This instance's metrics registry. Per-database (tests run several
+    /// servers in one process), shared with the
     /// WAL at construction and with every layer above via [`Database::obs`].
     obs: Arc<bullfrog_obs::Registry>,
     /// End-to-end commit latency (append + group-commit wait + version

@@ -17,9 +17,9 @@
 //! multi-statement bracket, and a transport error mid-bracket means the
 //! whole bracket must restart on the new primary (the old transaction
 //! died with its session). A failure at `COMMIT` is ambiguous — the
-//! commit may or may not have applied — which is why the failover
-//! loadgen verifies against an in-database transaction log instead of
-//! client-side counting alone.
+//! commit may or may not have applied — which is why the failover test
+//! (`tests/repld.rs`) verifies against an in-database transaction log
+//! instead of client-side counting alone.
 
 use std::time::Duration;
 

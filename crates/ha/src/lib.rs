@@ -34,7 +34,8 @@
 //!   bounces (whose messages name the primary) and HA state probes.
 //!
 //! The `repld` binary wires all of it into a deployable three-process
-//! group (`primary` / `replica` / `witness`), and `loadgen --failover`
+//! group (`primary` / `replica` / `witness`), and the test
+//! `tests/repld.rs::sigkill_primary_mid_migration_loses_no_acked_commit`
 //! drives the end-state proof: kill the primary mid-migration under
 //! seeded traffic, watch the replica promote, the respawned sweepers
 //! finish the migration, and every acked commit survive.

@@ -1,8 +1,8 @@
 //! Blocking BFNET1 client.
 //!
 //! [`Client`] wraps one TCP connection, sends the preamble on connect,
-//! and reuses the connection for every subsequent call — the loadgen
-//! binary and tests never pay a reconnect per statement. Simple calls
+//! and reuses the connection for every subsequent call — the daemons'
+//! admin subcommands and the tests never pay a reconnect per statement. Simple calls
 //! are request/response, one `write` out and (through a read buffer)
 //! one `read` back; [`Client::pipeline`] and
 //! [`Client::pipeline_execute`] write a batch of request frames

@@ -15,7 +15,7 @@
 //!   read and write gets the lazy-migration interposition, including
 //!   migration DDL submitted over the wire;
 //! - [`Client`] — a blocking client with connection reuse, used by the
-//!   `loadgen` binary and the integration tests.
+//!   `repld` and `clusterd` binaries and the integration tests.
 //!
 //! See `DESIGN.md` (§ bullfrog-net) for the frame format, the session
 //! state machine, and shutdown semantics.

@@ -11,7 +11,9 @@
 //!
 //! Same invariants the in-process core tests check, but with the racing
 //! clients on the other side of a socket, which is the configuration
-//! the paper actually claims works.
+//! the paper actually claims works. Each test runs its body once per
+//! engine mode; the bitmap race also runs on a file-backed WAL with
+//! `COMMIT NOWAIT` acks and a background checkpointer.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -19,7 +21,7 @@ use std::time::Duration;
 
 use bullfrog_common::Value;
 use bullfrog_core::Bullfrog;
-use bullfrog_engine::Database;
+use bullfrog_engine::{CheckpointPolicy, Database, DbConfig, EngineMode};
 use bullfrog_net::{Client, ClientError, Server, ServerConfig};
 
 const WORKERS: usize = 8;
@@ -37,8 +39,30 @@ struct Harness {
     admin: Client,
 }
 
-fn boot() -> Harness {
-    let bf = Arc::new(Bullfrog::new(Arc::new(Database::new())));
+const MODES: [EngineMode; 2] = [EngineMode::TwoPL, EngineMode::Snapshot];
+
+/// A server in `mode`, in-memory, or with its WAL under `wal_dir` and a
+/// background checkpointer.
+fn boot(mode: EngineMode, wal_dir: Option<&std::path::Path>) -> Harness {
+    let config = DbConfig {
+        mode,
+        ..DbConfig::default()
+    };
+    let db = match wal_dir {
+        None => Database::with_config(config),
+        Some(dir) => {
+            let policy = CheckpointPolicy {
+                max_resident_records: 2_000,
+                ..CheckpointPolicy::default()
+            };
+            let config = DbConfig {
+                checkpoint_policy: Some(policy),
+                ..config
+            };
+            Database::with_wal_file(config, dir.join("race.wal")).unwrap()
+        }
+    };
+    let bf = Arc::new(Bullfrog::new(Arc::new(db)));
     let server = Server::bind(
         ("127.0.0.1", 0),
         bf,
@@ -71,10 +95,11 @@ fn boot() -> Harness {
     }
 }
 
-/// One transfer transaction against `table`, retried on retryable
-/// errors. Returns false when the statement failed non-retryably —
-/// which under a phase flip means "frozen input, re-check the phase".
-fn transfer(c: &mut Client, table: &str, a: i64, b: i64) -> bool {
+/// One transfer transaction against `table`, ended by `commit`
+/// (`COMMIT` or `COMMIT NOWAIT`) and retried on retryable errors.
+/// Returns false when the statement failed non-retryably — which under
+/// a phase flip means "frozen input, re-check the phase".
+fn transfer(c: &mut Client, table: &str, a: i64, b: i64, commit: &str) -> bool {
     for _ in 0..12 {
         c.execute("BEGIN").unwrap();
         let debit = c.execute(&format!(
@@ -88,7 +113,7 @@ fn transfer(c: &mut Client, table: &str, a: i64, b: i64) -> bool {
         };
         match (debit, credit) {
             (Ok(_), Ok(_)) => {
-                if c.execute("COMMIT").is_ok() {
+                if c.execute(commit).is_ok() {
                     return true;
                 }
             }
@@ -116,6 +141,7 @@ fn transfer(c: &mut Client, table: &str, a: i64, b: i64) -> bool {
 fn spawn_workers(
     addr: std::net::SocketAddr,
     phase: &Arc<AtomicUsize>,
+    commit: &'static str,
 ) -> Vec<std::thread::JoinHandle<u64>> {
     (0..WORKERS)
         .map(|w| {
@@ -133,7 +159,7 @@ fn spawn_workers(
                     n = (n * 31 + 17) % ACCOUNTS;
                     let a = n;
                     let b = (n + 1 + w as i64) % ACCOUNTS;
-                    if a != b && transfer(&mut c, table, a, b) {
+                    if a != b && transfer(&mut c, table, a, b, commit) {
                         committed += 1;
                     }
                 }
@@ -184,9 +210,30 @@ fn scan_retry(c: &mut Client, sql: &str) -> Vec<bullfrog_common::Row> {
 
 #[test]
 fn bitmap_migration_is_exactly_once_under_remote_contention() {
-    let mut h = boot();
+    for mode in MODES {
+        bitmap_race(mode, None);
+    }
+    let dir = std::env::temp_dir().join(format!(
+        "bf-bitmap_migration_is_exactly_once_under_remote_contention-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    bitmap_race(EngineMode::TwoPL, Some(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Transfers race a mid-traffic 1:1 migration. With `wal_dir`, the
+/// server is file-backed and the workers commit with `COMMIT NOWAIT`.
+fn bitmap_race(mode: EngineMode, wal_dir: Option<&std::path::Path>) {
+    let mut h = boot(mode, wal_dir);
+    let commit = if wal_dir.is_some() {
+        "COMMIT NOWAIT"
+    } else {
+        "COMMIT"
+    };
     let phase = Arc::new(AtomicUsize::new(PHASE_OLD));
-    let workers = spawn_workers(h.addr, &phase);
+    let workers = spawn_workers(h.addr, &phase, commit);
 
     // Let traffic build, then flip the schema mid-flight.
     std::thread::sleep(Duration::from_millis(100));
@@ -203,12 +250,15 @@ fn bitmap_migration_is_exactly_once_under_remote_contention() {
     let pairs = h.admin.status().unwrap();
     phase.store(PHASE_DONE, Ordering::Release);
     let committed: u64 = workers.into_iter().map(|t| t.join().unwrap()).sum();
-    assert!(committed > 0, "workers must have committed transfers");
+    assert!(
+        committed > 0,
+        "{mode:?}: workers must have committed transfers"
+    );
 
     assert_eq!(
         stat(&pairs, "migration.rows_migrated"),
         ACCOUNTS,
-        "every source row migrated exactly once"
+        "{mode:?}: every source row migrated exactly once"
     );
     assert_eq!(stat(&pairs, "migration.conflict_skips"), 0);
     assert_eq!(stat(&pairs, "migration.rows_dropped"), 0);
@@ -229,17 +279,25 @@ fn bitmap_migration_is_exactly_once_under_remote_contention() {
     assert_eq!(
         total,
         ACCOUNTS * INITIAL_BALANCE,
-        "balance must be conserved"
+        "{mode:?}: balance must be conserved"
     );
 
+    // SHUTDOWN drains every session and syncs the log before it returns.
+    h.admin.shutdown_server().unwrap();
     h.server.shutdown();
 }
 
 #[test]
 fn hash_migration_aggregates_exactly_once_under_remote_contention() {
-    let mut h = boot();
+    for mode in MODES {
+        hash_race(mode);
+    }
+}
+
+fn hash_race(mode: EngineMode) {
+    let mut h = boot(mode, None);
     let phase = Arc::new(AtomicUsize::new(PHASE_OLD));
-    let workers = spawn_workers(h.addr, &phase);
+    let workers = spawn_workers(h.addr, &phase, "COMMIT");
 
     std::thread::sleep(Duration::from_millis(100));
     // n:1 GROUP BY migration: the HashTracker must fold each source
@@ -264,7 +322,7 @@ fn hash_migration_aggregates_exactly_once_under_remote_contention() {
     assert_eq!(
         stat(&pairs, "migration.rows_migrated"),
         OWNERS,
-        "one output row per group"
+        "{mode:?}: one output row per group"
     );
     assert!(stat(&pairs, "migration.granules_migrated") >= 1);
     assert_eq!(stat(&pairs, "migration.conflict_skips"), 0);
@@ -285,7 +343,8 @@ fn hash_migration_aggregates_exactly_once_under_remote_contention() {
     assert_eq!(
         grand,
         ACCOUNTS * INITIAL_BALANCE,
-        "aggregated total must equal the conserved balance (committed transfers: {committed})"
+        "{mode:?}: aggregated total must equal the conserved balance \
+         (committed transfers: {committed})"
     );
 
     h.server.shutdown();

@@ -70,7 +70,7 @@ fn write_write_conflict_is_retryable_over_tcp() {
         other => panic!("expected a retryable write conflict, got {other:?}"),
     }
 
-    // The loadgen-style retry loop: restart the bracket with a fresh
+    // The client's retry loop: restart the bracket with a fresh
     // snapshot and win.
     let mut committed = false;
     for _ in 0..8 {

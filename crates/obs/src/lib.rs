@@ -23,8 +23,8 @@
 //!   never touches it.
 //!
 //! A [`Registry`] ties the three together per database instance (tests
-//! and `loadgen` run several servers in one process, so there is no
-//! process-global registry) and produces a [`MetricsSnapshot`] — the
+//! run several servers in one process, so there is no process-global
+//! registry) and produces a [`MetricsSnapshot`] — the
 //! payload of the BFNET1 `METRICS` opcode.
 //!
 //! [`set_enabled(false)`](set_enabled) turns histogram recording and

@@ -20,8 +20,9 @@
 //!   two-phase schema-flip coordinator with cross-node aggregate
 //!   exchange (the `clusterd` binary).
 //! - [`repl`] — physical replication by WAL shipping: primary-side
-//!   sender, read-only replicas, snapshot bootstrap, and the `repld` /
-//!   `loadgen` binaries.
+//!   sender, read-only replicas, and snapshot bootstrap.
+//! - [`ha`] — fenced failover, quorum leases, synchronous replication,
+//!   and the `repld` binary.
 //! - [`tpcc`] — the TPC-C workload extended with schema migrations.
 //!
 //! See the `examples/` directory for end-to-end usage, starting with
