@@ -106,7 +106,7 @@ fn run(nodes: usize, mode: EngineMode) -> Sample {
 }
 
 fn main() {
-    let mode = EngineMode::from_env();
+    let mode = EngineMode::from_env().expect("BULLFROG_ENGINE_MODE");
     let samples: Vec<Sample> = [1, 2, 3].iter().map(|&n| run(n, mode)).collect();
     let rows: Vec<String> = samples
         .iter()

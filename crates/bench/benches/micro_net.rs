@@ -112,7 +112,7 @@ fn run_prepared_pipelined(addr: std::net::SocketAddr) -> Sample {
 }
 
 fn main() {
-    let mode = EngineMode::from_env();
+    let mode = EngineMode::from_env().expect("BULLFROG_ENGINE_MODE");
     let db = Arc::new(Database::with_config(DbConfig {
         mode,
         ..DbConfig::default()

@@ -9,7 +9,7 @@ use bullfrog_core::{
     BackgroundConfig, Bullfrog, BullfrogConfig, ClientAccess, DedupMode, EagerMigrator,
     MultiStepMigrator, Passthrough,
 };
-use bullfrog_engine::{Database, DbConfig};
+use bullfrog_engine::{Database, DbConfig, EngineMode};
 use bullfrog_tpcc::migrations::FkLevel;
 use bullfrog_tpcc::{load, Driver, Scenario, TpccScale};
 
@@ -74,10 +74,13 @@ pub fn calibrate(scale: &TpccScale, clients: usize) -> Rates {
     }
 }
 
+/// A bench database in the deployment's engine mode
+/// ([`EngineMode::from_env`], `2pl` when unset).
 fn fresh_db() -> Arc<Database> {
     let config = DbConfig {
         lock_timeout: Duration::from_millis(100),
         enforce_fk_on_delete: false,
+        mode: EngineMode::from_env().expect("BULLFROG_ENGINE_MODE"),
         ..Default::default()
     };
     // Benches default to an in-memory WAL (the paper's figures measure

@@ -5,7 +5,9 @@
 //! - `clusterd node --listen <addr> [--wal-dir <dir>]` — one member
 //!   node: a full BFNET1 server over its own partition with cluster
 //!   enforcement on (shard ownership, flip windows), engine mode from
-//!   `BULLFROG_ENGINE_MODE`. Serves until a remote `SHUTDOWN`.
+//!   the deployment setting `BULLFROG_ENGINE_MODE` (`2pl` when unset,
+//!   or `si`; an unknown mode is refused). Serves until a remote
+//!   `SHUTDOWN`.
 //! - `clusterd init --nodes <a,b,c>` — install a fresh shard map
 //!   listing the nodes in order on every node.
 //! - `clusterd exec --nodes <a,b,c> --sql <stmt>` — broadcast one
@@ -140,7 +142,8 @@ fn run_node(listen: &str, wal_dir: Option<&str>) {
             max_flushed_bytes: 0,
             poll_interval: Duration::from_millis(50),
         }),
-        mode: EngineMode::from_env(),
+        mode: EngineMode::from_env()
+            .unwrap_or_else(|e| fail(&format!("BULLFROG_ENGINE_MODE: {e}"))),
         ..DbConfig::default()
     };
     let db = Arc::new(match wal_dir {

@@ -1,8 +1,4 @@
 //! Three-node loopback cluster integration tests.
-//!
-//! The flip race under traffic runs both engine modes in one body. The
-//! other tests take the mode from `BULLFROG_ENGINE_MODE` (the verify
-//! script runs the suite under both `2pl` and `si`).
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
@@ -10,17 +6,13 @@ use std::time::Duration;
 
 use bullfrog_cluster::{ClusterClient, Coordinator, LocalCluster, ShardMap};
 use bullfrog_common::Value;
-use bullfrog_core::Bullfrog;
+use bullfrog_core::{Bullfrog, ClientAccess};
 use bullfrog_engine::{Database, DbConfig, EngineMode};
 use bullfrog_net::{err_code, Client, ClientError, Server, ServerConfig};
 
 const ACCOUNTS: i64 = 60;
 const OWNERS: i64 = 5;
 const INITIAL_BALANCE: i64 = 1_000;
-
-fn mode() -> EngineMode {
-    EngineMode::from_env()
-}
 
 /// Loads the canonical accounts fixture through `run`, one row per
 /// statement so the cluster side can route each insert to its owner.
@@ -56,9 +48,9 @@ fn sorted(mut rows: Vec<bullfrog_common::Row>) -> Vec<bullfrog_common::Row> {
 
 /// Runs the whole scenario on one plain (cluster-less) node and
 /// returns its final `owner_totals` and `accounts_v2` scans.
-fn single_node_oracle() -> (Vec<bullfrog_common::Row>, Vec<bullfrog_common::Row>) {
+fn single_node_oracle(mode: EngineMode) -> (Vec<bullfrog_common::Row>, Vec<bullfrog_common::Row>) {
     let db = Arc::new(Database::with_config(DbConfig {
-        mode: mode(),
+        mode,
         ..DbConfig::default()
     }));
     let mut server = Server::bind(
@@ -120,126 +112,132 @@ fn wait_complete_single(admin: &mut Client) {
 /// byte-identical to a single node running the same scenario.
 #[test]
 fn three_node_scan_matches_single_node_oracle() {
-    let cluster = LocalCluster::start(3, mode()).expect("start cluster");
-    let mut coord = Coordinator::connect(&cluster.addrs()).expect("coordinator");
-    coord
-        .execute_all(CREATE_ACCOUNTS)
-        .expect("create everywhere");
-
-    let mut client = ClusterClient::connect(&cluster.addrs()[0]).expect("routing client");
-    load_accounts(|sql| {
-        // Route each single-key statement to its owning node. The key
-        // is the account id for both the insert and the update.
-        let id: i64 = sql
-            .split(|c: char| !c.is_ascii_digit())
-            .find(|s| !s.is_empty())
-            .expect("statement embeds an id")
-            .parse()
-            .expect("numeric id");
-        let affected = client
-            .execute_key(&[Value::Int(id)], sql)
-            .expect("routed statement");
-        assert!(affected >= 1, "routed statement matched nothing: {sql}");
-    });
-
-    // Every partition holds only its own keys: the scatter-gathered
-    // count is the total, and no single node holds everything.
-    let (_, all) = client
-        .scatter_rows("SELECT id FROM accounts")
-        .expect("scatter count");
-    assert_eq!(all.len() as i64, ACCOUNTS);
-    for node in cluster.nodes() {
-        let mut one = Client::connect(node.addr()).expect("node connect");
-        let (_, local) = one
-            .query_rows("SELECT id FROM accounts")
-            .expect("local scan");
-        assert!(
-            (local.len() as i64) < ACCOUNTS,
-            "one node holds every row — not partitioned"
-        );
-    }
-
-    // 1:1 flip across the cluster.
-    let specs = coord.migrate(MIGRATE_1TO1).expect("1:1 flip");
-    assert!(specs.is_empty(), "1:1 migration owes no exchange");
-    assert!(
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let cluster = LocalCluster::start(3, mode).expect("start cluster");
+        for node in cluster.nodes() {
+            assert_eq!(node.bullfrog().db().config().mode, mode);
+        }
+        let mut coord = Coordinator::connect(&cluster.addrs()).expect("coordinator");
         coord
-            .wait_all_complete(Duration::from_secs(30))
-            .expect("poll"),
-        "1:1 lazy migration never drained on every node"
-    );
-    coord.run_exchange(&specs).expect("release hold");
-    coord.finalize_all(true).expect("finalize 1:1");
+            .execute_all(CREATE_ACCOUNTS)
+            .expect("create everywhere");
 
-    let (_, v2) = client
-        .scatter_rows("SELECT id, owner, balance FROM accounts_v2")
-        .expect("scatter v2");
+        let mut client = ClusterClient::connect(&cluster.addrs()[0]).expect("routing client");
+        load_accounts(|sql| {
+            // Route each single-key statement to its owning node. The key
+            // is the account id for both the insert and the update.
+            let id: i64 = sql
+                .split(|c: char| !c.is_ascii_digit())
+                .find(|s| !s.is_empty())
+                .expect("statement embeds an id")
+                .parse()
+                .expect("numeric id");
+            let affected = client
+                .execute_key(&[Value::Int(id)], sql)
+                .expect("routed statement");
+            assert!(affected >= 1, "routed statement matched nothing: {sql}");
+        });
 
-    // n:1 flip: group keys hash by owner, so most partials land on the
-    // wrong node and the exchange must move them.
-    let specs = coord.migrate(MIGRATE_NTO1).expect("n:1 flip");
-    assert_eq!(specs.len(), 1, "one aggregate output table");
-    assert_eq!(specs[0].table, "owner_totals");
-    assert_eq!(specs[0].key_cols, vec!["owner".to_string()]);
-    assert!(
-        coord
-            .wait_all_complete(Duration::from_secs(30))
-            .expect("poll"),
-        "n:1 lazy migration never drained on every node"
-    );
-    let moved = coord.run_exchange(&specs).expect("exchange");
-    assert!(moved > 0, "a 3-node GROUP BY must move some partials");
-    coord.finalize_all(false).expect("finalize n:1");
-
-    let (_, totals) = client
-        .scatter_rows("SELECT owner, total FROM owner_totals")
-        .expect("scatter totals");
-    assert_eq!(totals.len() as i64, OWNERS, "one merged group per owner");
-
-    // Each group must live on exactly the node its key hashes to. (An
-    // unkeyed scan per node: keyed SELECTs for groups owned elsewhere
-    // would themselves bounce with WRONG_SHARD — the enforcement under
-    // test.)
-    for (i, node) in cluster.nodes().iter().enumerate() {
-        let mut one = Client::connect(node.addr()).expect("node connect");
-        let (_, local) = one
-            .query_rows("SELECT owner FROM owner_totals")
-            .expect("local group scan");
-        for row in &local {
-            assert_eq!(
-                coord.map().owner_of(&row.0[..1]),
-                i,
-                "group {:?} left misplaced on node {i} after the exchange",
-                row.0[0]
+        // Every partition holds only its own keys: the scatter-gathered
+        // count is the total, and no single node holds everything.
+        let (_, all) = client
+            .scatter_rows("SELECT id FROM accounts")
+            .expect("scatter count");
+        assert_eq!(all.len() as i64, ACCOUNTS);
+        for node in cluster.nodes() {
+            let mut one = Client::connect(node.addr()).expect("node connect");
+            let (_, local) = one
+                .query_rows("SELECT id FROM accounts")
+                .expect("local scan");
+            assert!(
+                (local.len() as i64) < ACCOUNTS,
+                "one node holds every row — not partitioned"
             );
         }
+
+        // 1:1 flip across the cluster.
+        let specs = coord.migrate(MIGRATE_1TO1).expect("1:1 flip");
+        assert!(specs.is_empty(), "1:1 migration owes no exchange");
+        assert!(
+            coord
+                .wait_all_complete(Duration::from_secs(30))
+                .expect("poll"),
+            "1:1 lazy migration never drained on every node"
+        );
+        coord.run_exchange(&specs).expect("release hold");
+        coord.finalize_all(true).expect("finalize 1:1");
+
+        let (_, v2) = client
+            .scatter_rows("SELECT id, owner, balance FROM accounts_v2")
+            .expect("scatter v2");
+
+        // n:1 flip: group keys hash by owner, so most partials land on the
+        // wrong node and the exchange must move them.
+        let specs = coord.migrate(MIGRATE_NTO1).expect("n:1 flip");
+        assert_eq!(specs.len(), 1, "one aggregate output table");
+        assert_eq!(specs[0].table, "owner_totals");
+        assert_eq!(specs[0].key_cols, vec!["owner".to_string()]);
+        assert!(
+            coord
+                .wait_all_complete(Duration::from_secs(30))
+                .expect("poll"),
+            "n:1 lazy migration never drained on every node"
+        );
+        let moved = coord.run_exchange(&specs).expect("exchange");
+        assert!(moved > 0, "a 3-node GROUP BY must move some partials");
+        coord.finalize_all(false).expect("finalize n:1");
+
+        let (_, totals) = client
+            .scatter_rows("SELECT owner, total FROM owner_totals")
+            .expect("scatter totals");
+        assert_eq!(totals.len() as i64, OWNERS, "one merged group per owner");
+
+        // Each group must live on exactly the node its key hashes to. (An
+        // unkeyed scan per node: keyed SELECTs for groups owned elsewhere
+        // would themselves bounce with WRONG_SHARD — the enforcement under
+        // test.)
+        for (i, node) in cluster.nodes().iter().enumerate() {
+            let mut one = Client::connect(node.addr()).expect("node connect");
+            let (_, local) = one
+                .query_rows("SELECT owner FROM owner_totals")
+                .expect("local group scan");
+            for row in &local {
+                assert_eq!(
+                    coord.map().owner_of(&row.0[..1]),
+                    i,
+                    "group {:?} left misplaced on node {i} after the exchange",
+                    row.0[0]
+                );
+            }
+        }
+
+        // Byte-identical to the single-node run.
+        let (oracle_totals, oracle_v2) = single_node_oracle(mode);
+        assert_eq!(
+            format!("{:?}", sorted(v2)),
+            format!("{oracle_v2:?}"),
+            "distributed accounts_v2 diverged from the single-node oracle"
+        );
+        assert_eq!(
+            format!("{:?}", sorted(totals)),
+            format!("{oracle_totals:?}"),
+            "distributed owner_totals diverged from the single-node oracle"
+        );
+
+        // The cluster gauges survived the whole scenario.
+        let status = client.aggregate_status().expect("aggregate status");
+        let get = |k: &str| {
+            status
+                .iter()
+                .find(|(key, _)| key == k)
+                .map(|(_, v)| *v)
+                .unwrap_or(0)
+        };
+        assert_eq!(get("cluster.nodes"), 3);
+        assert!(get("cluster.shardmap_version") >= 1);
+        assert_eq!(get("cluster.flip_pending"), 0, "no flip left pending");
     }
-
-    // Byte-identical to the single-node run.
-    let (oracle_totals, oracle_v2) = single_node_oracle();
-    assert_eq!(
-        format!("{:?}", sorted(v2)),
-        format!("{oracle_v2:?}"),
-        "distributed accounts_v2 diverged from the single-node oracle"
-    );
-    assert_eq!(
-        format!("{:?}", sorted(totals)),
-        format!("{oracle_totals:?}"),
-        "distributed owner_totals diverged from the single-node oracle"
-    );
-
-    // The cluster gauges survived the whole scenario.
-    let status = client.aggregate_status().expect("aggregate status");
-    let get = |k: &str| {
-        status
-            .iter()
-            .find(|(key, _)| key == k)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    assert_eq!(get("cluster.nodes"), 3);
-    assert!(get("cluster.shardmap_version") >= 1);
-    assert_eq!(get("cluster.flip_pending"), 0, "no flip left pending");
 }
 
 /// One transfer of 7 from `a` to `b`, both owned by the node `c` talks
@@ -275,8 +273,12 @@ fn transfer(c: &mut Client, table: &str, a: i64, b: i64) -> bool {
 fn routed_transfers_race_the_cluster_flip_without_losing_a_commit() {
     const ACCOUNTS: i64 = 120;
     const WORKERS_PER_NODE: usize = 4;
-    for mode in [EngineMode::TwoPL, EngineMode::Snapshot] {
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
         let cluster = LocalCluster::start(3, mode).expect("start cluster");
+        for node in cluster.nodes() {
+            assert_eq!(node.bullfrog().db().config().mode, mode);
+        }
         let mut coord = Coordinator::connect(&cluster.addrs()).expect("coordinator");
         coord
             .execute_all(CREATE_ACCOUNTS)
@@ -394,60 +396,66 @@ fn routed_transfers_race_the_cluster_flip_without_losing_a_commit() {
 /// re-fetching the map on `WRONG_SHARD` — never by blind retry.
 #[test]
 fn stale_map_client_refetches_on_wrong_shard() {
-    let cluster = LocalCluster::start(3, mode()).expect("start cluster");
-    let mut coord = Coordinator::connect(&cluster.addrs()).expect("coordinator");
-    coord
-        .execute_all(CREATE_ACCOUNTS)
-        .expect("create everywhere");
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let cluster = LocalCluster::start(3, mode).expect("start cluster");
+        for node in cluster.nodes() {
+            assert_eq!(node.bullfrog().db().config().mode, mode);
+        }
+        let mut coord = Coordinator::connect(&cluster.addrs()).expect("coordinator");
+        coord
+            .execute_all(CREATE_ACCOUNTS)
+            .expect("create everywhere");
 
-    let mut fresh = ClusterClient::connect(&cluster.addrs()[0]).expect("routing client");
-    for id in 0..12 {
-        fresh
-            .execute_key(
-                &[Value::Int(id)],
-                &format!("INSERT INTO accounts VALUES ({id}, 'o0', {INITIAL_BALANCE})"),
-            )
-            .expect("load");
+        let mut fresh = ClusterClient::connect(&cluster.addrs()[0]).expect("routing client");
+        for id in 0..12 {
+            fresh
+                .execute_key(
+                    &[Value::Int(id)],
+                    &format!("INSERT INTO accounts VALUES ({id}, 'o0', {INITIAL_BALANCE})"),
+                )
+                .expect("load");
+        }
+
+        // Rotate the node list by one: every owner index now points at the
+        // wrong address, so the first routed statement is guaranteed to
+        // land on a non-owner and bounce with WRONG_SHARD.
+        let true_map = fresh.map().clone();
+        let mut rotated = true_map.nodes.clone();
+        rotated.rotate_left(1);
+        let mut stale = ClusterClient::with_map(ShardMap {
+            version: 0,
+            nodes: rotated,
+        });
+
+        for id in 0..12 {
+            let affected = stale
+                .execute_key(
+                    &[Value::Int(id)],
+                    &format!("UPDATE accounts SET balance = balance + 1 WHERE id = {id}"),
+                )
+                .expect("stale client update");
+            assert_eq!(affected, 1, "update for id {id} matched {affected} rows");
+        }
+        assert!(
+            stale.wrong_shard_refetches >= 1,
+            "the stale map never triggered a re-fetch"
+        );
+        assert_eq!(
+            stale.map().nodes,
+            true_map.nodes,
+            "re-fetch did not converge on the installed map"
+        );
+
+        // The nodes counted the bounces (cluster-level gauge).
+        let status = fresh.aggregate_status().expect("status");
+        let bounced = status
+            .iter()
+            .find(|(k, _)| k == "cluster.wrong_shard_rejects")
+            .map(|(_, v)| *v)
+            .unwrap_or(0);
+        assert!(bounced >= 1, "no node recorded a WRONG_SHARD reject");
     }
-
-    // Rotate the node list by one: every owner index now points at the
-    // wrong address, so the first routed statement is guaranteed to
-    // land on a non-owner and bounce with WRONG_SHARD.
-    let true_map = fresh.map().clone();
-    let mut rotated = true_map.nodes.clone();
-    rotated.rotate_left(1);
-    let mut stale = ClusterClient::with_map(ShardMap {
-        version: 0,
-        nodes: rotated,
-    });
-
-    for id in 0..12 {
-        let affected = stale
-            .execute_key(
-                &[Value::Int(id)],
-                &format!("UPDATE accounts SET balance = balance + 1 WHERE id = {id}"),
-            )
-            .expect("stale client update");
-        assert_eq!(affected, 1, "update for id {id} matched {affected} rows");
-    }
-    assert!(
-        stale.wrong_shard_refetches >= 1,
-        "the stale map never triggered a re-fetch"
-    );
-    assert_eq!(
-        stale.map().nodes,
-        true_map.nodes,
-        "re-fetch did not converge on the installed map"
-    );
-
-    // The nodes counted the bounces (cluster-level gauge).
-    let status = fresh.aggregate_status().expect("status");
-    let bounced = status
-        .iter()
-        .find(|(k, _)| k == "cluster.wrong_shard_rejects")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    assert!(bounced >= 1, "no node recorded a WRONG_SHARD reject");
 }
 
 /// Between `PREPARE` and that node's `COMMIT`, statements touching the
@@ -456,87 +464,99 @@ fn stale_map_client_refetches_on_wrong_shard() {
 /// through the coordinator) is refused outright.
 #[test]
 fn flip_window_gates_dml_until_commit_or_abort() {
-    let cluster = LocalCluster::start(3, mode()).expect("start cluster");
-    let mut coord = Coordinator::connect(&cluster.addrs()).expect("coordinator");
-    coord
-        .execute_all(CREATE_ACCOUNTS)
-        .expect("create everywhere");
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let cluster = LocalCluster::start(3, mode).expect("start cluster");
+        for node in cluster.nodes() {
+            assert_eq!(node.bullfrog().db().config().mode, mode);
+        }
+        let mut coord = Coordinator::connect(&cluster.addrs()).expect("coordinator");
+        coord
+            .execute_all(CREATE_ACCOUNTS)
+            .expect("create everywhere");
 
-    // Pick a key owned by node 0 so the happy path targets it.
-    let map = coord.map().clone();
-    let id = (0..)
-        .find(|i| map.owner_of(&[Value::Int(*i)]) == 0)
-        .unwrap();
-    let mut direct = Client::connect(cluster.nodes()[0].addr()).expect("direct connect");
-    direct
-        .execute(&format!(
-            "INSERT INTO accounts VALUES ({id}, 'o0', {INITIAL_BALANCE})"
-        ))
-        .expect("insert at owner");
+        // Pick a key owned by node 0 so the happy path targets it.
+        let map = coord.map().clone();
+        let id = (0..)
+            .find(|i| map.owner_of(&[Value::Int(*i)]) == 0)
+            .unwrap();
+        let mut direct = Client::connect(cluster.nodes()[0].addr()).expect("direct connect");
+        direct
+            .execute(&format!(
+                "INSERT INTO accounts VALUES ({id}, 'o0', {INITIAL_BALANCE})"
+            ))
+            .expect("insert at owner");
 
-    // Migration DDL on a member connection is refused: the two-phase
-    // flip is the only path that keeps the cluster's schemas in step.
-    match direct.execute(MIGRATE_1TO1) {
-        Err(ClientError::Server {
-            retryable: false, ..
-        }) => {}
-        other => panic!("member accepted direct migration DDL: {other:?}"),
-    }
+        // Migration DDL on a member connection is refused: the two-phase
+        // flip is the only path that keeps the cluster's schemas in step.
+        match direct.execute(MIGRATE_1TO1) {
+            Err(ClientError::Server {
+                retryable: false, ..
+            }) => {}
+            other => panic!("member accepted direct migration DDL: {other:?}"),
+        }
 
-    // Stage the flip on node 0 only (coordinator-style prepare).
-    let mut admin = Client::connect(cluster.nodes()[0].addr()).expect("admin connect");
-    admin.cluster_prepare(MIGRATE_1TO1).expect("prepare");
+        // Stage the flip on node 0 only (coordinator-style prepare).
+        let mut admin = Client::connect(cluster.nodes()[0].addr()).expect("admin connect");
+        admin.cluster_prepare(MIGRATE_1TO1).expect("prepare");
 
-    match direct.execute(&format!(
-        "UPDATE accounts SET balance = balance + 1 WHERE id = {id}"
-    )) {
-        Err(ClientError::Server {
-            retryable: true,
-            code,
-            ..
-        }) if code == err_code::FLIP_PENDING => {}
-        other => panic!("flip window did not gate DML: {other:?}"),
-    }
-
-    admin.cluster_abort().expect("abort");
-    let affected = direct
-        .execute(&format!(
+        match direct.execute(&format!(
             "UPDATE accounts SET balance = balance + 1 WHERE id = {id}"
-        ))
-        .expect("update after abort");
-    assert_eq!(affected, 1);
+        )) {
+            Err(ClientError::Server {
+                retryable: true,
+                code,
+                ..
+            }) if code == err_code::FLIP_PENDING => {}
+            other => panic!("flip window did not gate DML: {other:?}"),
+        }
+
+        admin.cluster_abort().expect("abort");
+        let affected = direct
+            .execute(&format!(
+                "UPDATE accounts SET balance = balance + 1 WHERE id = {id}"
+            ))
+            .expect("update after abort");
+        assert_eq!(affected, 1);
+    }
 }
 
 /// A statement whose key hashes to another node bounces with
 /// `WRONG_SHARD` naming the owner, and the owning node accepts it.
 #[test]
 fn non_owner_rejects_single_key_dml() {
-    let cluster = LocalCluster::start(3, mode()).expect("start cluster");
-    let mut coord = Coordinator::connect(&cluster.addrs()).expect("coordinator");
-    coord
-        .execute_all(CREATE_ACCOUNTS)
-        .expect("create everywhere");
-
-    let map = coord.map().clone();
-    // A key owned by node 1, submitted to node 0.
-    let id = (0..)
-        .find(|i| map.owner_of(&[Value::Int(*i)]) == 1)
-        .unwrap();
-    let mut wrong = Client::connect(cluster.nodes()[0].addr()).expect("connect node 0");
-    let sql = format!("INSERT INTO accounts VALUES ({id}, 'o0', {INITIAL_BALANCE})");
-    match wrong.execute(&sql) {
-        Err(ClientError::Server {
-            retryable: true,
-            code,
-            message,
-        }) if code == err_code::WRONG_SHARD => {
-            assert!(
-                message.contains(&map.nodes[1]),
-                "WRONG_SHARD must name the owner: {message}"
-            );
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let cluster = LocalCluster::start(3, mode).expect("start cluster");
+        for node in cluster.nodes() {
+            assert_eq!(node.bullfrog().db().config().mode, mode);
         }
-        other => panic!("non-owner accepted the insert: {other:?}"),
+        let mut coord = Coordinator::connect(&cluster.addrs()).expect("coordinator");
+        coord
+            .execute_all(CREATE_ACCOUNTS)
+            .expect("create everywhere");
+
+        let map = coord.map().clone();
+        // A key owned by node 1, submitted to node 0.
+        let id = (0..)
+            .find(|i| map.owner_of(&[Value::Int(*i)]) == 1)
+            .unwrap();
+        let mut wrong = Client::connect(cluster.nodes()[0].addr()).expect("connect node 0");
+        let sql = format!("INSERT INTO accounts VALUES ({id}, 'o0', {INITIAL_BALANCE})");
+        match wrong.execute(&sql) {
+            Err(ClientError::Server {
+                retryable: true,
+                code,
+                message,
+            }) if code == err_code::WRONG_SHARD => {
+                assert!(
+                    message.contains(&map.nodes[1]),
+                    "WRONG_SHARD must name the owner: {message}"
+                );
+            }
+            other => panic!("non-owner accepted the insert: {other:?}"),
+        }
+        let mut owner = Client::connect(map.nodes[1].as_str()).expect("connect owner");
+        assert_eq!(owner.execute(&sql).expect("owner accepts"), 1);
     }
-    let mut owner = Client::connect(map.nodes[1].as_str()).expect("connect owner");
-    assert_eq!(owner.execute(&sql).expect("owner accepts"), 1);
 }

@@ -87,6 +87,8 @@ pub enum Error {
         /// The current primary's address, when the fenced node knows it.
         leader: Option<String>,
     },
+    /// A deployment setting holds a value the program does not accept.
+    Config(String),
     /// Generic invariant breakage; carries a description.
     Internal(String),
 }
@@ -130,6 +132,7 @@ impl fmt::Display for Error {
                 "fenced (stale epoch): writes and DDL must go to the primary at {}",
                 leader.as_deref().unwrap_or("unknown")
             ),
+            Error::Config(m) => write!(f, "invalid setting: {m}"),
             Error::Internal(m) => write!(f, "internal error: {m}"),
         }
     }

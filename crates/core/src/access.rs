@@ -153,30 +153,38 @@ impl ClientAccess for Passthrough {
 mod tests {
     use super::*;
     use bullfrog_common::{row, ColumnDef, DataType, TableSchema};
+    use bullfrog_engine::{DbConfig, EngineMode};
 
     #[test]
     fn passthrough_delegates() {
-        let db = Arc::new(Database::new());
-        db.create_table(
-            TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int)])
-                .with_primary_key(&["id"]),
-        )
-        .unwrap();
-        let access = Passthrough::new(Arc::clone(&db));
-        assert_eq!(access.version(), SchemaVersion::Old);
-        let mut txn = db.begin();
-        let rid = access.insert(&mut txn, "t", row![1]).unwrap();
-        let got = access
-            .get_by_pk(&mut txn, "t", &[Value::Int(1)], LockPolicy::Shared)
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = Arc::new(Database::with_config(DbConfig {
+                mode,
+                ..DbConfig::default()
+            }));
+            assert_eq!(db.config().mode, mode);
+            db.create_table(
+                TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int)])
+                    .with_primary_key(&["id"]),
+            )
             .unwrap();
-        assert_eq!(got, Some((rid, row![1])));
-        access.update(&mut txn, "t", rid, row![2]).unwrap();
-        let all = access
-            .select(&mut txn, "t", None, LockPolicy::Shared)
-            .unwrap();
-        assert_eq!(all, vec![(rid, row![2])]);
-        access.delete(&mut txn, "t", rid).unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(Passthrough::new_schema(db).version(), SchemaVersion::New);
+            let access = Passthrough::new(Arc::clone(&db));
+            assert_eq!(access.version(), SchemaVersion::Old);
+            let mut txn = db.begin();
+            let rid = access.insert(&mut txn, "t", row![1]).unwrap();
+            let got = access
+                .get_by_pk(&mut txn, "t", &[Value::Int(1)], LockPolicy::Shared)
+                .unwrap();
+            assert_eq!(got, Some((rid, row![1])));
+            access.update(&mut txn, "t", rid, row![2]).unwrap();
+            let all = access
+                .select(&mut txn, "t", None, LockPolicy::Shared)
+                .unwrap();
+            assert_eq!(all, vec![(rid, row![2])]);
+            access.delete(&mut txn, "t", rid).unwrap();
+            db.commit(&mut txn).unwrap();
+            assert_eq!(Passthrough::new_schema(db).version(), SchemaVersion::New);
+        }
     }
 }

@@ -213,53 +213,64 @@ mod tests {
     #[test]
     fn background_threads_are_named_per_statement_and_worker() {
         use bullfrog_common::{row, ColumnDef, DataType, TableSchema};
+        use bullfrog_engine::{DbConfig, EngineMode};
         use bullfrog_query::{Expr, SelectSpec};
 
         use crate::{Bullfrog, BullfrogConfig, MigrationPlan, MigrationStatement};
 
-        let db = Arc::new(Database::new());
-        let cols = |names: &[&str]| -> Vec<ColumnDef> {
-            names
-                .iter()
-                .map(|n| ColumnDef::new(*n, DataType::Int))
-                .collect()
-        };
-        db.create_table(TableSchema::new("t", cols(&["id", "a", "b"])).with_primary_key(&["id"]))
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = Arc::new(Database::with_config(DbConfig {
+                mode,
+                ..DbConfig::default()
+            }));
+            assert_eq!(db.config().mode, mode);
+            let cols = |names: &[&str]| -> Vec<ColumnDef> {
+                names
+                    .iter()
+                    .map(|n| ColumnDef::new(*n, DataType::Int))
+                    .collect()
+            };
+            db.create_table(
+                TableSchema::new("t", cols(&["id", "a", "b"])).with_primary_key(&["id"]),
+            )
             .unwrap();
-        for i in 0..10 {
-            db.insert_unlogged("t", row![i, i, i]).unwrap();
-        }
-        let mut plan = MigrationPlan::new("split");
-        for col in ["a", "b"] {
-            plan = plan.with_statement(MigrationStatement::new(
-                TableSchema::new(format!("t_{col}"), cols(&["id", col])).with_primary_key(&["id"]),
-                SelectSpec::new()
-                    .from_table("t", "t")
-                    .select("id", Expr::col("t", "id"))
-                    .select(col, Expr::col("t", col)),
-            ));
-        }
-        // The workers sit in their start delay until shut down.
-        let bf = Bullfrog::with_config(
-            db,
-            BullfrogConfig {
-                background: BackgroundConfig {
-                    start_delay: Duration::from_secs(60),
-                    threads: 2,
-                    ..BackgroundConfig::default()
+            for i in 0..10 {
+                db.insert_unlogged("t", row![i, i, i]).unwrap();
+            }
+            let mut plan = MigrationPlan::new("split");
+            for col in ["a", "b"] {
+                plan = plan.with_statement(MigrationStatement::new(
+                    TableSchema::new(format!("t_{col}"), cols(&["id", col]))
+                        .with_primary_key(&["id"]),
+                    SelectSpec::new()
+                        .from_table("t", "t")
+                        .select("id", Expr::col("t", "id"))
+                        .select(col, Expr::col("t", col)),
+                ));
+            }
+            // The workers sit in their start delay until shut down.
+            let bf = Bullfrog::with_config(
+                db,
+                BullfrogConfig {
+                    background: BackgroundConfig {
+                        start_delay: Duration::from_secs(60),
+                        threads: 2,
+                        ..BackgroundConfig::default()
+                    },
+                    ..BullfrogConfig::default()
                 },
-                ..BullfrogConfig::default()
-            },
-        );
-        bf.submit_migration(plan).unwrap();
+            );
+            bf.submit_migration(plan).unwrap();
 
-        wait_for_background_threads(&[
-            "bf-mig-bg-0-0",
-            "bf-mig-bg-0-1",
-            "bf-mig-bg-1-0",
-            "bf-mig-bg-1-1",
-        ]);
-        bf.shutdown_background();
-        wait_for_background_threads(&[]);
+            wait_for_background_threads(&[
+                "bf-mig-bg-0-0",
+                "bf-mig-bg-0-1",
+                "bf-mig-bg-1-0",
+                "bf-mig-bg-1-1",
+            ]);
+            bf.shutdown_background();
+            wait_for_background_threads(&[]);
+        }
     }
 }

@@ -776,11 +776,15 @@ mod tests {
     use crate::hashmap::HashTracker;
     use crate::plan::MigrationStatement;
     use bullfrog_common::{row, ColumnDef, DataType, TableSchema};
+    use bullfrog_engine::{DbConfig, EngineMode};
     use bullfrog_query::{AggFunc, SelectSpec};
     use std::sync::atomic::Ordering;
 
-    fn orders_db() -> Arc<Database> {
-        let db = Arc::new(Database::new());
+    fn orders_db(mode: EngineMode) -> Arc<Database> {
+        let db = Arc::new(Database::with_config(DbConfig {
+            mode,
+            ..DbConfig::default()
+        }));
         db.create_table(
             TableSchema::new(
                 "order_line",
@@ -865,167 +869,201 @@ mod tests {
 
     #[test]
     fn candidates_follow_the_predicate() {
-        let db = orders_db();
-        let rt = copy_runtime(&db);
-        let pred = Expr::column("ol_o_id").eq(Expr::lit(3));
-        let c = candidates_for(&db, &rt, Some(&pred)).unwrap();
-        assert_eq!(c.len(), 5, "five lines for order 3");
-        let all = candidates_for(&db, &rt, None).unwrap();
-        assert_eq!(all.len(), 100);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = orders_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let rt = copy_runtime(&db);
+            let pred = Expr::column("ol_o_id").eq(Expr::lit(3));
+            let c = candidates_for(&db, &rt, Some(&pred)).unwrap();
+            assert_eq!(c.len(), 5, "five lines for order 3");
+            let all = candidates_for(&db, &rt, None).unwrap();
+            assert_eq!(all.len(), 100);
+        }
     }
 
     #[test]
     fn hash_candidates_are_group_keys() {
-        let db = orders_db();
-        let rt = agg_runtime(&db);
-        let pred = Expr::column("o_id").eq(Expr::lit(3));
-        let c = candidates_for(&db, &rt, Some(&pred)).unwrap();
-        assert_eq!(c, vec![Granule::Group(vec![Value::Int(3)])]);
-        let all = candidates_for(&db, &rt, None).unwrap();
-        assert_eq!(all.len(), 20, "one group per order");
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = orders_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let rt = agg_runtime(&db);
+            let pred = Expr::column("o_id").eq(Expr::lit(3));
+            let c = candidates_for(&db, &rt, Some(&pred)).unwrap();
+            assert_eq!(c, vec![Granule::Group(vec![Value::Int(3)])]);
+            let all = candidates_for(&db, &rt, None).unwrap();
+            assert_eq!(all.len(), 20, "one group per order");
+        }
     }
 
     #[test]
     fn migrate_selected_candidates_and_query() {
-        let db = orders_db();
-        let rt = copy_runtime(&db);
-        let pred = Expr::column("ol_o_id").eq(Expr::lit(3));
-        let c = candidates_for(&db, &rt, Some(&pred)).unwrap();
-        migrate_candidates(&db, &rt, c, &MigrateOptions::default()).unwrap();
-        let rows = db.select_unlocked("order_line2", Some(&pred)).unwrap();
-        assert_eq!(rows.len(), 5);
-        // Derived column is computed.
-        assert!(rows.iter().any(|(_, r)| r[2] == Value::Decimal(2 * 302)));
-        assert_eq!(MigrationStats::get(&rt.stats.rows_migrated), 5);
-        assert_eq!(MigrationStats::get(&rt.stats.granules_migrated), 5);
-        // Re-running is a no-op: already migrated.
-        let c = candidates_for(&db, &rt, Some(&pred)).unwrap();
-        migrate_candidates(&db, &rt, c, &MigrateOptions::default()).unwrap();
-        assert_eq!(MigrationStats::get(&rt.stats.rows_migrated), 5);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = orders_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let rt = copy_runtime(&db);
+            let pred = Expr::column("ol_o_id").eq(Expr::lit(3));
+            let c = candidates_for(&db, &rt, Some(&pred)).unwrap();
+            migrate_candidates(&db, &rt, c, &MigrateOptions::default()).unwrap();
+            let rows = db.select_unlocked("order_line2", Some(&pred)).unwrap();
+            assert_eq!(rows.len(), 5);
+            // Derived column is computed.
+            assert!(rows.iter().any(|(_, r)| r[2] == Value::Decimal(2 * 302)));
+            assert_eq!(MigrationStats::get(&rt.stats.rows_migrated), 5);
+            assert_eq!(MigrationStats::get(&rt.stats.granules_migrated), 5);
+            // Re-running is a no-op: already migrated.
+            let c = candidates_for(&db, &rt, Some(&pred)).unwrap();
+            migrate_candidates(&db, &rt, c, &MigrateOptions::default()).unwrap();
+            assert_eq!(MigrationStats::get(&rt.stats.rows_migrated), 5);
+        }
     }
 
     #[test]
     fn aggregate_group_migrates_whole_group() {
-        let db = orders_db();
-        let rt = agg_runtime(&db);
-        let c = vec![Granule::Group(vec![Value::Int(7)])];
-        migrate_candidates(&db, &rt, c, &MigrateOptions::default()).unwrap();
-        let rows = db.select_unlocked("order_totals", None).unwrap();
-        assert_eq!(rows.len(), 1);
-        let expected: i64 = (0..5).map(|n| 700 + n).sum();
-        assert_eq!(
-            rows[0].1,
-            Row(vec![Value::Int(7), Value::Decimal(expected)])
-        );
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = orders_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let rt = agg_runtime(&db);
+            let c = vec![Granule::Group(vec![Value::Int(7)])];
+            migrate_candidates(&db, &rt, c, &MigrateOptions::default()).unwrap();
+            let rows = db.select_unlocked("order_totals", None).unwrap();
+            assert_eq!(rows.len(), 1);
+            let expected: i64 = (0..5).map(|n| 700 + n).sum();
+            assert_eq!(
+                rows[0].1,
+                Row(vec![Value::Int(7), Value::Decimal(expected)])
+            );
+        }
     }
 
     #[test]
     fn injected_abort_resets_and_retry_succeeds() {
-        let db = orders_db();
-        let rt = copy_runtime(&db);
-        let c = candidates_for(&db, &rt, None).unwrap();
-        // Fail the first 3 migration transactions, then succeed.
-        let countdown = Arc::new(std::sync::atomic::AtomicU64::new(3));
-        let cd = Arc::clone(&countdown);
-        let opts = MigrateOptions {
-            failpoint: Some(Arc::new(move || {
-                cd.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-                    .is_ok()
-            })),
-            ..Default::default()
-        };
-        migrate_candidates(&db, &rt, c, &opts).unwrap();
-        assert_eq!(MigrationStats::get(&rt.stats.migration_aborts), 3);
-        // All rows present exactly once despite the aborts.
-        let rows = db.select_unlocked("order_line2", None).unwrap();
-        assert_eq!(rows.len(), 100);
-        assert_eq!(MigrationStats::get(&rt.stats.rows_migrated), 100);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = orders_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let rt = copy_runtime(&db);
+            let c = candidates_for(&db, &rt, None).unwrap();
+            // Fail the first 3 migration transactions, then succeed.
+            let countdown = Arc::new(std::sync::atomic::AtomicU64::new(3));
+            let cd = Arc::clone(&countdown);
+            let opts = MigrateOptions {
+                failpoint: Some(Arc::new(move || {
+                    cd.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
+                        .is_ok()
+                })),
+                ..Default::default()
+            };
+            migrate_candidates(&db, &rt, c, &opts).unwrap();
+            assert_eq!(MigrationStats::get(&rt.stats.migration_aborts), 3);
+            // All rows present exactly once despite the aborts.
+            let rows = db.select_unlocked("order_line2", None).unwrap();
+            assert_eq!(rows.len(), 100);
+            assert_eq!(MigrationStats::get(&rt.stats.rows_migrated), 100);
+        }
     }
 
     #[test]
     fn on_conflict_mode_is_idempotent() {
-        let db = orders_db();
-        let rt = copy_runtime(&db);
-        let opts = MigrateOptions {
-            dedup: DedupMode::OnConflict,
-            ..Default::default()
-        };
-        let pred = Expr::column("ol_o_id").eq(Expr::lit(3));
-        let c = candidates_for(&db, &rt, Some(&pred)).unwrap();
-        migrate_candidates(&db, &rt, c.clone(), &opts).unwrap();
-        assert_eq!(MigrationStats::get(&rt.stats.rows_migrated), 5);
-        // Force a re-migration with a cleared tracker state view: simulate
-        // a second worker that never saw the first's tracker.
-        let rt2 = StatementRuntime {
-            id: 0,
-            stmt: rt.stmt.clone(),
-            tracker: Arc::new(BitmapTracker::new(
-                db.table("order_line").unwrap().heap().ordinal_bound(),
-                1,
-            )),
-            stats: Arc::new(MigrationStats::new()),
-            in_flight: AtomicU64::new(0),
-        };
-        migrate_candidates(&db, &rt2, c, &opts).unwrap();
-        assert_eq!(
-            MigrationStats::get(&rt2.stats.conflict_skips),
-            5,
-            "duplicates rejected at insert"
-        );
-        assert_eq!(db.table("order_line2").unwrap().live_count(), 5);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = orders_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let rt = copy_runtime(&db);
+            let opts = MigrateOptions {
+                dedup: DedupMode::OnConflict,
+                ..Default::default()
+            };
+            let pred = Expr::column("ol_o_id").eq(Expr::lit(3));
+            let c = candidates_for(&db, &rt, Some(&pred)).unwrap();
+            migrate_candidates(&db, &rt, c.clone(), &opts).unwrap();
+            assert_eq!(MigrationStats::get(&rt.stats.rows_migrated), 5);
+            // Force a re-migration with a cleared tracker state view: simulate
+            // a second worker that never saw the first's tracker.
+            let rt2 = StatementRuntime {
+                id: 0,
+                stmt: rt.stmt.clone(),
+                tracker: Arc::new(BitmapTracker::new(
+                    db.table("order_line").unwrap().heap().ordinal_bound(),
+                    1,
+                )),
+                stats: Arc::new(MigrationStats::new()),
+                in_flight: AtomicU64::new(0),
+            };
+            migrate_candidates(&db, &rt2, c, &opts).unwrap();
+            assert_eq!(
+                MigrationStats::get(&rt2.stats.conflict_skips),
+                5,
+                "duplicates rejected at insert"
+            );
+            assert_eq!(db.table("order_line2").unwrap().live_count(), 5);
+        }
     }
 
     #[test]
     fn concurrent_workers_migrate_exactly_once() {
-        let db = orders_db();
-        let rt = Arc::new(copy_runtime(&db));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let db = Arc::clone(&db);
-            let rt = Arc::clone(&rt);
-            handles.push(std::thread::spawn(move || {
-                let c = candidates_for(&db, &rt, None).unwrap();
-                migrate_candidates(&db, &rt, c, &MigrateOptions::default()).unwrap();
-            }));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = orders_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let rt = Arc::new(copy_runtime(&db));
+            let mut handles = Vec::new();
+            for _ in 0..8 {
+                let db = Arc::clone(&db);
+                let rt = Arc::clone(&rt);
+                handles.push(std::thread::spawn(move || {
+                    let c = candidates_for(&db, &rt, None).unwrap();
+                    migrate_candidates(&db, &rt, c, &MigrateOptions::default()).unwrap();
+                }));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(db.table("order_line2").unwrap().live_count(), 100);
+            assert_eq!(MigrationStats::get(&rt.stats.rows_migrated), 100);
+            assert_eq!(MigrationStats::get(&rt.stats.granules_migrated), 100);
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(db.table("order_line2").unwrap().live_count(), 100);
-        assert_eq!(MigrationStats::get(&rt.stats.rows_migrated), 100);
-        assert_eq!(MigrationStats::get(&rt.stats.granules_migrated), 100);
     }
 
     #[test]
     fn concurrent_workers_with_aborts_still_exactly_once() {
-        let db = orders_db();
-        let rt = Arc::new(agg_runtime(&db));
-        let mut handles = Vec::new();
-        for w in 0..8u64 {
-            let db = Arc::clone(&db);
-            let rt = Arc::clone(&rt);
-            handles.push(std::thread::spawn(move || {
-                // Every worker aborts its first two migration txns.
-                let countdown = Arc::new(std::sync::atomic::AtomicU64::new(2));
-                let cd = Arc::clone(&countdown);
-                let opts = MigrateOptions {
-                    failpoint: Some(Arc::new(move || {
-                        cd.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = orders_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let rt = Arc::new(agg_runtime(&db));
+            let mut handles = Vec::new();
+            for w in 0..8u64 {
+                let db = Arc::clone(&db);
+                let rt = Arc::clone(&rt);
+                handles.push(std::thread::spawn(move || {
+                    // Every worker aborts its first two migration txns.
+                    let countdown = Arc::new(std::sync::atomic::AtomicU64::new(2));
+                    let cd = Arc::clone(&countdown);
+                    let opts = MigrateOptions {
+                        failpoint: Some(Arc::new(move || {
+                            cd.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
+                                v.checked_sub(1)
+                            })
                             .is_ok()
-                    })),
-                    ..Default::default()
-                };
-                let _ = w;
-                let c = candidates_for(&db, &rt, None).unwrap();
-                migrate_candidates(&db, &rt, c, &opts).unwrap();
-            }));
+                        })),
+                        ..Default::default()
+                    };
+                    let _ = w;
+                    let c = candidates_for(&db, &rt, None).unwrap();
+                    migrate_candidates(&db, &rt, c, &opts).unwrap();
+                }));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+            let rows = db.select_unlocked("order_totals", None).unwrap();
+            assert_eq!(rows.len(), 20, "each order total exactly once");
+            assert_eq!(MigrationStats::get(&rt.stats.granules_migrated), 20);
+            assert!(MigrationStats::get(&rt.stats.migration_aborts) >= 1);
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let rows = db.select_unlocked("order_totals", None).unwrap();
-        assert_eq!(rows.len(), 20, "each order total exactly once");
-        assert_eq!(MigrationStats::get(&rt.stats.granules_migrated), 20);
-        assert!(MigrationStats::get(&rt.stats.migration_aborts) >= 1);
     }
 }

@@ -490,12 +490,16 @@ impl MigrationPlan {
 mod tests {
     use super::*;
     use bullfrog_common::{ColumnDef, DataType};
+    use bullfrog_engine::{DbConfig, EngineMode};
     use bullfrog_query::AggFunc;
 
     /// Catalog with FK-PK shaped tables: orders(pk o_id) and lines(fk
     /// l_o_id, non-unique), plus tag tables for m:n.
-    fn db() -> Database {
-        let db = Database::new();
+    fn db(mode: EngineMode) -> Database {
+        let db = Database::with_config(DbConfig {
+            mode,
+            ..DbConfig::default()
+        });
         db.create_table(
             TableSchema::new(
                 "orders",
@@ -541,187 +545,228 @@ mod tests {
 
     #[test]
     fn single_input_classifies_one_to_one_bitmap() {
-        let db = db();
-        let spec = SelectSpec::new()
-            .from_table("lines", "l")
-            .select("l_id", Expr::col("l", "l_id"));
-        let mut s = MigrationStatement::new(out_schema("lines2", &[("l_id", DataType::Int)]), spec);
-        s.resolve(&db).unwrap();
-        assert_eq!(s.category(), MigrationCategory::OneToOne);
-        assert!(matches!(
-            s.tracking(),
-            Tracking::Bitmap { driving_alias, granule_rows: 1 } if driving_alias == "l"
-        ));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            let spec = SelectSpec::new()
+                .from_table("lines", "l")
+                .select("l_id", Expr::col("l", "l_id"));
+            let mut s =
+                MigrationStatement::new(out_schema("lines2", &[("l_id", DataType::Int)]), spec);
+            s.resolve(&db).unwrap();
+            assert_eq!(s.category(), MigrationCategory::OneToOne);
+            assert!(matches!(
+                s.tracking(),
+                Tracking::Bitmap { driving_alias, granule_rows: 1 } if driving_alias == "l"
+            ));
+        }
     }
 
     #[test]
     fn aggregate_classifies_many_to_one_hash() {
-        let db = db();
-        let spec = SelectSpec::new()
-            .from_table("lines", "l")
-            .select("o_id", Expr::col("l", "l_o_id"))
-            .select_agg("total", AggFunc::Sum, Expr::col("l", "l_amount"));
-        let mut s = MigrationStatement::new(
-            out_schema(
-                "order_totals",
-                &[("o_id", DataType::Int), ("total", DataType::Decimal)],
-            ),
-            spec,
-        );
-        s.resolve(&db).unwrap();
-        assert_eq!(s.category(), MigrationCategory::ManyToOne);
-        match s.tracking() {
-            Tracking::Hash {
-                key_alias,
-                key_exprs,
-            } => {
-                assert_eq!(key_alias, "l");
-                assert_eq!(key_exprs.len(), 1);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            let spec = SelectSpec::new()
+                .from_table("lines", "l")
+                .select("o_id", Expr::col("l", "l_o_id"))
+                .select_agg("total", AggFunc::Sum, Expr::col("l", "l_amount"));
+            let mut s = MigrationStatement::new(
+                out_schema(
+                    "order_totals",
+                    &[("o_id", DataType::Int), ("total", DataType::Decimal)],
+                ),
+                spec,
+            );
+            s.resolve(&db).unwrap();
+            assert_eq!(s.category(), MigrationCategory::ManyToOne);
+            match s.tracking() {
+                Tracking::Hash {
+                    key_alias,
+                    key_exprs,
+                } => {
+                    assert_eq!(key_alias, "l");
+                    assert_eq!(key_exprs.len(), 1);
+                }
+                other => panic!("expected hash tracking, got {other:?}"),
             }
-            other => panic!("expected hash tracking, got {other:?}"),
         }
     }
 
     #[test]
     fn fk_pk_join_drives_fk_side() {
-        let db = db();
-        let spec = SelectSpec::new()
-            .from_table("lines", "l")
-            .from_table("orders", "o")
-            .join_on(ColRef::new("l", "l_o_id"), ColRef::new("o", "o_id"))
-            .select("l_id", Expr::col("l", "l_id"))
-            .select("o_c_id", Expr::col("o", "o_c_id"));
-        let mut s = MigrationStatement::new(
-            out_schema(
-                "lines_denorm",
-                &[("l_id", DataType::Int), ("o_c_id", DataType::Int)],
-            ),
-            spec,
-        );
-        s.resolve(&db).unwrap();
-        // FK side (lines) drives; PK side unique ⇒ 1:1 for the tracked side.
-        assert_eq!(s.category(), MigrationCategory::OneToOne);
-        assert!(matches!(
-            s.tracking(),
-            Tracking::Bitmap { driving_alias, .. } if driving_alias == "l"
-        ));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            let spec = SelectSpec::new()
+                .from_table("lines", "l")
+                .from_table("orders", "o")
+                .join_on(ColRef::new("l", "l_o_id"), ColRef::new("o", "o_id"))
+                .select("l_id", Expr::col("l", "l_id"))
+                .select("o_c_id", Expr::col("o", "o_c_id"));
+            let mut s = MigrationStatement::new(
+                out_schema(
+                    "lines_denorm",
+                    &[("l_id", DataType::Int), ("o_c_id", DataType::Int)],
+                ),
+                spec,
+            );
+            s.resolve(&db).unwrap();
+            // FK side (lines) drives; PK side unique ⇒ 1:1 for the tracked side.
+            assert_eq!(s.category(), MigrationCategory::OneToOne);
+            assert!(matches!(
+                s.tracking(),
+                Tracking::Bitmap { driving_alias, .. } if driving_alias == "l"
+            ));
+        }
     }
 
     #[test]
     fn pk_side_driving_is_one_to_many() {
-        let db = db();
-        let spec = SelectSpec::new()
-            .from_table("lines", "l")
-            .from_table("orders", "o")
-            .join_on(ColRef::new("l", "l_o_id"), ColRef::new("o", "o_id"))
-            .select("l_id", Expr::col("l", "l_id"));
-        let mut s = MigrationStatement::new(out_schema("x", &[("l_id", DataType::Int)]), spec)
-            .with_join_strategy(JoinStrategy::DrivingSide { alias: "o".into() });
-        s.resolve(&db).unwrap();
-        // Driving the PK side: each order joins many lines ⇒ 1:n.
-        assert_eq!(s.category(), MigrationCategory::OneToMany);
-        assert!(matches!(
-            s.tracking(),
-            Tracking::Bitmap { driving_alias, .. } if driving_alias == "o"
-        ));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            let spec = SelectSpec::new()
+                .from_table("lines", "l")
+                .from_table("orders", "o")
+                .join_on(ColRef::new("l", "l_o_id"), ColRef::new("o", "o_id"))
+                .select("l_id", Expr::col("l", "l_id"));
+            let mut s = MigrationStatement::new(out_schema("x", &[("l_id", DataType::Int)]), spec)
+                .with_join_strategy(JoinStrategy::DrivingSide { alias: "o".into() });
+            s.resolve(&db).unwrap();
+            // Driving the PK side: each order joins many lines ⇒ 1:n.
+            assert_eq!(s.category(), MigrationCategory::OneToMany);
+            assert!(matches!(
+                s.tracking(),
+                Tracking::Bitmap { driving_alias, .. } if driving_alias == "o"
+            ));
+        }
     }
 
     #[test]
     fn many_to_many_join_uses_join_key_hash() {
-        let db = db();
-        // lines ⋈ stock on a non-unique attribute on both sides.
-        let spec = SelectSpec::new()
-            .from_table("lines", "l")
-            .from_table("stock", "s")
-            .join_on(ColRef::new("l", "l_o_id"), ColRef::new("s", "s_i_id"))
-            .select("l_id", Expr::col("l", "l_id"))
-            .select("s_qty", Expr::col("s", "s_qty"));
-        let mut s = MigrationStatement::new(
-            out_schema("ls", &[("l_id", DataType::Int), ("s_qty", DataType::Int)]),
-            spec,
-        );
-        s.resolve(&db).unwrap();
-        assert_eq!(s.category(), MigrationCategory::ManyToMany);
-        assert!(matches!(s.tracking(), Tracking::Hash { key_alias, .. } if key_alias == "l"));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            // lines ⋈ stock on a non-unique attribute on both sides.
+            let spec = SelectSpec::new()
+                .from_table("lines", "l")
+                .from_table("stock", "s")
+                .join_on(ColRef::new("l", "l_o_id"), ColRef::new("s", "s_i_id"))
+                .select("l_id", Expr::col("l", "l_id"))
+                .select("s_qty", Expr::col("s", "s_qty"));
+            let mut s = MigrationStatement::new(
+                out_schema("ls", &[("l_id", DataType::Int), ("s_qty", DataType::Int)]),
+                spec,
+            );
+            s.resolve(&db).unwrap();
+            assert_eq!(s.category(), MigrationCategory::ManyToMany);
+            assert!(matches!(s.tracking(), Tracking::Hash { key_alias, .. } if key_alias == "l"));
+        }
     }
 
     #[test]
     fn output_schema_mismatch_rejected() {
-        let db = db();
-        let spec = SelectSpec::new()
-            .from_table("lines", "l")
-            .select("l_id", Expr::col("l", "l_id"));
-        let mut s =
-            MigrationStatement::new(out_schema("bad", &[("wrong_name", DataType::Int)]), spec);
-        assert!(matches!(s.resolve(&db), Err(Error::InvalidMigration(_))));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            let spec = SelectSpec::new()
+                .from_table("lines", "l")
+                .select("l_id", Expr::col("l", "l_id"));
+            let mut s =
+                MigrationStatement::new(out_schema("bad", &[("wrong_name", DataType::Int)]), spec);
+            assert!(matches!(s.resolve(&db), Err(Error::InvalidMigration(_))));
+        }
     }
 
     #[test]
     fn unknown_input_table_rejected() {
-        let db = db();
-        let spec = SelectSpec::new()
-            .from_table("nope", "n")
-            .select("x", Expr::col("n", "x"));
-        let mut s = MigrationStatement::new(out_schema("o", &[("x", DataType::Int)]), spec);
-        assert!(matches!(s.resolve(&db), Err(Error::TableNotFound(_))));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            let spec = SelectSpec::new()
+                .from_table("nope", "n")
+                .select("x", Expr::col("n", "x"));
+            let mut s = MigrationStatement::new(out_schema("o", &[("x", DataType::Int)]), spec);
+            assert!(matches!(s.resolve(&db), Err(Error::TableNotFound(_))));
+        }
     }
 
     #[test]
     fn plan_collects_inputs_outputs() {
-        let db = db();
-        let mut plan = MigrationPlan::new("split")
-            .with_statement(MigrationStatement::new(
-                out_schema("a", &[("l_id", DataType::Int)]),
-                SelectSpec::new()
-                    .from_table("lines", "l")
-                    .select("l_id", Expr::col("l", "l_id")),
-            ))
-            .with_statement(MigrationStatement::new(
-                out_schema("b", &[("l_amount", DataType::Decimal)]),
-                SelectSpec::new()
-                    .from_table("lines", "l")
-                    .select("l_amount", Expr::col("l", "l_amount")),
-            ));
-        plan.resolve(&db).unwrap();
-        assert_eq!(plan.input_tables(), vec!["lines"]);
-        assert_eq!(plan.output_tables(), vec!["a", "b"]);
-        assert!(plan.big_flip);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            let mut plan = MigrationPlan::new("split")
+                .with_statement(MigrationStatement::new(
+                    out_schema("a", &[("l_id", DataType::Int)]),
+                    SelectSpec::new()
+                        .from_table("lines", "l")
+                        .select("l_id", Expr::col("l", "l_id")),
+                ))
+                .with_statement(MigrationStatement::new(
+                    out_schema("b", &[("l_amount", DataType::Decimal)]),
+                    SelectSpec::new()
+                        .from_table("lines", "l")
+                        .select("l_amount", Expr::col("l", "l_amount")),
+                ));
+            plan.resolve(&db).unwrap();
+            assert_eq!(plan.input_tables(), vec!["lines"]);
+            assert_eq!(plan.output_tables(), vec!["a", "b"]);
+            assert!(plan.big_flip);
+        }
     }
 
     #[test]
     fn duplicate_outputs_rejected() {
-        let db = db();
-        let stmt = || {
-            MigrationStatement::new(
-                out_schema("a", &[("l_id", DataType::Int)]),
-                SelectSpec::new()
-                    .from_table("lines", "l")
-                    .select("l_id", Expr::col("l", "l_id")),
-            )
-        };
-        let mut plan = MigrationPlan::new("dup")
-            .with_statement(stmt())
-            .with_statement(stmt());
-        assert!(matches!(plan.resolve(&db), Err(Error::InvalidMigration(_))));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            let stmt = || {
+                MigrationStatement::new(
+                    out_schema("a", &[("l_id", DataType::Int)]),
+                    SelectSpec::new()
+                        .from_table("lines", "l")
+                        .select("l_id", Expr::col("l", "l_id")),
+                )
+            };
+            let mut plan = MigrationPlan::new("dup")
+                .with_statement(stmt())
+                .with_statement(stmt());
+            assert!(matches!(plan.resolve(&db), Err(Error::InvalidMigration(_))));
+        }
     }
 
     #[test]
     fn global_aggregate_gets_constant_key() {
-        let db = db();
-        let spec = SelectSpec::new().from_table("lines", "l").select_agg(
-            "total",
-            AggFunc::Sum,
-            Expr::col("l", "l_amount"),
-        );
-        let mut s = MigrationStatement::new(
-            out_schema("grand_total", &[("total", DataType::Decimal)]),
-            spec,
-        );
-        s.resolve(&db).unwrap();
-        assert_eq!(s.category(), MigrationCategory::ManyToOne);
-        match s.tracking() {
-            Tracking::Hash { key_exprs, .. } => assert_eq!(key_exprs.len(), 1),
-            other => panic!("{other:?}"),
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            let spec = SelectSpec::new().from_table("lines", "l").select_agg(
+                "total",
+                AggFunc::Sum,
+                Expr::col("l", "l_amount"),
+            );
+            let mut s = MigrationStatement::new(
+                out_schema("grand_total", &[("total", DataType::Decimal)]),
+                spec,
+            );
+            s.resolve(&db).unwrap();
+            assert_eq!(s.category(), MigrationCategory::ManyToOne);
+            match s.tracking() {
+                Tracking::Hash { key_exprs, .. } => assert_eq!(key_exprs.len(), 1),
+                other => panic!("{other:?}"),
+            }
         }
     }
 }

@@ -45,12 +45,15 @@ mod tests {
     use crate::plan::MigrationStatement;
     use crate::stats::MigrationStats;
     use bullfrog_common::{ColumnDef, DataType, TableSchema, Value};
-    use bullfrog_engine::Database;
+    use bullfrog_engine::{Database, DbConfig, EngineMode};
     use bullfrog_query::{AggFunc, Expr, SelectSpec};
     use std::sync::atomic::AtomicU64;
 
-    fn runtimes() -> Vec<Arc<StatementRuntime>> {
-        let db = Database::new();
+    fn runtimes(mode: EngineMode) -> Vec<Arc<StatementRuntime>> {
+        let db = Database::with_config(DbConfig {
+            mode,
+            ..DbConfig::default()
+        });
         db.create_table(
             TableSchema::new(
                 "src",
@@ -105,37 +108,43 @@ mod tests {
 
     #[test]
     fn rebuild_marks_both_tracker_kinds() {
-        let rts = runtimes();
-        let records = vec![
-            (0u32, GranuleKey::Ordinal(3)),
-            (0, GranuleKey::Ordinal(7)),
-            (1, GranuleKey::Group(vec![Value::Int(42)])),
-        ];
-        let applied = rebuild_trackers(&rts, &records);
-        assert_eq!(applied, 3);
-        assert_eq!(
-            rts[0].tracker.state(&Granule::Ordinal(3)),
-            GranuleState::Migrated
-        );
-        assert_eq!(
-            rts[0].tracker.state(&Granule::Ordinal(4)),
-            GranuleState::NotStarted
-        );
-        assert_eq!(
-            rts[1].tracker.state(&Granule::Group(vec![Value::Int(42)])),
-            GranuleState::Migrated
-        );
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let rts = runtimes(mode);
+            let records = vec![
+                (0u32, GranuleKey::Ordinal(3)),
+                (0, GranuleKey::Ordinal(7)),
+                (1, GranuleKey::Group(vec![Value::Int(42)])),
+            ];
+            let applied = rebuild_trackers(&rts, &records);
+            assert_eq!(applied, 3);
+            assert_eq!(
+                rts[0].tracker.state(&Granule::Ordinal(3)),
+                GranuleState::Migrated
+            );
+            assert_eq!(
+                rts[0].tracker.state(&Granule::Ordinal(4)),
+                GranuleState::NotStarted
+            );
+            assert_eq!(
+                rts[1].tracker.state(&Granule::Group(vec![Value::Int(42)])),
+                GranuleState::Migrated
+            );
+        }
     }
 
     #[test]
     fn duplicates_and_unknown_statements_ignored() {
-        let rts = runtimes();
-        let records = vec![
-            (0u32, GranuleKey::Ordinal(3)),
-            (0, GranuleKey::Ordinal(3)), // duplicate
-            (9, GranuleKey::Ordinal(1)), // unknown statement
-        ];
-        assert_eq!(rebuild_trackers(&rts, &records), 1);
-        assert_eq!(rts[0].tracker.migrated_count(), 1);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let rts = runtimes(mode);
+            let records = vec![
+                (0u32, GranuleKey::Ordinal(3)),
+                (0, GranuleKey::Ordinal(3)), // duplicate
+                (9, GranuleKey::Ordinal(1)), // unknown statement
+            ];
+            assert_eq!(rebuild_trackers(&rts, &records), 1);
+            assert_eq!(rts[0].tracker.migrated_count(), 1);
+        }
     }
 }

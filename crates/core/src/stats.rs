@@ -162,19 +162,28 @@ mod tests {
     #[test]
     fn durability_capture_reflects_wal_shape() {
         use bullfrog_common::{row, ColumnDef, DataType, TableSchema};
-        let db = Database::new();
-        db.create_table(
-            TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int)])
-                .with_primary_key(&["id"]),
-        )
-        .unwrap();
-        db.with_txn(|txn| db.insert(txn, "t", row![1]).map(|_| ()))
+        use bullfrog_engine::{DbConfig, EngineMode};
+
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = Database::with_config(DbConfig {
+                mode,
+                ..DbConfig::default()
+            });
+            assert_eq!(db.config().mode, mode);
+            db.create_table(
+                TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int)])
+                    .with_primary_key(&["id"]),
+            )
             .unwrap();
-        let d = DurabilityStats::capture(&db);
-        // One txn = Insert + Commit records.
-        assert_eq!(d.log_len, 2);
-        assert_eq!(d.resident_records, 2);
-        assert!(d.summary().contains("len=2"));
+            db.with_txn(|txn| db.insert(txn, "t", row![1]).map(|_| ()))
+                .unwrap();
+            let d = DurabilityStats::capture(&db);
+            // One txn = Insert + Commit records.
+            assert_eq!(d.log_len, 2);
+            assert_eq!(d.resident_records, 2);
+            assert!(d.summary().contains("len=2"));
+        }
     }
 
     #[test]

@@ -11,11 +11,14 @@ use bullfrog_core::{
     BackgroundConfig, Bullfrog, BullfrogConfig, ClientAccess, JoinStrategy, MigrationCategory,
     MigrationPlan, MigrationStatement, Tracking,
 };
-use bullfrog_engine::{Database, LockPolicy};
+use bullfrog_engine::{Database, DbConfig, EngineMode, LockPolicy};
 use bullfrog_query::{ColRef, Expr, SelectSpec};
 
-fn seed() -> Arc<Database> {
-    let db = Arc::new(Database::new());
+fn seed(mode: EngineMode) -> Arc<Database> {
+    let db = Arc::new(Database::with_config(DbConfig {
+        mode,
+        ..DbConfig::default()
+    }));
     db.create_table(
         TableSchema::new(
             "authors",
@@ -76,8 +79,8 @@ fn denorm_stmt(strategy: Option<JoinStrategy>) -> MigrationStatement {
     stmt
 }
 
-fn run_with(strategy: Option<JoinStrategy>) -> Vec<Row> {
-    let db = seed();
+fn run_with(mode: EngineMode, strategy: Option<JoinStrategy>) -> Vec<Row> {
+    let db = seed(mode);
     let bf = Bullfrog::with_config(
         Arc::clone(&db),
         BullfrogConfig {
@@ -120,170 +123,202 @@ fn run_with(strategy: Option<JoinStrategy>) -> Vec<Row> {
 
 #[test]
 fn default_classification_drives_fk_side() {
-    let db = seed();
-    let mut stmt = denorm_stmt(None);
-    stmt.resolve(&db).unwrap();
-    assert_eq!(stmt.category(), MigrationCategory::OneToOne);
-    assert!(
-        matches!(stmt.tracking(), Tracking::Bitmap { driving_alias, .. } if driving_alias == "b")
-    );
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let db = seed(mode);
+        assert_eq!(db.config().mode, mode);
+        let mut stmt = denorm_stmt(None);
+        stmt.resolve(&db).unwrap();
+        assert_eq!(stmt.category(), MigrationCategory::OneToOne);
+        assert!(
+            matches!(stmt.tracking(), Tracking::Bitmap { driving_alias, .. } if driving_alias == "b")
+        );
+    }
 }
 
 #[test]
 fn pk_side_driving_classifies_one_to_many() {
-    let db = seed();
-    let mut stmt = denorm_stmt(Some(JoinStrategy::DrivingSide { alias: "a".into() }));
-    stmt.resolve(&db).unwrap();
-    assert_eq!(stmt.category(), MigrationCategory::OneToMany);
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let db = seed(mode);
+        assert_eq!(db.config().mode, mode);
+        let mut stmt = denorm_stmt(Some(JoinStrategy::DrivingSide { alias: "a".into() }));
+        stmt.resolve(&db).unwrap();
+        assert_eq!(stmt.category(), MigrationCategory::OneToMany);
+    }
 }
 
 #[test]
 fn all_three_options_agree_on_the_final_state() {
-    let fk_side = run_with(None);
-    assert_eq!(fk_side.len(), 100);
-    let pk_side = run_with(Some(JoinStrategy::DrivingSide { alias: "a".into() }));
-    let join_key = run_with(Some(JoinStrategy::JoinKeyGroups));
-    assert_eq!(fk_side, pk_side, "FKIT-driven vs PKIT-driven");
-    assert_eq!(fk_side, join_key, "FKIT-driven vs join-key groups");
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let fk_side = run_with(mode, None);
+        assert_eq!(fk_side.len(), 100);
+        let pk_side = run_with(mode, Some(JoinStrategy::DrivingSide { alias: "a".into() }));
+        let join_key = run_with(mode, Some(JoinStrategy::JoinKeyGroups));
+        assert_eq!(fk_side, pk_side, "FKIT-driven vs PKIT-driven");
+        assert_eq!(fk_side, join_key, "FKIT-driven vs join-key groups");
+    }
 }
 
 #[test]
 fn pk_side_granule_drags_the_whole_fan_out() {
-    // Driving the PK side (1:n): migrating one author moves all ten of its
-    // books in one task — the §3.6 option-1 trade-off.
-    let db = seed();
-    let bf = Bullfrog::with_config(
-        Arc::clone(&db),
-        BullfrogConfig {
-            background: BackgroundConfig {
-                enabled: false,
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        // Driving the PK side (1:n): migrating one author moves all ten of its
+        // books in one task — the §3.6 option-1 trade-off.
+        let db = seed(mode);
+        assert_eq!(db.config().mode, mode);
+        let bf = Bullfrog::with_config(
+            Arc::clone(&db),
+            BullfrogConfig {
+                background: BackgroundConfig {
+                    enabled: false,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
-            ..Default::default()
-        },
-    );
-    bf.submit_migration(
-        MigrationPlan::new("denorm").with_statement(denorm_stmt(Some(JoinStrategy::DrivingSide {
-            alias: "a".into(),
-        }))),
-    )
-    .unwrap();
-    // A point read of one book's denormalized row cannot be satisfied by a
-    // predicate on the driving (author) side, so the transposed filter on
-    // authors is empty → but the b-side filter still bounds candidates?
-    // No: candidates come from the driving table. A b_id predicate is not
-    // transposable to authors, so the whole author table is the candidate
-    // set — the coarse behavior the paper warns about for option 1.
-    let mut txn = db.begin();
-    let got = bf
-        .get_by_pk(
+        );
+        bf.submit_migration(
+            MigrationPlan::new("denorm").with_statement(denorm_stmt(Some(
+                JoinStrategy::DrivingSide { alias: "a".into() },
+            ))),
+        )
+        .unwrap();
+        // A point read of one book's denormalized row cannot be satisfied by a
+        // predicate on the driving (author) side, so the transposed filter on
+        // authors is empty → but the b-side filter still bounds candidates?
+        // No: candidates come from the driving table. A b_id predicate is not
+        // transposable to authors, so the whole author table is the candidate
+        // set — the coarse behavior the paper warns about for option 1.
+        let mut txn = db.begin();
+        let got = bf
+            .get_by_pk(
+                &mut txn,
+                "books_denorm",
+                &[Value::Int(42)],
+                LockPolicy::Shared,
+            )
+            .unwrap();
+        db.commit(&mut txn).unwrap();
+        assert!(got.is_some());
+        assert_eq!(
+            db.table("books_denorm").unwrap().live_count(),
+            100,
+            "option 1 migrated everything for a single point read"
+        );
+    }
+}
+
+#[test]
+fn fk_side_granule_is_fine_grained() {
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        // Driving the FK side (option 2): the same point read migrates exactly
+        // one tuple.
+        let db = seed(mode);
+        assert_eq!(db.config().mode, mode);
+        let bf = Bullfrog::with_config(
+            Arc::clone(&db),
+            BullfrogConfig {
+                background: BackgroundConfig {
+                    enabled: false,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        bf.submit_migration(MigrationPlan::new("denorm").with_statement(denorm_stmt(None)))
+            .unwrap();
+        let mut txn = db.begin();
+        bf.get_by_pk(
             &mut txn,
             "books_denorm",
             &[Value::Int(42)],
             LockPolicy::Shared,
         )
+        .unwrap()
         .unwrap();
-    db.commit(&mut txn).unwrap();
-    assert!(got.is_some());
-    assert_eq!(
-        db.table("books_denorm").unwrap().live_count(),
-        100,
-        "option 1 migrated everything for a single point read"
-    );
-}
-
-#[test]
-fn fk_side_granule_is_fine_grained() {
-    // Driving the FK side (option 2): the same point read migrates exactly
-    // one tuple.
-    let db = seed();
-    let bf = Bullfrog::with_config(
-        Arc::clone(&db),
-        BullfrogConfig {
-            background: BackgroundConfig {
-                enabled: false,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    bf.submit_migration(MigrationPlan::new("denorm").with_statement(denorm_stmt(None)))
-        .unwrap();
-    let mut txn = db.begin();
-    bf.get_by_pk(
-        &mut txn,
-        "books_denorm",
-        &[Value::Int(42)],
-        LockPolicy::Shared,
-    )
-    .unwrap()
-    .unwrap();
-    db.commit(&mut txn).unwrap();
-    assert_eq!(db.table("books_denorm").unwrap().live_count(), 1);
+        db.commit(&mut txn).unwrap();
+        assert_eq!(db.table("books_denorm").unwrap().live_count(), 1);
+    }
 }
 
 #[test]
 fn tuple_pairs_option_classifies_and_agrees() {
-    // §3.6 option 3: pairwise tracking produces the same final state...
-    let db = seed();
-    let mut stmt = denorm_stmt(Some(JoinStrategy::TuplePairs));
-    stmt.resolve(&db).unwrap();
-    assert_eq!(stmt.category(), MigrationCategory::ManyToMany);
-    assert!(matches!(stmt.tracking(), Tracking::PairHash { .. }));
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        // §3.6 option 3: pairwise tracking produces the same final state...
+        let db = seed(mode);
+        assert_eq!(db.config().mode, mode);
+        let mut stmt = denorm_stmt(Some(JoinStrategy::TuplePairs));
+        stmt.resolve(&db).unwrap();
+        assert_eq!(stmt.category(), MigrationCategory::ManyToMany);
+        assert!(matches!(stmt.tracking(), Tracking::PairHash { .. }));
 
-    let pairs = run_with(Some(JoinStrategy::TuplePairs));
-    let fk_side = run_with(None);
-    assert_eq!(pairs, fk_side, "pairwise vs FKIT-driven final state");
+        let pairs = run_with(mode, Some(JoinStrategy::TuplePairs));
+        let fk_side = run_with(mode, None);
+        assert_eq!(pairs, fk_side, "pairwise vs FKIT-driven final state");
+    }
 }
 
 #[test]
 fn tuple_pairs_point_read_is_maximally_lazy() {
-    // ...and a point read migrates exactly the one joining pair, even
-    // though the join is many-to-many w.r.t. the tracked combination.
-    let db = seed();
-    let bf = Bullfrog::with_config(
-        Arc::clone(&db),
-        BullfrogConfig {
-            background: BackgroundConfig {
-                enabled: false,
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        // ...and a point read migrates exactly the one joining pair, even
+        // though the join is many-to-many w.r.t. the tracked combination.
+        let db = seed(mode);
+        assert_eq!(db.config().mode, mode);
+        let bf = Bullfrog::with_config(
+            Arc::clone(&db),
+            BullfrogConfig {
+                background: BackgroundConfig {
+                    enabled: false,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
-            ..Default::default()
-        },
-    );
-    bf.submit_migration(
-        MigrationPlan::new("denorm").with_statement(denorm_stmt(Some(JoinStrategy::TuplePairs))),
-    )
-    .unwrap();
-    let mut txn = db.begin();
-    bf.get_by_pk(
-        &mut txn,
-        "books_denorm",
-        &[Value::Int(42)],
-        LockPolicy::Shared,
-    )
-    .unwrap()
-    .unwrap();
-    db.commit(&mut txn).unwrap();
-    assert_eq!(
-        db.table("books_denorm").unwrap().live_count(),
-        1,
-        "exactly one (book, author) pair migrated"
-    );
-    // Full sweep completes the rest exactly once.
-    bf.ensure_migrated("books_denorm", None).unwrap();
-    assert_eq!(db.table("books_denorm").unwrap().live_count(), 100);
+        );
+        bf.submit_migration(
+            MigrationPlan::new("denorm")
+                .with_statement(denorm_stmt(Some(JoinStrategy::TuplePairs))),
+        )
+        .unwrap();
+        let mut txn = db.begin();
+        bf.get_by_pk(
+            &mut txn,
+            "books_denorm",
+            &[Value::Int(42)],
+            LockPolicy::Shared,
+        )
+        .unwrap()
+        .unwrap();
+        db.commit(&mut txn).unwrap();
+        assert_eq!(
+            db.table("books_denorm").unwrap().live_count(),
+            1,
+            "exactly one (book, author) pair migrated"
+        );
+        // Full sweep completes the rest exactly once.
+        bf.ensure_migrated("books_denorm", None).unwrap();
+        assert_eq!(db.table("books_denorm").unwrap().live_count(), 100);
+    }
 }
 
 #[test]
 fn tuple_pairs_requires_two_inputs() {
-    let db = seed();
-    let spec = SelectSpec::new()
-        .from_table("books", "b")
-        .select("b_id", Expr::col("b", "b_id"));
-    let schema = TableSchema::new("copy", vec![ColumnDef::new("b_id", DataType::Int)])
-        .with_primary_key(&["b_id"]);
-    let mut stmt =
-        MigrationStatement::new(schema, spec).with_join_strategy(JoinStrategy::TuplePairs);
-    assert!(stmt.resolve(&db).is_err());
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let db = seed(mode);
+        assert_eq!(db.config().mode, mode);
+        let spec = SelectSpec::new()
+            .from_table("books", "b")
+            .select("b_id", Expr::col("b", "b_id"));
+        let schema = TableSchema::new("copy", vec![ColumnDef::new("b_id", DataType::Int)])
+            .with_primary_key(&["b_id"]);
+        let mut stmt =
+            MigrationStatement::new(schema, spec).with_join_strategy(JoinStrategy::TuplePairs);
+        assert!(stmt.resolve(&db).is_err());
+    }
 }

@@ -305,6 +305,7 @@ fn write_sidecar(path: &Path, bytes: &Bytes) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::{DbConfig, EngineMode};
     use bullfrog_common::{row, Value};
 
     fn sample_image() -> CheckpointImage {
@@ -404,43 +405,50 @@ mod tests {
 
     #[test]
     fn absorb_tracks_commit_ts_horizon_and_apply_resumes_oracle() {
-        let mut img = CheckpointImage::new();
-        img.absorb(
-            &[
-                LogRecord::Insert {
-                    txn: TxnId(1),
-                    table: TableId(1), // catalog ids start at 1
-                    rid: RowId::new(0, 0),
-                    row: row![1, "one"],
-                },
-                LogRecord::CommitTs {
-                    txn: TxnId(1),
-                    ts: 17,
-                },
-            ],
-            2,
-        );
-        assert_eq!(img.base_ts, 17);
-        assert_eq!(img.row_count(), 1, "CommitTs marks the txn committed");
-        let round = CheckpointImage::decode(img.encode()).unwrap();
-        assert_eq!(round.base_ts, 17);
-
-        let db = Database::new();
-        db.create_table(
-            bullfrog_common::TableSchema::new(
-                "t",
-                vec![
-                    bullfrog_common::ColumnDef::new("id", bullfrog_common::DataType::Int),
-                    bullfrog_common::ColumnDef::new("v", bullfrog_common::DataType::Text),
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let mut img = CheckpointImage::new();
+            img.absorb(
+                &[
+                    LogRecord::Insert {
+                        txn: TxnId(1),
+                        table: TableId(1), // catalog ids start at 1
+                        rid: RowId::new(0, 0),
+                        row: row![1, "one"],
+                    },
+                    LogRecord::CommitTs {
+                        txn: TxnId(1),
+                        ts: 17,
+                    },
                 ],
+                2,
+            );
+            assert_eq!(img.base_ts, 17);
+            assert_eq!(img.row_count(), 1, "CommitTs marks the txn committed");
+            let round = CheckpointImage::decode(img.encode()).unwrap();
+            assert_eq!(round.base_ts, 17);
+
+            let db = Database::with_config(DbConfig {
+                mode,
+                ..DbConfig::default()
+            });
+            assert_eq!(db.config().mode, mode);
+            db.create_table(
+                bullfrog_common::TableSchema::new(
+                    "t",
+                    vec![
+                        bullfrog_common::ColumnDef::new("id", bullfrog_common::DataType::Int),
+                        bullfrog_common::ColumnDef::new("v", bullfrog_common::DataType::Text),
+                    ],
+                )
+                .with_primary_key(&["id"]),
             )
-            .with_primary_key(&["id"]),
-        )
-        .unwrap();
-        img.apply_to(&db).unwrap();
-        assert!(
-            db.wal().oracle().stable() >= 17,
-            "oracle resumed past the image's commit horizon"
-        );
+            .unwrap();
+            img.apply_to(&db).unwrap();
+            assert!(
+                db.wal().oracle().stable() >= 17,
+                "oracle resumed past the image's commit horizon"
+            );
+        }
     }
 }

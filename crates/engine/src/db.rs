@@ -33,19 +33,32 @@ pub enum EngineMode {
 }
 
 impl EngineMode {
-    /// Resolves the mode from `BULLFROG_ENGINE_MODE` (`si`, `snapshot`,
-    /// or `mvcc` select [`EngineMode::Snapshot`]; anything else, including
-    /// unset, selects [`EngineMode::TwoPL`]). This is how
-    /// `scripts/verify.sh` re-runs the suites in snapshot mode, and how
-    /// the `repld` and `clusterd` daemons pick theirs, without threading
-    /// a flag through each binary.
-    pub fn from_env() -> Self {
+    /// Both modes, in declaration order: tests that must hold under either
+    /// engine run their body once per entry.
+    pub const ALL: [EngineMode; 2] = [EngineMode::TwoPL, EngineMode::Snapshot];
+
+    /// Parses a mode name: `2pl` selects [`EngineMode::TwoPL`]; `si`,
+    /// `snapshot` or `mvcc` select [`EngineMode::Snapshot`] (any case).
+    /// Any other name is an error that names it.
+    pub fn parse(name: &str) -> Result<Self> {
+        match name.to_ascii_lowercase().as_str() {
+            "2pl" => Ok(EngineMode::TwoPL),
+            "si" | "snapshot" | "mvcc" => Ok(EngineMode::Snapshot),
+            _ => Err(Error::Config(format!(
+                "unknown engine mode {name:?} (expected 2pl, si, snapshot or mvcc)"
+            ))),
+        }
+    }
+
+    /// The deployment setting `BULLFROG_ENGINE_MODE`, parsed by
+    /// [`EngineMode::parse`]; unset selects [`EngineMode::TwoPL`]. The
+    /// `repld` and `clusterd` daemons and the benches read it; a library
+    /// caller sets [`DbConfig::mode`] instead.
+    pub fn from_env() -> Result<Self> {
         match std::env::var("BULLFROG_ENGINE_MODE") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "si" | "snapshot" | "mvcc" => EngineMode::Snapshot,
-                _ => EngineMode::TwoPL,
-            },
-            Err(_) => EngineMode::TwoPL,
+            Ok(v) => Self::parse(&v),
+            Err(std::env::VarError::NotPresent) => Ok(EngineMode::TwoPL),
+            Err(e) => Err(Error::Config(format!("BULLFROG_ENGINE_MODE: {e}"))),
         }
     }
 
@@ -80,7 +93,7 @@ pub struct DbConfig {
     /// (crate::scheduler::CheckpointScheduler::from_config) spawn a
     /// policy thread that cuts the WAL on these thresholds.
     pub checkpoint_policy: Option<crate::scheduler::CheckpointPolicy>,
-    /// Concurrency-control mode. Defaults from `BULLFROG_ENGINE_MODE`.
+    /// Concurrency-control mode. Defaults to [`EngineMode::TwoPL`].
     pub mode: EngineMode,
 }
 
@@ -91,7 +104,7 @@ impl Default for DbConfig {
             slots_per_page: bullfrog_storage::DEFAULT_SLOTS_PER_PAGE,
             enforce_fk_on_delete: true,
             checkpoint_policy: None,
-            mode: EngineMode::from_env(),
+            mode: EngineMode::TwoPL,
         }
     }
 }
@@ -1183,8 +1196,12 @@ mod tests {
     use super::*;
     use bullfrog_common::{row, ColumnDef, DataType};
 
-    fn db_with_accounts() -> Database {
-        let db = Database::new();
+    fn db_with_accounts(mode: EngineMode) -> Database {
+        let db = Database::with_config(DbConfig {
+            mode,
+            lock_timeout: Duration::from_millis(50),
+            ..DbConfig::default()
+        });
         db.create_table(
             TableSchema::new(
                 "accounts",
@@ -1201,123 +1218,160 @@ mod tests {
     }
 
     #[test]
+    fn engine_mode_parses_known_names_and_rejects_others() {
+        for (name, mode) in [
+            ("2pl", EngineMode::TwoPL),
+            ("2PL", EngineMode::TwoPL),
+            ("si", EngineMode::Snapshot),
+            ("Snapshot", EngineMode::Snapshot),
+            ("MVCC", EngineMode::Snapshot),
+        ] {
+            assert_eq!(EngineMode::parse(name).unwrap(), mode, "{name}");
+        }
+        for bad in ["sii", "", "2pl "] {
+            let err = EngineMode::parse(bad).unwrap_err();
+            assert!(err.to_string().contains(&format!("{bad:?}")), "{err}");
+        }
+        assert_eq!(DbConfig::default().mode, EngineMode::TwoPL);
+    }
+
+    #[test]
     fn insert_commit_visible() {
-        let db = db_with_accounts();
-        let rid = db
-            .with_txn(|txn| db.insert(txn, "accounts", row![1, "alice", 1000]))
-            .unwrap();
-        let mut txn = db.begin();
-        let got = db
-            .get(&mut txn, "accounts", rid, LockPolicy::Shared)
-            .unwrap();
-        assert_eq!(got, Some(row![1, "alice", 1000]));
-        db.commit(&mut txn).unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_with_accounts(mode);
+            assert_eq!(db.config().mode, mode);
+            let rid = db
+                .with_txn(|txn| db.insert(txn, "accounts", row![1, "alice", 1000]))
+                .unwrap();
+            let mut txn = db.begin();
+            let got = db
+                .get(&mut txn, "accounts", rid, LockPolicy::Shared)
+                .unwrap();
+            assert_eq!(got, Some(row![1, "alice", 1000]));
+            db.commit(&mut txn).unwrap();
+        }
     }
 
     #[test]
     fn abort_rolls_back_insert_update_delete() {
-        let db = db_with_accounts();
-        let rid = db
-            .with_txn(|txn| db.insert(txn, "accounts", row![1, "alice", 1000]))
-            .unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_with_accounts(mode);
+            assert_eq!(db.config().mode, mode);
+            let rid = db
+                .with_txn(|txn| db.insert(txn, "accounts", row![1, "alice", 1000]))
+                .unwrap();
 
-        let mut txn = db.begin();
-        db.insert(&mut txn, "accounts", row![2, "bob", 5]).unwrap();
-        db.update(&mut txn, "accounts", rid, row![1, "alice", 900])
-            .unwrap();
-        db.abort(&mut txn);
+            let mut txn = db.begin();
+            db.insert(&mut txn, "accounts", row![2, "bob", 5]).unwrap();
+            db.update(&mut txn, "accounts", rid, row![1, "alice", 900])
+                .unwrap();
+            db.abort(&mut txn);
 
-        let mut txn = db.begin();
-        assert!(db
-            .get_by_pk(&mut txn, "accounts", &[Value::Int(2)], LockPolicy::Shared)
-            .unwrap()
-            .is_none());
-        let (_, row) = db
-            .get_by_pk(&mut txn, "accounts", &[Value::Int(1)], LockPolicy::Shared)
-            .unwrap()
-            .unwrap();
-        assert_eq!(row, row![1, "alice", 1000]);
-        db.commit(&mut txn).unwrap();
+            let mut txn = db.begin();
+            assert!(db
+                .get_by_pk(&mut txn, "accounts", &[Value::Int(2)], LockPolicy::Shared)
+                .unwrap()
+                .is_none());
+            let (_, row) = db
+                .get_by_pk(&mut txn, "accounts", &[Value::Int(1)], LockPolicy::Shared)
+                .unwrap()
+                .unwrap();
+            assert_eq!(row, row![1, "alice", 1000]);
+            db.commit(&mut txn).unwrap();
 
-        // Delete + abort restores.
-        let mut txn = db.begin();
-        db.delete(&mut txn, "accounts", rid).unwrap();
-        db.abort(&mut txn);
-        let mut txn = db.begin();
-        assert!(db
-            .get(&mut txn, "accounts", rid, LockPolicy::Shared)
-            .unwrap()
-            .is_some());
-        db.commit(&mut txn).unwrap();
+            // Delete + abort restores.
+            let mut txn = db.begin();
+            db.delete(&mut txn, "accounts", rid).unwrap();
+            db.abort(&mut txn);
+            let mut txn = db.begin();
+            assert!(db
+                .get(&mut txn, "accounts", rid, LockPolicy::Shared)
+                .unwrap()
+                .is_some());
+            db.commit(&mut txn).unwrap();
+        }
     }
 
     #[test]
     fn unique_violation_inside_txn_is_clean() {
-        let db = db_with_accounts();
-        db.with_txn(|txn| db.insert(txn, "accounts", row![1, "a", 0]))
-            .unwrap();
-        let err = db
-            .with_txn(|txn| {
-                db.insert(txn, "accounts", row![2, "b", 0])?;
-                db.insert(txn, "accounts", row![1, "dup", 0])
-            })
-            .unwrap_err();
-        assert!(matches!(err, Error::UniqueViolation { .. }));
-        // The first insert of the failed txn rolled back.
-        let mut txn = db.begin();
-        assert!(db
-            .get_by_pk(&mut txn, "accounts", &[Value::Int(2)], LockPolicy::Shared)
-            .unwrap()
-            .is_none());
-        db.commit(&mut txn).unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_with_accounts(mode);
+            assert_eq!(db.config().mode, mode);
+            db.with_txn(|txn| db.insert(txn, "accounts", row![1, "a", 0]))
+                .unwrap();
+            let err = db
+                .with_txn(|txn| {
+                    db.insert(txn, "accounts", row![2, "b", 0])?;
+                    db.insert(txn, "accounts", row![1, "dup", 0])
+                })
+                .unwrap_err();
+            assert!(matches!(err, Error::UniqueViolation { .. }));
+            // The first insert of the failed txn rolled back.
+            let mut txn = db.begin();
+            assert!(db
+                .get_by_pk(&mut txn, "accounts", &[Value::Int(2)], LockPolicy::Shared)
+                .unwrap()
+                .is_none());
+            db.commit(&mut txn).unwrap();
+        }
     }
 
     #[test]
     fn insert_or_ignore_swallows_conflicts() {
-        let db = db_with_accounts();
-        db.with_txn(|txn| {
-            assert!(db
-                .insert_or_ignore(txn, "accounts", row![1, "a", 0])?
-                .is_some());
-            assert!(db
-                .insert_or_ignore(txn, "accounts", row![1, "dup", 0])?
-                .is_none());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(db.table("accounts").unwrap().live_count(), 1);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_with_accounts(mode);
+            assert_eq!(db.config().mode, mode);
+            db.with_txn(|txn| {
+                assert!(db
+                    .insert_or_ignore(txn, "accounts", row![1, "a", 0])?
+                    .is_some());
+                assert!(db
+                    .insert_or_ignore(txn, "accounts", row![1, "dup", 0])?
+                    .is_none());
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(db.table("accounts").unwrap().live_count(), 1);
+        }
     }
 
     #[test]
     fn select_uses_pk_index_and_rechecks() {
-        let db = db_with_accounts();
-        db.with_txn(|txn| {
-            for i in 0..100 {
-                db.insert(txn, "accounts", row![i, format!("o{i}"), i * 10])?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        let mut txn = db.begin();
-        let p = Expr::column("id").eq(Expr::lit(42));
-        let got = db
-            .select(&mut txn, "accounts", Some(&p), LockPolicy::Shared)
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_with_accounts(mode);
+            assert_eq!(db.config().mode, mode);
+            db.with_txn(|txn| {
+                for i in 0..100 {
+                    db.insert(txn, "accounts", row![i, format!("o{i}"), i * 10])?;
+                }
+                Ok(())
+            })
             .unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1, row![42, "o42", 420]);
-        // Scan path: non-indexed predicate.
-        let p = Expr::column("balance").ge(Expr::lit(Value::Decimal(980)));
-        let got = db
-            .select(&mut txn, "accounts", Some(&p), LockPolicy::Shared)
-            .unwrap();
-        assert_eq!(got.len(), 2); // balances 980, 990
-        db.commit(&mut txn).unwrap();
+            let mut txn = db.begin();
+            let p = Expr::column("id").eq(Expr::lit(42));
+            let got = db
+                .select(&mut txn, "accounts", Some(&p), LockPolicy::Shared)
+                .unwrap();
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].1, row![42, "o42", 420]);
+            // Scan path: non-indexed predicate.
+            let p = Expr::column("balance").ge(Expr::lit(Value::Decimal(980)));
+            let got = db
+                .select(&mut txn, "accounts", Some(&p), LockPolicy::Shared)
+                .unwrap();
+            assert_eq!(got.len(), 2); // balances 980, 990
+            db.commit(&mut txn).unwrap();
+        }
     }
 
     #[test]
     fn write_conflict_times_out() {
-        // Asserts 2PL blocking-reader semantics; pin the mode so the
-        // suite also passes under BULLFROG_ENGINE_MODE=si.
+        // Asserts 2PL blocking-reader semantics.
         let db = Arc::new(Database::with_config(DbConfig {
             lock_timeout: Duration::from_millis(30),
             mode: EngineMode::TwoPL,
@@ -1356,32 +1410,37 @@ mod tests {
 
     #[test]
     fn with_txn_retry_retries_lock_timeouts() {
-        let db = Arc::new(Database::with_config(DbConfig {
-            lock_timeout: Duration::from_millis(20),
-            ..DbConfig::default()
-        }));
-        db.create_table(
-            TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int)])
-                .with_primary_key(&["id"]),
-        )
-        .unwrap();
-        let rid = db.with_txn(|txn| db.insert(txn, "t", row![1])).unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = Arc::new(Database::with_config(DbConfig {
+                lock_timeout: Duration::from_millis(20),
+                mode,
+                ..DbConfig::default()
+            }));
+            assert_eq!(db.config().mode, mode);
+            db.create_table(
+                TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int)])
+                    .with_primary_key(&["id"]),
+            )
+            .unwrap();
+            let rid = db.with_txn(|txn| db.insert(txn, "t", row![1])).unwrap();
 
-        let mut holder = db.begin();
-        db.update(&mut holder, "t", rid, row![2]).unwrap();
-        let db2 = Arc::clone(&db);
-        let t = std::thread::spawn(move || {
-            db2.with_txn_retry(50, |txn| db2.update(txn, "t", rid, row![3]))
-        });
-        std::thread::sleep(Duration::from_millis(60));
-        db.commit(&mut holder).unwrap();
-        t.join().unwrap().unwrap();
-        let mut txn = db.begin();
-        assert_eq!(
-            db.get(&mut txn, "t", rid, LockPolicy::Shared).unwrap(),
-            Some(row![3])
-        );
-        db.commit(&mut txn).unwrap();
+            let mut holder = db.begin();
+            db.update(&mut holder, "t", rid, row![2]).unwrap();
+            let db2 = Arc::clone(&db);
+            let t = std::thread::spawn(move || {
+                db2.with_txn_retry(50, |txn| db2.update(txn, "t", rid, row![3]))
+            });
+            std::thread::sleep(Duration::from_millis(60));
+            db.commit(&mut holder).unwrap();
+            t.join().unwrap().unwrap();
+            let mut txn = db.begin();
+            assert_eq!(
+                db.get(&mut txn, "t", rid, LockPolicy::Shared).unwrap(),
+                Some(row![3])
+            );
+            db.commit(&mut txn).unwrap();
+        }
     }
 
     #[test]
@@ -1414,30 +1473,9 @@ mod tests {
         assert!(matches!(records[2], LogRecord::Commit(_)));
     }
 
-    fn si_db_with_accounts() -> Database {
-        let db = Database::with_config(DbConfig {
-            mode: EngineMode::Snapshot,
-            lock_timeout: Duration::from_millis(50),
-            ..DbConfig::default()
-        });
-        db.create_table(
-            TableSchema::new(
-                "accounts",
-                vec![
-                    ColumnDef::new("id", DataType::Int),
-                    ColumnDef::new("owner", DataType::Text),
-                    ColumnDef::new("balance", DataType::Decimal),
-                ],
-            )
-            .with_primary_key(&["id"]),
-        )
-        .unwrap();
-        db
-    }
-
     #[test]
     fn si_readers_never_block_on_writers() {
-        let db = si_db_with_accounts();
+        let db = db_with_accounts(EngineMode::Snapshot);
         let rid = db
             .with_txn(|txn| db.insert(txn, "accounts", row![1, "alice", 100]))
             .unwrap();
@@ -1485,7 +1523,7 @@ mod tests {
 
     #[test]
     fn si_first_updater_wins() {
-        let db = si_db_with_accounts();
+        let db = db_with_accounts(EngineMode::Snapshot);
         let rid = db
             .with_txn(|txn| db.insert(txn, "accounts", row![1, "a", 10]))
             .unwrap();
@@ -1514,7 +1552,7 @@ mod tests {
 
     #[test]
     fn si_uncommitted_insert_invisible_deleted_row_visible() {
-        let db = si_db_with_accounts();
+        let db = db_with_accounts(EngineMode::Snapshot);
         let rid = db
             .with_txn(|txn| db.insert(txn, "accounts", row![1, "a", 10]))
             .unwrap();
@@ -1572,7 +1610,7 @@ mod tests {
 
     #[test]
     fn si_abort_clears_pending_writes() {
-        let db = si_db_with_accounts();
+        let db = db_with_accounts(EngineMode::Snapshot);
         let rid = db
             .with_txn(|txn| db.insert(txn, "accounts", row![1, "a", 10]))
             .unwrap();
@@ -1597,7 +1635,7 @@ mod tests {
 
     #[test]
     fn si_version_gc_respects_active_snapshots() {
-        let db = si_db_with_accounts();
+        let db = db_with_accounts(EngineMode::Snapshot);
         let rid = db
             .with_txn(|txn| db.insert(txn, "accounts", row![1, "a", 0]))
             .unwrap();
@@ -1626,8 +1664,20 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_transfers_conserve_balance() {
+        transfers_conserve_balance(EngineMode::TwoPL);
+    }
+
+    #[test]
     fn si_concurrent_transfers_conserve_balance() {
-        let db = Arc::new(si_db_with_accounts());
+        transfers_conserve_balance(EngineMode::Snapshot);
+    }
+
+    /// Classic bank-transfer stress: eight threads move money between ten
+    /// accounts; the total balance is invariant.
+    fn transfers_conserve_balance(mode: EngineMode) {
+        let db = Arc::new(db_with_accounts(mode));
+        assert_eq!(db.config().mode, mode);
         db.with_txn(|txn| {
             for i in 0..10 {
                 db.insert(txn, "accounts", row![i, format!("o{i}"), 1000])?;
@@ -1686,66 +1736,5 @@ mod tests {
         // The WAL's timestamp oracle converged: nothing in flight.
         let oracle = db.wal().oracle();
         assert_eq!(oracle.stable(), oracle.last_drawn());
-    }
-
-    #[test]
-    fn concurrent_transfers_conserve_balance() {
-        // Classic bank-transfer stress: total balance is invariant.
-        let db = Arc::new(db_with_accounts());
-        db.with_txn(|txn| {
-            for i in 0..10 {
-                db.insert(txn, "accounts", row![i, format!("o{i}"), 1000])?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        let mut handles = Vec::new();
-        for t in 0..8u64 {
-            let db = Arc::clone(&db);
-            handles.push(std::thread::spawn(move || {
-                let mut rng = t;
-                for _ in 0..50 {
-                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let from = (rng >> 33) % 10;
-                    let to = (from + 1 + (rng >> 20) % 9) % 10;
-                    let _ = db.with_txn_retry(20, |txn| {
-                        let (rid_a, a) = db
-                            .get_by_pk(
-                                txn,
-                                "accounts",
-                                &[Value::Int(from as i64)],
-                                LockPolicy::Exclusive,
-                            )?
-                            .ok_or(Error::RowNotFound)?;
-                        let (rid_b, b) = db
-                            .get_by_pk(
-                                txn,
-                                "accounts",
-                                &[Value::Int(to as i64)],
-                                LockPolicy::Exclusive,
-                            )?
-                            .ok_or(Error::RowNotFound)?;
-                        let amount = Value::Decimal(7);
-                        let new_a =
-                            Row(vec![a[0].clone(), a[1].clone(), a[2].sub(&amount).unwrap()]);
-                        let new_b =
-                            Row(vec![b[0].clone(), b[1].clone(), b[2].add(&amount).unwrap()]);
-                        db.update(txn, "accounts", rid_a, new_a)?;
-                        db.update(txn, "accounts", rid_b, new_b)?;
-                        Ok(())
-                    });
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total: i64 = db
-            .select_unlocked("accounts", None)
-            .unwrap()
-            .iter()
-            .map(|(_, r)| r[2].as_i64().unwrap())
-            .sum();
-        assert_eq!(total, 10_000);
     }
 }

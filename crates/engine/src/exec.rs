@@ -460,11 +460,15 @@ impl AggState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::{DbConfig, EngineMode};
     use bullfrog_common::{row, ColumnDef, DataType, TableSchema};
 
     /// Builds the §2.1 flights/flewon database.
-    fn flights_db() -> Database {
-        let db = Database::new();
+    fn flights_db(mode: EngineMode) -> Database {
+        let db = Database::with_config(DbConfig {
+            mode,
+            ..DbConfig::default()
+        });
         db.create_table(
             TableSchema::new(
                 "flights",
@@ -535,196 +539,242 @@ mod tests {
 
     #[test]
     fn join_projects_derived_columns() {
-        let db = flights_db();
-        let mut txn = db.begin();
-        let out = execute_spec(&db, &mut txn, &flewoninfo_spec(), &ExecOptions::default()).unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(
-            out.names,
-            vec!["fid", "flightdate", "passenger_count", "empty_seats"]
-        );
-        assert_eq!(out.rows.len(), 6);
-        let aa_day1 = out
-            .rows
-            .iter()
-            .find(|r| r[0] == Value::text("AA101") && r[1] == Value::Date(1))
-            .unwrap();
-        assert_eq!(aa_day1[3], Value::Int(180 - 101));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let mut txn = db.begin();
+            let out =
+                execute_spec(&db, &mut txn, &flewoninfo_spec(), &ExecOptions::default()).unwrap();
+            db.commit(&mut txn).unwrap();
+            assert_eq!(
+                out.names,
+                vec!["fid", "flightdate", "passenger_count", "empty_seats"]
+            );
+            assert_eq!(out.rows.len(), 6);
+            let aa_day1 = out
+                .rows
+                .iter()
+                .find(|r| r[0] == Value::text("AA101") && r[1] == Value::Date(1))
+                .unwrap();
+            assert_eq!(aa_day1[3], Value::Int(180 - 101));
+        }
     }
 
     #[test]
     fn extra_filters_restrict_scope() {
-        let db = flights_db();
-        let mut txn = db.begin();
-        let mut opts = ExecOptions::default();
-        opts.extra_filters.insert(
-            "fi".into(),
-            Expr::col("fi", "flightid").eq(Expr::lit("AA101")),
-        );
-        let out = execute_spec(&db, &mut txn, &flewoninfo_spec(), &opts).unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(out.rows.len(), 3);
-        assert!(out.rows.iter().all(|r| r[0] == Value::text("AA101")));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let mut txn = db.begin();
+            let mut opts = ExecOptions::default();
+            opts.extra_filters.insert(
+                "fi".into(),
+                Expr::col("fi", "flightid").eq(Expr::lit("AA101")),
+            );
+            let out = execute_spec(&db, &mut txn, &flewoninfo_spec(), &opts).unwrap();
+            db.commit(&mut txn).unwrap();
+            assert_eq!(out.rows.len(), 3);
+            assert!(out.rows.iter().all(|r| r[0] == Value::text("AA101")));
+        }
     }
 
     #[test]
     fn driving_rows_pin_the_scan() {
-        let db = flights_db();
-        let fi_rows = db
-            .select_unlocked(
-                "flewon",
-                Some(&Expr::column("flightdate").eq(Expr::lit(Value::Date(2)))),
-            )
-            .unwrap();
-        assert_eq!(fi_rows.len(), 2);
-        let mut txn = db.begin();
-        let opts = ExecOptions {
-            driving: vec![("fi".into(), fi_rows)],
-            ..Default::default()
-        };
-        let out = execute_spec(&db, &mut txn, &flewoninfo_spec(), &opts).unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(out.rows.len(), 2);
-        assert!(out.rows.iter().all(|r| r[1] == Value::Date(2)));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let fi_rows = db
+                .select_unlocked(
+                    "flewon",
+                    Some(&Expr::column("flightdate").eq(Expr::lit(Value::Date(2)))),
+                )
+                .unwrap();
+            assert_eq!(fi_rows.len(), 2);
+            let mut txn = db.begin();
+            let opts = ExecOptions {
+                driving: vec![("fi".into(), fi_rows)],
+                ..Default::default()
+            };
+            let out = execute_spec(&db, &mut txn, &flewoninfo_spec(), &opts).unwrap();
+            db.commit(&mut txn).unwrap();
+            assert_eq!(out.rows.len(), 2);
+            assert!(out.rows.iter().all(|r| r[1] == Value::Date(2)));
+        }
     }
 
     #[test]
     fn spec_filter_pushdown_and_residual() {
-        let db = flights_db();
-        // Single-alias conjunct (pushdown) + cross-alias conjunct (residual).
-        let spec = flewoninfo_spec().filter(
-            Expr::col("f", "capacity")
-                .gt(Expr::lit(150))
-                .and(Expr::col("f", "capacity").gt(Expr::col("fi", "passenger_count"))),
-        );
-        let mut txn = db.begin();
-        let out = execute_spec(&db, &mut txn, &spec, &ExecOptions::default()).unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(out.rows.len(), 3); // only AA101 rows (capacity 180)
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            // Single-alias conjunct (pushdown) + cross-alias conjunct (residual).
+            let spec = flewoninfo_spec().filter(
+                Expr::col("f", "capacity")
+                    .gt(Expr::lit(150))
+                    .and(Expr::col("f", "capacity").gt(Expr::col("fi", "passenger_count"))),
+            );
+            let mut txn = db.begin();
+            let out = execute_spec(&db, &mut txn, &spec, &ExecOptions::default()).unwrap();
+            db.commit(&mut txn).unwrap();
+            assert_eq!(out.rows.len(), 3); // only AA101 rows (capacity 180)
+        }
     }
 
     #[test]
     fn global_aggregate_over_empty_input() {
-        let db = flights_db();
-        let spec = SelectSpec::new()
-            .from_table("flewon", "fi")
-            .filter(Expr::col("fi", "flightid").eq(Expr::lit("NOPE")))
-            .select_agg("total", AggFunc::Sum, Expr::col("fi", "passenger_count"))
-            .select_agg("n", AggFunc::Count, Expr::lit(1));
-        let mut txn = db.begin();
-        let out = execute_spec(&db, &mut txn, &spec, &ExecOptions::default()).unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(out.rows.len(), 1);
-        assert_eq!(out.rows[0], Row(vec![Value::Null, Value::Int(0)]));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let spec = SelectSpec::new()
+                .from_table("flewon", "fi")
+                .filter(Expr::col("fi", "flightid").eq(Expr::lit("NOPE")))
+                .select_agg("total", AggFunc::Sum, Expr::col("fi", "passenger_count"))
+                .select_agg("n", AggFunc::Count, Expr::lit(1));
+            let mut txn = db.begin();
+            let out = execute_spec(&db, &mut txn, &spec, &ExecOptions::default()).unwrap();
+            db.commit(&mut txn).unwrap();
+            assert_eq!(out.rows.len(), 1);
+            assert_eq!(out.rows[0], Row(vec![Value::Null, Value::Int(0)]));
+        }
     }
 
     #[test]
     fn group_by_aggregation() {
-        let db = flights_db();
-        let spec = SelectSpec::new()
-            .from_table("flewon", "fi")
-            .select("flightid", Expr::col("fi", "flightid"))
-            .select_agg("total", AggFunc::Sum, Expr::col("fi", "passenger_count"))
-            .select_agg("days", AggFunc::Count, Expr::col("fi", "flightdate"))
-            .select_agg("best", AggFunc::Max, Expr::col("fi", "passenger_count"));
-        let mut txn = db.begin();
-        let out = execute_spec(&db, &mut txn, &spec, &ExecOptions::default()).unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(out.rows.len(), 2);
-        let aa = out
-            .rows
-            .iter()
-            .find(|r| r[0] == Value::text("AA101"))
-            .unwrap();
-        assert_eq!(aa[1], Value::Int(101 + 102 + 103));
-        assert_eq!(aa[2], Value::Int(3));
-        assert_eq!(aa[3], Value::Int(103));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let spec = SelectSpec::new()
+                .from_table("flewon", "fi")
+                .select("flightid", Expr::col("fi", "flightid"))
+                .select_agg("total", AggFunc::Sum, Expr::col("fi", "passenger_count"))
+                .select_agg("days", AggFunc::Count, Expr::col("fi", "flightdate"))
+                .select_agg("best", AggFunc::Max, Expr::col("fi", "passenger_count"));
+            let mut txn = db.begin();
+            let out = execute_spec(&db, &mut txn, &spec, &ExecOptions::default()).unwrap();
+            db.commit(&mut txn).unwrap();
+            assert_eq!(out.rows.len(), 2);
+            let aa = out
+                .rows
+                .iter()
+                .find(|r| r[0] == Value::text("AA101"))
+                .unwrap();
+            assert_eq!(aa[1], Value::Int(101 + 102 + 103));
+            assert_eq!(aa[2], Value::Int(3));
+            assert_eq!(aa[3], Value::Int(103));
+        }
     }
 
     #[test]
     fn count_distinct() {
-        let db = flights_db();
-        let spec = SelectSpec::new().from_table("flewon", "fi").select_agg(
-            "n_flights",
-            AggFunc::CountDistinct,
-            Expr::col("fi", "flightid"),
-        );
-        let mut txn = db.begin();
-        let out = execute_spec(&db, &mut txn, &spec, &ExecOptions::default()).unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(out.rows[0][0], Value::Int(2));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let spec = SelectSpec::new().from_table("flewon", "fi").select_agg(
+                "n_flights",
+                AggFunc::CountDistinct,
+                Expr::col("fi", "flightid"),
+            );
+            let mut txn = db.begin();
+            let out = execute_spec(&db, &mut txn, &spec, &ExecOptions::default()).unwrap();
+            db.commit(&mut txn).unwrap();
+            assert_eq!(out.rows[0][0], Value::Int(2));
+        }
     }
 
     #[test]
     fn aggregates_skip_nulls() {
-        let db = flights_db();
-        db.with_txn(|txn| {
-            db.insert(
-                txn,
-                "flewon",
-                Row(vec![Value::text("AA101"), Value::Date(9), Value::Null]),
-            )
-        })
-        .unwrap();
-        let spec = SelectSpec::new()
-            .from_table("flewon", "fi")
-            .filter(Expr::col("fi", "flightid").eq(Expr::lit("AA101")))
-            .select_agg("total", AggFunc::Sum, Expr::col("fi", "passenger_count"))
-            .select_agg("n", AggFunc::Count, Expr::col("fi", "passenger_count"))
-            .select_agg("lo", AggFunc::Min, Expr::col("fi", "passenger_count"));
-        let mut txn = db.begin();
-        let out = execute_spec(&db, &mut txn, &spec, &ExecOptions::default()).unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(out.rows[0][0], Value::Int(306));
-        assert_eq!(out.rows[0][1], Value::Int(3), "NULL not counted");
-        assert_eq!(out.rows[0][2], Value::Int(101));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            db.with_txn(|txn| {
+                db.insert(
+                    txn,
+                    "flewon",
+                    Row(vec![Value::text("AA101"), Value::Date(9), Value::Null]),
+                )
+            })
+            .unwrap();
+            let spec = SelectSpec::new()
+                .from_table("flewon", "fi")
+                .filter(Expr::col("fi", "flightid").eq(Expr::lit("AA101")))
+                .select_agg("total", AggFunc::Sum, Expr::col("fi", "passenger_count"))
+                .select_agg("n", AggFunc::Count, Expr::col("fi", "passenger_count"))
+                .select_agg("lo", AggFunc::Min, Expr::col("fi", "passenger_count"));
+            let mut txn = db.begin();
+            let out = execute_spec(&db, &mut txn, &spec, &ExecOptions::default()).unwrap();
+            db.commit(&mut txn).unwrap();
+            assert_eq!(out.rows[0][0], Value::Int(306));
+            assert_eq!(out.rows[0][1], Value::Int(3), "NULL not counted");
+            assert_eq!(out.rows[0][2], Value::Int(101));
+        }
     }
 
     #[test]
     fn index_nested_loop_used_for_pk_join() {
-        // flights joined from flewon driving rows goes through the flights
-        // pkey; verify correctness (the path is exercised by driving).
-        let db = flights_db();
-        let fi_rows = db.select_unlocked("flewon", None).unwrap();
-        let mut txn = db.begin();
-        let opts = ExecOptions {
-            driving: vec![("fi".into(), fi_rows)],
-            ..Default::default()
-        };
-        let out = execute_spec(&db, &mut txn, &flewoninfo_spec(), &opts).unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(out.rows.len(), 6);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            // flights joined from flewon driving rows goes through the flights
+            // pkey; verify correctness (the path is exercised by driving).
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let fi_rows = db.select_unlocked("flewon", None).unwrap();
+            let mut txn = db.begin();
+            let opts = ExecOptions {
+                driving: vec![("fi".into(), fi_rows)],
+                ..Default::default()
+            };
+            let out = execute_spec(&db, &mut txn, &flewoninfo_spec(), &opts).unwrap();
+            db.commit(&mut txn).unwrap();
+            assert_eq!(out.rows.len(), 6);
+        }
     }
 
     #[test]
     fn join_skips_null_keys() {
-        let db = flights_db();
-        db.with_txn(|txn| {
-            // A flewon row with NULL passenger_count still joins; what must
-            // NOT join is a NULL join key — emulate by a flights row the
-            // flewon side never references.
-            db.insert(txn, "flights", row!["ZZ999", "AAA", "BBB", 10])
-        })
-        .unwrap();
-        let mut txn = db.begin();
-        let out = execute_spec(&db, &mut txn, &flewoninfo_spec(), &ExecOptions::default()).unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(
-            out.rows.len(),
-            6,
-            "unmatched flights row contributes nothing"
-        );
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            db.with_txn(|txn| {
+                // A flewon row with NULL passenger_count still joins; what must
+                // NOT join is a NULL join key — emulate by a flights row the
+                // flewon side never references.
+                db.insert(txn, "flights", row!["ZZ999", "AAA", "BBB", 10])
+            })
+            .unwrap();
+            let mut txn = db.begin();
+            let out =
+                execute_spec(&db, &mut txn, &flewoninfo_spec(), &ExecOptions::default()).unwrap();
+            db.commit(&mut txn).unwrap();
+            assert_eq!(
+                out.rows.len(),
+                6,
+                "unmatched flights row contributes nothing"
+            );
+        }
     }
 
     #[test]
     fn unknown_driving_alias_rejected() {
-        let db = flights_db();
-        let mut txn = db.begin();
-        let opts = ExecOptions {
-            driving: vec![("nope".into(), vec![])],
-            ..Default::default()
-        };
-        assert!(execute_spec(&db, &mut txn, &flewoninfo_spec(), &opts).is_err());
-        db.abort(&mut txn);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let mut txn = db.begin();
+            let opts = ExecOptions {
+                driving: vec![("nope".into(), vec![])],
+                ..Default::default()
+            };
+            assert!(execute_spec(&db, &mut txn, &flewoninfo_spec(), &opts).is_err());
+            db.abort(&mut txn);
+        }
     }
 }

@@ -157,11 +157,14 @@ pub fn check_incoming(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::{Database, LockPolicy};
+    use crate::db::{Database, DbConfig, EngineMode, LockPolicy};
     use bullfrog_common::{row, ColumnDef, DataType, TableSchema};
 
-    fn db() -> Database {
-        let db = Database::new();
+    fn db(mode: EngineMode) -> Database {
+        let db = Database::with_config(DbConfig {
+            mode,
+            ..DbConfig::default()
+        });
         db.create_table(
             TableSchema::new(
                 "district",
@@ -192,107 +195,139 @@ mod tests {
 
     #[test]
     fn fk_requires_unique_target_at_ddl() {
-        let d = Database::new();
-        d.create_table(TableSchema::new(
-            "parent",
-            vec![ColumnDef::new("x", DataType::Int)], // no PK/unique on x
-        ))
-        .unwrap();
-        let err = d
-            .create_table(
-                TableSchema::new("child", vec![ColumnDef::new("x", DataType::Int)])
-                    .with_foreign_key("fk", &["x"], "parent", &["x"]),
-            )
-            .unwrap_err();
-        assert!(matches!(err, Error::SchemaMismatch(_)));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = Database::with_config(DbConfig {
+                mode,
+                ..DbConfig::default()
+            });
+            assert_eq!(db.config().mode, mode);
+            db.create_table(TableSchema::new(
+                "parent",
+                vec![ColumnDef::new("x", DataType::Int)], // no PK/unique on x
+            ))
+            .unwrap();
+            let err = db
+                .create_table(
+                    TableSchema::new("child", vec![ColumnDef::new("x", DataType::Int)])
+                        .with_foreign_key("fk", &["x"], "parent", &["x"]),
+                )
+                .unwrap_err();
+            assert!(matches!(err, Error::SchemaMismatch(_)));
+        }
     }
 
     #[test]
     fn insert_with_valid_fk_passes() {
-        let db = db();
-        db.with_txn(|txn| db.insert(txn, "customer", row![10, 1]))
-            .unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            db.with_txn(|txn| db.insert(txn, "customer", row![10, 1]))
+                .unwrap();
+        }
     }
 
     #[test]
     fn insert_with_dangling_fk_fails() {
-        let db = db();
-        let err = db
-            .with_txn(|txn| db.insert(txn, "customer", row![10, 99]))
-            .unwrap_err();
-        assert!(matches!(err, Error::ForeignKeyViolation { .. }));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            let err = db
+                .with_txn(|txn| db.insert(txn, "customer", row![10, 99]))
+                .unwrap_err();
+            assert!(matches!(err, Error::ForeignKeyViolation { .. }));
+        }
     }
 
     #[test]
     fn null_fk_passes() {
-        let db = db();
-        db.with_txn(|txn| db.insert(txn, "customer", Row(vec![Value::Int(10), Value::Null])))
-            .unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            db.with_txn(|txn| db.insert(txn, "customer", Row(vec![Value::Int(10), Value::Null])))
+                .unwrap();
+        }
     }
 
     #[test]
     fn delete_of_referenced_row_fails() {
-        let db = db();
-        db.with_txn(|txn| db.insert(txn, "customer", row![10, 1]))
-            .unwrap();
-        let err = db
-            .with_txn(|txn| {
-                let (rid, _) = db
-                    .get_by_pk(txn, "district", &[Value::Int(1)], LockPolicy::Exclusive)?
-                    .unwrap();
-                db.delete(txn, "district", rid)
-            })
-            .unwrap_err();
-        assert!(matches!(err, Error::ForeignKeyViolation { .. }));
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            db.with_txn(|txn| db.insert(txn, "customer", row![10, 1]))
+                .unwrap();
+            let err = db
+                .with_txn(|txn| {
+                    let (rid, _) = db
+                        .get_by_pk(txn, "district", &[Value::Int(1)], LockPolicy::Exclusive)?
+                        .unwrap();
+                    db.delete(txn, "district", rid)
+                })
+                .unwrap_err();
+            assert!(matches!(err, Error::ForeignKeyViolation { .. }));
+        }
     }
 
     #[test]
     fn delete_of_unreferenced_row_succeeds() {
-        let db = db();
-        db.with_txn(|txn| db.insert(txn, "district", row![2, "d2"]))
-            .unwrap();
-        db.with_txn(|txn| {
-            let (rid, _) = db
-                .get_by_pk(txn, "district", &[Value::Int(2)], LockPolicy::Exclusive)?
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db(mode);
+            assert_eq!(db.config().mode, mode);
+            db.with_txn(|txn| db.insert(txn, "district", row![2, "d2"]))
                 .unwrap();
-            db.delete(txn, "district", rid)
-        })
-        .unwrap();
+            db.with_txn(|txn| {
+                let (rid, _) = db
+                    .get_by_pk(txn, "district", &[Value::Int(2)], LockPolicy::Exclusive)?
+                    .unwrap();
+                db.delete(txn, "district", rid)
+            })
+            .unwrap();
+        }
     }
 
     #[test]
     fn referenced_row_locked_until_commit() {
-        use std::sync::Arc;
-        use std::time::Duration;
-        let db = Arc::new(Database::with_config(crate::db::DbConfig {
-            lock_timeout: Duration::from_millis(30),
-            ..Default::default()
-        }));
-        db.create_table(
-            TableSchema::new("p", vec![ColumnDef::new("id", DataType::Int)])
-                .with_primary_key(&["id"]),
-        )
-        .unwrap();
-        db.create_table(
-            TableSchema::new("c", vec![ColumnDef::new("pid", DataType::Int)]).with_foreign_key(
-                "c_fk",
-                &["pid"],
-                "p",
-                &["id"],
-            ),
-        )
-        .unwrap();
-        let prid = db.with_txn(|txn| db.insert(txn, "p", row![1])).unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            use std::sync::Arc;
+            use std::time::Duration;
+            let db = Arc::new(Database::with_config(DbConfig {
+                lock_timeout: Duration::from_millis(30),
+                mode,
+                ..Default::default()
+            }));
+            assert_eq!(db.config().mode, mode);
+            db.create_table(
+                TableSchema::new("p", vec![ColumnDef::new("id", DataType::Int)])
+                    .with_primary_key(&["id"]),
+            )
+            .unwrap();
+            db.create_table(
+                TableSchema::new("c", vec![ColumnDef::new("pid", DataType::Int)]).with_foreign_key(
+                    "c_fk",
+                    &["pid"],
+                    "p",
+                    &["id"],
+                ),
+            )
+            .unwrap();
+            let prid = db.with_txn(|txn| db.insert(txn, "p", row![1])).unwrap();
 
-        // txn1 inserts a child (S-locks the parent) and stays open.
-        let mut child_txn = db.begin();
-        db.insert(&mut child_txn, "c", row![1]).unwrap();
-        // txn2 cannot delete the parent while txn1 is open.
-        let mut del_txn = db.begin();
-        assert!(db.delete(&mut del_txn, "p", prid).is_err());
-        db.abort(&mut del_txn);
-        db.abort(&mut child_txn);
-        // After the child txn aborted, the delete goes through.
-        db.with_txn(|txn| db.delete(txn, "p", prid)).unwrap();
+            // txn1 inserts a child (S-locks the parent) and stays open.
+            let mut child_txn = db.begin();
+            db.insert(&mut child_txn, "c", row![1]).unwrap();
+            // txn2 cannot delete the parent while txn1 is open.
+            let mut del_txn = db.begin();
+            assert!(db.delete(&mut del_txn, "p", prid).is_err());
+            db.abort(&mut del_txn);
+            db.abort(&mut child_txn);
+            // After the child txn aborted, the delete goes through.
+            db.with_txn(|txn| db.delete(txn, "p", prid)).unwrap();
+        }
     }
 }

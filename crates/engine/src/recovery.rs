@@ -307,8 +307,15 @@ impl StreamingReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::LockPolicy;
+    use crate::db::{DbConfig, EngineMode, LockPolicy};
     use bullfrog_common::{row, ColumnDef, DataType, TableSchema, Value};
+
+    fn db_in(mode: EngineMode) -> Database {
+        Database::with_config(DbConfig {
+            mode,
+            ..DbConfig::default()
+        })
+    }
 
     fn schema() -> TableSchema {
         TableSchema::new(
@@ -323,197 +330,221 @@ mod tests {
 
     #[test]
     fn committed_work_survives_uncommitted_does_not() {
-        let db = Database::new();
-        db.create_table(schema()).unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_in(mode);
+            assert_eq!(db.config().mode, mode);
+            db.create_table(schema()).unwrap();
 
-        db.with_txn(|txn| {
-            db.insert(txn, "t", row![1, "one"])?;
-            db.insert(txn, "t", row![2, "two"])
-        })
-        .unwrap();
-        // A txn that updates then aborts: its records never hit the WAL.
-        let mut txn = db.begin();
-        let (rid, _) = db
-            .get_by_pk(&mut txn, "t", &[Value::Int(1)], LockPolicy::Exclusive)
-            .unwrap()
+            db.with_txn(|txn| {
+                db.insert(txn, "t", row![1, "one"])?;
+                db.insert(txn, "t", row![2, "two"])
+            })
             .unwrap();
-        db.update(&mut txn, "t", rid, row![1, "dirty"]).unwrap();
-        db.abort(&mut txn);
-        // A committed update + delete.
-        db.with_txn(|txn| {
-            let (rid1, _) = db
-                .get_by_pk(txn, "t", &[Value::Int(1)], LockPolicy::Exclusive)?
+            // A txn that updates then aborts: its records never hit the WAL.
+            let mut txn = db.begin();
+            let (rid, _) = db
+                .get_by_pk(&mut txn, "t", &[Value::Int(1)], LockPolicy::Exclusive)
+                .unwrap()
                 .unwrap();
-            db.update(txn, "t", rid1, row![1, "uno"])?;
-            let (rid2, _) = db
-                .get_by_pk(txn, "t", &[Value::Int(2)], LockPolicy::Exclusive)?
-                .unwrap();
-            db.delete(txn, "t", rid2).map(|_| ())
-        })
-        .unwrap();
+            db.update(&mut txn, "t", rid, row![1, "dirty"]).unwrap();
+            db.abort(&mut txn);
+            // A committed update + delete.
+            db.with_txn(|txn| {
+                let (rid1, _) = db
+                    .get_by_pk(txn, "t", &[Value::Int(1)], LockPolicy::Exclusive)?
+                    .unwrap();
+                db.update(txn, "t", rid1, row![1, "uno"])?;
+                let (rid2, _) = db
+                    .get_by_pk(txn, "t", &[Value::Int(2)], LockPolicy::Exclusive)?
+                    .unwrap();
+                db.delete(txn, "t", rid2).map(|_| ())
+            })
+            .unwrap();
 
-        // Fresh database, same DDL, replay.
-        let db2 = Database::new();
-        db2.create_table(schema()).unwrap();
-        let stats = replay(&db2, &db.wal().snapshot()).unwrap();
-        assert_eq!(stats.committed_txns, 2);
+            // Fresh database, same DDL, replay.
+            let db2 = db_in(mode);
+            db2.create_table(schema()).unwrap();
+            let stats = replay(&db2, &db.wal().snapshot()).unwrap();
+            assert_eq!(stats.committed_txns, 2);
 
-        let rows = db2.select_unlocked("t", None).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].1, row![1, "uno"]);
-        // The pk index was rebuilt too.
-        assert!(db2
-            .table("t")
-            .unwrap()
-            .get_by_pk(&[Value::Int(1)])
-            .is_some());
-        assert!(db2
-            .table("t")
-            .unwrap()
-            .get_by_pk(&[Value::Int(2)])
-            .is_none());
+            let rows = db2.select_unlocked("t", None).unwrap();
+            assert_eq!(rows.len(), 1);
+            assert_eq!(rows[0].1, row![1, "uno"]);
+            // The pk index was rebuilt too.
+            assert!(db2
+                .table("t")
+                .unwrap()
+                .get_by_pk(&[Value::Int(1)])
+                .is_some());
+            assert!(db2
+                .table("t")
+                .unwrap()
+                .get_by_pk(&[Value::Int(2)])
+                .is_none());
+        }
     }
 
     #[test]
     fn rids_are_preserved_across_commit_reordering() {
-        // T1 inserts first but commits second; replay must still put each
-        // row at its original rid.
-        let db = Database::new();
-        db.create_table(schema()).unwrap();
-        let mut t1 = db.begin();
-        let rid1 = db.insert(&mut t1, "t", row![1, "first"]).unwrap();
-        let mut t2 = db.begin();
-        let rid2 = db.insert(&mut t2, "t", row![2, "second"]).unwrap();
-        db.commit(&mut t2).unwrap();
-        db.commit(&mut t1).unwrap();
-        assert!(rid1 < rid2);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            // T1 inserts first but commits second; replay must still put each
+            // row at its original rid.
+            let db = db_in(mode);
+            assert_eq!(db.config().mode, mode);
+            db.create_table(schema()).unwrap();
+            let mut t1 = db.begin();
+            let rid1 = db.insert(&mut t1, "t", row![1, "first"]).unwrap();
+            let mut t2 = db.begin();
+            let rid2 = db.insert(&mut t2, "t", row![2, "second"]).unwrap();
+            db.commit(&mut t2).unwrap();
+            db.commit(&mut t1).unwrap();
+            assert!(rid1 < rid2);
 
-        let db2 = Database::new();
-        db2.create_table(schema()).unwrap();
-        replay(&db2, &db.wal().snapshot()).unwrap();
-        let t = db2.table("t").unwrap();
-        assert_eq!(t.heap().get(rid1), Some(row![1, "first"]));
-        assert_eq!(t.heap().get(rid2), Some(row![2, "second"]));
+            let db2 = db_in(mode);
+            db2.create_table(schema()).unwrap();
+            replay(&db2, &db.wal().snapshot()).unwrap();
+            let t = db2.table("t").unwrap();
+            assert_eq!(t.heap().get(rid1), Some(row![1, "first"]));
+            assert_eq!(t.heap().get(rid2), Some(row![2, "second"]));
+        }
     }
 
     #[test]
     fn aborted_insert_leaves_hole() {
-        let db = Database::new();
-        db.create_table(schema()).unwrap();
-        let mut t1 = db.begin();
-        db.insert(&mut t1, "t", row![1, "gone"]).unwrap();
-        db.abort(&mut t1);
-        let rid2 = db
-            .with_txn(|txn| db.insert(txn, "t", row![2, "kept"]))
-            .unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_in(mode);
+            assert_eq!(db.config().mode, mode);
+            db.create_table(schema()).unwrap();
+            let mut t1 = db.begin();
+            db.insert(&mut t1, "t", row![1, "gone"]).unwrap();
+            db.abort(&mut t1);
+            let rid2 = db
+                .with_txn(|txn| db.insert(txn, "t", row![2, "kept"]))
+                .unwrap();
 
-        let db2 = Database::new();
-        db2.create_table(schema()).unwrap();
-        let stats = replay(&db2, &db.wal().snapshot()).unwrap();
-        assert_eq!(stats.applied, 1);
-        let t = db2.table("t").unwrap();
-        assert_eq!(t.live_count(), 1);
-        assert_eq!(t.heap().get(rid2), Some(row![2, "kept"]));
+            let db2 = db_in(mode);
+            db2.create_table(schema()).unwrap();
+            let stats = replay(&db2, &db.wal().snapshot()).unwrap();
+            assert_eq!(stats.applied, 1);
+            let t = db2.table("t").unwrap();
+            assert_eq!(t.live_count(), 1);
+            assert_eq!(t.heap().get(rid2), Some(row![2, "kept"]));
+        }
     }
 
     #[test]
     fn migration_granules_surface_for_committed_txns_only() {
-        use bullfrog_txn::wal::GranuleKey;
-        use bullfrog_txn::LogRecord;
-        let db = Database::new();
-        db.create_table(schema()).unwrap();
-        // Committed migration txn.
-        let mut t1 = db.begin();
-        t1.push_redo(LogRecord::MigrationGranule {
-            txn: t1.id(),
-            migration: 1,
-            granule: GranuleKey::Ordinal(5),
-        });
-        db.commit(&mut t1).unwrap();
-        // Aborted migration txn.
-        let mut t2 = db.begin();
-        t2.push_redo(LogRecord::MigrationGranule {
-            txn: t2.id(),
-            migration: 1,
-            granule: GranuleKey::Ordinal(9),
-        });
-        db.abort(&mut t2);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            use bullfrog_txn::wal::GranuleKey;
+            use bullfrog_txn::LogRecord;
+            let db = db_in(mode);
+            assert_eq!(db.config().mode, mode);
+            db.create_table(schema()).unwrap();
+            // Committed migration txn.
+            let mut t1 = db.begin();
+            t1.push_redo(LogRecord::MigrationGranule {
+                txn: t1.id(),
+                migration: 1,
+                granule: GranuleKey::Ordinal(5),
+            });
+            db.commit(&mut t1).unwrap();
+            // Aborted migration txn.
+            let mut t2 = db.begin();
+            t2.push_redo(LogRecord::MigrationGranule {
+                txn: t2.id(),
+                migration: 1,
+                granule: GranuleKey::Ordinal(9),
+            });
+            db.abort(&mut t2);
 
-        let db2 = Database::new();
-        db2.create_table(schema()).unwrap();
-        let stats = replay(&db2, &db.wal().snapshot()).unwrap();
-        assert_eq!(stats.migrated_granules, vec![(1, GranuleKey::Ordinal(5))]);
+            let db2 = db_in(mode);
+            db2.create_table(schema()).unwrap();
+            let stats = replay(&db2, &db.wal().snapshot()).unwrap();
+            assert_eq!(stats.migrated_granules, vec![(1, GranuleKey::Ordinal(5))]);
+        }
     }
 
     #[test]
     fn streaming_replay_matches_batch_replay() {
-        let db = Database::new();
-        db.create_table(schema()).unwrap();
-        db.with_txn(|txn| {
-            db.insert(txn, "t", row![1, "one"])?;
-            db.insert(txn, "t", row![2, "two"])
-        })
-        .unwrap();
-        let mut aborted = db.begin();
-        db.insert(&mut aborted, "t", row![3, "ghost"]).unwrap();
-        db.abort(&mut aborted);
-        db.with_txn(|txn| {
-            let (rid, _) = db
-                .get_by_pk(txn, "t", &[Value::Int(2)], LockPolicy::Exclusive)?
-                .unwrap();
-            db.delete(txn, "t", rid).map(|_| ())
-        })
-        .unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_in(mode);
+            assert_eq!(db.config().mode, mode);
+            db.create_table(schema()).unwrap();
+            db.with_txn(|txn| {
+                db.insert(txn, "t", row![1, "one"])?;
+                db.insert(txn, "t", row![2, "two"])
+            })
+            .unwrap();
+            let mut aborted = db.begin();
+            db.insert(&mut aborted, "t", row![3, "ghost"]).unwrap();
+            db.abort(&mut aborted);
+            db.with_txn(|txn| {
+                let (rid, _) = db
+                    .get_by_pk(txn, "t", &[Value::Int(2)], LockPolicy::Exclusive)?
+                    .unwrap();
+                db.delete(txn, "t", rid).map(|_| ())
+            })
+            .unwrap();
 
-        let db2 = Database::new();
-        db2.create_table(schema()).unwrap();
-        let mut stream = StreamingReplay::new();
-        let mut applied = 0;
-        for rec in db.wal().snapshot() {
-            applied += stream.apply(&db2, &rec).unwrap().applied;
+            let db2 = db_in(mode);
+            db2.create_table(schema()).unwrap();
+            let mut stream = StreamingReplay::new();
+            let mut applied = 0;
+            for rec in db.wal().snapshot() {
+                applied += stream.apply(&db2, &rec).unwrap().applied;
+            }
+            assert_eq!(stream.buffered_txns(), 0);
+
+            let db3 = db_in(mode);
+            db3.create_table(schema()).unwrap();
+            let stats = replay(&db3, &db.wal().snapshot()).unwrap();
+            assert_eq!(applied, stats.applied);
+            assert_eq!(
+                db2.select_unlocked("t", None).unwrap(),
+                db3.select_unlocked("t", None).unwrap()
+            );
         }
-        assert_eq!(stream.buffered_txns(), 0);
-
-        let db3 = Database::new();
-        db3.create_table(schema()).unwrap();
-        let stats = replay(&db3, &db.wal().snapshot()).unwrap();
-        assert_eq!(applied, stats.applied);
-        assert_eq!(
-            db2.select_unlocked("t", None).unwrap(),
-            db3.select_unlocked("t", None).unwrap()
-        );
     }
 
     #[test]
     fn streaming_replay_skips_unknown_tables_and_reports_granules() {
-        use bullfrog_common::TableId;
-        use bullfrog_txn::LogRecord;
-        let db = Database::new();
-        db.create_table(schema()).unwrap();
-        let txn = TxnId(7);
-        let recs = vec![
-            LogRecord::Begin(txn),
-            LogRecord::Insert {
-                txn,
-                table: TableId(99),
-                rid: bullfrog_common::RowId::new(0, 0),
-                row: row![1, "orphan"],
-            },
-            LogRecord::MigrationGranule {
-                txn,
-                migration: 2,
-                granule: GranuleKey::Ordinal(4),
-            },
-            LogRecord::Commit(txn),
-        ];
-        let mut stream = StreamingReplay::new();
-        let mut last = ApplyOutcome::default();
-        for rec in &recs {
-            last = stream.apply(&db, rec).unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            use bullfrog_common::TableId;
+            use bullfrog_txn::LogRecord;
+            let db = db_in(mode);
+            assert_eq!(db.config().mode, mode);
+            db.create_table(schema()).unwrap();
+            let txn = TxnId(7);
+            let recs = vec![
+                LogRecord::Begin(txn),
+                LogRecord::Insert {
+                    txn,
+                    table: TableId(99),
+                    rid: bullfrog_common::RowId::new(0, 0),
+                    row: row![1, "orphan"],
+                },
+                LogRecord::MigrationGranule {
+                    txn,
+                    migration: 2,
+                    granule: GranuleKey::Ordinal(4),
+                },
+                LogRecord::Commit(txn),
+            ];
+            let mut stream = StreamingReplay::new();
+            let mut last = ApplyOutcome::default();
+            for rec in &recs {
+                last = stream.apply(&db, rec).unwrap();
+            }
+            assert!(last.committed);
+            assert_eq!(last.applied, 0);
+            assert_eq!(last.skipped_unknown_table, 1);
+            assert_eq!(last.granules, vec![(2, GranuleKey::Ordinal(4))]);
         }
-        assert!(last.committed);
-        assert_eq!(last.applied, 0);
-        assert_eq!(last.skipped_unknown_table, 1);
-        assert_eq!(last.granules, vec![(2, GranuleKey::Ordinal(4))]);
     }
 }

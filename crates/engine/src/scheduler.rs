@@ -174,11 +174,14 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::DbConfig;
+    use crate::db::{DbConfig, EngineMode};
     use bullfrog_common::{row, ColumnDef, DataType, TableSchema};
 
-    fn writable_db() -> Arc<Database> {
-        let db = Arc::new(Database::new());
+    fn writable_db(mode: EngineMode) -> Arc<Database> {
+        let db = Arc::new(Database::with_config(DbConfig {
+            mode,
+            ..DbConfig::default()
+        }));
         db.create_table(
             TableSchema::new(
                 "t",
@@ -195,57 +198,70 @@ mod tests {
 
     #[test]
     fn record_threshold_triggers_checkpoint() {
-        let db = writable_db();
-        let sched = CheckpointScheduler::start(
-            &db,
-            CheckpointPolicy {
-                max_resident_records: 50,
-                max_flushed_bytes: 0,
-                poll_interval: Duration::from_millis(5),
-            },
-        );
-        for i in 0..200 {
-            db.with_txn(|txn| db.insert(txn, "t", row![i, i])).unwrap();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = writable_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let sched = CheckpointScheduler::start(
+                &db,
+                CheckpointPolicy {
+                    max_resident_records: 50,
+                    max_flushed_bytes: 0,
+                    poll_interval: Duration::from_millis(5),
+                },
+            );
+            for i in 0..200 {
+                db.with_txn(|txn| db.insert(txn, "t", row![i, i])).unwrap();
+            }
+            // The scheduler should cut at least once and keep the resident
+            // tail bounded near the threshold.
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while sched.status().checkpoints == 0 && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let status = sched.status();
+            assert!(status.checkpoints >= 1, "no checkpoint ran: {status:?}");
+            assert_eq!(status.errors, 0);
+            assert!(status.last_cut_lsn > 0);
+            // All 200 rows survive the cut.
+            assert_eq!(db.table("t").unwrap().live_count(), 200);
         }
-        // The scheduler should cut at least once and keep the resident
-        // tail bounded near the threshold.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while sched.status().checkpoints == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let status = sched.status();
-        assert!(status.checkpoints >= 1, "no checkpoint ran: {status:?}");
-        assert_eq!(status.errors, 0);
-        assert!(status.last_cut_lsn > 0);
-        // All 200 rows survive the cut.
-        assert_eq!(db.table("t").unwrap().live_count(), 200);
     }
 
     #[test]
     fn from_config_respects_knob() {
-        let db = writable_db();
-        assert!(CheckpointScheduler::from_config(&db).is_none());
-        let db2 = Arc::new(Database::with_config(DbConfig {
-            checkpoint_policy: Some(CheckpointPolicy::default()),
-            ..DbConfig::default()
-        }));
-        assert!(CheckpointScheduler::from_config(&db2).is_some());
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = writable_db(mode);
+            assert_eq!(db.config().mode, mode);
+            assert!(CheckpointScheduler::from_config(&db).is_none());
+            let db2 = Arc::new(Database::with_config(DbConfig {
+                checkpoint_policy: Some(CheckpointPolicy::default()),
+                mode,
+                ..DbConfig::default()
+            }));
+            assert!(CheckpointScheduler::from_config(&db2).is_some());
+        }
     }
 
     #[test]
     fn thread_exits_when_database_dropped() {
-        let db = writable_db();
-        let mut sched = CheckpointScheduler::start(
-            &db,
-            CheckpointPolicy {
-                poll_interval: Duration::from_millis(1),
-                ..CheckpointPolicy::default()
-            },
-        );
-        drop(db);
-        // The thread notices the dead Weak on its next poll; join must
-        // not hang.
-        std::thread::sleep(Duration::from_millis(10));
-        sched.stop();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = writable_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let mut sched = CheckpointScheduler::start(
+                &db,
+                CheckpointPolicy {
+                    poll_interval: Duration::from_millis(1),
+                    ..CheckpointPolicy::default()
+                },
+            );
+            drop(db);
+            // The thread notices the dead Weak on its next poll; join must
+            // not hang.
+            std::thread::sleep(Duration::from_millis(10));
+            sched.stop();
+        }
     }
 }

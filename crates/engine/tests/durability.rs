@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use bullfrog_common::{row, ColumnDef, DataType, Error, TableSchema, Value};
 use bullfrog_engine::checkpoint::checkpoint_path_for;
-use bullfrog_engine::{recovery, Database, DbConfig, LockPolicy};
+use bullfrog_engine::{recovery, Database, DbConfig, EngineMode, LockPolicy};
 use bullfrog_txn::wal::{shard_file_path, shard_of};
 use bullfrog_txn::{AckOutcome, WalOptions};
 
@@ -39,13 +39,16 @@ fn schema() -> TableSchema {
     .with_primary_key(&["id"])
 }
 
-fn file_db(tag: &str, shards: usize) -> (Database, PathBuf, PathBuf) {
+fn file_db(mode: EngineMode, tag: &str, shards: usize) -> (Database, PathBuf, PathBuf) {
     let wal_path = temp_path(tag);
     remove_wal_shards(&wal_path);
     let ckpt_path = checkpoint_path_for(&wal_path);
     let _ = std::fs::remove_file(&ckpt_path);
     let db = Database::with_wal_file_opts(
-        DbConfig::default(),
+        DbConfig {
+            mode,
+            ..DbConfig::default()
+        },
         &wal_path,
         WalOptions {
             group_window: Duration::ZERO,
@@ -59,8 +62,11 @@ fn file_db(tag: &str, shards: usize) -> (Database, PathBuf, PathBuf) {
 
 /// Replays `wal_path` + sidecar into a fresh catalog-matched database and
 /// returns the sorted live rows of `t`.
-fn recovered_rows(wal_path: &Path, ckpt_path: &Path) -> Vec<(i64, i64)> {
-    let db = Database::new();
+fn recovered_rows(mode: EngineMode, wal_path: &Path, ckpt_path: &Path) -> Vec<(i64, i64)> {
+    let db = Database::with_config(DbConfig {
+        mode,
+        ..DbConfig::default()
+    });
     db.create_table(schema()).unwrap();
     recovery::recover_from_files(&db, wal_path, ckpt_path).expect("recovery");
     let mut rows: Vec<(i64, i64)> = db
@@ -79,47 +85,51 @@ fn recovered_rows(wal_path: &Path, ckpt_path: &Path) -> Vec<(i64, i64)> {
 /// transaction with nothing to make durable.
 #[test]
 fn read_only_commit_issues_zero_flushes() {
-    let (db, wal_path, ckpt_path) = file_db("readonly", 2);
-    db.with_txn(|txn| db.insert(txn, "t", row![1, 10]).map(|_| ()))
-        .unwrap();
-    db.wal().sync();
-    let len_before = db.wal().len();
-    let flushes_before = db.wal().stats().flushes;
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let (db, wal_path, ckpt_path) = file_db(mode, "readonly", 2);
+        assert_eq!(db.config().mode, mode);
+        db.with_txn(|txn| db.insert(txn, "t", row![1, 10]).map(|_| ()))
+            .unwrap();
+        db.wal().sync();
+        let len_before = db.wal().len();
+        let flushes_before = db.wal().stats().flushes;
 
-    // Read-only commit: select under shared locks, then commit.
-    let mut txn = db.begin();
-    let got = db
-        .get_by_pk(&mut txn, "t", &[Value::Int(1)], LockPolicy::Shared)
-        .unwrap();
-    assert!(got.is_some());
-    db.commit(&mut txn).unwrap();
+        // Read-only commit: select under shared locks, then commit.
+        let mut txn = db.begin();
+        let got = db
+            .get_by_pk(&mut txn, "t", &[Value::Int(1)], LockPolicy::Shared)
+            .unwrap();
+        assert!(got.is_some());
+        db.commit(&mut txn).unwrap();
 
-    // Read-only abort writes nothing either.
-    let mut txn = db.begin();
-    let _ = db
-        .get_by_pk(&mut txn, "t", &[Value::Int(1)], LockPolicy::Shared)
-        .unwrap();
-    db.abort(&mut txn);
+        // Read-only abort writes nothing either.
+        let mut txn = db.begin();
+        let _ = db
+            .get_by_pk(&mut txn, "t", &[Value::Int(1)], LockPolicy::Shared)
+            .unwrap();
+        db.abort(&mut txn);
 
-    db.wal().sync();
-    assert_eq!(db.wal().len(), len_before, "read-only txns must not log");
-    assert_eq!(
-        db.wal().stats().flushes,
-        flushes_before,
-        "read-only commit must not force a flush"
-    );
+        db.wal().sync();
+        assert_eq!(db.wal().len(), len_before, "read-only txns must not log");
+        assert_eq!(
+            db.wal().stats().flushes,
+            flushes_before,
+            "read-only commit must not force a flush"
+        );
 
-    // And the nowait path hands back an already-durable ticket.
-    let mut txn = db.begin();
-    let _ = db
-        .get_by_pk(&mut txn, "t", &[Value::Int(1)], LockPolicy::Shared)
-        .unwrap();
-    let ticket = db.commit_nowait(&mut txn).unwrap();
-    assert!(ticket.is_durable());
+        // And the nowait path hands back an already-durable ticket.
+        let mut txn = db.begin();
+        let _ = db
+            .get_by_pk(&mut txn, "t", &[Value::Int(1)], LockPolicy::Shared)
+            .unwrap();
+        let ticket = db.commit_nowait(&mut txn).unwrap();
+        assert!(ticket.is_durable());
 
-    drop(db);
-    remove_wal_shards(&wal_path);
-    let _ = std::fs::remove_file(&ckpt_path);
+        drop(db);
+        remove_wal_shards(&wal_path);
+        let _ = std::fs::remove_file(&ckpt_path);
+    }
 }
 
 /// A fenced node refuses every writing commit, in-memory or file-backed
@@ -128,31 +138,38 @@ fn read_only_commit_issues_zero_flushes() {
 /// nothing and still commits on both paths.
 #[test]
 fn fenced_gate_refuses_writing_commits_on_every_log() {
-    let mem = Database::new();
-    mem.create_table(schema()).unwrap();
-    let (file, wal_path, ckpt_path) = file_db("fenced", 2);
-    for db in [&mem, &file] {
-        db.wal().sync_gate().fence(None);
-        let mut txn = db.begin();
-        db.insert(&mut txn, "t", row![1, 1]).unwrap();
-        assert!(matches!(db.commit(&mut txn), Err(Error::Fenced { .. })));
-        let mut txn = db.begin();
-        db.insert(&mut txn, "t", row![2, 2]).unwrap();
-        let ticket = db.commit_nowait(&mut txn).unwrap();
-        assert_eq!(ticket.wait_acked(), AckOutcome::Fenced);
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let mem = Database::with_config(DbConfig {
+            mode,
+            ..DbConfig::default()
+        });
+        mem.create_table(schema()).unwrap();
+        let (file, wal_path, ckpt_path) = file_db(mode, "fenced", 2);
+        for db in [&mem, &file] {
+            assert_eq!(db.config().mode, mode);
+            db.wal().sync_gate().fence(None);
+            let mut txn = db.begin();
+            db.insert(&mut txn, "t", row![1, 1]).unwrap();
+            assert!(matches!(db.commit(&mut txn), Err(Error::Fenced { .. })));
+            let mut txn = db.begin();
+            db.insert(&mut txn, "t", row![2, 2]).unwrap();
+            let ticket = db.commit_nowait(&mut txn).unwrap();
+            assert_eq!(ticket.wait_acked(), AckOutcome::Fenced);
 
-        let read = |txn: &mut _| db.get_by_pk(txn, "t", &[Value::Int(1)], LockPolicy::Shared);
-        let mut txn = db.begin();
-        assert!(read(&mut txn).unwrap().is_some());
-        db.commit(&mut txn).unwrap();
-        let mut txn = db.begin();
-        assert!(read(&mut txn).unwrap().is_some());
-        let ticket = db.commit_nowait(&mut txn).unwrap();
-        assert_eq!(ticket.wait_acked(), AckOutcome::Synced);
+            let read = |txn: &mut _| db.get_by_pk(txn, "t", &[Value::Int(1)], LockPolicy::Shared);
+            let mut txn = db.begin();
+            assert!(read(&mut txn).unwrap().is_some());
+            db.commit(&mut txn).unwrap();
+            let mut txn = db.begin();
+            assert!(read(&mut txn).unwrap().is_some());
+            let ticket = db.commit_nowait(&mut txn).unwrap();
+            assert_eq!(ticket.wait_acked(), AckOutcome::Synced);
+        }
+        drop(file);
+        remove_wal_shards(&wal_path);
+        let _ = std::fs::remove_file(&ckpt_path);
     }
-    drop(file);
-    remove_wal_shards(&wal_path);
-    let _ = std::fs::remove_file(&ckpt_path);
 }
 
 /// The same single-threaded workload — inserts, updates, deletes, an
@@ -160,92 +177,100 @@ fn fenced_gate_refuses_writing_commits_on_every_log() {
 /// whether durability ran on one flusher or four.
 #[test]
 fn sharded_log_recovers_identically_to_single_flusher() {
-    let run = |shards: usize| -> Vec<(i64, i64)> {
-        let (db, wal_path, ckpt_path) = file_db(&format!("equiv{shards}"), shards);
-        for i in 0..40i64 {
-            db.with_txn(|txn| db.insert(txn, "t", row![i, i * 10]).map(|_| ()))
-                .unwrap();
-        }
-        // Fold the prefix into the checkpoint image; recovery must stitch
-        // image + sharded tail back together.
-        db.checkpoint().unwrap();
-        for i in 0..40i64 {
-            if i % 3 == 0 {
-                db.with_txn(|txn| {
-                    let (rid, _) = db
-                        .get_by_pk(txn, "t", &[Value::Int(i)], LockPolicy::Exclusive)?
-                        .unwrap();
-                    db.update(txn, "t", rid, row![i, i * 10 + 1]).map(|_| ())
-                })
-                .unwrap();
-            } else if i % 3 == 1 {
-                db.with_txn(|txn| {
-                    let (rid, _) = db
-                        .get_by_pk(txn, "t", &[Value::Int(i)], LockPolicy::Exclusive)?
-                        .unwrap();
-                    db.delete(txn, "t", rid).map(|_| ())
-                })
-                .unwrap();
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let run = |shards: usize| -> Vec<(i64, i64)> {
+            let (db, wal_path, ckpt_path) = file_db(mode, &format!("equiv{shards}"), shards);
+            assert_eq!(db.config().mode, mode);
+            for i in 0..40i64 {
+                db.with_txn(|txn| db.insert(txn, "t", row![i, i * 10]).map(|_| ()))
+                    .unwrap();
             }
-        }
-        // An aborted write leaves no trace.
-        let mut txn = db.begin();
-        db.insert(&mut txn, "t", row![999, 999]).unwrap();
-        db.abort(&mut txn);
-        db.wal().sync();
-        drop(db);
+            // Fold the prefix into the checkpoint image; recovery must stitch
+            // image + sharded tail back together.
+            db.checkpoint().unwrap();
+            for i in 0..40i64 {
+                if i % 3 == 0 {
+                    db.with_txn(|txn| {
+                        let (rid, _) = db
+                            .get_by_pk(txn, "t", &[Value::Int(i)], LockPolicy::Exclusive)?
+                            .unwrap();
+                        db.update(txn, "t", rid, row![i, i * 10 + 1]).map(|_| ())
+                    })
+                    .unwrap();
+                } else if i % 3 == 1 {
+                    db.with_txn(|txn| {
+                        let (rid, _) = db
+                            .get_by_pk(txn, "t", &[Value::Int(i)], LockPolicy::Exclusive)?
+                            .unwrap();
+                        db.delete(txn, "t", rid).map(|_| ())
+                    })
+                    .unwrap();
+                }
+            }
+            // An aborted write leaves no trace.
+            let mut txn = db.begin();
+            db.insert(&mut txn, "t", row![999, 999]).unwrap();
+            db.abort(&mut txn);
+            db.wal().sync();
+            drop(db);
 
-        let rows = recovered_rows(&wal_path, &ckpt_path);
-        remove_wal_shards(&wal_path);
-        let _ = std::fs::remove_file(&ckpt_path);
-        rows
-    };
+            let rows = recovered_rows(mode, &wal_path, &ckpt_path);
+            remove_wal_shards(&wal_path);
+            let _ = std::fs::remove_file(&ckpt_path);
+            rows
+        };
 
-    let single = run(1);
-    let sharded = run(4);
-    assert!(!single.is_empty());
-    assert_eq!(
-        single, sharded,
-        "shard count must not change recovered state"
-    );
+        let single = run(1);
+        let sharded = run(4);
+        assert!(!single.is_empty());
+        assert_eq!(
+            single, sharded,
+            "shard count must not change recovered state"
+        );
+    }
 }
 
 /// Every `commit_nowait` whose ticket was awaited must survive recovery:
 /// an acknowledged-durable commit is a promise.
 #[test]
 fn acked_nowait_commits_survive_recovery() {
-    let (db, wal_path, ckpt_path) = file_db("nowait", 4);
-    let db = Arc::new(db);
-    let handles: Vec<_> = (0..4)
-        .map(|w| {
-            let db = Arc::clone(&db);
-            std::thread::spawn(move || {
-                let mut tickets = Vec::new();
-                for i in 0..25i64 {
-                    let id = (w as i64) * 100 + i;
-                    let mut txn = db.begin();
-                    db.insert(&mut txn, "t", row![id, id]).unwrap();
-                    tickets.push(db.commit_nowait(&mut txn).unwrap());
-                }
-                // Await durability only after enqueueing the whole batch,
-                // so flushes overlap with later commits.
-                for t in &tickets {
-                    t.wait();
-                }
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let (db, wal_path, ckpt_path) = file_db(mode, "nowait", 4);
+        assert_eq!(db.config().mode, mode);
+        let db = Arc::new(db);
+        let handles: Vec<_> = (0..4)
+            .map(|w| {
+                let db = Arc::clone(&db);
+                std::thread::spawn(move || {
+                    let mut tickets = Vec::new();
+                    for i in 0..25i64 {
+                        let id = (w as i64) * 100 + i;
+                        let mut txn = db.begin();
+                        db.insert(&mut txn, "t", row![id, id]).unwrap();
+                        tickets.push(db.commit_nowait(&mut txn).unwrap());
+                    }
+                    // Await durability only after enqueueing the whole batch,
+                    // so flushes overlap with later commits.
+                    for t in &tickets {
+                        t.wait();
+                    }
+                })
             })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    // No sync: every awaited ticket already guarantees its commit is on
-    // disk, so recovery sees all 100 rows even without a drain.
-    let rows = recovered_rows(&wal_path, &ckpt_path);
-    assert_eq!(rows.len(), 100, "an acked-durable commit was lost");
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        // No sync: every awaited ticket already guarantees its commit is on
+        // disk, so recovery sees all 100 rows even without a drain.
+        let rows = recovered_rows(mode, &wal_path, &ckpt_path);
+        assert_eq!(rows.len(), 100, "an acked-durable commit was lost");
 
-    drop(db);
-    remove_wal_shards(&wal_path);
-    let _ = std::fs::remove_file(&ckpt_path);
+        drop(db);
+        remove_wal_shards(&wal_path);
+        let _ = std::fs::remove_file(&ckpt_path);
+    }
 }
 
 /// Regression for the cross-shard dependency hole: a crash can lose one
@@ -257,48 +282,52 @@ fn acked_nowait_commits_survive_recovery() {
 /// commit together with the lost batch it read from.
 #[test]
 fn lost_shard_batch_does_not_poison_recovery() {
-    let (db, wal_path, ckpt_path) = file_db("lostshard", 2);
-    // Transaction ids are assigned sequentially; spin until we hold one
-    // on the shard we want (discarded ones never wrote, so they leave
-    // no trace in the log).
-    let begin_on_shard = |want: usize| loop {
-        let txn = db.begin();
-        if shard_of(txn.id(), 2) == want {
-            return txn;
-        }
-    };
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let (db, wal_path, ckpt_path) = file_db(mode, "lostshard", 2);
+        assert_eq!(db.config().mode, mode);
+        // Transaction ids are assigned sequentially; spin until we hold one
+        // on the shard we want (discarded ones never wrote, so they leave
+        // no trace in the log).
+        let begin_on_shard = |want: usize| loop {
+            let txn = db.begin();
+            if shard_of(txn.id(), 2) == want {
+                return txn;
+            }
+        };
 
-    // Survivor: a shard-0 insert.
-    let mut t0 = begin_on_shard(0);
-    db.insert(&mut t0, "t", row![1, 10]).unwrap();
-    db.commit(&mut t0).unwrap();
-    // Casualty: a shard-1 insert (its file will vanish with the crash).
-    let mut t1 = begin_on_shard(1);
-    db.insert(&mut t1, "t", row![2, 20]).unwrap();
-    db.commit(&mut t1).unwrap();
-    // Dependent: a shard-0 update of the shard-1 row.
-    let mut t2 = begin_on_shard(0);
-    let (rid, _) = db
-        .get_by_pk(&mut t2, "t", &[Value::Int(2)], LockPolicy::Exclusive)
-        .unwrap()
-        .unwrap();
-    db.update(&mut t2, "t", rid, row![2, 21]).unwrap();
-    db.commit(&mut t2).unwrap();
-    db.wal().sync();
-    drop(db);
+        // Survivor: a shard-0 insert.
+        let mut t0 = begin_on_shard(0);
+        db.insert(&mut t0, "t", row![1, 10]).unwrap();
+        db.commit(&mut t0).unwrap();
+        // Casualty: a shard-1 insert (its file will vanish with the crash).
+        let mut t1 = begin_on_shard(1);
+        db.insert(&mut t1, "t", row![2, 20]).unwrap();
+        db.commit(&mut t1).unwrap();
+        // Dependent: a shard-0 update of the shard-1 row.
+        let mut t2 = begin_on_shard(0);
+        let (rid, _) = db
+            .get_by_pk(&mut t2, "t", &[Value::Int(2)], LockPolicy::Exclusive)
+            .unwrap()
+            .unwrap();
+        db.update(&mut t2, "t", rid, row![2, 21]).unwrap();
+        db.commit(&mut t2).unwrap();
+        db.wal().sync();
+        drop(db);
 
-    // Simulate the crash artifact: shard 1's flush never reached disk,
-    // so the merged stream has a gap where the insert of row 2 was.
-    std::fs::remove_file(shard_file_path(&wal_path, 1)).unwrap();
-    let rows = recovered_rows(&wal_path, &ckpt_path);
-    assert_eq!(
-        rows,
-        vec![(1, 10)],
-        "recovery must replay exactly the gap-free prefix"
-    );
+        // Simulate the crash artifact: shard 1's flush never reached disk,
+        // so the merged stream has a gap where the insert of row 2 was.
+        std::fs::remove_file(shard_file_path(&wal_path, 1)).unwrap();
+        let rows = recovered_rows(mode, &wal_path, &ckpt_path);
+        assert_eq!(
+            rows,
+            vec![(1, 10)],
+            "recovery must replay exactly the gap-free prefix"
+        );
 
-    remove_wal_shards(&wal_path);
-    let _ = std::fs::remove_file(&ckpt_path);
+        remove_wal_shards(&wal_path);
+        let _ = std::fs::remove_file(&ckpt_path);
+    }
 }
 
 /// Checkpoints racing live committers: the rotation must keep every
@@ -306,54 +335,58 @@ fn lost_shard_batch_does_not_poison_recovery() {
 /// sees exactly the committed rows no matter where the cut landed.
 #[test]
 fn checkpoint_racing_commits_loses_nothing() {
-    let (db, wal_path, ckpt_path) = file_db("ckptrace", 4);
-    let db = Arc::new(db);
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let (db, wal_path, ckpt_path) = file_db(mode, "ckptrace", 4);
+        assert_eq!(db.config().mode, mode);
+        let db = Arc::new(db);
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
-    let ckpt = {
-        let db = Arc::clone(&db);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut cuts = 0u32;
-            while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                db.checkpoint().unwrap();
-                cuts += 1;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            cuts
-        })
-    };
-
-    let writers: Vec<_> = (0..4)
-        .map(|w| {
+        let ckpt = {
             let db = Arc::clone(&db);
+            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                for i in 0..50i64 {
-                    let id = (w as i64) * 100 + i;
-                    db.with_txn(|txn| db.insert(txn, "t", row![id, id]).map(|_| ()))
-                        .unwrap();
+                let mut cuts = 0u32;
+                while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                    db.checkpoint().unwrap();
+                    cuts += 1;
+                    std::thread::sleep(Duration::from_millis(1));
                 }
+                cuts
             })
-        })
-        .collect();
-    for h in writers {
-        h.join().unwrap();
+        };
+
+        let writers: Vec<_> = (0..4)
+            .map(|w| {
+                let db = Arc::clone(&db);
+                std::thread::spawn(move || {
+                    for i in 0..50i64 {
+                        let id = (w as i64) * 100 + i;
+                        db.with_txn(|txn| db.insert(txn, "t", row![id, id]).map(|_| ()))
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in writers {
+            h.join().unwrap();
+        }
+        stop.store(true, std::sync::atomic::Ordering::Release);
+        let cuts = ckpt.join().unwrap();
+        assert!(cuts > 0, "checkpointer never ran");
+        db.wal().sync();
+        drop(db);
+
+        let rows = recovered_rows(mode, &wal_path, &ckpt_path);
+        assert_eq!(
+            rows.len(),
+            200,
+            "a checkpoint cut dropped a committed write"
+        );
+
+        remove_wal_shards(&wal_path);
+        let _ = std::fs::remove_file(&ckpt_path);
     }
-    stop.store(true, std::sync::atomic::Ordering::Release);
-    let cuts = ckpt.join().unwrap();
-    assert!(cuts > 0, "checkpointer never ran");
-    db.wal().sync();
-    drop(db);
-
-    let rows = recovered_rows(&wal_path, &ckpt_path);
-    assert_eq!(
-        rows.len(),
-        200,
-        "a checkpoint cut dropped a committed write"
-    );
-
-    remove_wal_shards(&wal_path);
-    let _ = std::fs::remove_file(&ckpt_path);
 }
 
 /// A registered retain horizon (a replication subscription's resume
@@ -361,51 +394,55 @@ fn checkpoint_racing_commits_loses_nothing() {
 /// horizon stays readable until the consumer releases it.
 #[test]
 fn checkpoint_truncation_respects_retain_horizon() {
-    let (db, wal_path, ckpt_path) = file_db("retain", 2);
-    for i in 0..30i64 {
-        db.with_txn(|txn| db.insert(txn, "t", row![i, i]).map(|_| ()))
-            .unwrap();
-    }
-    db.wal().sync();
-    let mid = db.wal().frontier() / 2;
-    let (retain_id, granted) = db.wal().register_retain(mid);
-    assert_eq!(
-        granted, mid,
-        "nothing truncated yet: horizon granted as asked"
-    );
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let (db, wal_path, ckpt_path) = file_db(mode, "retain", 2);
+        assert_eq!(db.config().mode, mode);
+        for i in 0..30i64 {
+            db.with_txn(|txn| db.insert(txn, "t", row![i, i]).map(|_| ()))
+                .unwrap();
+        }
+        db.wal().sync();
+        let mid = db.wal().frontier() / 2;
+        let (retain_id, granted) = db.wal().register_retain(mid);
+        assert_eq!(
+            granted, mid,
+            "nothing truncated yet: horizon granted as asked"
+        );
 
-    for i in 30..60i64 {
-        db.with_txn(|txn| db.insert(txn, "t", row![i, i]).map(|_| ()))
-            .unwrap();
-    }
-    db.wal().sync();
-    db.checkpoint().unwrap();
-    assert_eq!(
-        db.wal().base_lsn(),
-        mid,
-        "truncation must clamp to the registered retain horizon"
-    );
-    let (tail, _) = db.wal().durable_records_from(mid, usize::MAX);
-    assert!(
-        !tail.is_empty() && tail[0].0 == mid,
-        "the retained tail must still be streamable from the horizon"
-    );
+        for i in 30..60i64 {
+            db.with_txn(|txn| db.insert(txn, "t", row![i, i]).map(|_| ()))
+                .unwrap();
+        }
+        db.wal().sync();
+        db.checkpoint().unwrap();
+        assert_eq!(
+            db.wal().base_lsn(),
+            mid,
+            "truncation must clamp to the registered retain horizon"
+        );
+        let (tail, _) = db.wal().durable_records_from(mid, usize::MAX);
+        assert!(
+            !tail.is_empty() && tail[0].0 == mid,
+            "the retained tail must still be streamable from the horizon"
+        );
 
-    // Release, write a little more (so the next safe cut moves), and the
-    // next checkpoint reclaims the formerly pinned tail.
-    db.wal().release_retain(retain_id);
-    for i in 60..70i64 {
-        db.with_txn(|txn| db.insert(txn, "t", row![i, i]).map(|_| ()))
-            .unwrap();
-    }
-    db.wal().sync();
-    db.checkpoint().unwrap();
-    assert!(
-        db.wal().base_lsn() > mid,
-        "released horizon must stop pinning truncation"
-    );
+        // Release, write a little more (so the next safe cut moves), and the
+        // next checkpoint reclaims the formerly pinned tail.
+        db.wal().release_retain(retain_id);
+        for i in 60..70i64 {
+            db.with_txn(|txn| db.insert(txn, "t", row![i, i]).map(|_| ()))
+                .unwrap();
+        }
+        db.wal().sync();
+        db.checkpoint().unwrap();
+        assert!(
+            db.wal().base_lsn() > mid,
+            "released horizon must stop pinning truncation"
+        );
 
-    drop(db);
-    remove_wal_shards(&wal_path);
-    let _ = std::fs::remove_file(&ckpt_path);
+        drop(db);
+        remove_wal_shards(&wal_path);
+        let _ = std::fs::remove_file(&ckpt_path);
+    }
 }

@@ -24,6 +24,10 @@
 //!   `STATUS` until replication lag is zero.
 //! - `repld shutdown --addr <addr>` — remote graceful shutdown.
 //!
+//! `primary` and `replica` take their engine mode from the deployment
+//! setting `BULLFROG_ENGINE_MODE` (`2pl` when unset, or `si`); an
+//! unknown mode is refused at startup.
+//!
 //! HA flags (`primary`/`replica`/`witness`): `--ha-self <addr>
 //! --ha-members <a,b,c>` join the static quorum group (all three must
 //! list the same members); `--lease-ms N` sets the lease TTL (default
@@ -34,7 +38,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bullfrog_core::{Bullfrog, ClientAccess};
-use bullfrog_engine::{CheckpointPolicy, Database, DbConfig};
+use bullfrog_engine::{CheckpointPolicy, Database, DbConfig, EngineMode};
 use bullfrog_ha::{HaConfig, HaMember, HaNode, Role};
 use bullfrog_net::wire::HaReq;
 use bullfrog_net::{Client, Server, ServerConfig};
@@ -173,6 +177,7 @@ fn run_primary(opts: &Opts) {
             max_flushed_bytes: 0,
             poll_interval: Duration::from_millis(50),
         }),
+        mode: engine_mode(),
         ..DbConfig::default()
     };
     // restore() handles the empty-directory case too: no sidecar, no
@@ -226,17 +231,17 @@ fn run_primary(opts: &Opts) {
 fn run_replica(opts: &Opts) {
     let listen = opts.require("--listen");
     let primary = opts.require("--primary");
+    let config = DbConfig {
+        mode: engine_mode(),
+        ..DbConfig::default()
+    };
     // A promotable replica wants a file-backed WAL + epoch sidecar: the
     // promotion's epoch bump must survive a restart of this process.
-    let (config, wal_path) = match opts.get("--wal-dir") {
-        Some(wal_dir) => {
-            let dir = std::path::PathBuf::from(&wal_dir);
-            std::fs::create_dir_all(&dir)
-                .unwrap_or_else(|e| fail(&format!("create {wal_dir}: {e}")));
-            (DbConfig::default(), Some(dir.join("repld.wal")))
-        }
-        None => (DbConfig::default(), None),
-    };
+    let wal_path = opts.get("--wal-dir").map(|wal_dir| {
+        let dir = std::path::PathBuf::from(&wal_dir);
+        std::fs::create_dir_all(&dir).unwrap_or_else(|e| fail(&format!("create {wal_dir}: {e}")));
+        dir.join("repld.wal")
+    });
     let db = Arc::new(match &wal_path {
         Some(path) => Database::with_wal_file(config, path)
             .unwrap_or_else(|e| fail(&format!("open WAL: {e}"))),
@@ -465,6 +470,12 @@ fn parse_sync_policy(s: &str) -> SyncPolicy {
     fail(&format!(
         "--sync-policy must be block or degrade:<ms>, got {s}"
     ))
+}
+
+/// The deployment's engine mode ([`EngineMode::from_env`]); an unknown
+/// one is fatal.
+fn engine_mode() -> EngineMode {
+    EngineMode::from_env().unwrap_or_else(|e| fail(&format!("BULLFROG_ENGINE_MODE: {e}")))
 }
 
 fn connect(addr: &str) -> Client {

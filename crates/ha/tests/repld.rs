@@ -6,14 +6,17 @@
 mod daemon;
 
 use std::collections::HashSet;
+use std::io::Read;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bullfrog_common::Row;
+use bullfrog_engine::EngineMode;
 use bullfrog_ha::FailoverClient;
 use bullfrog_net::{Client, ClientError};
-use daemon::{run, scratch_dir, wait_until, Daemon, DEADLINE};
+use daemon::{run, scratch_dir, wait_exit, wait_until, Daemon, DEADLINE};
 
 const REPLD: &str = env!("CARGO_BIN_EXE_repld");
 const INITIAL_BALANCE: i64 = 1000;
@@ -60,10 +63,10 @@ fn next_pair(state: &mut u64, n: i64) -> (i64, i64) {
     (a, b)
 }
 
-fn spawn_primary(wal_dir: &std::path::Path) -> Daemon {
+fn spawn_primary(mode: EngineMode, wal_dir: &std::path::Path) -> Daemon {
     let wal_dir = wal_dir.to_str().unwrap();
     let args = ["primary", "--listen", "127.0.0.1:0", "--wal-dir", wal_dir];
-    Daemon::spawn(REPLD, "primary", &args)
+    Daemon::spawn(REPLD, "primary", mode, &args)
 }
 
 fn sorted_rows(addr: &str, sql: &str) -> Result<Vec<Row>, ClientError> {
@@ -78,69 +81,98 @@ fn sorted_rows(addr: &str, sql: &str) -> Result<Vec<Row>, ClientError> {
 /// both daemons exit 0 on `SHUTDOWN`.
 #[test]
 fn primary_and_replica_daemons() {
-    let dir = scratch_dir("primary_and_replica_daemons");
-    let mut primary = spawn_primary(&dir);
-    let p_addr = primary.addr().to_string();
-    let mut replica = Daemon::spawn(
-        REPLD,
-        "replica",
-        &["replica", "--listen", "127.0.0.1:0", "--primary", &p_addr],
-    );
-    let r_addr = replica.addr().to_string();
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let dir = scratch_dir("primary_and_replica_daemons");
+        let mut primary = spawn_primary(mode, &dir);
+        let p_addr = primary.addr().to_string();
+        let mut replica = Daemon::spawn(
+            REPLD,
+            "replica",
+            mode,
+            &["replica", "--listen", "127.0.0.1:0", "--primary", &p_addr],
+        );
+        let r_addr = replica.addr().to_string();
+        primary.assert_engine_mode(mode);
+        replica.assert_engine_mode(mode);
 
-    let mut admin = Client::connect(p_addr.as_str()).expect("admin connect");
-    load_accounts(64, 8, |sql| {
-        admin.execute(sql).expect(sql);
-    });
-    for id in 0..64 {
+        let mut admin = Client::connect(p_addr.as_str()).expect("admin connect");
+        load_accounts(64, 8, |sql| {
+            admin.execute(sql).expect(sql);
+        });
+        for id in 0..64 {
+            admin
+                .execute(&format!(
+                    "UPDATE accounts SET balance = balance + {id} WHERE id = {id}"
+                ))
+                .expect("update");
+        }
         admin
-            .execute(&format!(
-                "UPDATE accounts SET balance = balance + {id} WHERE id = {id}"
-            ))
-            .expect("update");
+            .execute("CREATE TABLE accounts_v2 AS (SELECT id, owner, balance FROM accounts) PRIMARY KEY (id)")
+            .expect("submit migration");
+        wait_until("the migration completing on the primary", DEADLINE, || {
+            stat_is(&p_addr, "migration.complete", |v| v == 1)
+        });
+        admin
+            .execute("FINALIZE MIGRATION DROP OLD")
+            .expect("finalize");
+
+        run(
+            REPLD,
+            &["wait-zero-lag", "--addr", &r_addr, "--timeout-secs", "25"],
+        );
+        let sql = "SELECT id, owner, balance FROM accounts_v2";
+        let want = sorted_rows(&p_addr, sql).expect("primary scan");
+        assert_eq!(want.len(), 64);
+        wait_until(
+            "the replica serving the primary's accounts_v2",
+            DEADLINE,
+            || sorted_rows(&r_addr, sql).is_ok_and(|rows| rows == want),
+        );
+
+        let full = run(REPLD, &["status", "--addr", &r_addr, "--full"]);
+        assert!(
+            full.lines().any(|l| l == "repl.role_replica = 1"),
+            "replica status --full: {full}"
+        );
+        let line = run(REPLD, &["status", "--addr", &r_addr]);
+        assert!(line.starts_with("role=replica "), "replica status: {line}");
+        let line = run(REPLD, &["status", "--addr", &p_addr]);
+        let p99: u64 = line
+            .split_whitespace()
+            .find_map(|kv| kv.strip_prefix("commit_p99_us="))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no commit_p99_us in primary status: {line}"));
+        assert!(p99 > 0, "primary status: {line}");
+
+        run(REPLD, &["shutdown", "--addr", &r_addr]);
+        run(REPLD, &["shutdown", "--addr", &p_addr]);
+        replica.assert_clean_exit();
+        primary.assert_clean_exit();
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    admin
-        .execute("CREATE TABLE accounts_v2 AS (SELECT id, owner, balance FROM accounts) PRIMARY KEY (id)")
-        .expect("submit migration");
-    wait_until("the migration completing on the primary", DEADLINE, || {
-        stat_is(&p_addr, "migration.complete", |v| v == 1)
-    });
-    admin
-        .execute("FINALIZE MIGRATION DROP OLD")
-        .expect("finalize");
 
-    run(
-        REPLD,
-        &["wait-zero-lag", "--addr", &r_addr, "--timeout-secs", "25"],
-    );
-    let sql = "SELECT id, owner, balance FROM accounts_v2";
-    let want = sorted_rows(&p_addr, sql).expect("primary scan");
-    assert_eq!(want.len(), 64);
-    wait_until(
-        "the replica serving the primary's accounts_v2",
-        DEADLINE,
-        || sorted_rows(&r_addr, sql).is_ok_and(|rows| rows == want),
-    );
-
-    let full = run(REPLD, &["status", "--addr", &r_addr, "--full"]);
+    // An unknown engine mode is refused at startup, naming the value.
+    let dir = scratch_dir("primary_and_replica_daemons");
+    let mut child = Command::new(REPLD)
+        .args(["primary", "--listen", "127.0.0.1:0", "--wal-dir"])
+        .arg(&dir)
+        .env("BULLFROG_ENGINE_MODE", "bogus")
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn repld primary");
+    let status = wait_exit(&mut child, "repld primary with a bogus mode", DEADLINE);
+    let mut stderr = String::new();
+    let _ = child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr);
+    assert!(!status.success(), "a bogus mode must not start: {stderr}");
     assert!(
-        full.lines().any(|l| l == "repl.role_replica = 1"),
-        "replica status --full: {full}"
+        stderr.contains("bogus"),
+        "stderr must name the mode: {stderr}"
     );
-    let line = run(REPLD, &["status", "--addr", &r_addr]);
-    assert!(line.starts_with("role=replica "), "replica status: {line}");
-    let line = run(REPLD, &["status", "--addr", &p_addr]);
-    let p99: u64 = line
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("commit_p99_us="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("no commit_p99_us in primary status: {line}"));
-    assert!(p99 > 0, "primary status: {line}");
-
-    run(REPLD, &["shutdown", "--addr", &r_addr]);
-    run(REPLD, &["shutdown", "--addr", &p_addr]);
-    replica.assert_clean_exit();
-    primary.assert_clean_exit();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -150,7 +182,7 @@ fn a_panicking_test_leaks_no_daemon() {
     let dir = scratch_dir("a_panicking_test_leaks_no_daemon");
     let spawned = Mutex::new(None);
     let outcome = std::panic::catch_unwind(|| {
-        let primary = spawn_primary(&dir);
+        let primary = spawn_primary(EngineMode::TwoPL, &dir);
         *spawned.lock().unwrap() = Some((primary.pid(), primary.addr().to_string()));
         panic!("deliberate panic with a live daemon");
     });
@@ -230,198 +262,203 @@ fn wait_complete_ha(fc: &mut FailoverClient, what: &str) {
 /// completion on the survivor.
 #[test]
 fn sigkill_primary_mid_migration_loses_no_acked_commit() {
-    const CLIENTS: usize = 8;
-    const ACCOUNTS: i64 = 256;
-    const OWNERS: i64 = 16;
-    let dir = scratch_dir("sigkill_primary_mid_migration_loses_no_acked_commit");
-    let (p_addr, r_addr, w_addr) = (free_addr(), free_addr(), free_addr());
-    let members = vec![p_addr.clone(), r_addr.clone(), w_addr.clone()];
-    let member_list = members.join(",");
-    let member = |role: &str, addr: &str, extra: &[&str]| {
-        let wal_dir = dir.join(role);
-        let mut args = vec![
-            role,
-            "--listen",
-            addr,
-            "--wal-dir",
-            wal_dir.to_str().unwrap(),
-            "--ha-self",
-            addr,
-            "--ha-members",
-            &member_list,
-            "--lease-ms",
-            "800",
-        ];
-        args.extend_from_slice(extra);
-        Daemon::spawn(REPLD, role, &args)
-    };
-    let mut primary = member(
-        "primary",
-        &p_addr,
-        &["--sync-replicas", "1", "--sync-policy", "block"],
-    );
-    let mut replica = member("replica", &r_addr, &["--primary", &p_addr]);
-    let mut witness = member("witness", &w_addr, &[]);
-    // SYNC_REPLICAS 1 + BLOCK: no commit acks until the replica is
-    // subscribed, so wait for it before the first write.
-    wait_until("the replica subscribing to the primary", DEADLINE, || {
-        stat_is(&p_addr, "repl.replicas", |v| v >= 1)
-    });
-
-    let mut admin = FailoverClient::new(members.clone());
-    admin
-        .execute("CREATE TABLE txlog (tid INT, src INT, dst INT, PRIMARY KEY (tid))")
-        .expect("create txlog");
-    load_accounts(ACCOUNTS, OWNERS, |sql| {
-        admin.execute(sql).expect(sql);
-    });
-
-    let on_v2 = Arc::new(AtomicBool::new(false));
-    let stop = Arc::new(AtomicBool::new(false));
-    let tids = Arc::new(AtomicI64::new(1));
-    let acked = Arc::new(Mutex::new(Vec::new()));
-    let workers: Vec<_> = (0..CLIENTS as u64)
-        .map(|w| {
-            let (on_v2, stop, tids, acked) = (
-                Arc::clone(&on_v2),
-                Arc::clone(&stop),
-                Arc::clone(&tids),
-                Arc::clone(&acked),
-            );
-            let members = members.clone();
-            std::thread::spawn(move || {
-                let mut fc = FailoverClient::new(members);
-                let mut rng = 42 + w;
-                let mut ops = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    let table = if on_v2.load(Ordering::Acquire) {
-                        "accounts_v2"
-                    } else {
-                        "accounts"
-                    };
-                    let (a, b) = next_pair(&mut rng, ACCOUNTS);
-                    if let Some(tid) = transfer_ha(&mut fc, table, a, b, &tids) {
-                        acked.lock().unwrap().push(tid);
-                    }
-                    ops += 1;
-                    if ops.is_multiple_of(5) {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-                fc.reroutes
-            })
-        })
-        .collect();
-
-    // Synchronous traffic first, then the flip mid-traffic.
-    std::thread::sleep(Duration::from_millis(250));
-    admin
-        .execute("CREATE TABLE accounts_v2 AS (SELECT id, owner, balance FROM accounts) PRIMARY KEY (id)")
-        .expect("submit bitmap migration");
-    on_v2.store(true, Ordering::Release);
-    // The survivor can only finish a migration it has heard about.
-    wait_until("the migration DDL reaching the replica", DEADLINE, || {
-        stat_is(&r_addr, "migration.active", |v| v >= 1)
-    });
-    primary.kill();
-
-    // The lease lapses, the witness's vote makes the majority, and the
-    // epoch bump lands in the survivor's WAL.
-    run(
-        REPLD,
-        &["wait-promoted", "--addr", &r_addr, "--timeout-secs", "30"],
-    );
-    // Traffic keeps flowing through re-routed clients while respawned
-    // sweepers finish the migration on the survivor.
-    wait_complete_ha(&mut admin, "the 1:1 migration completing on the survivor");
-    std::thread::sleep(Duration::from_millis(250));
-    stop.store(true, Ordering::Release);
-    let reroutes: u64 = workers.into_iter().map(|w| w.join().expect("worker")).sum();
-    assert!(
-        reroutes >= 1,
-        "no client re-routed: the kill fell outside the traffic window"
-    );
-    admin
-        .execute("FINALIZE MIGRATION DROP OLD")
-        .expect("finalize bitmap migration on the survivor");
-
-    // The audit. `txlog` is ground truth: every acked tid is in it, and
-    // replaying it reproduces every balance.
-    let (_, logged) = admin
-        .query_rows("SELECT tid, src, dst FROM txlog")
-        .expect("scan txlog");
-    let mut applied = HashSet::new();
-    let mut expected = vec![INITIAL_BALANCE; ACCOUNTS as usize];
-    for row in &logged {
-        let tid = row[0].as_i64().unwrap();
-        assert!(applied.insert(tid), "txlog tid {tid} applied twice");
-        expected[row[1].as_i64().unwrap() as usize] -= 7;
-        expected[row[2].as_i64().unwrap() as usize] += 7;
-    }
-    let acked = acked.lock().unwrap().clone();
-    let lost: Vec<i64> = acked
-        .iter()
-        .copied()
-        .filter(|t| !applied.contains(t))
-        .collect();
-    assert!(
-        lost.is_empty(),
-        "{} acked commits lost across failover: {lost:?}",
-        lost.len()
-    );
-    let (_, rows) = admin
-        .query_rows("SELECT id, balance FROM accounts_v2")
-        .expect("scan accounts_v2");
-    assert_eq!(rows.len() as i64, ACCOUNTS, "row count changed");
-    for row in &rows {
-        let id = row[0].as_i64().unwrap();
-        assert_eq!(
-            row[1].as_i64().unwrap(),
-            expected[id as usize],
-            "account {id} diverged from the txlog replay across failover"
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        const CLIENTS: usize = 8;
+        const ACCOUNTS: i64 = 256;
+        const OWNERS: i64 = 16;
+        let dir = scratch_dir("sigkill_primary_mid_migration_loses_no_acked_commit");
+        let (p_addr, r_addr, w_addr) = (free_addr(), free_addr(), free_addr());
+        let members = vec![p_addr.clone(), r_addr.clone(), w_addr.clone()];
+        let member_list = members.join(",");
+        let member = |role: &str, addr: &str, extra: &[&str]| {
+            let wal_dir = dir.join(role);
+            let mut args = vec![
+                role,
+                "--listen",
+                addr,
+                "--wal-dir",
+                wal_dir.to_str().unwrap(),
+                "--ha-self",
+                addr,
+                "--ha-members",
+                &member_list,
+                "--lease-ms",
+                "800",
+            ];
+            args.extend_from_slice(extra);
+            Daemon::spawn(REPLD, role, mode, &args)
+        };
+        let mut primary = member(
+            "primary",
+            &p_addr,
+            &["--sync-replicas", "1", "--sync-policy", "block"],
         );
+        let mut replica = member("replica", &r_addr, &["--primary", &p_addr]);
+        let mut witness = member("witness", &w_addr, &[]);
+        primary.assert_engine_mode(mode);
+        replica.assert_engine_mode(mode);
+        // SYNC_REPLICAS 1 + BLOCK: no commit acks until the replica is
+        // subscribed, so wait for it before the first write.
+        wait_until("the replica subscribing to the primary", DEADLINE, || {
+            stat_is(&p_addr, "repl.replicas", |v| v >= 1)
+        });
+
+        let mut admin = FailoverClient::new(members.clone());
+        admin
+            .execute("CREATE TABLE txlog (tid INT, src INT, dst INT, PRIMARY KEY (tid))")
+            .expect("create txlog");
+        load_accounts(ACCOUNTS, OWNERS, |sql| {
+            admin.execute(sql).expect(sql);
+        });
+
+        let on_v2 = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        let tids = Arc::new(AtomicI64::new(1));
+        let acked = Arc::new(Mutex::new(Vec::new()));
+        let workers: Vec<_> = (0..CLIENTS as u64)
+            .map(|w| {
+                let (on_v2, stop, tids, acked) = (
+                    Arc::clone(&on_v2),
+                    Arc::clone(&stop),
+                    Arc::clone(&tids),
+                    Arc::clone(&acked),
+                );
+                let members = members.clone();
+                std::thread::spawn(move || {
+                    let mut fc = FailoverClient::new(members);
+                    let mut rng = 42 + w;
+                    let mut ops = 0u64;
+                    while !stop.load(Ordering::Acquire) {
+                        let table = if on_v2.load(Ordering::Acquire) {
+                            "accounts_v2"
+                        } else {
+                            "accounts"
+                        };
+                        let (a, b) = next_pair(&mut rng, ACCOUNTS);
+                        if let Some(tid) = transfer_ha(&mut fc, table, a, b, &tids) {
+                            acked.lock().unwrap().push(tid);
+                        }
+                        ops += 1;
+                        if ops.is_multiple_of(5) {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    fc.reroutes
+                })
+            })
+            .collect();
+
+        // Synchronous traffic first, then the flip mid-traffic.
+        std::thread::sleep(Duration::from_millis(250));
+        admin
+            .execute("CREATE TABLE accounts_v2 AS (SELECT id, owner, balance FROM accounts) PRIMARY KEY (id)")
+            .expect("submit bitmap migration");
+        on_v2.store(true, Ordering::Release);
+        // The survivor can only finish a migration it has heard about.
+        wait_until("the migration DDL reaching the replica", DEADLINE, || {
+            stat_is(&r_addr, "migration.active", |v| v >= 1)
+        });
+        primary.kill();
+
+        // The lease lapses, the witness's vote makes the majority, and the
+        // epoch bump lands in the survivor's WAL.
+        run(
+            REPLD,
+            &["wait-promoted", "--addr", &r_addr, "--timeout-secs", "30"],
+        );
+        // Traffic keeps flowing through re-routed clients while respawned
+        // sweepers finish the migration on the survivor.
+        wait_complete_ha(&mut admin, "the 1:1 migration completing on the survivor");
+        std::thread::sleep(Duration::from_millis(250));
+        stop.store(true, Ordering::Release);
+        let reroutes: u64 = workers.into_iter().map(|w| w.join().expect("worker")).sum();
+        assert!(
+            reroutes >= 1,
+            "no client re-routed: the kill fell outside the traffic window"
+        );
+        admin
+            .execute("FINALIZE MIGRATION DROP OLD")
+            .expect("finalize bitmap migration on the survivor");
+
+        // The audit. `txlog` is ground truth: every acked tid is in it, and
+        // replaying it reproduces every balance.
+        let (_, logged) = admin
+            .query_rows("SELECT tid, src, dst FROM txlog")
+            .expect("scan txlog");
+        let mut applied = HashSet::new();
+        let mut expected = vec![INITIAL_BALANCE; ACCOUNTS as usize];
+        for row in &logged {
+            let tid = row[0].as_i64().unwrap();
+            assert!(applied.insert(tid), "txlog tid {tid} applied twice");
+            expected[row[1].as_i64().unwrap() as usize] -= 7;
+            expected[row[2].as_i64().unwrap() as usize] += 7;
+        }
+        let acked = acked.lock().unwrap().clone();
+        let lost: Vec<i64> = acked
+            .iter()
+            .copied()
+            .filter(|t| !applied.contains(t))
+            .collect();
+        assert!(
+            lost.is_empty(),
+            "{} acked commits lost across failover: {lost:?}",
+            lost.len()
+        );
+        let (_, rows) = admin
+            .query_rows("SELECT id, balance FROM accounts_v2")
+            .expect("scan accounts_v2");
+        assert_eq!(rows.len() as i64, ACCOUNTS, "row count changed");
+        for row in &rows {
+            let id = row[0].as_i64().unwrap();
+            assert_eq!(
+                row[1].as_i64().unwrap(),
+                expected[id as usize],
+                "account {id} diverged from the txlog replay across failover"
+            );
+        }
+
+        // The n:1 migration runs to completion on the promoted survivor.
+        admin
+            .execute(
+                "CREATE TABLE owner_totals AS (SELECT owner, SUM(balance) AS total \
+                 FROM accounts_v2 GROUP BY owner) PRIMARY KEY (owner)",
+            )
+            .expect("submit hash migration on the survivor");
+        wait_complete_ha(&mut admin, "the n:1 migration completing on the survivor");
+        admin
+            .execute("FINALIZE MIGRATION")
+            .expect("finalize hash migration");
+        let (_, totals) = admin
+            .query_rows("SELECT owner, total FROM owner_totals")
+            .expect("scan owner_totals");
+        assert_eq!(totals.len() as i64, OWNERS, "one group per owner");
+        let grand: i64 = totals.iter().map(|r| r[1].as_i64().unwrap()).sum();
+        assert_eq!(
+            grand,
+            ACCOUNTS * INITIAL_BALANCE,
+            "aggregation must conserve the total"
+        );
+
+        // Fencing evidence on the survivor: a bumped epoch and the lead.
+        let mut survivor = Client::connect(r_addr.as_str()).expect("survivor connect");
+        let state = survivor.ha_state().expect("survivor HA state");
+        assert_eq!(state.role, "leader", "survivor must lead after promotion");
+        assert!(state.epoch >= 1, "promotion must bump the fencing epoch");
+        assert_eq!(
+            stat(
+                &survivor.status().expect("survivor status"),
+                "repl.promoted"
+            ),
+            1
+        );
+
+        survivor.shutdown_server().expect("survivor shutdown");
+        replica.assert_clean_exit();
+        Client::connect(w_addr.as_str())
+            .and_then(|mut c| c.shutdown_server())
+            .expect("witness shutdown");
+        witness.assert_clean_exit();
+        let _ = std::fs::remove_dir_all(&dir);
     }
-
-    // The n:1 migration runs to completion on the promoted survivor.
-    admin
-        .execute(
-            "CREATE TABLE owner_totals AS (SELECT owner, SUM(balance) AS total \
-             FROM accounts_v2 GROUP BY owner) PRIMARY KEY (owner)",
-        )
-        .expect("submit hash migration on the survivor");
-    wait_complete_ha(&mut admin, "the n:1 migration completing on the survivor");
-    admin
-        .execute("FINALIZE MIGRATION")
-        .expect("finalize hash migration");
-    let (_, totals) = admin
-        .query_rows("SELECT owner, total FROM owner_totals")
-        .expect("scan owner_totals");
-    assert_eq!(totals.len() as i64, OWNERS, "one group per owner");
-    let grand: i64 = totals.iter().map(|r| r[1].as_i64().unwrap()).sum();
-    assert_eq!(
-        grand,
-        ACCOUNTS * INITIAL_BALANCE,
-        "aggregation must conserve the total"
-    );
-
-    // Fencing evidence on the survivor: a bumped epoch and the lead.
-    let mut survivor = Client::connect(r_addr.as_str()).expect("survivor connect");
-    let state = survivor.ha_state().expect("survivor HA state");
-    assert_eq!(state.role, "leader", "survivor must lead after promotion");
-    assert!(state.epoch >= 1, "promotion must bump the fencing epoch");
-    assert_eq!(
-        stat(
-            &survivor.status().expect("survivor status"),
-            "repl.promoted"
-        ),
-        1
-    );
-
-    survivor.shutdown_server().expect("survivor shutdown");
-    replica.assert_clean_exit();
-    Client::connect(w_addr.as_str())
-        .and_then(|mut c| c.shutdown_server())
-        .expect("witness shutdown");
-    witness.assert_clean_exit();
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -484,7 +484,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let scheduler = CheckpointScheduler::from_config(bf.db());
         let obs = Arc::clone(bf.db().obs());
-        let wal_shard_keys = (0..DurabilityStats::capture(bf.db()).shards.len())
+        let wal_shard_keys = (0..bf.db().wal().shard_count())
             .map(|i| {
                 [
                     obs.intern(&format!("wal.shard{i}.flushes")),
@@ -1249,9 +1249,9 @@ fn metrics_snapshot(shared: &Shared) -> bullfrog_obs::MetricsSnapshot {
         .set(shared.active.load(Ordering::Acquire) as i64);
     obs.gauge("server.parked_connections")
         .set(shared.conns.lock().unwrap().len() as i64);
-    let d = DurabilityStats::capture(shared.bf.db());
-    obs.gauge("wal.durable_lsn").set(d.durable_lsn as i64);
-    obs.gauge("wal.log_len").set(d.log_len as i64);
+    let wal = shared.bf.db().wal();
+    obs.gauge("wal.durable_lsn").set(wal.durable_lsn() as i64);
+    obs.gauge("wal.log_len").set(wal.len() as i64);
     obs.gauge("mvcc.versions")
         .set(shared.bf.db().version_count() as i64);
     match shared.bf.progress() {

@@ -39,8 +39,6 @@ struct Harness {
     admin: Client,
 }
 
-const MODES: [EngineMode; 2] = [EngineMode::TwoPL, EngineMode::Snapshot];
-
 /// A server in `mode`, in-memory, or with its WAL under `wal_dir` and a
 /// background checkpointer.
 fn boot(mode: EngineMode, wal_dir: Option<&std::path::Path>) -> Harness {
@@ -210,7 +208,8 @@ fn scan_retry(c: &mut Client, sql: &str) -> Vec<bullfrog_common::Row> {
 
 #[test]
 fn bitmap_migration_is_exactly_once_under_remote_contention() {
-    for mode in MODES {
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
         bitmap_race(mode, None);
     }
     let dir = std::env::temp_dir().join(format!(
@@ -289,7 +288,8 @@ fn bitmap_race(mode: EngineMode, wal_dir: Option<&std::path::Path>) {
 
 #[test]
 fn hash_migration_aggregates_exactly_once_under_remote_contention() {
-    for mode in MODES {
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
         hash_race(mode);
     }
 }

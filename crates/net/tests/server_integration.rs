@@ -407,7 +407,8 @@ fn rolled_back_writes_do_not_count_as_rows_written() {
 /// `sessions.statements`.
 #[test]
 fn metrics_snapshot_matches_status_in_both_engine_modes() {
-    for mode in [EngineMode::TwoPL, EngineMode::Snapshot] {
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
         let db = Arc::new(Database::with_config(DbConfig {
             mode,
             ..DbConfig::default()

@@ -494,7 +494,7 @@ impl std::fmt::Debug for ReplicationSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bullfrog_engine::Database;
+    use bullfrog_engine::{Database, DbConfig, EngineMode};
 
     /// The leak this guards against: a subscription thread that dies
     /// (panic, killed replica mid-handshake) between registering its
@@ -504,43 +504,57 @@ mod tests {
     /// unwind.
     #[test]
     fn killed_subscriber_does_not_pin_checkpoint_truncation() {
-        let db = Arc::new(Database::new());
-        let wal = db.wal();
-        assert_eq!(wal.retain_floor(), None);
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = Arc::new(Database::with_config(DbConfig {
+                mode,
+                ..DbConfig::default()
+            }));
+            assert_eq!(db.config().mode, mode);
+            let wal = db.wal();
+            assert_eq!(wal.retain_floor(), None);
 
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let (retain, granted) = RetainGuard::register(wal, 3);
-            assert_eq!(granted, 3);
-            assert_eq!(wal.retain_floor(), Some(3), "horizon registered");
-            retain.advance(7);
-            assert_eq!(wal.retain_floor(), Some(7));
-            panic!("subscriber thread dies mid-stream");
-        }));
-        assert!(result.is_err(), "the closure must have panicked");
-        assert_eq!(
-            wal.retain_floor(),
-            None,
-            "a dead subscriber must release its retain horizon"
-        );
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let (retain, granted) = RetainGuard::register(wal, 3);
+                assert_eq!(granted, 3);
+                assert_eq!(wal.retain_floor(), Some(3), "horizon registered");
+                retain.advance(7);
+                assert_eq!(wal.retain_floor(), Some(7));
+                panic!("subscriber thread dies mid-stream");
+            }));
+            assert!(result.is_err(), "the closure must have panicked");
+            assert_eq!(
+                wal.retain_floor(),
+                None,
+                "a dead subscriber must release its retain horizon"
+            );
+        }
     }
 
     /// Same scope-tied cleanup for the peer table and sync gate: a dead
     /// subscriber must stop counting toward SYNC_REPLICAS quorums.
     #[test]
     fn killed_subscriber_leaves_peer_table_and_gate() {
-        let bf = Arc::new(Bullfrog::new(Arc::new(Database::new())));
-        let journal = Arc::new(DdlJournal::in_memory());
-        let sender = ReplicationSender::new(Arc::clone(&bf), journal);
-        let gate = bf.db().wal().sync_gate();
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let bf = Arc::new(Bullfrog::new(Arc::new(Database::with_config(DbConfig {
+                mode,
+                ..DbConfig::default()
+            }))));
+            assert_eq!(bf.db().config().mode, mode);
+            let journal = Arc::new(DdlJournal::in_memory());
+            let sender = ReplicationSender::new(Arc::clone(&bf), journal);
+            let gate = bf.db().wal().sync_gate();
 
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _peer = PeerGuard::register(&sender, 0);
-            assert_eq!(sender.replica_count(), 1);
-            assert_eq!(gate.peer_count(), 1);
-            panic!("subscriber thread dies mid-stream");
-        }));
-        assert!(result.is_err(), "the closure must have panicked");
-        assert_eq!(sender.replica_count(), 0, "peer entry must be removed");
-        assert_eq!(gate.peer_count(), 0, "gate slot must be removed");
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _peer = PeerGuard::register(&sender, 0);
+                assert_eq!(sender.replica_count(), 1);
+                assert_eq!(gate.peer_count(), 1);
+                panic!("subscriber thread dies mid-stream");
+            }));
+            assert!(result.is_err(), "the closure must have panicked");
+            assert_eq!(sender.replica_count(), 0, "peer entry must be removed");
+            assert_eq!(gate.peer_count(), 0, "gate slot must be removed");
+        }
     }
 }

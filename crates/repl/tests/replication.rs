@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bullfrog_core::{Bullfrog, ClientAccess};
-use bullfrog_engine::{Database, DbConfig};
+use bullfrog_engine::{Database, DbConfig, EngineMode};
 use bullfrog_net::{err_code, Client, ClientError, Server, ServerConfig};
 use bullfrog_repl::{restore, DdlJournal, Replica, ReplicationSender};
 use bullfrog_txn::wal::shard_file_path;
@@ -25,11 +25,21 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// A file-backed primary serving SQL + replication on an ephemeral
 /// loopback port.
-fn start_primary(dir: &std::path::Path) -> (Server, Arc<Bullfrog>, Arc<ReplicationSender>) {
+fn start_primary(
+    mode: EngineMode,
+    dir: &std::path::Path,
+) -> (Server, Arc<Bullfrog>, Arc<ReplicationSender>) {
     let wal_path = dir.join("primary.wal");
     let db = Arc::new(
-        Database::with_wal_file_opts(DbConfig::default(), &wal_path, WalOptions::default())
-            .expect("file-backed primary"),
+        Database::with_wal_file_opts(
+            DbConfig {
+                mode,
+                ..DbConfig::default()
+            },
+            &wal_path,
+            WalOptions::default(),
+        )
+        .expect("file-backed primary"),
     );
     let bf = Arc::new(Bullfrog::new(db));
     let journal = Arc::new(DdlJournal::open(DdlJournal::path_for(&wal_path)).expect("ddl journal"));
@@ -47,8 +57,11 @@ fn start_primary(dir: &std::path::Path) -> (Server, Arc<Bullfrog>, Arc<Replicati
 }
 
 /// An in-memory replica following `primary_addr`, serving read-only SQL.
-fn start_replica(primary_addr: std::net::SocketAddr) -> (Server, Replica) {
-    let bf = Arc::new(Bullfrog::new(Arc::new(Database::new())));
+fn start_replica(mode: EngineMode, primary_addr: std::net::SocketAddr) -> (Server, Replica) {
+    let bf = Arc::new(Bullfrog::new(Arc::new(Database::with_config(DbConfig {
+        mode,
+        ..DbConfig::default()
+    }))));
     let replica = Replica::start(primary_addr.to_string(), Arc::clone(&bf));
     let server = Server::bind(
         ("127.0.0.1", 0),
@@ -127,190 +140,198 @@ fn assert_converged(
 /// replica that must converge to identical scans after each drain.
 #[test]
 fn replica_converges_through_mid_stream_migrations() {
-    let dir = scratch_dir("converge");
-    let (server, bf, sender) = start_primary(&dir);
-    let addr = server.local_addr();
-    let (rserver, replica) = start_replica(addr);
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let dir = scratch_dir("converge");
+        let (server, bf, sender) = start_primary(mode, &dir);
+        assert_eq!(bf.db().config().mode, mode);
+        let addr = server.local_addr();
+        let (rserver, replica) = start_replica(mode, addr);
 
-    let mut admin = Client::connect(addr).expect("admin");
-    admin
-        .execute("CREATE TABLE accounts (id INT, owner CHAR(8), balance INT, PRIMARY KEY (id))")
-        .unwrap();
-    let values: Vec<String> = (0..64)
-        .map(|i| format!("({i}, 'o{}', 100)", i % 8))
-        .collect();
-    admin
-        .execute(&format!(
-            "INSERT INTO accounts VALUES {}",
-            values.join(", ")
-        ))
-        .unwrap();
+        let mut admin = Client::connect(addr).expect("admin");
+        admin
+            .execute("CREATE TABLE accounts (id INT, owner CHAR(8), balance INT, PRIMARY KEY (id))")
+            .unwrap();
+        let values: Vec<String> = (0..64)
+            .map(|i| format!("({i}, 'o{}', 100)", i % 8))
+            .collect();
+        admin
+            .execute(&format!(
+                "INSERT INTO accounts VALUES {}",
+                values.join(", ")
+            ))
+            .unwrap();
 
-    // Concurrent writers transferring balance; they swap tables when the
-    // migration flips.
-    let on_v2 = Arc::new(AtomicBool::new(false));
-    let stop = Arc::new(AtomicBool::new(false));
-    let committed = Arc::new(AtomicU64::new(0));
-    let workers: Vec<_> = (0..4)
-        .map(|w| {
-            let on_v2 = Arc::clone(&on_v2);
-            let stop = Arc::clone(&stop);
-            let committed = Arc::clone(&committed);
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("worker");
-                let mut i: i64 = w;
-                while !stop.load(Ordering::Acquire) {
-                    let table = if on_v2.load(Ordering::Acquire) {
-                        "accounts_v2"
-                    } else {
-                        "accounts"
-                    };
-                    let a = i.rem_euclid(64);
-                    let b = (i + 17).rem_euclid(64);
-                    i += 13;
-                    let mut txn = || -> Result<(), ClientError> {
-                        client.execute("BEGIN")?;
-                        client.execute(&format!(
-                            "UPDATE {table} SET balance = balance - 3 WHERE id = {a}"
-                        ))?;
-                        client.execute(&format!(
-                            "UPDATE {table} SET balance = balance + 3 WHERE id = {b}"
-                        ))?;
-                        client.execute("COMMIT")?;
-                        Ok(())
-                    };
-                    match txn() {
-                        Ok(()) => {
-                            committed.fetch_add(1, Ordering::Relaxed);
+        // Concurrent writers transferring balance; they swap tables when the
+        // migration flips.
+        let on_v2 = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        let committed = Arc::new(AtomicU64::new(0));
+        let workers: Vec<_> = (0..4)
+            .map(|w| {
+                let on_v2 = Arc::clone(&on_v2);
+                let stop = Arc::clone(&stop);
+                let committed = Arc::clone(&committed);
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).expect("worker");
+                    let mut i: i64 = w;
+                    while !stop.load(Ordering::Acquire) {
+                        let table = if on_v2.load(Ordering::Acquire) {
+                            "accounts_v2"
+                        } else {
+                            "accounts"
+                        };
+                        let a = i.rem_euclid(64);
+                        let b = (i + 17).rem_euclid(64);
+                        i += 13;
+                        let mut txn = || -> Result<(), ClientError> {
+                            client.execute("BEGIN")?;
+                            client.execute(&format!(
+                                "UPDATE {table} SET balance = balance - 3 WHERE id = {a}"
+                            ))?;
+                            client.execute(&format!(
+                                "UPDATE {table} SET balance = balance + 3 WHERE id = {b}"
+                            ))?;
+                            client.execute("COMMIT")?;
+                            Ok(())
+                        };
+                        match txn() {
+                            Ok(()) => {
+                                committed.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(ClientError::Server { .. }) => {} // retry next round
+                            Err(e) => panic!("transport: {e}"),
                         }
-                        Err(ClientError::Server { .. }) => {} // retry next round
-                        Err(e) => panic!("transport: {e}"),
+                        std::thread::sleep(Duration::from_millis(1));
                     }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                })
             })
-        })
-        .collect();
+            .collect();
 
-    // Mid-stream 1:1 (bitmap) migration.
-    std::thread::sleep(Duration::from_millis(60));
-    admin
-        .execute(
-            "CREATE TABLE accounts_v2 AS (SELECT id, owner, balance FROM accounts) \
-             PRIMARY KEY (id)",
-        )
-        .unwrap();
-    on_v2.store(true, Ordering::Release);
-    wait_complete(&mut admin, Duration::from_secs(20));
+        // Mid-stream 1:1 (bitmap) migration.
+        std::thread::sleep(Duration::from_millis(60));
+        admin
+            .execute(
+                "CREATE TABLE accounts_v2 AS (SELECT id, owner, balance FROM accounts) \
+                 PRIMARY KEY (id)",
+            )
+            .unwrap();
+        on_v2.store(true, Ordering::Release);
+        wait_complete(&mut admin, Duration::from_secs(20));
 
-    // Quiesce before the scan comparison.
-    stop.store(true, Ordering::Release);
-    for w in workers {
-        w.join().unwrap();
+        // Quiesce before the scan comparison.
+        stop.store(true, Ordering::Release);
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert!(
+            committed.load(Ordering::Relaxed) > 0,
+            "no traffic committed"
+        );
+        admin.execute("FINALIZE MIGRATION DROP OLD").unwrap();
+
+        let mut rclient = Client::connect(rserver.local_addr()).expect("replica client");
+        assert_converged(
+            &bf,
+            &replica,
+            &mut admin,
+            &mut rclient,
+            "SELECT id, owner, balance FROM accounts_v2",
+        );
+
+        // Mid-stream n:1 (hash) migration: lazy point reads + background
+        // sweeps complete it, then the replica must match the aggregate.
+        admin
+            .execute(
+                "CREATE TABLE owner_totals AS (SELECT owner, SUM(balance) AS total \
+                 FROM accounts_v2 GROUP BY owner) PRIMARY KEY (owner)",
+            )
+            .unwrap();
+        for o in 0..8 {
+            let _ = admin.query_rows(&format!(
+                "SELECT owner, total FROM owner_totals WHERE owner = 'o{o}'"
+            ));
+        }
+        wait_complete(&mut admin, Duration::from_secs(20));
+        admin.execute("FINALIZE MIGRATION").unwrap();
+        assert_converged(
+            &bf,
+            &replica,
+            &mut admin,
+            &mut rclient,
+            "SELECT owner, total FROM owner_totals",
+        );
+
+        // The replica rebuilt tracker state from shipped granule records.
+        assert!(
+            replica.stats().granules_mirrored.load(Ordering::Acquire) > 0,
+            "no granules mirrored"
+        );
+        assert_eq!(sender.replica_count(), 1);
+
+        drop((server, rserver, replica));
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(
-        committed.load(Ordering::Relaxed) > 0,
-        "no traffic committed"
-    );
-    admin.execute("FINALIZE MIGRATION DROP OLD").unwrap();
-
-    let mut rclient = Client::connect(rserver.local_addr()).expect("replica client");
-    assert_converged(
-        &bf,
-        &replica,
-        &mut admin,
-        &mut rclient,
-        "SELECT id, owner, balance FROM accounts_v2",
-    );
-
-    // Mid-stream n:1 (hash) migration: lazy point reads + background
-    // sweeps complete it, then the replica must match the aggregate.
-    admin
-        .execute(
-            "CREATE TABLE owner_totals AS (SELECT owner, SUM(balance) AS total \
-             FROM accounts_v2 GROUP BY owner) PRIMARY KEY (owner)",
-        )
-        .unwrap();
-    for o in 0..8 {
-        let _ = admin.query_rows(&format!(
-            "SELECT owner, total FROM owner_totals WHERE owner = 'o{o}'"
-        ));
-    }
-    wait_complete(&mut admin, Duration::from_secs(20));
-    admin.execute("FINALIZE MIGRATION").unwrap();
-    assert_converged(
-        &bf,
-        &replica,
-        &mut admin,
-        &mut rclient,
-        "SELECT owner, total FROM owner_totals",
-    );
-
-    // The replica rebuilt tracker state from shipped granule records.
-    assert!(
-        replica.stats().granules_mirrored.load(Ordering::Acquire) > 0,
-        "no granules mirrored"
-    );
-    assert_eq!(sender.replica_count(), 1);
-
-    drop((server, rserver, replica));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Replicas answer reads and bounce writes with a retryable READ_ONLY
 /// error naming the primary.
 #[test]
 fn replica_serves_reads_and_rejects_writes() {
-    let dir = scratch_dir("readonly");
-    let (server, bf, _sender) = start_primary(&dir);
-    let addr = server.local_addr();
-    let (rserver, replica) = start_replica(addr);
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let dir = scratch_dir("readonly");
+        let (server, bf, _sender) = start_primary(mode, &dir);
+        assert_eq!(bf.db().config().mode, mode);
+        let addr = server.local_addr();
+        let (rserver, replica) = start_replica(mode, addr);
 
-    let mut admin = Client::connect(addr).expect("admin");
-    admin
-        .execute("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))")
-        .unwrap();
-    admin
-        .execute("INSERT INTO kv VALUES (1, 10), (2, 20)")
-        .unwrap();
+        let mut admin = Client::connect(addr).expect("admin");
+        admin
+            .execute("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))")
+            .unwrap();
+        admin
+            .execute("INSERT INTO kv VALUES (1, 10), (2, 20)")
+            .unwrap();
 
-    let mut rclient = Client::connect(rserver.local_addr()).expect("replica client");
-    assert_converged(
-        &bf,
-        &replica,
-        &mut admin,
-        &mut rclient,
-        "SELECT k, v FROM kv",
-    );
+        let mut rclient = Client::connect(rserver.local_addr()).expect("replica client");
+        assert_converged(
+            &bf,
+            &replica,
+            &mut admin,
+            &mut rclient,
+            "SELECT k, v FROM kv",
+        );
 
-    for sql in [
-        "INSERT INTO kv VALUES (3, 30)",
-        "UPDATE kv SET v = 0 WHERE k = 1",
-        "DELETE FROM kv WHERE k = 2",
-        "CREATE TABLE nope (x INT, PRIMARY KEY (x))",
-        "BEGIN",
-    ] {
-        match rclient.execute(sql) {
-            Err(ClientError::Server {
-                retryable,
-                code,
-                message,
-            }) => {
-                assert!(retryable, "{sql}: read-only rejection must be retryable");
-                assert_eq!(code, err_code::READ_ONLY, "{sql}: wrong code");
-                assert!(
-                    message.contains(&addr.to_string()),
-                    "{sql}: error must name the primary ({message})"
-                );
+        for sql in [
+            "INSERT INTO kv VALUES (3, 30)",
+            "UPDATE kv SET v = 0 WHERE k = 1",
+            "DELETE FROM kv WHERE k = 2",
+            "CREATE TABLE nope (x INT, PRIMARY KEY (x))",
+            "BEGIN",
+        ] {
+            match rclient.execute(sql) {
+                Err(ClientError::Server {
+                    retryable,
+                    code,
+                    message,
+                }) => {
+                    assert!(retryable, "{sql}: read-only rejection must be retryable");
+                    assert_eq!(code, err_code::READ_ONLY, "{sql}: wrong code");
+                    assert!(
+                        message.contains(&addr.to_string()),
+                        "{sql}: error must name the primary ({message})"
+                    );
+                }
+                other => panic!("{sql} on replica: expected READ_ONLY, got {other:?}"),
             }
-            other => panic!("{sql} on replica: expected READ_ONLY, got {other:?}"),
         }
-    }
-    // The connection is still usable for reads afterwards.
-    assert_eq!(sorted_rows(&mut rclient, "SELECT k, v FROM kv").len(), 2);
+        // The connection is still usable for reads afterwards.
+        assert_eq!(sorted_rows(&mut rclient, "SELECT k, v FROM kv").len(), 2);
 
-    drop((server, rserver, replica));
-    let _ = std::fs::remove_dir_all(&dir);
+        drop((server, rserver, replica));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// A replica whose resume point has been truncated away re-bootstraps
@@ -318,56 +339,60 @@ fn replica_serves_reads_and_rejects_writes() {
 /// it ever connected, so LSN 0 is gone.
 #[test]
 fn truncated_log_forces_snapshot_bootstrap() {
-    let dir = scratch_dir("snapshot");
-    let (server, bf, _sender) = start_primary(&dir);
-    let addr = server.local_addr();
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let dir = scratch_dir("snapshot");
+        let (server, bf, _sender) = start_primary(mode, &dir);
+        assert_eq!(bf.db().config().mode, mode);
+        let addr = server.local_addr();
 
-    let mut admin = Client::connect(addr).expect("admin");
-    admin
-        .execute("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))")
-        .unwrap();
-    for k in 0..50 {
+        let mut admin = Client::connect(addr).expect("admin");
         admin
-            .execute(&format!("INSERT INTO kv VALUES ({k}, {})", k * 2))
+            .execute("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))")
             .unwrap();
+        for k in 0..50 {
+            admin
+                .execute(&format!("INSERT INTO kv VALUES ({k}, {})", k * 2))
+                .unwrap();
+        }
+        bf.db().wal().sync();
+        let stats = bf.db().checkpoint().expect("manual checkpoint");
+        assert!(
+            stats.cut_lsn > 0,
+            "checkpoint must have truncated something"
+        );
+        assert!(bf.db().wal().base_lsn() > 0, "log base must have moved");
+
+        // Now attach a fresh replica: subscribe-from-0 must be refused with
+        // SNAPSHOT_REQUIRED and the replica must bootstrap.
+        let (rserver, replica) = start_replica(mode, addr);
+        let mut rclient = Client::connect(rserver.local_addr()).expect("replica client");
+        assert_converged(
+            &bf,
+            &replica,
+            &mut admin,
+            &mut rclient,
+            "SELECT k, v FROM kv",
+        );
+        assert!(
+            replica.stats().snapshots.load(Ordering::Acquire) >= 1,
+            "replica must have bootstrapped from a snapshot: {:?}",
+            replica.stats()
+        );
+
+        // And it keeps streaming normally afterwards.
+        admin.execute("INSERT INTO kv VALUES (100, 200)").unwrap();
+        assert_converged(
+            &bf,
+            &replica,
+            &mut admin,
+            &mut rclient,
+            "SELECT k, v FROM kv",
+        );
+
+        drop((server, rserver, replica));
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    bf.db().wal().sync();
-    let stats = bf.db().checkpoint().expect("manual checkpoint");
-    assert!(
-        stats.cut_lsn > 0,
-        "checkpoint must have truncated something"
-    );
-    assert!(bf.db().wal().base_lsn() > 0, "log base must have moved");
-
-    // Now attach a fresh replica: subscribe-from-0 must be refused with
-    // SNAPSHOT_REQUIRED and the replica must bootstrap.
-    let (rserver, replica) = start_replica(addr);
-    let mut rclient = Client::connect(rserver.local_addr()).expect("replica client");
-    assert_converged(
-        &bf,
-        &replica,
-        &mut admin,
-        &mut rclient,
-        "SELECT k, v FROM kv",
-    );
-    assert!(
-        replica.stats().snapshots.load(Ordering::Acquire) >= 1,
-        "replica must have bootstrapped from a snapshot: {:?}",
-        replica.stats()
-    );
-
-    // And it keeps streaming normally afterwards.
-    admin.execute("INSERT INTO kv VALUES (100, 200)").unwrap();
-    assert_converged(
-        &bf,
-        &replica,
-        &mut admin,
-        &mut rclient,
-        "SELECT k, v FROM kv",
-    );
-
-    drop((server, rserver, replica));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Kill the primary mid-stream — with a migration still in flight — and
@@ -376,101 +401,113 @@ fn truncated_log_forces_snapshot_bootstrap() {
 /// primary must be able to finish the migration lazily.
 #[test]
 fn primary_restart_replica_reconverges() {
-    let dir = scratch_dir("restart");
-    let (server, bf, sender) = start_primary(&dir);
-    let addr = server.local_addr();
-    let (rserver, replica) = start_replica(addr);
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let dir = scratch_dir("restart");
+        let (server, bf, sender) = start_primary(mode, &dir);
+        assert_eq!(bf.db().config().mode, mode);
+        let addr = server.local_addr();
+        let (rserver, replica) = start_replica(mode, addr);
 
-    let mut admin = Client::connect(addr).expect("admin");
-    admin
-        .execute("CREATE TABLE accounts (id INT, owner CHAR(8), balance INT, PRIMARY KEY (id))")
-        .unwrap();
-    let values: Vec<String> = (0..40)
-        .map(|i| format!("({i}, 'o{}', 100)", i % 4))
-        .collect();
-    admin
-        .execute(&format!(
-            "INSERT INTO accounts VALUES {}",
-            values.join(", ")
-        ))
-        .unwrap();
+        let mut admin = Client::connect(addr).expect("admin");
+        admin
+            .execute("CREATE TABLE accounts (id INT, owner CHAR(8), balance INT, PRIMARY KEY (id))")
+            .unwrap();
+        let values: Vec<String> = (0..40)
+            .map(|i| format!("({i}, 'o{}', 100)", i % 4))
+            .collect();
+        admin
+            .execute(&format!(
+                "INSERT INTO accounts VALUES {}",
+                values.join(", ")
+            ))
+            .unwrap();
 
-    // Submit the migration and kill the primary while it is in flight
-    // (no FINALIZE): trackers must survive via journal + granule
-    // records.
-    admin
-        .execute(
-            "CREATE TABLE accounts_v2 AS (SELECT id, owner, balance FROM accounts) \
-             PRIMARY KEY (id)",
+        // Submit the migration and kill the primary while it is in flight
+        // (no FINALIZE): trackers must survive via journal + granule
+        // records.
+        admin
+            .execute(
+                "CREATE TABLE accounts_v2 AS (SELECT id, owner, balance FROM accounts) \
+                 PRIMARY KEY (id)",
+            )
+            .unwrap();
+        // Touch a few slices so some granule records are committed.
+        for id in 0..10 {
+            let _ = admin.query_rows(&format!(
+                "SELECT id, balance FROM accounts_v2 WHERE id = {id}"
+            ));
+        }
+        let caught = {
+            bf.db().wal().sync();
+            let target = bf.db().wal().frontier();
+            replica.wait_caught_up(target, Duration::from_secs(20))
+        };
+        assert!(caught, "replica behind before the kill");
+
+        // Kill: drop every handle so the WAL files are closed before
+        // restore reopens them. The replica now spins in reconnect backoff.
+        let wal_path = dir.join("primary.wal");
+        drop(admin);
+        drop(server);
+        drop(sender);
+        drop(bf);
+
+        let (bf2, journal2, report) = restore(
+            &wal_path,
+            DbConfig {
+                mode,
+                ..DbConfig::default()
+            },
+            WalOptions::default(),
         )
-        .unwrap();
-    // Touch a few slices so some granule records are committed.
-    for id in 0..10 {
-        let _ = admin.query_rows(&format!(
-            "SELECT id, balance FROM accounts_v2 WHERE id = {id}"
-        ));
+        .expect("restore");
+        assert_eq!(bf2.db().config().mode, mode);
+        assert!(
+            report.ddl_applied >= 2,
+            "journal must replay DDL: {report:?}"
+        );
+        let sender2 = ReplicationSender::new(Arc::clone(&bf2), journal2);
+        let server2 = Server::bind(
+            ("127.0.0.1", 0),
+            Arc::clone(&bf2),
+            ServerConfig {
+                replication: Some(Arc::clone(&sender2) as _),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("rebind primary");
+        replica.set_primary(server2.local_addr().to_string());
+
+        let mut admin2 = Client::connect(server2.local_addr()).expect("admin after restart");
+        // Restore respawned the background sweepers, but don't rely on them
+        // here: a full scan migrates every remaining slice lazily, then
+        // finalize re-derives completeness from the trackers either way.
+        let rows = sorted_rows(&mut admin2, "SELECT id, owner, balance FROM accounts_v2");
+        assert_eq!(rows.len(), 40, "restored migration lost rows");
+        admin2.execute("FINALIZE MIGRATION DROP OLD").unwrap();
+        admin2
+            .execute("UPDATE accounts_v2 SET balance = balance + 1 WHERE id = 0")
+            .unwrap();
+
+        let mut rclient = Client::connect(rserver.local_addr()).expect("replica client");
+        assert_converged(
+            &bf2,
+            &replica,
+            &mut admin2,
+            &mut rclient,
+            "SELECT id, owner, balance FROM accounts_v2",
+        );
+        assert!(
+            replica.stats().reconnects.load(Ordering::Acquire) >= 1,
+            "replica must have reconnected after the restart"
+        );
+
+        drop((server2, rserver, replica));
+        // Shard files plus journal/sidecar live under dir.
+        let _ = shard_file_path(&wal_path, 1); // (referenced for clarity; dir removal covers all)
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let caught = {
-        bf.db().wal().sync();
-        let target = bf.db().wal().frontier();
-        replica.wait_caught_up(target, Duration::from_secs(20))
-    };
-    assert!(caught, "replica behind before the kill");
-
-    // Kill: drop every handle so the WAL files are closed before
-    // restore reopens them. The replica now spins in reconnect backoff.
-    let wal_path = dir.join("primary.wal");
-    drop(admin);
-    drop(server);
-    drop(sender);
-    drop(bf);
-
-    let (bf2, journal2, report) =
-        restore(&wal_path, DbConfig::default(), WalOptions::default()).expect("restore");
-    assert!(
-        report.ddl_applied >= 2,
-        "journal must replay DDL: {report:?}"
-    );
-    let sender2 = ReplicationSender::new(Arc::clone(&bf2), journal2);
-    let server2 = Server::bind(
-        ("127.0.0.1", 0),
-        Arc::clone(&bf2),
-        ServerConfig {
-            replication: Some(Arc::clone(&sender2) as _),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("rebind primary");
-    replica.set_primary(server2.local_addr().to_string());
-
-    let mut admin2 = Client::connect(server2.local_addr()).expect("admin after restart");
-    // Restore respawned the background sweepers, but don't rely on them
-    // here: a full scan migrates every remaining slice lazily, then
-    // finalize re-derives completeness from the trackers either way.
-    let rows = sorted_rows(&mut admin2, "SELECT id, owner, balance FROM accounts_v2");
-    assert_eq!(rows.len(), 40, "restored migration lost rows");
-    admin2.execute("FINALIZE MIGRATION DROP OLD").unwrap();
-    admin2
-        .execute("UPDATE accounts_v2 SET balance = balance + 1 WHERE id = 0")
-        .unwrap();
-
-    let mut rclient = Client::connect(rserver.local_addr()).expect("replica client");
-    assert_converged(
-        &bf2,
-        &replica,
-        &mut admin2,
-        &mut rclient,
-        "SELECT id, owner, balance FROM accounts_v2",
-    );
-    assert!(
-        replica.stats().reconnects.load(Ordering::Acquire) >= 1,
-        "replica must have reconnected after the restart"
-    );
-
-    drop((server2, rserver, replica));
-    // Shard files plus journal/sidecar live under dir.
-    let _ = shard_file_path(&wal_path, 1); // (referenced for clarity; dir removal covers all)
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Regression for sweeper respawn after restore: kill the primary while
@@ -479,66 +516,78 @@ fn primary_restart_replica_reconverges() {
 /// trackers must finish the migration on their own.
 #[test]
 fn restored_primary_finishes_migration_without_traffic() {
-    let dir = scratch_dir("respawn");
-    let (server, bf, sender) = start_primary(&dir);
-    let addr = server.local_addr();
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let dir = scratch_dir("respawn");
+        let (server, bf, sender) = start_primary(mode, &dir);
+        assert_eq!(bf.db().config().mode, mode);
+        let addr = server.local_addr();
 
-    let mut admin = Client::connect(addr).expect("admin");
-    admin
-        .execute("CREATE TABLE accounts (id INT, owner CHAR(8), balance INT, PRIMARY KEY (id))")
-        .unwrap();
-    let values: Vec<String> = (0..60)
-        .map(|i| format!("({i}, 'o{}', 100)", i % 4))
-        .collect();
-    admin
-        .execute(&format!(
-            "INSERT INTO accounts VALUES {}",
-            values.join(", ")
-        ))
-        .unwrap();
-    admin
-        .execute(
-            "CREATE TABLE accounts_v2 AS (SELECT id, owner, balance FROM accounts) \
-             PRIMARY KEY (id)",
+        let mut admin = Client::connect(addr).expect("admin");
+        admin
+            .execute("CREATE TABLE accounts (id INT, owner CHAR(8), balance INT, PRIMARY KEY (id))")
+            .unwrap();
+        let values: Vec<String> = (0..60)
+            .map(|i| format!("({i}, 'o{}', 100)", i % 4))
+            .collect();
+        admin
+            .execute(&format!(
+                "INSERT INTO accounts VALUES {}",
+                values.join(", ")
+            ))
+            .unwrap();
+        admin
+            .execute(
+                "CREATE TABLE accounts_v2 AS (SELECT id, owner, balance FROM accounts) \
+                 PRIMARY KEY (id)",
+            )
+            .unwrap();
+        // Touch a few slices so some (but not all) granule records are
+        // committed, then kill well inside the sweepers' start delay so the
+        // migration is genuinely in flight on disk.
+        for id in 0..5 {
+            let _ = admin.query_rows(&format!(
+                "SELECT id, balance FROM accounts_v2 WHERE id = {id}"
+            ));
+        }
+        let wal_path = dir.join("primary.wal");
+        drop(admin);
+        drop(server);
+        drop(sender);
+        drop(bf);
+
+        let (bf2, _journal2, report) = restore(
+            &wal_path,
+            DbConfig {
+                mode,
+                ..DbConfig::default()
+            },
+            WalOptions::default(),
         )
-        .unwrap();
-    // Touch a few slices so some (but not all) granule records are
-    // committed, then kill well inside the sweepers' start delay so the
-    // migration is genuinely in flight on disk.
-    for id in 0..5 {
-        let _ = admin.query_rows(&format!(
-            "SELECT id, balance FROM accounts_v2 WHERE id = {id}"
-        ));
+        .expect("restore");
+        assert_eq!(bf2.db().config().mode, mode);
+        assert!(
+            report.ddl_applied >= 2,
+            "journal must replay the migration DDL: {report:?}"
+        );
+        assert!(
+            bf2.active().is_some(),
+            "restored primary must have the in-flight migration active"
+        );
+
+        // No server, no clients: only the respawned sweepers can finish it.
+        assert!(
+            bf2.wait_migration_complete(Duration::from_secs(30)),
+            "respawned sweepers never completed the migration: {:?}",
+            bf2.progress()
+        );
+        bf2.finalize_migration(true).expect("finalize after sweep");
+        assert_eq!(
+            bf2.db().table("accounts_v2").unwrap().live_count(),
+            60,
+            "sweepers must have migrated every row"
+        );
+        bf2.shutdown_background();
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let wal_path = dir.join("primary.wal");
-    drop(admin);
-    drop(server);
-    drop(sender);
-    drop(bf);
-
-    let (bf2, _journal2, report) =
-        restore(&wal_path, DbConfig::default(), WalOptions::default()).expect("restore");
-    assert!(
-        report.ddl_applied >= 2,
-        "journal must replay the migration DDL: {report:?}"
-    );
-    assert!(
-        bf2.active().is_some(),
-        "restored primary must have the in-flight migration active"
-    );
-
-    // No server, no clients: only the respawned sweepers can finish it.
-    assert!(
-        bf2.wait_migration_complete(Duration::from_secs(30)),
-        "respawned sweepers never completed the migration: {:?}",
-        bf2.progress()
-    );
-    bf2.finalize_migration(true).expect("finalize after sweep");
-    assert_eq!(
-        bf2.db().table("accounts_v2").unwrap().live_count(),
-        60,
-        "sweepers must have migrated every row"
-    );
-    bf2.shutdown_background();
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,14 +14,6 @@ RUST_TEST_THREADS=16 cargo test -q -p bullfrog-txn wal
 RUST_TEST_THREADS=16 cargo test -q -p bullfrog-engine --test durability
 RUST_TEST_THREADS=16 cargo test -q -p bullfrog-txn lock
 
-echo "== suites under snapshot isolation =="
-BULLFROG_ENGINE_MODE=si cargo test -q -p bullfrog-net --test pipeline_prepared
-BULLFROG_ENGINE_MODE=si cargo test -q -p bullfrog-ha
-BULLFROG_ENGINE_MODE=si cargo test -q -p bullfrog-engine
-BULLFROG_ENGINE_MODE=si cargo test -q -p bullfrog-core
-BULLFROG_ENGINE_MODE=si cargo test -q -p bullfrog-repl
-BULLFROG_ENGINE_MODE=si cargo test -q -p bullfrog-cluster
-
 echo "== cluster scale bench (machine-readable JSON) =="
 BENCH_CLUSTER_JSON="$PWD/target/BENCH_cluster.json" \
   timeout 120 cargo bench -q -p bullfrog-bench --bench cluster_scale

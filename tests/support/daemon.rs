@@ -15,6 +15,8 @@ use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use bullfrog_engine::EngineMode;
+
 /// The longest any single wait on a child process may take.
 pub const DEADLINE: Duration = Duration::from_secs(30);
 
@@ -42,7 +44,7 @@ pub fn wait_until(what: &str, timeout: Duration, mut ready: impl FnMut() -> bool
 
 /// Polls a child until it exits; kills it and panics once `timeout` has
 /// passed.
-fn wait_exit(child: &mut Child, what: &str, timeout: Duration) -> ExitStatus {
+pub fn wait_exit(child: &mut Child, what: &str, timeout: Duration) -> ExitStatus {
     let deadline = Instant::now() + timeout;
     loop {
         if let Some(status) = child.try_wait().expect("poll child") {
@@ -86,11 +88,12 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Spawns `exe args…`, reads the address from its `serving on` line,
-    /// and connects once to it.
-    pub fn spawn(exe: &str, name: &str, args: &[&str]) -> Daemon {
+    /// Spawns `exe args…` in engine mode `mode`, reads the address from
+    /// its `serving on` line, and connects once to it.
+    pub fn spawn(exe: &str, name: &str, mode: EngineMode, args: &[&str]) -> Daemon {
         let mut child = Command::new(exe)
             .args(args)
+            .env("BULLFROG_ENGINE_MODE", mode.as_str())
             .stdout(Stdio::piped())
             .spawn()
             .unwrap_or_else(|e| panic!("spawn {name} ({exe}): {e}"));
@@ -124,6 +127,21 @@ impl Daemon {
     /// The address the daemon announced.
     pub fn addr(&self) -> &str {
         &self.addr
+    }
+
+    /// Asserts the daemon's `STATUS` reports `mode` as `engine.mode`
+    /// (0 under 2PL, 1 under snapshot isolation).
+    pub fn assert_engine_mode(&self, mode: EngineMode) {
+        let status = bullfrog_net::Client::connect(self.addr.as_str())
+            .and_then(|mut c| c.status())
+            .unwrap_or_else(|e| panic!("STATUS from {}: {e}", self.name));
+        let reported = status.iter().find(|(k, _)| k == "engine.mode");
+        assert_eq!(
+            reported.map(|(_, v)| *v),
+            Some(i64::from(mode.is_snapshot())),
+            "{} runs the wrong engine for {mode:?}",
+            self.name
+        );
     }
 
     /// The child's process id.
