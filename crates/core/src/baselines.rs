@@ -453,11 +453,15 @@ fn derive_mirror_rules(
     let (key_alias, key_exprs): (String, Vec<Expr>) = match s.tracking() {
         Tracking::PairHash { .. } => {
             return Err(Error::InvalidMigration(
-                "multi-step migration does not support pairwise tracking                  (a BullFrog-only option)"
+                "multi-step migration does not support pairwise tracking \
+                 (a BullFrog-only option)"
                     .into(),
             ))
         }
-        Tracking::Hash { key_alias, key_exprs } => (key_alias.clone(), key_exprs.clone()),
+        Tracking::Hash {
+            key_alias,
+            key_exprs,
+        } => (key_alias.clone(), key_exprs.clone()),
         Tracking::Bitmap { driving_alias, .. } => {
             let table = db.table(&s.spec.input(driving_alias).expect("resolved").table)?;
             let pk = table.schema().primary_key.clone();
@@ -585,16 +589,10 @@ fn copy_statement(
                 .into_iter()
                 .map(|(rid, _)| rid)
                 .collect();
-            // Under snapshot isolation a Shared read serves the txn's
-            // snapshot, which can predate a concurrent dual-written
-            // update or delete — the copier would resurrect the stale
-            // image. Exclusive reads observe the latest committed state
-            // in both engine modes.
-            let reread = if db.config().mode.is_snapshot() {
-                LockPolicy::Exclusive
-            } else {
-                LockPolicy::Shared
-            };
+            // A snapshot read can predate a concurrent dual-written
+            // update or delete, and the copier would resurrect the stale
+            // image: re-read the latest committed state.
+            let reread = db.latest_read_policy();
             for chunk in rids.chunks(batch.max(1)) {
                 db.with_txn_retry(20, |txn| {
                     let mut fresh = Vec::with_capacity(chunk.len());
@@ -654,15 +652,10 @@ fn copy_statement(
                             });
                         }
                         // Group contents must be committed, stable, and
-                        // *current* for the copied aggregate; Shared
-                        // reads under snapshot isolation would serve a
-                        // snapshot that can trail dual writes.
+                        // *current* for the copied aggregate; a snapshot
+                        // read can trail dual writes.
                         let mut opts = ExecOptions {
-                            lock: if db.config().mode.is_snapshot() {
-                                LockPolicy::Exclusive
-                            } else {
-                                LockPolicy::Shared
-                            },
+                            lock: db.latest_read_policy(),
                             ..Default::default()
                         };
                         if let Some(f) = filter {

@@ -26,7 +26,7 @@ use bullfrog_engine::exec::{execute_spec, strip_aliases, ExecOptions};
 use bullfrog_engine::{Database, LockPolicy};
 use bullfrog_query::{transpose, Expr};
 use bullfrog_txn::wal::GranuleKey;
-use bullfrog_txn::{LockKey, LockMode, LogRecord, Transaction};
+use bullfrog_txn::{LogRecord, Transaction};
 
 use crate::granule::{Granule, GranuleState, Tracker, WorkList};
 use crate::plan::{MigrationStatement, Tracking};
@@ -311,7 +311,8 @@ fn ensure_fk_targets(
         };
         if opts.fk_depth >= MAX_FK_DEPTH {
             return Err(Error::InvalidMigration(format!(
-                "foreign-key chain between migrating outputs deeper than {MAX_FK_DEPTH}                  (cycle through {})",
+                "foreign-key chain between migrating outputs deeper than {MAX_FK_DEPTH} \
+                 (cycle through {})",
                 fk.ref_table
             )));
         }
@@ -643,7 +644,9 @@ fn migrate_granule(
 /// committed prefix by construction. The flip quiesces pre-flip writers
 /// before migrations start (see the controller), so the value visible at
 /// any post-flip snapshot is the input row's final committed value — the
-/// same value the 2PL S lock would have waited for.
+/// same value the 2PL S lock would have waited for. Either way the reads
+/// are `LockPolicy::Shared` reads through the engine, which also lets the
+/// migration see its ally's (the suspended client's) uncommitted writes.
 fn execute_granule_spec(
     db: &Database,
     txn: &mut Transaction,
@@ -652,15 +655,6 @@ fn execute_granule_spec(
 ) -> Result<Vec<Row>> {
     let driving_alias = rt.driving_alias().to_owned();
     let driving_table = db.table(rt.driving_table())?;
-    let snap = txn.snapshot_ts();
-    // Visibility id for chain reads: the ally (the suspended client this
-    // migration runs on behalf of) when set, so a co-maintained client's
-    // own uncommitted input-table writes are migrated — the snapshot-mode
-    // analogue of the ally lock pass-through. The migration transaction
-    // itself never writes input tables, so its own id is only needed when
-    // there is no ally.
-    let vis = txn.ally().map(|a| a.0).unwrap_or(txn.id().0);
-
     let mut opts = ExecOptions {
         lock: LockPolicy::Shared,
         ..Default::default()
@@ -669,24 +663,13 @@ fn execute_granule_spec(
         (Tracking::Bitmap { granule_rows, .. }, Granule::Ordinal(go)) => {
             // The granule covers `granule_rows` consecutive row ordinals;
             // ALL its live rows migrate together (page granularity migrates
-            // the page, §4.4.3). Lock each row before reading it (2PL) or
-            // read its chain at the migration snapshot (SI).
+            // the page, §4.4.3).
             let slots = driving_table.heap().slots_per_page();
             let start = go * granule_rows;
             let mut rows: Vec<(RowId, Row)> = Vec::new();
-            if snap.is_none() {
-                db.lock(txn, LockKey::Table(driving_table.id()), LockMode::IS)?;
-            }
             for ordinal in start..start + granule_rows {
                 let rid = RowId::from_ordinal(ordinal, slots);
-                let row = match snap {
-                    Some(snap) => driving_table.heap().get_visible(rid, Some(vis), snap),
-                    None => {
-                        db.lock(txn, LockKey::Row(driving_table.id(), rid), LockMode::S)?;
-                        driving_table.heap().get(rid)
-                    }
-                };
-                if let Some(row) = row {
+                if let Some(row) = db.read_row(txn, &driving_table, rid, LockPolicy::Shared)? {
                     rows.push((rid, row));
                 }
             }
@@ -732,26 +715,12 @@ fn execute_granule_spec(
             let right_table = db.table(&spec.input(right_alias).expect("resolved").table)?;
             let left_rid = RowId::from_ordinal(l, driving_table.heap().slots_per_page());
             let right_rid = RowId::from_ordinal(r, right_table.heap().slots_per_page());
-            let (left_row, right_row) = match snap {
-                Some(snap) => (
-                    driving_table.heap().get_visible(left_rid, Some(vis), snap),
-                    right_table.heap().get_visible(right_rid, Some(vis), snap),
-                ),
-                None => {
-                    db.lock(txn, LockKey::Table(driving_table.id()), LockMode::IS)?;
-                    db.lock(txn, LockKey::Row(driving_table.id(), left_rid), LockMode::S)?;
-                    db.lock(txn, LockKey::Table(right_table.id()), LockMode::IS)?;
-                    db.lock(txn, LockKey::Row(right_table.id(), right_rid), LockMode::S)?;
-                    (
-                        driving_table.heap().get(left_rid),
-                        right_table.heap().get(right_rid),
-                    )
-                }
-            };
-            let left_rows = left_row
+            let left_rows = db
+                .read_row(txn, &driving_table, left_rid, LockPolicy::Shared)?
                 .map(|row| vec![(left_rid, row)])
                 .unwrap_or_default();
-            let right_rows = right_row
+            let right_rows = db
+                .read_row(txn, &right_table, right_rid, LockPolicy::Shared)?
                 .map(|row| vec![(right_rid, row)])
                 .unwrap_or_default();
             opts.driving = vec![

@@ -6,11 +6,11 @@ use std::time::Duration;
 
 use bullfrog_common::{row, ColumnDef, DataType, Row, TableSchema, Value};
 use bullfrog_core::{
-    BackgroundConfig, Bullfrog, BullfrogConfig, ClientAccess, EagerMigrator, MigrationPlan,
-    MigrationStatement, MultiStepMigrator, SchemaVersion,
+    BackgroundConfig, Bullfrog, BullfrogConfig, ClientAccess, EagerMigrator, JoinStrategy,
+    MigrationPlan, MigrationStatement, MultiStepMigrator, SchemaVersion,
 };
 use bullfrog_engine::{Database, DbConfig, EngineMode, LockPolicy};
-use bullfrog_query::{AggFunc, Expr, SelectSpec};
+use bullfrog_query::{AggFunc, ColRef, Expr, SelectSpec};
 
 fn seed_db(mode: EngineMode, rows: i64) -> Arc<Database> {
     let db = Arc::new(Database::with_config(DbConfig {
@@ -159,6 +159,43 @@ fn multistep_reads_old_until_caught_up() {
         assert_eq!(ms.version(), SchemaVersion::New);
         assert_eq!(db.table("items2").unwrap().live_count(), 500);
     }
+}
+
+#[test]
+fn multistep_rejects_pairwise_tracking() {
+    let db = seed_db(EngineMode::TwoPL, 0);
+    db.create_table(
+        TableSchema::new("cats", vec![ColumnDef::new("cat_id", DataType::Int)])
+            .with_primary_key(&["cat_id"]),
+    )
+    .unwrap();
+    let plan = MigrationPlan::new("item_cats").with_statement(
+        MigrationStatement::new(
+            TableSchema::new(
+                "item_cats",
+                vec![
+                    ColumnDef::new("i_id", DataType::Int),
+                    ColumnDef::new("cat_id", DataType::Int),
+                ],
+            )
+            .with_primary_key(&["i_id", "cat_id"]),
+            SelectSpec::new()
+                .from_table("items", "i")
+                .from_table("cats", "c")
+                .join_on(ColRef::new("i", "i_cat"), ColRef::new("c", "cat_id"))
+                .select("i_id", Expr::col("i", "i_id"))
+                .select("cat_id", Expr::col("c", "cat_id")),
+        )
+        .with_join_strategy(JoinStrategy::TuplePairs),
+    );
+    let err = MultiStepMigrator::new(Arc::clone(&db))
+        .register(plan)
+        .unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("does not support pairwise tracking (a BullFrog-only option)"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -122,6 +122,80 @@ pub enum LockPolicy {
     Exclusive,
 }
 
+impl LockPolicy {
+    /// The (table intent, row) lock modes the policy takes.
+    fn modes(self) -> Option<(LockMode, LockMode)> {
+        match self {
+            LockPolicy::None => None,
+            LockPolicy::Shared => Some((LockMode::IS, LockMode::S)),
+            LockPolicy::Exclusive => Some((LockMode::IX, LockMode::X)),
+        }
+    }
+}
+
+/// Which rows a read sees, and under which locks. [`View::of`] decides it
+/// once per read call; every row read in the engine goes through one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum View {
+    /// The latest heap state, each row read after the policy's lock on it.
+    Latest(LockPolicy),
+    /// The versions visible to transaction `id` at commit timestamp
+    /// `snap`, read without locks.
+    AsOf { id: u64, snap: u64 },
+}
+
+impl View {
+    /// A `Shared` read by a snapshot transaction reads as of its snapshot
+    /// (and marks the snapshot used); every other read, and every read
+    /// under 2PL, sees the latest state under `policy`'s locks. The
+    /// snapshot read's id is the transaction's ally when it has one: a
+    /// migration running on a suspended client's behalf sees that
+    /// client's uncommitted writes, as the ally lock pass-through lets it
+    /// under 2PL.
+    fn of(txn: &mut Transaction, policy: LockPolicy) -> View {
+        if policy == LockPolicy::Shared {
+            if let Some(snap) = txn.snapshot_ts() {
+                txn.mark_snapshot_used();
+                let id = txn.ally().unwrap_or(txn.id()).0;
+                return View::AsOf { id, snap };
+            }
+        }
+        View::Latest(policy)
+    }
+
+    /// The row locks the read takes.
+    fn locks(self) -> LockPolicy {
+        match self {
+            View::Latest(policy) => policy,
+            View::AsOf { .. } => LockPolicy::None,
+        }
+    }
+
+    fn get(self, t: &Table, rid: RowId) -> Option<Row> {
+        match self {
+            View::Latest(_) => t.heap().get(rid),
+            View::AsOf { id, snap } => t.heap().get_visible(rid, Some(id), snap),
+        }
+    }
+
+    fn scan(self, t: &Table, f: impl FnMut(RowId, &Row) -> bool) {
+        match self {
+            View::Latest(_) => t.heap().scan(f),
+            View::AsOf { id, snap } => t.heap().scan_visible(Some(id), snap, f),
+        }
+    }
+
+    /// Indexes track the latest state, so a probe is exact at a snapshot
+    /// only while the table has no committed version newer than it and no
+    /// write in flight (see `TableHeap::current_matches_snapshot`).
+    fn index_exact(self, t: &Table) -> bool {
+        match self {
+            View::Latest(_) => true,
+            View::AsOf { snap, .. } => t.heap().current_matches_snapshot(snap),
+        }
+    }
+}
+
 /// The database: catalog + lock manager + transaction manager + WAL.
 ///
 /// `Database` is `Send + Sync`; share it behind an `Arc` and drive each
@@ -621,17 +695,11 @@ impl Database {
         rid: RowId,
         policy: LockPolicy,
     ) -> Result<()> {
-        match policy {
-            LockPolicy::None => Ok(()),
-            LockPolicy::Shared => {
-                self.lock(txn, LockKey::Table(table.id()), LockMode::IS)?;
-                self.lock(txn, LockKey::Row(table.id(), rid), LockMode::S)
-            }
-            LockPolicy::Exclusive => {
-                self.lock(txn, LockKey::Table(table.id()), LockMode::IX)?;
-                self.lock(txn, LockKey::Row(table.id(), rid), LockMode::X)
-            }
-        }
+        let Some((intent, row)) = policy.modes() else {
+            return Ok(());
+        };
+        self.lock(txn, LockKey::Table(table.id()), intent)?;
+        self.lock(txn, LockKey::Row(table.id(), rid), row)
     }
 
     /// Snapshot-mode write admission for an in-place update/delete of
@@ -822,11 +890,9 @@ impl Database {
         self.read_row(txn, &t, rid, policy)
     }
 
-    /// Point read of `rid` in `t` under `policy`. Under
-    /// [`EngineMode::Snapshot`], `Shared` reads take no locks: they
-    /// traverse the row's version chain at the transaction's snapshot
-    /// timestamp (seeing their own uncommitted writes). `Exclusive` and
-    /// `None` behave as under 2PL.
+    /// Point read of `rid` in `t` under `policy`, through the read's
+    /// `View`: the policy's locks, then the latest row, or the row
+    /// visible at the transaction's snapshot.
     pub fn read_row(
         &self,
         txn: &mut Transaction,
@@ -834,17 +900,17 @@ impl Database {
         rid: RowId,
         policy: LockPolicy,
     ) -> Result<Option<Row>> {
-        if policy == LockPolicy::Shared {
-            if let Some(snap) = txn.snapshot_ts() {
-                txn.mark_snapshot_used();
-                return Ok(t.heap().get_visible(rid, Some(txn.id().0), snap));
-            }
-        }
-        self.lock_row_for(txn, t, rid, policy)?;
-        Ok(t.heap().get(rid))
+        let view = View::of(txn, policy);
+        self.lock_row_for(txn, t, rid, view.locks())?;
+        Ok(view.get(t, rid))
     }
 
-    /// Point read through the primary key.
+    /// Point read through the primary key. Under `View::Latest` the
+    /// probe is authoritative. At a snapshot the index may have moved on:
+    /// a probe hit counts only while its visible row still carries the
+    /// key, and a miss is final only while the index is exact for the
+    /// snapshot (checked after the probe); otherwise a visible scan
+    /// decides.
     pub fn get_by_pk(
         &self,
         txn: &mut Transaction,
@@ -854,58 +920,26 @@ impl Database {
     ) -> Result<Option<(RowId, Row)>> {
         txn.assert_active()?;
         let t = self.catalog.get(table)?;
-        if policy == LockPolicy::Shared {
-            if let Some(snap) = txn.snapshot_ts() {
-                txn.mark_snapshot_used();
-                return self.get_by_pk_visible(txn, &t, key, snap);
-            }
-        }
-        let Some((rid, _)) = t.get_by_pk(key) else {
-            return Ok(None);
-        };
-        self.lock_row_for(txn, &t, rid, policy)?;
-        // Re-read after locking: the row may have changed or vanished while
-        // we waited.
-        Ok(t.heap().get(rid).map(|row| (rid, row)))
-    }
-
-    /// Snapshot-mode pk lookup. Indexes track the *latest* state (entries
-    /// are removed at delete time and moved at update time), so a probe
-    /// alone can miss a row that is still visible at an older snapshot.
-    /// Probe first — when the hit's visible row still carries the key, it
-    /// is authoritative — and otherwise fall back to a visible scan.
-    fn get_by_pk_visible(
-        &self,
-        txn: &Transaction,
-        t: &Table,
-        key: &[Value],
-        snap: u64,
-    ) -> Result<Option<(RowId, Row)>> {
-        let pk = t.schema().pk_indices()?;
-        let matches_key =
-            |row: &Row| pk.len() == key.len() && pk.iter().zip(key).all(|(&i, v)| &row[i] == v);
+        let view = View::of(txn, policy);
         if let Some((rid, _)) = t.get_by_pk(key) {
-            if let Some(row) = t.heap().get_visible(rid, Some(txn.id().0), snap) {
-                if matches_key(&row) {
+            self.lock_row_for(txn, &t, rid, view.locks())?;
+            // Re-read after locking: the row may have changed or vanished
+            // while we waited.
+            if let Some(row) = view.get(&t, rid) {
+                if matches!(view, View::Latest(_)) || t.has_pk(&row, key) {
                     return Ok(Some((rid, row)));
                 }
             }
         }
-        // The probe missed (or its row no longer carries the key). When the
-        // heap's latest state matches the snapshot — checked *after* the
-        // probe — the pk index is authoritative for this snapshot too, so
-        // the miss is final and the O(n) fallback scan can be skipped.
-        if t.heap().current_matches_snapshot(snap) {
+        if view.index_exact(&t) {
             return Ok(None);
         }
         let mut found = None;
-        t.heap().scan_visible(Some(txn.id().0), snap, |rid, row| {
-            if matches_key(row) {
+        view.scan(&t, |rid, row| {
+            if t.has_pk(row, key) {
                 found = Some((rid, row.clone()));
-                false
-            } else {
-                true
             }
+            found.is_none()
         });
         Ok(found)
     }
@@ -922,93 +956,101 @@ impl Database {
     ) -> Result<Vec<(RowId, Row)>> {
         txn.assert_active()?;
         let t = self.catalog.get(table)?;
-        if policy == LockPolicy::Shared {
-            if let Some(snap) = txn.snapshot_ts() {
-                txn.mark_snapshot_used();
-                let scope = table_scope(&t);
-                // Indexes track the *latest* state, so in general an old
-                // snapshot must scan version chains. But when an index
-                // covers the predicate AND the table has no committed
-                // version newer than the snapshot and no write in flight,
-                // latest == snapshot and the index lookup is exact.
-                // Re-validate the gate after the candidate walk: a racing
-                // writer either still holds its pending marker or has
-                // installed a version above the snapshot, so it cannot
-                // slip through (see `TableHeap::current_matches_snapshot`).
-                // This is the hot path for background migration, whose
-                // granule reads run against a frozen old table.
-                if t.heap().current_matches_snapshot(snap) {
-                    if let Some(candidates) = self.index_candidates(&t, predicate) {
-                        let mut out = Vec::with_capacity(candidates.len());
-                        for rid in candidates {
-                            let Some(row) = t.heap().get_visible(rid, Some(txn.id().0), snap)
-                            else {
-                                continue;
-                            };
-                            let keep = match predicate {
-                                Some(p) => p.matches(&scope, &row)?,
-                                None => true,
-                            };
-                            if keep {
-                                out.push((rid, row));
-                            }
-                        }
-                        if t.heap().current_matches_snapshot(snap) {
-                            return Ok(out);
-                        }
-                        // A writer raced the walk: discard, take the scan.
+        let view = View::of(txn, policy);
+        let locks = view.locks();
+        if let Some((intent, _)) = locks.modes() {
+            self.lock(txn, LockKey::Table(t.id()), intent)?;
+        }
+        self.select_in(&t, predicate, view, |rid| {
+            self.lock_row_for(txn, &t, rid, locks)
+        })
+    }
+
+    /// Unlocked, untransactional select (frozen tables / diagnostics).
+    pub fn select_unlocked(
+        &self,
+        table: &str,
+        predicate: Option<&Expr>,
+    ) -> Result<Vec<(RowId, Row)>> {
+        let t = self.catalog.get(table)?;
+        self.select_in(&t, predicate, View::Latest(LockPolicy::None), |_| Ok(()))
+    }
+
+    /// Whether an index probe on `t` finds exactly the rows a read by
+    /// `txn` under `policy` sees. Always under `View::Latest`; at a
+    /// snapshot only while the table's latest state is the snapshot's.
+    /// A caller that walks an index asks again after the walk: a writer
+    /// that raced it fails the second check.
+    pub fn index_exact(&self, txn: &mut Transaction, t: &Table, policy: LockPolicy) -> bool {
+        View::of(txn, policy).index_exact(t)
+    }
+
+    /// The weakest policy whose reads see the latest committed rows and
+    /// keep them stable until commit: `Shared` under 2PL, `Exclusive`
+    /// under snapshot isolation, where a `Shared` read serves the
+    /// snapshot. Copiers that must not trail concurrent writers read
+    /// with it.
+    pub fn latest_read_policy(&self) -> LockPolicy {
+        if self.config.mode.is_snapshot() {
+            LockPolicy::Exclusive
+        } else {
+            LockPolicy::Shared
+        }
+    }
+
+    /// The one row-set read behind `select` and `select_unlocked`: index
+    /// candidates while `view` says the index is exact (asked again after
+    /// the walk), a scan otherwise. `lock_row` runs before each candidate
+    /// is read; the row is then re-read and the predicate re-checked.
+    fn select_in(
+        &self,
+        t: &Table,
+        predicate: Option<&Expr>,
+        view: View,
+        mut lock_row: impl FnMut(RowId) -> Result<()>,
+    ) -> Result<Vec<(RowId, Row)>> {
+        let scope = table_scope(t);
+        let keep = |row: &Row| predicate.map_or(Ok(true), |p| p.matches(&scope, row));
+        let mut read = |rids: Vec<RowId>| -> Result<Vec<(RowId, Row)>> {
+            let mut out = Vec::with_capacity(rids.len());
+            for rid in rids {
+                lock_row(rid)?;
+                // `None`: vanished while we waited for the lock.
+                if let Some(row) = view.get(t, rid) {
+                    if keep(&row)? {
+                        out.push((rid, row));
                     }
                 }
-                let mut out = Vec::new();
-                let mut err = None;
-                t.heap()
-                    .scan_visible(Some(txn.id().0), snap, |rid, row| match predicate {
-                        None => {
-                            out.push((rid, row.clone()));
-                            true
-                        }
-                        Some(p) => match p.matches(&scope, row) {
-                            Ok(true) => {
-                                out.push((rid, row.clone()));
-                                true
-                            }
-                            Ok(false) => true,
-                            Err(e) => {
-                                err = Some(e);
-                                false
-                            }
-                        },
-                    });
-                if let Some(e) = err {
-                    return Err(e);
+            }
+            Ok(out)
+        };
+        if view.index_exact(t) {
+            if let Some(rids) = self.index_candidates(t, predicate) {
+                let out = read(rids)?;
+                if view.index_exact(t) {
+                    return Ok(out);
                 }
-                return Ok(out);
+                // A writer raced the walk: discard, take the scan.
             }
         }
-        match policy {
-            LockPolicy::None => {}
-            LockPolicy::Shared => self.lock(txn, LockKey::Table(t.id()), LockMode::IS)?,
-            LockPolicy::Exclusive => self.lock(txn, LockKey::Table(t.id()), LockMode::IX)?,
-        }
-        let scope = table_scope(&t);
-        let candidates = self.candidates(&t, predicate, &scope)?;
-        let mut out = Vec::new();
-        for rid in candidates {
-            if policy != LockPolicy::None {
-                self.lock_row_for(txn, &t, rid, policy)?;
+        let mut rids = Vec::new();
+        let mut err = None;
+        view.scan(t, |rid, row| match keep(row) {
+            Ok(hit) => {
+                if hit {
+                    rids.push(rid);
+                }
+                true
             }
-            let Some(row) = t.heap().get(rid) else {
-                continue; // vanished while we waited for the lock
-            };
-            let keep = match predicate {
-                Some(p) => p.matches(&scope, &row)?,
-                None => true,
-            };
-            if keep {
-                out.push((rid, row));
+            Err(e) => {
+                err = Some(e);
+                false
             }
+        });
+        if let Some(e) = err {
+            return Err(e);
         }
-        Ok(out)
+        read(rids)
     }
 
     /// Index-assisted candidate lookup: `Some(rids)` when the predicate's
@@ -1065,66 +1107,6 @@ impl Database {
             return Some(idx.get_prefix(&key));
         }
         None
-    }
-
-    /// Candidate row ids for a predicate: an index point/prefix lookup when
-    /// the predicate's `col = literal` conjuncts cover an index prefix,
-    /// otherwise a heap scan filtered by the predicate.
-    fn candidates(&self, t: &Table, predicate: Option<&Expr>, scope: &Scope) -> Result<Vec<RowId>> {
-        if let Some(rids) = self.index_candidates(t, predicate) {
-            return Ok(rids);
-        }
-        if let Some(p) = predicate {
-            // Fallback: filtered heap scan.
-            let mut rids = Vec::new();
-            let mut err = None;
-            t.heap().scan(|rid, row| match p.matches(scope, row) {
-                Ok(true) => {
-                    rids.push(rid);
-                    true
-                }
-                Ok(false) => true,
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            });
-            if let Some(e) = err {
-                return Err(e);
-            }
-            Ok(rids)
-        } else {
-            let mut rids = Vec::new();
-            t.heap().scan(|rid, _| {
-                rids.push(rid);
-                true
-            });
-            Ok(rids)
-        }
-    }
-
-    /// Unlocked, untransactional select (frozen tables / diagnostics).
-    pub fn select_unlocked(
-        &self,
-        table: &str,
-        predicate: Option<&Expr>,
-    ) -> Result<Vec<(RowId, Row)>> {
-        let t = self.catalog.get(table)?;
-        let scope = table_scope(&t);
-        let candidates = self.candidates(&t, predicate, &scope)?;
-        let mut out = Vec::new();
-        for rid in candidates {
-            if let Some(row) = t.heap().get(rid) {
-                let keep = match predicate {
-                    Some(p) => p.matches(&scope, &row)?,
-                    None => true,
-                };
-                if keep {
-                    out.push((rid, row));
-                }
-            }
-        }
-        Ok(out)
     }
 
     // --- version GC (Snapshot engine mode) ---------------------------------
@@ -1503,6 +1485,12 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(r, row![1, "alice", 100]);
+        let by_id = Expr::column("id").eq(Expr::lit(1));
+        assert_eq!(
+            db.select(&mut reader, "accounts", Some(&by_id), LockPolicy::Shared)
+                .unwrap(),
+            vec![(rid, row![1, "alice", 100])]
+        );
         db.commit(&mut writer).unwrap();
         // The reader's snapshot predates the commit: still the old value.
         assert_eq!(
@@ -1519,6 +1507,50 @@ mod tests {
             Some(row![1, "alice", 999])
         );
         db.commit(&mut late).unwrap();
+    }
+
+    #[test]
+    fn index_select_reads_the_snapshot_under_si_and_the_latest_under_2pl() {
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_with_accounts(mode);
+            assert_eq!(db.config().mode, mode);
+            db.create_index("accounts", "accounts_owner", &["owner"], false)
+                .unwrap();
+            let (gone, moved) = db
+                .with_txn(|txn| {
+                    Ok((
+                        db.insert(txn, "accounts", row![1, "alice", 10])?,
+                        db.insert(txn, "accounts", row![2, "bob", 20])?,
+                    ))
+                })
+                .unwrap();
+            let mut reader = db.begin();
+            // After the reader's snapshot: delete row 1, move row 2's
+            // indexed owner. Both index entries the reader probes are gone.
+            db.with_txn(|txn| {
+                db.delete(txn, "accounts", gone)?;
+                db.update(txn, "accounts", moved, row![2, "carol", 20])
+            })
+            .unwrap();
+            let mut select = |p: Expr| {
+                db.select(&mut reader, "accounts", Some(&p), LockPolicy::Shared)
+                    .unwrap()
+            };
+            let by_id = select(Expr::column("id").eq(Expr::lit(1)));
+            let by_old_owner = select(Expr::column("owner").eq(Expr::lit("bob")));
+            let by_new_owner = select(Expr::column("owner").eq(Expr::lit("carol")));
+            if mode.is_snapshot() {
+                assert_eq!(by_id, vec![(gone, row![1, "alice", 10])]);
+                assert_eq!(by_old_owner, vec![(moved, row![2, "bob", 20])]);
+                assert_eq!(by_new_owner, vec![]);
+            } else {
+                assert_eq!(by_id, vec![]);
+                assert_eq!(by_old_owner, vec![]);
+                assert_eq!(by_new_owner, vec![(moved, row![2, "carol", 20])]);
+            }
+            db.commit(&mut reader).unwrap();
+        }
     }
 
     #[test]

@@ -134,15 +134,7 @@ pub fn execute_spec(
 
         let table_name = &spec.input(alias).expect("alias validated").table;
         let table = db.table(table_name)?;
-        let next_filter = conjoin(
-            pushdown
-                .get(alias)
-                .cloned()
-                .unwrap_or_default()
-                .iter()
-                .map(strip_aliases)
-                .collect(),
-        );
+        let next_filter = alias_filter(&pushdown, alias);
 
         let mut new_combined = Vec::new();
         if build_cols.is_empty() {
@@ -164,7 +156,7 @@ pub fn execute_spec(
                 .map(|c| combined_scope.resolve(c))
                 .collect::<Result<_>>()?;
             let pinned = opts.driving.iter().any(|(a, _)| a == alias);
-            let index = if pinned {
+            let index = if pinned || !db.index_exact(txn, &table, opts.lock) {
                 None
             } else {
                 table
@@ -173,6 +165,7 @@ pub fn execute_spec(
             };
             let next_table_scope = crate::db::table_scope(&table);
 
+            let mut probed = false;
             if let Some(idx) = index {
                 // Index nested-loop join.
                 for left in &combined {
@@ -182,15 +175,7 @@ pub fn execute_spec(
                         continue;
                     }
                     for rid in idx.get(&key) {
-                        // `read_row` takes the policy's locks under 2PL
-                        // and reads the version chain at the transaction's
-                        // snapshot (lock-free) in Snapshot mode.
-                        let right = if opts.lock == LockPolicy::None {
-                            table.heap().get(rid)
-                        } else {
-                            db.read_row(txn, &table, rid, opts.lock)?
-                        };
-                        let Some(right) = right else {
+                        let Some(right) = db.read_row(txn, &table, rid, opts.lock)? else {
                             continue;
                         };
                         if let Some(f) = &next_filter {
@@ -201,7 +186,13 @@ pub fn execute_spec(
                         new_combined.push(left.concat(&right));
                     }
                 }
-            } else {
+                probed = db.index_exact(txn, &table, opts.lock);
+                if !probed {
+                    // A writer raced the walk: discard, hash join instead.
+                    new_combined.clear();
+                }
+            }
+            if !probed {
                 // Hash join: build on the next table's (filtered) rows.
                 let rows = rows_for_alias(db, txn, spec, opts, &pushdown, alias)?;
                 let mut ht: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
@@ -286,48 +277,36 @@ fn rows_for_alias(
     pushdown: &BTreeMap<String, Vec<Expr>>,
     alias: &str,
 ) -> Result<Vec<(RowId, Row)>> {
-    if let Some((_, rows)) = opts.driving.iter().find(|(drv, _)| drv == alias) {
-        // Apply pushdown filters to the pinned rows too.
-        let filter = conjoin(
-            pushdown
-                .get(alias)
-                .cloned()
-                .unwrap_or_default()
-                .iter()
-                .map(strip_aliases)
-                .collect(),
-        );
-        let tref = spec.input(alias).expect("validated");
-        let table = db.table(&tref.table)?;
-        let scope = crate::db::table_scope(&table);
-        let mut out = Vec::with_capacity(rows.len());
-        for (rid, r) in rows {
-            let keep = match &filter {
-                Some(f) => f.matches(&scope, r)?,
-                None => true,
-            };
-            if keep {
-                out.push((*rid, r.clone()));
-            }
-        }
-        return Ok(out);
-    }
     let tref = spec
         .input(alias)
         .ok_or_else(|| Error::InvalidMigration(format!("unknown alias {alias}")))?;
-    let filter = conjoin(
+    let filter = alias_filter(pushdown, alias);
+    let Some((_, rows)) = opts.driving.iter().find(|(drv, _)| drv == alias) else {
+        return db.select(txn, &tref.table, filter.as_ref(), opts.lock);
+    };
+    // Apply pushdown filters to the pinned rows too.
+    let table = db.table(&tref.table)?;
+    let scope = crate::db::table_scope(&table);
+    let mut out = Vec::with_capacity(rows.len());
+    for (rid, r) in rows {
+        let keep = match &filter {
+            Some(f) => f.matches(&scope, r)?,
+            None => true,
+        };
+        if keep {
+            out.push((*rid, r.clone()));
+        }
+    }
+    Ok(out)
+}
+
+/// The pushed-down filter of `alias`, over its table's bare column names.
+fn alias_filter(pushdown: &BTreeMap<String, Vec<Expr>>, alias: &str) -> Option<Expr> {
+    conjoin(
         pushdown
             .get(alias)
-            .cloned()
-            .unwrap_or_default()
-            .iter()
-            .map(strip_aliases)
-            .collect(),
-    );
-    match opts.lock {
-        LockPolicy::None => db.select_unlocked(&tref.table, filter.as_ref()),
-        policy => db.select(txn, &tref.table, filter.as_ref(), policy),
-    }
+            .map_or_else(Vec::new, |fs| fs.iter().map(strip_aliases).collect()),
+    )
 }
 
 /// Grouped aggregation: group key = the scalar outputs, in order.
@@ -775,6 +754,94 @@ mod tests {
             };
             assert!(execute_spec(&db, &mut txn, &flewoninfo_spec(), &opts).is_err());
             db.abort(&mut txn);
+        }
+    }
+
+    /// `flewoninfo_spec` driven from `flewon`, so `flights` joins through
+    /// its pk index (index nested-loop).
+    fn flewon_first_spec() -> SelectSpec {
+        SelectSpec::new()
+            .from_table("flewon", "fi")
+            .from_table("flights", "f")
+            .join_on(ColRef::new("fi", "flightid"), ColRef::new("f", "flightid"))
+            .select("fid", Expr::col("f", "flightid"))
+            .select("flightdate", Expr::col("fi", "flightdate"))
+    }
+
+    #[test]
+    fn index_join_reads_the_snapshot_under_si_and_the_latest_under_2pl() {
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let mut reader = db.begin();
+            // After the reader's snapshot, UA007 leaves the flights pk index.
+            db.with_txn(|txn| {
+                let (rid, _) = db
+                    .get_by_pk(
+                        txn,
+                        "flights",
+                        &[Value::text("UA007")],
+                        LockPolicy::Exclusive,
+                    )?
+                    .expect("seeded");
+                db.delete(txn, "flights", rid).map(|_| ())
+            })
+            .unwrap();
+            let opts = ExecOptions {
+                lock: LockPolicy::Shared,
+                ..Default::default()
+            };
+            let out = execute_spec(&db, &mut reader, &flewon_first_spec(), &opts).unwrap();
+            db.commit(&mut reader).unwrap();
+            let expected = if mode.is_snapshot() { 6 } else { 3 };
+            assert_eq!(out.rows.len(), expected, "{:?}", out.rows);
+        }
+    }
+
+    #[test]
+    fn an_ally_reads_its_parents_uncommitted_insert() {
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = flights_db(mode);
+            assert_eq!(db.config().mode, mode);
+            let mut parent = db.begin();
+            let flight = row!["DL9", "BOS", "SEA", 90];
+            let rid = db.insert(&mut parent, "flights", flight.clone()).unwrap();
+            db.insert(
+                &mut parent,
+                "flewon",
+                Row(vec![Value::text("DL9"), Value::Date(9), Value::Int(80)]),
+            )
+            .unwrap();
+
+            // Under 2PL the ally passes through the parent's X locks; under
+            // SI it reads as the parent.
+            let mut ally = db.begin();
+            ally.set_ally(parent.id());
+            let by_id = Expr::column("flightid").eq(Expr::lit("DL9"));
+            assert_eq!(
+                db.select(&mut ally, "flights", Some(&by_id), LockPolicy::Shared)
+                    .unwrap(),
+                vec![(rid, flight.clone())]
+            );
+            assert_eq!(
+                db.get(&mut ally, "flights", rid, LockPolicy::Shared)
+                    .unwrap(),
+                Some(flight)
+            );
+            let mut opts = ExecOptions {
+                lock: LockPolicy::Shared,
+                ..Default::default()
+            };
+            opts.extra_filters.insert(
+                "fi".into(),
+                Expr::col("fi", "flightid").eq(Expr::lit("DL9")),
+            );
+            let out = execute_spec(&db, &mut ally, &flewon_first_spec(), &opts).unwrap();
+            assert_eq!(out.rows, vec![row!["DL9", Value::Date(9)]]);
+            db.commit(&mut ally).unwrap();
+            db.abort(&mut parent);
         }
     }
 }

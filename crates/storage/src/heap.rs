@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bullfrog_common::{PageNo, Row, RowId};
+use bullfrog_common::{PageNo, Row, RowId, SlotNo};
 use parking_lot::{Mutex, RwLock};
 
 use crate::page::Page;
@@ -71,14 +71,19 @@ impl TableHeap {
 
     /// Inserts a row, returning its stable id.
     pub fn insert(&self, row: Row) -> RowId {
+        self.append_with(row, Page::append)
+    }
+
+    /// Puts `row` on the last page with `put`, allocating a page when the
+    /// last one is full.
+    fn append_with(&self, row: Row, put: impl Fn(&mut Page, Row) -> Option<SlotNo>) -> RowId {
         let _guard = self.append.lock();
         // Fast path: last page has room.
         {
             let pages = self.pages.read();
             if let Some(last) = pages.last() {
                 let page_no = (pages.len() - 1) as PageNo;
-                let mut page = last.write();
-                if let Some(slot) = page.append(row.clone()) {
+                if let Some(slot) = put(&mut last.write(), row.clone()) {
                     return RowId::new(page_no, slot);
                 }
             }
@@ -86,9 +91,7 @@ impl TableHeap {
         // Slow path: allocate a page. Safe because we hold `append`.
         let mut pages = self.pages.write();
         let mut page = Page::new(self.slots_per_page);
-        let slot = page
-            .append(row)
-            .expect("fresh page accepts at least one row");
+        let slot = put(&mut page, row).expect("fresh page accepts at least one row");
         pages.push(Arc::new(RwLock::new(page)));
         RowId::new((pages.len() - 1) as PageNo, slot)
     }
@@ -166,42 +169,13 @@ impl TableHeap {
         }
     }
 
-    /// Visits live rows of one page only (page-granularity migration).
-    pub fn scan_page(&self, page_no: PageNo, mut f: impl FnMut(RowId, &Row) -> bool) {
-        if let Some(page) = self.page(page_no) {
-            let guard = page.read();
-            for (slot, row) in guard.iter_live() {
-                if !f(RowId::new(page_no, slot), row) {
-                    return;
-                }
-            }
-        }
-    }
-
     // ---- MVCC version chains (Snapshot engine mode) ----
 
     /// Inserts a row with `txn` marked as its pending writer, so snapshot
     /// readers do not see it until [`TableHeap::install_version`] runs.
     pub fn insert_versioned(&self, row: Row, txn: u64) -> RowId {
         self.pending_writers.fetch_add(1, Ordering::SeqCst);
-        let _guard = self.append.lock();
-        {
-            let pages = self.pages.read();
-            if let Some(last) = pages.last() {
-                let page_no = (pages.len() - 1) as PageNo;
-                let mut page = last.write();
-                if let Some(slot) = page.append_versioned(row.clone(), txn) {
-                    return RowId::new(page_no, slot);
-                }
-            }
-        }
-        let mut pages = self.pages.write();
-        let mut page = Page::new(self.slots_per_page);
-        let slot = page
-            .append_versioned(row, txn)
-            .expect("fresh page accepts at least one row");
-        pages.push(Arc::new(RwLock::new(page)));
-        RowId::new((pages.len() - 1) as PageNo, slot)
+        self.append_with(row, |page, row| page.append_versioned(row, txn))
     }
 
     /// Marks `txn` as the pending writer of `rid` (call before the
@@ -278,26 +252,6 @@ impl TableHeap {
             for slot in 0..guard.used() {
                 if let Some(row) = guard.visible(slot, txn, snap) {
                     if !f(RowId::new(page_no as PageNo, slot), row) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`TableHeap::scan_visible`] over a single page.
-    pub fn scan_page_visible(
-        &self,
-        page_no: PageNo,
-        txn: Option<u64>,
-        snap: u64,
-        mut f: impl FnMut(RowId, &Row) -> bool,
-    ) {
-        if let Some(page) = self.page(page_no) {
-            let guard = page.read();
-            for slot in 0..guard.used() {
-                if let Some(row) = guard.visible(slot, txn, snap) {
-                    if !f(RowId::new(page_no, slot), row) {
                         return;
                     }
                 }
@@ -398,22 +352,6 @@ mod tests {
             n < 3
         });
         assert_eq!(n, 3);
-    }
-
-    #[test]
-    fn scan_page_visits_one_page() {
-        let h = TableHeap::new(2);
-        for i in 0..6 {
-            h.insert(row![i]);
-        }
-        let mut seen = Vec::new();
-        h.scan_page(1, |rid, _| {
-            seen.push(rid);
-            true
-        });
-        assert_eq!(seen, vec![RowId::new(1, 0), RowId::new(1, 1)]);
-        // Out-of-range page: no rows, no panic.
-        h.scan_page(99, |_, _| panic!("no rows expected"));
     }
 
     #[test]

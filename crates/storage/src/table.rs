@@ -312,6 +312,12 @@ impl Table {
         self.heap.get(rid).map(|row| (rid, row))
     }
 
+    /// Whether `row` carries the primary key `key`.
+    pub fn has_pk(&self, row: &Row, key: &[bullfrog_common::Value]) -> bool {
+        self.pk_indices.len() == key.len()
+            && self.pk_indices.iter().zip(key).all(|(&i, v)| &row[i] == v)
+    }
+
     /// Number of live rows.
     pub fn live_count(&self) -> usize {
         self.heap.live_count()
