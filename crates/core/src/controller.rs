@@ -344,13 +344,13 @@ impl Bullfrog {
                     Arc::new(HashTracker::new())
                 }
             };
-            runtimes.push(Arc::new(StatementRuntime {
-                id: i as u32,
-                stmt: s.clone(),
+            runtimes.push(Arc::new(StatementRuntime::new(
+                &self.db,
+                i as u32,
+                s.clone(),
                 tracker,
-                stats: Arc::clone(&stats),
-                in_flight: std::sync::atomic::AtomicU64::new(0),
-            }));
+                Arc::clone(&stats),
+            )?));
         }
 
         let by_output = runtimes

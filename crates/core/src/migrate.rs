@@ -11,22 +11,30 @@
 //! 2. walks the candidate granules, calling the tracker (Algorithm 2 or 3)
 //!    for each — claimed granules go to the worker-local **WIP** list and
 //!    are migrated inside the transaction, contended ones go to **SKIP**;
-//! 3. commits, then flips the WIP granules' statuses to *migrated*
+//! 3. stops claiming once [`TXN_BOX`] has passed since its first claim,
+//!    so every migration transaction is short and a waiter on one of its
+//!    granules waits for few others;
+//! 4. commits, then flips the WIP granules' statuses to *migrated*
 //!    (Algorithm 1 line 9) — or, on abort, resets them so another worker
 //!    can take over (§3.5);
-//! 4. repeats with the SKIP list until it drains (line 10), blocking
-//!    briefly on in-progress granules rather than spinning.
+//! 5. repeats with the unvisited candidates, then with the SKIP list until
+//!    it drains (line 10), blocking briefly on an in-progress granule only
+//!    once no unclaimed fresh candidate remains.
+//!
+//! Each statement's spec is bound once, when its [`StatementRuntime`] is
+//! built, and run per granule with the granule's rows or group key.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bullfrog_common::{Error, Result, Row, RowId, Value};
-use bullfrog_engine::exec::{execute_spec, strip_aliases, ExecOptions};
+use bullfrog_engine::exec::{strip_aliases, BoundSpec, Restriction};
 use bullfrog_engine::{Database, LockPolicy};
 use bullfrog_query::{transpose, Expr};
+use bullfrog_storage::Table;
 use bullfrog_txn::wal::GranuleKey;
-use bullfrog_txn::{LogRecord, Transaction};
+use bullfrog_txn::{CommitTicket, LogRecord, Transaction};
 
 use crate::granule::{Granule, GranuleState, Tracker, WorkList};
 use crate::plan::{MigrationStatement, Tracking};
@@ -62,6 +70,17 @@ pub struct StatementRuntime {
     /// commits or rolls back would let post-migration observers see its
     /// transient rows.
     pub in_flight: AtomicU64,
+    /// The statement's spec, bound once for per-granule runs.
+    plan: GranulePlan,
+}
+
+/// A statement's spec bound for granule runs, with the tables whose rows
+/// a granule pins: the driving table of a bitmap statement, both sides of
+/// a pair-hash one, none for a hash statement (its run is keyed by the
+/// group key instead).
+struct GranulePlan {
+    spec: BoundSpec,
+    pinned: Vec<Arc<Table>>,
 }
 
 /// RAII in-flight marker: one per migration transaction, covering it from
@@ -82,6 +101,49 @@ impl Drop for InFlight<'_> {
 }
 
 impl StatementRuntime {
+    /// A runtime for resolved statement `stmt` (plan position `id`),
+    /// binding its spec against `db`'s input tables.
+    pub fn new(
+        db: &Database,
+        id: u32,
+        stmt: MigrationStatement,
+        tracker: Arc<dyn Tracker>,
+        stats: Arc<MigrationStats>,
+    ) -> Result<Self> {
+        let (pinned, keyed): (Vec<&str>, _) = match stmt.tracking() {
+            Tracking::Bitmap { driving_alias, .. } => (vec![driving_alias.as_str()], None),
+            Tracking::Hash {
+                key_alias,
+                key_exprs,
+            } => (Vec::new(), Some((key_alias.as_str(), key_exprs.as_slice()))),
+            Tracking::PairHash {
+                left_alias,
+                right_alias,
+            } => (vec![left_alias.as_str(), right_alias.as_str()], None),
+        };
+        let spec = BoundSpec::bind(
+            db,
+            &stmt.spec,
+            Restriction {
+                extra_filters: None,
+                pinned: &pinned,
+                keyed,
+            },
+        )?;
+        let pinned = pinned
+            .iter()
+            .map(|alias| db.table(&stmt.spec.input(alias).expect("resolved").table))
+            .collect::<Result<_>>()?;
+        Ok(StatementRuntime {
+            id,
+            stmt,
+            tracker,
+            stats,
+            in_flight: AtomicU64::new(0),
+            plan: GranulePlan { spec, pinned },
+        })
+    }
+
     /// The driving/key alias whose table enumerates candidates.
     pub fn driving_alias(&self) -> &str {
         match self.stmt.tracking() {
@@ -240,14 +302,9 @@ pub struct MigrateOptions {
     /// Abort-injection hook for tests: called once per migration
     /// transaction just before commit; returning `true` aborts it.
     pub failpoint: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
-    /// Marks granules migrated by a background worker in the stats.
+    /// Marks granules migrated by a background worker in the stats; a
+    /// background call also returns without waiting for durability.
     pub background: bool,
-    /// Maximum granules claimed per migration transaction. Algorithm 1
-    /// already splits migration work from the client transaction; this
-    /// additionally bounds each migration transaction's lock footprint and
-    /// abort-retry cost when a request's scope is huge (the
-    /// untransposable-predicate worst case migrates a whole table).
-    pub txn_granule_cap: usize,
     /// Sibling statement runtimes of the same plan: when an output row
     /// carries a foreign key into another *migrating* output table, the
     /// referenced slice is migrated first through the peer's runtime
@@ -276,7 +333,6 @@ impl Default for MigrateOptions {
             wait_timeout: Duration::from_millis(10),
             failpoint: None,
             background: false,
-            txn_granule_cap: 1024,
             peers: Vec::new(),
             fk_depth: 0,
             parent: None,
@@ -340,66 +396,109 @@ fn ensure_fk_targets(
     Ok(())
 }
 
+/// How long one migration transaction keeps claiming granules, counted
+/// from its first claim. After the box it commits what it holds, and its
+/// unvisited candidates go to the next transaction: a claim is held for
+/// about one box plus one granule copy, and a waiter on it waits that
+/// long, not for a whole request's scope.
+pub const TXN_BOX: Duration = Duration::from_millis(1);
+
 /// Runs Algorithm 1 to completion for the given candidates: when this
 /// returns `Ok`, every candidate granule is *migrated* (by this worker or
 /// another) and the client request may proceed on the new schema.
+///
+/// Every migration transaction commits without waiting for durability.
+/// A foreground call (`!opts.background`) then waits once, on the last
+/// commit's ticket, for the outcome [`Database::commit`] would have
+/// given: the merged durable horizon covers every earlier commit of the
+/// call, so one wait acknowledges them all.
 pub fn migrate_candidates(
     db: &Database,
     rt: &StatementRuntime,
-    mut candidates: Vec<Granule>,
+    candidates: Vec<Granule>,
     opts: &MigrateOptions,
 ) -> Result<()> {
     match opts.dedup {
         DedupMode::OnConflict => migrate_on_conflict(db, rt, candidates, opts),
         DedupMode::Tracker => {
-            let cap = opts.txn_granule_cap.max(1);
-            loop {
-                if candidates.is_empty() {
-                    return Ok(());
-                }
-                if let Some(cancel) = &opts.cancel {
-                    if cancel.load(std::sync::atomic::Ordering::Acquire) {
-                        return Err(Error::Internal("migration cancelled".into()));
-                    }
-                }
-                let chunk: Vec<Granule> = candidates[..candidates.len().min(cap)].to_vec();
-                match migrate_once(db, rt, &chunk, opts) {
-                    Ok(skip) => {
-                        let mut rest: Vec<Granule> = candidates.split_off(chunk.len());
-                        if skip.is_empty() && rest.is_empty() {
-                            return Ok(());
-                        }
-                        if !skip.is_empty() {
-                            // Line 10: block on the first contended granule
-                            // until its owner finishes or aborts, then
-                            // recheck it (appended after the fresh work).
-                            MigrationStats::add(&rt.stats.waits, 1);
-                            rt.tracker.wait_not_in_progress(&skip[0], opts.wait_timeout);
-                            rest.extend(skip);
-                        }
-                        candidates = rest;
-                    }
-                    Err(e) if e.is_retryable() => {
-                        // The migration transaction aborted (lock timeout /
-                        // injected): its WIP was reset; retry everything.
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
+            let last = migrate_boxes(db, rt, candidates, opts)?;
+            match last {
+                Some(ticket) if !opts.background => db.wait_acked(&ticket),
+                _ => Ok(()),
             }
         }
     }
 }
 
-/// One iteration of Algorithm 1's do-loop: a single migration transaction.
-/// Returns the SKIP list. On abort the WIP statuses are reset and the
-/// retryable error is returned.
+/// The migration-transaction loop of [`migrate_candidates`]. Returns the
+/// ticket of the last commit that wrote, if any.
+fn migrate_boxes(
+    db: &Database,
+    rt: &StatementRuntime,
+    mut fresh: Vec<Granule>,
+    opts: &MigrateOptions,
+) -> Result<Option<CommitTicket>> {
+    let mut last = None;
+    let mut pos = 0;
+    let mut skipped: Vec<Granule> = Vec::new();
+    loop {
+        if pos == fresh.len() {
+            let Some(first) = skipped.first() else {
+                return Ok(last);
+            };
+            // Line 10: no fresh work is left, so block on the first
+            // contended granule until its owner finishes or aborts, then
+            // recheck the contended ones.
+            MigrationStats::add(&rt.stats.waits, 1);
+            let started = Instant::now();
+            rt.tracker.wait_not_in_progress(first, opts.wait_timeout);
+            db.obs()
+                .histogram("migrate.claim_wait_us")
+                .record_micros(started.elapsed());
+            fresh = std::mem::take(&mut skipped);
+            pos = 0;
+        }
+        if let Some(cancel) = &opts.cancel {
+            if cancel.load(std::sync::atomic::Ordering::Acquire) {
+                return Err(Error::Internal("migration cancelled".into()));
+            }
+        }
+        match migrate_once(db, rt, &fresh[pos..], opts) {
+            Ok(boxed) => {
+                pos += boxed.visited;
+                skipped.extend(boxed.skip);
+                if boxed.ticket.is_some() {
+                    last = boxed.ticket;
+                }
+            }
+            // The migration transaction aborted (lock timeout / injected):
+            // its WIP was reset; retry from the same candidate.
+            Err(e) if e.is_retryable() => continue,
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// What one migration transaction did with its candidates.
+struct Boxed {
+    /// Candidates visited (claimed, skipped or found migrated), a prefix.
+    visited: usize,
+    /// The SKIP list: visited candidates another worker had in progress.
+    skip: Vec<Granule>,
+    /// The commit's ticket, when the transaction claimed any granule.
+    ticket: Option<CommitTicket>,
+}
+
+/// One iteration of Algorithm 1's do-loop: a single migration transaction
+/// over a prefix of `candidates`, closed [`TXN_BOX`] after its first
+/// claim. On abort the WIP statuses are reset and the retryable error is
+/// returned.
 fn migrate_once(
     db: &Database,
     rt: &StatementRuntime,
     candidates: &[Granule],
     opts: &MigrateOptions,
-) -> Result<Vec<Granule>> {
+) -> Result<Boxed> {
     let _in_flight = InFlight::enter(rt);
     let mut wip = WorkList::new();
     let mut skip = WorkList::new();
@@ -410,8 +509,15 @@ fn migrate_once(
 
     let mut counts = RowCounts::default();
     let mut failure: Option<Error> = None;
+    let mut first_claim: Option<Instant> = None;
+    let mut visited = 0;
     for g in candidates {
+        if first_claim.is_some_and(|t| t.elapsed() >= TXN_BOX) {
+            break;
+        }
+        visited += 1;
         if rt.tracker.try_claim(g, &mut wip, &mut skip) {
+            first_claim.get_or_insert_with(Instant::now);
             match migrate_granule(db, &mut txn, rt, g, DedupMode::Tracker, opts) {
                 Ok(c) => counts.merge(c),
                 Err(e) => {
@@ -437,7 +543,7 @@ fn migrate_once(
         MigrationStats::add(&rt.stats.migration_aborts, 1);
         return Err(Error::TxnAborted(txn.id()));
     }
-    // Background migrations pipeline past the group-commit barrier:
+    // Migration transactions pipeline past the group-commit barrier:
     // their batch is ordered in the WAL at enqueue time, and every
     // durability acknowledgement waits on the *merged* (all-shard)
     // horizon, so a client that later reads migrated rows and commits
@@ -446,16 +552,10 @@ fn migrate_once(
     // the gap-free durable prefix, so granule marks and rows stay
     // atomic, and a crash can only lose this batch together with
     // everything that depended on it — the granule then simply shows
-    // unmigrated and is copied again. Foreground (lazy, on the client's
-    // query path) keeps synchronous semantics — the client is about to
-    // read what it migrated.
-    let committed = if opts.background {
-        db.commit_nowait(&mut txn).map(drop)
-    } else {
-        db.commit(&mut txn)
-    };
-    match committed {
-        Ok(()) => {
+    // unmigrated and is copied again. A foreground caller waits on the
+    // ticket before the client proceeds (`migrate_candidates`).
+    match db.commit_nowait(&mut txn) {
+        Ok(ticket) => {
             rt.tracker.mark_migrated(wip.items());
             counts.apply(&rt.stats);
             MigrationStats::add(&rt.stats.migration_txns, 1);
@@ -463,7 +563,14 @@ fn migrate_once(
             if opts.background {
                 MigrationStats::add(&rt.stats.background_granules, wip.len() as u64);
             }
-            Ok(skip.into_items())
+            db.obs()
+                .histogram("migrate.txn_granules")
+                .record(wip.len() as u64);
+            Ok(Boxed {
+                visited,
+                ticket: (!wip.is_empty()).then_some(ticket),
+                skip: skip.into_items(),
+            })
         }
         Err(e) => {
             db.abort(&mut txn);
@@ -582,31 +689,16 @@ fn migrate_granule(
     let started = std::time::Instant::now();
     let t0 = obs.now_us();
     let mut counts = RowCounts::default();
-    let output = execute_granule_spec(db, txn, rt, g)?;
+    let output = run_granule(db, txn, rt, g)?;
     ensure_fk_targets(db, rt, &output, opts)?;
-    let out_table = &rt.stmt.output.name;
-    for row in output {
-        match dedup {
-            DedupMode::Tracker => match db.insert_with(txn, out_table, row, false) {
-                Ok(_) => counts.migrated += 1,
-                Err(Error::UniqueViolation { .. }) => {
-                    // §2.4: a constraint added by the migration drops this
-                    // record; warn (count) and continue lazily.
-                    counts.dropped += 1;
-                }
-                Err(e) => return Err(e),
-            },
-            DedupMode::OnConflict => {
-                if db
-                    .insert_or_ignore_with(txn, out_table, row, false)?
-                    .is_some()
-                {
-                    counts.migrated += 1;
-                } else {
-                    counts.conflicts += 1;
-                }
-            }
-        }
+    let (inserted, rejected) = db.insert_rows(txn, &rt.stmt.output.name, output, false)?;
+    counts.migrated += inserted;
+    match dedup {
+        // §2.4: a constraint added by the migration drops this record;
+        // warn (count) and continue lazily.
+        DedupMode::Tracker => counts.dropped += rejected,
+        // §3.7: another worker's copy of the row is already there.
+        DedupMode::OnConflict => counts.conflicts += rejected,
     }
     // Granule record for tracker recovery (§3.5).
     txn.push_redo(LogRecord::MigrationGranule {
@@ -626,7 +718,7 @@ fn migrate_granule(
     Ok(counts)
 }
 
-/// Evaluates the statement spec restricted to one granule.
+/// Runs the statement's bound spec restricted to one granule.
 ///
 /// Under 2PL, old-schema reads take SHARED locks in the migration
 /// transaction: the logical flip freezes the input tables against *new*
@@ -647,95 +739,56 @@ fn migrate_granule(
 /// same value the 2PL S lock would have waited for. Either way the reads
 /// are `LockPolicy::Shared` reads through the engine, which also lets the
 /// migration see its ally's (the suspended client's) uncommitted writes.
-fn execute_granule_spec(
+fn run_granule(
     db: &Database,
     txn: &mut Transaction,
     rt: &StatementRuntime,
     g: &Granule,
 ) -> Result<Vec<Row>> {
-    let driving_alias = rt.driving_alias().to_owned();
-    let driving_table = db.table(rt.driving_table())?;
-    let mut opts = ExecOptions {
-        lock: LockPolicy::Shared,
-        ..Default::default()
-    };
+    let plan = &rt.plan;
+    let lock = LockPolicy::Shared;
     match (rt.stmt.tracking(), g) {
         (Tracking::Bitmap { granule_rows, .. }, Granule::Ordinal(go)) => {
             // The granule covers `granule_rows` consecutive row ordinals;
             // ALL its live rows migrate together (page granularity migrates
             // the page, §4.4.3).
-            let slots = driving_table.heap().slots_per_page();
+            let driving = &plan.pinned[0];
+            let slots = driving.heap().slots_per_page();
             let start = go * granule_rows;
-            let mut rows: Vec<(RowId, Row)> = Vec::new();
+            let mut rows = Vec::new();
             for ordinal in start..start + granule_rows {
                 let rid = RowId::from_ordinal(ordinal, slots);
-                if let Some(row) = db.read_row(txn, &driving_table, rid, LockPolicy::Shared)? {
-                    rows.push((rid, row));
+                if let Some(row) = db.read_row(txn, driving, rid, lock)? {
+                    rows.push(row);
                 }
             }
-            opts.driving = vec![(driving_alias, rows)];
+            plan.spec.run(db, txn, vec![rows], &[], lock)
         }
-        (
-            Tracking::Hash {
-                key_alias,
-                key_exprs,
-            },
-            Granule::Group(key),
-        ) => {
-            // Restrict the spec to the group: key_exprs = key values.
-            let mut filter: Option<Expr> = None;
-            for (e, v) in key_exprs.iter().zip(key.iter()) {
-                let conj = e.clone().eq(Expr::Lit(v.clone()));
-                filter = Some(match filter {
-                    None => conj,
-                    Some(f) => f.and(conj),
-                });
-            }
-            if let Some(f) = filter {
-                opts.extra_filters.insert(key_alias.clone(), f);
-            }
+        // The run restricts the key alias to the group: key_exprs = key.
+        (Tracking::Hash { .. }, Granule::Group(key)) => {
+            plan.spec.run(db, txn, Vec::new(), key, lock)
         }
-        (
-            Tracking::PairHash {
-                left_alias,
-                right_alias,
-            },
-            Granule::Group(key),
-        ) => {
+        (Tracking::PairHash { .. }, Granule::Group(key)) => {
             // key = [left ordinal, right ordinal]; pin one row per side.
-            let (l, r) = match key.as_slice() {
-                [Value::Int(l), Value::Int(r)] => (*l as u64, *r as u64),
+            let ordinals = match key.as_slice() {
+                [Value::Int(l), Value::Int(r)] => [*l as u64, *r as u64],
                 other => {
                     return Err(Error::Internal(format!(
                         "pair granule key must be two ordinals, got {other:?}"
                     )))
                 }
             };
-            let spec = &rt.stmt.spec;
-            let right_table = db.table(&spec.input(right_alias).expect("resolved").table)?;
-            let left_rid = RowId::from_ordinal(l, driving_table.heap().slots_per_page());
-            let right_rid = RowId::from_ordinal(r, right_table.heap().slots_per_page());
-            let left_rows = db
-                .read_row(txn, &driving_table, left_rid, LockPolicy::Shared)?
-                .map(|row| vec![(left_rid, row)])
-                .unwrap_or_default();
-            let right_rows = db
-                .read_row(txn, &right_table, right_rid, LockPolicy::Shared)?
-                .map(|row| vec![(right_rid, row)])
-                .unwrap_or_default();
-            opts.driving = vec![
-                (left_alias.clone(), left_rows),
-                (right_alias.clone(), right_rows),
-            ];
+            let mut pinned = Vec::with_capacity(2);
+            for (t, ordinal) in plan.pinned.iter().zip(ordinals) {
+                let rid = RowId::from_ordinal(ordinal, t.heap().slots_per_page());
+                pinned.push(db.read_row(txn, t, rid, lock)?.into_iter().collect());
+            }
+            plan.spec.run(db, txn, pinned, &[], lock)
         }
-        (t, g) => {
-            return Err(Error::Internal(format!(
-                "granule kind {g:?} does not match tracking {t:?}"
-            )))
-        }
+        (t, g) => Err(Error::Internal(format!(
+            "granule kind {g:?} does not match tracking {t:?}"
+        ))),
     }
-    let out = execute_spec(db, txn, &rt.stmt.spec, &opts)?;
-    Ok(out.rows)
 }
 
 #[cfg(test)]
@@ -801,13 +854,14 @@ mod tests {
         let mut stmt = MigrationStatement::new(out, spec);
         stmt.resolve(db).unwrap();
         let cap = db.table("order_line").unwrap().heap().ordinal_bound();
-        StatementRuntime {
-            id: 0,
+        StatementRuntime::new(
+            db,
+            0,
             stmt,
-            tracker: Arc::new(BitmapTracker::new(cap, 1)),
-            stats: Arc::new(MigrationStats::new()),
-            in_flight: AtomicU64::new(0),
-        }
+            Arc::new(BitmapTracker::new(cap, 1)),
+            Arc::new(MigrationStats::new()),
+        )
+        .unwrap()
     }
 
     /// n:1 statement: per-order totals.
@@ -827,12 +881,105 @@ mod tests {
         db.create_table(out.clone()).unwrap();
         let mut stmt = MigrationStatement::new(out, spec);
         stmt.resolve(db).unwrap();
-        StatementRuntime {
-            id: 1,
+        StatementRuntime::new(
+            db,
+            1,
             stmt,
-            tracker: Arc::new(HashTracker::new()),
-            stats: Arc::new(MigrationStats::new()),
-            in_flight: AtomicU64::new(0),
+            Arc::new(HashTracker::new()),
+            Arc::new(MigrationStats::new()),
+        )
+        .unwrap()
+    }
+
+    /// Three groups of 2,000 rows and their per-group totals: every
+    /// group's copy outlasts [`TXN_BOX`].
+    fn big_groups_runtime(mode: EngineMode) -> (Arc<Database>, StatementRuntime) {
+        let db = Arc::new(Database::with_config(DbConfig {
+            mode,
+            ..DbConfig::default()
+        }));
+        db.create_table(
+            TableSchema::new(
+                "big",
+                vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::new("grp", DataType::Int),
+                    ColumnDef::new("amount", DataType::Int),
+                ],
+            )
+            .with_primary_key(&["id"]),
+        )
+        .unwrap();
+        db.with_txn(|txn| {
+            for id in 0..6_000i64 {
+                db.insert(txn, "big", row![id, id % 3, 1])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let spec = SelectSpec::new()
+            .from_table("big", "b")
+            .select("grp", Expr::col("b", "grp"))
+            .select_agg("total", AggFunc::Sum, Expr::col("b", "amount"));
+        let out = TableSchema::new(
+            "big_totals",
+            vec![
+                ColumnDef::new("grp", DataType::Int),
+                ColumnDef::new("total", DataType::Int),
+            ],
+        )
+        .with_primary_key(&["grp"]);
+        db.create_table(out.clone()).unwrap();
+        let mut stmt = MigrationStatement::new(out, spec);
+        stmt.resolve(&db).unwrap();
+        let rt = StatementRuntime::new(
+            &db,
+            0,
+            stmt,
+            Arc::new(HashTracker::new()),
+            Arc::new(MigrationStats::new()),
+        )
+        .unwrap();
+        (db, rt)
+    }
+
+    #[test]
+    fn a_granule_that_outlasts_the_box_commits_alone_and_exactly_once() {
+        for mode in EngineMode::ALL {
+            for aborts in [0u64, 2] {
+                eprintln!("engine mode: {mode:?}, injected aborts: {aborts}");
+                let (db, rt) = big_groups_runtime(mode);
+                assert_eq!(db.config().mode, mode);
+                let countdown = Arc::new(AtomicU64::new(aborts));
+                let opts = MigrateOptions {
+                    failpoint: Some(Arc::new(move || {
+                        countdown
+                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
+                            .is_ok()
+                    })),
+                    ..Default::default()
+                };
+                let c = candidates_for(&db, &rt, None).unwrap();
+                assert_eq!(c.len(), 3);
+                migrate_candidates(&db, &rt, c, &opts).unwrap();
+
+                let mut rows: Vec<Row> = db
+                    .select_unlocked("big_totals", None)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(_, r)| r)
+                    .collect();
+                rows.sort();
+                let want: Vec<Row> = (0..3i64).map(|g| row![g, 2_000i64]).collect();
+                assert_eq!(rows, want, "each group copied exactly once");
+                assert_eq!(MigrationStats::get(&rt.stats.migration_aborts), aborts);
+                assert_eq!(MigrationStats::get(&rt.stats.migration_txns), 3);
+                assert_eq!(MigrationStats::get(&rt.stats.granules_migrated), 3);
+                let snap = db.obs().snapshot();
+                let per_txn = snap.histogram("migrate.txn_granules").unwrap();
+                assert_eq!(per_txn.count(), 3, "one record per committed transaction");
+                assert_eq!(per_txn.sum, 3, "one granule per transaction");
+            }
         }
     }
 
@@ -952,16 +1099,17 @@ mod tests {
             assert_eq!(MigrationStats::get(&rt.stats.rows_migrated), 5);
             // Force a re-migration with a cleared tracker state view: simulate
             // a second worker that never saw the first's tracker.
-            let rt2 = StatementRuntime {
-                id: 0,
-                stmt: rt.stmt.clone(),
-                tracker: Arc::new(BitmapTracker::new(
+            let rt2 = StatementRuntime::new(
+                &db,
+                0,
+                rt.stmt.clone(),
+                Arc::new(BitmapTracker::new(
                     db.table("order_line").unwrap().heap().ordinal_bound(),
                     1,
                 )),
-                stats: Arc::new(MigrationStats::new()),
-                in_flight: AtomicU64::new(0),
-            };
+                Arc::new(MigrationStats::new()),
+            )
+            .unwrap();
             migrate_candidates(&db, &rt2, c, &opts).unwrap();
             assert_eq!(
                 MigrationStats::get(&rt2.stats.conflict_skips),

@@ -47,7 +47,6 @@ mod tests {
     use bullfrog_common::{ColumnDef, DataType, TableSchema, Value};
     use bullfrog_engine::{Database, DbConfig, EngineMode};
     use bullfrog_query::{AggFunc, Expr, SelectSpec};
-    use std::sync::atomic::AtomicU64;
 
     fn runtimes(mode: EngineMode) -> Vec<Arc<StatementRuntime>> {
         let db = Database::with_config(DbConfig {
@@ -89,20 +88,26 @@ mod tests {
         );
         s1.resolve(&db).unwrap();
         vec![
-            Arc::new(StatementRuntime {
-                id: 0,
-                stmt: s0,
-                tracker: Arc::new(BitmapTracker::new(100, 1)),
-                stats: Arc::new(MigrationStats::new()),
-                in_flight: AtomicU64::new(0),
-            }),
-            Arc::new(StatementRuntime {
-                id: 1,
-                stmt: s1,
-                tracker: Arc::new(HashTracker::new()),
-                stats: Arc::new(MigrationStats::new()),
-                in_flight: AtomicU64::new(0),
-            }),
+            Arc::new(
+                StatementRuntime::new(
+                    &db,
+                    0,
+                    s0,
+                    Arc::new(BitmapTracker::new(100, 1)),
+                    Arc::new(MigrationStats::new()),
+                )
+                .unwrap(),
+            ),
+            Arc::new(
+                StatementRuntime::new(
+                    &db,
+                    1,
+                    s1,
+                    Arc::new(HashTracker::new()),
+                    Arc::new(MigrationStats::new()),
+                )
+                .unwrap(),
+            ),
         ]
     }
 

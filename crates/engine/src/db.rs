@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use bullfrog_common::{Error, Result, Row, RowId, TableSchema, Value};
 use bullfrog_query::{pred, Expr, Scope};
-use bullfrog_storage::{Catalog, Table};
+use bullfrog_storage::{BTreeIndex, Catalog, Table};
 use bullfrog_txn::{
     AckOutcome, CommitTicket, LockKey, LockManager, LockMode, LogRecord, Transaction, TxnManager,
     UndoRecord, Wal,
@@ -565,6 +565,18 @@ impl Database {
         Ok(ticket)
     }
 
+    /// Waits until `ticket`, from [`Database::commit_nowait`], has the
+    /// outcome [`Database::commit`] gives: durable on the merged horizon,
+    /// past the sync-replica gate, and [`Error::Fenced`] on a fenced node.
+    pub fn wait_acked(&self, ticket: &CommitTicket) -> Result<()> {
+        if ticket.wait_acked() == AckOutcome::Fenced {
+            return Err(Error::Fenced {
+                leader: self.wal.sync_gate().leader_hint(),
+            });
+        }
+        Ok(())
+    }
+
     /// Runs one checkpoint cycle: snapshots the committed log prefix into
     /// the (persisted) checkpoint image and truncates the WAL, bounding
     /// its resident memory and the recovery tail. See
@@ -754,16 +766,57 @@ impl Database {
         txn.assert_active()?;
         let t = self.catalog.get(table)?;
         self.lock(txn, LockKey::Table(t.id()), LockMode::IX)?;
-        crate::fk::check_outgoing_with(self, txn, &t, &row, fk_lock)?;
-        let rid = if let Some(snap) = txn.snapshot() {
+        self.insert_locked(txn, &t, &t.indexes(), row, fk_lock)
+    }
+
+    /// Inserts `rows` into `table` in one call, for a migration granule's
+    /// output: the catalog lookup, the IX lock and the table's index list
+    /// are taken once. Each row still gets what [`Database::insert_with`]
+    /// gives it, in the same order: FK check, unique checks, X lock, undo
+    /// and redo records. A row a uniqueness constraint rejects is skipped.
+    /// Returns `(inserted, rejected)`.
+    pub fn insert_rows(
+        &self,
+        txn: &mut Transaction,
+        table: &str,
+        rows: Vec<Row>,
+        fk_lock: bool,
+    ) -> Result<(u64, u64)> {
+        txn.assert_active()?;
+        let t = self.catalog.get(table)?;
+        self.lock(txn, LockKey::Table(t.id()), LockMode::IX)?;
+        let indexes = t.indexes();
+        let (mut inserted, mut rejected) = (0, 0);
+        for row in rows {
+            match self.insert_locked(txn, &t, &indexes, row, fk_lock) {
+                Ok(_) => inserted += 1,
+                Err(Error::UniqueViolation { .. }) => rejected += 1,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok((inserted, rejected))
+    }
+
+    /// One insert under a held IX lock on `t`, maintaining `indexes`. The
+    /// row is cloned once, for the redo after-image.
+    fn insert_locked(
+        &self,
+        txn: &mut Transaction,
+        t: &Table,
+        indexes: &[Arc<BTreeIndex>],
+        row: Row,
+        fk_lock: bool,
+    ) -> Result<RowId> {
+        crate::fk::check_outgoing_with(self, txn, t, &row, fk_lock)?;
+        let after = row.clone();
+        let pending = txn.snapshot().map(|snap| {
             // Snapshot mode: the new slot carries a pending-writer mark so
             // concurrent snapshot readers skip it until commit installs
             // its first version.
             snap.mark_writer();
-            t.insert_versioned(row.clone(), txn.id().0)?
-        } else {
-            t.insert(row.clone())?
-        };
+            txn.id().0
+        });
+        let rid = t.insert_indexed(row, pending, indexes)?;
         txn.mark_snapshot_used();
         self.lock(txn, LockKey::Row(t.id(), rid), LockMode::X)?;
         txn.push_undo(UndoRecord::Insert { table: t.id(), rid });
@@ -771,7 +824,7 @@ impl Database {
             txn: txn.id(),
             table: t.id(),
             rid,
-            row,
+            row: after,
         });
         Ok(rid)
     }
@@ -956,13 +1009,30 @@ impl Database {
     ) -> Result<Vec<(RowId, Row)>> {
         txn.assert_active()?;
         let t = self.catalog.get(table)?;
+        let scope = table_scope(&t);
+        let keep = |row: &Row| predicate.map_or(Ok(true), |p| p.matches(&scope, row));
+        self.select_with(txn, &t, || index_candidates(&t, predicate), keep, policy)
+    }
+
+    /// The select behind [`Database::select`], for a caller that bound
+    /// its row test once: `probe` proposes index candidates (`None`:
+    /// scan), and `keep` decides each row, re-checked after its lock.
+    pub(crate) fn select_with(
+        &self,
+        txn: &mut Transaction,
+        t: &Table,
+        probe: impl FnOnce() -> Option<Vec<RowId>>,
+        keep: impl Fn(&Row) -> Result<bool>,
+        policy: LockPolicy,
+    ) -> Result<Vec<(RowId, Row)>> {
+        txn.assert_active()?;
         let view = View::of(txn, policy);
         let locks = view.locks();
         if let Some((intent, _)) = locks.modes() {
             self.lock(txn, LockKey::Table(t.id()), intent)?;
         }
-        self.select_in(&t, predicate, view, |rid| {
-            self.lock_row_for(txn, &t, rid, locks)
+        self.select_in(t, view, probe, keep, |rid| {
+            self.lock_row_for(txn, t, rid, locks)
         })
     }
 
@@ -973,7 +1043,15 @@ impl Database {
         predicate: Option<&Expr>,
     ) -> Result<Vec<(RowId, Row)>> {
         let t = self.catalog.get(table)?;
-        self.select_in(&t, predicate, View::Latest(LockPolicy::None), |_| Ok(()))
+        let scope = table_scope(&t);
+        let keep = |row: &Row| predicate.map_or(Ok(true), |p| p.matches(&scope, row));
+        self.select_in(
+            &t,
+            View::Latest(LockPolicy::None),
+            || index_candidates(&t, predicate),
+            keep,
+            |_| Ok(()),
+        )
     }
 
     /// Whether an index probe on `t` finds exactly the rows a read by
@@ -998,19 +1076,19 @@ impl Database {
         }
     }
 
-    /// The one row-set read behind `select` and `select_unlocked`: index
-    /// candidates while `view` says the index is exact (asked again after
-    /// the walk), a scan otherwise. `lock_row` runs before each candidate
-    /// is read; the row is then re-read and the predicate re-checked.
+    /// The one row-set read behind `select_with` and `select_unlocked`:
+    /// the `probe`'s index candidates while `view` says the index is exact
+    /// (asked again after the walk), a scan otherwise. `lock_row` runs
+    /// before each candidate is read; the row is then re-read and `keep`
+    /// re-checked.
     fn select_in(
         &self,
         t: &Table,
-        predicate: Option<&Expr>,
         view: View,
+        probe: impl FnOnce() -> Option<Vec<RowId>>,
+        keep: impl Fn(&Row) -> Result<bool>,
         mut lock_row: impl FnMut(RowId) -> Result<()>,
     ) -> Result<Vec<(RowId, Row)>> {
-        let scope = table_scope(t);
-        let keep = |row: &Row| predicate.map_or(Ok(true), |p| p.matches(&scope, row));
         let mut read = |rids: Vec<RowId>| -> Result<Vec<(RowId, Row)>> {
             let mut out = Vec::with_capacity(rids.len());
             for rid in rids {
@@ -1025,7 +1103,7 @@ impl Database {
             Ok(out)
         };
         if view.index_exact(t) {
-            if let Some(rids) = self.index_candidates(t, predicate) {
+            if let Some(rids) = probe() {
                 let out = read(rids)?;
                 if view.index_exact(t) {
                     return Ok(out);
@@ -1051,62 +1129,6 @@ impl Database {
             return Err(e);
         }
         read(rids)
-    }
-
-    /// Index-assisted candidate lookup: `Some(rids)` when the predicate's
-    /// sargable conjuncts cover an index prefix (point/prefix lookup or
-    /// range scan), `None` when no index applies and the caller must scan.
-    fn index_candidates(&self, t: &Table, predicate: Option<&Expr>) -> Option<Vec<RowId>> {
-        let p = predicate?;
-        let eqs = pred::sargable_equalities(p);
-        let ranges = pred::sargable_ranges(p);
-        if eqs.is_empty() && ranges.is_empty() {
-            return None;
-        }
-        // Resolve the equality columns to positions.
-        let mut by_pos: Vec<(usize, Value)> = Vec::new();
-        for (col, v) in &eqs {
-            if let Ok(i) = t.schema().col_index(&col.column) {
-                by_pos.push((i, v.clone()));
-            }
-        }
-        let mut positions: Vec<usize> = by_pos.iter().map(|(i, _)| *i).collect();
-        // Range columns also make an index eligible.
-        let mut range_by_pos: Vec<(usize, Option<pred::RangeBound>, Option<pred::RangeBound>)> =
-            Vec::new();
-        for (col, lo, hi) in &ranges {
-            if let Ok(i) = t.schema().col_index(&col.column) {
-                range_by_pos.push((i, lo.clone(), hi.clone()));
-                positions.push(i);
-            }
-        }
-        let idx = t.index_for_columns(&positions)?;
-        // Build the longest usable equality prefix.
-        let mut key = Vec::new();
-        let mut next_kc = None;
-        for kc in &idx.def().key_columns {
-            match by_pos.iter().find(|(i, _)| i == kc) {
-                Some((_, v)) => key.push(v.clone()),
-                None => {
-                    next_kc = Some(*kc);
-                    break;
-                }
-            }
-        }
-        // A range bound on the key column right after the prefix turns
-        // the prefix lookup into a range scan (TPC-C StockLevel's
-        // "last 20 orders" window).
-        if let Some(kc) = next_kc {
-            if let Some((_, lo, hi)) = range_by_pos.iter().find(|(i, _, _)| *i == kc) {
-                if !key.is_empty() || lo.is_some() {
-                    return Some(idx.range_scan(&key, lo.as_ref(), hi.as_ref()));
-                }
-            }
-        }
-        if !key.is_empty() {
-            return Some(idx.get_prefix(&key));
-        }
-        None
     }
 
     // --- version GC (Snapshot engine mode) ---------------------------------
@@ -1171,6 +1193,62 @@ impl std::fmt::Debug for Database {
 pub fn table_scope(t: &Table) -> Scope {
     let cols: Vec<String> = t.schema().columns.iter().map(|c| c.name.clone()).collect();
     Scope::table(t.name(), &cols)
+}
+
+/// Index-assisted candidate lookup: `Some(rids)` when the predicate's
+/// sargable conjuncts cover an index prefix (point/prefix lookup or
+/// range scan), `None` when no index applies and the caller must scan.
+pub(crate) fn index_candidates(t: &Table, predicate: Option<&Expr>) -> Option<Vec<RowId>> {
+    let p = predicate?;
+    let eqs = pred::sargable_equalities(p);
+    let ranges = pred::sargable_ranges(p);
+    if eqs.is_empty() && ranges.is_empty() {
+        return None;
+    }
+    // Resolve the equality columns to positions.
+    let mut by_pos: Vec<(usize, Value)> = Vec::new();
+    for (col, v) in &eqs {
+        if let Ok(i) = t.schema().col_index(&col.column) {
+            by_pos.push((i, v.clone()));
+        }
+    }
+    let mut positions: Vec<usize> = by_pos.iter().map(|(i, _)| *i).collect();
+    // Range columns also make an index eligible.
+    let mut range_by_pos: Vec<(usize, Option<pred::RangeBound>, Option<pred::RangeBound>)> =
+        Vec::new();
+    for (col, lo, hi) in &ranges {
+        if let Ok(i) = t.schema().col_index(&col.column) {
+            range_by_pos.push((i, lo.clone(), hi.clone()));
+            positions.push(i);
+        }
+    }
+    let idx = t.index_for_columns(&positions)?;
+    // Build the longest usable equality prefix.
+    let mut key = Vec::new();
+    let mut next_kc = None;
+    for kc in &idx.def().key_columns {
+        match by_pos.iter().find(|(i, _)| i == kc) {
+            Some((_, v)) => key.push(v.clone()),
+            None => {
+                next_kc = Some(*kc);
+                break;
+            }
+        }
+    }
+    // A range bound on the key column right after the prefix turns
+    // the prefix lookup into a range scan (TPC-C StockLevel's
+    // "last 20 orders" window).
+    if let Some(kc) = next_kc {
+        if let Some((_, lo, hi)) = range_by_pos.iter().find(|(i, _, _)| *i == kc) {
+            if !key.is_empty() || lo.is_some() {
+                return Some(idx.range_scan(&key, lo.as_ref(), hi.as_ref()));
+            }
+        }
+    }
+    if !key.is_empty() {
+        return Some(idx.get_prefix(&key));
+    }
+    None
 }
 
 #[cfg(test)]

@@ -6,21 +6,35 @@
 //!   DISTINCT), run with shared locks;
 //! - **the migration engine** in `bullfrog-core`, which evaluates a
 //!   migration statement restricted to a small scope: per-alias extra
-//!   filters (the transposed client predicate) and/or a pinned set of
-//!   *driving rows* (the exact granules being migrated).
+//!   filters (the transposed client predicate), a pinned set of *driving
+//!   rows* (the exact granules being migrated), or a keyed alias whose
+//!   group-key values each run supplies.
+//!
+//! Execution has two phases. [`BoundSpec::bind`] resolves, once, the
+//! table handles, the join order, each join's build and probe positions
+//! and index, and every column reference in filters, join keys,
+//! projections, group keys and aggregate arguments. [`BoundSpec::run`]
+//! then executes against those positions with no name lookups. A client
+//! query binds and runs once ([`execute_spec`]); a migration statement
+//! binds once and runs per granule.
 //!
 //! Join strategy: the driving table's rows are joined to each remaining
 //! input in turn, via **index nested-loop** when the next table has an
 //! index on its join columns and **hash join** otherwise. Single-alias
 //! filter conjuncts are pushed down to the scans.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use bullfrog_common::{Error, Result, Row, RowId, Value};
-use bullfrog_query::{conjoin, conjuncts, AggFunc, ColRef, Expr, OutputColumn, Scope, SelectSpec};
+use bullfrog_query::{
+    conjoin, conjuncts, AggFunc, BoundExpr, ColRef, Expr, OutputColumn, Scope, SelectSpec,
+};
+use bullfrog_storage::{BTreeIndex, Table};
 use bullfrog_txn::Transaction;
 
-use crate::db::{Database, LockPolicy};
+use crate::db::{index_candidates, Database, LockPolicy};
 
 /// Result of executing a spec: output column names and rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,302 +58,650 @@ pub struct ExecOptions {
     pub lock: LockPolicy,
 }
 
+/// What every run of a [`BoundSpec`] restricts, fixed at bind time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Restriction<'a> {
+    /// Additional per-alias filters, conjoined with the spec's own.
+    pub extra_filters: Option<&'a BTreeMap<String, Expr>>,
+    /// Aliases whose rows each run supplies, in the order of
+    /// [`BoundSpec::run`]'s `pinned` argument. They join first.
+    pub pinned: &'a [&'a str],
+    /// An alias restricted to the rows whose key expressions equal the
+    /// run's `key` values (a hash-tracked migration's group). It joins
+    /// first, after the pinned aliases.
+    pub keyed: Option<(&'a str, &'a [Expr])>,
+}
+
 /// Rewrites every column reference to a bare (unqualified) reference, for
 /// evaluation against a single table's scope.
 pub fn strip_aliases(e: &Expr) -> Expr {
     e.map_columns(&|c: &ColRef| Some(Expr::Col(ColRef::bare(c.column.clone()))))
 }
 
-/// Executes `spec` under the given options.
+/// Executes `spec` under the given options: binds it, then runs it once.
 pub fn execute_spec(
     db: &Database,
     txn: &mut Transaction,
     spec: &SelectSpec,
     opts: &ExecOptions,
 ) -> Result<QueryOutput> {
-    if spec.inputs.is_empty() {
-        return Err(Error::InvalidMigration("spec has no inputs".into()));
-    }
-
-    // Split the residual filter into single-alias pushdowns and the rest.
-    let mut pushdown: BTreeMap<String, Vec<Expr>> = BTreeMap::new();
-    let mut residual: Vec<Expr> = Vec::new();
-    if let Some(f) = &spec.filter {
-        for c in conjuncts(f) {
-            let mut cols = Vec::new();
-            c.columns(&mut cols);
-            let mut aliases: Vec<String> = cols
-                .iter()
-                .map(|cr| cr.table.clone().unwrap_or_default())
-                .collect();
-            aliases.sort();
-            aliases.dedup();
-            match aliases.as_slice() {
-                [one] if spec.input(one).is_some() => {
-                    pushdown.entry(one.clone()).or_default().push(c)
-                }
-                _ => residual.push(c),
-            }
-        }
-    }
-    for (alias, f) in &opts.extra_filters {
-        pushdown.entry(alias.clone()).or_default().push(f.clone());
-    }
-
-    // Join order: driving aliases first, then the spec order.
-    let mut order: Vec<&str> = Vec::new();
-    for (alias, _) in &opts.driving {
-        if spec.input(alias).is_none() {
-            return Err(Error::InvalidMigration(format!(
-                "driving alias {alias} is not an input"
-            )));
-        }
-        if !order.contains(&alias.as_str()) {
-            order.push(alias);
-        }
-    }
-    for t in &spec.inputs {
-        if !order.contains(&t.alias.as_str()) {
-            order.push(&t.alias);
-        }
-    }
-
-    // Seed with the first table's rows.
-    let first_alias = order[0];
-    let mut combined_scope = alias_scope(db, spec, first_alias)?;
-    let mut combined: Vec<Row> = rows_for_alias(db, txn, spec, opts, &pushdown, first_alias)?
-        .into_iter()
-        .map(|(_, r)| r)
+    let aliases: Vec<&str> = opts.driving.iter().map(|(a, _)| a.as_str()).collect();
+    let bound = BoundSpec::bind(
+        db,
+        spec,
+        Restriction {
+            extra_filters: Some(&opts.extra_filters),
+            pinned: &aliases,
+            keyed: None,
+        },
+    )?;
+    let pinned = opts
+        .driving
+        .iter()
+        .map(|(_, rows)| rows.iter().map(|(_, r)| r.clone()).collect())
         .collect();
+    let rows = bound.run(db, txn, pinned, &[], opts.lock)?;
+    Ok(QueryOutput {
+        names: bound.names,
+        rows,
+    })
+}
 
-    // Fold in the remaining inputs.
-    for &alias in &order[1..] {
-        let next_scope = alias_scope(db, spec, alias)?;
-        // Join conditions connecting `alias` to what we have so far.
-        let mut probe_cols: Vec<ColRef> = Vec::new(); // over combined
-        let mut build_cols: Vec<ColRef> = Vec::new(); // over next table
-        for (a, b) in &spec.join_conds {
-            let (a_alias, b_alias) = (
-                a.table.as_deref().unwrap_or_default(),
-                b.table.as_deref().unwrap_or_default(),
-            );
-            if a_alias == alias && combined_scope.resolve(b).is_ok() {
-                build_cols.push(a.clone());
-                probe_cols.push(b.clone());
-            } else if b_alias == alias && combined_scope.resolve(a).is_ok() {
-                build_cols.push(b.clone());
-                probe_cols.push(a.clone());
+/// A [`SelectSpec`] resolved against the catalog under one
+/// [`Restriction`]; see the module docs.
+pub struct BoundSpec {
+    names: Vec<String>,
+    /// One step per input, in join order.
+    steps: Vec<Step>,
+    /// Cross-alias filter conjuncts, over the joined row.
+    residual: Option<BoundExpr>,
+    output: Output,
+}
+
+/// One input of the join order.
+struct Step {
+    table: Arc<Table>,
+    /// The pushed-down filter over bare column names: it picks the index
+    /// of a scan.
+    filter: Option<Expr>,
+    /// The same filter bound to the table's rows.
+    bound_filter: Option<BoundExpr>,
+    source: Source,
+    /// How the step joins the rows before it (`None`: it is the first
+    /// step, or a cartesian product).
+    join: Option<JoinKeys>,
+    /// The table columns the joined row keeps, when not all: the rest
+    /// are read only by the step's filter and key expressions.
+    kept: Option<Vec<usize>>,
+}
+
+/// Where a step's rows come from.
+enum Source {
+    /// A scan, through an index when the filter selects one.
+    Scan,
+    /// Position of the alias in the run's `pinned` rows.
+    Pinned(usize),
+    /// The rows whose `exprs` equal the run's key. `index` probes the
+    /// leading key columns (`(index, key positions)`) when every key
+    /// expression is a bare column and an index starts with them.
+    Keyed {
+        exprs: Vec<BoundExpr>,
+        index: Option<(Arc<BTreeIndex>, Vec<usize>)>,
+    },
+}
+
+/// An equi-join step: `build` positions in the step's kept row equal
+/// `probe` positions in the joined row so far.
+struct JoinKeys {
+    build: Vec<usize>,
+    probe: Vec<usize>,
+    /// An index keyed exactly on the build columns (never for a pinned
+    /// step).
+    index: Option<Arc<BTreeIndex>>,
+}
+
+/// The output stage.
+enum Output {
+    /// One expression per column. `take`: every expression is a distinct
+    /// bare column, so values move out of the joined row.
+    Project { exprs: Vec<BoundExpr>, take: bool },
+    /// Grouped aggregation; the group key is the scalar outputs in order,
+    /// and `is_agg` says which output columns are aggregates.
+    Aggregate {
+        keys: Vec<BoundExpr>,
+        aggs: Vec<(AggFunc, BoundExpr)>,
+        is_agg: Vec<bool>,
+    },
+}
+
+impl BoundSpec {
+    /// Binds `spec` under `restriction`.
+    pub fn bind(db: &Database, spec: &SelectSpec, restriction: Restriction<'_>) -> Result<Self> {
+        if spec.inputs.is_empty() {
+            return Err(Error::InvalidMigration("spec has no inputs".into()));
+        }
+
+        // Split the residual filter into single-alias pushdowns and the rest.
+        let mut pushdown: BTreeMap<&str, Vec<Expr>> = BTreeMap::new();
+        let mut residual: Vec<Expr> = Vec::new();
+        if let Some(f) = &spec.filter {
+            for c in conjuncts(f) {
+                let mut cols = Vec::new();
+                c.columns(&mut cols);
+                let mut aliases: Vec<String> = cols
+                    .iter()
+                    .map(|cr| cr.table.clone().unwrap_or_default())
+                    .collect();
+                aliases.sort();
+                aliases.dedup();
+                match aliases.as_slice() {
+                    [one] if spec.input(one).is_some() => {
+                        let alias = &spec.input(one).expect("checked").alias;
+                        pushdown.entry(alias).or_default().push(c)
+                    }
+                    _ => residual.push(c),
+                }
+            }
+        }
+        for (alias, f) in restriction.extra_filters.into_iter().flatten() {
+            pushdown.entry(alias).or_default().push(f.clone());
+        }
+
+        // Join order: pinned aliases first, then the keyed one, then the
+        // spec order.
+        let mut order: Vec<&str> = Vec::new();
+        for &alias in restriction.pinned {
+            if spec.input(alias).is_none() {
+                return Err(Error::InvalidMigration(format!(
+                    "driving alias {alias} is not an input"
+                )));
+            }
+            if !order.contains(&alias) {
+                order.push(alias);
+            }
+        }
+        if let Some((alias, _)) = restriction.keyed {
+            if spec.input(alias).is_none() {
+                return Err(Error::InvalidMigration(format!(
+                    "key alias {alias} is not an input"
+                )));
+            }
+            if !order.contains(&alias) {
+                order.push(alias);
+            }
+        }
+        for t in &spec.inputs {
+            if !order.contains(&t.alias.as_str()) {
+                order.push(&t.alias);
             }
         }
 
-        let table_name = &spec.input(alias).expect("alias validated").table;
-        let table = db.table(table_name)?;
-        let next_filter = alias_filter(&pushdown, alias);
-
-        let mut new_combined = Vec::new();
-        if build_cols.is_empty() {
-            // No connecting condition: cartesian product (rare; supported
-            // for completeness).
-            let rows = rows_for_alias(db, txn, spec, opts, &pushdown, alias)?;
-            for left in &combined {
-                for (_, right) in &rows {
-                    new_combined.push(left.concat(right));
+        // Every input's full scope, and which of the joined columns a
+        // later stage reads: filters and key expressions read whole
+        // table rows, so only the residual, the outputs and the join
+        // conditions keep a column in the joined row.
+        let mut tables = Vec::with_capacity(order.len());
+        let mut full = Scope::new();
+        for &alias in &order {
+            let table = db.table(&spec.input(alias).expect("alias validated").table)?;
+            for c in &table.schema().columns {
+                full.push(Some(alias.to_owned()), c.name.clone());
+            }
+            tables.push(table);
+        }
+        let mut refs = Vec::new();
+        for c in &residual {
+            c.columns(&mut refs);
+        }
+        for c in &spec.columns {
+            match c {
+                OutputColumn::Scalar { expr, .. } => expr.columns(&mut refs),
+                OutputColumn::Agg { arg, .. } => arg.columns(&mut refs),
+            }
+        }
+        let mut needed = vec![false; full.len()];
+        for r in &refs {
+            needed[full.resolve(r)?] = true;
+        }
+        for (a, b) in &spec.join_conds {
+            for r in [a, b] {
+                if let Ok(i) = full.resolve(r) {
+                    needed[i] = true;
                 }
             }
-        } else {
-            let build_positions: Vec<usize> = build_cols
+        }
+
+        let mut steps = Vec::with_capacity(order.len());
+        let mut combined = Scope::new();
+        let mut offset = 0;
+        for (&alias, table) in order.iter().zip(tables) {
+            let names: Vec<String> = table
+                .schema()
+                .columns
                 .iter()
-                .map(|c| table.schema().col_index(&c.column))
-                .collect::<Result<_>>()?;
-            let probe_positions: Vec<usize> = probe_cols
-                .iter()
-                .map(|c| combined_scope.resolve(c))
-                .collect::<Result<_>>()?;
-            let pinned = opts.driving.iter().any(|(a, _)| a == alias);
-            let index = if pinned || !db.index_exact(txn, &table, opts.lock) {
+                .map(|c| c.name.clone())
+                .collect();
+            let own = Scope::table(alias, &names);
+            let filter = conjoin(
+                pushdown
+                    .get(alias)
+                    .map_or_else(Vec::new, |fs| fs.iter().map(strip_aliases).collect()),
+            );
+            let bound_filter = filter.as_ref().map(|f| f.bind(&own)).transpose()?;
+            let source = match restriction.pinned.iter().position(|&a| a == alias) {
+                Some(i) => Source::Pinned(i),
+                None => match restriction.keyed {
+                    Some((keyed, exprs)) if keyed == alias => {
+                        let exprs: Vec<BoundExpr> = exprs
+                            .iter()
+                            .map(|e| strip_aliases(e).bind(&own))
+                            .collect::<Result<_>>()?;
+                        let index = key_index(&table, &exprs);
+                        Source::Keyed { exprs, index }
+                    }
+                    _ => Source::Scan,
+                },
+            };
+            let kept: Vec<usize> = (0..names.len()).filter(|i| needed[offset + i]).collect();
+            offset += names.len();
+            let join = if steps.is_empty() {
                 None
             } else {
-                table
-                    .index_for_columns(&build_positions)
-                    .filter(|idx| idx.def().key_columns == build_positions)
+                join_keys(spec, alias, &table, &kept, &combined, &source)?
             };
-            let next_table_scope = crate::db::table_scope(&table);
+            for &i in &kept {
+                combined.push(Some(alias.to_owned()), names[i].clone());
+            }
+            steps.push(Step {
+                table,
+                filter,
+                bound_filter,
+                source,
+                join,
+                kept: (kept.len() < names.len()).then_some(kept),
+            });
+        }
 
-            let mut probed = false;
-            if let Some(idx) = index {
-                // Index nested-loop join.
-                for left in &combined {
-                    let key: Vec<Value> =
-                        probe_positions.iter().map(|&i| left[i].clone()).collect();
-                    if key.iter().any(Value::is_null) {
-                        continue;
+        let residual = conjoin(residual).map(|f| f.bind(&combined)).transpose()?;
+        let output = if spec.is_aggregate() {
+            let mut keys = Vec::new();
+            let mut aggs = Vec::new();
+            let mut is_agg = Vec::with_capacity(spec.columns.len());
+            for c in &spec.columns {
+                match c {
+                    OutputColumn::Scalar { expr, .. } => keys.push(expr.bind(&combined)?),
+                    OutputColumn::Agg { func, arg, .. } => aggs.push((*func, arg.bind(&combined)?)),
+                }
+                is_agg.push(matches!(c, OutputColumn::Agg { .. }));
+            }
+            Output::Aggregate { keys, aggs, is_agg }
+        } else {
+            let exprs: Vec<BoundExpr> = spec
+                .columns
+                .iter()
+                .map(|c| match c {
+                    OutputColumn::Scalar { expr, .. } => expr.bind(&combined),
+                    OutputColumn::Agg { .. } => unreachable!("is_aggregate() was false"),
+                })
+                .collect::<Result<_>>()?;
+            let cols: Vec<Option<usize>> = exprs.iter().map(BoundExpr::as_col).collect();
+            let take = cols
+                .iter()
+                .enumerate()
+                .all(|(i, c)| c.is_some_and(|c| !cols[..i].contains(&Some(c))));
+            Output::Project { exprs, take }
+        };
+        Ok(BoundSpec {
+            names: spec.output_names(),
+            steps,
+            residual,
+            output,
+        })
+    }
+
+    /// Output column names (spec order).
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// Runs the bound spec: `pinned` holds the rows of each
+    /// [`Restriction::pinned`] alias, in that order, and `key` the values
+    /// of a [`Restriction::keyed`] alias's key expressions.
+    pub fn run(
+        &self,
+        db: &Database,
+        txn: &mut Transaction,
+        mut pinned: Vec<Vec<Row>>,
+        key: &[Value],
+        lock: LockPolicy,
+    ) -> Result<Vec<Row>> {
+        let mut combined: Vec<Row> = Vec::new();
+        for (n, step) in self.steps.iter().enumerate() {
+            if n == 0 {
+                combined = step.rows(db, txn, &mut pinned, key, lock)?;
+                continue;
+            }
+            let mut joined = Vec::new();
+            match &step.join {
+                None => {
+                    // No connecting condition: cartesian product (rare;
+                    // supported for completeness).
+                    let rows = step.rows(db, txn, &mut pinned, key, lock)?;
+                    for left in &combined {
+                        for right in &rows {
+                            joined.push(left.concat(right));
+                        }
                     }
-                    for rid in idx.get(&key) {
-                        let Some(right) = db.read_row(txn, &table, rid, opts.lock)? else {
+                }
+                Some(j) => {
+                    let probed = match &j.index {
+                        Some(idx) => {
+                            step.index_join(db, txn, j, idx, &combined, lock, &mut joined)?
+                        }
+                        None => false,
+                    };
+                    if !probed {
+                        joined.clear();
+                        let rows = step.rows(db, txn, &mut pinned, key, lock)?;
+                        hash_join(j, &combined, &rows, &mut joined);
+                    }
+                }
+            }
+            combined = joined;
+        }
+
+        if let Some(f) = &self.residual {
+            let mut kept = Vec::with_capacity(combined.len());
+            for r in combined {
+                if f.matches(&r)? {
+                    kept.push(r);
+                }
+            }
+            combined = kept;
+        }
+
+        match &self.output {
+            Output::Project { exprs, take } => {
+                let mut out = Vec::with_capacity(combined.len());
+                for mut r in combined {
+                    let vals = if *take {
+                        exprs
+                            .iter()
+                            .map(|e| {
+                                let i = e.as_col().expect("bare column");
+                                std::mem::replace(&mut r.0[i], Value::Null)
+                            })
+                            .collect()
+                    } else {
+                        exprs.iter().map(|e| e.eval(&r)).collect::<Result<_>>()?
+                    };
+                    out.push(Row(vals));
+                }
+                Ok(out)
+            }
+            Output::Aggregate { keys, aggs, is_agg } => aggregate(keys, aggs, is_agg, &combined),
+        }
+    }
+}
+
+impl Step {
+    /// The step's rows, filtered: the pinned rows, the keyed group, or a
+    /// (pushdown-filtered) scan.
+    fn rows(
+        &self,
+        db: &Database,
+        txn: &mut Transaction,
+        pinned: &mut [Vec<Row>],
+        key: &[Value],
+        lock: LockPolicy,
+    ) -> Result<Vec<Row>> {
+        let keep = |row: &Row| {
+            self.bound_filter
+                .as_ref()
+                .map_or(Ok(true), |f| f.matches(row))
+        };
+        let t = &self.table;
+        let rows = match &self.source {
+            Source::Pinned(i) => {
+                let rows = pinned
+                    .get_mut(*i)
+                    .map(std::mem::take)
+                    .ok_or_else(|| Error::Internal(format!("no rows pinned at {i}")))?;
+                let mut out = Vec::with_capacity(rows.len());
+                for r in rows {
+                    if keep(&r)? {
+                        out.push(self.prune(r));
+                    }
+                }
+                return Ok(out);
+            }
+            Source::Scan => db.select_with(
+                txn,
+                t,
+                || index_candidates(t, self.filter.as_ref()),
+                keep,
+                lock,
+            )?,
+            Source::Keyed { exprs, index } => {
+                if exprs.len() != key.len() {
+                    return Err(Error::Internal(format!(
+                        "{} key values for {} key expressions",
+                        key.len(),
+                        exprs.len()
+                    )));
+                }
+                let probe = || match index {
+                    Some((idx, positions)) => Some(
+                        idx.get_prefix(
+                            &positions
+                                .iter()
+                                .map(|&i| key[i].clone())
+                                .collect::<Vec<_>>(),
+                        ),
+                    ),
+                    None => index_candidates(t, self.filter.as_ref()),
+                };
+                let in_group = |row: &Row| -> Result<bool> {
+                    for (e, v) in exprs.iter().zip(key) {
+                        if e.eval(row)?.sql_cmp(v) != Some(std::cmp::Ordering::Equal) {
+                            return Ok(false);
+                        }
+                    }
+                    keep(row)
+                };
+                db.select_with(txn, t, probe, in_group, lock)?
+            }
+        };
+        Ok(rows.into_iter().map(|(_, r)| self.prune(r)).collect())
+    }
+
+    /// The columns of a table row the joined row keeps, moved out.
+    fn prune(&self, row: Row) -> Row {
+        match &self.kept {
+            None => row,
+            Some(kept) => {
+                let mut vals = row.0;
+                Row(kept
+                    .iter()
+                    .map(|&i| std::mem::replace(&mut vals[i], Value::Null))
+                    .collect())
+            }
+        }
+    }
+
+    /// Index nested-loop join of `combined` with this step through `idx`.
+    /// Each distinct probe key's rows are read once per run. Returns
+    /// `false`, with `joined` to be discarded, when the index is not
+    /// exact for the read (before the walk, or after it: a writer raced
+    /// it), so the caller hash-joins instead.
+    #[allow(clippy::too_many_arguments)]
+    fn index_join(
+        &self,
+        db: &Database,
+        txn: &mut Transaction,
+        j: &JoinKeys,
+        idx: &BTreeIndex,
+        combined: &[Row],
+        lock: LockPolicy,
+        joined: &mut Vec<Row>,
+    ) -> Result<bool> {
+        let t = &self.table;
+        if !db.index_exact(txn, t, lock) {
+            return Ok(false);
+        }
+        let mut by_key: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
+        for left in combined {
+            let key = left.key(&j.probe);
+            if key.iter().any(Value::is_null) {
+                continue;
+            }
+            let rights = match by_key.entry(key) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    let mut rows = Vec::new();
+                    for rid in idx.get(e.key()) {
+                        let Some(right) = db.read_row(txn, t, rid, lock)? else {
                             continue;
                         };
-                        if let Some(f) = &next_filter {
-                            if !f.matches(&next_table_scope, &right)? {
+                        if let Some(f) = &self.bound_filter {
+                            if !f.matches(&right)? {
                                 continue;
                             }
                         }
-                        new_combined.push(left.concat(&right));
-                    }
-                }
-                probed = db.index_exact(txn, &table, opts.lock);
-                if !probed {
-                    // A writer raced the walk: discard, hash join instead.
-                    new_combined.clear();
-                }
-            }
-            if !probed {
-                // Hash join: build on the next table's (filtered) rows.
-                let rows = rows_for_alias(db, txn, spec, opts, &pushdown, alias)?;
-                let mut ht: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
-                for (_, r) in &rows {
-                    let key: Vec<Value> = build_positions.iter().map(|&i| r[i].clone()).collect();
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    ht.entry(key).or_default().push(r);
-                }
-                for left in &combined {
-                    let key: Vec<Value> =
-                        probe_positions.iter().map(|&i| left[i].clone()).collect();
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    if let Some(matches) = ht.get(&key) {
-                        for right in matches {
-                            new_combined.push(left.concat(right));
+                        let right = self.prune(right);
+                        // The entry was read before the row lock: a writer
+                        // that moved the key and then aborted may have
+                        // restored the row under another key.
+                        if right.key(&j.build) != *e.key() {
+                            continue;
                         }
+                        rows.push(right);
                     }
+                    e.insert(rows)
                 }
+            };
+            for right in rights.iter() {
+                joined.push(left.concat(right));
             }
         }
-        combined = new_combined;
-        combined_scope = combined_scope.concat(&next_scope);
+        Ok(db.index_exact(txn, t, lock))
     }
-
-    // Residual filter.
-    if let Some(f) = conjoin(residual) {
-        let mut kept = Vec::with_capacity(combined.len());
-        for r in combined {
-            if f.matches(&combined_scope, &r)? {
-                kept.push(r);
-            }
-        }
-        combined = kept;
-    }
-
-    // Projection / aggregation.
-    let names = spec.output_names();
-    let rows = if spec.is_aggregate() {
-        aggregate(spec, &combined_scope, &combined)?
-    } else {
-        let mut out = Vec::with_capacity(combined.len());
-        for r in &combined {
-            let mut vals = Vec::with_capacity(spec.columns.len());
-            for c in &spec.columns {
-                match c {
-                    OutputColumn::Scalar { expr, .. } => vals.push(expr.eval(&combined_scope, r)?),
-                    OutputColumn::Agg { .. } => unreachable!("is_aggregate() was false"),
-                }
-            }
-            out.push(Row(vals));
-        }
-        out
-    };
-    Ok(QueryOutput { names, rows })
 }
 
-/// Scope of one input alias.
-fn alias_scope(db: &Database, spec: &SelectSpec, alias: &str) -> Result<Scope> {
-    let tref = spec
-        .input(alias)
-        .ok_or_else(|| Error::InvalidMigration(format!("unknown alias {alias}")))?;
-    let table = db.table(&tref.table)?;
-    let cols: Vec<String> = table
-        .schema()
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    Ok(Scope::table(alias, &cols))
+/// Hash join of `combined` with `rows`, built on `rows`.
+fn hash_join(j: &JoinKeys, combined: &[Row], rows: &[Row], joined: &mut Vec<Row>) {
+    let mut ht: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
+    for r in rows {
+        let key = r.key(&j.build);
+        if key.iter().any(Value::is_null) {
+            continue;
+        }
+        ht.entry(key).or_default().push(r);
+    }
+    for left in combined {
+        let key = left.key(&j.probe);
+        if key.iter().any(Value::is_null) {
+            continue;
+        }
+        if let Some(matches) = ht.get(&key) {
+            for right in matches {
+                joined.push(left.concat(right));
+            }
+        }
+    }
 }
 
-/// Rows of one alias: pinned driving rows, or a (pushdown-filtered) scan.
-fn rows_for_alias(
-    db: &Database,
-    txn: &mut Transaction,
+/// The join conditions connecting `alias` (table `table`, of which the
+/// joined row keeps columns `kept`) to the inputs already in `combined`,
+/// and the index the join probes.
+fn join_keys(
     spec: &SelectSpec,
-    opts: &ExecOptions,
-    pushdown: &BTreeMap<String, Vec<Expr>>,
     alias: &str,
-) -> Result<Vec<(RowId, Row)>> {
-    let tref = spec
-        .input(alias)
-        .ok_or_else(|| Error::InvalidMigration(format!("unknown alias {alias}")))?;
-    let filter = alias_filter(pushdown, alias);
-    let Some((_, rows)) = opts.driving.iter().find(|(drv, _)| drv == alias) else {
-        return db.select(txn, &tref.table, filter.as_ref(), opts.lock);
-    };
-    // Apply pushdown filters to the pinned rows too.
-    let table = db.table(&tref.table)?;
-    let scope = crate::db::table_scope(&table);
-    let mut out = Vec::with_capacity(rows.len());
-    for (rid, r) in rows {
-        let keep = match &filter {
-            Some(f) => f.matches(&scope, r)?,
-            None => true,
+    table: &Table,
+    kept: &[usize],
+    combined: &Scope,
+    source: &Source,
+) -> Result<Option<JoinKeys>> {
+    let mut columns = Vec::new();
+    let mut probe = Vec::new();
+    for (a, b) in &spec.join_conds {
+        let (a_alias, b_alias) = (
+            a.table.as_deref().unwrap_or_default(),
+            b.table.as_deref().unwrap_or_default(),
+        );
+        let (mine, theirs) = if a_alias == alias {
+            (a, b)
+        } else if b_alias == alias {
+            (b, a)
+        } else {
+            continue;
         };
-        if keep {
-            out.push((*rid, r.clone()));
+        if let Ok(p) = combined.resolve(theirs) {
+            columns.push(table.schema().col_index(&mine.column)?);
+            probe.push(p);
         }
     }
-    Ok(out)
+    if columns.is_empty() {
+        return Ok(None);
+    }
+    let index = match source {
+        Source::Pinned(_) => None,
+        Source::Scan | Source::Keyed { .. } => table
+            .index_for_columns(&columns)
+            .filter(|idx| idx.def().key_columns == columns),
+    };
+    let build = columns
+        .iter()
+        .map(|c| {
+            kept.iter()
+                .position(|k| k == c)
+                .expect("join columns are kept")
+        })
+        .collect();
+    Ok(Some(JoinKeys {
+        build,
+        probe,
+        index,
+    }))
 }
 
-/// The pushed-down filter of `alias`, over its table's bare column names.
-fn alias_filter(pushdown: &BTreeMap<String, Vec<Expr>>, alias: &str) -> Option<Expr> {
-    conjoin(
-        pushdown
-            .get(alias)
-            .map_or_else(Vec::new, |fs| fs.iter().map(strip_aliases).collect()),
-    )
+/// The index a keyed step probes: when every key expression is a bare
+/// column, the index [`Table::index_for_columns`] picks for them, with
+/// the positions (into the key) of its leading key columns.
+fn key_index(table: &Table, exprs: &[BoundExpr]) -> Option<(Arc<BTreeIndex>, Vec<usize>)> {
+    let cols: Vec<usize> = exprs.iter().map(BoundExpr::as_col).collect::<Option<_>>()?;
+    let idx = table.index_for_columns(&cols)?;
+    let positions: Vec<usize> = idx
+        .def()
+        .key_columns
+        .iter()
+        .map_while(|kc| cols.iter().position(|c| c == kc))
+        .collect();
+    (!positions.is_empty()).then_some((idx, positions))
 }
 
 /// Grouped aggregation: group key = the scalar outputs, in order.
-fn aggregate(spec: &SelectSpec, scope: &Scope, rows: &[Row]) -> Result<Vec<Row>> {
+fn aggregate(
+    keys: &[BoundExpr],
+    aggs: &[(AggFunc, BoundExpr)],
+    is_agg: &[bool],
+    rows: &[Row],
+) -> Result<Vec<Row>> {
     let mut groups: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
-    let aggs: Vec<(&AggFunc, &Expr)> = spec
-        .columns
-        .iter()
-        .filter_map(|c| match c {
-            OutputColumn::Agg { func, arg, .. } => Some((func, arg)),
-            _ => None,
-        })
-        .collect();
-    let key_exprs = spec.group_key_exprs();
-    let global = key_exprs.is_empty();
-
-    if global {
+    let fresh = || {
+        aggs.iter()
+            .map(|(f, _)| AggState::new(*f))
+            .collect::<Vec<_>>()
+    };
+    if keys.is_empty() {
         // A global aggregate has exactly one group, even over zero rows.
-        groups.insert(
-            Vec::new(),
-            aggs.iter().map(|(f, _)| AggState::new(**f)).collect(),
-        );
+        groups.insert(Vec::new(), fresh());
     }
     for r in rows {
-        let key: Vec<Value> = key_exprs
-            .iter()
-            .map(|e| e.eval(scope, r))
-            .collect::<Result<_>>()?;
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(|(f, _)| AggState::new(**f)).collect());
-        for (state, (_, arg)) in states.iter_mut().zip(&aggs) {
-            state.update(arg.eval(scope, r)?)?;
+        let key: Vec<Value> = keys.iter().map(|e| e.eval(r)).collect::<Result<_>>()?;
+        let states = groups.entry(key).or_insert_with(fresh);
+        for (state, (_, arg)) in states.iter_mut().zip(aggs) {
+            state.update(arg.eval(r)?)?;
         }
     }
 
@@ -347,21 +709,18 @@ fn aggregate(spec: &SelectSpec, scope: &Scope, rows: &[Row]) -> Result<Vec<Row>>
     for (key, states) in groups {
         let mut key_iter = key.into_iter();
         let mut state_iter = states.into_iter();
-        let mut vals = Vec::with_capacity(spec.columns.len());
-        for c in &spec.columns {
-            match c {
-                OutputColumn::Scalar { .. } => vals.push(
-                    key_iter
-                        .next()
-                        .ok_or_else(|| Error::Internal("group key arity".into()))?,
-                ),
-                OutputColumn::Agg { .. } => vals.push(
-                    state_iter
-                        .next()
-                        .ok_or_else(|| Error::Internal("agg arity".into()))?
-                        .finish(),
-                ),
-            }
+        let mut vals = Vec::with_capacity(is_agg.len());
+        for &agg in is_agg {
+            vals.push(if agg {
+                state_iter
+                    .next()
+                    .ok_or_else(|| Error::Internal("agg arity".into()))?
+                    .finish()
+            } else {
+                key_iter
+                    .next()
+                    .ok_or_else(|| Error::Internal("group key arity".into()))?
+            });
         }
         out.push(Row(vals));
     }
@@ -441,6 +800,7 @@ mod tests {
     use super::*;
     use crate::db::{DbConfig, EngineMode};
     use bullfrog_common::{row, ColumnDef, DataType, TableSchema};
+    use bullfrog_txn::LockKey;
 
     /// Builds the §2.1 flights/flewon database.
     fn flights_db(mode: EngineMode) -> Database {
@@ -796,6 +1156,83 @@ mod tests {
             db.commit(&mut reader).unwrap();
             let expected = if mode.is_snapshot() { 6 } else { 3 };
             assert_eq!(out.rows.len(), expected, "{:?}", out.rows);
+        }
+    }
+
+    /// A reader's index nested-loop join probes the key an uncommitted
+    /// update moved a row to, then parks on the row's lock; the writer
+    /// aborts and the row is back under its old key. The reader must
+    /// re-check the key it read under the lock and not join the row.
+    #[test]
+    fn index_join_rechecks_the_key_after_the_row_lock() {
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = Database::with_config(DbConfig {
+                mode,
+                lock_timeout: std::time::Duration::from_secs(10),
+                ..DbConfig::default()
+            });
+            assert_eq!(db.config().mode, mode);
+            for name in ["l", "r"] {
+                db.create_table(
+                    TableSchema::new(
+                        name,
+                        vec![
+                            ColumnDef::new("id", DataType::Int),
+                            ColumnDef::new("k", DataType::Int),
+                        ],
+                    )
+                    .with_primary_key(&["id"]),
+                )
+                .unwrap();
+            }
+            db.create_index("r", "r_k", &["k"], false).unwrap();
+            db.with_txn(|txn| {
+                db.insert(txn, "l", row![1, 2])?;
+                db.insert(txn, "r", row![1, 1])
+            })
+            .unwrap();
+            let spec = SelectSpec::new()
+                .from_table("l", "l")
+                .from_table("r", "r")
+                .join_on(ColRef::new("l", "k"), ColRef::new("r", "k"))
+                .select("lk", Expr::col("l", "k"))
+                .select("rk", Expr::col("r", "k"));
+
+            let mut writer = db.begin();
+            let (rid, _) = db
+                .get_by_pk(&mut writer, "r", &[Value::Int(1)], LockPolicy::Exclusive)
+                .unwrap()
+                .expect("seeded");
+            db.update(&mut writer, "r", rid, row![1, 2]).unwrap();
+            let r_row = LockKey::Row(db.table("r").unwrap().id(), rid);
+            let rows = std::thread::scope(|s| {
+                let reader = s.spawn(|| {
+                    let mut txn = db.begin();
+                    let opts = ExecOptions {
+                        lock: LockPolicy::Shared,
+                        ..Default::default()
+                    };
+                    let out = execute_spec(&db, &mut txn, &spec, &opts).unwrap();
+                    db.commit(&mut txn).unwrap();
+                    out.rows
+                });
+                if mode.is_snapshot() {
+                    // Snapshot readers never park: the reader sees the
+                    // committed row, under its old key, and finishes.
+                    while !reader.is_finished() {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    while db.lock_manager().queued(r_row) == 0 {
+                        assert!(!reader.is_finished(), "the reader never parked");
+                        std::thread::yield_now();
+                    }
+                }
+                db.abort(&mut writer);
+                reader.join().unwrap()
+            });
+            assert_eq!(rows, Vec::<Row>::new(), "l.k = 2 joined r.k = 1");
         }
     }
 

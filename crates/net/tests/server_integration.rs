@@ -710,9 +710,20 @@ fn a_client_that_never_reads_is_closed_and_its_worker_released() {
         "closed after {:?}: the write never stalled, the test sent too little",
         sent.elapsed()
     );
-    let status = admin.status().unwrap();
+    // Every worker but the one answering this STATUS is idle again. The
+    // closing worker drops the session slot before it is back in the
+    // pool, so poll until it arrives.
+    let status = loop {
+        let status = admin.status().unwrap();
+        let of = |key: &str| status.iter().find(|(k, _)| k == key).unwrap().1;
+        if of("server.pool_idle") == of("server.pool_workers") - 1
+            || sent.elapsed() > Duration::from_secs(30)
+        {
+            break status;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
     let of = |key: &str| status.iter().find(|(k, _)| k == key).unwrap().1;
-    // Every worker but the one answering this STATUS is idle again.
     assert_eq!(of("server.pool_idle"), of("server.pool_workers") - 1);
     assert_eq!(of("server.parked_connections"), 1);
     drop(deaf);

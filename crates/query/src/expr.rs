@@ -235,54 +235,57 @@ impl Expr {
         Expr::Mul(Box::new(self), Box::new(other))
     }
 
-    /// Evaluates against `row` laid out by `scope`.
+    /// Evaluates against `row` laid out by `scope`, resolving each
+    /// column reference by name. Callers that evaluate one expression
+    /// over many rows bind it once with [`Expr::bind`] instead.
     pub fn eval(&self, scope: &Scope, row: &Row) -> Result<Value> {
-        match self {
-            Expr::Col(c) => {
-                let idx = scope.resolve(c)?;
-                Ok(row
-                    .try_get(idx)
-                    .ok_or_else(|| Error::Eval(format!("row too short for {c}")))?
-                    .clone())
-            }
-            Expr::Lit(v) => Ok(v.clone()),
-            Expr::Cmp(op, a, b) => {
-                let (va, vb) = (a.eval(scope, row)?, b.eval(scope, row)?);
-                Ok(match va.sql_cmp(&vb) {
-                    None => Value::Null,
-                    Some(ord) => Value::Bool(op.holds(ord)),
-                })
-            }
-            Expr::And(a, b) => {
-                let va = a.eval(scope, row)?;
-                let vb = b.eval(scope, row)?;
-                Ok(kleene_and(truth(&va)?, truth(&vb)?))
-            }
-            Expr::Or(a, b) => {
-                let va = a.eval(scope, row)?;
-                let vb = b.eval(scope, row)?;
-                Ok(kleene_or(truth(&va)?, truth(&vb)?))
-            }
-            Expr::Not(e) => Ok(match truth(&e.eval(scope, row)?)? {
-                Some(b) => Value::Bool(!b),
-                None => Value::Null,
-            }),
-            Expr::IsNull(e) => Ok(Value::Bool(e.eval(scope, row)?.is_null())),
-            Expr::Add(a, b) => arith(scope, row, a, b, "+", Value::add),
-            Expr::Sub(a, b) => arith(scope, row, a, b, "-", Value::sub),
-            Expr::Mul(a, b) => arith(scope, row, a, b, "*", Value::mul),
-            Expr::Call(f, arg) => {
-                let v = arg.eval(scope, row)?;
-                eval_func(*f, v)
-            }
-            Expr::Param(i) => Err(Error::Eval(format!("unbound parameter ?{}", i + 1))),
-        }
+        eval(self, scope, row)
     }
 
     /// Evaluates as a predicate: `true` only when the expression is
     /// definitely true (SQL WHERE semantics).
     pub fn matches(&self, scope: &Scope, row: &Row) -> Result<bool> {
         Ok(truth(&self.eval(scope, row)?)? == Some(true))
+    }
+
+    /// Resolves every column reference against `scope`, once. The bound
+    /// form evaluates rows laid out by `scope` with no name lookups.
+    pub fn bind(&self, scope: &Scope) -> Result<BoundExpr> {
+        let pair = |a: &Expr, b: &Expr| -> Result<(Box<BoundExpr>, Box<BoundExpr>)> {
+            Ok((Box::new(a.bind(scope)?), Box::new(b.bind(scope)?)))
+        };
+        Ok(match self {
+            Expr::Col(c) => BoundExpr::Col(scope.resolve(c)?),
+            Expr::Lit(v) => BoundExpr::Lit(v.clone()),
+            Expr::Cmp(op, a, b) => {
+                let (a, b) = pair(a, b)?;
+                BoundExpr::Cmp(*op, a, b)
+            }
+            Expr::And(a, b) => {
+                let (a, b) = pair(a, b)?;
+                BoundExpr::And(a, b)
+            }
+            Expr::Or(a, b) => {
+                let (a, b) = pair(a, b)?;
+                BoundExpr::Or(a, b)
+            }
+            Expr::Add(a, b) => {
+                let (a, b) = pair(a, b)?;
+                BoundExpr::Arith(ArithOp::Add, a, b)
+            }
+            Expr::Sub(a, b) => {
+                let (a, b) = pair(a, b)?;
+                BoundExpr::Arith(ArithOp::Sub, a, b)
+            }
+            Expr::Mul(a, b) => {
+                let (a, b) = pair(a, b)?;
+                BoundExpr::Arith(ArithOp::Mul, a, b)
+            }
+            Expr::Not(e) => BoundExpr::Not(Box::new(e.bind(scope)?)),
+            Expr::IsNull(e) => BoundExpr::IsNull(Box::new(e.bind(scope)?)),
+            Expr::Call(f, e) => BoundExpr::Call(*f, Box::new(e.bind(scope)?)),
+            Expr::Param(i) => BoundExpr::Param(*i),
+        })
     }
 
     /// Collects every column reference.
@@ -372,16 +375,185 @@ impl Expr {
     }
 }
 
-fn arith(
-    scope: &Scope,
-    row: &Row,
-    a: &Expr,
-    b: &Expr,
-    op: &str,
-    f: fn(&Value, &Value) -> Option<Value>,
-) -> Result<Value> {
-    let (va, vb) = (a.eval(scope, row)?, b.eval(scope, row)?);
-    f(&va, &vb).ok_or_else(|| Error::Eval(format!("cannot compute {va} {op} {vb}")))
+/// Arithmetic operators of a [`BoundExpr`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArithOp {
+    /// `+`
+    Add,
+    /// `-`
+    Sub,
+    /// `*`
+    Mul,
+}
+
+/// An [`Expr`] whose column references are row positions, made by
+/// [`Expr::bind`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum BoundExpr {
+    /// The value at a row position.
+    Col(usize),
+    /// Literal value.
+    Lit(Value),
+    /// Binary comparison.
+    Cmp(CmpOp, Box<BoundExpr>, Box<BoundExpr>),
+    /// Logical AND (Kleene).
+    And(Box<BoundExpr>, Box<BoundExpr>),
+    /// Logical OR (Kleene).
+    Or(Box<BoundExpr>, Box<BoundExpr>),
+    /// Logical NOT.
+    Not(Box<BoundExpr>),
+    /// IS NULL.
+    IsNull(Box<BoundExpr>),
+    /// Arithmetic.
+    Arith(ArithOp, Box<BoundExpr>, Box<BoundExpr>),
+    /// Scalar function call.
+    Call(Func, Box<BoundExpr>),
+    /// An unsubstituted placeholder: evaluating it is an error.
+    Param(u32),
+}
+
+impl BoundExpr {
+    /// Evaluates against `row`, laid out by the scope it was bound to.
+    pub fn eval(&self, row: &Row) -> Result<Value> {
+        eval(self, &(), row)
+    }
+
+    /// Evaluates as a predicate: `true` only when the expression is
+    /// definitely true (SQL WHERE semantics).
+    pub fn matches(&self, row: &Row) -> Result<bool> {
+        Ok(truth(&self.eval(row)?)? == Some(true))
+    }
+
+    /// The row position when the expression is a bare column.
+    pub fn as_col(&self) -> Option<usize> {
+        match self {
+            BoundExpr::Col(i) => Some(*i),
+            _ => None,
+        }
+    }
+}
+
+/// One node of an expression tree as [`eval`] sees it: children
+/// borrowed, a column reference left to the tree's own resolver.
+enum Node<'a, E> {
+    Col,
+    Lit(&'a Value),
+    Cmp(CmpOp, &'a E, &'a E),
+    And(&'a E, &'a E),
+    Or(&'a E, &'a E),
+    Not(&'a E),
+    IsNull(&'a E),
+    Arith(ArithOp, &'a E, &'a E),
+    Call(Func, &'a E),
+    Param(u32),
+}
+
+/// An expression tree [`eval`] walks: an [`Expr`] resolves its column
+/// references by name in a [`Scope`], a [`BoundExpr`] holds positions.
+trait Tree: Sized {
+    /// What a column reference resolves against.
+    type Layout;
+    fn node(&self) -> Node<'_, Self>;
+    /// The value in `row` of this node, a column reference.
+    fn column<'r>(&self, layout: &Self::Layout, row: &'r Row) -> Result<&'r Value>;
+}
+
+impl Tree for Expr {
+    type Layout = Scope;
+
+    fn node(&self) -> Node<'_, Self> {
+        match self {
+            Expr::Col(_) => Node::Col,
+            Expr::Lit(v) => Node::Lit(v),
+            Expr::Cmp(op, a, b) => Node::Cmp(*op, a, b),
+            Expr::And(a, b) => Node::And(a, b),
+            Expr::Or(a, b) => Node::Or(a, b),
+            Expr::Not(e) => Node::Not(e),
+            Expr::IsNull(e) => Node::IsNull(e),
+            Expr::Add(a, b) => Node::Arith(ArithOp::Add, a, b),
+            Expr::Sub(a, b) => Node::Arith(ArithOp::Sub, a, b),
+            Expr::Mul(a, b) => Node::Arith(ArithOp::Mul, a, b),
+            Expr::Call(f, e) => Node::Call(*f, e),
+            Expr::Param(i) => Node::Param(*i),
+        }
+    }
+
+    fn column<'r>(&self, scope: &Scope, row: &'r Row) -> Result<&'r Value> {
+        let Expr::Col(c) = self else {
+            unreachable!("column() of a non-column node")
+        };
+        row.try_get(scope.resolve(c)?)
+            .ok_or_else(|| Error::Eval(format!("row too short for {c}")))
+    }
+}
+
+impl Tree for BoundExpr {
+    type Layout = ();
+
+    fn node(&self) -> Node<'_, Self> {
+        match self {
+            BoundExpr::Col(_) => Node::Col,
+            BoundExpr::Lit(v) => Node::Lit(v),
+            BoundExpr::Cmp(op, a, b) => Node::Cmp(*op, a, b),
+            BoundExpr::And(a, b) => Node::And(a, b),
+            BoundExpr::Or(a, b) => Node::Or(a, b),
+            BoundExpr::Not(e) => Node::Not(e),
+            BoundExpr::IsNull(e) => Node::IsNull(e),
+            BoundExpr::Arith(op, a, b) => Node::Arith(*op, a, b),
+            BoundExpr::Call(f, e) => Node::Call(*f, e),
+            BoundExpr::Param(i) => Node::Param(*i),
+        }
+    }
+
+    fn column<'r>(&self, _: &(), row: &'r Row) -> Result<&'r Value> {
+        let BoundExpr::Col(i) = self else {
+            unreachable!("column() of a non-column node")
+        };
+        row.try_get(*i)
+            .ok_or_else(|| Error::Eval(format!("row too short for column #{i}")))
+    }
+}
+
+/// The one expression evaluator. Any comparison with NULL yields NULL;
+/// `And`/`Or` use Kleene logic.
+fn eval<T: Tree>(e: &T, layout: &T::Layout, row: &Row) -> Result<Value> {
+    match e.node() {
+        Node::Col => Ok(e.column(layout, row)?.clone()),
+        Node::Lit(v) => Ok(v.clone()),
+        Node::Cmp(op, a, b) => {
+            let (va, vb) = (eval(a, layout, row)?, eval(b, layout, row)?);
+            Ok(match va.sql_cmp(&vb) {
+                None => Value::Null,
+                Some(ord) => Value::Bool(op.holds(ord)),
+            })
+        }
+        Node::And(a, b) => {
+            let va = eval(a, layout, row)?;
+            let vb = eval(b, layout, row)?;
+            Ok(kleene_and(truth(&va)?, truth(&vb)?))
+        }
+        Node::Or(a, b) => {
+            let va = eval(a, layout, row)?;
+            let vb = eval(b, layout, row)?;
+            Ok(kleene_or(truth(&va)?, truth(&vb)?))
+        }
+        Node::Not(e) => Ok(match truth(&eval(e, layout, row)?)? {
+            Some(b) => Value::Bool(!b),
+            None => Value::Null,
+        }),
+        Node::IsNull(e) => Ok(Value::Bool(eval(e, layout, row)?.is_null())),
+        Node::Arith(op, a, b) => {
+            let (va, vb) = (eval(a, layout, row)?, eval(b, layout, row)?);
+            let (result, sym) = match op {
+                ArithOp::Add => (va.add(&vb), "+"),
+                ArithOp::Sub => (va.sub(&vb), "-"),
+                ArithOp::Mul => (va.mul(&vb), "*"),
+            };
+            result.ok_or_else(|| Error::Eval(format!("cannot compute {va} {sym} {vb}")))
+        }
+        Node::Call(f, arg) => eval_func(f, eval(arg, layout, row)?),
+        Node::Param(i) => Err(Error::Eval(format!("unbound parameter ?{}", i + 1))),
+    }
 }
 
 fn eval_func(f: Func, v: Value) -> Result<Value> {

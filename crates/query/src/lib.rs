@@ -22,7 +22,7 @@ pub mod pred;
 pub mod rewrite;
 pub mod spec;
 
-pub use expr::{AggFunc, CmpOp, ColRef, Expr, Func, Scope};
+pub use expr::{AggFunc, ArithOp, BoundExpr, CmpOp, ColRef, Expr, Func, Scope};
 pub use pred::{
     conjoin, conjuncts, referenced_tables, sargable_equalities, sargable_ranges, RangeBound,
 };

@@ -83,7 +83,11 @@ impl TableHeap {
             let pages = self.pages.read();
             if let Some(last) = pages.last() {
                 let page_no = (pages.len() - 1) as PageNo;
-                if let Some(slot) = put(&mut last.write(), row.clone()) {
+                let mut page = last.write();
+                // `put` fails only on a full page: test first, so the row
+                // moves in without a speculative clone.
+                if !page.is_full() {
+                    let slot = put(&mut page, row).expect("a page with room accepts the row");
                     return RowId::new(page_no, slot);
                 }
             }

@@ -160,21 +160,7 @@ impl Table {
     /// maintains every index. On a uniqueness conflict the heap row and any
     /// already-made index entries are rolled back and the error returned.
     pub fn insert(&self, row: Row) -> Result<RowId> {
-        self.schema.validate_row(&row)?;
-        let rid = self.heap.insert(row.clone());
-        let indexes = self.indexes();
-        for (n, idx) in indexes.iter().enumerate() {
-            let key = row.key(&idx.def().key_columns);
-            if let Err(e) = idx.insert(self.name(), key, rid) {
-                // Roll back: earlier index entries + the heap row.
-                for done in &indexes[..n] {
-                    done.remove(&row.key(&done.def().key_columns), rid);
-                }
-                self.heap.delete(rid);
-                return Err(e);
-            }
-        }
-        Ok(rid)
+        self.insert_indexed(row, None, &self.indexes())
     }
 
     /// As [`Table::insert`], but marks `txn` as the row's pending writer
@@ -182,17 +168,40 @@ impl Table {
     /// installed (Snapshot engine mode). Index entries are still made
     /// eagerly — index probes re-check visibility against the heap.
     pub fn insert_versioned(&self, row: Row, txn: u64) -> Result<RowId> {
+        self.insert_indexed(row, Some(txn), &self.indexes())
+    }
+
+    /// The insert behind [`Table::insert`] (`pending: None`) and
+    /// [`Table::insert_versioned`] (`pending: Some(txn)`), maintaining
+    /// `indexes`, the caller's snapshot of [`Table::indexes`], so a batch
+    /// of inserts takes the index list once. The row moves into the heap
+    /// without a copy: each index key is taken before the move, and a
+    /// rollback reads the row back out of the heap.
+    pub fn insert_indexed(
+        &self,
+        row: Row,
+        pending: Option<u64>,
+        indexes: &[Arc<BTreeIndex>],
+    ) -> Result<RowId> {
         self.schema.validate_row(&row)?;
-        let rid = self.heap.insert_versioned(row.clone(), txn);
-        let indexes = self.indexes();
-        for (n, idx) in indexes.iter().enumerate() {
-            let key = row.key(&idx.def().key_columns);
+        let keys: Vec<_> = indexes
+            .iter()
+            .map(|idx| row.key(&idx.def().key_columns))
+            .collect();
+        let rid = match pending {
+            Some(txn) => self.heap.insert_versioned(row, txn),
+            None => self.heap.insert(row),
+        };
+        for (n, (idx, key)) in indexes.iter().zip(keys).enumerate() {
             if let Err(e) = idx.insert(self.name(), key, rid) {
+                // Roll back: earlier index entries + the heap row.
+                let row = self.heap.delete(rid).expect("the row just inserted");
                 for done in &indexes[..n] {
                     done.remove(&row.key(&done.def().key_columns), rid);
                 }
-                self.heap.delete(rid);
-                self.heap.clear_pending(rid, txn);
+                if let Some(txn) = pending {
+                    self.heap.clear_pending(rid, txn);
+                }
                 return Err(e);
             }
         }

@@ -384,6 +384,16 @@ impl LockManager {
             .held_mode(txn)
     }
 
+    /// Number of requests queued on `key` right now (diagnostics/tests).
+    pub fn queued(&self, key: LockKey) -> usize {
+        self.shard(&key)
+            .table
+            .lock()
+            .locks
+            .get(&key)
+            .map_or(0, |s| s.waiters.len())
+    }
+
     /// Total number of keys with at least one holder (diagnostics/tests).
     pub fn locked_key_count(&self) -> usize {
         self.shards.iter().map(|s| s.table.lock().locks.len()).sum()
@@ -594,15 +604,7 @@ mod tests {
     /// Blocks until `n` requests are queued on `key`.
     fn await_queued(lm: &LockManager, key: LockKey, n: usize) {
         let t0 = Instant::now();
-        while lm
-            .shard(&key)
-            .table
-            .lock()
-            .locks
-            .get(&key)
-            .map_or(0, |s| s.waiters.len())
-            < n
-        {
+        while lm.queued(key) < n {
             assert!(
                 t0.elapsed() < Duration::from_secs(5),
                 "{n} waiters never queued"

@@ -191,13 +191,16 @@ fn main() {
     resumed.resolve(&db).unwrap();
     let stmt = resumed.statements.remove(0);
     let cap = db.table("events").unwrap().heap().ordinal_bound();
-    let rt = Arc::new(bullfrog::core::StatementRuntime {
-        id: 0,
-        stmt,
-        tracker: Arc::new(bullfrog::core::BitmapTracker::new(cap, 1)),
-        stats: Arc::new(bullfrog::core::MigrationStats::new()),
-        in_flight: std::sync::atomic::AtomicU64::new(0),
-    });
+    let rt = Arc::new(
+        bullfrog::core::StatementRuntime::new(
+            &db,
+            0,
+            stmt,
+            Arc::new(bullfrog::core::BitmapTracker::new(cap, 1)),
+            Arc::new(bullfrog::core::MigrationStats::new()),
+        )
+        .unwrap(),
+    );
     let applied =
         bullfrog::core::recovery::rebuild_trackers(&[Arc::clone(&rt)], &stats.migrated_granules);
     println!("  trackers rebuilt: {applied} granules restored to [0 1]");

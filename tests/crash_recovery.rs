@@ -142,13 +142,16 @@ fn crash_recovery_resumes_both_tracker_kinds() {
             } else {
                 Arc::new(HashTracker::new())
             };
-            Arc::new(StatementRuntime {
-                id: i as u32,
-                stmt,
-                tracker,
-                stats: Arc::new(MigrationStats::new()),
-                in_flight: std::sync::atomic::AtomicU64::new(0),
-            })
+            Arc::new(
+                StatementRuntime::new(
+                    &db,
+                    i as u32,
+                    stmt,
+                    tracker,
+                    Arc::new(MigrationStats::new()),
+                )
+                .unwrap(),
+            )
         })
         .collect();
     let applied = bullfrog::core::recovery::rebuild_trackers(&rts, &stats.migrated_granules);
@@ -448,13 +451,16 @@ fn checkpoint_truncation_and_file_recovery_restore_tables_and_trackers() {
             } else {
                 Arc::new(HashTracker::new())
             };
-            Arc::new(StatementRuntime {
-                id: i as u32,
-                stmt,
-                tracker,
-                stats: Arc::new(MigrationStats::new()),
-                in_flight: std::sync::atomic::AtomicU64::new(0),
-            })
+            Arc::new(
+                StatementRuntime::new(
+                    &db,
+                    i as u32,
+                    stmt,
+                    tracker,
+                    Arc::new(MigrationStats::new()),
+                )
+                .unwrap(),
+            )
         })
         .collect();
     let applied = bullfrog::core::recovery::rebuild_trackers(&rts, &stats.migrated_granules);
@@ -473,6 +479,81 @@ fn checkpoint_truncation_and_file_recovery_restore_tables_and_trackers() {
         let expected: i64 = (0..200).filter(|i| i % 8 == s).map(|i| i * 10).sum();
         assert_eq!(r[1].as_i64().unwrap(), expected, "sensor {s}");
     }
+    std::fs::remove_file(&path).unwrap();
+    let _ = std::fs::remove_file(checkpoint_path_for(&path));
+}
+
+#[test]
+fn a_foreground_migration_over_many_boxes_waits_for_durability_once() {
+    // A client request whose scope is the whole table migrates it in many
+    // boxed migration transactions. Each commits without waiting; the
+    // request waits once, on the last commit, and that covers them all:
+    // every migrated granule comes back from the files.
+    use bullfrog::engine::checkpoint::checkpoint_path_for;
+    use bullfrog::engine::recovery::recover_from_files;
+    use bullfrog::txn::WalOptions;
+
+    const ROWS: i64 = 1000;
+    let dir = std::env::temp_dir().join(format!("bullfrog-boxes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("boxes.wal");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(checkpoint_path_for(&path));
+
+    {
+        // The group window keeps the last commit undurable until its
+        // flush, so the request's one wait is a real wait.
+        let opts = WalOptions {
+            group_window: std::time::Duration::from_millis(2),
+            ..Default::default()
+        };
+        let db = Arc::new(Database::with_wal_file_opts(Default::default(), &path, opts).unwrap());
+        make_schema(&db);
+        db.with_txn(|txn| {
+            for i in 0..ROWS {
+                db.insert(txn, "readings", row![i, i % 8, i * 10])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let bf = Bullfrog::with_config(
+            Arc::clone(&db),
+            BullfrogConfig {
+                background: bullfrog::core::BackgroundConfig {
+                    enabled: false,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        bf.submit_migration(plan()).unwrap();
+        let waits = |db: &Database| {
+            db.obs()
+                .snapshot()
+                .histogram("wal.commit_wait_us")
+                .map_or(0, |h| h.count())
+        };
+        let waits_before = waits(&db);
+        bf.ensure_migrated("readings_v2", None).unwrap();
+        let stats = bf.progress().unwrap().stats;
+        assert!(
+            stats.migration_txns > 1,
+            "one transaction migrated the whole table: {stats:?}"
+        );
+        assert_eq!(stats.granules_migrated, ROWS as u64);
+        assert_eq!(waits(&db) - waits_before, 1, "durability waits");
+    } // <- crash
+
+    let db = Arc::new(Database::new());
+    make_schema(&db);
+    let recovered_plan = plan();
+    db.create_table(recovered_plan.statements[0].output.clone())
+        .unwrap();
+    db.create_table(recovered_plan.statements[1].output.clone())
+        .unwrap();
+    let stats = recover_from_files(&db, &path, checkpoint_path_for(&path)).unwrap();
+    assert_eq!(db.table("readings_v2").unwrap().live_count(), ROWS as usize);
+    assert_eq!(stats.migrated_granules.len(), ROWS as usize);
     std::fs::remove_file(&path).unwrap();
     let _ = std::fs::remove_file(checkpoint_path_for(&path));
 }
