@@ -59,7 +59,7 @@ pub struct ExecOptions {
 }
 
 /// What every run of a [`BoundSpec`] restricts, fixed at bind time.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug)]
 pub struct Restriction<'a> {
     /// Additional per-alias filters, conjoined with the spec's own.
     pub extra_filters: Option<&'a BTreeMap<String, Expr>>,
@@ -162,9 +162,11 @@ struct JoinKeys {
 
 /// The output stage.
 enum Output {
-    /// One expression per column. `take`: every expression is a distinct
-    /// bare column, so values move out of the joined row.
-    Project { exprs: Vec<BoundExpr>, take: bool },
+    /// Each output column is a distinct bare column of the joined row:
+    /// its value moves out.
+    Move(Vec<usize>),
+    /// One expression per output column.
+    Project(Vec<BoundExpr>),
     /// Grouped aggregation; the group key is the scalar outputs in order,
     /// and `is_agg` says which output columns are aggregates.
     Aggregate {
@@ -344,12 +346,13 @@ impl BoundSpec {
                     OutputColumn::Agg { .. } => unreachable!("is_aggregate() was false"),
                 })
                 .collect::<Result<_>>()?;
-            let cols: Vec<Option<usize>> = exprs.iter().map(BoundExpr::as_col).collect();
-            let take = cols
-                .iter()
-                .enumerate()
-                .all(|(i, c)| c.is_some_and(|c| !cols[..i].contains(&Some(c))));
-            Output::Project { exprs, take }
+            let cols: Option<Vec<usize>> = exprs.iter().map(BoundExpr::as_col).collect();
+            match cols {
+                Some(cols) if (1..cols.len()).all(|i| !cols[..i].contains(&cols[i])) => {
+                    Output::Move(cols)
+                }
+                _ => Output::Project(exprs),
+            }
         };
         Ok(BoundSpec {
             names: spec.output_names(),
@@ -357,11 +360,6 @@ impl BoundSpec {
             residual,
             output,
         })
-    }
-
-    /// Output column names (spec order).
-    pub fn names(&self) -> &[String] {
-        &self.names
     }
 
     /// Runs the bound spec: `pinned` holds the rows of each
@@ -421,24 +419,19 @@ impl BoundSpec {
         }
 
         match &self.output {
-            Output::Project { exprs, take } => {
-                let mut out = Vec::with_capacity(combined.len());
-                for mut r in combined {
-                    let vals = if *take {
-                        exprs
-                            .iter()
-                            .map(|e| {
-                                let i = e.as_col().expect("bare column");
-                                std::mem::replace(&mut r.0[i], Value::Null)
-                            })
-                            .collect()
-                    } else {
-                        exprs.iter().map(|e| e.eval(&r)).collect::<Result<_>>()?
-                    };
-                    out.push(Row(vals));
-                }
-                Ok(out)
-            }
+            Output::Move(cols) => Ok(combined
+                .into_iter()
+                .map(|r| take_columns(r, cols))
+                .collect()),
+            Output::Project(exprs) => combined
+                .iter()
+                .map(|r| {
+                    Ok(Row(exprs
+                        .iter()
+                        .map(|e| e.eval(r))
+                        .collect::<Result<_>>()?))
+                })
+                .collect(),
             Output::Aggregate { keys, aggs, is_agg } => aggregate(keys, aggs, is_agg, &combined),
         }
     }
@@ -515,17 +508,11 @@ impl Step {
         Ok(rows.into_iter().map(|(_, r)| self.prune(r)).collect())
     }
 
-    /// The columns of a table row the joined row keeps, moved out.
+    /// The columns of a table row the joined row keeps.
     fn prune(&self, row: Row) -> Row {
         match &self.kept {
             None => row,
-            Some(kept) => {
-                let mut vals = row.0;
-                Row(kept
-                    .iter()
-                    .map(|&i| std::mem::replace(&mut vals[i], Value::Null))
-                    .collect())
-            }
+            Some(kept) => take_columns(row, kept),
         }
     }
 
@@ -586,6 +573,15 @@ impl Step {
         }
         Ok(db.index_exact(txn, t, lock))
     }
+}
+
+/// The values at distinct positions `cols` of `row`, moved out.
+fn take_columns(row: Row, cols: &[usize]) -> Row {
+    let mut vals = row.0;
+    Row(cols
+        .iter()
+        .map(|&i| std::mem::replace(&mut vals[i], Value::Null))
+        .collect())
 }
 
 /// Hash join of `combined` with `rows`, built on `rows`.
