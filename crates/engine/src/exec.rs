@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use bullfrog_common::{Error, Result, Row, RowId, Value};
 use bullfrog_query::{
-    conjoin, conjuncts, AggFunc, BoundExpr, ColRef, Expr, OutputColumn, Scope, SelectSpec,
+    conjoin, conjuncts, AggFunc, BoundExpr, ColRef, Expr, OutputColumn, SelectSpec,
 };
 use bullfrog_storage::{BTreeIndex, Table};
 use bullfrog_txn::Transaction;
@@ -238,101 +238,119 @@ impl BoundSpec {
             }
         }
 
-        // Every input's full scope, and which of the joined columns a
-        // later stage reads: filters and key expressions read whole
-        // table rows, so only the residual, the outputs and the join
-        // conditions keep a column in the joined row.
-        let mut tables = Vec::with_capacity(order.len());
-        let mut full = Scope::new();
-        for &alias in &order {
-            let table = db.table(&spec.input(alias).expect("alias validated").table)?;
-            for c in &table.schema().columns {
-                full.push(Some(alias.to_owned()), c.name.clone());
+        let tables: Vec<Arc<Table>> = order
+            .iter()
+            .map(|alias| db.table(&spec.input(alias).expect("alias validated").table))
+            .collect::<Result<_>>()?;
+        let locate = |c: &ColRef| locate(&order, &tables, c);
+
+        // A join materializes its rows, so each joined row keeps only the
+        // columns a later stage reads: the residual, the outputs and the
+        // join conditions. Filters and key expressions read whole table
+        // rows. A single input keeps its rows whole.
+        let mut kept: Vec<Option<Vec<usize>>> = vec![None; order.len()];
+        if order.len() > 1 {
+            let mut needed: Vec<Vec<bool>> = tables
+                .iter()
+                .map(|t| vec![false; t.schema().columns.len()])
+                .collect();
+            let mut mark = |c: &ColRef| {
+                let (s, i) = locate(c)?;
+                needed[s][i] = true;
+                Ok(0)
+            };
+            for c in &residual {
+                c.bind(&mut mark)?;
             }
-            tables.push(table);
-        }
-        let mut refs = Vec::new();
-        for c in &residual {
-            c.columns(&mut refs);
-        }
-        for c in &spec.columns {
-            match c {
-                OutputColumn::Scalar { expr, .. } => expr.columns(&mut refs),
-                OutputColumn::Agg { arg, .. } => arg.columns(&mut refs),
+            for c in &spec.columns {
+                match c {
+                    OutputColumn::Scalar { expr, .. } => expr.bind(&mut mark)?,
+                    OutputColumn::Agg { arg, .. } => arg.bind(&mut mark)?,
+                };
             }
-        }
-        let mut needed = vec![false; full.len()];
-        for r in &refs {
-            needed[full.resolve(r)?] = true;
-        }
-        for (a, b) in &spec.join_conds {
-            for r in [a, b] {
-                if let Ok(i) = full.resolve(r) {
-                    needed[i] = true;
+            for (a, b) in &spec.join_conds {
+                for c in [a, b] {
+                    let _ = mark(c);
+                }
+            }
+            for (k, needed) in kept.iter_mut().zip(needed) {
+                if needed.contains(&false) {
+                    *k = Some((0..needed.len()).filter(|&i| needed[i]).collect());
                 }
             }
         }
+        // Where each step's kept row starts in the joined row, and each
+        // table column's position in its kept row (`None`: pruned).
+        let mut layout = Layout::default();
+        for (t, k) in tables.iter().zip(&kept) {
+            let n = t.schema().columns.len();
+            let mut slot = vec![None; n];
+            match k {
+                None => (0..n).for_each(|i| slot[i] = Some(i)),
+                Some(k) => k.iter().enumerate().for_each(|(j, &i)| slot[i] = Some(j)),
+            }
+            let start = layout.width;
+            layout.width += k.as_ref().map_or(n, Vec::len);
+            layout.steps.push((start, slot));
+        }
+        let mut joined = |c: &ColRef| {
+            let (s, i) = locate(c)?;
+            layout
+                .position(s, i)
+                .ok_or_else(|| Error::Internal(format!("column {c} was pruned")))
+        };
 
         let mut steps = Vec::with_capacity(order.len());
-        let mut combined = Scope::new();
-        let mut offset = 0;
-        for (&alias, table) in order.iter().zip(tables) {
-            let names: Vec<String> = table
-                .schema()
-                .columns
-                .iter()
-                .map(|c| c.name.clone())
-                .collect();
-            let own = Scope::table(alias, &names);
+        for (s, (&alias, table)) in order.iter().zip(&tables).enumerate() {
+            // Step filters and key expressions read the table's own row,
+            // by bare column name.
+            let mut own = |c: &ColRef| table.schema().col_index(&c.column);
             let filter = conjoin(
                 pushdown
                     .get(alias)
                     .map_or_else(Vec::new, |fs| fs.iter().map(strip_aliases).collect()),
             );
-            let bound_filter = filter.as_ref().map(|f| f.bind(&own)).transpose()?;
+            let bound_filter = filter.as_ref().map(|f| f.bind(&mut own)).transpose()?;
             let source = match restriction.pinned.iter().position(|&a| a == alias) {
                 Some(i) => Source::Pinned(i),
                 None => match restriction.keyed {
                     Some((keyed, exprs)) if keyed == alias => {
                         let exprs: Vec<BoundExpr> = exprs
                             .iter()
-                            .map(|e| strip_aliases(e).bind(&own))
+                            .map(|e| e.bind(&mut own))
                             .collect::<Result<_>>()?;
-                        let index = key_index(&table, &exprs);
+                        let index = key_index(table, &exprs);
                         Source::Keyed { exprs, index }
                     }
                     _ => Source::Scan,
                 },
             };
-            let kept: Vec<usize> = (0..names.len()).filter(|i| needed[offset + i]).collect();
-            offset += names.len();
-            let join = if steps.is_empty() {
+            let join = if s == 0 {
                 None
             } else {
-                join_keys(spec, alias, &table, &kept, &combined, &source)?
+                join_keys(spec, s, &order, &tables, &layout, &source)?
             };
-            for &i in &kept {
-                combined.push(Some(alias.to_owned()), names[i].clone());
-            }
             steps.push(Step {
-                table,
+                table: Arc::clone(table),
                 filter,
                 bound_filter,
                 source,
                 join,
-                kept: (kept.len() < names.len()).then_some(kept),
+                kept: kept[s].take(),
             });
         }
 
-        let residual = conjoin(residual).map(|f| f.bind(&combined)).transpose()?;
+        let residual = conjoin(residual).map(|f| f.bind(&mut joined)).transpose()?;
         let output = if spec.is_aggregate() {
             let mut keys = Vec::new();
             let mut aggs = Vec::new();
             let mut is_agg = Vec::with_capacity(spec.columns.len());
             for c in &spec.columns {
                 match c {
-                    OutputColumn::Scalar { expr, .. } => keys.push(expr.bind(&combined)?),
-                    OutputColumn::Agg { func, arg, .. } => aggs.push((*func, arg.bind(&combined)?)),
+                    OutputColumn::Scalar { expr, .. } => keys.push(expr.bind(&mut joined)?),
+                    OutputColumn::Agg { func, arg, .. } => {
+                        aggs.push((*func, arg.bind(&mut joined)?))
+                    }
                 }
                 is_agg.push(matches!(c, OutputColumn::Agg { .. }));
             }
@@ -342,7 +360,7 @@ impl BoundSpec {
                 .columns
                 .iter()
                 .map(|c| match c {
-                    OutputColumn::Scalar { expr, .. } => expr.bind(&combined),
+                    OutputColumn::Scalar { expr, .. } => expr.bind(&mut joined),
                     OutputColumn::Agg { .. } => unreachable!("is_aggregate() was false"),
                 })
                 .collect::<Result<_>>()?;
@@ -607,53 +625,93 @@ fn hash_join(j: &JoinKeys, combined: &[Row], rows: &[Row], joined: &mut Vec<Row>
     }
 }
 
-/// The join conditions connecting `alias` (table `table`, of which the
-/// joined row keeps columns `kept`) to the inputs already in `combined`,
-/// and the index the join probes.
+/// The step and column of `c` among the inputs `order` (tables
+/// `tables`): a qualified reference names its alias, a bare one must
+/// match exactly one input's column.
+fn locate(order: &[&str], tables: &[Arc<Table>], c: &ColRef) -> Result<(usize, usize)> {
+    let not_found = || Error::ColumnNotFound(c.to_string());
+    match &c.table {
+        Some(alias) => {
+            let s = order
+                .iter()
+                .position(|a| a == alias)
+                .ok_or_else(not_found)?;
+            let i = tables[s]
+                .schema()
+                .col_index(&c.column)
+                .map_err(|_| not_found())?;
+            Ok((s, i))
+        }
+        None => {
+            let mut found = None;
+            for (s, t) in tables.iter().enumerate() {
+                if let Ok(i) = t.schema().col_index(&c.column) {
+                    if found.is_some() {
+                        return Err(Error::Eval(format!("ambiguous column {}", c.column)));
+                    }
+                    found = Some((s, i));
+                }
+            }
+            found.ok_or_else(not_found)
+        }
+    }
+}
+
+/// Where the steps' kept rows sit in the joined row.
+#[derive(Default)]
+struct Layout {
+    /// Per step: where its kept row starts, and each table column's
+    /// position in the kept row (`None`: pruned).
+    steps: Vec<(usize, Vec<Option<usize>>)>,
+    width: usize,
+}
+
+impl Layout {
+    /// Position of step `s`'s column `i` in the joined row.
+    fn position(&self, s: usize, i: usize) -> Option<usize> {
+        let (start, slot) = &self.steps[s];
+        Some(start + slot[i]?)
+    }
+}
+
+/// The join conditions connecting step `s` to the steps before it, and
+/// the index the join probes.
 fn join_keys(
     spec: &SelectSpec,
-    alias: &str,
-    table: &Table,
-    kept: &[usize],
-    combined: &Scope,
+    s: usize,
+    order: &[&str],
+    tables: &[Arc<Table>],
+    layout: &Layout,
     source: &Source,
 ) -> Result<Option<JoinKeys>> {
     let mut columns = Vec::new();
+    let mut build = Vec::new();
     let mut probe = Vec::new();
     for (a, b) in &spec.join_conds {
-        let (a_alias, b_alias) = (
-            a.table.as_deref().unwrap_or_default(),
-            b.table.as_deref().unwrap_or_default(),
-        );
-        let (mine, theirs) = if a_alias == alias {
+        let (mine, theirs) = if a.table.as_deref() == Some(order[s]) {
             (a, b)
-        } else if b_alias == alias {
+        } else if b.table.as_deref() == Some(order[s]) {
             (b, a)
         } else {
             continue;
         };
-        if let Ok(p) = combined.resolve(theirs) {
-            columns.push(table.schema().col_index(&mine.column)?);
-            probe.push(p);
-        }
+        let Ok((t, j)) = locate(&order[..s], &tables[..s], theirs) else {
+            continue;
+        };
+        let i = tables[s].schema().col_index(&mine.column)?;
+        columns.push(i);
+        build.push(layout.steps[s].1[i].expect("join columns are kept"));
+        probe.push(layout.position(t, j).expect("join columns are kept"));
     }
     if columns.is_empty() {
         return Ok(None);
     }
     let index = match source {
         Source::Pinned(_) => None,
-        Source::Scan | Source::Keyed { .. } => table
+        Source::Scan | Source::Keyed { .. } => tables[s]
             .index_for_columns(&columns)
             .filter(|idx| idx.def().key_columns == columns),
     };
-    let build = columns
-        .iter()
-        .map(|c| {
-            kept.iter()
-                .position(|k| k == c)
-                .expect("join columns are kept")
-        })
-        .collect();
     Ok(Some(JoinKeys {
         build,
         probe,

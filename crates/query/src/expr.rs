@@ -248,14 +248,15 @@ impl Expr {
         Ok(truth(&self.eval(scope, row)?)? == Some(true))
     }
 
-    /// Resolves every column reference against `scope`, once. The bound
-    /// form evaluates rows laid out by `scope` with no name lookups.
-    pub fn bind(&self, scope: &Scope) -> Result<BoundExpr> {
-        let pair = |a: &Expr, b: &Expr| -> Result<(Box<BoundExpr>, Box<BoundExpr>)> {
-            Ok((Box::new(a.bind(scope)?), Box::new(b.bind(scope)?)))
+    /// Resolves every column reference to a row position through
+    /// `resolve`, once: the bound form evaluates rows with no name
+    /// lookups. Pass `&mut |c| scope.resolve(c)` to bind to a [`Scope`].
+    pub fn bind(&self, resolve: &mut impl FnMut(&ColRef) -> Result<usize>) -> Result<BoundExpr> {
+        let mut pair = |a: &Expr, b: &Expr| -> Result<(Box<BoundExpr>, Box<BoundExpr>)> {
+            Ok((Box::new(a.bind(resolve)?), Box::new(b.bind(resolve)?)))
         };
         Ok(match self {
-            Expr::Col(c) => BoundExpr::Col(scope.resolve(c)?),
+            Expr::Col(c) => BoundExpr::Col(resolve(c)?),
             Expr::Lit(v) => BoundExpr::Lit(v.clone()),
             Expr::Cmp(op, a, b) => {
                 let (a, b) = pair(a, b)?;
@@ -281,9 +282,9 @@ impl Expr {
                 let (a, b) = pair(a, b)?;
                 BoundExpr::Arith(ArithOp::Mul, a, b)
             }
-            Expr::Not(e) => BoundExpr::Not(Box::new(e.bind(scope)?)),
-            Expr::IsNull(e) => BoundExpr::IsNull(Box::new(e.bind(scope)?)),
-            Expr::Call(f, e) => BoundExpr::Call(*f, Box::new(e.bind(scope)?)),
+            Expr::Not(e) => BoundExpr::Not(Box::new(e.bind(resolve)?)),
+            Expr::IsNull(e) => BoundExpr::IsNull(Box::new(e.bind(resolve)?)),
+            Expr::Call(f, e) => BoundExpr::Call(*f, Box::new(e.bind(resolve)?)),
             Expr::Param(i) => BoundExpr::Param(*i),
         })
     }
