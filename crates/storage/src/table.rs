@@ -163,20 +163,15 @@ impl Table {
         self.insert_indexed(row, None, &self.indexes())
     }
 
-    /// As [`Table::insert`], but marks `txn` as the row's pending writer
+    /// As [`Table::insert`], maintaining `indexes`, the caller's snapshot
+    /// of [`Table::indexes`], so a batch of inserts takes the index list
+    /// once. `pending: Some(txn)` marks `txn` as the row's pending writer,
     /// so snapshot readers do not see it before its commit timestamp is
-    /// installed (Snapshot engine mode). Index entries are still made
-    /// eagerly — index probes re-check visibility against the heap.
-    pub fn insert_versioned(&self, row: Row, txn: u64) -> Result<RowId> {
-        self.insert_indexed(row, Some(txn), &self.indexes())
-    }
-
-    /// The insert behind [`Table::insert`] (`pending: None`) and
-    /// [`Table::insert_versioned`] (`pending: Some(txn)`), maintaining
-    /// `indexes`, the caller's snapshot of [`Table::indexes`], so a batch
-    /// of inserts takes the index list once. The row moves into the heap
-    /// without a copy: each index key is taken before the move, and a
-    /// rollback reads the row back out of the heap.
+    /// installed (Snapshot engine mode); index entries are still made
+    /// eagerly, and index probes re-check visibility against the heap.
+    /// The row moves into the heap without a copy: each index key is
+    /// taken before the move, and a rollback reads the row back out of
+    /// the heap.
     pub fn insert_indexed(
         &self,
         row: Row,
