@@ -63,11 +63,6 @@ impl ClusterClient {
         &self.map
     }
 
-    /// The node index currently believed to own `key`.
-    pub fn node_for_key(&self, key: &[Value]) -> usize {
-        self.map.owner_of(key)
-    }
-
     /// The (lazily opened) connection to node `i` — for same-node
     /// transaction brackets (`BEGIN`/…/`COMMIT` must ride one
     /// connection).

@@ -94,14 +94,6 @@ impl Value {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// SQL equality: `NULL = anything` is unknown (`None`).
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
         if self.is_null() || other.is_null() {

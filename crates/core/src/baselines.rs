@@ -8,9 +8,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bullfrog_common::{Error, Result, Row, RowId, Value};
-use bullfrog_engine::exec::{execute_spec, ExecOptions, QueryOutput};
+use bullfrog_engine::exec::{bind_to_table, execute_spec, strip_aliases, ExecOptions, QueryOutput};
 use bullfrog_engine::{Database, LockPolicy};
-use bullfrog_query::{Expr, SelectSpec};
+use bullfrog_query::{BoundExpr, Expr, SelectSpec};
 use bullfrog_txn::{LockKey, LockMode, Transaction};
 use parking_lot::Mutex;
 
@@ -623,20 +623,14 @@ fn copy_statement(
         } => {
             let input = &s.spec.input(key_alias).expect("resolved").table;
             let table = db.table(input)?;
-            let scope = bullfrog_engine::db::table_scope(&table);
-            let stripped: Vec<Expr> = key_exprs
+            let bound: Vec<BoundExpr> = key_exprs
                 .iter()
-                .map(bullfrog_engine::exec::strip_aliases)
-                .collect();
+                .map(|e| bind_to_table(&table, &strip_aliases(e)))
+                .collect::<Result<_>>()?;
             let rows = db.select_unlocked(input, None)?;
             let mut keys: Vec<Vec<Value>> = Vec::new();
             for (_, row) in &rows {
-                keys.push(
-                    stripped
-                        .iter()
-                        .map(|e| e.eval(&scope, row))
-                        .collect::<Result<_>>()?,
-                );
+                keys.push(bound.iter().map(|e| e.eval(row)).collect::<Result<_>>()?);
             }
             keys.sort();
             keys.dedup();

@@ -29,9 +29,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bullfrog_common::{Error, Result, Row, RowId, Value};
-use bullfrog_engine::exec::{strip_aliases, BoundSpec, Restriction};
+use bullfrog_engine::exec::{bind_to_table, strip_aliases, BoundSpec, Restriction};
 use bullfrog_engine::{Database, LockPolicy};
-use bullfrog_query::{transpose, Expr};
+use bullfrog_query::{transpose, BoundExpr, Expr};
 use bullfrog_storage::Table;
 use bullfrog_txn::wal::GranuleKey;
 use bullfrog_txn::{CommitTicket, LogRecord, Transaction};
@@ -204,14 +204,16 @@ pub fn candidates_for(
         } => {
             let filter = transposed.filter_for(key_alias).map(strip_aliases);
             let table = db.table(driving_table)?;
-            let scope = bullfrog_engine::db::table_scope(&table);
-            let stripped_keys: Vec<Expr> = key_exprs.iter().map(strip_aliases).collect();
+            let bound_keys: Vec<BoundExpr> = key_exprs
+                .iter()
+                .map(|e| bind_to_table(&table, &strip_aliases(e)))
+                .collect::<Result<_>>()?;
             let rows = db.select_unlocked(driving_table, filter.as_ref())?;
             let mut keys: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
             for (_, row) in &rows {
-                let key: Vec<Value> = stripped_keys
+                let key: Vec<Value> = bound_keys
                     .iter()
-                    .map(|e| e.eval(&scope, row))
+                    .map(|e| e.eval(row))
                     .collect::<Result<_>>()?;
                 keys.push(key);
             }

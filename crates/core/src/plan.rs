@@ -33,17 +33,6 @@ pub enum MigrationCategory {
     ManyToMany,
 }
 
-impl MigrationCategory {
-    /// Whether this category is tracked by a bitmap (vs a hashmap) —
-    /// the paper's "bitmap migrations" vs "hashmap migrations".
-    pub fn uses_bitmap(self) -> bool {
-        matches!(
-            self,
-            MigrationCategory::OneToOne | MigrationCategory::OneToMany
-        )
-    }
-}
-
 /// How to handle a join migration (paper §3.6).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JoinStrategy {

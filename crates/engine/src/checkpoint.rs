@@ -1,8 +1,9 @@
 //! Checkpointing: bound the WAL by snapshotting its committed prefix.
 //!
 //! A checkpoint turns the log prefix below a transaction-safe cut (see
-//! [`Wal::safe_cut`]) into a [`CheckpointImage`] — the rows every table
-//! would hold after replaying that prefix, plus the migration granules
+//! [`Wal::safe_cut`](bullfrog_txn::Wal::safe_cut)) into a
+//! [`CheckpointImage`] — the rows every table would hold after
+//! replaying that prefix, plus the migration granules
 //! whose migration committed in it. The image is **built by replay, not by
 //! scanning live heaps**, so it needs no table locks and is trivially
 //! consistent: it is exactly what recovery would have produced.
@@ -10,7 +11,8 @@
 //! Images are incremental. Each checkpoint absorbs only the log delta
 //! since the previous cut into the running image, persists the image to a
 //! sidecar file (temp + rename, so a crash never leaves a half-written
-//! image), and only then truncates the log ([`Wal::truncate_to`]).
+//! image), and only then truncates the log
+//! ([`Wal::truncate_to`](bullfrog_txn::Wal::truncate_to)).
 //! Crashing between those steps is safe in both orders: recovery replays
 //! `image + tail records at or above the image's base LSN`, and
 //! [`recovery::recover_from_files`](crate::recovery::recover_from_files)

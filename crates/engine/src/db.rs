@@ -12,6 +12,8 @@ use bullfrog_txn::{
     UndoRecord, Wal,
 };
 
+use crate::exec::bind_to_table;
+
 /// Concurrency-control mode of the engine.
 ///
 /// `TwoPL` is the original strict two-phase-locking engine: readers take
@@ -89,9 +91,9 @@ pub struct DbConfig {
     /// workloads may disable this).
     pub enforce_fk_on_delete: bool,
     /// Background checkpoint policy. `None` leaves checkpointing manual;
-    /// `Some` lets [`CheckpointScheduler::from_config`]
-    /// (crate::scheduler::CheckpointScheduler::from_config) spawn a
-    /// policy thread that cuts the WAL on these thresholds.
+    /// `Some` lets
+    /// [`CheckpointScheduler::from_config`](crate::CheckpointScheduler::from_config)
+    /// spawn a policy thread that cuts the WAL on these thresholds.
     pub checkpoint_policy: Option<crate::scheduler::CheckpointPolicy>,
     /// Concurrency-control mode. Defaults to [`EngineMode::TwoPL`].
     pub mode: EngineMode,
@@ -412,11 +414,12 @@ impl Database {
     /// stall behind unrelated writers.
     ///
     /// When synchronous replication is armed (`SET SYNC_REPLICAS`), the
-    /// acknowledgement additionally waits on the WAL's [`SyncGate`]
-    /// (local durability first, replica quorum second). A fenced node
-    /// completes the local commit — the batch is already in the log and
-    /// locks must not leak — but returns [`Error::Fenced`] so the client
-    /// is never acked and re-routes to the current primary.
+    /// acknowledgement additionally waits on the WAL's
+    /// [`SyncGate`](bullfrog_txn::SyncGate) (local durability first,
+    /// replica quorum second). A fenced node completes the local commit
+    /// — the batch is already in the log and locks must not leak — but
+    /// returns [`Error::Fenced`] so the client is never acked and
+    /// re-routes to the current primary.
     pub fn commit(&self, txn: &mut Transaction) -> Result<()> {
         txn.assert_active()?;
         let started = std::time::Instant::now();
@@ -1009,8 +1012,8 @@ impl Database {
     ) -> Result<Vec<(RowId, Row)>> {
         txn.assert_active()?;
         let t = self.catalog.get(table)?;
-        let scope = table_scope(&t);
-        let keep = |row: &Row| predicate.map_or(Ok(true), |p| p.matches(&scope, row));
+        let bound = predicate.map(|p| bind_to_table(&t, p)).transpose()?;
+        let keep = |row: &Row| bound.as_ref().map_or(Ok(true), |p| p.matches(row));
         self.select_with(txn, &t, || index_candidates(&t, predicate), keep, policy)
     }
 
@@ -1043,8 +1046,8 @@ impl Database {
         predicate: Option<&Expr>,
     ) -> Result<Vec<(RowId, Row)>> {
         let t = self.catalog.get(table)?;
-        let scope = table_scope(&t);
-        let keep = |row: &Row| predicate.map_or(Ok(true), |p| p.matches(&scope, row));
+        let bound = predicate.map(|p| bind_to_table(&t, p)).transpose()?;
+        let keep = |row: &Row| bound.as_ref().map_or(Ok(true), |p| p.matches(row));
         self.select_in(
             &t,
             View::Latest(LockPolicy::None),
@@ -1188,8 +1191,10 @@ impl std::fmt::Debug for Database {
     }
 }
 
-/// Scope for single-table predicates: columns visible both bare and
-/// qualified by the table's catalog name.
+/// A by-name [`Scope`] for single-table predicates: columns visible
+/// both bare and qualified by the table's catalog name, the rule
+/// [`bind_to_table`] applies. No engine path uses it; it serves callers
+/// that evaluate through [`Expr::matches`].
 pub fn table_scope(t: &Table) -> Scope {
     let cols: Vec<String> = t.schema().columns.iter().map(|c| c.name.clone()).collect();
     Scope::table(t.name(), &cols)
@@ -1425,7 +1430,53 @@ mod tests {
                 .select(&mut txn, "accounts", Some(&p), LockPolicy::Shared)
                 .unwrap();
             assert_eq!(got.len(), 2); // balances 980, 990
+
+            // A reference may be qualified by the table's catalog name,
+            // and by no other.
+            let p = Expr::col("accounts", "id").eq(Expr::lit(42));
+            let got = db
+                .select(&mut txn, "accounts", Some(&p), LockPolicy::Shared)
+                .unwrap();
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].1, row![42, "o42", 420]);
+            let p = Expr::col("other", "id").eq(Expr::lit(42));
+            let err = db
+                .select(&mut txn, "accounts", Some(&p), LockPolicy::Shared)
+                .unwrap_err();
+            assert!(matches!(err, Error::ColumnNotFound(_)), "{err:?}");
             db.commit(&mut txn).unwrap();
+        }
+    }
+
+    #[test]
+    fn select_rejects_unknown_column_without_evaluating_a_row() {
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_with_accounts(mode);
+            assert_eq!(db.config().mode, mode);
+            let unknown = Expr::column("nope").eq(Expr::lit(1));
+            let select = |p: &Expr| {
+                let mut txn = db.begin();
+                let got = db.select(&mut txn, "accounts", Some(p), LockPolicy::Shared);
+                db.commit(&mut txn).unwrap();
+                got
+            };
+            // An empty table: there is no row to evaluate.
+            let err = select(&unknown).unwrap_err();
+            assert!(matches!(err, Error::ColumnNotFound(_)), "{err:?}");
+            let err = db.select_unlocked("accounts", Some(&unknown)).unwrap_err();
+            assert!(matches!(err, Error::ColumnNotFound(_)), "{err:?}");
+            db.with_txn(|txn| {
+                for i in 0..10 {
+                    db.insert(txn, "accounts", row![i, format!("o{i}"), i * 10])?;
+                }
+                Ok(())
+            })
+            .unwrap();
+            // The primary-key index finds no candidate for `id = 99`.
+            let p = Expr::column("id").eq(Expr::lit(99)).and(unknown.clone());
+            let err = select(&p).unwrap_err();
+            assert!(matches!(err, Error::ColumnNotFound(_)), "{err:?}");
         }
     }
 

@@ -45,7 +45,7 @@ pub struct QueryOutput {
     pub rows: Vec<Row>,
 }
 
-/// Scope restrictions for spec execution.
+/// Per-call restrictions and locking for [`execute_spec`].
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// Additional per-alias filters (e.g. the transposed client predicate).
@@ -72,8 +72,14 @@ pub struct Restriction<'a> {
     pub keyed: Option<(&'a str, &'a [Expr])>,
 }
 
+/// Binds `e` to the rows of the single table `t` through [`locate`]: a
+/// reference is bare or qualified by the table's catalog name.
+pub fn bind_to_table(t: &Arc<Table>, e: &Expr) -> Result<BoundExpr> {
+    e.bind(&mut |c| Ok(locate(&[t.name()], std::slice::from_ref(t), c)?.1))
+}
+
 /// Rewrites every column reference to a bare (unqualified) reference, for
-/// evaluation against a single table's scope.
+/// evaluation against a single table.
 pub fn strip_aliases(e: &Expr) -> Expr {
     e.map_columns(&|c: &ColRef| Some(Expr::Col(ColRef::bare(c.column.clone()))))
 }
@@ -627,8 +633,9 @@ fn hash_join(j: &JoinKeys, combined: &[Row], rows: &[Row], joined: &mut Vec<Row>
 
 /// The step and column of `c` among the inputs `order` (tables
 /// `tables`): a qualified reference names its alias, a bare one must
-/// match exactly one input's column.
-fn locate(order: &[&str], tables: &[Arc<Table>], c: &ColRef) -> Result<(usize, usize)> {
+/// match exactly one input's column. The one rule that turns a column
+/// reference into a row position.
+pub fn locate(order: &[&str], tables: &[Arc<Table>], c: &ColRef) -> Result<(usize, usize)> {
     let not_found = || Error::ColumnNotFound(c.to_string());
     match &c.table {
         Some(alias) => {

@@ -132,14 +132,17 @@ fn oracle(db: &Database, spec: &SelectSpec, extra: &BTreeMap<String, Expr>) -> V
             .flat_map(|left| rows.iter().map(move |(_, r)| left.concat(r)))
             .collect();
     }
-    let holds = |e: &Expr, r: &Row| e.matches(&scope, r).unwrap();
+    // Bind through the scope's names, then evaluate by position.
+    let bind = |e: &Expr| e.bind(&mut |c| scope.resolve(c)).unwrap();
+    let eval = |e: &Expr, r: &Row| bind(e).eval(r).unwrap();
+    let holds = |e: &Expr, r: &Row| bind(e).matches(r).unwrap();
     let kept: Vec<Row> = combos
         .into_iter()
         .filter(|r| {
             spec.join_conds.iter().all(|(x, y)| {
                 let (vx, vy) = (
-                    Expr::Col(x.clone()).eval(&scope, r).unwrap(),
-                    Expr::Col(y.clone()).eval(&scope, r).unwrap(),
+                    eval(&Expr::Col(x.clone()), r),
+                    eval(&Expr::Col(y.clone()), r),
                 );
                 vx.sql_cmp(&vy) == Some(std::cmp::Ordering::Equal)
             })
@@ -156,7 +159,7 @@ fn oracle(db: &Database, spec: &SelectSpec, extra: &BTreeMap<String, Expr>) -> V
                     .columns
                     .iter()
                     .map(|c| match c {
-                        OutputColumn::Scalar { expr, .. } => expr.eval(&scope, r).unwrap(),
+                        OutputColumn::Scalar { expr, .. } => eval(expr, r),
                         OutputColumn::Agg { .. } => unreachable!(),
                     })
                     .collect())
@@ -169,7 +172,7 @@ fn oracle(db: &Database, spec: &SelectSpec, extra: &BTreeMap<String, Expr>) -> V
         groups.insert(Vec::new(), Vec::new());
     }
     for r in &kept {
-        let key = keys.iter().map(|e| e.eval(&scope, r).unwrap()).collect();
+        let key = keys.iter().map(|e| eval(e, r)).collect();
         groups.entry(key).or_default().push(r);
     }
     groups
@@ -184,7 +187,7 @@ fn oracle(db: &Database, spec: &SelectSpec, extra: &BTreeMap<String, Expr>) -> V
                     OutputColumn::Agg { func, arg, .. } => {
                         let vals: Vec<Value> = members
                             .iter()
-                            .map(|r| arg.eval(&scope, r).unwrap())
+                            .map(|r| eval(arg, r))
                             .filter(|v| !v.is_null())
                             .collect();
                         match func {

@@ -4,8 +4,9 @@
 //! The paper's migrations stay online through schema change; this crate
 //! keeps them online through *node loss*. Three mechanisms compose:
 //!
-//! - **Fencing epochs** (`bullfrog-txn`'s [`EpochStore`], wired through
-//!   every BFNET1 `SUBSCRIBE`/`REPL_ACK`/`FRAMES` message): a monotonic
+//! - **Fencing epochs** (`bullfrog-txn`'s
+//!   [`EpochStore`](bullfrog_txn::EpochStore), wired through every
+//!   BFNET1 `SUBSCRIBE`/`REPL_ACK`/`FRAMES` message): a monotonic
 //!   counter naming which incarnation of the primary may acknowledge
 //!   writes and ship frames. Promotion bumps it — persisted to the WAL
 //!   sidecar *and* as a durable log record — and any peer exchange

@@ -6,7 +6,7 @@
 //! leader/follower threads: a follower that wins an election *becomes*
 //! the leader mid-loop, so the same thread carries the node through
 //! promotion without a handoff. Witnesses tick too but do nothing — all
-//! their behaviour is passive ([`HaMember::handle`]).
+//! their behaviour is passive (`HaMember::handle`).
 //!
 //! Election protocol (static membership, one ballot per epoch):
 //!

@@ -556,11 +556,6 @@ impl Server {
         self.shared.stopping()
     }
 
-    /// The shared per-session counters.
-    pub fn session_counters(&self) -> Arc<SessionCounters> {
-        Arc::clone(&self.shared.counters)
-    }
-
     /// Blocks until shutdown is requested (e.g. by a remote `SHUTDOWN`),
     /// then drains. For server main loops.
     pub fn wait_shutdown(&mut self) {

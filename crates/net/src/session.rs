@@ -10,7 +10,7 @@
 //! locks or uncommitted rows behind.
 //!
 //! All DML flows through [`ClientAccess`], so when the session's access
-//! is a [`Bullfrog`](bullfrog_core::Bullfrog) controller every remote
+//! is a [`Bullfrog`] controller every remote
 //! read and write gets the lazy-migration interposition: touching a
 //! not-yet-migrated slice of an output table migrates it, exactly once,
 //! before the statement proceeds.
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use bullfrog_common::{Error, Result, Row};
 use bullfrog_core::{Bullfrog, ClientAccess, Passthrough};
-use bullfrog_engine::exec::ExecOptions;
+use bullfrog_engine::exec::{bind_to_table, ExecOptions};
 use bullfrog_engine::LockPolicy;
 use bullfrog_sql::{
     parse_statement, parse_template, reorder_insert_rows, PreparedTemplate, Statement,
@@ -693,11 +693,9 @@ impl Session {
                 predicate,
             } => {
                 let t = self.bf.db().table(&table)?;
-                let scope = bullfrog_engine::db::table_scope(&t);
-                let schema = t.schema().clone();
                 let mut set_idx = Vec::with_capacity(sets.len());
                 for (col, e) in &sets {
-                    set_idx.push((schema.col_index(col)?, e));
+                    set_idx.push((t.schema().col_index(col)?, bind_to_table(&t, e)?));
                 }
                 let matched =
                     self.bf
@@ -706,7 +704,7 @@ impl Session {
                 for (rid, row) in matched {
                     let mut new_row = row.clone();
                     for (pos, e) in &set_idx {
-                        new_row.0[*pos] = e.eval(&scope, &row)?;
+                        new_row.0[*pos] = e.eval(&row)?;
                     }
                     self.bf.update(txn, &table, rid, new_row)?;
                 }

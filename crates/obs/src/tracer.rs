@@ -115,11 +115,6 @@ pub struct Span<'a> {
 }
 
 impl Span<'_> {
-    /// Updates the free-form payload before the span closes.
-    pub fn set_detail(&mut self, detail: u64) {
-        self.detail = detail;
-    }
-
     /// Closes the span now and returns its duration in microseconds.
     pub fn finish(mut self) -> u64 {
         let end = self.tracer.now_us();

@@ -1,4 +1,4 @@
-//! Expression AST and evaluation.
+//! Expression AST, and its bound form, the one evaluator.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -117,9 +117,10 @@ pub enum AggFunc {
     CountDistinct,
 }
 
-/// The expression AST. Evaluation follows SQL three-valued logic: any
-/// comparison with NULL yields NULL; `And`/`Or` use Kleene logic; a
-/// predicate "matches" only when it evaluates to `true`.
+/// The expression AST: syntax only. It evaluates once bound to row
+/// positions ([`Expr::bind`] → [`BoundExpr`]), under SQL three-valued
+/// logic: any comparison with NULL yields NULL; `And`/`Or` use Kleene
+/// logic; a predicate "matches" only when it evaluates to `true`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Column reference.
@@ -235,22 +236,17 @@ impl Expr {
         Expr::Mul(Box::new(self), Box::new(other))
     }
 
-    /// Evaluates against `row` laid out by `scope`, resolving each
-    /// column reference by name. Callers that evaluate one expression
-    /// over many rows bind it once with [`Expr::bind`] instead.
-    pub fn eval(&self, scope: &Scope, row: &Row) -> Result<Value> {
-        eval(self, scope, row)
-    }
-
-    /// Evaluates as a predicate: `true` only when the expression is
-    /// definitely true (SQL WHERE semantics).
+    /// Evaluates as a predicate against `row` laid out by `scope`:
+    /// binds through [`Scope::resolve`], then [`BoundExpr::matches`].
     pub fn matches(&self, scope: &Scope, row: &Row) -> Result<bool> {
-        Ok(truth(&self.eval(scope, row)?)? == Some(true))
+        self.bind(&mut |c| scope.resolve(c))?.matches(row)
     }
 
     /// Resolves every column reference to a row position through
     /// `resolve`, once: the bound form evaluates rows with no name
-    /// lookups. Pass `&mut |c| scope.resolve(c)` to bind to a [`Scope`].
+    /// lookups. The engine resolves against table schemas
+    /// (`bullfrog_engine::exec::locate`); tests pass
+    /// `&mut |c| scope.resolve(c)`.
     pub fn bind(&self, resolve: &mut impl FnMut(&ColRef) -> Result<usize>) -> Result<BoundExpr> {
         let mut pair = |a: &Expr, b: &Expr| -> Result<(Box<BoundExpr>, Box<BoundExpr>)> {
             Ok((Box::new(a.bind(resolve)?), Box::new(b.bind(resolve)?)))
@@ -414,9 +410,47 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Evaluates against `row`, laid out by the scope it was bound to.
+    /// Evaluates against `row`, laid out as the expression was bound.
+    /// Any comparison with NULL yields NULL; `And`/`Or` use Kleene logic.
     pub fn eval(&self, row: &Row) -> Result<Value> {
-        eval(self, &(), row)
+        match self {
+            BoundExpr::Col(i) => row
+                .try_get(*i)
+                .cloned()
+                .ok_or_else(|| Error::Eval(format!("row too short for column #{i}"))),
+            BoundExpr::Lit(v) => Ok(v.clone()),
+            BoundExpr::Cmp(op, a, b) => {
+                let (va, vb) = (a.eval(row)?, b.eval(row)?);
+                Ok(match va.sql_cmp(&vb) {
+                    None => Value::Null,
+                    Some(ord) => Value::Bool(op.holds(ord)),
+                })
+            }
+            BoundExpr::And(a, b) => {
+                let (va, vb) = (a.eval(row)?, b.eval(row)?);
+                Ok(kleene_and(truth(&va)?, truth(&vb)?))
+            }
+            BoundExpr::Or(a, b) => {
+                let (va, vb) = (a.eval(row)?, b.eval(row)?);
+                Ok(kleene_or(truth(&va)?, truth(&vb)?))
+            }
+            BoundExpr::Not(e) => Ok(match truth(&e.eval(row)?)? {
+                Some(b) => Value::Bool(!b),
+                None => Value::Null,
+            }),
+            BoundExpr::IsNull(e) => Ok(Value::Bool(e.eval(row)?.is_null())),
+            BoundExpr::Arith(op, a, b) => {
+                let (va, vb) = (a.eval(row)?, b.eval(row)?);
+                let (result, sym) = match op {
+                    ArithOp::Add => (va.add(&vb), "+"),
+                    ArithOp::Sub => (va.sub(&vb), "-"),
+                    ArithOp::Mul => (va.mul(&vb), "*"),
+                };
+                result.ok_or_else(|| Error::Eval(format!("cannot compute {va} {sym} {vb}")))
+            }
+            BoundExpr::Call(f, arg) => eval_func(*f, arg.eval(row)?),
+            BoundExpr::Param(i) => Err(Error::Eval(format!("unbound parameter ?{}", i + 1))),
+        }
     }
 
     /// Evaluates as a predicate: `true` only when the expression is
@@ -431,129 +465,6 @@ impl BoundExpr {
             BoundExpr::Col(i) => Some(*i),
             _ => None,
         }
-    }
-}
-
-/// One node of an expression tree as [`eval`] sees it: children
-/// borrowed, a column reference left to the tree's own resolver.
-enum Node<'a, E> {
-    Col,
-    Lit(&'a Value),
-    Cmp(CmpOp, &'a E, &'a E),
-    And(&'a E, &'a E),
-    Or(&'a E, &'a E),
-    Not(&'a E),
-    IsNull(&'a E),
-    Arith(ArithOp, &'a E, &'a E),
-    Call(Func, &'a E),
-    Param(u32),
-}
-
-/// An expression tree [`eval`] walks: an [`Expr`] resolves its column
-/// references by name in a [`Scope`], a [`BoundExpr`] holds positions.
-trait Tree: Sized {
-    /// What a column reference resolves against.
-    type Layout;
-    fn node(&self) -> Node<'_, Self>;
-    /// The value in `row` of this node, a column reference.
-    fn column<'r>(&self, layout: &Self::Layout, row: &'r Row) -> Result<&'r Value>;
-}
-
-impl Tree for Expr {
-    type Layout = Scope;
-
-    fn node(&self) -> Node<'_, Self> {
-        match self {
-            Expr::Col(_) => Node::Col,
-            Expr::Lit(v) => Node::Lit(v),
-            Expr::Cmp(op, a, b) => Node::Cmp(*op, a, b),
-            Expr::And(a, b) => Node::And(a, b),
-            Expr::Or(a, b) => Node::Or(a, b),
-            Expr::Not(e) => Node::Not(e),
-            Expr::IsNull(e) => Node::IsNull(e),
-            Expr::Add(a, b) => Node::Arith(ArithOp::Add, a, b),
-            Expr::Sub(a, b) => Node::Arith(ArithOp::Sub, a, b),
-            Expr::Mul(a, b) => Node::Arith(ArithOp::Mul, a, b),
-            Expr::Call(f, e) => Node::Call(*f, e),
-            Expr::Param(i) => Node::Param(*i),
-        }
-    }
-
-    fn column<'r>(&self, scope: &Scope, row: &'r Row) -> Result<&'r Value> {
-        let Expr::Col(c) = self else {
-            unreachable!("column() of a non-column node")
-        };
-        row.try_get(scope.resolve(c)?)
-            .ok_or_else(|| Error::Eval(format!("row too short for {c}")))
-    }
-}
-
-impl Tree for BoundExpr {
-    type Layout = ();
-
-    fn node(&self) -> Node<'_, Self> {
-        match self {
-            BoundExpr::Col(_) => Node::Col,
-            BoundExpr::Lit(v) => Node::Lit(v),
-            BoundExpr::Cmp(op, a, b) => Node::Cmp(*op, a, b),
-            BoundExpr::And(a, b) => Node::And(a, b),
-            BoundExpr::Or(a, b) => Node::Or(a, b),
-            BoundExpr::Not(e) => Node::Not(e),
-            BoundExpr::IsNull(e) => Node::IsNull(e),
-            BoundExpr::Arith(op, a, b) => Node::Arith(*op, a, b),
-            BoundExpr::Call(f, e) => Node::Call(*f, e),
-            BoundExpr::Param(i) => Node::Param(*i),
-        }
-    }
-
-    fn column<'r>(&self, _: &(), row: &'r Row) -> Result<&'r Value> {
-        let BoundExpr::Col(i) = self else {
-            unreachable!("column() of a non-column node")
-        };
-        row.try_get(*i)
-            .ok_or_else(|| Error::Eval(format!("row too short for column #{i}")))
-    }
-}
-
-/// The one expression evaluator. Any comparison with NULL yields NULL;
-/// `And`/`Or` use Kleene logic.
-fn eval<T: Tree>(e: &T, layout: &T::Layout, row: &Row) -> Result<Value> {
-    match e.node() {
-        Node::Col => Ok(e.column(layout, row)?.clone()),
-        Node::Lit(v) => Ok(v.clone()),
-        Node::Cmp(op, a, b) => {
-            let (va, vb) = (eval(a, layout, row)?, eval(b, layout, row)?);
-            Ok(match va.sql_cmp(&vb) {
-                None => Value::Null,
-                Some(ord) => Value::Bool(op.holds(ord)),
-            })
-        }
-        Node::And(a, b) => {
-            let va = eval(a, layout, row)?;
-            let vb = eval(b, layout, row)?;
-            Ok(kleene_and(truth(&va)?, truth(&vb)?))
-        }
-        Node::Or(a, b) => {
-            let va = eval(a, layout, row)?;
-            let vb = eval(b, layout, row)?;
-            Ok(kleene_or(truth(&va)?, truth(&vb)?))
-        }
-        Node::Not(e) => Ok(match truth(&eval(e, layout, row)?)? {
-            Some(b) => Value::Bool(!b),
-            None => Value::Null,
-        }),
-        Node::IsNull(e) => Ok(Value::Bool(eval(e, layout, row)?.is_null())),
-        Node::Arith(op, a, b) => {
-            let (va, vb) = (eval(a, layout, row)?, eval(b, layout, row)?);
-            let (result, sym) = match op {
-                ArithOp::Add => (va.add(&vb), "+"),
-                ArithOp::Sub => (va.sub(&vb), "-"),
-                ArithOp::Mul => (va.mul(&vb), "*"),
-            };
-            result.ok_or_else(|| Error::Eval(format!("cannot compute {va} {sym} {vb}")))
-        }
-        Node::Call(f, arg) => eval_func(f, eval(arg, layout, row)?),
-        Node::Param(i) => Err(Error::Eval(format!("unbound parameter ?{}", i + 1))),
     }
 }
 
@@ -642,11 +553,10 @@ impl fmt::Display for Expr {
     }
 }
 
-/// Maps qualified/bare column references to positions in a row.
-///
-/// Scopes are built by the engine: a single-table scan's scope is the
-/// table's columns under its alias; a join's scope is the concatenation of
-/// both sides' scopes.
+/// Maps qualified/bare column references to positions in a row, by
+/// name: a resolver to bind an [`Expr`] through when no table schema is
+/// at hand (tests and benchmark probes). The engine binds through its
+/// table schemas instead.
 #[derive(Debug, Clone, Default)]
 pub struct Scope {
     entries: Vec<(Option<String>, String)>,
@@ -669,26 +579,9 @@ impl Scope {
         }
     }
 
-    /// Appends another scope (join).
-    pub fn concat(&self, other: &Scope) -> Scope {
-        let mut entries = self.entries.clone();
-        entries.extend(other.entries.iter().cloned());
-        Scope { entries }
-    }
-
     /// Adds one column.
     pub fn push(&mut self, table: Option<String>, column: impl Into<String>) {
         self.entries.push((table, column.into()));
-    }
-
-    /// Number of columns.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Resolves a reference to a position. Bare references must match
@@ -721,6 +614,16 @@ mod tests {
     use super::*;
     use bullfrog_common::row;
 
+    /// Binds through the scope's names, then evaluates by position.
+    fn eval(e: &Expr, s: &Scope, r: &Row) -> Result<Value> {
+        e.bind(&mut |c| s.resolve(c))?.eval(r)
+    }
+
+    /// [`eval`] as a WHERE predicate.
+    fn matches(e: &Expr, s: &Scope, r: &Row) -> Result<bool> {
+        e.bind(&mut |c| s.resolve(c))?.matches(r)
+    }
+
     fn scope() -> Scope {
         Scope::table(
             "f",
@@ -737,24 +640,25 @@ mod tests {
         let s = scope();
         let r = row!["AA101", 9, 120];
         assert_eq!(
-            Expr::col("f", "flightid").eval(&s, &r).unwrap(),
+            eval(&Expr::col("f", "flightid"), &s, &r).unwrap(),
             Value::text("AA101")
         );
         assert_eq!(
-            Expr::column("passenger_count").eval(&s, &r).unwrap(),
+            eval(&Expr::column("passenger_count"), &s, &r).unwrap(),
             Value::Int(120)
         );
-        assert!(Expr::col("g", "flightid").eval(&s, &r).is_err());
-        assert!(Expr::column("nope").eval(&s, &r).is_err());
+        assert!(eval(&Expr::col("g", "flightid"), &s, &r).is_err());
+        assert!(eval(&Expr::column("nope"), &s, &r).is_err());
     }
 
     #[test]
     fn ambiguous_bare_reference_rejected() {
-        let joined = scope().concat(&Scope::table("fi", &["flightid".into()]));
+        let mut joined = scope();
+        joined.push(Some("fi".into()), "flightid");
         let r = row!["AA101", 9, 120, "AA101"];
-        assert!(Expr::column("flightid").eval(&joined, &r).is_err());
+        assert!(eval(&Expr::column("flightid"), &joined, &r).is_err());
         assert_eq!(
-            Expr::col("fi", "flightid").eval(&joined, &r).unwrap(),
+            eval(&Expr::col("fi", "flightid"), &joined, &r).unwrap(),
             Value::text("AA101")
         );
     }
@@ -766,10 +670,10 @@ mod tests {
         let p = Expr::col("f", "flightid")
             .eq(Expr::lit("AA101"))
             .and(Expr::column("passenger_count").gt(Expr::lit(100)));
-        assert!(p.matches(&s, &r).unwrap());
+        assert!(matches(&p, &s, &r).unwrap());
         let p2 = Expr::column("passenger_count").lt(Expr::lit(100));
-        assert!(!p2.matches(&s, &r).unwrap());
-        assert!(p2.not().matches(&s, &r).unwrap());
+        assert!(!matches(&p2, &s, &r).unwrap());
+        assert!(matches(&p2.not(), &s, &r).unwrap());
     }
 
     #[test]
@@ -777,14 +681,13 @@ mod tests {
         let s = scope();
         let r = Row(vec![Value::text("AA101"), Value::Date(9), Value::Null]);
         let p = Expr::column("passenger_count").gt(Expr::lit(0));
-        assert_eq!(p.eval(&s, &r).unwrap(), Value::Null);
-        assert!(!p.matches(&s, &r).unwrap());
+        assert_eq!(eval(&p, &s, &r).unwrap(), Value::Null);
+        assert!(!matches(&p, &s, &r).unwrap());
         // NOT unknown is still unknown → does not match.
-        assert!(!p.clone().not().matches(&s, &r).unwrap());
+        assert!(!matches(&p.not(), &s, &r).unwrap());
         // IS NULL sees it.
-        assert!(Expr::IsNull(Box::new(Expr::column("passenger_count")))
-            .matches(&s, &r)
-            .unwrap());
+        let is_null = Expr::IsNull(Box::new(Expr::column("passenger_count")));
+        assert!(matches(&is_null, &s, &r).unwrap());
     }
 
     #[test]
@@ -796,16 +699,22 @@ mod tests {
         let u = Expr::null();
         // false AND unknown = false; true AND unknown = unknown.
         assert_eq!(
-            fa.clone().and(u.clone()).eval(&s, &r).unwrap(),
+            eval(&fa.clone().and(u.clone()), &s, &r).unwrap(),
             Value::Bool(false)
         );
-        assert_eq!(t.clone().and(u.clone()).eval(&s, &r).unwrap(), Value::Null);
+        assert_eq!(
+            eval(&t.clone().and(u.clone()), &s, &r).unwrap(),
+            Value::Null
+        );
         // true OR unknown = true; false OR unknown = unknown.
         assert_eq!(
-            t.clone().or(u.clone()).eval(&s, &r).unwrap(),
+            eval(&t.clone().or(u.clone()), &s, &r).unwrap(),
             Value::Bool(true)
         );
-        assert_eq!(fa.clone().or(u.clone()).eval(&s, &r).unwrap(), Value::Null);
+        assert_eq!(
+            eval(&fa.clone().or(u.clone()), &s, &r).unwrap(),
+            Value::Null
+        );
     }
 
     #[test]
@@ -814,12 +723,12 @@ mod tests {
         let r = row!["AA101", 9, 120];
         // capacity(=180 literal) - passenger_count = 60
         let e = Expr::lit(180).sub(Expr::column("passenger_count"));
-        assert_eq!(e.eval(&s, &r).unwrap(), Value::Int(60));
+        assert_eq!(eval(&e, &s, &r).unwrap(), Value::Int(60));
         let e = Expr::column("passenger_count").mul(Expr::lit(2));
-        assert_eq!(e.eval(&s, &r).unwrap(), Value::Int(240));
+        assert_eq!(eval(&e, &s, &r).unwrap(), Value::Int(240));
         // Overflow is an error, not a wrap.
         let e = Expr::lit(i64::MAX).add(Expr::lit(1));
-        assert!(e.eval(&s, &r).is_err());
+        assert!(eval(&e, &s, &r).is_err());
     }
 
     #[test]
@@ -838,13 +747,13 @@ mod tests {
         let s = Scope::new();
         let r = Row(vec![]);
         let e = Expr::Call(Func::ExtractDay, Box::new(Expr::Lit(Value::Date(8))));
-        assert_eq!(e.eval(&s, &r).unwrap(), Value::Int(9));
+        assert_eq!(eval(&e, &s, &r).unwrap(), Value::Int(9));
         let us_day8 = 8 * 86_400_000_000i64 + 3_600_000_000;
         let e = Expr::Call(
             Func::ExtractDay,
             Box::new(Expr::Lit(Value::Timestamp(us_day8))),
         );
-        assert_eq!(e.eval(&s, &r).unwrap(), Value::Int(9));
+        assert_eq!(eval(&e, &s, &r).unwrap(), Value::Int(9));
     }
 
     #[test]
@@ -853,7 +762,7 @@ mod tests {
         let r = Row(vec![]);
         for f in [Func::ExtractDay, Func::Abs, Func::Neg] {
             let e = Expr::Call(f, Box::new(Expr::null()));
-            assert_eq!(e.eval(&s, &r).unwrap(), Value::Null);
+            assert_eq!(eval(&e, &s, &r).unwrap(), Value::Null);
         }
     }
 

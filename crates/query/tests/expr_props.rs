@@ -9,6 +9,18 @@ fn scope() -> Scope {
     Scope::table("t", &["a".into(), "b".into(), "c".into()])
 }
 
+/// Binds `e` through the scope's names, then evaluates `r` by position.
+fn eval(e: &Expr, r: &Row) -> Value {
+    let s = scope();
+    e.bind(&mut |c| s.resolve(c)).unwrap().eval(r).unwrap()
+}
+
+/// [`eval`] as a WHERE predicate.
+fn matches(e: &Expr, r: &Row) -> bool {
+    let s = scope();
+    e.bind(&mut |c| s.resolve(c)).unwrap().matches(r).unwrap()
+}
+
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
@@ -58,30 +70,24 @@ proptest! {
 
     #[test]
     fn double_negation_preserves_matching(e in arb_bool_expr(), r in arb_row()) {
-        let s = scope();
-        let direct = e.clone().eval(&s, &r).unwrap();
-        let doubled = e.not().not().eval(&s, &r).unwrap();
+        let direct = eval(&e, &r);
+        let doubled = eval(&e.not().not(), &r);
         prop_assert_eq!(direct, doubled);
     }
 
     #[test]
     fn and_or_commute(a in arb_bool_expr(), b in arb_bool_expr(), r in arb_row()) {
-        let s = scope();
         prop_assert_eq!(
-            a.clone().and(b.clone()).eval(&s, &r).unwrap(),
-            b.clone().and(a.clone()).eval(&s, &r).unwrap()
+            eval(&a.clone().and(b.clone()), &r),
+            eval(&b.clone().and(a.clone()), &r)
         );
-        prop_assert_eq!(
-            a.clone().or(b.clone()).eval(&s, &r).unwrap(),
-            b.or(a).eval(&s, &r).unwrap()
-        );
+        prop_assert_eq!(eval(&a.clone().or(b.clone()), &r), eval(&b.or(a), &r));
     }
 
     #[test]
     fn de_morgan_holds(a in arb_bool_expr(), b in arb_bool_expr(), r in arb_row()) {
-        let s = scope();
-        let lhs = a.clone().and(b.clone()).not().eval(&s, &r).unwrap();
-        let rhs = a.not().or(b.not()).eval(&s, &r).unwrap();
+        let lhs = eval(&a.clone().and(b.clone()).not(), &r);
+        let rhs = eval(&a.not().or(b.not()), &r);
         prop_assert_eq!(lhs, rhs);
     }
 
@@ -90,27 +96,19 @@ proptest! {
         parts in proptest::collection::vec(arb_bool_expr(), 1..5),
         r in arb_row(),
     ) {
-        let s = scope();
         let pred = parts.clone().into_iter().reduce(Expr::and).expect("non-empty");
         let rebuilt = conjoin(conjuncts(&pred)).expect("non-empty");
-        prop_assert_eq!(
-            pred.matches(&s, &r).unwrap(),
-            rebuilt.matches(&s, &r).unwrap()
-        );
+        prop_assert_eq!(matches(&pred, &r), matches(&rebuilt, &r));
     }
 
     #[test]
     fn identity_substitution_is_noop(e in arb_bool_expr(), r in arb_row()) {
-        let s = scope();
         let mapped = e.map_columns(&|c: &ColRef| Some(Expr::Col(c.clone())));
-        prop_assert_eq!(e.eval(&s, &r).unwrap(), mapped.eval(&s, &r).unwrap());
+        prop_assert_eq!(eval(&e, &r), eval(&mapped, &r));
     }
 
     #[test]
     fn matches_is_true_only_on_bool_true(e in arb_bool_expr(), r in arb_row()) {
-        let s = scope();
-        let v = e.clone().eval(&s, &r).unwrap();
-        let m = e.matches(&s, &r).unwrap();
-        prop_assert_eq!(m, v == Value::Bool(true));
+        prop_assert_eq!(matches(&e, &r), eval(&e, &r) == Value::Bool(true));
     }
 }

@@ -2,7 +2,7 @@
 //! migration granules into trackers, and placing checkpoint-image rows.
 //!
 //! Used by both the live replica (streamed frames) and primary restart
-//! ([`crate::restore`]) — the two paths must produce identical state
+//! ([`crate::restore()`]) — the two paths must produce identical state
 //! from identical inputs, so they share the code that does it.
 
 use std::sync::Arc;

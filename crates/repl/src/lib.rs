@@ -24,7 +24,7 @@
 //!   migration tracker state from shipped granule records, serves
 //!   read-only `SELECT`s meanwhile, and reconnects with bounded
 //!   exponential backoff.
-//! - [`restore`] — primary restart from WAL + sidecar + journal,
+//! - [`restore()`] — primary restart from WAL + sidecar + journal,
 //!   rebuilding catalog, heaps, and in-flight migration trackers so
 //!   replicas can reattach (resuming, or re-bootstrapping if the log
 //!   base moved past their applied LSN).

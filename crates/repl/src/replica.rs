@@ -3,7 +3,7 @@
 //! [`Replica::start`] spawns the apply thread: connect to the primary,
 //! `SUBSCRIBE` from the local applied LSN, and feed every streamed
 //! record through
-//! [`StreamingReplay`](bullfrog_engine::recovery::StreamingReplay) —
+//! [`StreamingReplay`] —
 //! transactions buffer until their `Commit` arrives and then apply
 //! atomically under the apply gate's write lock, so concurrent read
 //! sessions (which hold the read half per statement) never observe a
@@ -69,7 +69,7 @@ pub struct ReplicaStats {
     /// Connection attempts after the first.
     pub reconnects: AtomicU64,
     /// 1 while the primary has been unreachable longer than the
-    /// reconnect cap ([`BACKOFF_MAX_ELAPSED`]).
+    /// reconnect cap (`BACKOFF_MAX_ELAPSED`).
     pub stalled: AtomicU64,
     /// `FRAMES` batches received (heartbeats included) — liveness proof
     /// for the backoff schedule.

@@ -171,7 +171,7 @@ impl ReplicationSender {
         &self.epoch
     }
 
-    /// The journal (shared with [`crate::restore`] on restart).
+    /// The journal (shared with [`crate::restore()`] on restart).
     pub fn journal(&self) -> &Arc<DdlJournal> {
         &self.journal
     }
@@ -179,11 +179,6 @@ impl ReplicationSender {
     /// Connected subscription count.
     pub fn replica_count(&self) -> usize {
         self.peers.lock().len()
-    }
-
-    /// The lowest acked LSN across connected replicas, if any.
-    pub fn min_acked_lsn(&self) -> Option<u64> {
-        self.peers.lock().values().map(|p| p.acked_lsn).min()
     }
 
     fn run_subscription(

@@ -2,6 +2,7 @@
 //! real engine derives during CTAS planning).
 
 use bullfrog_common::{ColumnDef, DataType, Error, Result, TableSchema};
+use bullfrog_engine::exec::locate;
 use bullfrog_engine::Database;
 use bullfrog_query::{AggFunc, ColRef, Expr, Func, OutputColumn, SelectSpec};
 
@@ -22,22 +23,11 @@ pub fn qualify_spec(db: &Database, spec: &SelectSpec) -> Result<SelectSpec> {
         if c.table.is_some() {
             return Ok(None);
         }
-        let mut found: Option<ColRef> = None;
-        for input in &spec.inputs {
-            let table = db.table(&input.table)?;
-            if table.schema().col_index(&c.column).is_ok() {
-                if found.is_some() {
-                    return Err(Error::Eval(format!(
-                        "ambiguous column {} across inputs",
-                        c.column
-                    )));
-                }
-                found = Some(ColRef::new(input.alias.clone(), c.column.clone()));
-            }
-        }
-        Ok(Some(
-            found.ok_or_else(|| Error::ColumnNotFound(c.to_string()))?,
-        ))
+        let (s, _) = infer_col(db, spec, c)?;
+        Ok(Some(ColRef::new(
+            spec.inputs[s].alias.clone(),
+            c.column.clone(),
+        )))
     };
 
     // map_columns is infallible; collect errors on the side.
@@ -138,7 +128,7 @@ pub fn infer_output_schema(
 
 fn infer_expr(db: &Database, spec: &SelectSpec, e: &Expr) -> Result<Inferred> {
     match e {
-        Expr::Col(c) => infer_col(db, spec, c),
+        Expr::Col(c) => Ok(infer_col(db, spec, c)?.1),
         Expr::Lit(v) => Ok(Inferred {
             dtype: v.data_type().unwrap_or(DataType::Text),
             nullable: v.is_null(),
@@ -176,36 +166,23 @@ fn infer_expr(db: &Database, spec: &SelectSpec, e: &Expr) -> Result<Inferred> {
     }
 }
 
-fn infer_col(db: &Database, spec: &SelectSpec, c: &ColRef) -> Result<Inferred> {
-    // Qualified: look in that alias; bare: search all inputs, must be
-    // unambiguous.
-    let mut found: Option<Inferred> = None;
-    for input in &spec.inputs {
-        if let Some(alias) = &c.table {
-            if *alias != input.alias {
-                continue;
-            }
-        }
-        let table = db.table(&input.table)?;
-        if let Ok(idx) = table.schema().col_index(&c.column) {
-            let col = &table.schema().columns[idx];
-            let inferred = Inferred {
-                dtype: col.dtype,
-                nullable: col.nullable,
-            };
-            if c.table.is_some() {
-                return Ok(inferred);
-            }
-            if found.is_some() {
-                return Err(Error::Eval(format!(
-                    "ambiguous column {} across inputs",
-                    c.column
-                )));
-            }
-            found = Some(inferred);
-        }
-    }
-    found.ok_or_else(|| Error::ColumnNotFound(c.to_string()))
+/// Which input `c` names, by [`locate`]'s rule, and the column's type.
+fn infer_col(db: &Database, spec: &SelectSpec, c: &ColRef) -> Result<(usize, Inferred)> {
+    let order: Vec<&str> = spec.inputs.iter().map(|i| i.alias.as_str()).collect();
+    let tables = spec
+        .inputs
+        .iter()
+        .map(|i| db.table(&i.table))
+        .collect::<Result<Vec<_>>>()?;
+    let (s, i) = locate(&order, &tables, c)?;
+    let col = &tables[s].schema().columns[i];
+    Ok((
+        s,
+        Inferred {
+            dtype: col.dtype,
+            nullable: col.nullable,
+        },
+    ))
 }
 
 #[cfg(test)]

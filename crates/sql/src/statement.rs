@@ -17,7 +17,7 @@
 //! literals, but any column reference is a parse error.
 
 use bullfrog_common::{Error, Result, Row, TableSchema, Value};
-use bullfrog_query::{Expr, Scope, SelectSpec};
+use bullfrog_query::{BoundExpr, Expr, SelectSpec};
 
 use crate::parser::Parser;
 
@@ -192,20 +192,10 @@ impl PreparedTemplate {
                 columns,
                 rows,
             } => {
-                let empty_scope = Scope::new();
-                let empty_row = Row(Vec::new());
                 let mut out = Vec::with_capacity(rows.len());
                 for exprs in rows {
-                    let mut vals = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        let bound = e.bind_params(params)?;
-                        vals.push(bound.eval(&empty_scope, &empty_row).map_err(|_| {
-                            Error::Eval(format!(
-                                "INSERT value {bound} is not a constant expression"
-                            ))
-                        })?);
-                    }
-                    out.push(Row(vals));
+                    let vals = exprs.iter().map(|e| fold(&e.bind_params(params)?));
+                    out.push(Row(vals.collect::<Result<_>>()?));
                 }
                 Statement::Insert {
                     table: table.clone(),
@@ -423,13 +413,7 @@ fn insert(p: &mut Parser) -> Result<Statement> {
         // Placeholders present: folding waits for bind(), but column
         // references are still a parse error (same contract as below).
         for e in exprs.iter().flatten() {
-            let mut cols = Vec::new();
-            e.columns(&mut cols);
-            if !cols.is_empty() {
-                return Err(Error::Eval(format!(
-                    "INSERT value {e} is not a constant expression"
-                )));
-            }
+            bind_constant(e)?;
         }
         return Ok(Statement::InsertExprs {
             table,
@@ -437,24 +421,33 @@ fn insert(p: &mut Parser) -> Result<Statement> {
             rows: exprs,
         });
     }
-    let empty_scope = Scope::new();
-    let empty_row = Row(Vec::new());
     let mut rows = Vec::with_capacity(exprs.len());
     for vals in exprs {
-        let mut folded = Vec::with_capacity(vals.len());
-        for e in vals {
-            // Constant-fold: INSERT values must be literal expressions.
-            folded.push(e.eval(&empty_scope, &empty_row).map_err(|_| {
-                Error::Eval(format!("INSERT value {e} is not a constant expression"))
-            })?);
-        }
-        rows.push(Row(folded));
+        rows.push(Row(vals.iter().map(fold).collect::<Result<_>>()?));
     }
     Ok(Statement::Insert {
         table,
         columns,
         rows,
     })
+}
+
+/// Binds an INSERT value with no column in scope: any column reference
+/// makes it non-constant.
+fn bind_constant(e: &Expr) -> Result<BoundExpr> {
+    e.bind(&mut |_| Err(not_constant(e)))
+}
+
+/// Constant-folds an INSERT value: binds it with no column in scope,
+/// then evaluates it against the empty row.
+fn fold(e: &Expr) -> Result<Value> {
+    bind_constant(e)?
+        .eval(&Row(Vec::new()))
+        .map_err(|_| not_constant(e))
+}
+
+fn not_constant(e: &Expr) -> Error {
+    Error::Eval(format!("INSERT value {e} is not a constant expression"))
 }
 
 fn update(p: &mut Parser) -> Result<Statement> {

@@ -34,4 +34,7 @@ cargo fmt --check
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings
 
+echo "== rustdoc (warning-free) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "verify: OK"
