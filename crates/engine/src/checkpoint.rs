@@ -15,8 +15,8 @@
 //! ([`Wal::truncate_to`](bullfrog_txn::Wal::truncate_to)).
 //! Crashing between those steps is safe in both orders: recovery replays
 //! `image + tail records at or above the image's base LSN`, and
-//! [`recovery::recover_from_files`](crate::recovery::recover_from_files)
-//! skips the already-absorbed file prefix using the rotation header.
+//! [`recovery::load_from_files`](crate::recovery::load_from_files)
+//! skips the already-absorbed file prefix.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -31,6 +31,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use parking_lot::Mutex;
 
 use crate::db::Database;
+use crate::recovery::RecoveryStats;
 
 /// Magic prefix of checkpoint sidecar files, the only image format.
 const CKPT_MAGIC: [u8; 7] = *b"BFCKPT2";
@@ -118,22 +119,27 @@ impl CheckpointImage {
         self.base_lsn = cut;
     }
 
-    /// Places the image's rows into `db` (whose catalog must already hold
-    /// the same tables, like [`crate::recovery::replay`]). Returns rows
-    /// applied.
-    pub fn apply_to(&self, db: &Database) -> Result<usize> {
-        let mut applied = 0;
+    /// The image applier: places the image's rows into `db` (whose
+    /// catalog must already hold the same tables, like
+    /// [`crate::recovery::replay`]) and resumes the timestamp oracle past
+    /// `base_ts`. Rows of tables the catalog lacks are skipped and
+    /// counted, as the redo applier does. The returned stats carry the
+    /// image's migrated granules.
+    pub fn apply_to(&self, db: &Database) -> Result<RecoveryStats> {
+        let mut stats = RecoveryStats {
+            migrated_granules: self.migrated.clone(),
+            ..RecoveryStats::default()
+        };
         for (table, rows) in &self.tables {
-            let t = db.catalog().get_by_id(*table)?;
-            for (rid, row) in rows {
-                t.place(*rid, row.clone())?;
-                applied += 1;
-            }
+            stats.write(db, *table, rows.len(), |t| {
+                rows.iter()
+                    .try_for_each(|(rid, row)| t.place(*rid, row.clone()))
+            })?;
         }
         // Keep the timestamp oracle past the image's commit horizon
         // (no-op for 2PL images, whose base_ts is 0).
         db.wal().oracle().resume_past(self.base_ts);
-        Ok(applied)
+        Ok(stats)
     }
 
     /// Serializes the image (rows in deterministic table/rid order).

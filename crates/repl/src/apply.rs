@@ -1,15 +1,18 @@
-//! Shared state-rebuild helpers: applying journaled DDL, mirroring
-//! migration granules into trackers, and placing checkpoint-image rows.
+//! Shared state-rebuild helpers: applying journaled DDL and mirroring
+//! migration granules into trackers.
 //!
 //! Used by both the live replica (streamed frames) and primary restart
 //! ([`crate::restore()`]) — the two paths must produce identical state
-//! from identical inputs, so they share the code that does it.
+//! from identical inputs, so they share the code that does it. Rows come
+//! from the engine's own appliers,
+//! [`CheckpointImage::apply_to`](bullfrog_engine::CheckpointImage::apply_to)
+//! and [`StreamingReplay`](bullfrog_engine::recovery::StreamingReplay).
 
 use std::sync::Arc;
 
 use bullfrog_common::{Error, Result};
 use bullfrog_core::{Bullfrog, ClientAccess, MigrationStats, SubmitOptions};
-use bullfrog_engine::{CheckpointImage, Database};
+use bullfrog_engine::Database;
 use bullfrog_net::{build_migration_plan, DdlEvent};
 use bullfrog_sql::{parse_statement, Statement};
 use bullfrog_txn::wal::GranuleKey;
@@ -80,27 +83,6 @@ pub fn mark_granules(bf: &Bullfrog, granules: &[(u32, GranuleKey)]) -> usize {
     let n = bullfrog_core::recovery::rebuild_trackers(&active.runtimes, granules);
     MigrationStats::add(&active.stats.granules_migrated, n as u64);
     n
-}
-
-/// Places a checkpoint image's rows, skipping tables the local catalog
-/// does not know. DDL is not WAL-logged, so an image can hold rows of a
-/// table dropped by a later `FINALIZE MIGRATION DROP OLD` whose journal
-/// event already applied; those rows are dead, not an error. Returns
-/// `(rows placed, rows skipped)`.
-pub fn apply_image_tolerant(db: &Database, image: &CheckpointImage) -> Result<(usize, usize)> {
-    let (mut placed, mut skipped) = (0, 0);
-    for (table, rows) in &image.tables {
-        match db.catalog().get_by_id(*table) {
-            Ok(t) => {
-                for (rid, row) in rows {
-                    t.place(*rid, row.clone())?;
-                    placed += 1;
-                }
-            }
-            Err(_) => skipped += rows.len(),
-        }
-    }
-    Ok((placed, skipped))
 }
 
 /// Deletes every live row of every table — the first half of a replica

@@ -36,7 +36,7 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::apply::{apply_ddl_event, apply_image_tolerant, clear_all_rows, mark_granules};
+use crate::apply::{apply_ddl_event, clear_all_rows, mark_granules};
 use crate::journal::{decode_event, decode_snapshot, JournalEntry};
 
 /// Reconnect backoff bounds.
@@ -208,10 +208,10 @@ impl ApplyState {
                 self.stats
                     .records_applied
                     .fetch_add(out.applied as u64, Ordering::Release);
-                if out.committed {
-                    self.stats.txns_applied.fetch_add(1, Ordering::Release);
-                }
-                let marked = mark_granules(&self.bf, &out.granules);
+                self.stats
+                    .txns_applied
+                    .fetch_add(out.committed_txns as u64, Ordering::Release);
+                let marked = mark_granules(&self.bf, &out.migrated_granules);
                 self.stats
                     .granules_mirrored
                     .fetch_add(marked as u64, Ordering::Release);
@@ -264,11 +264,11 @@ impl ApplyState {
             }
         }
         self.recv_seq = self.recv_seq.max(self.apply_seq);
-        let (placed, _skipped) = apply_image_tolerant(self.bf.db(), &image)?;
+        let placed = image.apply_to(self.bf.db())?;
         self.stats
             .records_applied
-            .fetch_add(placed as u64, Ordering::Release);
-        let marked = mark_granules(&self.bf, &image.migrated);
+            .fetch_add(placed.applied as u64, Ordering::Release);
+        let marked = mark_granules(&self.bf, &placed.migrated_granules);
         self.stats
             .granules_mirrored
             .fetch_add(marked as u64, Ordering::Release);

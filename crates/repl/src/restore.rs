@@ -26,11 +26,11 @@ use std::sync::Arc;
 use bullfrog_common::Result;
 use bullfrog_core::Bullfrog;
 use bullfrog_engine::checkpoint::checkpoint_path_for;
-use bullfrog_engine::recovery::StreamingReplay;
-use bullfrog_engine::{CheckpointImage, Database, DbConfig};
-use bullfrog_txn::{Wal, WalOptions};
+use bullfrog_engine::recovery::{load_from_files, OnDisk, StreamingReplay};
+use bullfrog_engine::{Database, DbConfig};
+use bullfrog_txn::WalOptions;
 
-use crate::apply::{apply_ddl_event, apply_image_tolerant, mark_granules};
+use crate::apply::{apply_ddl_event, mark_granules};
 use crate::journal::DdlJournal;
 
 /// What [`restore`] rebuilt.
@@ -69,63 +69,32 @@ pub fn restore(
     wal_opts: WalOptions,
 ) -> Result<(Arc<Bullfrog>, Arc<DdlJournal>, RestoreReport)> {
     let journal = Arc::new(DdlJournal::open(DdlJournal::path_for(wal_path))?);
-    let ckpt_path = checkpoint_path_for(wal_path);
-    let mut image = match std::fs::read(&ckpt_path) {
-        Ok(bytes) => CheckpointImage::decode(bytes)?,
-        Err(_) => CheckpointImage::new(),
-    };
-
-    // Longest LSN-contiguous tail from the image's base. Shards flush
-    // independently, so a crash can leave a gap; records above the first
-    // gap belong to transactions whose commit never acknowledged (the
-    // ack gate waits on the *merged* horizon), and replicas never saw
-    // them either (frames ship below the same horizon).
-    let on_disk = if wal_path.exists() {
-        Wal::load_sharded(wal_path)?
-    } else {
-        Vec::new() // fresh primary: nothing to restore
-    };
-    // Fencing epoch: the sidecar merged with every `Epoch` record on
-    // disk — including records past a cross-shard gap, because an
-    // epoch, once observed, must never regress even if the surrounding
-    // commit never acknowledged. Persist the merge back immediately so
-    // the sidecar alone is authoritative from here on.
-    let epoch_store = bullfrog_txn::EpochStore::open(wal_path)?;
-    let wal_epoch = on_disk
-        .iter()
-        .filter_map(|(_, r)| match r {
-            bullfrog_txn::LogRecord::Epoch { epoch, .. } => Some(*epoch),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    epoch_store.observe(wal_epoch)?;
-
-    let mut tail: Vec<(u64, bullfrog_txn::LogRecord)> = Vec::new();
-    let mut next = image.base_lsn;
-    for (lsn, rec) in on_disk {
-        if lsn < next {
-            continue; // already inside the image
-        }
-        if lsn > next {
-            break; // cross-shard gap: stop at the recoverable prefix
-        }
-        tail.push((lsn, rec));
-        next += 1;
-    }
-
+    // Open the log before reading it: a fresh primary has no WAL file
+    // yet and opening creates it, so the shared loader then finds an
+    // empty log. The reopened log resumes appending past every on-disk
+    // record — including any beyond a cross-shard gap — and retains
+    // nothing below that point in memory. Sample it now (no writers
+    // yet): it is the restored image's cut, so a snapshot covers
+    // everything the log no longer serves and a reconnecting replica
+    // never loops between SNAPSHOT_REQUIRED and a snapshot that ends
+    // short of the log base.
     let db = Arc::new(Database::with_wal_file_opts(config, wal_path, wal_opts)?);
-    // The reopened log resumes appending past every on-disk record —
-    // including any beyond a cross-shard gap — and retains nothing below
-    // that point in memory. Sample it now (no writers yet): it is the
-    // restored image's cut, so a snapshot covers everything the log no
-    // longer serves and a reconnecting replica never loops between
-    // SNAPSHOT_REQUIRED and a snapshot that ends short of the log base.
     let resume_frontier = db.wal().frontier();
+    let OnDisk {
+        mut image,
+        tail,
+        max_epoch,
+    } = load_from_files(wal_path, checkpoint_path_for(wal_path))?;
+    // Fencing epoch: the sidecar merged with every `Epoch` record on
+    // disk. Persist the merge back immediately so the sidecar alone is
+    // authoritative from here on.
+    let epoch_store = bullfrog_txn::EpochStore::open(wal_path)?;
+    epoch_store.observe(max_epoch)?;
+
     let bf = Arc::new(Bullfrog::new(Arc::clone(&db)));
     let mut report = RestoreReport {
         start_lsn: image.base_lsn,
-        end_lsn: next,
+        end_lsn: image.base_lsn + tail.len() as u64,
         epoch: epoch_store.epoch(),
         ..RestoreReport::default()
     };
@@ -143,18 +112,18 @@ pub fn restore(
     }
 
     // 2. The image's rows and migrated granules.
-    let (placed, skipped) = apply_image_tolerant(&db, &image)?;
-    report.image_rows = placed;
-    report.image_rows_skipped = skipped;
-    report.granules += mark_granules(&bf, &image.migrated);
+    let placed = image.apply_to(&db)?;
+    report.image_rows = placed.applied;
+    report.image_rows_skipped = placed.skipped_unknown_table;
+    report.granules += mark_granules(&bf, &placed.migrated_granules);
 
     // 3. The tail, interleaving the remaining journal events at their
     // apply points — the same txn-at-a-time streaming apply a replica
     // uses, so transactions straddling a DDL boundary buffer across it.
     let mut replay = StreamingReplay::new();
-    for (lsn, rec) in &tail {
+    for (lsn, rec) in (image.base_lsn..).zip(&tail) {
         while let Some(e) = pending.peek() {
-            if e.apply_at_lsn > *lsn {
+            if e.apply_at_lsn > lsn {
                 break;
             }
             apply_ddl_event(&bf, &e.event)?;
@@ -163,10 +132,8 @@ pub fn restore(
         }
         let out = replay.apply(&db, rec)?;
         report.tail_records += out.applied;
-        if out.committed {
-            report.tail_txns += 1;
-        }
-        report.granules += mark_granules(&bf, &out.granules);
+        report.tail_txns += out.committed_txns;
+        report.granules += mark_granules(&bf, &out.migrated_granules);
     }
     // Journal events past the last record (DDL was the final act).
     for e in pending {
@@ -181,8 +148,7 @@ pub fn restore(
     // writers are gone), so the full tail is a transaction-safe delta;
     // records between the tail's end and the resume frontier (past a
     // gap) belong to commits that never acknowledged and are dropped.
-    let tail_records: Vec<bullfrog_txn::LogRecord> = tail.into_iter().map(|(_, r)| r).collect();
-    image.absorb(&tail_records, report.end_lsn.max(resume_frontier));
+    image.absorb(&tail, report.end_lsn.max(resume_frontier));
     db.checkpointer().seed(image);
 
     // 5. The crash dropped the previous process's background sweeper

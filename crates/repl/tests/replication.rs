@@ -9,8 +9,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bullfrog_common::row;
 use bullfrog_core::{Bullfrog, ClientAccess};
-use bullfrog_engine::{Database, DbConfig, EngineMode};
+use bullfrog_engine::checkpoint::checkpoint_path_for;
+use bullfrog_engine::{CheckpointImage, Database, DbConfig, EngineMode};
 use bullfrog_net::{err_code, Client, ClientError, Server, ServerConfig};
 use bullfrog_repl::{restore, DdlJournal, Replica, ReplicationSender};
 use bullfrog_txn::wal::shard_file_path;
@@ -587,6 +589,121 @@ fn restored_primary_finishes_migration_without_traffic() {
             60,
             "sweepers must have migrated every row"
         );
+        bf2.shutdown_background();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A primary on a file WAL that committed 20 single-row inserts, folded
+/// them all into the checkpoint sidecar, and was then dropped. Returns
+/// the scratch directory and the WAL path.
+fn checkpointed_primary(mode: EngineMode, tag: &str) -> (PathBuf, PathBuf) {
+    let dir = scratch_dir(tag);
+    let (server, bf, sender) = start_primary(mode, &dir);
+    assert_eq!(bf.db().config().mode, mode);
+    let mut admin = Client::connect(server.local_addr()).expect("admin");
+    admin
+        .execute("CREATE TABLE accounts (id INT, owner CHAR(8), balance INT, PRIMARY KEY (id))")
+        .unwrap();
+    for i in 0..20 {
+        admin
+            .execute(&format!("INSERT INTO accounts VALUES ({i}, 'o{i}', 100)"))
+            .unwrap();
+    }
+    let stats = bf.db().checkpoint().expect("manual checkpoint");
+    assert_eq!(
+        stats.cut_lsn,
+        bf.db().wal().frontier(),
+        "checkpoint folded every commit: {stats:?}"
+    );
+    drop(admin);
+    drop(server);
+    drop(sender);
+    drop(bf);
+    let wal_path = dir.join("primary.wal");
+    (dir, wal_path)
+}
+
+/// A sidecar that exists but cannot be read is not "no checkpoint":
+/// restoring without it would silently drop every row the image holds
+/// (the log below its base is truncated) and seed the checkpointer with
+/// an empty image.
+#[test]
+fn restore_refuses_an_unreadable_checkpoint_sidecar() {
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let (dir, wal_path) = checkpointed_primary(mode, "bad-sidecar");
+        let ckpt = checkpoint_path_for(&wal_path);
+        std::fs::remove_file(&ckpt).expect("remove sidecar");
+        std::fs::create_dir(&ckpt).expect("sidecar path becomes a directory");
+        let marker = ckpt.join("keep");
+        std::fs::write(&marker, b"untouched").unwrap();
+
+        let restored = restore(
+            &wal_path,
+            DbConfig {
+                mode,
+                ..DbConfig::default()
+            },
+            WalOptions::default(),
+        );
+        assert!(
+            restored.is_err(),
+            "restore must refuse an unreadable sidecar, got {:?}",
+            restored.map(|(_, _, report)| report)
+        );
+        assert!(ckpt.is_dir(), "restore must leave the sidecar path alone");
+        assert_eq!(std::fs::read(&marker).unwrap(), b"untouched");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A restore whose whole history sits in the checkpoint image must still
+/// resume the timestamp oracle past the image's commit horizon, or
+/// post-restart snapshot commits reuse timestamps the image covers.
+#[test]
+fn restore_resumes_the_oracle_past_the_checkpoint_image() {
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let (dir, wal_path) = checkpointed_primary(mode, "oracle");
+        let image = CheckpointImage::decode(
+            std::fs::read(checkpoint_path_for(&wal_path)).expect("read sidecar"),
+        )
+        .expect("decode sidecar");
+        if mode == EngineMode::Snapshot {
+            assert!(image.base_ts >= 20, "one timestamp per insert: {image:?}");
+        }
+
+        let (bf2, _journal2, report) = restore(
+            &wal_path,
+            DbConfig {
+                mode,
+                ..DbConfig::default()
+            },
+            WalOptions::default(),
+        )
+        .expect("restore");
+        assert_eq!(bf2.db().config().mode, mode);
+        assert_eq!(report.image_rows, 20, "{report:?}");
+        let oracle = bf2.db().wal().oracle();
+        assert!(
+            oracle.last_drawn() >= image.base_ts,
+            "oracle at {} behind the image's base_ts {}",
+            oracle.last_drawn(),
+            image.base_ts
+        );
+
+        let db = bf2.db();
+        db.with_txn(|txn| db.insert(txn, "accounts", row![20, "o20", 100]))
+            .expect("post-restore commit");
+        if mode == EngineMode::Snapshot {
+            assert!(
+                oracle.last_drawn() > image.base_ts,
+                "post-restore commit drew {} at or below base_ts {}",
+                oracle.last_drawn(),
+                image.base_ts
+            );
+        }
         bf2.shutdown_background();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release --workspace
 
+echo "== abort storm + mid-migration crash recovery (the example's asserts) =="
+cargo run --release -q --example abort_recovery
+
 echo "== tests =="
 cargo test -q --workspace
 
