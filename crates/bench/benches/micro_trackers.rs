@@ -137,7 +137,7 @@ fn lock_shard_hash(c: &mut Criterion) {
     // distinct rows: dominated by shard pick + mutex + map entry.
     g.bench_function("acquire_release_1k", |b| {
         b.iter_batched(
-            || LockManager::new(Duration::from_millis(50)),
+            || LockManager::new(Duration::from_millis(50), Default::default()),
             |lm| {
                 for r in 0..1000u64 {
                     lm.acquire(
@@ -161,7 +161,7 @@ fn lock_shard_hash(c: &mut Criterion) {
     // it splits a round into ns per lock for the acquires and the release.
     g.bench_function("is_plus_1440_s_release_all", |b| {
         const ROWS: u64 = 1440;
-        let lm = LockManager::new(Duration::from_millis(50));
+        let lm = LockManager::new(Duration::from_millis(50), Default::default());
         let table = LockKey::Table(TableId(3));
         let rows: Vec<LockKey> = (0..ROWS)
             .map(|r| LockKey::Row(TableId(3), RowId::from_ordinal(r * 7, 64)))

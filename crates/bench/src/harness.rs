@@ -75,9 +75,9 @@ pub struct RunResult {
     pub committed: u64,
     /// Transactions that exhausted retries.
     pub failed: u64,
-    /// Durability counters captured at run end (`None` when the caller
-    /// did not have the database at hand to capture them).
-    pub durability: Option<bullfrog_core::DurabilityStats>,
+    /// The WAL's durability counters at run end (`None` when the caller
+    /// did not have the database at hand to read them).
+    pub durability: Option<bullfrog_txn::WalStatsSnapshot>,
 }
 
 impl RunResult {
@@ -339,7 +339,7 @@ pub fn print_series(result: &RunResult) {
         result.new_order_latencies_us.len()
     );
     if let Some(d) = &result.durability {
-        println!("  wal  {}", d.summary());
+        println!("  wal  {d:?}");
     }
 }
 

@@ -148,7 +148,7 @@ pub fn run_strategy(
     // retry budget emulates that during eager migration's lock window.
     driver.max_retries = 100;
     let mut result = run_workload(strategy, Arc::new(driver), cfg);
-    result.durability = Some(bullfrog_core::DurabilityStats::capture(&db));
+    result.durability = Some(db.wal().stats());
     result
 }
 

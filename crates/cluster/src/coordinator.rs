@@ -34,7 +34,7 @@
 use std::time::{Duration, Instant};
 
 use bullfrog_common::Value;
-use bullfrog_net::{Client, ClientError, ClientResult, ExchangeSpec, ShardMap};
+use bullfrog_net::{stat, Client, ClientError, ClientResult, ExchangeSpec, ShardMap};
 use bullfrog_query::AggFunc;
 
 /// How long [`Coordinator::wait_all_complete`] sleeps between polls.
@@ -164,8 +164,8 @@ impl Coordinator {
             let mut done = true;
             for conn in &mut self.conns {
                 let status = conn.status()?;
-                let active = stat(&status, "migration.active");
-                let complete = stat(&status, "migration.complete");
+                let active = stat(&status, "migration.active").unwrap_or(0);
+                let complete = stat(&status, "migration.complete").unwrap_or(0);
                 if active != 0 && complete != 1 {
                     done = false;
                     break;
@@ -325,15 +325,6 @@ pub fn aggregate_status<'a>(
         }
     }
     Ok(agg)
-}
-
-/// Looks a counter up in a `STATUS` reply (0 when absent).
-pub fn stat(status: &[(String, i64)], key: &str) -> i64 {
-    status
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
 }
 
 /// Folds two partial aggregates of the same group into one. NULL on

@@ -347,7 +347,7 @@ fn routed_transfers_race_the_cluster_flip_without_losing_a_commit() {
         // Progress counters are read while the migration is live, since
         // FINALIZE retires them.
         let status = coord.aggregate_status().expect("cluster status");
-        let get = |k: &str| bullfrog_cluster::coordinator::stat(&status, k);
+        let get = |k: &str| bullfrog_net::stat(&status, k).unwrap_or(0);
         assert_eq!(
             get("migration.rows_migrated"),
             ACCOUNTS,

@@ -55,4 +55,4 @@ pub use migrate::{
     candidates_for, migrate_candidates, DedupMode, MigrateOptions, StatementRuntime,
 };
 pub use plan::{JoinStrategy, MigrationCategory, MigrationPlan, MigrationStatement, Tracking};
-pub use stats::{DurabilityStats, MigrationStats, MigrationStatsSnapshot};
+pub use stats::{MigrationStats, MigrationStatsSnapshot};

@@ -1,10 +1,6 @@
-//! Migration progress and overhead counters, plus a snapshot of the
-//! engine's durability (group-commit WAL + checkpoint) counters.
+//! Migration progress and overhead counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use bullfrog_engine::Database;
-use bullfrog_txn::WalStatsSnapshot;
 
 /// Counters published by an active migration (all monotonically
 /// increasing; read with relaxed ordering — they are diagnostics, not
@@ -108,53 +104,6 @@ pub struct MigrationStatsSnapshot {
     pub background_granules: u64,
 }
 
-/// Point-in-time durability counters captured from a database: the WAL's
-/// group-commit/flush/checkpoint totals plus the current log shape. One
-/// capture per run is enough — everything in here is monotonic.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DurabilityStats {
-    /// The WAL's aggregated counters (flushes, group sizes, bytes,
-    /// latency, checkpoints, truncated records) summed over every shard.
-    pub wal: WalStatsSnapshot,
-    /// Per-shard flush counters, indexed by durability shard.
-    pub shards: Vec<WalStatsSnapshot>,
-    /// LSN-space length of the log (records ever appended).
-    pub log_len: u64,
-    /// Records currently resident in memory (bounded by checkpointing).
-    pub resident_records: u64,
-    /// The merged durable horizon (min over shard frontiers).
-    pub durable_lsn: u64,
-}
-
-impl DurabilityStats {
-    /// Captures the counters from `db`'s WAL.
-    pub fn capture(db: &Database) -> Self {
-        let wal = db.wal();
-        DurabilityStats {
-            wal: wal.stats(),
-            shards: wal.shard_stats(),
-            log_len: wal.len() as u64,
-            resident_records: wal.resident_records() as u64,
-            durable_lsn: wal.durable_lsn(),
-        }
-    }
-
-    /// One-line summary for bench reports: fsync count vs. batches (the
-    /// group-commit win), group sizes, flush latency, per-shard fsync
-    /// spread, and log footprint.
-    pub fn summary(&self) -> String {
-        let spread: Vec<String> = self.shards.iter().map(|s| s.flushes.to_string()).collect();
-        format!(
-            "{} shards[fsyncs]=[{}] len={} resident={} durable_lsn={}",
-            self.wal.summary(),
-            spread.join("/"),
-            self.log_len,
-            self.resident_records,
-            self.durable_lsn,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,7 +111,7 @@ mod tests {
     #[test]
     fn durability_capture_reflects_wal_shape() {
         use bullfrog_common::{row, ColumnDef, DataType, TableSchema};
-        use bullfrog_engine::{DbConfig, EngineMode};
+        use bullfrog_engine::{Database, DbConfig, EngineMode};
 
         for mode in EngineMode::ALL {
             eprintln!("engine mode: {mode:?}");
@@ -178,11 +127,9 @@ mod tests {
             .unwrap();
             db.with_txn(|txn| db.insert(txn, "t", row![1]).map(|_| ()))
                 .unwrap();
-            let d = DurabilityStats::capture(&db);
             // One txn = Insert + Commit records.
-            assert_eq!(d.log_len, 2);
-            assert_eq!(d.resident_records, 2);
-            assert!(d.summary().contains("len=2"));
+            assert_eq!(db.wal().len(), 2);
+            assert_eq!(db.wal().resident_records(), 2);
         }
     }
 

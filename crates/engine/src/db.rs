@@ -213,10 +213,6 @@ pub struct Database {
     si_commits: AtomicU64,
     /// Version-chain nodes reclaimed by GC over the database's lifetime.
     gc_reclaimed: AtomicU64,
-    /// This instance's metrics registry. Per-database (tests run several
-    /// servers in one process), shared with the
-    /// WAL at construction and with every layer above via [`Database::obs`].
-    obs: Arc<bullfrog_obs::Registry>,
     /// End-to-end commit latency (append + group-commit wait + version
     /// install), microseconds. Cached handle off `obs`.
     commit_hist: Arc<bullfrog_obs::Histogram>,
@@ -232,23 +228,25 @@ impl Database {
 
     /// Creates an empty database with the given configuration.
     pub fn with_config(config: DbConfig) -> Self {
-        let obs = Arc::new(bullfrog_obs::Registry::new());
-        let wal = Wal::new();
-        wal.attach_obs(&obs);
-        let lm = LockManager::new(config.lock_timeout);
-        lm.attach_obs(&obs);
+        Self::assemble(config, Wal::new(), None)
+    }
+
+    /// The one constructor body: the log's registry becomes the
+    /// database's (see [`Database::obs`]), and the lock manager and the
+    /// commit path take their handles from it.
+    fn assemble(config: DbConfig, wal: Wal, ckpt_path: Option<std::path::PathBuf>) -> Self {
+        let obs = Arc::clone(wal.obs());
         Database {
             catalog: Catalog::new(),
-            lm,
+            lm: LockManager::new(config.lock_timeout, obs.histogram("txn.lock_wait_us")),
             tm: TxnManager::new(),
             wal,
-            ckpt: crate::checkpoint::Checkpointer::new(None),
+            ckpt: crate::checkpoint::Checkpointer::new(ckpt_path),
             config,
             si_commits: AtomicU64::new(0),
             gc_reclaimed: AtomicU64::new(0),
             commit_hist: obs.histogram("engine.commit_us"),
             locks_hist: obs.histogram("txn.locks_per_commit"),
-            obs,
         }
     }
 
@@ -275,26 +273,9 @@ impl Database {
         opts: bullfrog_txn::WalOptions,
     ) -> bullfrog_common::Result<Self> {
         let path = path.as_ref();
-        let obs = Arc::new(bullfrog_obs::Registry::new());
         let wal = Wal::with_file_opts(path, opts)?;
-        wal.attach_obs(&obs);
-        let lm = LockManager::new(config.lock_timeout);
-        lm.attach_obs(&obs);
-        Ok(Database {
-            catalog: Catalog::new(),
-            lm,
-            tm: TxnManager::new(),
-            wal,
-            ckpt: crate::checkpoint::Checkpointer::new(Some(
-                crate::checkpoint::checkpoint_path_for(path),
-            )),
-            config,
-            si_commits: AtomicU64::new(0),
-            gc_reclaimed: AtomicU64::new(0),
-            commit_hist: obs.histogram("engine.commit_us"),
-            locks_hist: obs.histogram("txn.locks_per_commit"),
-            obs,
-        })
+        let ckpt_path = crate::checkpoint::checkpoint_path_for(path);
+        Ok(Self::assemble(config, wal, Some(ckpt_path)))
     }
 
     /// The catalog.
@@ -317,12 +298,13 @@ impl Database {
         &self.config
     }
 
-    /// This database's metrics registry. Every layer above (sessions,
-    /// migration controller, replication, cluster membership) registers
-    /// its counters and histograms here, so one `METRICS` snapshot
-    /// covers the whole instance.
+    /// This database's metrics registry: the one its WAL was built
+    /// with, per database (tests run several servers in one process).
+    /// Every layer above (sessions, migration controller, replication,
+    /// cluster membership) registers its counters and histograms here,
+    /// so one `METRICS` snapshot covers the whole instance.
     pub fn obs(&self) -> &Arc<bullfrog_obs::Registry> {
-        &self.obs
+        self.wal.obs()
     }
 
     // --- DDL --------------------------------------------------------------

@@ -41,7 +41,7 @@ use bullfrog_core::{Bullfrog, ClientAccess};
 use bullfrog_engine::{CheckpointPolicy, Database, DbConfig, EngineMode};
 use bullfrog_ha::{HaConfig, HaMember, HaNode, Role};
 use bullfrog_net::wire::HaReq;
-use bullfrog_net::{Client, Server, ServerConfig};
+use bullfrog_net::{stat, Client, Server, ServerConfig};
 use bullfrog_repl::{restore, Replica, ReplicationSender};
 use bullfrog_txn::{EpochStore, SyncPolicy, WalOptions};
 
@@ -336,7 +336,7 @@ fn run_status(opts: &Opts) {
         }
         return;
     }
-    let get = |key: &str| status.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+    let get = |key: &str| stat(&status, key);
     // Prefer the HA member's view; fall back to repl.* gauges on nodes
     // running without a quorum group.
     let (role, epoch, leader, lease_ms) = match client.ha_state() {
@@ -403,7 +403,7 @@ fn wait_promoted(addr: &str, timeout: Duration) {
         // the listener mid-start) when we first ask.
         if let Ok(mut client) = Client::connect(addr) {
             if let Ok(status) = client.status() {
-                let get = |key: &str| status.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+                let get = |key: &str| stat(&status, key);
                 if get("repl.promoted") == Some(1) {
                     let epoch = get("repl.epoch").unwrap_or(0);
                     println!("repld: {addr} promoted (epoch {epoch})");
@@ -430,7 +430,7 @@ fn wait_zero_lag(addr: &str, timeout: Duration) {
         let status = client
             .status()
             .unwrap_or_else(|e| fail(&format!("STATUS: {e}")));
-        let get = |key: &str| status.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+        let get = |key: &str| stat(&status, key);
         let settled = if get("repl.role_primary") == Some(1) {
             get("repl.replicas").unwrap_or(0) >= 1 && get("repl.lag_lsns") == Some(0)
         } else if get("repl.role_replica") == Some(1) {

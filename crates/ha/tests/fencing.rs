@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use bullfrog_core::{Bullfrog, ClientAccess};
 use bullfrog_engine::{Database, DbConfig, EngineMode};
-use bullfrog_net::{err_code, Client, ClientError, Server, ServerConfig};
+use bullfrog_net::{err_code, stat, Client, ClientError, Server, ServerConfig};
 use bullfrog_repl::{restore, DdlJournal, Replica, ReplicationSender};
 use bullfrog_txn::{EpochStore, WalOptions};
 
@@ -53,19 +53,12 @@ fn start_primary(
     (server, bf, sender)
 }
 
-fn stat(pairs: &[(String, i64)], key: &str) -> i64 {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| *v)
-        .unwrap_or_else(|| panic!("STATUS missing {key}: {pairs:?}"))
-}
-
 fn wait_stat(client: &mut Client, key: &str, want: i64, timeout: Duration) {
     let deadline = Instant::now() + timeout;
     loop {
         let status = client.status().expect("status poll");
-        if stat(&status, key) == want {
+        let got = stat(&status, key).unwrap_or_else(|| panic!("STATUS missing {key}: {status:?}"));
+        if got == want {
             return;
         }
         assert!(

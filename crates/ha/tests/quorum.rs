@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use bullfrog_core::{Bullfrog, ClientAccess};
 use bullfrog_engine::{Database, DbConfig, EngineMode};
 use bullfrog_ha::{HaConfig, HaMember, HaNode, Role};
-use bullfrog_net::{Client, Server, ServerConfig};
+use bullfrog_net::{stat, Client, Server, ServerConfig};
 use bullfrog_repl::{DdlJournal, Replica, ReplicationSender};
 use bullfrog_txn::{EpochStore, WalOptions};
 use parking_lot::Mutex;
@@ -29,14 +29,6 @@ fn free_addr() -> SocketAddr {
     let addr = listener.local_addr().expect("local addr");
     drop(listener);
     addr
-}
-
-fn stat(pairs: &[(String, i64)], key: &str) -> i64 {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| *v)
-        .unwrap_or_else(|| panic!("STATUS missing {key}: {pairs:?}"))
 }
 
 /// Leader renewal holds elections off while the leader lives; killing
@@ -182,8 +174,14 @@ fn replica_promotes_after_leader_death() {
         let (_, rows) = survivor.query_rows("SELECT k, v FROM kv").expect("scan");
         assert_eq!(rows.len(), 2, "survivor lost the pre-failover row");
         let status = survivor.status().expect("status");
-        assert_eq!(stat(&status, "ha.is_leader"), 1);
-        assert_eq!(stat(&status, "repl.promoted"), 1);
+        assert_eq!(
+            stat(&status, "ha.is_leader").expect("STATUS missing ha.is_leader"),
+            1
+        );
+        assert_eq!(
+            stat(&status, "repl.promoted").expect("STATUS missing repl.promoted"),
+            1
+        );
 
         r_node.shutdown();
         replica.lock().shutdown();
@@ -242,9 +240,12 @@ fn sync_replicas_degrade_and_block() {
             "degrade policy must not block indefinitely"
         );
         let status = admin.status().expect("status");
-        assert_eq!(stat(&status, "repl.sync_replicas"), 1);
+        assert_eq!(
+            stat(&status, "repl.sync_replicas").expect("STATUS missing repl.sync_replicas"),
+            1
+        );
         assert!(
-            stat(&status, "repl.sync_degraded") >= 1,
+            stat(&status, "repl.sync_degraded").expect("STATUS missing repl.sync_degraded") >= 1,
             "commit without a replica must count as degraded: {status:?}"
         );
 
@@ -258,7 +259,7 @@ fn sync_replicas_degrade_and_block() {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let status = admin.status().expect("status");
-            if stat(&status, "repl.sync_peers") >= 1 {
+            if stat(&status, "repl.sync_peers").expect("STATUS missing repl.sync_peers") >= 1 {
                 break;
             }
             assert!(Instant::now() < deadline, "replica never registered");
@@ -268,7 +269,9 @@ fn sync_replicas_degrade_and_block() {
         admin.execute("INSERT INTO kv VALUES (2, 20)").unwrap();
         let status = admin.status().expect("status");
         assert!(
-            stat(&status, "repl.sync_replicated_lsn") > 0,
+            stat(&status, "repl.sync_replicated_lsn")
+                .expect("STATUS missing repl.sync_replicated_lsn")
+                > 0,
             "replica ack horizon must have advanced: {status:?}"
         );
 

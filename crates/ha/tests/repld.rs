@@ -15,19 +15,11 @@ use std::time::Duration;
 use bullfrog_common::Row;
 use bullfrog_engine::EngineMode;
 use bullfrog_ha::FailoverClient;
-use bullfrog_net::{Client, ClientError};
+use bullfrog_net::{stat, Client, ClientError};
 use daemon::{run, scratch_dir, wait_exit, wait_until, Daemon, DEADLINE};
 
 const REPLD: &str = env!("CARGO_BIN_EXE_repld");
 const INITIAL_BALANCE: i64 = 1000;
-
-fn stat(pairs: &[(String, i64)], key: &str) -> i64 {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| *v)
-        .unwrap_or_else(|| panic!("STATUS is missing {key}"))
-}
 
 /// Whether `addr` answers `STATUS` with `key` satisfying `pred`.
 fn stat_is(addr: &str, key: &str, pred: impl Fn(i64) -> bool) -> bool {
@@ -248,7 +240,8 @@ fn transfer_ha(
 fn wait_complete_ha(fc: &mut FailoverClient, what: &str) {
     wait_until(what, DEADLINE, || {
         let status = fc.status().expect("status poll");
-        stat(&status, "migration.active") == 0 || stat(&status, "migration.complete") == 1
+        stat(&status, "migration.active").expect("STATUS missing migration.active") == 0
+            || stat(&status, "migration.complete").expect("STATUS missing migration.complete") == 1
     });
 }
 
@@ -450,7 +443,7 @@ fn sigkill_primary_mid_migration_loses_no_acked_commit() {
                 &survivor.status().expect("survivor status"),
                 "repl.promoted"
             ),
-            1
+            Some(1)
         );
 
         survivor.shutdown_server().expect("survivor shutdown");

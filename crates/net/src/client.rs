@@ -30,6 +30,12 @@ use bullfrog_common::Row;
 use crate::cluster::{ClusterReq, ExchangeSpec, ShardMap};
 use crate::wire::{self, HaReq, Request, Response};
 
+/// The value `key` has in a `STATUS` reply ([`Client::status`]), if the
+/// server reported it.
+pub fn stat(status: &[(String, i64)], key: &str) -> Option<i64> {
+    status.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+}
+
 /// Extracts the primary address a read-only/fenced rejection names, if
 /// any — the re-route target for a client that talked to the wrong
 /// node. Both the replica's `READ_ONLY` message and the fenced

@@ -26,7 +26,7 @@ pub mod server;
 pub mod session;
 pub mod wire;
 
-pub use client::{primary_hint, Client, ClientError, ClientResult, HaStateReply, QueryReply};
+pub use client::{primary_hint, stat, Client, ClientError, ClientResult, HaStateReply, QueryReply};
 pub use cluster::{plan_flip, ClusterMember, ClusterReq, ExchangeSpec, FlipPlan, ShardMap};
 pub use server::{DdlEvent, HaHooks, ReadOnly, ReplicationHooks, Server, ServerConfig};
 pub use session::{build_migration_plan, Session, SessionCounters};

@@ -52,7 +52,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bullfrog_common::Result;
-use bullfrog_core::{Bullfrog, ClientAccess, DurabilityStats};
+use bullfrog_core::{Bullfrog, ClientAccess};
 use bullfrog_engine::CheckpointScheduler;
 use bytes::Bytes;
 use polling::{Event, Events, Poller};
@@ -438,9 +438,6 @@ struct Shared {
     /// exchange phase spans from here to `END_EXCHANGE` (0 = no flip
     /// mid-exchange).
     exchange_start_us: AtomicU64,
-    /// Interned `wal.shard{i}.*` STATUS keys, one triple per WAL shard,
-    /// so [`status_pairs`] never allocates key strings per request.
-    wal_shard_keys: Vec<[&'static str; 3]>,
     scheduler: Mutex<Option<CheckpointScheduler>>,
     poller: Poller,
     conns: Mutex<HashMap<usize, Arc<Conn>>>,
@@ -484,15 +481,6 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let scheduler = CheckpointScheduler::from_config(bf.db());
         let obs = Arc::clone(bf.db().obs());
-        let wal_shard_keys = (0..bf.db().wal().shard_count())
-            .map(|i| {
-                [
-                    obs.intern(&format!("wal.shard{i}.flushes")),
-                    obs.intern(&format!("wal.shard{i}.flushed_batches")),
-                    obs.intern(&format!("wal.shard{i}.flushed_bytes")),
-                ]
-            })
-            .collect();
         let shared = Arc::new(Shared {
             bf,
             config,
@@ -513,7 +501,6 @@ impl Server {
             hist_cluster_commit: obs.histogram("cluster.commit_us"),
             hist_cluster_exchange: obs.histogram("cluster.exchange_us"),
             exchange_start_us: AtomicU64::new(0),
-            wal_shard_keys,
             obs,
             scheduler: Mutex::new(scheduler),
             poller: Poller::new()?,
@@ -1235,32 +1222,16 @@ fn record_stmt(shared: &Shared, hist: &bullfrog_obs::Histogram, nth: u64, starte
     h.record_micros(started.elapsed());
 }
 
-/// Builds the `METRICS` payload: refreshes the point-in-time gauges the
-/// registry cannot observe passively (session counts, durability
-/// horizon, migration progress), then snapshots everything.
+/// The `METRICS` payload: the registry's counters, histograms and spans,
+/// with [`gauges`] as its gauge section.
 fn metrics_snapshot(shared: &Shared) -> bullfrog_obs::MetricsSnapshot {
-    let obs = &shared.obs;
-    obs.gauge("server.active_sessions")
-        .set(shared.active.load(Ordering::Acquire) as i64);
-    obs.gauge("server.parked_connections")
-        .set(shared.conns.lock().unwrap().len() as i64);
-    let wal = shared.bf.db().wal();
-    obs.gauge("wal.durable_lsn").set(wal.durable_lsn() as i64);
-    obs.gauge("wal.log_len").set(wal.len() as i64);
-    obs.gauge("mvcc.versions")
-        .set(shared.bf.db().version_count() as i64);
-    match shared.bf.progress() {
-        Some(p) => {
-            obs.gauge("migration.active").set(1);
-            obs.gauge("migration.complete").set(i64::from(p.complete));
-            obs.gauge("migration.granules_done")
-                .set(p.granules_done as i64);
-            obs.gauge("migration.granules_total")
-                .set(p.granules_total as i64);
-        }
-        None => obs.gauge("migration.active").set(0),
-    }
-    obs.snapshot()
+    let mut snap = shared.obs.snapshot();
+    snap.gauges = gauges(shared)
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    snap.gauges.sort();
+    snap
 }
 
 /// Converts a parked connection into a replication subscription: the
@@ -1434,12 +1405,22 @@ fn cluster_prepare(sql: &str, member: &Arc<ClusterMember>, shared: &Shared) -> R
     }
 }
 
-/// Assembles the `STATUS` report: server, session, migration,
-/// durability, and checkpoint-scheduler counters as ordered pairs.
-/// Keys are `&'static` (literals, or interned once on the registry), so
-/// serving `STATUS` allocates no key strings — the report encodes
-/// straight off this slice.
+/// The `STATUS` report: every registry counter, then [`gauges`] — the
+/// same numbers `METRICS` serves, without the histograms and spans.
 fn status_pairs(shared: &Shared) -> Vec<(&'static str, i64)> {
+    let counters = shared.obs.counters().into_iter();
+    let mut out: Vec<(&'static str, i64)> = counters.map(|(k, v)| (k, v as i64)).collect();
+    out.extend(gauges(shared));
+    out
+}
+
+/// Every point-in-time value this server reports, computed now: server
+/// and pool, engine mode and MVCC, migration progress, WAL shape, the
+/// checkpoint scheduler, the hooks' `status()` pairs and the sync gate.
+/// Event counters are not here — they live in the registry. Keys are
+/// `&'static` (literals, or interned once on the registry), so serving
+/// `STATUS` allocates no key strings.
+fn gauges(shared: &Shared) -> Vec<(&'static str, i64)> {
     let mut out: Vec<(&'static str, i64)> = Vec::with_capacity(64);
     let mut push = |k: &'static str, v: i64| out.push((k, v));
 
@@ -1447,9 +1428,6 @@ fn status_pairs(shared: &Shared) -> Vec<(&'static str, i64)> {
         "server.active_sessions",
         shared.active.load(Ordering::Acquire) as i64,
     );
-    push("server.accepted", shared.accepted.get() as i64);
-    push("server.rejected", shared.rejected.get() as i64);
-    push("server.accept_errors", shared.accept_errors.get() as i64);
     push(
         "server.parked_connections",
         shared.conns.lock().unwrap().len() as i64,
@@ -1459,14 +1437,6 @@ fn status_pairs(shared: &Shared) -> Vec<(&'static str, i64)> {
         push("server.pool_workers", pool.total as i64);
         push("server.pool_idle", pool.idle as i64);
     }
-
-    let c = &shared.counters;
-    push("sessions.statements", c.statements.get() as i64);
-    push("sessions.errors", c.errors.get() as i64);
-    push("sessions.rows_returned", c.rows_returned.get() as i64);
-    push("sessions.rows_written", c.rows_written.get() as i64);
-    push("sessions.commits", c.commits.get() as i64);
-    push("sessions.aborts", c.aborts.get() as i64);
 
     // Engine mode and MVCC health. `engine.mode` is 0 under 2PL and 1
     // under snapshot isolation; the mvcc.* gauges are always reported
@@ -1507,21 +1477,11 @@ fn status_pairs(shared: &Shared) -> Vec<(&'static str, i64)> {
         None => push("migration.active", 0),
     }
 
-    let d = DurabilityStats::capture(shared.bf.db());
-    push("wal.log_len", d.log_len as i64);
-    push("wal.resident_records", d.resident_records as i64);
-    push("wal.durable_lsn", d.durable_lsn as i64);
-    push("wal.flushes", d.wal.flushes as i64);
-    push("wal.flushed_batches", d.wal.flushed_batches as i64);
-    push("wal.flushed_bytes", d.wal.flushed_bytes as i64);
-    push("wal.checkpoints", d.wal.checkpoints as i64);
-    push("wal.truncated_records", d.wal.truncated_records as i64);
-    push("wal.shards", d.shards.len() as i64);
-    for (s, keys) in d.shards.iter().zip(&shared.wal_shard_keys) {
-        push(keys[0], s.flushes as i64);
-        push(keys[1], s.flushed_batches as i64);
-        push(keys[2], s.flushed_bytes as i64);
-    }
+    let wal = db.wal();
+    push("wal.log_len", wal.len() as i64);
+    push("wal.resident_records", wal.resident_records() as i64);
+    push("wal.durable_lsn", wal.durable_lsn() as i64);
+    push("wal.shards", wal.shard_count() as i64);
 
     if let Some(s) = shared.scheduler.lock().unwrap().as_ref() {
         let st = s.status();
@@ -1561,7 +1521,7 @@ fn status_pairs(shared: &Shared) -> Vec<(&'static str, i64)> {
 
     // Synchronous-replication gate gauges; all zero when SYNC_REPLICAS
     // is off, so pollers need not branch on the HA configuration.
-    let gate = db.wal().sync_gate();
+    let gate = wal.sync_gate();
     out.extend([
         ("repl.sync_replicas", gate.required() as i64),
         ("repl.sync_peers", gate.peer_count() as i64),

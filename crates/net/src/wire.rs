@@ -1369,18 +1369,21 @@ mod tests {
 
     #[test]
     fn metrics_round_trip_and_truncations_error() {
-        use bullfrog_obs::Registry;
+        use bullfrog_obs::{MetricsSnapshot, Registry};
         let reg = Registry::new();
         reg.counter("sessions.statements").add(42);
         reg.counter("wal.flushes").inc();
-        reg.gauge("repl.lag_lsn").set(-7);
         let h = reg.histogram("engine.commit_us");
         for v in [3u64, 90, 1500, 250_000] {
             h.record(v);
         }
         reg.tracer().record("migrate.flip", 2, 10, 250);
         reg.tracer().record("migrate.granule", 128, 300, 9000);
-        let snap = reg.snapshot();
+        // Gauges are computed by the server per request, never stored.
+        let snap = MetricsSnapshot {
+            gauges: vec![("repl.lag_lsns".into(), -7)],
+            ..reg.snapshot()
+        };
         let resp = Response::Metrics(snap.clone());
         let encoded = resp.encode();
         match Response::decode(encoded.clone()).unwrap() {

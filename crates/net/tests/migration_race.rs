@@ -22,7 +22,7 @@ use std::time::Duration;
 use bullfrog_common::Value;
 use bullfrog_core::Bullfrog;
 use bullfrog_engine::{CheckpointPolicy, Database, DbConfig, EngineMode};
-use bullfrog_net::{Client, ClientError, Server, ServerConfig};
+use bullfrog_net::{stat, Client, ClientError, Server, ServerConfig};
 
 const WORKERS: usize = 8;
 const ACCOUNTS: i64 = 64;
@@ -166,20 +166,14 @@ fn spawn_workers(
         .collect()
 }
 
-fn stat(pairs: &[(String, i64)], key: &str) -> i64 {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .unwrap_or_else(|| panic!("STATUS missing {key}"))
-        .1
-}
-
 /// Polls STATUS until the active migration reports complete.
 fn wait_complete(admin: &mut Client) {
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     loop {
         let pairs = admin.status().unwrap();
-        if stat(&pairs, "migration.active") == 1 && stat(&pairs, "migration.complete") == 1 {
+        if stat(&pairs, "migration.active").expect("STATUS missing migration.active") == 1
+            && stat(&pairs, "migration.complete").expect("STATUS missing migration.complete") == 1
+        {
             return;
         }
         assert!(
@@ -255,12 +249,18 @@ fn bitmap_race(mode: EngineMode, wal_dir: Option<&std::path::Path>) {
     );
 
     assert_eq!(
-        stat(&pairs, "migration.rows_migrated"),
+        stat(&pairs, "migration.rows_migrated").expect("STATUS missing migration.rows_migrated"),
         ACCOUNTS,
         "{mode:?}: every source row migrated exactly once"
     );
-    assert_eq!(stat(&pairs, "migration.conflict_skips"), 0);
-    assert_eq!(stat(&pairs, "migration.rows_dropped"), 0);
+    assert_eq!(
+        stat(&pairs, "migration.conflict_skips").expect("STATUS missing migration.conflict_skips"),
+        0
+    );
+    assert_eq!(
+        stat(&pairs, "migration.rows_dropped").expect("STATUS missing migration.rows_dropped"),
+        0
+    );
 
     h.admin.execute("FINALIZE MIGRATION DROP OLD").unwrap();
 
@@ -320,12 +320,19 @@ fn hash_race(mode: EngineMode) {
     // rows is proven below by the conserved grand total (folding any
     // slice twice, or missing one, would skew it).
     assert_eq!(
-        stat(&pairs, "migration.rows_migrated"),
+        stat(&pairs, "migration.rows_migrated").expect("STATUS missing migration.rows_migrated"),
         OWNERS,
         "{mode:?}: one output row per group"
     );
-    assert!(stat(&pairs, "migration.granules_migrated") >= 1);
-    assert_eq!(stat(&pairs, "migration.conflict_skips"), 0);
+    assert!(
+        stat(&pairs, "migration.granules_migrated")
+            .expect("STATUS missing migration.granules_migrated")
+            >= 1
+    );
+    assert_eq!(
+        stat(&pairs, "migration.conflict_skips").expect("STATUS missing migration.conflict_skips"),
+        0
+    );
 
     h.admin.execute("FINALIZE MIGRATION").unwrap();
 

@@ -240,11 +240,7 @@ fn checkpoint_and_status_opcodes() {
 
     let pairs = c.status().unwrap();
     let get = |key: &str| -> i64 {
-        pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("STATUS missing {key}"))
-            .1
+        bullfrog_net::stat(&pairs, key).unwrap_or_else(|| panic!("STATUS missing {key}"))
     };
     assert_eq!(get("server.active_sessions"), 1);
     assert!(get("server.accepted") >= 1);

@@ -5,9 +5,10 @@
 //! flip, drain, and finalize phases. Flat counters cannot produce those
 //! figures, so this crate adds the three primitives every layer shares:
 //!
-//! - **[`Counter`] / [`Gauge`]** — plain relaxed atomics, registered by
-//!   `&'static` name so `STATUS` serves keys without per-request string
-//!   allocation.
+//! - **[`Counter`]** — a plain relaxed atomic, registered by `&'static`
+//!   name so `STATUS` serves keys without per-request string allocation.
+//!   There is no stored gauge: a point-in-time level (lag, queue depth,
+//!   log length) is computed by its owner when a request asks for it.
 //! - **[`Histogram`]** — a fixed log-bucket latency histogram (4
 //!   sub-buckets per power of two, ≤ 25 % relative bucket width) whose
 //!   recording path is two relaxed `fetch_add`s on a thread-sharded
@@ -29,8 +30,8 @@
 //!
 //! [`set_enabled(false)`](set_enabled) turns histogram recording and
 //! span capture into a single relaxed load + branch, which is how
-//! `micro_net` demonstrates the instrumentation overhead. Counters and
-//! gauges ignore the switch: `STATUS` totals must stay exact.
+//! `micro_net` demonstrates the instrumentation overhead. Counters
+//! ignore the switch: `STATUS` totals must stay exact.
 
 mod hist;
 mod registry;
@@ -40,10 +41,10 @@ pub use hist::{bucket_low, bucket_of, Histogram, HistogramSnapshot, NUM_BUCKETS}
 pub use registry::{MetricsSnapshot, Registry};
 pub use tracer::{Span, SpanSnapshot, Tracer};
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Process-wide switch for *sampling* instrumentation (histograms and
-/// tracer spans). Counters and gauges stay live regardless — they back
+/// tracer spans). Counters stay live regardless — they back
 /// `STATUS` totals, which must not change when sampling is off.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
@@ -90,50 +91,15 @@ impl Counter {
     }
 }
 
-/// A point-in-time level (lag, queue depth, remaining lease). Signed so
-/// it can also carry deltas.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A fresh, unregistered gauge (use [`Registry::gauge`] for a named
-    /// one).
-    pub fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Replaces the level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the level by `d`.
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
-        let g = Gauge::new();
-        g.set(7);
-        g.add(-10);
-        assert_eq!(g.get(), -3);
     }
 }

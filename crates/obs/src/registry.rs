@@ -6,23 +6,22 @@ use std::time::Instant;
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::tracer::{SpanSnapshot, Tracer};
-use crate::{Counter, Gauge};
+use crate::Counter;
 
-/// One database instance's metrics: named counters, gauges, and
-/// histograms, plus the span [`Tracer`]. Handles are `Arc`s — hot paths
+/// One database instance's metrics: named counters and histograms, plus
+/// the span [`Tracer`]. Handles are `Arc`s — hot paths
 /// look a metric up once and keep the handle; the registry lock is
 /// only taken at registration and snapshot time.
 ///
 /// Names are `&'static str`. Dynamic names (per-shard, per-peer) go
 /// through [`intern`](Registry::intern), which leaks each distinct name
-/// once — bounded by the metric namespace, and what lets `STATUS` serve
-/// every key without per-request string allocation.
+/// once per process — bounded by the metric namespace however many
+/// databases a process builds, and what lets `STATUS` serve every key
+/// without per-request string allocation.
 pub struct Registry {
     start: Instant,
     counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<&'static str, Arc<Gauge>>>,
     hists: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
-    interned: Mutex<BTreeSet<&'static str>>,
     tracer: Tracer,
 }
 
@@ -39,9 +38,7 @@ impl Registry {
         Registry {
             start,
             counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
             hists: Mutex::new(BTreeMap::new()),
-            interned: Mutex::new(BTreeSet::new()),
             tracer: Tracer::new(start),
         }
     }
@@ -59,9 +56,11 @@ impl Registry {
     }
 
     /// Returns `name` as a `&'static str`, leaking each distinct name
-    /// at most once per registry.
+    /// at most once per process (every `Wal` registers its per-shard
+    /// names, so a per-registry set would leak them once per database).
     pub fn intern(&self, name: &str) -> &'static str {
-        let mut set = self.interned.lock().unwrap();
+        static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+        let mut set = INTERNED.lock().unwrap();
         if let Some(s) = set.get(name) {
             return s;
         }
@@ -81,17 +80,6 @@ impl Registry {
         )
     }
 
-    /// The gauge registered as `name`, created on first use.
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        Arc::clone(
-            self.gauges
-                .lock()
-                .unwrap()
-                .entry(name)
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
-    }
-
     /// The histogram registered as `name`, created on first use.
     pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
         Arc::clone(
@@ -103,22 +91,27 @@ impl Registry {
         )
     }
 
+    /// Every counter's current total, sorted by name. Keys are the
+    /// registered `&'static` names, so `STATUS` serves them without
+    /// allocating.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        self.counters
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (*k, v.get()))
+            .collect()
+    }
+
     /// Every registered metric plus the retained spans, as one
-    /// mergeable snapshot — the `METRICS` wire payload.
+    /// mergeable snapshot. `gauges` is left empty: the registry stores
+    /// no point-in-time values, so the `METRICS` server fills it with
+    /// the levels it computes per request.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = self
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.get()))
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.get()))
+            .counters()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
             .collect();
         let histograms = self
             .hists
@@ -131,7 +124,7 @@ impl Registry {
         MetricsSnapshot {
             uptime_us: self.now_us(),
             counters,
-            gauges,
+            gauges: Vec::new(),
             histograms,
             spans,
             spans_dropped,
@@ -148,7 +141,8 @@ pub struct MetricsSnapshot {
     pub uptime_us: u64,
     /// Counter totals by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauge levels by name.
+    /// Point-in-time levels by name, computed when the snapshot was
+    /// requested (empty straight off a [`Registry`]).
     pub gauges: Vec<(String, i64)>,
     /// Histogram snapshots by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
@@ -228,12 +222,12 @@ mod tests {
         let b = reg.counter("x.total");
         a.add(2);
         b.inc();
-        reg.gauge("x.level").set(-4);
         reg.histogram("x.lat_us").record(100);
         reg.tracer().record("x.span", 7, 1, 2);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("x.total"), Some(3));
-        assert_eq!(snap.gauge("x.level"), Some(-4));
+        assert!(snap.gauges.is_empty(), "the registry stores no gauges");
+        assert_eq!(reg.counters(), vec![("x.total", 3)]);
         assert_eq!(snap.histogram("x.lat_us").unwrap().count(), 1);
         assert_eq!(snap.spans_named("x.span").count(), 1);
         assert_eq!(snap.counter("missing"), None);
@@ -254,12 +248,13 @@ mod tests {
         r1.counter("c").add(5);
         r2.counter("c").add(7);
         r2.counter("only2").add(1);
-        r1.gauge("g").set(3);
-        r2.gauge("g").set(9);
         r1.histogram("h").record(10);
         r2.histogram("h").record(1000);
         let mut m = r1.snapshot();
-        m.merge(&r2.snapshot());
+        m.gauges.push(("g".into(), 3));
+        let mut m2 = r2.snapshot();
+        m2.gauges.push(("g".into(), 9));
+        m.merge(&m2);
         assert_eq!(m.counter("c"), Some(12));
         assert_eq!(m.counter("only2"), Some(1));
         assert_eq!(m.gauge("g"), Some(9));

@@ -257,7 +257,6 @@ impl ReplicationSender {
         let ack_hist = obs.histogram("repl.ack_rtt_us");
         let ship_records = obs.counter("repl.ship_records");
         let ship_bytes = obs.counter("repl.ship_bytes");
-        let lag_gauge = obs.gauge("repl.lag_lsns");
         // Frames in flight awaiting acknowledgement: (frontier after the
         // batch, send time). The replica acks its applied *frontier*, so
         // a batch is confirmed once `acked >= frontier` — the delta is
@@ -362,7 +361,6 @@ impl ReplicationSender {
                 ship_hist.record_micros(ship_started.elapsed());
                 ship_records.add(nrecords);
                 ship_bytes.add(frame_bytes);
-                lag_gauge.set(durable_lsn.saturating_sub(acked_lsn) as i64);
                 if nrecords > 0 {
                     // Bound the queue against a replica that never acks;
                     // dropped entries just lose their RTT sample.

@@ -13,7 +13,7 @@ use bullfrog_common::row;
 use bullfrog_core::{Bullfrog, ClientAccess};
 use bullfrog_engine::checkpoint::checkpoint_path_for;
 use bullfrog_engine::{CheckpointImage, Database, DbConfig, EngineMode};
-use bullfrog_net::{err_code, Client, ClientError, Server, ServerConfig};
+use bullfrog_net::{err_code, stat, Client, ClientError, Server, ServerConfig};
 use bullfrog_repl::{restore, DdlJournal, Replica, ReplicationSender};
 use bullfrog_txn::wal::shard_file_path;
 use bullfrog_txn::WalOptions;
@@ -77,19 +77,13 @@ fn start_replica(mode: EngineMode, primary_addr: std::net::SocketAddr) -> (Serve
     (server, replica)
 }
 
-fn stat(pairs: &[(String, i64)], key: &str) -> i64 {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| *v)
-        .unwrap_or_else(|| panic!("STATUS missing {key}: {pairs:?}"))
-}
-
 fn wait_complete(admin: &mut Client, timeout: Duration) {
     let deadline = Instant::now() + timeout;
     loop {
         let status = admin.status().expect("status poll");
-        if stat(&status, "migration.active") == 0 || stat(&status, "migration.complete") == 1 {
+        if stat(&status, "migration.active").expect("STATUS missing migration.active") == 0
+            || stat(&status, "migration.complete").expect("STATUS missing migration.complete") == 1
+        {
             return;
         }
         assert!(Instant::now() < deadline, "migration stalled: {status:?}");
@@ -333,6 +327,99 @@ fn replica_serves_reads_and_rejects_writes() {
 
         drop((server, rserver, replica));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// STATUS and METRICS serve one set of numbers. On a primary with one
+/// caught-up replica and an idle log, each server's STATUS has no
+/// duplicate key and reads, as a map, exactly like its METRICS counters
+/// plus gauges; replication lag is 0 in both opcodes on both sides.
+#[test]
+fn status_serves_the_metrics_counters_and_gauges() {
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let dir = scratch_dir("status-metrics");
+        let (server, bf, _sender) = start_primary(mode, &dir);
+        assert_eq!(bf.db().config().mode, mode);
+        let addr = server.local_addr();
+        let (rserver, replica) = start_replica(mode, addr);
+
+        let mut admin = Client::connect(addr).expect("admin");
+        admin
+            .execute("CREATE TABLE kv (k INT, v INT, PRIMARY KEY (k))")
+            .unwrap();
+        for k in 0..20 {
+            admin
+                .execute(&format!("INSERT INTO kv VALUES ({k}, {k})"))
+                .unwrap();
+        }
+        bf.db().wal().sync();
+        let target = bf.db().wal().frontier();
+        assert!(
+            replica.wait_caught_up(target, Duration::from_secs(20)),
+            "replica stuck below {target}: {:?}",
+            replica.stats()
+        );
+
+        assert_status_is_metrics(&mut admin, "primary");
+        let mut rclient = Client::connect(rserver.local_addr()).expect("replica client");
+        assert_status_is_metrics(&mut rclient, "replica");
+
+        drop((server, rserver, replica));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Polls STATUS and METRICS on one connection until STATUS equals the
+/// METRICS counters plus gauges and both report zero lag (the sender
+/// learns of the replica's last ack on its next heartbeat); asserts
+/// both at the deadline. STATUS must never repeat a key.
+fn assert_status_is_metrics(client: &mut Client, who: &str) {
+    use std::collections::{BTreeMap, HashSet};
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = client.status().expect("STATUS");
+        let metrics = client.metrics().expect("METRICS");
+        let mut seen = HashSet::new();
+        let repeated: Vec<&String> = status
+            .iter()
+            .map(|(k, _)| k)
+            .filter(|k| !seen.insert(*k))
+            .collect();
+        assert!(repeated.is_empty(), "{who}: STATUS repeats {repeated:?}");
+        let status_lag = stat(&status, "repl.lag_lsns").expect("STATUS missing repl.lag_lsns");
+        let metrics_lag = metrics.gauge("repl.lag_lsns");
+        let status: BTreeMap<String, i64> = status.into_iter().collect();
+        let served: BTreeMap<String, i64> = metrics
+            .counters
+            .iter()
+            .map(|(k, v)| (k.clone(), *v as i64))
+            .chain(metrics.gauges.iter().cloned())
+            .collect();
+        assert_eq!(
+            served.len(),
+            metrics.counters.len() + metrics.gauges.len(),
+            "{who}: a METRICS name is both a counter and a gauge"
+        );
+        let settled = status == served && status_lag == 0 && metrics_lag == Some(0);
+        if settled {
+            return;
+        }
+        if Instant::now() >= deadline {
+            let only_status: Vec<_> = status.keys().filter(|k| !served.contains_key(*k)).collect();
+            let only_metrics: Vec<_> = served.keys().filter(|k| !status.contains_key(*k)).collect();
+            let differ: Vec<_> = status
+                .iter()
+                .filter(|(k, v)| served.get(*k).is_some_and(|m| m != *v))
+                .collect();
+            panic!(
+                "{who}: STATUS lag {status_lag}, METRICS lag {metrics_lag:?}; \
+                 {} STATUS-only keys {only_status:?}; METRICS-only {only_metrics:?}; \
+                 values differ on {differ:?}",
+                only_status.len()
+            );
+        }
+        std::thread::sleep(Duration::from_millis(50));
     }
 }
 

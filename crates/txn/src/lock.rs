@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bullfrog_common::{Error, FnvHasher, Result, RowId, TableId, TxnId};
@@ -192,9 +192,10 @@ impl Shard {
 pub struct LockManager {
     shards: Vec<Shard>,
     default_timeout: Duration,
-    /// `txn.lock_wait_us`, attached once by the owning database (see
-    /// [`LockManager::attach_obs`]). Unattached managers skip recording.
-    wait_hist: OnceLock<Arc<bullfrog_obs::Histogram>>,
+    /// `txn.lock_wait_us`: how long a request stayed parked before it
+    /// was granted or timed out. A request granted without parking
+    /// records nothing.
+    wait_hist: Arc<bullfrog_obs::Histogram>,
 }
 
 /// Number of lock-table shards (power of two).
@@ -208,8 +209,10 @@ fn shard_index(key: &LockKey) -> usize {
 }
 
 impl LockManager {
-    /// Creates a lock manager with the given wait deadline.
-    pub fn new(default_timeout: Duration) -> Self {
+    /// Creates a lock manager with the given wait deadline, recording
+    /// parked waits into `wait_hist` (a database passes its registry's
+    /// `txn.lock_wait_us`).
+    pub fn new(default_timeout: Duration, wait_hist: Arc<bullfrog_obs::Histogram>) -> Self {
         LockManager {
             shards: (0..SHARDS)
                 .map(|_| Shard {
@@ -218,16 +221,8 @@ impl LockManager {
                 })
                 .collect(),
             default_timeout,
-            wait_hist: OnceLock::new(),
+            wait_hist,
         }
-    }
-
-    /// Attaches the `txn.lock_wait_us` histogram from `reg`: how long a
-    /// request stayed parked before it was granted or timed out. A
-    /// request granted without parking records nothing. Idempotent; the
-    /// first registry wins.
-    pub fn attach_obs(&self, reg: &bullfrog_obs::Registry) {
-        let _ = self.wait_hist.set(reg.histogram("txn.lock_wait_us"));
     }
 
     /// The configured lock-wait deadline.
@@ -241,8 +236,8 @@ impl LockManager {
 
     /// Records a parked request's wait; no-op for one that never parked.
     fn record_wait(&self, parked_since: Option<Instant>) {
-        if let (Some(since), Some(hist)) = (parked_since, self.wait_hist.get()) {
-            hist.record_micros(since.elapsed());
+        if let Some(since) = parked_since {
+            self.wait_hist.record_micros(since.elapsed());
         }
     }
 
@@ -422,7 +417,7 @@ mod tests {
     }
 
     fn lm() -> LockManager {
-        LockManager::new(Duration::from_millis(20))
+        LockManager::new(Duration::from_millis(20), Arc::default())
     }
 
     #[test]
@@ -508,7 +503,7 @@ mod tests {
 
     #[test]
     fn release_wakes_waiter() {
-        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5), Arc::default()));
         lm.acquire(T1, row(1), LockMode::X).unwrap();
         let lm2 = Arc::clone(&lm);
         let waiter = std::thread::spawn(move || lm2.acquire(T2, row(1), LockMode::X));
@@ -555,7 +550,7 @@ mod tests {
     fn writer_is_not_starved_by_reader_stream() {
         // A continuous stream of IS lockers must not starve a queued X
         // request (the eager-migration pattern).
-        let lm = Arc::new(LockManager::new(Duration::from_secs(10)));
+        let lm = Arc::new(LockManager::new(Duration::from_secs(10), Arc::default()));
         let key = LockKey::Table(TABLE);
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut readers = Vec::new();
@@ -615,7 +610,7 @@ mod tests {
 
     #[test]
     fn one_release_wakes_waiters_in_every_shard() {
-        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5), Arc::default()));
         let mut keys: Vec<Option<LockKey>> = vec![None; SHARDS];
         let mut n = 0;
         while keys.iter().any(Option::is_none) {
@@ -653,7 +648,7 @@ mod tests {
 
     #[test]
     fn waiter_timeout_wakes_the_request_queued_behind_it() {
-        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5), Arc::default()));
         let key = row(1);
         lm.acquire(T1, key, LockMode::S).unwrap();
         let lm2 = Arc::clone(&lm);
@@ -682,9 +677,8 @@ mod tests {
 
     #[test]
     fn release_grants_every_compatible_waiter() {
-        let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
-        let reg = bullfrog_obs::Registry::new();
-        lm.attach_obs(&reg);
+        let waits = Arc::new(bullfrog_obs::Histogram::new());
+        let lm = Arc::new(LockManager::new(Duration::from_secs(5), Arc::clone(&waits)));
         let key = row(1);
         lm.acquire(T1, key, LockMode::X).unwrap();
         let readers: Vec<_> = [T2, TxnId(3)]
@@ -701,15 +695,17 @@ mod tests {
         }
         assert_eq!(lm.held(T2, key), Some(LockMode::S));
         assert_eq!(lm.held(TxnId(3), key), Some(LockMode::S));
-        let waits = reg.snapshot();
-        let waits = waits.histogram("txn.lock_wait_us").unwrap();
-        assert_eq!(waits.count(), 2, "the two parked readers, not the X grant");
+        assert_eq!(
+            waits.snapshot().count(),
+            2,
+            "the two parked readers, not the X grant"
+        );
     }
 
     #[test]
     fn concurrent_counter_under_x_locks() {
         // 8 threads × 100 increments through an X lock: no lost updates.
-        let lm = Arc::new(LockManager::new(Duration::from_secs(10)));
+        let lm = Arc::new(LockManager::new(Duration::from_secs(10), Arc::default()));
         let counter = Arc::new(Mutex::new(0u64));
         let key = row(1);
         let mut handles = Vec::new();

@@ -88,6 +88,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bullfrog_common::{fnv_hash_one, Error, Result, Row, RowId, TableId, TxnId, Value};
+use bullfrog_obs::{Counter, Histogram, Registry};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex};
 
@@ -299,82 +300,45 @@ impl Default for WalOptions {
     }
 }
 
-/// Point-in-time view of the durability counters.
+/// The WAL's durability counters, read off the registry at one moment
+/// (each read is individually atomic; the set is advisory).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WalStatsSnapshot {
-    /// Combined write+fsync calls issued.
+    /// Combined write+fsync calls issued (`wal.flushes`).
     pub flushes: u64,
-    /// Commit batches covered by those flushes.
+    /// Commit batches covered by those flushes (`wal.flushed_batches`).
     pub flushed_batches: u64,
-    /// Bytes written.
+    /// Bytes written (`wal.flushed_bytes`).
     pub flushed_bytes: u64,
-    /// Total time spent in write+fsync, microseconds.
-    pub flush_micros: u64,
-    /// Largest number of batches retired by a single flush.
-    pub max_group: u64,
-    /// Checkpoint truncations performed.
+    /// Checkpoint truncations performed (`wal.checkpoints`).
     pub checkpoints: u64,
-    /// Records dropped from memory by truncation.
+    /// Records dropped from memory by truncation (`wal.truncated_records`).
     pub truncated_records: u64,
 }
 
-impl WalStatsSnapshot {
-    /// Mean batches per flush — the observed group-commit factor.
-    pub fn mean_group(&self) -> f64 {
-        if self.flushes == 0 {
-            0.0
-        } else {
-            self.flushed_batches as f64 / self.flushes as f64
-        }
-    }
-
-    /// Mean write+fsync latency in microseconds.
-    pub fn mean_flush_micros(&self) -> f64 {
-        if self.flushes == 0 {
-            0.0
-        } else {
-            self.flush_micros as f64 / self.flushes as f64
-        }
-    }
-
-    /// One-line summary for reports.
-    pub fn summary(&self) -> String {
-        format!(
-            "fsyncs={} batches={} group(mean/max)={:.2}/{} bytes={} flush_us(mean)={:.0} checkpoints={} truncated={}",
-            self.flushes,
-            self.flushed_batches,
-            self.mean_group(),
-            self.max_group,
-            self.flushed_bytes,
-            self.mean_flush_micros(),
-            self.checkpoints,
-            self.truncated_records,
-        )
-    }
+/// One scope's flush counters in the registry: `{prefix}.flushes`,
+/// `{prefix}.flushed_batches` and `{prefix}.flushed_bytes`. The log keeps
+/// one set for itself (`wal`) and one per shard (`wal.shard{i}`).
+struct FlushCounters {
+    flushes: Arc<Counter>,
+    batches: Arc<Counter>,
+    bytes: Arc<Counter>,
 }
 
-/// Internal atomic flush counters, one set per shard. Checkpoint counters
-/// are log-global and live on [`WalShared`].
-#[derive(Debug, Default)]
-struct WalStats {
-    flushes: AtomicU64,
-    flushed_batches: AtomicU64,
-    flushed_bytes: AtomicU64,
-    flush_micros: AtomicU64,
-    max_group: AtomicU64,
-}
-
-impl WalStats {
-    fn snapshot(&self) -> WalStatsSnapshot {
-        WalStatsSnapshot {
-            flushes: self.flushes.load(Ordering::Relaxed),
-            flushed_batches: self.flushed_batches.load(Ordering::Relaxed),
-            flushed_bytes: self.flushed_bytes.load(Ordering::Relaxed),
-            flush_micros: self.flush_micros.load(Ordering::Relaxed),
-            max_group: self.max_group.load(Ordering::Relaxed),
-            checkpoints: 0,
-            truncated_records: 0,
+impl FlushCounters {
+    fn register(reg: &Registry, prefix: &str) -> Self {
+        let counter = |name: &str| reg.counter(reg.intern(&format!("{prefix}.{name}")));
+        FlushCounters {
+            flushes: counter("flushes"),
+            batches: counter("flushed_batches"),
+            bytes: counter("flushed_bytes"),
         }
+    }
+
+    fn record(&self, batches: u64, bytes: u64) {
+        self.flushes.inc();
+        self.batches.add(batches);
+        self.bytes.add(bytes);
     }
 }
 
@@ -494,12 +458,6 @@ struct WalShared {
     path: Option<PathBuf>,
     file_backed: bool,
     group_window: Duration,
-    /// Per-shard flush counters.
-    shard_stats: Vec<WalStats>,
-    /// Checkpoint truncations performed (log-global).
-    checkpoints: AtomicU64,
-    /// Records dropped from memory by truncation (log-global).
-    truncated_records: AtomicU64,
     /// Registered retain horizons, by consumer id: a tailing log reader
     /// (e.g. a replication sender) records the first LSN it still needs,
     /// and [`Wal::truncate_to`] never cuts past the minimum of these.
@@ -516,18 +474,42 @@ struct WalShared {
     /// top of the merged durable horizon (local durability first, then
     /// the replica quorum). A no-op until `SET SYNC_REPLICAS` arms it.
     sync: Arc<SyncGate>,
-    /// Latency histograms, attached once by the owning database (see
-    /// [`Wal::attach_obs`]). Unattached logs skip recording entirely.
-    obs: std::sync::OnceLock<WalObs>,
+    /// The log's handles into its registry, registered at construction.
+    obs: WalObs,
 }
 
-/// The WAL's slice of the observability registry: append staging, the
-/// combined write+fsync, and the group-commit durability wait. All in
-/// microseconds.
+/// The WAL's slice of the metrics registry. Histograms, all in
+/// microseconds: `wal.append_us` (staging under the log mutex),
+/// `wal.flush_us` (one combined write+fsync) and `wal.commit_wait_us`
+/// (a committer blocked on the merged durable horizon — the
+/// group-commit wait). Counters: the flush totals, log-wide and per
+/// shard, and the checkpoint truncations.
 struct WalObs {
-    append: Arc<bullfrog_obs::Histogram>,
-    flush: Arc<bullfrog_obs::Histogram>,
-    commit_wait: Arc<bullfrog_obs::Histogram>,
+    reg: Arc<Registry>,
+    append: Arc<Histogram>,
+    flush: Arc<Histogram>,
+    commit_wait: Arc<Histogram>,
+    total: FlushCounters,
+    shards: Vec<FlushCounters>,
+    checkpoints: Arc<Counter>,
+    truncated_records: Arc<Counter>,
+}
+
+impl WalObs {
+    fn register(reg: Arc<Registry>, nshards: usize) -> Self {
+        WalObs {
+            append: reg.histogram("wal.append_us"),
+            flush: reg.histogram("wal.flush_us"),
+            commit_wait: reg.histogram("wal.commit_wait_us"),
+            total: FlushCounters::register(&reg, "wal"),
+            shards: (0..nshards)
+                .map(|i| FlushCounters::register(&reg, &format!("wal.shard{i}")))
+                .collect(),
+            checkpoints: reg.counter("wal.checkpoints"),
+            truncated_records: reg.counter("wal.truncated_records"),
+            reg,
+        }
+    }
 }
 
 /// Recomputes the merged durable horizon from the per-shard frontiers and
@@ -566,9 +548,7 @@ fn wait_durable_shared(shared: &WalShared, lsn: u64) {
         shared.durable.wait(&mut core);
     }
     drop(core);
-    if let Some(o) = shared.obs.get() {
-        o.commit_wait.record_micros(started.elapsed());
-    }
+    shared.obs.commit_wait.record_micros(started.elapsed());
 }
 
 /// The acknowledgement handle [`Wal::append`] returns at enqueue time:
@@ -661,7 +641,9 @@ pub struct Wal {
 
 impl Wal {
     /// An in-memory-only log: appends are visible immediately and
-    /// durability waits return at once.
+    /// durability waits return at once. Every constructor builds a
+    /// fresh metrics [`Registry`] the log records into; a database
+    /// adopts it as its own (see [`Wal::obs`]).
     pub fn new() -> Self {
         Wal {
             shared: Arc::new(Self::make_shared(None, WalOptions::default(), 0)),
@@ -749,14 +731,11 @@ impl Wal {
             path,
             file_backed,
             group_window: opts.group_window,
-            shard_stats: (0..nshards).map(|_| WalStats::default()).collect(),
-            checkpoints: AtomicU64::new(0),
-            truncated_records: AtomicU64::new(0),
             retain: Mutex::new(HashMap::new()),
             retain_next: AtomicU64::new(0),
             oracle: Arc::new(TsOracle::new()),
             sync: Arc::new(SyncGate::default()),
-            obs: std::sync::OnceLock::new(),
+            obs: WalObs::register(Arc::new(Registry::new()), nshards),
         }
     }
 
@@ -854,9 +833,7 @@ impl Wal {
             shared.shard_work[shard].notify_one();
         }
         drop(core);
-        if let Some(o) = shared.obs.get() {
-            o.append.record_micros(started.elapsed());
-        }
+        shared.obs.append.record_micros(started.elapsed());
         CommitTicket {
             shared: Some(Arc::clone(shared)),
             lsn: end,
@@ -877,17 +854,12 @@ impl Wal {
         Arc::clone(&self.shared.sync)
     }
 
-    /// Attaches latency histograms from `reg`: `wal.append_us` (staging
-    /// under the log mutex), `wal.flush_us` (combined write+fsync per
-    /// flusher wakeup), and `wal.commit_wait_us` (time a committer
-    /// blocks on the merged durable horizon — the group-commit wait).
-    /// Idempotent; the first registry wins.
-    pub fn attach_obs(&self, reg: &bullfrog_obs::Registry) {
-        let _ = self.shared.obs.set(WalObs {
-            append: reg.histogram("wal.append_us"),
-            flush: reg.histogram("wal.flush_us"),
-            commit_wait: reg.histogram("wal.commit_wait_us"),
-        });
+    /// The metrics registry this log records into: the `wal.*` flush,
+    /// checkpoint and latency metrics, registered when the log was
+    /// built. A database keeps it as its one registry, so every layer
+    /// above records beside the log.
+    pub fn obs(&self) -> &Arc<Registry> {
+        &self.shared.obs.reg
     }
 
     /// A ticket for a commit that appended nothing (read-only
@@ -945,30 +917,16 @@ impl Wal {
         self.shared.shard_work.len()
     }
 
-    /// Aggregated durability counters across every shard.
+    /// The log-wide durability counters, read off the registry.
     pub fn stats(&self) -> WalStatsSnapshot {
-        let mut agg = WalStatsSnapshot::default();
-        for s in &self.shared.shard_stats {
-            let snap = s.snapshot();
-            agg.flushes += snap.flushes;
-            agg.flushed_batches += snap.flushed_batches;
-            agg.flushed_bytes += snap.flushed_bytes;
-            agg.flush_micros += snap.flush_micros;
-            agg.max_group = agg.max_group.max(snap.max_group);
+        let o = &self.shared.obs;
+        WalStatsSnapshot {
+            flushes: o.total.flushes.get(),
+            flushed_batches: o.total.batches.get(),
+            flushed_bytes: o.total.bytes.get(),
+            checkpoints: o.checkpoints.get(),
+            truncated_records: o.truncated_records.get(),
         }
-        agg.checkpoints = self.shared.checkpoints.load(Ordering::Relaxed);
-        agg.truncated_records = self.shared.truncated_records.load(Ordering::Relaxed);
-        agg
-    }
-
-    /// Per-shard flush counters, indexed by shard. The checkpoint
-    /// counters are log-global and appear only in [`Wal::stats`].
-    pub fn shard_stats(&self) -> Vec<WalStatsSnapshot> {
-        self.shared
-            .shard_stats
-            .iter()
-            .map(|s| s.snapshot())
-            .collect()
     }
 
     /// Snapshot of the retained log (recovery input).
@@ -1295,10 +1253,8 @@ impl Wal {
             dropped += covered as u64;
         }
         core.base_lsn = cut;
-        shared
-            .truncated_records
-            .fetch_add(dropped, Ordering::Relaxed);
-        shared.checkpoints.fetch_add(1, Ordering::Relaxed);
+        shared.obs.truncated_records.add(dropped);
+        shared.obs.checkpoints.inc();
         Ok(dropped)
     }
 
@@ -1420,18 +1376,10 @@ fn flusher_loop(shared: &WalShared, shard: usize) {
             }
         }
         if !rotated_away {
-            let flush_us = started.elapsed().as_micros() as u64;
-            let stats = &shared.shard_stats[shard];
-            stats.flushes.fetch_add(1, Ordering::Relaxed);
-            stats.flushed_batches.fetch_add(batches, Ordering::Relaxed);
-            stats
-                .flushed_bytes
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
-            stats.flush_micros.fetch_add(flush_us, Ordering::Relaxed);
-            stats.max_group.fetch_max(batches, Ordering::Relaxed);
-            if let Some(o) = shared.obs.get() {
-                o.flush.record(flush_us);
-            }
+            let o = &shared.obs;
+            o.flush.record_micros(started.elapsed());
+            o.total.record(batches, buf.len() as u64);
+            o.shards[shard].record(batches, buf.len() as u64);
         }
         {
             let mut core = shared.core.lock();
@@ -2292,7 +2240,10 @@ mod tests {
         assert_eq!(wal.durable_lsn(), total as u64);
         let snapshot = wal.snapshot();
         // Work spread across more than one fsync pipeline.
-        let busy = wal.shard_stats().iter().filter(|s| s.flushes > 0).count();
+        let counters = wal.obs().snapshot();
+        let busy = (0..wal.shard_count())
+            .filter(|i| counters.counter(&format!("wal.shard{i}.flushes")) > Some(0))
+            .count();
         assert!(busy >= 2, "expected multiple shards flushing, got {busy}");
         drop(wal);
         // The merged stream is dense in LSN and matches the in-memory log.
@@ -2335,7 +2286,6 @@ mod tests {
             "expected coalescing, got {} flushes for {THREADS} commits",
             stats.flushes
         );
-        assert!(stats.max_group >= 2, "no grouping observed: {stats:?}");
         drop(wal);
         remove_sharded(&path);
     }

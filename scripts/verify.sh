@@ -33,9 +33,11 @@ cargo test --release -q --manifest-path bfbench/Cargo.toml
 
 echo "== rustfmt =="
 cargo fmt --check
+cargo fmt --check --manifest-path bfbench/Cargo.toml
 
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings
+cargo clippy --all-targets --manifest-path bfbench/Cargo.toml -- -D warnings
 
 echo "== rustdoc (warning-free) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

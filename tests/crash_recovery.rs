@@ -300,7 +300,7 @@ fn torn_tail_mid_group_commit_batch_keeps_atomicity() {
             h.join().unwrap();
         }
         // Group commit observable at the engine level: fewer fsyncs than
-        // commit batches, and at least one multi-transaction group.
+        // commit batches, so at least one multi-transaction group.
         let stats = db.wal().stats();
         assert_eq!(stats.flushed_batches, (THREADS * PER_THREAD) as u64);
         assert!(
@@ -309,7 +309,6 @@ fn torn_tail_mid_group_commit_batch_keeps_atomicity() {
             stats.flushes,
             stats.flushed_batches
         );
-        assert!(stats.max_group >= 2, "no batch ever grouped: {stats:?}");
     } // <- crash
 
     // Tear into the middle of the final flushed batch.
