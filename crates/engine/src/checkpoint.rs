@@ -33,8 +33,10 @@ use parking_lot::Mutex;
 use crate::db::Database;
 use crate::recovery::RecoveryStats;
 
-/// Magic prefix of checkpoint sidecar files, the only image format.
-const CKPT_MAGIC: [u8; 7] = *b"BFCKPT2";
+/// Magic prefix of checkpoint sidecar files, the only image format: the
+/// header fields fixed-width, the rows, row ids and granules in the WAL's
+/// varint record codec.
+const CKPT_MAGIC: [u8; 7] = *b"BFCKPT3";
 
 /// The effect of replaying the committed log prefix below `base_lsn`:
 /// every table's rows (at their original row ids) and the committed
@@ -170,7 +172,11 @@ impl CheckpointImage {
     pub fn decode(bytes: impl Into<Bytes>) -> Result<Self> {
         let mut bytes = bytes.into();
         if !bytes.starts_with(&CKPT_MAGIC) {
-            return Err(Error::Wal("bad checkpoint magic".into()));
+            let found = &bytes[..bytes.len().min(CKPT_MAGIC.len())];
+            return Err(Error::Wal(format!(
+                "not a BFCKPT3 checkpoint image: it starts {:?}",
+                String::from_utf8_lossy(found)
+            )));
         }
         bytes.advance(CKPT_MAGIC.len());
         let base_lsn = codec::get_u64(&mut bytes)?;
@@ -189,7 +195,9 @@ impl CheckpointImage {
             tables.insert(table, rows);
         }
         let nmigrated = codec::get_u32(&mut bytes)?;
-        let mut migrated = Vec::with_capacity(nmigrated as usize);
+        // Every granule takes at least a byte: the count cannot size an
+        // allocation past what is left.
+        let mut migrated = Vec::with_capacity((nmigrated as usize).min(bytes.remaining()));
         for _ in 0..nmigrated {
             let migration = codec::get_u32(&mut bytes)?;
             migrated.push((migration, codec::get_granule(&mut bytes)?));
@@ -403,11 +411,14 @@ mod tests {
         assert!(CheckpointImage::decode(Bytes::from_static(b"nope")).is_err());
         let good = sample_image().encode();
         assert!(CheckpointImage::decode(good.slice(..good.len() - 1)).is_err());
-        // Any other version, older or newer, is rejected, not misparsed.
-        for magic in [b"BFCKPT1", b"BFCKPT9"] {
+        // Any other version, older or newer, is rejected, not misparsed,
+        // and the error names what it found.
+        for magic in [b"BFCKPT1", b"BFCKPT2", b"BFCKPT9"] {
             let mut bad = good.to_vec();
             bad[..7].copy_from_slice(magic);
-            assert!(CheckpointImage::decode(Bytes::from(bad)).is_err());
+            let err = CheckpointImage::decode(Bytes::from(bad)).unwrap_err();
+            let name = std::str::from_utf8(magic).unwrap();
+            assert!(err.to_string().contains(name), "{err}");
         }
     }
 

@@ -1480,6 +1480,7 @@ fn gauges(shared: &Shared) -> Vec<(&'static str, i64)> {
     let wal = db.wal();
     push("wal.log_len", wal.len() as i64);
     push("wal.resident_records", wal.resident_records() as i64);
+    push("wal.resident_bytes", wal.resident_bytes() as i64);
     push("wal.durable_lsn", wal.durable_lsn() as i64);
     push("wal.shards", wal.shard_count() as i64);
 

@@ -17,7 +17,12 @@
 //! a row looks like. Frames are capped at [`MAX_FRAME_BYTES`]; a peer
 //! announcing a larger frame is a protocol error, not an allocation.
 //!
-//! ## Wire-compatible revisions within version 1
+//! The version byte is 2: the codec's integers, lengths and row arities
+//! became varints, so a version-1 peer would misread every row. A server
+//! closes a connection whose preamble carries any other version, and
+//! [`read_preamble`] refuses it naming both versions.
+//!
+//! ## Wire-compatible revisions within a version
 //!
 //! `ERR` payloads grew a trailing error-code byte (see [`err_code`])
 //! after the first release of the protocol. The byte sits at the *end*
@@ -35,7 +40,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 
 /// Connection preamble: magic, version, reserved byte.
-pub const PREAMBLE: [u8; 8] = *b"BFNET1\x01\x00";
+pub const PREAMBLE: [u8; 8] = *b"BFNET1\x02\x00";
 
 /// Hard cap on a single frame's payload.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
@@ -1646,8 +1651,16 @@ mod tests {
         write_preamble(&mut buf).unwrap();
         assert!(read_preamble(&mut std::io::Cursor::new(&buf)).is_ok());
         assert!(read_preamble(&mut std::io::Cursor::new(b"HTTP/1.1".to_vec())).is_err());
+        // Version 1 (fixed-width codec) and unknown versions are refused
+        // by name.
         let mut wrong_ver = PREAMBLE;
-        wrong_ver[6] = 9;
-        assert!(read_preamble(&mut std::io::Cursor::new(wrong_ver.to_vec())).is_err());
+        for version in [1u8, 9] {
+            wrong_ver[6] = version;
+            let err = read_preamble(&mut std::io::Cursor::new(wrong_ver.to_vec())).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("version {version}")),
+                "{err}"
+            );
+        }
     }
 }

@@ -252,6 +252,43 @@ fn checkpoint_and_status_opcodes() {
     assert_eq!(server.active_sessions(), 1);
 }
 
+/// `wal.resident_bytes` is the encoded size of the log held in memory:
+/// it grows with every commit and falls when a checkpoint truncates the
+/// log.
+#[test]
+fn resident_bytes_gauge_grows_with_appends_and_falls_at_checkpoint() {
+    let wal_path = temp_path("resident-bytes");
+    remove_wal_shards(&wal_path);
+    let ckpt_path = bullfrog_engine::checkpoint::checkpoint_path_for(&wal_path);
+    let _ = std::fs::remove_file(&ckpt_path);
+    let db =
+        Arc::new(Database::with_wal_file(DbConfig::default(), &wal_path).expect("file-backed db"));
+    let bf = Arc::new(Bullfrog::new(db));
+    let server = Server::bind(("127.0.0.1", 0), bf, quick_config()).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.execute("CREATE TABLE t (id INT, v TEXT, PRIMARY KEY (id))")
+        .unwrap();
+    let gauge =
+        |c: &mut Client| bullfrog_net::stat(&c.status().unwrap(), "wal.resident_bytes").unwrap();
+    let empty = gauge(&mut c);
+    let mut last = empty;
+    for i in 0..20 {
+        c.execute(&format!("INSERT INTO t VALUES ({i}, 'row number {i}')"))
+            .unwrap();
+        let now = gauge(&mut c);
+        assert!(now > last, "insert {i}: {now} after {last}");
+        last = now;
+    }
+    c.checkpoint().unwrap();
+    let after = gauge(&mut c);
+    assert!(after < last, "checkpoint left {after} of {last} bytes");
+    assert_eq!(after, empty);
+    drop(c);
+    drop(server);
+    remove_wal_shards(&wal_path);
+    let _ = std::fs::remove_file(&ckpt_path);
+}
+
 #[test]
 fn statement_timeout_aborts_instead_of_committing() {
     let (_server, addr) = serve(ServerConfig {
@@ -459,6 +496,16 @@ fn metrics_snapshot_matches_status_in_both_engine_modes() {
                 "METRICS and STATUS disagree on {key} ({mode:?})"
             );
         }
+        // Gauges are computed per request from the same state: the log
+        // did not move between the two requests.
+        for key in ["wal.resident_records", "wal.resident_bytes"] {
+            assert_eq!(
+                snap.gauge(key),
+                Some(status_of(key)),
+                "METRICS and STATUS disagree on {key} ({mode:?})"
+            );
+        }
+        assert!(status_of("wal.resident_bytes") > 0, "({mode:?})");
 
         // Totals match: every statement frame lands in exactly one of
         // the four statement histograms.

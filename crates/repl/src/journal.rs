@@ -89,7 +89,8 @@ pub fn decode_event(mut payload: Bytes) -> Result<DdlEvent> {
         1 => {
             let sql = get_str(&mut payload)?;
             let n = get_u32(&mut payload)? as usize;
-            let mut caps = Vec::with_capacity(n);
+            // Bounded by the bytes left: a hostile count sizes nothing.
+            let mut caps = Vec::with_capacity(n.min(payload.len()));
             for _ in 0..n {
                 caps.push((get_u64(&mut payload)?, get_u64(&mut payload)?));
             }
@@ -293,7 +294,8 @@ pub fn decode_snapshot(mut payload: Bytes) -> Result<(CheckpointImage, Vec<Journ
     let image = CheckpointImage::decode(payload.slice(..img_len))?;
     payload.advance(img_len);
     let n = get_u32(&mut payload)? as usize;
-    let mut entries = Vec::with_capacity(n);
+    // Bounded by the bytes left: a hostile count sizes nothing.
+    let mut entries = Vec::with_capacity(n.min(payload.len()));
     for _ in 0..n {
         let len = get_u32(&mut payload)? as usize;
         if payload.len() < len {
@@ -416,5 +418,48 @@ mod tests {
         let (image2, entries2) = decode_snapshot(encode_snapshot(&image, &entries)).unwrap();
         assert_eq!(image2.base_lsn, 77);
         assert_eq!(entries2, entries);
+    }
+
+    /// Every decoder a peer's bytes reach refuses counts it cannot back
+    /// with bytes — an error, never an allocation sized by the count (a
+    /// 22-byte EXECUTE once asked for 96 GiB and aborted the server).
+    #[test]
+    fn all_ff_counts_decode_to_errors() {
+        use bullfrog_net::{Request, Response};
+        use bullfrog_txn::wal::codec;
+
+        let with = |head: &[u8], tail: &[u8]| Bytes::from([head, tail].concat());
+        let ff = [0xFFu8; 64];
+        // A canonical varint count of u32::MAX with a few bytes behind it.
+        let mut huge = Vec::new();
+        codec::put_varint(&mut huge, u64::from(u32::MAX));
+        huge.extend([2, 2, 2]);
+
+        // EXECUTE: opcode, statement id, then the parameter row's count.
+        let execute = [&[0x0B][..], &7u64.to_be_bytes()].concat();
+        for tail in [&ff[..9], &ff[..], &huge[..]] {
+            assert!(Request::decode(with(&execute, tail)).is_err());
+        }
+        // FRAMES: opcode, then the durable horizon and every count 0xFF.
+        assert!(Response::decode(with(&[0x85], &ff)).is_err());
+        let no_ddl = [&[0x85][..], &0u64.to_be_bytes(), &0u32.to_be_bytes()].concat();
+        assert!(Response::decode(with(&no_ddl, &ff)).is_err());
+
+        // A checkpoint image: counts of tables, then of granules.
+        let image = CheckpointImage::new().encode();
+        let header = &image[..7 + 16];
+        assert!(CheckpointImage::decode(with(header, &ff)).is_err());
+        let no_tables = [header, &0u32.to_be_bytes()].concat();
+        assert!(CheckpointImage::decode(with(&no_tables, &ff)).is_err());
+
+        // SNAPSHOT: the image length, then the journal entry count.
+        assert!(decode_snapshot(with(&SNAP_MAGIC, &ff)).is_err());
+        let mut snap = encode_snapshot(&CheckpointImage::new(), &[]).to_vec();
+        snap.truncate(snap.len() - 4);
+        assert!(decode_snapshot(with(&snap, &ff)).is_err());
+        let mut event = vec![1u8];
+        event.extend(0u32.to_be_bytes());
+        event.extend(&ff);
+        assert!(decode_event(Bytes::from(event)).is_err());
     }
 }

@@ -1,5 +1,6 @@
 //! B-tree indexes.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -18,16 +19,59 @@ pub struct IndexDef {
     pub unique: bool,
 }
 
+/// The row ids under one key. Almost every key maps to one row — every
+/// key of a unique index does — so that row id is held inline and only a
+/// duplicate key spills to a heap `Vec`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Postings {
+    One(RowId),
+    Many(Vec<RowId>),
+}
+
+impl Postings {
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            Postings::One(rid) => std::slice::from_ref(rid),
+            Postings::Many(rids) => rids,
+        }
+    }
+
+    fn push(&mut self, rid: RowId) {
+        match self {
+            Postings::One(first) => *self = Postings::Many(vec![*first, rid]),
+            Postings::Many(rids) => rids.push(rid),
+        }
+    }
+
+    /// Removes `rid`; `None` when it was absent, else whether the key
+    /// still has row ids.
+    fn remove(&mut self, rid: RowId) -> Option<bool> {
+        match self {
+            Postings::One(only) => (*only == rid).then_some(false),
+            Postings::Many(rids) => {
+                let pos = rids.iter().position(|r| *r == rid)?;
+                rids.swap_remove(pos);
+                if let [last] = rids[..] {
+                    *self = Postings::One(last);
+                }
+                Some(true)
+            }
+        }
+    }
+}
+
 /// An ordered secondary index mapping key tuples to row ids.
 ///
 /// The map is guarded by a single `RwLock`; B-tree mutations are short and
 /// the engine's 2PL row locks keep logical conflicts out of here. Unique
 /// violations are detected atomically inside [`BTreeIndex::insert`], which
 /// is what makes "insert, and let the unique index be the arbiter" safe for
-/// BullFrog's ON-CONFLICT migration mode (paper §3.7).
+/// BullFrog's ON-CONFLICT migration mode (paper §3.7). An entry is a boxed
+/// key slice and its postings, so a key with one row costs the key's
+/// one allocation and nothing more.
 pub struct BTreeIndex {
     def: IndexDef,
-    map: RwLock<BTreeMap<Vec<Value>, Vec<RowId>>>,
+    map: RwLock<BTreeMap<Box<[Value]>, Postings>>,
 }
 
 impl BTreeIndex {
@@ -49,15 +93,23 @@ impl BTreeIndex {
     /// pair is idempotent, which rollback paths rely on).
     pub fn insert(&self, table: &str, key: Vec<Value>, rid: RowId) -> Result<()> {
         let mut map = self.map.write();
-        let entry = map.entry(key).or_default();
-        if self.def.unique && !entry.is_empty() && !entry.contains(&rid) {
-            return Err(Error::UniqueViolation {
-                table: table.to_owned(),
-                constraint: self.def.name.clone(),
-            });
-        }
-        if !entry.contains(&rid) {
-            entry.push(rid);
+        match map.entry(key.into_boxed_slice()) {
+            Entry::Vacant(e) => {
+                e.insert(Postings::One(rid));
+            }
+            Entry::Occupied(mut e) => {
+                let rids = e.get_mut();
+                if rids.as_slice().contains(&rid) {
+                    return Ok(());
+                }
+                if self.def.unique {
+                    return Err(Error::UniqueViolation {
+                        table: table.to_owned(),
+                        constraint: self.def.name.clone(),
+                    });
+                }
+                rids.push(rid);
+            }
         }
         Ok(())
     }
@@ -65,34 +117,37 @@ impl BTreeIndex {
     /// Inserts unless the key already exists; returns `true` when inserted.
     /// This is the `ON CONFLICT DO NOTHING` primitive.
     pub fn insert_or_ignore(&self, key: Vec<Value>, rid: RowId) -> bool {
-        let mut map = self.map.write();
-        let entry = map.entry(key).or_default();
-        if entry.is_empty() {
-            entry.push(rid);
-            true
-        } else {
-            false
+        match self.map.write().entry(key.into_boxed_slice()) {
+            Entry::Vacant(e) => {
+                e.insert(Postings::One(rid));
+                true
+            }
+            Entry::Occupied(_) => false,
         }
     }
 
     /// Removes `(key, rid)`; returns whether it was present.
     pub fn remove(&self, key: &[Value], rid: RowId) -> bool {
         let mut map = self.map.write();
-        if let Some(entry) = map.get_mut(key) {
-            if let Some(pos) = entry.iter().position(|r| *r == rid) {
-                entry.swap_remove(pos);
-                if entry.is_empty() {
-                    map.remove(key);
-                }
-                return true;
+        let Some(rids) = map.get_mut(key) else {
+            return false;
+        };
+        match rids.remove(rid) {
+            None => false,
+            Some(true) => true,
+            Some(false) => {
+                map.remove(key);
+                true
             }
         }
-        false
     }
 
     /// Row ids for an exact key.
     pub fn get(&self, key: &[Value]) -> Vec<RowId> {
-        self.map.read().get(key).cloned().unwrap_or_default()
+        self.map
+            .read()
+            .get(key)
+            .map_or_else(Vec::new, |rids| rids.as_slice().to_vec())
     }
 
     /// True when the key exists.
@@ -105,17 +160,18 @@ impl BTreeIndex {
     /// leading subset, e.g. `(w_id, d_id)` of `(w_id, d_id, o_id)`.
     pub fn get_prefix(&self, prefix: &[Value]) -> Vec<RowId> {
         let map = self.map.read();
-        let lower = Bound::Included(prefix.to_vec());
-        map.range((lower, Bound::Unbounded))
+        map.range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
-            .flat_map(|(_, rids)| rids.iter().copied())
+            .flat_map(|(_, rids)| rids.as_slice().iter().copied())
             .collect()
     }
 
     /// Row ids whose key starts with `prefix` and whose **next** key
     /// component falls within the given bounds (each `(value, inclusive)`;
     /// `None` = unbounded). The scan starts at the lower bound and stops
-    /// past the upper, so it touches only the qualifying range.
+    /// past the upper, so it touches only the qualifying range. Only a
+    /// lower bound needs a key built (the prefix plus its value); the
+    /// prefix alone is borrowed.
     pub fn range_scan(
         &self,
         prefix: &[Value],
@@ -123,16 +179,15 @@ impl BTreeIndex {
         hi: Option<&(Value, bool)>,
     ) -> Vec<RowId> {
         let p = prefix.len();
-        let start: Vec<Value> = match lo {
-            Some((v, _)) => {
-                let mut k = prefix.to_vec();
-                k.push(v.clone());
-                k
-            }
-            None => prefix.to_vec(),
-        };
+        let start: Option<Vec<Value>> = lo.map(|(v, _)| {
+            let mut k = Vec::with_capacity(p + 1);
+            k.extend_from_slice(prefix);
+            k.push(v.clone());
+            k
+        });
+        let start = start.as_deref().unwrap_or(prefix);
         let map = self.map.read();
-        map.range((Bound::Included(start), Bound::Unbounded))
+        map.range::<[Value], _>((Bound::Included(start), Bound::Unbounded))
             .take_while(|(k, _)| {
                 if !k.starts_with(prefix) {
                     return false;
@@ -159,19 +214,16 @@ impl BTreeIndex {
                 (Some(_), None) => false,
                 _ => true,
             })
-            .flat_map(|(_, rids)| rids.iter().copied())
+            .flat_map(|(_, rids)| rids.as_slice().iter().copied())
             .collect()
     }
 
     /// Row ids for keys in `[low, high]` on the full key tuple.
     pub fn get_range(&self, low: &[Value], high: &[Value]) -> Vec<RowId> {
         let map = self.map.read();
-        map.range((
-            Bound::Included(low.to_vec()),
-            Bound::Included(high.to_vec()),
-        ))
-        .flat_map(|(_, rids)| rids.iter().copied())
-        .collect()
+        map.range::<[Value], _>((Bound::Included(low), Bound::Included(high)))
+            .flat_map(|(_, rids)| rids.as_slice().iter().copied())
+            .collect()
     }
 
     /// Number of distinct keys.
@@ -245,6 +297,53 @@ mod tests {
         assert!(!i.contains_key(&key(1)));
         assert!(!i.remove(&key(1), RowId::new(0, 0)));
         assert_eq!(i.key_count(), 0);
+    }
+
+    fn postings(i: &BTreeIndex, k: i64) -> Option<Postings> {
+        i.map.read().get(&key(k)[..]).cloned()
+    }
+
+    #[test]
+    fn postings_spill_for_duplicates_and_collapse_back() {
+        let i = idx(false);
+        let (a, b, c) = (RowId::new(0, 0), RowId::new(0, 1), RowId::new(0, 2));
+        i.insert("t", key(1), a).unwrap();
+        assert_eq!(postings(&i, 1), Some(Postings::One(a)));
+        i.insert("t", key(1), b).unwrap();
+        i.insert("t", key(1), c).unwrap();
+        assert_eq!(postings(&i, 1), Some(Postings::Many(vec![a, b, c])));
+        // Re-inserting a present pair changes nothing.
+        i.insert("t", key(1), b).unwrap();
+        assert_eq!(i.get(&key(1)), vec![a, b, c]);
+        assert!(i.remove(&key(1), a));
+        assert_eq!(postings(&i, 1), Some(Postings::Many(vec![c, b])));
+        assert!(i.remove(&key(1), c));
+        assert_eq!(postings(&i, 1), Some(Postings::One(b)));
+        assert!(!i.remove(&key(1), c));
+        assert_eq!(i.key_count(), 1);
+        // Removing the last row id drops the key.
+        assert!(i.remove(&key(1), b));
+        assert_eq!(postings(&i, 1), None);
+        assert_eq!(i.key_count(), 0);
+        assert!(i.get(&key(1)).is_empty());
+    }
+
+    #[test]
+    fn unique_postings_stay_inline() {
+        let i = idx(true);
+        let (a, b) = (RowId::new(3, 0), RowId::new(3, 1));
+        i.insert("t", key(7), a).unwrap();
+        // The rollback path re-inserts the same pair: still one row id.
+        i.insert("t", key(7), a).unwrap();
+        assert_eq!(postings(&i, 7), Some(Postings::One(a)));
+        let err = i.insert("t", key(7), b).unwrap_err();
+        assert!(matches!(err, Error::UniqueViolation { .. }));
+        assert_eq!(postings(&i, 7), Some(Postings::One(a)));
+        assert!(!i.insert_or_ignore(key(7), b));
+        assert!(i.remove(&key(7), a));
+        assert_eq!(i.key_count(), 0);
+        assert!(i.insert_or_ignore(key(7), b));
+        assert_eq!(i.get(&key(7)), vec![b]);
     }
 
     #[test]
