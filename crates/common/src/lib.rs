@@ -10,8 +10,10 @@
 //!   foreign keys, and CHECK constraints.
 //! - [`ids`] — strongly typed identifiers (`TableId`, `RowId`, `TxnId`, ...).
 //! - [`Error`] — the workspace-wide error type.
+//! - [`fs`] — the one crash-safe file replacement, [`fs::durable_rename`].
 
 pub mod error;
+pub mod fs;
 pub mod hash;
 pub mod ids;
 pub mod row;

@@ -15,10 +15,10 @@
 //! carries [`crate::wal::LogRecord::Epoch`] records (written at
 //! promotion), so even a lost sidecar is reconstructed by recovery.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use bullfrog_common::fs::durable_rename;
 use bullfrog_common::{Error, Result};
 use parking_lot::Mutex;
 
@@ -132,27 +132,17 @@ impl EpochStore {
         Ok(true)
     }
 
-    /// Writes `next` through a temp file + rename + fsync, so the
-    /// sidecar is always a complete ballot (old or new, never torn).
+    /// Writes `next` to a temp file and [`durable_rename`]s it over the
+    /// sidecar, so the sidecar is always a complete ballot (old or new,
+    /// never torn) and a power loss cannot undo the rename.
     fn persist(&self, next: &Ballot) -> Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
         let tmp = path.with_extension("epoch.tmp");
-        (|| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&encode(next))?;
-            f.sync_all()?;
-            std::fs::rename(&tmp, path)?;
-            // Rename durability needs the directory synced too.
-            if let Some(dir) = path.parent() {
-                if let Ok(d) = std::fs::File::open(dir) {
-                    let _ = d.sync_all();
-                }
-            }
-            Ok(())
-        })()
-        .map_err(|e| Error::Wal(format!("persist epoch sidecar: {e}")))
+        std::fs::write(&tmp, encode(next))
+            .and_then(|()| durable_rename(&[(&tmp, path)]))
+            .map_err(|e| Error::Wal(format!("persist epoch sidecar: {e}")))
     }
 }
 

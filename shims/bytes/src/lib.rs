@@ -7,10 +7,11 @@ use std::ops::{Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// Immutable, reference-counted byte slice. Cloning and slicing are O(1)
-/// and share the underlying allocation.
+/// and share the underlying allocation, and so is building one from a
+/// `Vec` (`BytesMut::freeze`): the vector moves behind the `Arc` whole.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -25,11 +26,7 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(slice: &[u8]) -> Self {
-        Bytes {
-            data: Arc::from(slice),
-            start: 0,
-            end: slice.len(),
-        }
+        Bytes::from(slice.to_vec())
     }
 
     pub fn len(&self) -> usize {
@@ -75,7 +72,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: v.into(),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -401,6 +398,23 @@ mod tests {
         assert!(tail.is_empty());
         // Original untouched.
         assert_eq!(b.as_ref(), &[1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn freeze_moves_the_vector_without_copying() {
+        let mut buf = BytesMut::with_capacity(64);
+        buf.put_slice(b"frame bytes");
+        let ptr = buf.as_ptr();
+        let frozen = buf.freeze();
+        assert_eq!(frozen.as_ptr(), ptr, "freeze copied the buffer");
+        assert_eq!(frozen.as_ref(), b"frame bytes");
+        let v = vec![1u8, 2, 3];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        // Slices and clones share the same allocation.
+        assert_eq!(b.slice(1..).as_ptr(), ptr.wrapping_add(1));
+        assert_eq!(b.clone().as_ptr(), ptr);
     }
 
     #[test]
