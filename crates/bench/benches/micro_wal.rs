@@ -1,29 +1,27 @@
 //! WAL durability microbenchmarks: 8 concurrent committers against the
-//! group-commit log, sweeping the durability shard count and the commit
-//! acknowledgement mode.
+//! group-commit log, in each commit acknowledgement mode.
 //!
-//! Expected shape: in `nowait` (throughput-bound) mode the sharded log
-//! wins — four flusher lanes drain the staged queues in parallel, each
-//! writing and fsyncing a quarter of the bytes. In `durable`
-//! (latency-bound) mode each commit's ack is one fsync round on its own
-//! shard either way, so on a single-device host — where concurrent
-//! fsyncs slow each other at the journal — one big group-commit lane can
-//! beat four small ones; sharding is a throughput feature, not a sync
-//! latency one.
+//! `durable` has every committer wait for its own commit before the next
+//! (synchronous `COMMIT`): each ack costs one fsync round, and whoever
+//! staged while that fsync ran joins the next group, so the group size
+//! tracks the number of waiting committers. `nowait` enqueues a whole
+//! burst and waits once, on its last ticket (asynchronous commit): the
+//! flusher drains larger groups, and the run is bound by bytes written,
+//! not by fsync rounds. The gap between the two is what group commit
+//! cannot hide from a synchronous committer.
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bullfrog_common::{row, RowId, TableId, TxnId};
-use bullfrog_txn::wal::{shard_file_path, LogRecord, Wal, WalOptions};
+use bullfrog_txn::wal::{LogRecord, Wal};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 /// Committers racing for the log in each measured burst.
 const COMMITTERS: usize = 8;
 /// Transactions each committer makes durable per burst — enough that the
-/// flusher lanes reach steady state and fsync counts, not thread spawns,
+/// flusher reaches steady state and fsync counts, not thread spawns,
 /// dominate the measurement.
 const TXNS_PER_COMMITTER: usize = 200;
 
@@ -31,22 +29,12 @@ fn bench_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bullfrog-bench-{tag}-{}.wal", std::process::id()))
 }
 
-fn remove_wal_shards(path: &PathBuf) {
-    let _ = std::fs::remove_file(path);
-    for shard in 1.. {
-        if std::fs::remove_file(shard_file_path(path, shard)).is_err() {
-            break;
-        }
-    }
-}
-
-/// Rows per transaction — enough payload that flush cost is dominated by
-/// bytes written, which is what partitions across durability shards.
+/// Rows per transaction — enough payload that flush cost includes the
+/// bytes written, not only the fsync.
 const ROWS_PER_TXN: usize = 8;
 
 /// One committer's transaction batch: Begin + inserts + Commit for a txn
-/// id unique to `(worker, i)` so shard assignment spreads like real
-/// traffic.
+/// id unique to `(worker, i)`.
 fn batch(worker: usize, i: usize) -> Vec<LogRecord> {
     let txn = TxnId((worker * 1_000_000 + i + 1) as u64);
     let payload = "x".repeat(256);
@@ -66,75 +54,65 @@ fn batch(worker: usize, i: usize) -> Vec<LogRecord> {
 
 /// A fresh file-backed log for one measured burst, so every sample
 /// starts from an empty queue and a small file.
-fn fresh_wal(tag: &str, shards: usize) -> (Arc<Wal>, PathBuf) {
+fn fresh_wal(tag: &str) -> (Arc<Wal>, PathBuf) {
     let path = bench_path(tag);
-    remove_wal_shards(&path);
-    let wal = Wal::with_file_opts(
-        &path,
-        WalOptions {
-            group_window: Duration::ZERO,
-            shards,
-        },
-    )
-    .expect("bench wal");
+    let _ = std::fs::remove_file(&path);
+    let wal = Wal::with_file(&path).expect("bench wal");
     (Arc::new(wal), path)
 }
 
 fn wal_commit(c: &mut Criterion) {
     let mut g = c.benchmark_group("wal_commit_8x");
-    for shards in [1usize, 4] {
-        g.bench_function(&format!("durable_shards{shards}"), |b| {
-            b.iter_batched(
-                || fresh_wal(&format!("durable-s{shards}"), shards),
-                |(wal, path)| {
-                    std::thread::scope(|s| {
-                        for w in 0..COMMITTERS {
-                            let wal = Arc::clone(&wal);
-                            s.spawn(move || {
-                                for i in 0..TXNS_PER_COMMITTER {
-                                    black_box(wal.append(batch(w, i), None)).wait();
-                                }
-                            });
-                        }
-                    });
-                    // Dropping the handle joins the flushers — part of
-                    // the drain. File deletion happens in the next
-                    // iteration's untimed setup.
-                    drop(wal);
-                    path
-                },
-                BatchSize::PerIteration,
-            )
-        });
-        remove_wal_shards(&bench_path(&format!("durable-s{shards}")));
+    g.bench_function("durable", |b| {
+        b.iter_batched(
+            || fresh_wal("durable"),
+            |(wal, path)| {
+                std::thread::scope(|s| {
+                    for w in 0..COMMITTERS {
+                        let wal = Arc::clone(&wal);
+                        s.spawn(move || {
+                            for i in 0..TXNS_PER_COMMITTER {
+                                black_box(wal.append(batch(w, i), None)).wait();
+                            }
+                        });
+                    }
+                });
+                // Dropping the handle joins the flusher — part of the
+                // drain. File deletion happens in the next iteration's
+                // untimed setup.
+                drop(wal);
+                path
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    let _ = std::fs::remove_file(bench_path("durable"));
 
-        g.bench_function(&format!("nowait_shards{shards}"), |b| {
-            b.iter_batched(
-                || fresh_wal(&format!("nowait-s{shards}"), shards),
-                |(wal, path)| {
-                    std::thread::scope(|s| {
-                        for w in 0..COMMITTERS {
-                            let wal = Arc::clone(&wal);
-                            s.spawn(move || {
-                                let mut last = None;
-                                for i in 0..TXNS_PER_COMMITTER {
-                                    last = Some(wal.append(batch(w, i), None));
-                                }
-                                // Ack latency is off the committer's
-                                // path; only the burst's last ticket is
-                                // awaited.
-                                last.unwrap().wait();
-                            });
-                        }
-                    });
-                    drop(wal);
-                    path
-                },
-                BatchSize::PerIteration,
-            )
-        });
-        remove_wal_shards(&bench_path(&format!("nowait-s{shards}")));
-    }
+    g.bench_function("nowait", |b| {
+        b.iter_batched(
+            || fresh_wal("nowait"),
+            |(wal, path)| {
+                std::thread::scope(|s| {
+                    for w in 0..COMMITTERS {
+                        let wal = Arc::clone(&wal);
+                        s.spawn(move || {
+                            let mut last = None;
+                            for i in 0..TXNS_PER_COMMITTER {
+                                last = Some(wal.append(batch(w, i), None));
+                            }
+                            // Ack latency is off the committer's path;
+                            // only the burst's last ticket is awaited.
+                            last.unwrap().wait();
+                        });
+                    }
+                });
+                drop(wal);
+                path
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    let _ = std::fs::remove_file(bench_path("nowait"));
     g.finish();
 }
 

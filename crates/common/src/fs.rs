@@ -9,26 +9,14 @@
 use std::io;
 use std::path::Path;
 
-/// Replaces each `to` with its `from`, durably: every `from` is synced,
-/// then renamed over its `to`, then each distinct parent directory is
-/// synced once. Any failure is returned; when it returns `Ok`, a power
-/// loss keeps the new files under the new names.
-pub fn durable_rename(renames: &[(&Path, &Path)]) -> io::Result<()> {
-    for (from, _) in renames {
-        std::fs::File::open(from)?.sync_all()?;
-    }
-    let mut dirs: Vec<&Path> = Vec::new();
-    for (from, to) in renames {
-        std::fs::rename(from, to)?;
-        let dir = parent_dir(to);
-        if !dirs.contains(&dir) {
-            dirs.push(dir);
-        }
-    }
-    for dir in dirs {
-        sync_dir(dir)?;
-    }
-    Ok(())
+/// Replaces `to` with `from`, durably: `from` is synced, then renamed
+/// over `to`, then `to`'s directory is synced. Any failure is returned;
+/// when it returns `Ok`, a power loss keeps the new file under the new
+/// name.
+pub fn durable_rename(from: &Path, to: &Path) -> io::Result<()> {
+    std::fs::File::open(from)?.sync_all()?;
+    std::fs::rename(from, to)?;
+    sync_dir(parent_dir(to))
 }
 
 /// The directory holding `path` (`.` for a bare file name).
@@ -64,7 +52,8 @@ mod tests {
         std::fs::write(&a, b"old a").unwrap();
         std::fs::write(&a_tmp, b"new a").unwrap();
         std::fs::write(&b_tmp, b"new b").unwrap();
-        durable_rename(&[(&a_tmp, &a), (&b_tmp, &b)]).unwrap();
+        durable_rename(&a_tmp, &a).unwrap();
+        durable_rename(&b_tmp, &b).unwrap();
         assert_eq!(std::fs::read(&a).unwrap(), b"new a");
         assert_eq!(std::fs::read(&b).unwrap(), b"new b");
         assert!(!a_tmp.exists() && !b_tmp.exists());
@@ -77,9 +66,9 @@ mod tests {
         let tmp = dir.join("f.tmp");
         std::fs::write(&tmp, b"bytes").unwrap();
         let to = dir.join("gone").join("f");
-        assert!(durable_rename(&[(&tmp, &to)]).is_err());
+        assert!(durable_rename(&tmp, &to).is_err());
         // A missing source is an error too, before anything is renamed.
-        assert!(durable_rename(&[(&dir.join("nope"), &dir.join("f"))]).is_err());
+        assert!(durable_rename(&dir.join("nope"), &dir.join("f")).is_err());
         assert!(sync_dir(&dir.join("gone")).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -412,7 +412,7 @@ pub const TXN_BOX: Duration = Duration::from_millis(1);
 /// Every migration transaction commits without waiting for durability.
 /// A foreground call (`!opts.background`) then waits once, on the last
 /// commit's ticket, for the outcome [`Database::commit`] would have
-/// given: the merged durable horizon covers every earlier commit of the
+/// given: the durable horizon covers every earlier commit of the
 /// call, so one wait acknowledges them all.
 pub fn migrate_candidates(
     db: &Database,

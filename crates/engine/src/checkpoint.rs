@@ -332,7 +332,7 @@ impl std::fmt::Debug for Checkpointer {
 fn write_sidecar(path: &Path, bytes: &Bytes) -> Result<()> {
     let tmp = path.with_extension("ckpt-tmp");
     std::fs::write(&tmp, bytes)
-        .and_then(|()| durable_rename(&[(&tmp, path)]))
+        .and_then(|()| durable_rename(&tmp, path))
         .map_err(|e| Error::Wal(format!("write checkpoint sidecar: {e}")))
 }
 

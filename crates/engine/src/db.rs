@@ -494,18 +494,14 @@ impl Database {
     /// Asynchronous commit: appends the redo batch + `Commit` atomically
     /// and returns a [`CommitTicket`] **at enqueue time**, without waiting
     /// for the flush. The caller keeps running (and may start its next
-    /// transaction) while the WAL shard makes the batch durable; call
+    /// transaction) while the WAL flusher makes the batch durable; call
     /// [`CommitTicket::wait`] before acknowledging the commit to anyone
     /// who needs durability. Locks are released immediately — sound
-    /// because every durability acknowledgement (synchronous commits and
-    /// ticket waits alike) parks on the WAL's **merged** durable horizon,
-    /// which covers all shards: a later transaction that read this data
-    /// appends at a higher LSN, so its ack transitively covers this
-    /// batch even when the two transactions hash to different shards.
-    /// If no dependent commit is ever acknowledged, recovery replays
-    /// only the gap-free on-disk prefix, so a crash can lose this
-    /// unacknowledged batch together with everything that depended on
-    /// it — never a dependent commit alone.
+    /// because the log is one file written in LSN order: a later
+    /// transaction that read this data appends at a higher LSN, so its
+    /// acknowledgement (at the durable horizon) covers this batch too,
+    /// and a crash can lose this unacknowledged batch only together with
+    /// everything after it — never a dependent commit alone.
     ///
     /// Read-only transactions get a trivially-durable ticket.
     pub fn commit_nowait(&self, txn: &mut Transaction) -> Result<CommitTicket> {
@@ -551,7 +547,7 @@ impl Database {
     }
 
     /// Waits until `ticket`, from [`Database::commit_nowait`], has the
-    /// outcome [`Database::commit`] gives: durable on the merged horizon,
+    /// outcome [`Database::commit`] gives: durable on the WAL's horizon,
     /// past the sync-replica gate, and [`Error::Fenced`] on a fenced node.
     pub fn wait_acked(&self, ticket: &CommitTicket) -> Result<()> {
         if ticket.wait_acked() == AckOutcome::Fenced {

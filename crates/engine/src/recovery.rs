@@ -120,34 +120,27 @@ fn fold(db: &Database, records: &[LogRecord], mut stats: RecoveryStats) -> Resul
 pub struct OnDisk {
     /// The checkpoint sidecar's image (empty when there is no sidecar).
     pub image: CheckpointImage,
-    /// The longest LSN-contiguous run of merged shard records starting
-    /// at `image.base_lsn`; record `i` sits at LSN `image.base_lsn + i`.
+    /// The WAL file's records from `image.base_lsn` on; record `i` sits
+    /// at LSN `image.base_lsn + i`.
     pub tail: Vec<LogRecord>,
     /// Highest fencing epoch over every on-disk record, including those
-    /// past a gap or below the image base (0 = none logged): an epoch,
-    /// once observed, must never regress, even if the surrounding commit
-    /// never acknowledged.
+    /// below the image base (0 = none logged): an epoch, once observed,
+    /// must never regress, even if the surrounding commit never
+    /// acknowledged.
     pub max_epoch: u64,
 }
 
-/// Reads the checkpoint sidecar at `ckpt_path` and merges the WAL shard
-/// files at `wal_path`. A missing sidecar gives an empty image; any other
-/// sidecar read or decode error, or an unreadable WAL, is an error.
+/// Reads the checkpoint sidecar at `ckpt_path` and the WAL file at
+/// `wal_path`. A missing sidecar gives an empty image; any other sidecar
+/// read or decode error, or an unreadable WAL, is an error.
 ///
-/// The tail is the longest **LSN-contiguous** run of merged shard
-/// records starting at the image base; records below it are already
-/// folded into the image (a crash between sidecar persistence and log
-/// truncation leaves both on disk). A crash can leave a gap in the
-/// merged stream — a batch staged on one shard was never flushed while a
-/// later-LSN batch on another shard was — and everything past the first
-/// gap is discarded rather than replayed. That is exactly the
-/// acknowledgement boundary: commits are only ever acknowledged at the
-/// merged durable horizon, which cannot pass a gap, so no acknowledged
-/// commit is dropped; replicas never saw those records either (frames
-/// ship below the same horizon); and because WAL order respects lock
-/// order, a surviving commit's dependencies always sit below it in the
-/// dense prefix, so replay never applies an update to a row whose insert
-/// was lost with the gap.
+/// The tail is the run of log records starting at the image base, each
+/// at the LSN after the one before. Records below the base are already
+/// folded into the image: a crash between sidecar persistence and log
+/// rotation leaves both on disk, and those records are skipped. The file
+/// is written in LSN order and its scan stops at the first torn or
+/// damaged frame, so what it holds is a prefix of the log: a crash loses
+/// only a suffix, never an earlier batch while a later one survives.
 pub fn load_from_files(wal_path: impl AsRef<Path>, ckpt_path: impl AsRef<Path>) -> Result<OnDisk> {
     let mut disk = OnDisk::default();
     match std::fs::read(ckpt_path.as_ref()) {
@@ -156,7 +149,7 @@ pub fn load_from_files(wal_path: impl AsRef<Path>, ckpt_path: impl AsRef<Path>) 
         Err(e) => return Err(Error::Wal(format!("read checkpoint sidecar: {e}"))),
     }
     let mut expect = disk.image.base_lsn;
-    for (lsn, r) in Wal::load_sharded(wal_path)? {
+    for (lsn, r) in Wal::load(wal_path)? {
         if let LogRecord::Epoch { epoch, .. } = r {
             disk.max_epoch = disk.max_epoch.max(epoch);
         }
@@ -227,7 +220,7 @@ impl CommitBuffer {
 /// Each transaction's records buffer (`CommitBuffer`) until its
 /// `Commit` arrives (then the whole txn applies atomically from the
 /// caller's perspective) or its `Abort` (then they drop). A replica only
-/// ever receives frames below the primary's merged durable horizon, so
+/// ever receives frames below the primary's durable horizon, so
 /// the stream it sees is a recoverable log prefix.
 ///
 /// Records whose table is unknown locally are skipped and counted in

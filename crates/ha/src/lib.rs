@@ -13,7 +13,7 @@
 //!   surfaces a stale epoch, fencing the zombie for good.
 //! - **Synchronous replication** (`SET SYNC_REPLICAS n`, the
 //!   [`SyncGate`](bullfrog_txn::SyncGate)): commit acknowledgements wait
-//!   for `n` replica acks on top of the merged durable horizon, with a
+//!   for `n` replica acks on top of the WAL's durable horizon, with a
 //!   `BLOCK`-or-`DEGRADE` policy; degrading is permitted only while the
 //!   node verifiably holds the leadership lease.
 //! - **Quorum leases** (this crate): a static member group — primary,

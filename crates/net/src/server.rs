@@ -1482,7 +1482,6 @@ fn gauges(shared: &Shared) -> Vec<(&'static str, i64)> {
     push("wal.resident_records", wal.resident_records() as i64);
     push("wal.resident_bytes", wal.resident_bytes() as i64);
     push("wal.durable_lsn", wal.durable_lsn() as i64);
-    push("wal.shards", wal.shard_count() as i64);
 
     if let Some(s) = shared.scheduler.lock().unwrap().as_ref() {
         let st = s.status();

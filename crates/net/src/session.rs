@@ -475,7 +475,7 @@ impl Session {
                     .txn
                     .take()
                     .ok_or_else(|| Error::Eval("COMMIT outside a transaction".into()))?;
-                // Acknowledge at enqueue time; the shard flusher makes the
+                // Acknowledge at enqueue time; the WAL flusher makes the
                 // batch durable in the background. The server's shutdown
                 // drain syncs the WAL, so an orderly stop loses nothing.
                 // `affected` carries the ticket's wait-LSN so clients can

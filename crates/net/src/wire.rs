@@ -290,10 +290,10 @@ pub enum Response {
     /// Primary → replica: a batch of replication state. `records` are
     /// committed-durable log records in LSN order; `ddl` are journal
     /// events the replica is missing; `durable_lsn` is the primary's
-    /// merged durable horizon (for lag reporting, also sent with empty
+    /// durable horizon (for lag reporting, also sent with empty
     /// batches as a heartbeat).
     Frames {
-        /// The primary's merged durable horizon at send time.
+        /// The primary's durable horizon at send time.
         durable_lsn: u64,
         /// DDL-journal events at or above the subscriber's `ddl_seq`.
         ddl: Vec<WireDdl>,

@@ -258,7 +258,7 @@ fn checkpoint_and_status_opcodes() {
 #[test]
 fn resident_bytes_gauge_grows_with_appends_and_falls_at_checkpoint() {
     let wal_path = temp_path("resident-bytes");
-    remove_wal_shards(&wal_path);
+    let _ = std::fs::remove_file(&wal_path);
     let ckpt_path = bullfrog_engine::checkpoint::checkpoint_path_for(&wal_path);
     let _ = std::fs::remove_file(&ckpt_path);
     let db =
@@ -285,7 +285,7 @@ fn resident_bytes_gauge_grows_with_appends_and_falls_at_checkpoint() {
     assert_eq!(after, empty);
     drop(c);
     drop(server);
-    remove_wal_shards(&wal_path);
+    let _ = std::fs::remove_file(&wal_path);
     let _ = std::fs::remove_file(&ckpt_path);
 }
 
@@ -316,7 +316,7 @@ fn statement_timeout_aborts_instead_of_committing() {
 #[test]
 fn shutdown_drains_without_dropping_committed_writes() {
     let wal_path = temp_path("shutdown-drain");
-    remove_wal_shards(&wal_path);
+    let _ = std::fs::remove_file(&wal_path);
     let ckpt_path = bullfrog_engine::checkpoint::checkpoint_path_for(&wal_path);
     let _ = std::fs::remove_file(&ckpt_path);
 
@@ -382,19 +382,8 @@ fn shutdown_drains_without_dropping_committed_writes() {
         committed,
         "every committed write must survive shutdown + recovery"
     );
-    remove_wal_shards(&wal_path);
+    let _ = std::fs::remove_file(&wal_path);
     let _ = std::fs::remove_file(&ckpt_path);
-}
-
-/// Removes a WAL's shard 0 file plus every `.sN` sibling (the sharded
-/// log spreads one logical WAL over several files).
-fn remove_wal_shards(wal_path: &std::path::Path) {
-    let _ = std::fs::remove_file(wal_path);
-    for shard in 1.. {
-        if std::fs::remove_file(bullfrog_txn::wal::shard_file_path(wal_path, shard)).is_err() {
-            break;
-        }
-    }
 }
 
 /// Regression: `sessions.rows_written` used to be bumped per DML

@@ -56,8 +56,9 @@ impl Registry {
     }
 
     /// Returns `name` as a `&'static str`, leaking each distinct name
-    /// at most once per process (every `Wal` registers its per-shard
-    /// names, so a per-registry set would leak them once per database).
+    /// at most once per process (every server interns the names its
+    /// STATUS reports, so a per-registry set would leak them once per
+    /// database).
     pub fn intern(&self, name: &str) -> &'static str {
         static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
         let mut set = INTERNED.lock().unwrap();
@@ -236,8 +237,8 @@ mod tests {
     #[test]
     fn intern_is_stable_and_deduplicated() {
         let reg = Registry::new();
-        let a = reg.intern(&format!("wal.shard{}.flushes", 0));
-        let b = reg.intern("wal.shard0.flushes");
+        let a = reg.intern(&format!("net.conn{}.frames", 0));
+        let b = reg.intern("net.conn0.frames");
         assert!(std::ptr::eq(a, b), "same allocation for the same name");
     }
 

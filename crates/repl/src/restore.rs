@@ -1,6 +1,6 @@
 //! Primary restart: rebuild a [`Bullfrog`] controller — catalog, heap,
 //! and in-flight migration trackers — from its on-disk trio: the
-//! sharded WAL, the checkpoint sidecar image, and the DDL journal.
+//! WAL file, the checkpoint sidecar image, and the DDL journal.
 //!
 //! Plain engine recovery ([`bullfrog_engine::recovery`]) rebuilds heaps
 //! but expects the caller to re-create the catalog, because DDL is not
@@ -9,7 +9,7 @@
 //! recorded apply points (exactly like a replica applying a stream),
 //! which also rebuilds the lazy-migration bitmap/hashmap trackers from
 //! committed `MigrationGranule` records (paper §3.5). The restored
-//! controller resumes on the same WAL files — the reopened log's
+//! controller resumes on the same WAL file — the reopened log's
 //! frontier continues past the on-disk records — so reconnecting
 //! replicas either resume from their acked LSN or, if a checkpoint had
 //! truncated past it, re-bootstrap from a snapshot.
@@ -58,9 +58,9 @@ pub struct RestoreReport {
     pub epoch: u64,
 }
 
-/// Rebuilds a primary from `wal_path`'s WAL shards, checkpoint sidecar,
-/// and DDL journal, returning the controller (resumed on the same WAL
-/// files) and the journal (hand both to a
+/// Rebuilds a primary from the WAL file at `wal_path`, its checkpoint
+/// sidecar, and DDL journal, returning the controller (resumed on the
+/// same WAL file) and the journal (hand both to a
 /// [`ReplicationSender`](crate::ReplicationSender) to resume serving
 /// replicas).
 pub fn restore(
@@ -72,8 +72,7 @@ pub fn restore(
     // Open the log before reading it: a fresh primary has no WAL file
     // yet and opening creates it, so the shared loader then finds an
     // empty log. The reopened log resumes appending past every on-disk
-    // record — including any beyond a cross-shard gap — and retains
-    // nothing below that point in memory. Sample it now (no writers
+    // record and retains nothing below that point in memory. Sample it now (no writers
     // yet): it is the restored image's cut, so a snapshot covers
     // everything the log no longer serves and a reconnecting replica
     // never loops between SNAPSHOT_REQUIRED and a snapshot that ends

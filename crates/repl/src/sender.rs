@@ -11,8 +11,8 @@
 //!
 //! 1. **Only durable frames ship.** A subscription reads the log through
 //!    [`Wal::durable_records_from`](bullfrog_txn::Wal), which stops at
-//!    the merged durable horizon (the minimum of the per-shard flush
-//!    frontiers). A replica therefore never applies a commit the primary
+//!    the durable horizon (the first LSN the WAL flusher has not yet
+//!    made durable). A replica therefore never applies a commit the primary
 //!    could still lose — the replica's state is always a recoverable
 //!    prefix of the primary's log, and a primary crash can only leave
 //!    replicas *behind*, never diverged.

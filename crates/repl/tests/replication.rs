@@ -15,7 +15,6 @@ use bullfrog_engine::checkpoint::checkpoint_path_for;
 use bullfrog_engine::{CheckpointImage, Database, DbConfig, EngineMode};
 use bullfrog_net::{err_code, stat, Client, ClientError, Server, ServerConfig};
 use bullfrog_repl::{restore, DdlJournal, Replica, ReplicationSender};
-use bullfrog_txn::wal::shard_file_path;
 use bullfrog_txn::WalOptions;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -593,8 +592,7 @@ fn primary_restart_replica_reconverges() {
         );
 
         drop((server2, rserver, replica));
-        // Shard files plus journal/sidecar live under dir.
-        let _ = shard_file_path(&wal_path, 1); // (referenced for clarity; dir removal covers all)
+        // The WAL file, journal and sidecar live under dir.
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -141,7 +141,7 @@ impl EpochStore {
         };
         let tmp = path.with_extension("epoch.tmp");
         std::fs::write(&tmp, encode(next))
-            .and_then(|()| durable_rename(&[(&tmp, path)]))
+            .and_then(|()| durable_rename(&tmp, path))
             .map_err(|e| Error::Wal(format!("persist epoch sidecar: {e}")))
     }
 }

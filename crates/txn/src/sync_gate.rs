@@ -2,13 +2,11 @@
 //!
 //! `SET SYNC_REPLICAS n` asks that a commit acknowledgement wait until
 //! `n` replicas have confirmed (via `REPL_ACK`) applying everything up
-//! to the commit's end LSN. The gate **composes with** the merged
+//! to the commit's end LSN. The gate **composes with** the WAL's
 //! durable horizon rather than replacing it: callers first wait for
-//! local durability (min over WAL shard frontiers, the PR 4 invariant)
-//! and then park here until the n-th highest replica ack covers the
-//! commit. Own-shard acks therefore still cannot outrun a cross-shard
-//! dependency — the gate only ever *adds* a condition on top of the
-//! horizon every ack already waits for.
+//! local durability and then park here until the n-th highest replica
+//! ack covers the commit — the gate only ever *adds* a condition on top
+//! of the horizon every ack already waits for.
 //!
 //! The gate is also where fencing bites the commit path: a member that
 //! observed a higher epoch (or verifiably lost its lease) flips

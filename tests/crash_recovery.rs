@@ -234,7 +234,7 @@ fn durable_wal_file_survives_process_style_crash() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
 
-    let records: Vec<_> = Wal::load_sharded(&path)
+    let records: Vec<_> = Wal::load(&path)
         .unwrap()
         .into_iter()
         .map(|(_, r)| r)
@@ -274,8 +274,6 @@ fn torn_tail_mid_group_commit_batch_keeps_atomicity() {
                 &path,
                 WalOptions {
                     group_window: Duration::from_millis(15),
-                    // One shard: the tear below slices one flat file.
-                    shards: 1,
                 },
             )
             .unwrap(),
@@ -315,7 +313,7 @@ fn torn_tail_mid_group_commit_batch_keeps_atomicity() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
 
-    let records: Vec<_> = Wal::load_sharded(&path)
+    let records: Vec<_> = Wal::load(&path)
         .unwrap()
         .into_iter()
         .map(|(_, r)| r)
@@ -504,7 +502,6 @@ fn a_foreground_migration_over_many_boxes_waits_for_durability_once() {
         // flush, so the request's one wait is a real wait.
         let opts = WalOptions {
             group_window: std::time::Duration::from_millis(2),
-            ..Default::default()
         };
         let db = Arc::new(Database::with_wal_file_opts(Default::default(), &path, opts).unwrap());
         make_schema(&db);
