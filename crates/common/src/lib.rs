@@ -6,12 +6,15 @@
 //!   tuples, with a total order and hash suitable for index keys and
 //!   migration group identifiers.
 //! - [`Row`] — a tuple of values.
+//! - [`codec`] — the byte encoding of values and rows that the heap, the
+//!   log, the checkpoint image and the wire share.
 //! - [`schema`] — table schemas with primary keys, unique constraints,
 //!   foreign keys, and CHECK constraints.
 //! - [`ids`] — strongly typed identifiers (`TableId`, `RowId`, `TxnId`, ...).
 //! - [`Error`] — the workspace-wide error type.
 //! - [`fs`] — the one crash-safe file replacement, [`fs::durable_rename`].
 
+pub mod codec;
 pub mod error;
 pub mod fs;
 pub mod hash;

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use bullfrog_common::{Error, Result, Row, RowId, TableSchema, Value};
 use bullfrog_query::{pred, Expr, Scope};
-use bullfrog_storage::{BTreeIndex, Catalog, Table};
+use bullfrog_storage::{BTreeIndex, Catalog, Held, Table};
 use bullfrog_txn::{
     AckOutcome, CommitTicket, LockKey, LockManager, LockMode, LogRecord, Transaction, TxnManager,
     UndoRecord, Wal,
@@ -789,7 +789,6 @@ impl Database {
         fk_lock: bool,
     ) -> Result<RowId> {
         crate::fk::check_outgoing_with(self, txn, t, &row, fk_lock)?;
-        let after = row.clone();
         let pending = txn.snapshot().map(|snap| {
             // Snapshot mode: the new slot carries a pending-writer mark so
             // concurrent snapshot readers skip it until commit installs
@@ -797,7 +796,7 @@ impl Database {
             snap.mark_writer();
             txn.id().0
         });
-        let rid = t.insert_indexed(row, pending, indexes)?;
+        let rid = t.insert_indexed(&row, pending, indexes)?;
         txn.mark_snapshot_used();
         self.lock(txn, LockKey::Row(t.id(), rid), LockMode::X)?;
         txn.push_undo(UndoRecord::Insert { table: t.id(), rid });
@@ -805,7 +804,7 @@ impl Database {
             txn: txn.id(),
             table: t.id(),
             rid,
-            row: after,
+            row,
         });
         Ok(rid)
     }
@@ -856,7 +855,7 @@ impl Database {
         self.lock(txn, LockKey::Row(t.id(), rid), LockMode::X)?;
         crate::fk::check_outgoing(self, txn, &t, &new_row)?;
         let first_touch = self.prepare_si_write(txn, &t, rid)?;
-        let old = match t.update(rid, new_row.clone()) {
+        let old = match t.update(rid, &new_row) {
             Ok(old) => old,
             Err(e) => {
                 if first_touch {
@@ -1148,6 +1147,22 @@ impl Database {
         n
     }
 
+    /// The tuples every table's heap stores, version copies included, and
+    /// their encoded bytes (O(tables); see [`TableHeap::held`]).
+    ///
+    /// [`TableHeap::held`]: bullfrog_storage::TableHeap::held
+    pub fn heap_held(&self) -> Held {
+        let mut held = Held::default();
+        for name in self.catalog.table_names() {
+            if let Ok(t) = self.catalog.get(&name) {
+                let h = t.heap().held();
+                held.tuples += h.tuples;
+                held.bytes += h.bytes;
+            }
+        }
+        held
+    }
+
     /// Chain nodes reclaimed by GC since this database opened.
     pub fn gc_reclaimed(&self) -> u64 {
         self.gc_reclaimed.load(Ordering::Relaxed)
@@ -1334,6 +1349,37 @@ mod tests {
                 .unwrap()
                 .is_some());
             db.commit(&mut txn).unwrap();
+        }
+    }
+
+    #[test]
+    fn heap_held_is_back_where_it_was_after_an_abort_and_gc() {
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_with_accounts(mode);
+            assert_eq!(db.config().mode, mode);
+            let alice = row![1, "alice", 1000];
+            let rid = db
+                .with_txn(|txn| db.insert(txn, "accounts", alice.clone()))
+                .unwrap();
+            db.version_gc();
+            let one = Held {
+                tuples: 1,
+                bytes: bullfrog_common::codec::encode_values(&alice.0).len(),
+            };
+            assert_eq!(db.heap_held(), one);
+
+            let mut txn = db.begin();
+            db.insert(&mut txn, "accounts", row![2, "bob", 5]).unwrap();
+            db.update(&mut txn, "accounts", rid, row![1, "alice", 900])
+                .unwrap();
+            assert!(db.heap_held().tuples >= 2);
+            db.abort(&mut txn);
+            let mut txn = db.begin();
+            db.delete(&mut txn, "accounts", rid).unwrap();
+            db.abort(&mut txn);
+            db.version_gc();
+            assert_eq!(db.heap_held(), one);
         }
     }
 

@@ -273,7 +273,7 @@ impl StreamingReplay {
                 } => out.write(db, table, 1, |t| t.place(rid, row))?,
                 LogRecord::Update {
                     table, rid, after, ..
-                } => out.write(db, table, 1, |t| t.update(rid, after).map(drop))?,
+                } => out.write(db, table, 1, |t| t.update(rid, &after).map(drop))?,
                 LogRecord::Delete { table, rid, .. } => {
                     out.write(db, table, 1, |t| t.delete(rid).map(drop))?
                 }

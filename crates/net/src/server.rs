@@ -1446,6 +1446,10 @@ fn gauges(shared: &Shared) -> Vec<(&'static str, i64)> {
     push("mvcc.versions", db.version_count() as i64);
     push("mvcc.gc_horizon", db.wal().oracle().gc_horizon() as i64);
     push("mvcc.gc_reclaimed", db.gc_reclaimed() as i64);
+    // Resident memory by layer: the heaps' encoded tuples.
+    let heap = db.heap_held();
+    push("mem.heap_rows", heap.tuples as i64);
+    push("mem.heap_bytes", heap.bytes as i64);
 
     match shared.bf.progress() {
         Some(p) => {

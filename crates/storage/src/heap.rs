@@ -1,12 +1,35 @@
 //! Table heaps: append-only collections of slotted pages.
+//!
+//! A heap stores each row as a [`Tuple`]: the bytes
+//! [`bullfrog_common::codec`] encodes it to, which are also the bytes the
+//! log writes for it. Writes encode once into an exact-size allocation;
+//! reads decode a fresh [`Row`], and scans decode into one reused `Row`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bullfrog_common::{PageNo, Row, RowId, SlotNo};
+use bullfrog_common::{codec, PageNo, Row, RowId, SlotNo};
 use parking_lot::{Mutex, RwLock};
 
-use crate::page::Page;
+use crate::page::{Held, Page, Tuple};
+
+/// Encodes `row` as the heap stores it.
+fn encode(row: &Row) -> Tuple {
+    codec::encode_values(&row.0)
+}
+
+/// Decodes `tuple` into `row`, reusing `row`'s allocations.
+fn decode_into(mut tuple: &[u8], row: &mut Row) {
+    codec::get_values_into(&mut tuple, &mut row.0)
+        .expect("the heap decodes only tuples it encoded");
+}
+
+/// Decodes `tuple` into a fresh row.
+fn decode(tuple: &[u8]) -> Row {
+    let mut row = Row::default();
+    decode_into(tuple, &mut row);
+    row
+}
 
 /// A heap of slotted pages holding a table's rows.
 ///
@@ -30,6 +53,11 @@ pub struct TableHeap {
     max_version_ts: AtomicU64,
     /// Number of slots currently carrying an uncommitted writer marker.
     pending_writers: AtomicUsize,
+    /// The sum of every page's [`Page::held`]: tuples, then bytes. An
+    /// insert adds its tuple as it encodes it; every other page write
+    /// carries its page's change over once it returns.
+    held_tuples: AtomicUsize,
+    held_bytes: AtomicUsize,
 }
 
 impl TableHeap {
@@ -42,6 +70,8 @@ impl TableHeap {
             slots_per_page,
             max_version_ts: AtomicU64::new(0),
             pending_writers: AtomicUsize::new(0),
+            held_tuples: AtomicUsize::new(0),
+            held_bytes: AtomicUsize::new(0),
         }
     }
 
@@ -69,14 +99,54 @@ impl TableHeap {
             .sum()
     }
 
+    /// The tuples this heap stores — live rows and the copies its version
+    /// chains keep — and their encoded bytes (O(1)).
+    pub fn held(&self) -> Held {
+        Held {
+            tuples: self.held_tuples.load(Ordering::Relaxed),
+            bytes: self.held_bytes.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Adds what a page write changed (`after` less `before`, each part
+    /// possibly negative) to the heap's totals.
+    fn carry(&self, before: Held, after: Held) {
+        if before != after {
+            let tuples = after.tuples.wrapping_sub(before.tuples);
+            let bytes = after.bytes.wrapping_sub(before.bytes);
+            self.held_tuples.fetch_add(tuples, Ordering::Relaxed);
+            self.held_bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// Runs `f` on page `page_no` under its write latch and carries the
+    /// change in what the page holds to the heap's totals. `None` when
+    /// the page does not exist.
+    fn write<R>(&self, page_no: PageNo, f: impl FnOnce(&mut Page) -> R) -> Option<R> {
+        let page = self.page(page_no)?;
+        let mut guard = page.write();
+        let before = guard.held();
+        let out = f(&mut guard);
+        let after = guard.held();
+        drop(guard);
+        self.carry(before, after);
+        Some(out)
+    }
+
     /// Inserts a row, returning its stable id.
-    pub fn insert(&self, row: Row) -> RowId {
+    pub fn insert(&self, row: &Row) -> RowId {
         self.append_with(row, Page::append)
     }
 
-    /// Puts `row` on the last page with `put`, allocating a page when the
-    /// last one is full.
-    fn append_with(&self, row: Row, put: impl Fn(&mut Page, Row) -> Option<SlotNo>) -> RowId {
+    /// Puts `row`'s tuple on the last page with `put`, allocating a page
+    /// when the last one is full.
+    fn append_with(&self, row: &Row, put: impl Fn(&mut Page, Tuple) -> Option<SlotNo>) -> RowId {
+        let tuple = encode(row);
+        let held = Held {
+            tuples: 1,
+            bytes: tuple.len(),
+        };
+        self.carry(Held::default(), held);
         let _guard = self.append.lock();
         // Fast path: last page has room.
         {
@@ -84,10 +154,10 @@ impl TableHeap {
             if let Some(last) = pages.last() {
                 let page_no = (pages.len() - 1) as PageNo;
                 let mut page = last.write();
-                // `put` fails only on a full page: test first, so the row
-                // moves in without a speculative clone.
+                // `put` fails only on a full page: test first, so the
+                // tuple moves in without a speculative copy.
                 if !page.is_full() {
-                    let slot = put(&mut page, row).expect("a page with room accepts the row");
+                    let slot = put(&mut page, tuple).expect("a page with room accepts the tuple");
                     return RowId::new(page_no, slot);
                 }
             }
@@ -95,7 +165,7 @@ impl TableHeap {
         // Slow path: allocate a page. Safe because we hold `append`.
         let mut pages = self.pages.write();
         let mut page = Page::new(self.slots_per_page);
-        let slot = put(&mut page, row).expect("fresh page accepts at least one row");
+        let slot = put(&mut page, tuple).expect("fresh page accepts at least one tuple");
         pages.push(Arc::new(RwLock::new(page)));
         RowId::new((pages.len() - 1) as PageNo, slot)
     }
@@ -104,38 +174,37 @@ impl TableHeap {
     pub fn get(&self, rid: RowId) -> Option<Row> {
         let page = self.page(rid.page())?;
         let guard = page.read();
-        guard.get(rid.slot()).cloned()
+        guard.get(rid.slot()).map(decode)
     }
 
     /// Replaces the live row at `rid`, returning the previous row.
-    pub fn update(&self, rid: RowId, row: Row) -> Option<Row> {
-        let page = self.page(rid.page())?;
-        let mut guard = page.write();
-        guard.update(rid.slot(), row)
+    pub fn update(&self, rid: RowId, row: &Row) -> Option<Row> {
+        let tuple = encode(row);
+        let old = self.write(rid.page(), |p| p.update(rid.slot(), tuple))??;
+        Some(decode(&old))
     }
 
     /// Tombstones the row at `rid`, returning it.
     pub fn delete(&self, rid: RowId) -> Option<Row> {
-        let page = self.page(rid.page())?;
-        let mut guard = page.write();
-        guard.delete(rid.slot())
+        let old = self.write(rid.page(), |p| p.delete(rid.slot()))??;
+        Some(decode(&old))
     }
 
     /// Restores a tombstoned slot (rollback of a delete).
-    pub fn undelete(&self, rid: RowId, row: Row) -> bool {
-        match self.page(rid.page()) {
-            Some(page) => page.write().undelete(rid.slot(), row),
-            None => false,
-        }
+    pub fn undelete(&self, rid: RowId, row: &Row) -> bool {
+        let tuple = encode(row);
+        self.write(rid.page(), |p| p.undelete(rid.slot(), tuple))
+            .unwrap_or(false)
     }
 
     /// Places a row at an exact id (WAL replay): allocates intermediate
     /// pages as needed. Fails when the slot is already live or out of page
     /// capacity.
-    pub fn place(&self, rid: RowId, row: Row) -> bool {
+    pub fn place(&self, rid: RowId, row: &Row) -> bool {
         if rid.slot() >= self.slots_per_page {
             return false;
         }
+        let tuple = encode(row);
         let _guard = self.append.lock();
         {
             let mut pages = self.pages.write();
@@ -143,9 +212,8 @@ impl TableHeap {
                 pages.push(Arc::new(RwLock::new(Page::new(self.slots_per_page))));
             }
         }
-        let page = self.page(rid.page()).expect("allocated above");
-        let mut guard = page.write();
-        guard.place(rid.slot(), row)
+        self.write(rid.page(), |p| p.place(rid.slot(), tuple))
+            .expect("allocated above")
     }
 
     /// Clones the page list for lock-free iteration.
@@ -158,15 +226,19 @@ impl TableHeap {
     }
 
     /// Visits every live row; `f` returning `false` stops the scan early.
+    /// Each row is decoded into one `Row` the scan reuses, so `f` sees it
+    /// only for the length of its call.
     ///
     /// The scan sees a consistent snapshot of the *page list*; rows inserted
     /// into already-visited pages during the scan are missed, rows inserted
     /// into unvisited pages are seen — same as a heap scan in a real engine.
     pub fn scan(&self, mut f: impl FnMut(RowId, &Row) -> bool) {
+        let mut row = Row::default();
         for (page_no, page) in self.snapshot().into_iter().enumerate() {
             let guard = page.read();
-            for (slot, row) in guard.iter_live() {
-                if !f(RowId::new(page_no as PageNo, slot), row) {
+            for (slot, tuple) in guard.iter_live() {
+                decode_into(tuple, &mut row);
+                if !f(RowId::new(page_no as PageNo, slot), &row) {
                     return;
                 }
             }
@@ -177,18 +249,16 @@ impl TableHeap {
 
     /// Inserts a row with `txn` marked as its pending writer, so snapshot
     /// readers do not see it until [`TableHeap::install_version`] runs.
-    pub fn insert_versioned(&self, row: Row, txn: u64) -> RowId {
+    pub fn insert_versioned(&self, row: &Row, txn: u64) -> RowId {
         self.pending_writers.fetch_add(1, Ordering::SeqCst);
-        self.append_with(row, |page, row| page.append_versioned(row, txn))
+        self.append_with(row, |page, tuple| page.append_versioned(tuple, txn))
     }
 
     /// Marks `txn` as the pending writer of `rid` (call before the
     /// in-place update/delete; seeds the base version on first use).
     pub fn prepare_write(&self, rid: RowId, txn: u64) {
-        if let Some(page) = self.page(rid.page()) {
-            if page.write().prepare_write(rid.slot(), txn) {
-                self.pending_writers.fetch_add(1, Ordering::SeqCst);
-            }
+        if self.write(rid.page(), |p| p.prepare_write(rid.slot(), txn)) == Some(true) {
+            self.pending_writers.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -200,19 +270,15 @@ impl TableHeap {
     /// gate can never miss a concurrent commit.
     pub fn install_version(&self, rid: RowId, txn: u64, ts: u64) {
         self.max_version_ts.fetch_max(ts, Ordering::SeqCst);
-        if let Some(page) = self.page(rid.page()) {
-            if page.write().install_version(rid.slot(), txn, ts) {
-                self.pending_writers.fetch_sub(1, Ordering::SeqCst);
-            }
+        if self.write(rid.page(), |p| p.install_version(rid.slot(), txn, ts)) == Some(true) {
+            self.pending_writers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
     /// Clears `txn`'s pending-writer marker on `rid` after an abort.
     pub fn clear_pending(&self, rid: RowId, txn: u64) {
-        if let Some(page) = self.page(rid.page()) {
-            if page.write().clear_pending(rid.slot(), txn) {
-                self.pending_writers.fetch_sub(1, Ordering::SeqCst);
-            }
+        if self.write(rid.page(), |p| p.clear_pending(rid.slot(), txn)) == Some(true) {
+            self.pending_writers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -231,7 +297,7 @@ impl TableHeap {
     pub fn get_visible(&self, rid: RowId, txn: Option<u64>, snap: u64) -> Option<Row> {
         let page = self.page(rid.page())?;
         let guard = page.read();
-        guard.visible(rid.slot(), txn, snap).cloned()
+        guard.visible(rid.slot(), txn, snap).map(decode)
     }
 
     /// Newest committed version timestamp at `rid` (0 when unversioned).
@@ -244,18 +310,21 @@ impl TableHeap {
 
     /// Visits every row visible at snapshot `snap`, including rows whose
     /// slot is currently tombstoned or overwritten by an uncommitted
-    /// writer but whose chain still holds a visible version.
+    /// writer but whose chain still holds a visible version. Rows are
+    /// decoded into one reused `Row`, as in [`TableHeap::scan`].
     pub fn scan_visible(
         &self,
         txn: Option<u64>,
         snap: u64,
         mut f: impl FnMut(RowId, &Row) -> bool,
     ) {
+        let mut row = Row::default();
         for (page_no, page) in self.snapshot().into_iter().enumerate() {
             let guard = page.read();
             for slot in 0..guard.used() {
-                if let Some(row) = guard.visible(slot, txn, snap) {
-                    if !f(RowId::new(page_no as PageNo, slot), row) {
+                if let Some(tuple) = guard.visible(slot, txn, snap) {
+                    decode_into(tuple, &mut row);
+                    if !f(RowId::new(page_no as PageNo, slot), &row) {
                         return;
                     }
                 }
@@ -274,9 +343,8 @@ impl TableHeap {
     /// Prunes version chains no snapshot at or above `horizon` needs.
     /// Returns the number of freed chain nodes.
     pub fn gc_versions(&self, horizon: u64) -> usize {
-        self.snapshot()
-            .iter()
-            .map(|p| p.write().gc_versions(horizon))
+        (0..self.num_pages() as PageNo)
+            .filter_map(|page_no| self.write(page_no, |p| p.gc_versions(horizon)))
             .sum()
     }
 
@@ -303,14 +371,220 @@ impl std::fmt::Debug for TableHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bullfrog_common::row;
+    use bullfrog_common::{row, Value};
+    use proptest::prelude::*;
+
+    /// The bytes stored at `rid`.
+    fn stored(h: &TableHeap, rid: RowId) -> Vec<u8> {
+        h.page(rid.page())
+            .unwrap()
+            .read()
+            .get(rid.slot())
+            .unwrap()
+            .to_vec()
+    }
+
+    /// What the heap holds, counted from scratch page by page.
+    fn recount(h: &TableHeap) -> Held {
+        let pages = h.snapshot();
+        let mut held = Held::default();
+        for page in pages {
+            let page = page.read().recount();
+            held.tuples += page.tuples;
+            held.bytes += page.bytes;
+        }
+        held
+    }
+
+    /// `a` and `b` hold the same values, each of the same variant, and a
+    /// float with the same bits: `Value`'s `==` treats `Int(5)` and
+    /// `Decimal(5)` as equal, and NaN as equal to any NaN.
+    fn assert_same(a: &Row, b: &Row) {
+        assert_eq!(a.arity(), b.arity(), "{a:?} vs {b:?}");
+        for (x, y) in a.iter().zip(b.iter()) {
+            match (x, y) {
+                (Value::Float(x), Value::Float(y)) => assert_eq!(x.to_bits(), y.to_bits()),
+                _ => {
+                    assert_eq!(std::mem::discriminant(x), std::mem::discriminant(y));
+                    assert_eq!(x, y);
+                }
+            }
+        }
+    }
+
+    fn edge_i64() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            Just(i64::MIN),
+            Just(i64::MAX),
+            Just(0i64),
+            Just(-1i64),
+            any::<i64>()
+        ]
+    }
+
+    fn edge_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            edge_i64().prop_map(Value::Int),
+            prop_oneof![
+                Just(f64::NAN),
+                Just(-0.0f64),
+                Just(f64::INFINITY),
+                Just(f64::MIN_POSITIVE),
+                any::<f64>()
+            ]
+            .prop_map(Value::Float),
+            edge_i64().prop_map(Value::Decimal),
+            "[a-zé€𝄞]{0,40}".prop_map(Value::Text),
+            prop_oneof![Just(i32::MIN), Just(i32::MAX), Just(0i32), any::<i32>()]
+                .prop_map(Value::Date),
+            edge_i64().prop_map(Value::Timestamp),
+        ]
+    }
+
+    fn edge_row() -> impl Strategy<Value = Row> {
+        proptest::collection::vec(edge_value(), 0..10).prop_map(Row)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Every row the heap stores comes back value for value and
+        /// variant for variant, its stored bytes are the codec's
+        /// encoding and re-encode identically, and a scan's reused row
+        /// carries nothing from one row into the next, whatever their
+        /// arities and text lengths.
+        #[test]
+        fn rows_round_trip_through_the_heap(rows in proptest::collection::vec(edge_row(), 1..12)) {
+            let h = TableHeap::new(4);
+            let rids: Vec<_> = rows.iter().map(|r| h.insert(r)).collect();
+            for (rid, row) in rids.iter().zip(&rows) {
+                let mut put = Vec::new();
+                codec::put_values(&mut put, &row.0);
+                let bytes = stored(&h, *rid);
+                prop_assert_eq!(&bytes, &put);
+                let got = h.get(*rid).unwrap();
+                assert_same(&got, row);
+                prop_assert_eq!(&*encode(&got), &bytes[..]);
+            }
+            let mut seen = Vec::new();
+            h.scan(|rid, r| {
+                seen.push((rid, r.clone()));
+                true
+            });
+            prop_assert_eq!(seen.len(), rows.len());
+            for ((rid, got), (want_rid, want)) in seen.iter().zip(rids.iter().zip(&rows)) {
+                prop_assert_eq!(rid, want_rid);
+                assert_same(got, want);
+            }
+            let mut visible = Vec::new();
+            h.scan_visible(None, 0, |_, r| {
+                visible.push(r.clone());
+                true
+            });
+            for (got, want) in visible.iter().zip(&rows) {
+                assert_same(got, want);
+            }
+            prop_assert_eq!(h.held(), recount(&h));
+        }
+
+        /// The heap's held counts equal a from-scratch recount after any
+        /// mix of writes, MVCC installs, aborts and version GC.
+        #[test]
+        fn held_counts_match_a_recount(ops in proptest::collection::vec((0u8..8, 0usize..64, edge_row()), 1..60)) {
+            let h = TableHeap::new(3);
+            let mut rids = Vec::new();
+            let mut deleted: Vec<(RowId, Row)> = Vec::new();
+            for (n, (op, pick, row)) in ops.into_iter().enumerate() {
+                let txn = n as u64 + 1;
+                let rid = (!rids.is_empty()).then(|| rids[pick % rids.len()]);
+                match (op, rid) {
+                    (0, _) | (_, None) => rids.push(h.insert(&row)),
+                    (1, _) => rids.push(h.insert_versioned(&row, txn)),
+                    (2, Some(rid)) => {
+                        h.update(rid, &row);
+                    }
+                    (3, Some(rid)) => {
+                        if let Some(old) = h.delete(rid) {
+                            deleted.push((rid, old));
+                        }
+                    }
+                    (4, _) => {
+                        if let Some((rid, old)) = deleted.pop() {
+                            h.undelete(rid, &old);
+                        }
+                    }
+                    (5, Some(rid)) => {
+                        h.prepare_write(rid, txn);
+                        h.update(rid, &row);
+                        h.install_version(rid, txn, txn);
+                    }
+                    (6, Some(rid)) => {
+                        h.prepare_write(rid, txn);
+                        let old = h.update(rid, &row);
+                        if let Some(old) = old {
+                            h.update(rid, &old);
+                        }
+                        h.clear_pending(rid, txn);
+                    }
+                    (_, Some(_)) => {
+                        h.gc_versions(txn / 2);
+                    }
+                }
+                prop_assert_eq!(h.held(), recount(&h));
+            }
+        }
+    }
+
+    #[test]
+    fn held_counts_follow_insert_update_delete_abort_and_gc() {
+        let len = |r: &Row| encode(r).len();
+        let (a, b, c) = (row![1, "a"], row![2, "a longer text"], row![3, Value::Null]);
+        let h = TableHeap::new(2);
+        let held = |tuples, bytes| Held { tuples, bytes };
+        assert_eq!(h.held(), held(0, 0));
+
+        // Insert, then update, then delete.
+        let ra = h.insert(&a);
+        let rb = h.insert(&b);
+        assert_eq!(h.held(), held(2, len(&a) + len(&b)));
+        h.update(ra, &c);
+        assert_eq!(h.held(), held(2, len(&c) + len(&b)));
+        let old_b = h.delete(rb).unwrap();
+        assert_eq!(h.held(), held(1, len(&c)));
+
+        // Abort: the undo of the delete, the update and an insert.
+        assert!(h.undelete(rb, &old_b));
+        h.update(ra, &a);
+        let rc = h.insert(&c);
+        h.delete(rc);
+        assert_eq!(h.held(), held(2, len(&a) + len(&b)));
+
+        // A snapshot write seeds the base copy and installs a second one;
+        // an aborted one leaves nothing behind.
+        h.prepare_write(ra, 7);
+        assert_eq!(h.held(), held(3, 2 * len(&a) + len(&b)));
+        h.update(ra, &c);
+        h.install_version(ra, 7, 10);
+        assert_eq!(h.held(), held(4, len(&a) + 2 * len(&c) + len(&b)));
+        let rd = h.insert_versioned(&b, 8);
+        h.delete(rd);
+        h.clear_pending(rd, 8);
+        assert_eq!(h.held(), held(4, len(&a) + 2 * len(&c) + len(&b)));
+
+        // Version GC past the horizon drops both chain copies.
+        assert_eq!(h.gc_versions(10), 2);
+        assert_eq!(h.held(), held(2, len(&c) + len(&b)));
+        assert_eq!(h.held(), recount(&h));
+    }
 
     #[test]
     fn insert_assigns_sequential_rids() {
         let h = TableHeap::new(2);
-        assert_eq!(h.insert(row![1]), RowId::new(0, 0));
-        assert_eq!(h.insert(row![2]), RowId::new(0, 1));
-        assert_eq!(h.insert(row![3]), RowId::new(1, 0));
+        assert_eq!(h.insert(&row![1]), RowId::new(0, 0));
+        assert_eq!(h.insert(&row![2]), RowId::new(0, 1));
+        assert_eq!(h.insert(&row![3]), RowId::new(1, 0));
         assert_eq!(h.num_pages(), 2);
         assert_eq!(h.ordinal_bound(), 4);
     }
@@ -318,21 +592,21 @@ mod tests {
     #[test]
     fn get_update_delete_round_trip() {
         let h = TableHeap::new(4);
-        let rid = h.insert(row![1, "a"]);
+        let rid = h.insert(&row![1, "a"]);
         assert_eq!(h.get(rid), Some(row![1, "a"]));
-        assert_eq!(h.update(rid, row![2, "b"]), Some(row![1, "a"]));
+        assert_eq!(h.update(rid, &row![2, "b"]), Some(row![1, "a"]));
         assert_eq!(h.get(rid), Some(row![2, "b"]));
         assert_eq!(h.delete(rid), Some(row![2, "b"]));
         assert_eq!(h.get(rid), None);
-        assert_eq!(h.update(rid, row![3, "c"]), None);
-        assert!(h.undelete(rid, row![2, "b"]));
+        assert_eq!(h.update(rid, &row![3, "c"]), None);
+        assert!(h.undelete(rid, &row![2, "b"]));
         assert_eq!(h.get(rid), Some(row![2, "b"]));
     }
 
     #[test]
     fn scan_sees_all_live_rows() {
         let h = TableHeap::new(3);
-        let rids: Vec<_> = (0..10).map(|i| h.insert(row![i])).collect();
+        let rids: Vec<_> = (0..10).map(|i| h.insert(&row![i])).collect();
         h.delete(rids[4]);
         let mut seen = Vec::new();
         h.scan(|rid, _| {
@@ -348,7 +622,7 @@ mod tests {
     fn scan_early_exit() {
         let h = TableHeap::new(4);
         for i in 0..10 {
-            h.insert(row![i]);
+            h.insert(&row![i]);
         }
         let mut n = 0;
         h.scan(|_, _| {
@@ -362,7 +636,7 @@ mod tests {
     fn get_out_of_range_is_none() {
         let h = TableHeap::new(2);
         assert_eq!(h.get(RowId::new(0, 0)), None);
-        h.insert(row![1]);
+        h.insert(&row![1]);
         assert_eq!(h.get(RowId::new(0, 1)), None);
         assert_eq!(h.get(RowId::new(5, 0)), None);
     }
@@ -370,11 +644,11 @@ mod tests {
     #[test]
     fn visible_scan_traverses_chains() {
         let h = TableHeap::new(2);
-        let a = h.insert(row![1]);
-        let b = h.insert(row![2]);
+        let a = h.insert(&row![1]);
+        let b = h.insert(&row![2]);
         // Txn 9 updates a and deletes b in place; commit at ts 10.
         h.prepare_write(a, 9);
-        h.update(a, row![10]);
+        h.update(a, &row![10]);
         h.prepare_write(b, 9);
         h.delete(b);
         let pre: Vec<_> = {
@@ -411,7 +685,7 @@ mod tests {
     #[test]
     fn insert_versioned_hidden_until_install() {
         let h = TableHeap::new(2);
-        let rid = h.insert_versioned(row![7], 3);
+        let rid = h.insert_versioned(&row![7], 3);
         assert_eq!(h.get_visible(rid, None, 100), None);
         assert_eq!(h.get_visible(rid, Some(3), 0), Some(row![7]));
         assert_eq!(h.get(rid), Some(row![7]), "2PL read sees the slot");
@@ -430,7 +704,7 @@ mod tests {
             let h = Arc::clone(&h);
             handles.push(std::thread::spawn(move || {
                 (0..500)
-                    .map(|i| h.insert(row![t * 1000 + i]))
+                    .map(|i| h.insert(&row![t * 1000 + i]))
                     .collect::<Vec<_>>()
             }));
         }

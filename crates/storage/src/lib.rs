@@ -6,6 +6,10 @@
 //! - rows live in **pages** of a fixed slot count and are addressed by a
 //!   stable [`RowId`](bullfrog_common::RowId) (page, slot) — the analogue of
 //!   a heap TID, which the bitmap migration tracker maps to bit offsets;
+//! - a slot holds its row **as bytes**, in
+//!   [`bullfrog_common::codec`]'s encoding (the bytes the log writes for
+//!   it), the way PostgreSQL keeps byte-packed heap tuples; the heap
+//!   encodes on write and decodes on read, so its API is rows in, rows out;
 //! - deletes **tombstone** slots instead of reusing them, so a `RowId`
 //!   observed by a migration tracker can never silently come to address a
 //!   different tuple;
@@ -25,5 +29,5 @@ pub mod table;
 pub use catalog::Catalog;
 pub use heap::TableHeap;
 pub use index::{BTreeIndex, IndexDef};
-pub use page::{Page, Slot, VersionMeta, VersionNode, DEFAULT_SLOTS_PER_PAGE};
+pub use page::{Held, Page, Slot, VersionMeta, VersionNode, DEFAULT_SLOTS_PER_PAGE};
 pub use table::Table;

@@ -1,19 +1,24 @@
-//! Slotted pages.
+//! Slotted pages of encoded tuples.
 
-use bullfrog_common::{Row, SlotNo};
+use bullfrog_common::SlotNo;
 
 /// Default number of row slots per page.
 ///
-/// In-memory rows are not byte-packed, so the slot count — not a byte size —
-/// defines the page. 128 slots keeps page-granularity migration (paper
-/// §4.4.3) meaningful while bounding latch hold times.
+/// A page is a vector of variable-length tuples rather than a fixed byte
+/// extent, so the slot count — not a byte size — defines the page. 128
+/// slots keeps page-granularity migration (paper §4.4.3) meaningful while
+/// bounding latch hold times.
 pub const DEFAULT_SLOTS_PER_PAGE: u16 = 128;
+
+/// A stored tuple: a row in [`bullfrog_common::codec`]'s encoding (the
+/// bytes the log writes for it), in one allocation of exactly its size.
+pub type Tuple = Box<[u8]>;
 
 /// A slot within a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Slot {
-    /// Holds a live row.
-    Live(Row),
+    /// Holds a live tuple.
+    Live(Tuple),
     /// Held a row that was deleted. Tombstones are never reused: `RowId`s
     /// must stay stable for the lifetime of the table so that migration
     /// trackers keyed by row id can never alias two different tuples.
@@ -21,10 +26,10 @@ pub enum Slot {
 }
 
 impl Slot {
-    /// The row, if live.
-    pub fn row(&self) -> Option<&Row> {
+    /// The tuple, if live.
+    pub fn tuple(&self) -> Option<&[u8]> {
         match self {
-            Slot::Live(r) => Some(r),
+            Slot::Live(t) => Some(t),
             Slot::Tombstone => None,
         }
     }
@@ -41,8 +46,8 @@ pub struct VersionNode {
     /// the pre-history base version (rows that existed before the first
     /// snapshot transaction touched them).
     pub begin_ts: u64,
-    /// The row image, or `None` for a committed delete.
-    pub row: Option<Row>,
+    /// A copy of the tuple, or `None` for a committed delete.
+    pub row: Option<Tuple>,
 }
 
 /// Per-slot MVCC metadata, allocated lazily the first time a snapshot
@@ -70,6 +75,28 @@ impl VersionMeta {
     }
 }
 
+/// What a page holds: tuples (live slots and version-chain copies) and
+/// their bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Held {
+    /// Stored tuples.
+    pub tuples: usize,
+    /// Their encoded bytes.
+    pub bytes: usize,
+}
+
+impl Held {
+    fn add(&mut self, t: &[u8]) {
+        self.tuples += 1;
+        self.bytes += t.len();
+    }
+
+    fn sub(&mut self, t: &[u8]) {
+        self.tuples -= 1;
+        self.bytes -= t.len();
+    }
+}
+
 /// A fixed-capacity slotted page.
 ///
 /// Pages only ever grow (slots are appended until `capacity`), and slots
@@ -85,6 +112,9 @@ pub struct Page {
     /// pointer per slot. Guarded by the same page latch as `slots`, which
     /// is what makes slot-vs-chain reads torn-free.
     versions: Vec<Option<Box<VersionMeta>>>,
+    /// Every tuple in `slots` and `versions`, kept exact by each method
+    /// that stores or drops one.
+    held: Held,
 }
 
 impl Page {
@@ -95,6 +125,7 @@ impl Page {
             capacity,
             live: 0,
             versions: Vec::new(),
+            held: Held::default(),
         }
     }
 
@@ -113,58 +144,63 @@ impl Page {
         self.live
     }
 
-    /// Appends a row, returning its slot number, or `None` when full.
-    pub fn append(&mut self, row: Row) -> Option<SlotNo> {
+    /// The tuples and bytes this page holds, version copies included.
+    pub fn held(&self) -> Held {
+        self.held
+    }
+
+    /// Appends a tuple, returning its slot number, or `None` when full.
+    pub fn append(&mut self, tuple: Tuple) -> Option<SlotNo> {
         if self.is_full() {
             return None;
         }
         let slot = self.slots.len() as SlotNo;
-        self.slots.push(Slot::Live(row));
+        self.held.add(&tuple);
+        self.slots.push(Slot::Live(tuple));
         self.live += 1;
         Some(slot)
     }
 
-    /// The live row at `slot`, if any.
-    pub fn get(&self, slot: SlotNo) -> Option<&Row> {
-        self.slots.get(slot as usize).and_then(Slot::row)
+    /// The live tuple at `slot`, if any.
+    pub fn get(&self, slot: SlotNo) -> Option<&[u8]> {
+        self.slots.get(slot as usize).and_then(Slot::tuple)
     }
 
-    /// Replaces the live row at `slot`; returns the previous row or `None`
-    /// when the slot is vacant/tombstoned.
-    pub fn update(&mut self, slot: SlotNo, row: Row) -> Option<Row> {
+    /// Replaces the live tuple at `slot`; returns the previous one or
+    /// `None` when the slot is vacant/tombstoned.
+    pub fn update(&mut self, slot: SlotNo, tuple: Tuple) -> Option<Tuple> {
         match self.slots.get_mut(slot as usize) {
-            Some(s @ Slot::Live(_)) => {
-                let prev = std::mem::replace(s, Slot::Live(row));
-                match prev {
-                    Slot::Live(r) => Some(r),
-                    Slot::Tombstone => unreachable!("matched Live"),
-                }
+            Some(Slot::Live(t)) => {
+                self.held.sub(t);
+                self.held.add(&tuple);
+                Some(std::mem::replace(t, tuple))
             }
             _ => None,
         }
     }
 
-    /// Tombstones the row at `slot`; returns it, or `None` when not live.
-    pub fn delete(&mut self, slot: SlotNo) -> Option<Row> {
+    /// Tombstones the tuple at `slot`; returns it, or `None` when not live.
+    pub fn delete(&mut self, slot: SlotNo) -> Option<Tuple> {
         match self.slots.get_mut(slot as usize) {
             Some(s @ Slot::Live(_)) => {
-                let prev = std::mem::replace(s, Slot::Tombstone);
+                let Slot::Live(t) = std::mem::replace(s, Slot::Tombstone) else {
+                    unreachable!("matched Live")
+                };
+                self.held.sub(&t);
                 self.live -= 1;
-                match prev {
-                    Slot::Live(r) => Some(r),
-                    Slot::Tombstone => unreachable!("matched Live"),
-                }
+                Some(t)
             }
             _ => None,
         }
     }
 
-    /// Restores a tombstoned slot to `row` (transaction rollback of a
+    /// Restores a tombstoned slot to `tuple` (transaction rollback of a
     /// delete). Returns false when the slot is not a tombstone.
-    pub fn undelete(&mut self, slot: SlotNo, row: Row) -> bool {
+    pub fn undelete(&mut self, slot: SlotNo, tuple: Tuple) -> bool {
         match self.slots.get_mut(slot as usize) {
             Some(s @ Slot::Tombstone) => {
-                *s = Slot::Live(row);
+                self.held.add(&tuple);
+                *s = Slot::Live(tuple);
                 self.live += 1;
                 true
             }
@@ -172,32 +208,25 @@ impl Page {
         }
     }
 
-    /// Places a row at an exact slot (WAL replay): extends the page with
+    /// Places a tuple at an exact slot (WAL replay): extends the page with
     /// tombstones as needed; fails when the slot is already live or beyond
     /// capacity.
-    pub fn place(&mut self, slot: SlotNo, row: Row) -> bool {
+    pub fn place(&mut self, slot: SlotNo, tuple: Tuple) -> bool {
         if slot >= self.capacity {
             return false;
         }
         while self.slots.len() <= slot as usize {
             self.slots.push(Slot::Tombstone);
         }
-        match &mut self.slots[slot as usize] {
-            s @ Slot::Tombstone => {
-                *s = Slot::Live(row);
-                self.live += 1;
-                true
-            }
-            Slot::Live(_) => false,
-        }
+        self.undelete(slot, tuple)
     }
 
-    /// Iterates `(slot, row)` over live rows.
-    pub fn iter_live(&self) -> impl Iterator<Item = (SlotNo, &Row)> {
+    /// Iterates `(slot, tuple)` over live tuples.
+    pub fn iter_live(&self) -> impl Iterator<Item = (SlotNo, &[u8])> {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.row().map(|r| (i as SlotNo, r)))
+            .filter_map(|(i, s)| s.tuple().map(|t| (i as SlotNo, t)))
     }
 
     // ---- MVCC version chains (Snapshot engine mode) ----
@@ -213,11 +242,18 @@ impl Page {
         &mut self.versions[slot as usize]
     }
 
-    /// Appends a row with a pending-writer marker in the same critical
+    /// A chain copy of the tuple at `slot`, counted as held.
+    fn copy_for_chain(&mut self, slot: SlotNo) -> Option<Tuple> {
+        let copy: Tuple = self.get(slot)?.into();
+        self.held.add(&copy);
+        Some(copy)
+    }
+
+    /// Appends a tuple with a pending-writer marker in the same critical
     /// section, so concurrent snapshot readers never see the uncommitted
     /// insert (empty chain + foreign writer ⇒ invisible).
-    pub fn append_versioned(&mut self, row: Row, txn: u64) -> Option<SlotNo> {
-        let slot = self.append(row)?;
+    pub fn append_versioned(&mut self, tuple: Tuple, txn: u64) -> Option<SlotNo> {
+        let slot = self.append(tuple)?;
         *self.meta_mut(slot) = Some(Box::new(VersionMeta {
             writer: Some(txn),
             chain: Vec::new(),
@@ -235,41 +271,35 @@ impl Page {
         if slot as usize >= self.slots.len() {
             return false;
         }
-        let seed = self.slots[slot as usize].row().cloned();
-        let meta = self.meta_mut(slot);
-        match meta {
-            Some(m) => {
-                let newly = m.writer.is_none();
-                m.writer = Some(txn);
-                newly
-            }
-            None => {
-                *meta = Some(Box::new(VersionMeta {
-                    writer: Some(txn),
-                    chain: vec![VersionNode {
-                        begin_ts: 0,
-                        row: seed,
-                    }],
-                }));
-                true
-            }
+        if let Some(m) = self.meta_mut(slot) {
+            let newly = m.writer.is_none();
+            m.writer = Some(txn);
+            return newly;
         }
+        let seed = self.copy_for_chain(slot);
+        *self.meta_mut(slot) = Some(Box::new(VersionMeta {
+            writer: Some(txn),
+            chain: vec![VersionNode {
+                begin_ts: 0,
+                row: seed,
+            }],
+        }));
+        true
     }
 
-    /// Commits `txn`'s pending write on `slot`: pushes the slot's current
-    /// state onto the chain at `ts` and clears the writer marker. No-op
-    /// when `txn` is not the pending writer. Returns whether the marker
-    /// was actually cleared.
+    /// Commits `txn`'s pending write on `slot`: pushes a copy of the
+    /// slot's current state onto the chain at `ts` and clears the writer
+    /// marker. No-op when `txn` is not the pending writer. Returns
+    /// whether the marker was actually cleared.
     pub fn install_version(&mut self, slot: SlotNo, txn: u64, ts: u64) -> bool {
-        let row = self.slots.get(slot as usize).and_then(Slot::row).cloned();
-        if let Some(m) = self.meta_mut(slot).as_deref_mut() {
-            if m.writer == Some(txn) {
-                m.chain.insert(0, VersionNode { begin_ts: ts, row });
-                m.writer = None;
-                return true;
-            }
+        if self.meta(slot).is_none_or(|m| m.writer != Some(txn)) {
+            return false;
         }
-        false
+        let row = self.copy_for_chain(slot);
+        let m = self.meta_mut(slot).as_deref_mut().expect("checked above");
+        m.chain.insert(0, VersionNode { begin_ts: ts, row });
+        m.writer = None;
+        true
     }
 
     /// Aborts `txn`'s pending write on `slot` (the undo log has already
@@ -289,22 +319,22 @@ impl Page {
         false
     }
 
-    /// The row visible to a reader at snapshot `snap`. `txn` is the
+    /// The tuple visible to a reader at snapshot `snap`. `txn` is the
     /// reader's id, used for read-your-own-writes: the pending writer of
     /// a slot reads the slot state directly.
-    pub fn visible(&self, slot: SlotNo, txn: Option<u64>, snap: u64) -> Option<&Row> {
-        let slot_row = self.slots.get(slot as usize).and_then(Slot::row);
+    pub fn visible(&self, slot: SlotNo, txn: Option<u64>, snap: u64) -> Option<&[u8]> {
+        let slot_tuple = self.get(slot);
         match self.meta(slot) {
             // Never versioned: the slot is the ts-0 base version.
-            None => slot_row,
+            None => slot_tuple,
             Some(m) => {
                 if m.writer.is_some() && m.writer == txn {
-                    return slot_row;
+                    return slot_tuple;
                 }
                 m.chain
                     .iter()
                     .find(|n| n.begin_ts <= snap)
-                    .and_then(|n| n.row.as_ref())
+                    .and_then(|n| n.row.as_deref())
             }
         }
     }
@@ -334,44 +364,82 @@ impl Page {
             let Some(m) = meta.as_deref_mut() else {
                 continue;
             };
-            if let Some(keep) = m.chain.iter().position(|n| n.begin_ts <= horizon) {
-                freed += m.chain.len() - (keep + 1);
-                m.chain.truncate(keep + 1);
+            let keep = match m.chain.iter().position(|n| n.begin_ts <= horizon) {
+                Some(keep) => keep + 1,
+                None => m.chain.len(),
+            };
+            let whole = m.writer.is_none() && keep <= 1 && m.newest_begin_ts() <= horizon;
+            let dropped = if whole {
+                &m.chain[..]
+            } else {
+                &m.chain[keep..]
+            };
+            for t in dropped.iter().filter_map(|n| n.row.as_deref()) {
+                self.held.sub(t);
             }
-            if m.writer.is_none() && m.chain.len() <= 1 && m.newest_begin_ts() <= horizon {
-                freed += m.chain.len();
+            freed += dropped.len();
+            if whole {
                 *meta = None;
+            } else {
+                m.chain.truncate(keep);
             }
         }
         freed
+    }
+
+    /// What the page holds, counted from scratch (the reference the
+    /// running `held` is tested against).
+    #[cfg(test)]
+    pub(crate) fn recount(&self) -> Held {
+        let mut held = Held::default();
+        let chains = self.versions.iter().flatten().flat_map(|m| &m.chain);
+        let tuples = self.slots.iter().filter_map(Slot::tuple);
+        for t in tuples.chain(chains.filter_map(|n| n.row.as_deref())) {
+            held.add(t);
+        }
+        held
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bullfrog_common::row;
+    use bullfrog_common::{codec, row, Row};
+
+    /// A one-value tuple.
+    fn t(v: i64) -> Tuple {
+        codec::encode_values(&row![v].0)
+    }
+
+    fn some(v: i64) -> Option<Tuple> {
+        Some(t(v))
+    }
+
+    fn row_of(tuple: Option<&[u8]>) -> Option<Row> {
+        tuple.map(|mut b| Row(codec::get_values(&mut b).unwrap()))
+    }
 
     #[test]
     fn append_until_full() {
         let mut p = Page::new(2);
-        assert_eq!(p.append(row![1]), Some(0));
-        assert_eq!(p.append(row![2]), Some(1));
+        assert_eq!(p.append(t(1)), Some(0));
+        assert_eq!(p.append(t(2)), Some(1));
         assert!(p.is_full());
-        assert_eq!(p.append(row![3]), None);
+        assert_eq!(p.append(t(3)), None);
         assert_eq!(p.live(), 2);
+        assert_eq!(p.held().tuples, 2, "a refused tuple is not held");
     }
 
     #[test]
     fn delete_tombstones_without_reuse() {
         let mut p = Page::new(4);
-        p.append(row![1]);
-        p.append(row![2]);
-        assert_eq!(p.delete(0), Some(row![1]));
+        p.append(t(1));
+        p.append(t(2));
+        assert_eq!(p.delete(0), some(1));
         assert_eq!(p.get(0), None);
         assert_eq!(p.live(), 1);
         // The freed slot is NOT reused; appends continue at the end.
-        assert_eq!(p.append(row![3]), Some(2));
+        assert_eq!(p.append(t(3)), Some(2));
         // Double delete is a no-op.
         assert_eq!(p.delete(0), None);
     }
@@ -379,41 +447,49 @@ mod tests {
     #[test]
     fn update_only_live_slots() {
         let mut p = Page::new(4);
-        p.append(row![1]);
-        assert_eq!(p.update(0, row![9]), Some(row![1]));
-        assert_eq!(p.get(0), Some(&row![9]));
-        assert_eq!(p.update(1, row![5]), None, "vacant slot");
+        p.append(t(1));
+        assert_eq!(p.update(0, t(9)), some(1));
+        assert_eq!(row_of(p.get(0)), Some(row![9]));
+        assert_eq!(p.update(1, t(5)), None, "vacant slot");
         p.delete(0);
-        assert_eq!(p.update(0, row![5]), None, "tombstoned slot");
+        assert_eq!(p.update(0, t(5)), None, "tombstoned slot");
     }
 
     #[test]
     fn undelete_restores_rollback() {
         let mut p = Page::new(4);
-        p.append(row![1]);
+        p.append(t(1));
         p.delete(0);
-        assert!(p.undelete(0, row![1]));
-        assert_eq!(p.get(0), Some(&row![1]));
+        assert!(p.undelete(0, t(1)));
+        assert_eq!(row_of(p.get(0)), Some(row![1]));
         assert_eq!(p.live(), 1);
         // Can't undelete a live slot.
-        assert!(!p.undelete(0, row![2]));
+        assert!(!p.undelete(0, t(2)));
     }
 
     #[test]
     fn version_chain_visibility() {
         let mut p = Page::new(4);
-        p.append(row![1]); // unversioned base row
-        assert_eq!(p.visible(0, None, 0), Some(&row![1]));
+        p.append(t(1)); // unversioned base row
+        assert_eq!(row_of(p.visible(0, None, 0)), Some(row![1]));
 
         // Writer 7 updates in place at snapshot 5, commits at ts 10.
         p.prepare_write(0, 7);
-        p.update(0, row![2]);
-        assert_eq!(p.visible(0, Some(7), 5), Some(&row![2]), "own write");
-        assert_eq!(p.visible(0, Some(8), 5), Some(&row![1]), "other reader");
-        assert_eq!(p.visible(0, None, 5), Some(&row![1]));
+        p.update(0, t(2));
+        assert_eq!(row_of(p.visible(0, Some(7), 5)), Some(row![2]), "own write");
+        assert_eq!(
+            row_of(p.visible(0, Some(8), 5)),
+            Some(row![1]),
+            "other reader"
+        );
+        assert_eq!(row_of(p.visible(0, None, 5)), Some(row![1]));
         p.install_version(0, 7, 10);
-        assert_eq!(p.visible(0, None, 9), Some(&row![1]), "old snapshot");
-        assert_eq!(p.visible(0, None, 10), Some(&row![2]), "new snapshot");
+        assert_eq!(row_of(p.visible(0, None, 9)), Some(row![1]), "old snapshot");
+        assert_eq!(
+            row_of(p.visible(0, None, 10)),
+            Some(row![2]),
+            "new snapshot"
+        );
         assert_eq!(p.newest_version_ts(0), 10);
         assert_eq!(p.version_count(), 2);
     }
@@ -421,63 +497,76 @@ mod tests {
     #[test]
     fn versioned_insert_hidden_until_install() {
         let mut p = Page::new(4);
-        let s = p.append_versioned(row![9], 3).unwrap();
+        let s = p.append_versioned(t(9), 3).unwrap();
         assert_eq!(p.visible(s, None, 100), None, "uncommitted insert hidden");
-        assert_eq!(p.visible(s, Some(3), 0), Some(&row![9]), "own insert");
+        assert_eq!(
+            row_of(p.visible(s, Some(3), 0)),
+            Some(row![9]),
+            "own insert"
+        );
         p.install_version(s, 3, 20);
         assert_eq!(p.visible(s, None, 19), None);
-        assert_eq!(p.visible(s, None, 20), Some(&row![9]));
+        assert_eq!(row_of(p.visible(s, None, 20)), Some(row![9]));
     }
 
     #[test]
     fn versioned_delete_keeps_old_snapshot_readable() {
         let mut p = Page::new(4);
-        p.append(row![1]);
+        p.append(t(1));
         p.prepare_write(0, 5);
         p.delete(0);
-        assert_eq!(p.visible(0, None, 50), Some(&row![1]), "pending delete");
+        assert_eq!(
+            row_of(p.visible(0, None, 50)),
+            Some(row![1]),
+            "pending delete"
+        );
         p.install_version(0, 5, 30);
-        assert_eq!(p.visible(0, None, 29), Some(&row![1]));
+        assert_eq!(row_of(p.visible(0, None, 29)), Some(row![1]));
         assert_eq!(p.visible(0, None, 30), None, "committed delete");
     }
 
     #[test]
     fn clear_pending_drops_abandoned_meta() {
         let mut p = Page::new(4);
-        let s = p.append_versioned(row![1], 2).unwrap();
+        let s = p.append_versioned(t(1), 2).unwrap();
         p.delete(s); // undo of the aborted insert
         p.clear_pending(s, 2);
         assert_eq!(p.version_count(), 0);
         assert_eq!(p.visible(s, None, 100), None);
+        assert_eq!(p.held(), Held::default());
     }
 
     #[test]
     fn gc_prunes_unreachable_versions() {
         let mut p = Page::new(4);
-        p.append(row![0]);
+        p.append(t(0));
         for (txn, ts) in [(1u64, 10u64), (2, 20), (3, 30)] {
             p.prepare_write(0, txn);
-            p.update(0, row![ts as i64]);
+            p.update(0, t(ts as i64));
             p.install_version(0, txn, ts);
         }
         assert_eq!(p.version_count(), 4); // base + three commits
-                                          // Horizon 20: versions 30 and 20 stay (20 is the first reachable
-                                          // at-or-below node); 10 and the base go.
+        assert_eq!(p.held().tuples, 5, "the slot and four chain copies");
+        // Horizon 20: versions 30 and 20 stay (20 is the first reachable
+        // at-or-below node); 10 and the base go.
         assert_eq!(p.gc_versions(20), 2);
-        assert_eq!(p.visible(0, None, 25), Some(&row![20]));
-        assert_eq!(p.visible(0, None, 35), Some(&row![30]));
+        assert_eq!(p.held().tuples, 3);
+        assert_eq!(row_of(p.visible(0, None, 25)), Some(row![20]));
+        assert_eq!(row_of(p.visible(0, None, 35)), Some(row![30]));
         // Horizon 40: chain collapses to the slot, meta freed.
         assert_eq!(p.gc_versions(40), 2);
         assert_eq!(p.version_count(), 0);
-        assert_eq!(p.visible(0, None, 40), Some(&row![30]));
+        assert_eq!(p.held().tuples, 1);
+        assert_eq!(p.held().bytes, t(30).len());
+        assert_eq!(row_of(p.visible(0, None, 40)), Some(row![30]));
     }
 
     #[test]
     fn iter_live_skips_tombstones() {
         let mut p = Page::new(4);
-        p.append(row![1]);
-        p.append(row![2]);
-        p.append(row![3]);
+        p.append(t(1));
+        p.append(t(2));
+        p.append(t(3));
         p.delete(1);
         let live: Vec<_> = p.iter_live().map(|(s, _)| s).collect();
         assert_eq!(live, vec![0, 2]);

@@ -160,7 +160,7 @@ impl Table {
     /// maintains every index. On a uniqueness conflict the heap row and any
     /// already-made index entries are rolled back and the error returned.
     pub fn insert(&self, row: Row) -> Result<RowId> {
-        self.insert_indexed(row, None, &self.indexes())
+        self.insert_indexed(&row, None, &self.indexes())
     }
 
     /// As [`Table::insert`], maintaining `indexes`, the caller's snapshot
@@ -169,28 +169,21 @@ impl Table {
     /// so snapshot readers do not see it before its commit timestamp is
     /// installed (Snapshot engine mode); index entries are still made
     /// eagerly, and index probes re-check visibility against the heap.
-    /// The row moves into the heap without a copy: each index key is
-    /// taken before the move, and a rollback reads the row back out of
-    /// the heap.
     pub fn insert_indexed(
         &self,
-        row: Row,
+        row: &Row,
         pending: Option<u64>,
         indexes: &[Arc<BTreeIndex>],
     ) -> Result<RowId> {
-        self.schema.validate_row(&row)?;
-        let keys: Vec<_> = indexes
-            .iter()
-            .map(|idx| row.key(&idx.def().key_columns))
-            .collect();
+        self.schema.validate_row(row)?;
         let rid = match pending {
             Some(txn) => self.heap.insert_versioned(row, txn),
             None => self.heap.insert(row),
         };
-        for (n, (idx, key)) in indexes.iter().zip(keys).enumerate() {
-            if let Err(e) = idx.insert(self.name(), key, rid) {
+        for (n, idx) in indexes.iter().enumerate() {
+            if let Err(e) = idx.insert(self.name(), row.key(&idx.def().key_columns), rid) {
                 // Roll back: earlier index entries + the heap row.
-                let row = self.heap.delete(rid).expect("the row just inserted");
+                self.heap.delete(rid);
                 for done in &indexes[..n] {
                     done.remove(&row.key(&done.def().key_columns), rid);
                 }
@@ -206,8 +199,8 @@ impl Table {
     /// Updates the row at `rid`, returning the previous row. Index entries
     /// whose keys changed are moved; uniqueness conflicts roll everything
     /// back.
-    pub fn update(&self, rid: RowId, new_row: Row) -> Result<Row> {
-        self.schema.validate_row(&new_row)?;
+    pub fn update(&self, rid: RowId, new_row: &Row) -> Result<Row> {
+        self.schema.validate_row(new_row)?;
         let old_row = self.heap.get(rid).ok_or(Error::RowNotFound)?;
         let indexes = self.indexes();
         // Move index entries key-by-key, tracking what we did for rollback.
@@ -262,7 +255,7 @@ impl Table {
     /// Rollback helper: restores a deleted row (tombstone → live) and its
     /// index entries.
     pub fn undo_delete(&self, rid: RowId, row: Row) -> Result<()> {
-        if !self.heap.undelete(rid, row.clone()) {
+        if !self.heap.undelete(rid, &row) {
             return Err(Error::Internal(format!(
                 "undo_delete: slot {rid} is not a tombstone"
             )));
@@ -280,13 +273,13 @@ impl Table {
 
     /// Rollback helper: restores the pre-update image.
     pub fn undo_update(&self, rid: RowId, old_row: Row) -> Result<()> {
-        self.update(rid, old_row).map(|_| ())
+        self.update(rid, &old_row).map(|_| ())
     }
 
     /// Places a row at an exact id (WAL replay), maintaining indexes.
     pub fn place(&self, rid: RowId, row: Row) -> Result<()> {
         self.schema.validate_row(&row)?;
-        if !self.heap.place(rid, row.clone()) {
+        if !self.heap.place(rid, &row) {
             return Err(Error::Internal(format!(
                 "place: slot {rid} occupied or out of range"
             )));
@@ -406,7 +399,7 @@ mod tests {
     fn update_moves_index_entries() {
         let t = customers();
         let rid = t.insert(row![1, "alice", 100]).unwrap();
-        t.update(rid, row![1, "alicia", 90]).unwrap();
+        t.update(rid, &row![1, "alicia", 90]).unwrap();
         let by_name = t.index("customer_name_key").unwrap();
         assert!(by_name.get(&[Value::text("alice")]).is_empty());
         assert_eq!(by_name.get(&[Value::text("alicia")]), vec![rid]);
@@ -419,7 +412,7 @@ mod tests {
         t.insert(row![2, "bob", 50]).unwrap();
         // Renaming alice -> bob conflicts on the name key; pk change to 3
         // happens first and must be restored.
-        let err = t.update(r1, row![3, "bob", 100]).unwrap_err();
+        let err = t.update(r1, &row![3, "bob", 100]).unwrap_err();
         assert!(matches!(err, Error::UniqueViolation { .. }));
         assert!(t.get_by_pk(&[Value::Int(1)]).is_some(), "pk entry restored");
         assert!(t.get_by_pk(&[Value::Int(3)]).is_none());
@@ -485,7 +478,7 @@ mod tests {
         ));
         let rid = t.insert(row![5]).unwrap();
         assert!(matches!(
-            t.update(rid, row![-1]),
+            t.update(rid, &row![-1]),
             Err(Error::CheckViolation { .. })
         ));
     }

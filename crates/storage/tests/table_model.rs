@@ -64,7 +64,7 @@ proptest! {
                 }
                 Op::UpdateGrp { id, grp } => {
                     if let Some((rid, _)) = model.get(&id).copied() {
-                        t.update(rid, Row(vec![Value::Int(id), Value::Int(grp)])).unwrap();
+                        t.update(rid, &Row(vec![Value::Int(id), Value::Int(grp)])).unwrap();
                         model.insert(id, (rid, grp));
                     }
                 }

@@ -1580,22 +1580,20 @@ fn open_log(path: &Path) -> Result<(LogFile, u64)> {
 // record  := tag:u8 txn:varint body
 // rid     := page:varint slot:varint
 // row     := count:varint value*
-// value   := vtag:u8 payload
-// string  := len:varint utf8-bytes
 //
-// A varint is unsigned LEB128: seven bits per byte, low group first, the
-// high bit set on every byte but the last, at most ten bytes. Signed
-// integers (Int, Decimal, Date, Timestamp) are zig-zag mapped first, so
-// small magnitudes of either sign stay short. Floats stay 8 bytes.
+// Rows, values and varints are `bullfrog_common::codec`'s encoding, the
+// one the heap stores its tuples in.
 
 /// The record codec: the log's record encoding, shared with the
 /// checkpoint image in `bullfrog-engine`, the BFNET1 wire protocol, and
 /// replication `FRAMES` (same value/row/granule encoding everywhere).
+/// Values and rows are [`bullfrog_common::codec`]'s.
 ///
 /// Decoders read any [`Buf`] — a `Bytes` payload or a borrowed `&[u8]`
 /// — and never trust a count: a preallocation is bounded by the bytes
 /// left, since every element takes at least one.
 pub mod codec {
+    use bullfrog_common::codec::{self as value_codec, Sink};
     use bullfrog_common::{Error, Result, Row, RowId, TableId, TxnId, Value};
     use bytes::{Buf, BufMut};
 
@@ -1749,28 +1747,6 @@ pub mod codec {
         Ok((txn, matches!(tag, TAG_COMMIT | TAG_ABORT | TAG_COMMIT_TS)))
     }
 
-    /// Steps over a value list ([`put_values`]) without building it.
-    fn skim_values(buf: &mut impl Buf) -> Result<()> {
-        for _ in 0..get_count(buf)? {
-            let len = match get_u8(buf)? {
-                0 => 0,
-                1 => 1,
-                2 | 4 | 6 | 7 => {
-                    get_varint(buf)?;
-                    0
-                }
-                3 => 8,
-                5 => get_varint(buf)?,
-                t => return Err(Error::Wal(format!("bad value tag {t}"))),
-            };
-            if (buf.remaining() as u64) < len {
-                return Err(Error::Wal("truncated value".into()));
-            }
-            buf.advance(len as usize);
-        }
-        Ok(())
-    }
-
     /// Encodes a granule key.
     pub fn put_granule(buf: &mut impl BufMut, granule: &GranuleKey) {
         match granule {
@@ -1808,7 +1784,7 @@ pub mod codec {
         Ok(RowId::new(page, slot))
     }
 
-    /// Encodes a row.
+    /// Encodes a row ([`value_codec::put_values`]).
     pub fn put_row(buf: &mut impl BufMut, row: &Row) {
         put_values(buf, &row.0);
     }
@@ -1819,84 +1795,21 @@ pub mod codec {
     }
 
     fn put_values(buf: &mut impl BufMut, vals: &[Value]) {
-        put_varint(buf, vals.len() as u64);
-        for v in vals {
-            put_value(buf, v);
-        }
+        value_codec::put_values(&mut Out(buf), vals);
     }
 
     fn get_values(buf: &mut impl Buf) -> Result<Vec<Value>> {
-        let n = get_count(buf)?;
-        let mut vals = Vec::with_capacity(n);
-        for _ in 0..n {
-            vals.push(get_value(buf)?);
-        }
-        Ok(vals)
+        via_slice(buf, value_codec::get_values)
     }
 
-    fn put_value(buf: &mut impl BufMut, v: &Value) {
-        match v {
-            Value::Null => buf.put_u8(0),
-            Value::Bool(b) => {
-                buf.put_u8(1);
-                buf.put_u8(*b as u8);
-            }
-            Value::Int(i) => put_tag_varint(buf, 2, zigzag(*i)),
-            Value::Float(f) => {
-                buf.put_u8(3);
-                buf.put_f64(*f);
-            }
-            Value::Decimal(d) => put_tag_varint(buf, 4, zigzag(*d)),
-            Value::Text(s) => {
-                put_tag_varint(buf, 5, s.len() as u64);
-                buf.put_slice(s.as_bytes());
-            }
-            Value::Date(d) => put_tag_varint(buf, 6, zigzag((*d).into())),
-            Value::Timestamp(t) => put_tag_varint(buf, 7, zigzag(*t)),
-        }
+    fn skim_values(buf: &mut impl Buf) -> Result<()> {
+        via_slice(buf, value_codec::skim_values)
     }
 
-    fn get_value(buf: &mut impl Buf) -> Result<Value> {
-        match get_u8(buf)? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Bool(get_u8(buf)? != 0)),
-            2 => Ok(Value::Int(unzigzag(get_varint(buf)?))),
-            3 => {
-                if buf.remaining() < 8 {
-                    return Err(Error::Wal("truncated float".into()));
-                }
-                Ok(Value::Float(buf.get_f64()))
-            }
-            4 => Ok(Value::Decimal(unzigzag(get_varint(buf)?))),
-            5 => {
-                let n = get_varint(buf)?;
-                if (buf.remaining() as u64) < n {
-                    return Err(Error::Wal("truncated string".into()));
-                }
-                let n = n as usize;
-                let text = std::str::from_utf8(&buf.chunk()[..n])
-                    .map_err(|_| Error::Wal("invalid utf8 in string".into()))?
-                    .to_owned();
-                buf.advance(n);
-                Ok(Value::Text(text))
-            }
-            6 => i32::try_from(unzigzag(get_varint(buf)?))
-                .map(Value::Date)
-                .map_err(|_| Error::Wal("date out of range".into())),
-            7 => Ok(Value::Timestamp(unzigzag(get_varint(buf)?))),
-            t => Err(Error::Wal(format!("bad value tag {t}"))),
-        }
-    }
-
-    /// Appends `v` as an unsigned LEB128 varint (1–10 bytes), a byte at
-    /// a time: single-byte writes compile to stores, where a slice of
-    /// varying length would cost a `memcpy` call per value.
-    pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
-        while v >= 0x80 {
-            buf.put_u8(v as u8 | 0x80);
-            v >>= 7;
-        }
-        buf.put_u8(v as u8);
+    /// Appends `v` as an unsigned LEB128 varint
+    /// ([`value_codec::put_varint`]).
+    pub fn put_varint(buf: &mut impl BufMut, v: u64) {
+        value_codec::put_varint(&mut Out(buf), v);
     }
 
     fn put_tag_varint(buf: &mut impl BufMut, tag: u8, v: u64) {
@@ -1904,48 +1817,14 @@ pub mod codec {
         put_varint(buf, v);
     }
 
-    /// Reads a varint written by [`put_varint`]. A truncated varint, one
-    /// longer than ten bytes, or a tenth byte carrying bits past bit 63
-    /// is an error.
+    /// Reads a varint written by [`put_varint`]
+    /// ([`value_codec::get_varint`]).
     pub fn get_varint(buf: &mut impl Buf) -> Result<u64> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = get_u8(buf)?;
-            if shift == 63 && b > 1 {
-                break;
-            }
-            v |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(Error::Wal("over-long varint".into()))
+        via_slice(buf, value_codec::get_varint)
     }
 
     fn get_varint_u32(buf: &mut impl Buf) -> Result<u32> {
         u32::try_from(get_varint(buf)?).map_err(|_| Error::Wal("varint overflows u32".into()))
-    }
-
-    /// Reads an element count and bounds it by the bytes left, so a
-    /// hostile count can never size an allocation: every element takes
-    /// at least one byte.
-    fn get_count(buf: &mut impl Buf) -> Result<usize> {
-        let n = get_varint(buf)?;
-        if n > buf.remaining() as u64 {
-            return Err(Error::Wal(format!(
-                "count {n} exceeds the {} bytes left",
-                buf.remaining()
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn zigzag(v: i64) -> u64 {
-        ((v << 1) ^ (v >> 63)) as u64
-    }
-
-    fn unzigzag(u: u64) -> i64 {
-        (u >> 1) as i64 ^ -((u & 1) as i64)
     }
 
     fn get_u8(buf: &mut impl Buf) -> Result<u8> {
@@ -1953,6 +1832,36 @@ pub mod codec {
             return Err(Error::Wal("truncated u8".into()));
         }
         Ok(buf.get_u8())
+    }
+
+    /// Lets the shared value codec append to any [`BufMut`].
+    struct Out<'a, B>(&'a mut B);
+
+    impl<B: BufMut> Sink for Out<'_, B> {
+        #[inline]
+        fn put_slice(&mut self, bytes: &[u8]) {
+            self.0.put_slice(bytes);
+        }
+
+        #[inline]
+        fn put_u8(&mut self, b: u8) {
+            self.0.put_u8(b);
+        }
+    }
+
+    /// Runs a decoder of the shared value codec over `buf`'s bytes and
+    /// advances `buf` past what it read. Every [`Buf`] the log, the
+    /// checkpoint and the wire decode (`Bytes`, `&[u8]`) is one
+    /// contiguous chunk.
+    #[inline]
+    fn via_slice<T>(buf: &mut impl Buf, decode: impl FnOnce(&mut &[u8]) -> Result<T>) -> Result<T> {
+        debug_assert_eq!(buf.chunk().len(), buf.remaining(), "a contiguous buffer");
+        let mut rd = buf.chunk();
+        let len = rd.len();
+        let out = decode(&mut rd);
+        let used = len - rd.len();
+        buf.advance(used);
+        out
     }
 
     /// Decodes a big-endian u32 with truncation checking.
@@ -3022,6 +2931,35 @@ mod tests {
             txn().prop_map(LogRecord::Abort),
             (txn(), edge_u64()).prop_map(|(txn, epoch)| LogRecord::Epoch { txn, epoch }),
         ]
+    }
+
+    /// A row holding every value variant encodes to the same bytes as
+    /// before the value codec moved to `bullfrog-common`, so `BFWAL7`
+    /// files, sidecars and wire frames are unchanged, and the log writes
+    /// exactly the bytes the heap stores.
+    #[test]
+    fn put_row_bytes_are_pinned() {
+        let row = Row(vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-2),
+            Value::Float(1.5),
+            Value::Decimal(300),
+            Value::Text("hé".into()),
+            Value::Date(-1),
+            Value::Timestamp(64),
+        ]);
+        let golden: &[u8] = &[
+            8, 0, 1, 1, 2, 3, 3, 0x3F, 0xF8, 0, 0, 0, 0, 0, 0, 4, 0xD8, 0x04, 5, 3, b'h', 0xC3,
+            0xA9, 6, 1, 7, 0x80, 0x01,
+        ];
+        let mut buf = BytesMut::new();
+        codec::put_row(&mut buf, &row);
+        assert_eq!(&buf[..], golden);
+        assert_eq!(&*bullfrog_common::codec::encode_values(&row.0), golden);
+        let mut rd = Bytes::from(golden.to_vec());
+        assert_eq!(codec::get_row(&mut rd).unwrap(), row);
+        assert!(rd.is_empty());
     }
 
     proptest! {
