@@ -54,8 +54,8 @@ impl EngineMode {
 
     /// The deployment setting `BULLFROG_ENGINE_MODE`, parsed by
     /// [`EngineMode::parse`]; unset selects [`EngineMode::TwoPL`]. The
-    /// `repld` and `clusterd` daemons and the benches read it; a library
-    /// caller sets [`DbConfig::mode`] instead.
+    /// `repld` daemon and the benches read it; a library caller sets
+    /// [`DbConfig::mode`] instead.
     pub fn from_env() -> Result<Self> {
         match std::env::var("BULLFROG_ENGINE_MODE") {
             Ok(v) => Self::parse(&v),
@@ -300,9 +300,9 @@ impl Database {
 
     /// This database's metrics registry: the one its WAL was built
     /// with, per database (tests run several servers in one process).
-    /// Every layer above (sessions, migration controller, replication,
-    /// cluster membership) registers its counters and histograms here,
-    /// so one `METRICS` snapshot covers the whole instance.
+    /// Every layer above (sessions, migration controller, replication)
+    /// registers its counters and histograms here, so one `METRICS`
+    /// snapshot covers the whole instance.
     pub fn obs(&self) -> &Arc<bullfrog_obs::Registry> {
         self.wal.obs()
     }

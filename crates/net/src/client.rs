@@ -27,7 +27,6 @@ use std::time::Duration;
 
 use bullfrog_common::Row;
 
-use crate::cluster::{ClusterReq, ExchangeSpec, ShardMap};
 use crate::wire::{self, HaReq, Request, Response};
 
 /// The value `key` has in a `STATUS` reply ([`Client::status`]), if the
@@ -447,75 +446,6 @@ impl Client {
         }
     }
 
-    /// Fetches the node's installed shard map (does not mark the
-    /// connection as a coordinator).
-    pub fn cluster_get_map(&mut self) -> ClientResult<ShardMap> {
-        match self.round_trip(&Request::Cluster(ClusterReq::GetMap))? {
-            Response::ShardMap(map) => Ok(map),
-            Response::Err {
-                retryable,
-                code,
-                message,
-            } => Err(ClientError::Server {
-                retryable,
-                code,
-                message,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected shard-map reply {other:?}"
-            ))),
-        }
-    }
-
-    /// Installs `map` on the node (which owns slot `self_index`).
-    /// Coordinator-only; marks this connection as admin.
-    pub fn cluster_set_map(&mut self, self_index: u32, map: &ShardMap) -> ClientResult<()> {
-        self.cluster_ack(ClusterReq::SetMap {
-            self_index,
-            map: map.clone(),
-        })
-    }
-
-    /// Phase one of a two-phase schema flip: stage `sql` on the node and
-    /// open its `FLIP_PENDING` window. Returns the cross-node exchange
-    /// work the coordinator owes after every node commits.
-    pub fn cluster_prepare(&mut self, sql: &str) -> ClientResult<Vec<ExchangeSpec>> {
-        let op = ClusterReq::Prepare {
-            sql: sql.to_string(),
-        };
-        match self.round_trip(&Request::Cluster(op))? {
-            Response::Prepared { exchange } => Ok(exchange),
-            Response::Err {
-                retryable,
-                code,
-                message,
-            } => Err(ClientError::Server {
-                retryable,
-                code,
-                message,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected prepare reply {other:?}"
-            ))),
-        }
-    }
-
-    /// Phase two: run the staged flip DDL (local logical flip; lazy
-    /// migration of the node's partition starts).
-    pub fn cluster_commit(&mut self) -> ClientResult<()> {
-        self.cluster_ack(ClusterReq::Commit)
-    }
-
-    /// Drops a staged flip and unblocks the node's tables.
-    pub fn cluster_abort(&mut self) -> ClientResult<()> {
-        self.cluster_ack(ClusterReq::Abort)
-    }
-
-    /// Releases the post-commit exchange hold on n:1 output tables.
-    pub fn cluster_end_exchange(&mut self) -> ClientResult<()> {
-        self.cluster_ack(ClusterReq::EndExchange)
-    }
-
     /// Sends one HA protocol request and decodes the `HA_STATE` reply.
     pub fn ha(&mut self, req: HaReq) -> ClientResult<HaStateReply> {
         match self.round_trip(&Request::Ha(req))? {
@@ -550,24 +480,6 @@ impl Client {
     /// Probes the peer's HA state (role, epoch, leader, lease).
     pub fn ha_state(&mut self) -> ClientResult<HaStateReply> {
         self.ha(HaReq::State)
-    }
-
-    fn cluster_ack(&mut self, op: ClusterReq) -> ClientResult<()> {
-        match self.round_trip(&Request::Cluster(op))? {
-            Response::Ok { .. } => Ok(()),
-            Response::Err {
-                retryable,
-                code,
-                message,
-            } => Err(ClientError::Server {
-                retryable,
-                code,
-                message,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected cluster reply {other:?}"
-            ))),
-        }
     }
 }
 

@@ -15,19 +15,17 @@
 //!   read and write gets the lazy-migration interposition, including
 //!   migration DDL submitted over the wire;
 //! - [`Client`] — a blocking client with connection reuse, used by the
-//!   `repld` and `clusterd` binaries and the integration tests.
+//!   `repld` binary and the integration tests.
 //!
 //! See `DESIGN.md` (§ bullfrog-net) for the frame format, the session
 //! state machine, and shutdown semantics.
 
 pub mod client;
-pub mod cluster;
 pub mod server;
 pub mod session;
 pub mod wire;
 
 pub use client::{primary_hint, stat, Client, ClientError, ClientResult, HaStateReply, QueryReply};
-pub use cluster::{plan_flip, ClusterMember, ClusterReq, ExchangeSpec, FlipPlan, ShardMap};
 pub use server::{DdlEvent, HaHooks, ReadOnly, ReplicationHooks, Server, ServerConfig};
 pub use session::{build_migration_plan, Session, SessionCounters};
 pub use wire::{err_code, HaReq, Request, Response, WireDdl, MAX_FRAME_BYTES, PREAMBLE};

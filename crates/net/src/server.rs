@@ -57,7 +57,6 @@ use bullfrog_engine::CheckpointScheduler;
 use bytes::Bytes;
 use polling::{Event, Events, Poller};
 
-use crate::cluster::{plan_flip, ClusterMember, ClusterReq};
 use crate::session::{Session, SessionCounters};
 use crate::wire::{self, err_code, Request, Response};
 
@@ -228,9 +227,6 @@ pub struct ServerConfig {
     pub replication: Option<Arc<dyn ReplicationHooks>>,
     /// Replica-side read-only mode.
     pub read_only: Option<ReadOnly>,
-    /// Shared-nothing cluster membership: serve the `CLUSTER` opcodes
-    /// and enforce shard ownership / flip windows on every session.
-    pub cluster: Option<Arc<ClusterMember>>,
     /// High-availability membership: serve the `HA` opcode and gate
     /// writes on leadership.
     pub ha: Option<Arc<dyn HaHooks>>,
@@ -245,7 +241,6 @@ impl Default for ServerConfig {
             resident_workers: 4,
             replication: None,
             read_only: None,
-            cluster: None,
             ha: None,
         }
     }
@@ -260,7 +255,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("resident_workers", &self.resident_workers)
             .field("replication", &self.replication.is_some())
             .field("read_only", &self.read_only)
-            .field("cluster", &self.cluster.is_some())
             .field("ha", &self.ha.is_some())
             .finish()
     }
@@ -431,13 +425,6 @@ struct Shared {
     /// Frames executed per worker pass. 1 is a plain round trip, more a
     /// pipelined burst, 0 a wake-up that found no complete frame.
     hist_frames_per_pass: Arc<bullfrog_obs::Histogram>,
-    hist_cluster_prepare: Arc<bullfrog_obs::Histogram>,
-    hist_cluster_commit: Arc<bullfrog_obs::Histogram>,
-    hist_cluster_exchange: Arc<bullfrog_obs::Histogram>,
-    /// Registry-clock µs when the last cluster flip committed; the
-    /// exchange phase spans from here to `END_EXCHANGE` (0 = no flip
-    /// mid-exchange).
-    exchange_start_us: AtomicU64,
     scheduler: Mutex<Option<CheckpointScheduler>>,
     poller: Poller,
     conns: Mutex<HashMap<usize, Arc<Conn>>>,
@@ -497,10 +484,6 @@ impl Server {
             hist_admin: obs.histogram("net.admin_us"),
             hist_queue_wait: obs.histogram("net.queue_wait_us"),
             hist_frames_per_pass: obs.histogram("net.frames_per_pass"),
-            hist_cluster_prepare: obs.histogram("cluster.prepare_us"),
-            hist_cluster_commit: obs.histogram("cluster.commit_us"),
-            hist_cluster_exchange: obs.histogram("cluster.exchange_us"),
-            exchange_start_us: AtomicU64::new(0),
             obs,
             scheduler: Mutex::new(scheduler),
             poller: Poller::new()?,
@@ -693,9 +676,6 @@ fn admit(mut stream: TcpStream, shared: &Arc<Shared>) {
     }
     if let Some(ro) = &shared.config.read_only {
         session = session.with_read_only(ro.clone());
-    }
-    if let Some(member) = &shared.config.cluster {
-        session = session.with_cluster(Arc::clone(member));
     }
     if let Some(ha) = &shared.config.ha {
         session = session.with_ha(Arc::clone(ha));
@@ -1168,19 +1148,6 @@ fn execute_buffered(
                 code: err_code::GENERAL,
                 message: "REPL_ACK is only valid on a subscribed connection".into(),
             },
-            Ok(Request::Cluster(op)) => match &shared.config.cluster {
-                Some(member) => {
-                    if !matches!(op, ClusterReq::GetMap) {
-                        st.session.set_cluster_admin();
-                    }
-                    handle_cluster(op, member, shared, &mut st.session)
-                }
-                None => Response::Err {
-                    retryable: false,
-                    code: err_code::GENERAL,
-                    message: "clustering is not enabled on this server".into(),
-                },
-            },
             Ok(Request::Ha(req)) => match &shared.config.ha {
                 Some(hooks) => hooks.handle(&req),
                 None => Response::Err {
@@ -1278,130 +1245,6 @@ fn subscribe_handoff(
         });
     if spawned.is_err() {
         shared.active.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Executes one cluster-control operation against this node's member
-/// state. The session is already marked admin for mutating ops, so the
-/// `Commit` arm's DDL runs through the normal session path (including
-/// any replication journal hooks) without tripping the member's own
-/// enforcement.
-fn handle_cluster(
-    op: ClusterReq,
-    member: &Arc<ClusterMember>,
-    shared: &Shared,
-    session: &mut Session,
-) -> Response {
-    match op {
-        ClusterReq::GetMap => match member.map() {
-            Some(map) => Response::ShardMap(map),
-            None => Response::Err {
-                retryable: false,
-                code: err_code::GENERAL,
-                message: "no shard map installed on this node".into(),
-            },
-        },
-        ClusterReq::SetMap { self_index, map } => {
-            match member.install_map(map, self_index as usize) {
-                Ok(()) => Response::Ok { affected: 0 },
-                Err(e) => Response::from_error(&e),
-            }
-        }
-        ClusterReq::Prepare { sql } => {
-            let started = Instant::now();
-            let t0 = shared.obs.now_us();
-            let resp = cluster_prepare(&sql, member, shared);
-            if matches!(resp, Response::Prepared { .. }) {
-                shared
-                    .obs
-                    .tracer()
-                    .record("cluster.prepare", 0, t0, shared.obs.now_us());
-                shared.hist_cluster_prepare.record_micros(started.elapsed());
-            }
-            resp
-        }
-        ClusterReq::Commit => {
-            let sql = match member.commit_sql() {
-                Ok(sql) => sql,
-                Err(e) => return Response::from_error(&e),
-            };
-            let started = Instant::now();
-            let t0 = shared.obs.now_us();
-            match session.execute(&sql) {
-                Response::Ok { .. } => {
-                    member.mark_committed();
-                    let now = shared.obs.now_us();
-                    shared.obs.tracer().record("cluster.commit", 0, t0, now);
-                    shared.hist_cluster_commit.record_micros(started.elapsed());
-                    // The exchange phase (cross-node partial-aggregate
-                    // merge) runs from here to END_EXCHANGE; `max(1)`
-                    // keeps 0 meaning "no exchange in flight".
-                    shared
-                        .exchange_start_us
-                        .store(now.max(1), Ordering::Relaxed);
-                    Response::Ok { affected: 0 }
-                }
-                err => err,
-            }
-        }
-        ClusterReq::Abort => {
-            member.abort_flip();
-            shared.exchange_start_us.store(0, Ordering::Relaxed);
-            Response::Ok { affected: 0 }
-        }
-        ClusterReq::EndExchange => match member.end_exchange() {
-            Ok(()) => {
-                let t0 = shared.exchange_start_us.swap(0, Ordering::Relaxed);
-                if t0 != 0 {
-                    let now = shared.obs.now_us();
-                    shared.obs.tracer().record("cluster.exchange", 0, t0, now);
-                    shared.hist_cluster_exchange.record(now.saturating_sub(t0));
-                }
-                Response::Ok { affected: 0 }
-            }
-            Err(e) => Response::from_error(&e),
-        },
-    }
-}
-
-/// Phase one of the two-phase flip: parse and resolve the migration DDL
-/// against the local catalog (every node resolves the same plan — the
-/// coordinator keeps catalogs identical), derive the flip windows and
-/// exchange work, and stage it. Nothing executes yet.
-fn cluster_prepare(sql: &str, member: &Arc<ClusterMember>, shared: &Shared) -> Response {
-    use bullfrog_sql::{parse_statement, Statement};
-    let stmt = match parse_statement(sql) {
-        Ok(stmt) => stmt,
-        Err(e) => return Response::from_error(&e),
-    };
-    let Statement::CreateTableAs {
-        name,
-        select,
-        primary_key,
-    } = stmt
-    else {
-        return Response::Err {
-            retryable: false,
-            code: err_code::GENERAL,
-            message: "cluster PREPARE expects migration DDL (CREATE TABLE ... AS SELECT)".into(),
-        };
-    };
-    let flip = (|| {
-        let mut plan =
-            crate::session::build_migration_plan(&shared.bf, name, &select, primary_key)?;
-        plan.resolve(shared.bf.db())?;
-        let multi_node = member.map().is_some_and(|m| m.nodes.len() > 1);
-        plan_flip(&plan, multi_node)
-    })();
-    match flip {
-        Ok(flip) => {
-            let exchange = flip.exchange.clone();
-            match member.begin_prepare(sql.to_string(), flip) {
-                Ok(()) => Response::Prepared { exchange },
-                Err(e) => Response::from_error(&e),
-            }
-        }
-        Err(e) => Response::from_error(&e),
     }
 }
 
@@ -1515,9 +1358,6 @@ fn gauges(shared: &Shared) -> Vec<(&'static str, i64)> {
         .and_then(|ro| ro.status.as_ref())
     {
         extend(f());
-    }
-    if let Some(member) = &shared.config.cluster {
-        extend(member.status());
     }
     if let Some(ha) = &shared.config.ha {
         extend(ha.status());

@@ -29,7 +29,6 @@ use bullfrog_sql::{
 };
 use bullfrog_txn::{AckOutcome, CommitTicket, SyncPolicy, Transaction};
 
-use crate::cluster::ClusterMember;
 use crate::server::{DdlEvent, HaHooks, ReadOnly, ReplicationHooks};
 use crate::wire::{err_code, Response};
 
@@ -106,17 +105,11 @@ pub struct Session {
     hooks: Option<Arc<dyn ReplicationHooks>>,
     /// Replica-side read-only mode.
     read_only: Option<ReadOnly>,
-    /// Cluster-member enforcement (shard ownership, flip windows).
-    cluster: Option<Arc<ClusterMember>>,
     /// HA-member enforcement: writes and DDL are refused while this
     /// node is not the leaseholder.
     ha: Option<Arc<dyn HaHooks>>,
     /// `PREPARE`d statement templates, keyed by the client-chosen id.
     prepared: HashMap<u64, PreparedTemplate>,
-    /// Set once this connection issues a cluster-control operation: the
-    /// coordinator's own statements (flip DDL, the exchange's
-    /// cross-shard reads and merge writes) bypass enforcement.
-    cluster_admin: bool,
     /// Rows written by statements of the *open* explicit transaction.
     /// `sessions.rows_written` counts committed writes only, so these
     /// stay pending until `COMMIT` and vanish on rollback or abort.
@@ -200,10 +193,8 @@ impl Session {
             commit_window: None,
             hooks: None,
             read_only: None,
-            cluster: None,
             ha: None,
             prepared: HashMap::new(),
-            cluster_admin: false,
             pending_rows_written: 0,
         }
     }
@@ -221,23 +212,10 @@ impl Session {
         self
     }
 
-    /// Enables cluster-member enforcement on this session.
-    pub fn with_cluster(mut self, member: Arc<ClusterMember>) -> Self {
-        self.cluster = Some(member);
-        self
-    }
-
     /// Enables HA-member enforcement on this session.
     pub fn with_ha(mut self, ha: Arc<dyn HaHooks>) -> Self {
         self.ha = Some(ha);
         self
-    }
-
-    /// Marks this session as the flip coordinator's: its statements
-    /// bypass shard-ownership and flip-window enforcement (the same
-    /// trust model as the `SHUTDOWN` opcode).
-    pub fn set_cluster_admin(&mut self) {
-        self.cluster_admin = true;
     }
 
     /// True while an explicit transaction is open.
@@ -323,8 +301,8 @@ impl Session {
     }
 
     /// The post-parse execution path shared by `QUERY` and `EXECUTE`:
-    /// read-only routing, HA leadership and cluster-ownership gates,
-    /// then the statement runner.
+    /// read-only routing and the HA leadership gate, then the statement
+    /// runner.
     fn gate_and_run(&mut self, stmt: Statement, sql: &str, started: Instant) -> Response {
         // A promoted replica flips `writable` and its sessions leave
         // read-only routing without reconnecting.
@@ -346,17 +324,6 @@ impl Session {
                         "not the HA leader: writes and DDL must go to the primary at {leader}"
                     ),
                 };
-            }
-        }
-        if let Some(member) = &self.cluster {
-            if !self.cluster_admin {
-                if let Some(resp) = member.reject(self.bf.db(), &stmt) {
-                    // Refused before execution: no transaction state to
-                    // clean up, and an open explicit transaction stays
-                    // open (the statement never ran).
-                    SessionCounters::bump(&self.counters.errors, 1);
-                    return resp;
-                }
             }
         }
         match self.run(stmt, sql, started) {

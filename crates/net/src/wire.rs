@@ -54,7 +54,7 @@ mod req {
     pub const SUBSCRIBE: u8 = 0x05;
     pub const SNAPSHOT: u8 = 0x06;
     pub const REPL_ACK: u8 = 0x07;
-    pub const CLUSTER: u8 = 0x08;
+    // 0x08 (the retired CLUSTER control opcode) is never reused.
     pub const HA: u8 = 0x09;
     pub const PREPARE: u8 = 0x0A;
     pub const EXECUTE: u8 = 0x0B;
@@ -70,8 +70,7 @@ mod resp {
     pub const STATS: u8 = 0x84;
     pub const FRAMES: u8 = 0x85;
     pub const SNAPSHOT: u8 = 0x86;
-    pub const SHARD_MAP: u8 = 0x87;
-    pub const PREPARED: u8 = 0x88;
+    // 0x87 and 0x88 (retired cluster replies) are never reused.
     pub const HA_STATE: u8 = 0x89;
     pub const ROWS_CHUNK: u8 = 0x8A;
     pub const METRICS: u8 = 0x8B;
@@ -94,16 +93,7 @@ pub mod err_code {
     /// A transient transaction failure (lock timeout, abort); retrying
     /// the statement may succeed.
     pub const TXN_RETRY: u8 = 4;
-    /// A single-key statement reached a cluster node that does not own
-    /// the key's hash slot. Re-fetch the shard map and re-route — blind
-    /// retry against the same node can never succeed. The message names
-    /// the owning node's address.
-    pub const WRONG_SHARD: u8 = 5;
-    /// A two-phase schema flip has this table blocked (prepare→commit
-    /// window, or the post-commit exchange of partial aggregates). The
-    /// window is bounded; retry against the same node after a short
-    /// backoff.
-    pub const FLIP_PENDING: u8 = 6;
+    // 5 and 6 are retired (they classified cluster refusals) and never reused.
     /// A replication or HA peer presented a fencing epoch older than
     /// ours (a deposed primary, or a subscriber that outran its sender).
     /// Never retryable against the same pairing: the lower-epoch side
@@ -152,13 +142,6 @@ pub enum Request {
         /// fences itself instead of counting the ack.
         epoch: u64,
     },
-    /// Cluster control (shard-map distribution and the two-phase schema
-    /// flip). Issuing any sub-operation except
-    /// [`ClusterReq::GetMap`](crate::cluster::ClusterReq::GetMap) marks
-    /// the connection as a cluster coordinator: its subsequent DML
-    /// bypasses shard-ownership and flip-pending enforcement (same trust
-    /// model as `SHUTDOWN`).
-    Cluster(crate::cluster::ClusterReq),
     /// High-availability control: lease renewals, election votes, and
     /// state probes between the members of an HA group (see
     /// `bullfrog-ha`). Answered with [`Response::HaState`].
@@ -310,17 +293,6 @@ pub enum Response {
         /// Encoded snapshot (checkpoint image + DDL journal).
         payload: Bytes,
     },
-    /// Reply to [`ClusterReq::GetMap`](crate::cluster::ClusterReq): the
-    /// node's installed shard map.
-    ShardMap(crate::cluster::ShardMap),
-    /// Reply to [`ClusterReq::Prepare`](crate::cluster::ClusterReq): the
-    /// flip is staged; `exchange` lists the output tables whose partial
-    /// aggregates must be shipped between nodes after every member
-    /// commits (empty for 1:1 migrations).
-    Prepared {
-        /// Cross-node merge work the coordinator owes after commit.
-        exchange: Vec<crate::cluster::ExchangeSpec>,
-    },
     /// Reply to any [`Request::Ha`] operation: the member's HA state,
     /// plus whether the specific operation (renew/vote/promote) was
     /// granted.
@@ -381,10 +353,6 @@ impl Request {
                 buf.put_u8(req::REPL_ACK);
                 buf.put_u64(*lsn);
                 buf.put_u64(*epoch);
-            }
-            Request::Cluster(op) => {
-                buf.put_u8(req::CLUSTER);
-                op.encode_into(buf);
             }
             Request::Ha(op) => {
                 buf.put_u8(req::HA);
@@ -448,9 +416,6 @@ impl Request {
                 lsn: codec::get_u64(&mut payload)?,
                 epoch: get_trailing_u64(&mut payload)?,
             }),
-            req::CLUSTER => Ok(Request::Cluster(crate::cluster::ClusterReq::decode(
-                &mut payload,
-            )?)),
             req::HA => {
                 let op = match get_u8(&mut payload)? {
                     1 => HaReq::Renew {
@@ -575,17 +540,6 @@ impl Response {
                 buf.put_u32(payload.len() as u32);
                 buf.extend_from_slice(payload);
             }
-            Response::ShardMap(map) => {
-                buf.put_u8(resp::SHARD_MAP);
-                map.encode_into(buf);
-            }
-            Response::Prepared { exchange } => {
-                buf.put_u8(resp::PREPARED);
-                buf.put_u32(exchange.len() as u32);
-                for e in exchange {
-                    e.encode_into(buf);
-                }
-            }
             Response::HaState {
                 granted,
                 epoch,
@@ -687,17 +641,6 @@ impl Response {
             resp::SNAPSHOT => Ok(Response::Snapshot {
                 payload: get_bytes(&mut payload)?,
             }),
-            resp::SHARD_MAP => Ok(Response::ShardMap(crate::cluster::ShardMap::decode(
-                &mut payload,
-            )?)),
-            resp::PREPARED => {
-                let n = codec::get_u32(&mut payload)? as usize;
-                let mut exchange = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    exchange.push(crate::cluster::ExchangeSpec::decode(&mut payload)?);
-                }
-                Ok(Response::Prepared { exchange })
-            }
             resp::HA_STATE => Ok(Response::HaState {
                 granted: get_u8(&mut payload)? != 0,
                 epoch: codec::get_u64(&mut payload)?,
@@ -991,7 +934,7 @@ fn put_stats<'a>(buf: &mut Vec<u8>, pairs: impl ExactSizeIterator<Item = (&'a st
     }
 }
 
-pub(crate) fn put_str(buf: &mut impl BufMut, s: &str) {
+fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
@@ -1003,7 +946,7 @@ fn put_names(buf: &mut Vec<u8>, names: &[String]) {
     }
 }
 
-pub(crate) fn get_str(buf: &mut Bytes) -> Result<String> {
+fn get_str(buf: &mut Bytes) -> Result<String> {
     let len = codec::get_u32(buf)? as usize;
     if buf.len() < len {
         return Err(Error::Eval(format!(
@@ -1017,7 +960,7 @@ pub(crate) fn get_str(buf: &mut Bytes) -> Result<String> {
     Ok(s)
 }
 
-pub(crate) fn get_u8(buf: &mut Bytes) -> Result<u8> {
+fn get_u8(buf: &mut Bytes) -> Result<u8> {
     if buf.is_empty() {
         return Err(Error::Eval("truncated frame: missing byte".into()));
     }
@@ -1026,7 +969,7 @@ pub(crate) fn get_u8(buf: &mut Bytes) -> Result<u8> {
 
 /// Reads a u64 appended after the pre-HA payload; absent on frames from
 /// older peers, in which case it defaults to 0 (epoch zero = unfenced).
-pub(crate) fn get_trailing_u64(buf: &mut Bytes) -> Result<u64> {
+fn get_trailing_u64(buf: &mut Bytes) -> Result<u64> {
     if buf.is_empty() {
         return Ok(0);
     }
@@ -1180,20 +1123,6 @@ mod tests {
             }),
             Request::Ha(HaReq::Promote),
             Request::Ha(HaReq::State),
-            Request::Cluster(crate::cluster::ClusterReq::GetMap),
-            Request::Cluster(crate::cluster::ClusterReq::SetMap {
-                self_index: 2,
-                map: crate::cluster::ShardMap {
-                    version: 3,
-                    nodes: vec!["127.0.0.1:7001".into(), "127.0.0.1:7002".into()],
-                },
-            }),
-            Request::Cluster(crate::cluster::ClusterReq::Prepare {
-                sql: "CREATE TABLE t2 AS (SELECT id FROM t)".into(),
-            }),
-            Request::Cluster(crate::cluster::ClusterReq::Commit),
-            Request::Cluster(crate::cluster::ClusterReq::Abort),
-            Request::Cluster(crate::cluster::ClusterReq::EndExchange),
             Request::Prepare {
                 id: 42,
                 sql: "SELECT a FROM t WHERE id = ?".into(),
@@ -1250,20 +1179,6 @@ mod tests {
             },
             Response::Snapshot {
                 payload: Bytes::from_static(b"\x00\x01\x02"),
-            },
-            Response::ShardMap(crate::cluster::ShardMap {
-                version: 9,
-                nodes: vec!["a:1".into(), "b:2".into(), "c:3".into()],
-            }),
-            Response::Prepared {
-                exchange: vec![crate::cluster::ExchangeSpec {
-                    table: "owner_totals".into(),
-                    key_cols: vec!["owner".into()],
-                    aggs: vec![
-                        ("total".into(), bullfrog_query::AggFunc::Sum),
-                        ("n".into(), bullfrog_query::AggFunc::Count),
-                    ],
-                }],
             },
             Response::HaState {
                 granted: true,
@@ -1535,6 +1450,22 @@ mod tests {
         }
         assert!(Request::decode(Bytes::new()).is_err());
         assert!(Request::decode(Bytes::from_static(&[0x7f])).is_err());
+    }
+
+    #[test]
+    fn retired_cluster_opcodes_stay_unknown() {
+        // 0x08 carried cluster control; 0x87/0x88 its replies. A frame
+        // with any of them is a stranger's, not a cluster operation.
+        let e = Request::decode(Bytes::from_static(&[0x08, 0x01])).unwrap_err();
+        assert!(e.to_string().contains("unknown request opcode 0x08"), "{e}");
+        for op in [0x87u8, 0x88] {
+            let e = Response::decode(Bytes::copy_from_slice(&[op, 0, 0, 0, 0])).unwrap_err();
+            assert!(
+                e.to_string()
+                    .contains(&format!("unknown response opcode {op:#04x}")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! their statements lazily migrate the slices they touch. After the
 //! drain the tests assert exactly-once semantics: every source row
 //! migrated exactly once (`rows_migrated == row count`, zero conflict
-//! skips, zero drops) and the total balance is conserved, i.e. no
-//! transfer was lost or applied twice.
+//! skips, zero drops), the total balance is conserved, and every
+//! account holds exactly what the transfers its clients were acked for
+//! moved, i.e. no acked transfer was lost or applied twice.
 //!
 //! Same invariants the in-process core tests check, but with the racing
 //! clients on the other side of a socket, which is the configuration
@@ -134,36 +135,85 @@ fn transfer(c: &mut Client, table: &str, a: i64, b: i64, commit: &str) -> bool {
     false
 }
 
+/// What the workers were acked for: the transfers whose commit
+/// succeeded and, per account id, the net amount they moved.
+struct Ledger {
+    committed: u64,
+    delta: Vec<i64>,
+}
+
+impl Ledger {
+    fn new() -> Ledger {
+        Ledger {
+            committed: 0,
+            delta: vec![0; ACCOUNTS as usize],
+        }
+    }
+
+    /// Books one acked transfer of 7 from `a` to `b`.
+    fn book(&mut self, a: i64, b: i64) {
+        self.committed += 1;
+        self.delta[a as usize] -= 7;
+        self.delta[b as usize] += 7;
+    }
+
+    /// The balance account `id` must hold: its initial balance plus
+    /// every acked transfer's move.
+    fn expected(&self, id: i64) -> i64 {
+        INITIAL_BALANCE + self.delta[id as usize]
+    }
+}
+
 /// Runs the worker pool: transfers against the phase's table until the
 /// admin advances to PHASE_DONE.
 fn spawn_workers(
     addr: std::net::SocketAddr,
     phase: &Arc<AtomicUsize>,
     commit: &'static str,
-) -> Vec<std::thread::JoinHandle<u64>> {
+) -> Vec<std::thread::JoinHandle<Ledger>> {
     (0..WORKERS)
         .map(|w| {
             let phase = Arc::clone(phase);
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
-                let mut committed = 0u64;
+                let mut ledger = Ledger::new();
                 let mut n = w as i64;
                 loop {
                     let table = match phase.load(Ordering::Acquire) {
                         PHASE_OLD => "accounts",
                         PHASE_NEW => "accounts_v2",
-                        _ => return committed,
+                        _ => return ledger,
                     };
                     n = (n * 31 + 17) % ACCOUNTS;
                     let a = n;
                     let b = (n + 1 + w as i64) % ACCOUNTS;
                     if a != b && transfer(&mut c, table, a, b, commit) {
-                        committed += 1;
+                        ledger.book(a, b);
                     }
                 }
             })
         })
         .collect()
+}
+
+/// Joins the worker pool and sums its ledgers.
+fn join_workers(workers: Vec<std::thread::JoinHandle<Ledger>>) -> Ledger {
+    let mut total = Ledger::new();
+    for w in workers {
+        let ledger = w.join().unwrap();
+        total.committed += ledger.committed;
+        for (sum, d) in total.delta.iter_mut().zip(&ledger.delta) {
+            *sum += d;
+        }
+    }
+    total
+}
+
+fn int(v: &Value) -> i64 {
+    match v {
+        Value::Int(v) => *v,
+        other => panic!("unexpected value {other:?}"),
+    }
 }
 
 /// Polls STATUS until the active migration reports complete.
@@ -242,9 +292,9 @@ fn bitmap_race(mode: EngineMode, wal_dir: Option<&std::path::Path>) {
     // the workers before the verification scans.
     let pairs = h.admin.status().unwrap();
     phase.store(PHASE_DONE, Ordering::Release);
-    let committed: u64 = workers.into_iter().map(|t| t.join().unwrap()).sum();
+    let ledger = join_workers(workers);
     assert!(
-        committed > 0,
+        ledger.committed > 0,
         "{mode:?}: workers must have committed transfers"
     );
 
@@ -268,18 +318,24 @@ fn bitmap_race(mode: EngineMode, wal_dir: Option<&std::path::Path>) {
     // lost or doubled lazy migration of any slice would break the sum.
     let rows = scan_retry(&mut h.admin, "SELECT id, balance FROM accounts_v2");
     assert_eq!(rows.len() as i64, ACCOUNTS);
-    let total: i64 = rows
-        .iter()
-        .map(|r| match r[1] {
-            Value::Int(v) => v,
-            ref other => panic!("unexpected balance {other:?}"),
-        })
-        .sum();
+    let total: i64 = rows.iter().map(|r| int(&r[1])).sum();
     assert_eq!(
         total,
         ACCOUNTS * INITIAL_BALANCE,
         "{mode:?}: balance must be conserved"
     );
+    // Per account, against what the clients were acked: a lost acked
+    // transfer loses both its legs and still conserves the total.
+    for r in &rows {
+        let id = int(&r[0]);
+        assert_eq!(
+            int(&r[1]),
+            ledger.expected(id),
+            "{mode:?}: account {id} must hold its acked transfers \
+             ({} acked in all, {commit})",
+            ledger.committed
+        );
+    }
 
     // SHUTDOWN drains every session and syncs the log before it returns.
     h.admin.shutdown_server().unwrap();
@@ -311,7 +367,7 @@ fn hash_race(mode: EngineMode) {
     // `accounts` now fail non-retryably, and the phase flip tells them
     // to stop (there is no writable successor table for transfers).
     phase.store(PHASE_DONE, Ordering::Release);
-    let committed: u64 = workers.into_iter().map(|t| t.join().unwrap()).sum();
+    let committed = join_workers(workers).committed;
 
     wait_complete(&mut h.admin);
     let pairs = h.admin.status().unwrap();
@@ -338,13 +394,7 @@ fn hash_race(mode: EngineMode) {
 
     let rows = scan_retry(&mut h.admin, "SELECT owner, total FROM owner_totals");
     assert_eq!(rows.len() as i64, OWNERS, "one group per owner");
-    let grand: i64 = rows
-        .iter()
-        .map(|r| match r[1] {
-            Value::Int(v) => v,
-            ref other => panic!("unexpected total {other:?}"),
-        })
-        .sum();
+    let grand: i64 = rows.iter().map(|r| int(&r[1])).sum();
     // Transfers conserved the total before the freeze; the aggregate
     // must see exactly that conserved sum.
     assert_eq!(

@@ -700,6 +700,26 @@ fn a_truncated_third_frame_waits_for_its_tail() {
 }
 
 #[test]
+fn a_retired_opcode_gets_an_error_and_the_connection_stays_usable() {
+    let (_server, addr) = serve(quick_config());
+    let mut s = raw_conn_with_table(addr);
+    // 0x08 was the cluster-control opcode; its sub-operation byte
+    // follows as it used to.
+    wire::write_frame(&mut s, &bytes::Bytes::from_static(&[0x08, 0x01])).unwrap();
+    match wire::read_response(&mut s)
+        .unwrap()
+        .expect("connection open")
+    {
+        Response::Err { message, .. } => {
+            assert!(message.contains("unknown request opcode 0x08"), "{message}")
+        }
+        other => panic!("{other:?}"),
+    }
+    s.write_all(&select_v(3)).unwrap();
+    expect_v(&mut s, 30);
+}
+
+#[test]
 fn a_client_that_never_reads_is_closed_and_its_worker_released() {
     let (server, addr) = serve(quick_config());
     let mut admin = Client::connect(addr).unwrap();

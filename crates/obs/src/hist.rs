@@ -17,9 +17,9 @@
 //! `record` is two relaxed `fetch_add`s (bucket + sum) on one of
 //! [`RECORD_SHARDS`] per-thread-striped bucket arrays — no locks, no
 //! CAS loops, and threads that stay on their stripe never contend.
-//! `snapshot` folds the stripes with the same merge the wire layer and
-//! the cluster aggregator use, which is what the proptests pin down:
-//! shard-merge must equal single-recorder.
+//! `snapshot` folds the stripes with the same merge a reader uses to
+//! add two snapshots, which is what the proptests pin down: shard-merge
+//! must equal single-recorder.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

@@ -179,37 +179,6 @@ impl MetricsSnapshot {
     pub fn spans_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanSnapshot> {
         self.spans.iter().filter(move |s| s.name == name)
     }
-
-    /// Folds `other` into `self`: counters and histogram buckets add,
-    /// gauges keep the element-wise maximum (levels from different
-    /// nodes cannot meaningfully sum), spans concatenate, and uptime
-    /// keeps the maximum. Used by the cluster aggregator.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        self.uptime_us = self.uptime_us.max(other.uptime_us);
-        self.spans_dropped += other.spans_dropped;
-        for (name, v) in &other.counters {
-            match self.counters.iter_mut().find(|(k, _)| k == name) {
-                Some((_, cur)) => *cur += v,
-                None => self.counters.push((name.clone(), *v)),
-            }
-        }
-        for (name, v) in &other.gauges {
-            match self.gauges.iter_mut().find(|(k, _)| k == name) {
-                Some((_, cur)) => *cur = (*cur).max(*v),
-                None => self.gauges.push((name.clone(), *v)),
-            }
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.iter_mut().find(|(k, _)| k == name) {
-                Some((_, cur)) => cur.merge(h),
-                None => self.histograms.push((name.clone(), h.clone())),
-            }
-        }
-        self.spans.extend(other.spans.iter().cloned());
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-    }
 }
 
 #[cfg(test)]
@@ -240,27 +209,5 @@ mod tests {
         let a = reg.intern(&format!("net.conn{}.frames", 0));
         let b = reg.intern("net.conn0.frames");
         assert!(std::ptr::eq(a, b), "same allocation for the same name");
-    }
-
-    #[test]
-    fn snapshot_merge_aggregates() {
-        let r1 = Registry::new();
-        let r2 = Registry::new();
-        r1.counter("c").add(5);
-        r2.counter("c").add(7);
-        r2.counter("only2").add(1);
-        r1.histogram("h").record(10);
-        r2.histogram("h").record(1000);
-        let mut m = r1.snapshot();
-        m.gauges.push(("g".into(), 3));
-        let mut m2 = r2.snapshot();
-        m2.gauges.push(("g".into(), 9));
-        m.merge(&m2);
-        assert_eq!(m.counter("c"), Some(12));
-        assert_eq!(m.counter("only2"), Some(1));
-        assert_eq!(m.gauge("g"), Some(9));
-        let h = m.histogram("h").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum, 1010);
     }
 }

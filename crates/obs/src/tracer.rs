@@ -1,10 +1,10 @@
 //! Ring-buffered span events for the migration lifecycle.
 //!
 //! Spans are *rare* relative to statements — per-granule copies, the
-//! flip quiesce, cluster exchange legs, finalize — so the ring trades a
-//! short mutex hold for exact ordering and bounded memory: the newest
-//! [`RING_CAPACITY`] events win, and a dropped-event counter records
-//! what scrolled off. Timestamps are microseconds on the owning
+//! flip quiesce, finalize — so the ring trades a short mutex hold for
+//! exact ordering and bounded memory: the newest [`RING_CAPACITY`]
+//! events win, and a dropped-event counter records what scrolled off.
+//! Timestamps are microseconds on the owning
 //! [`Registry`](crate::Registry)'s monotonic clock, so span windows and
 //! histogram samples line up in one timeline.
 

@@ -593,7 +593,7 @@ fn subscribe_once(state: &mut ApplyState, addr: &str, stop: &AtomicBool) -> Resu
                     )));
                 }
                 if epoch > own {
-                    // Adopt (and persist) the cluster's higher epoch.
+                    // Adopt (and persist) the HA group's higher epoch.
                     state.epoch.observe(epoch)?;
                     state.stats.epoch.store(epoch, Ordering::Release);
                 }

@@ -177,11 +177,13 @@ impl TableHeap {
         guard.get(rid.slot()).map(decode)
     }
 
-    /// Replaces the live row at `rid`, returning the previous row.
-    pub fn update(&self, rid: RowId, row: &Row) -> Option<Row> {
+    /// Replaces the live row at `rid`; false when the slot holds no
+    /// live row. The replaced tuple is dropped undecoded: a caller that
+    /// needs the old row reads it first, under its row lock.
+    pub fn update(&self, rid: RowId, row: &Row) -> bool {
         let tuple = encode(row);
-        let old = self.write(rid.page(), |p| p.update(rid.slot(), tuple))??;
-        Some(decode(&old))
+        self.write(rid.page(), |p| p.update(rid.slot(), tuple).is_some())
+            .unwrap_or(false)
     }
 
     /// Tombstones the row at `rid`, returning it.
@@ -522,9 +524,9 @@ mod tests {
                     }
                     (6, Some(rid)) => {
                         h.prepare_write(rid, txn);
-                        let old = h.update(rid, &row);
-                        if let Some(old) = old {
-                            h.update(rid, &old);
+                        if let Some(old) = h.get(rid) {
+                            assert!(h.update(rid, &row));
+                            assert!(h.update(rid, &old));
                         }
                         h.clear_pending(rid, txn);
                     }
@@ -594,11 +596,11 @@ mod tests {
         let h = TableHeap::new(4);
         let rid = h.insert(&row![1, "a"]);
         assert_eq!(h.get(rid), Some(row![1, "a"]));
-        assert_eq!(h.update(rid, &row![2, "b"]), Some(row![1, "a"]));
+        assert!(h.update(rid, &row![2, "b"]));
         assert_eq!(h.get(rid), Some(row![2, "b"]));
         assert_eq!(h.delete(rid), Some(row![2, "b"]));
         assert_eq!(h.get(rid), None);
-        assert_eq!(h.update(rid, &row![3, "c"]), None);
+        assert!(!h.update(rid, &row![3, "c"]), "tombstoned slot");
         assert!(h.undelete(rid, &row![2, "b"]));
         assert_eq!(h.get(rid), Some(row![2, "b"]));
     }

@@ -198,7 +198,9 @@ impl Table {
 
     /// Updates the row at `rid`, returning the previous row. Index entries
     /// whose keys changed are moved; uniqueness conflicts roll everything
-    /// back.
+    /// back. The caller holds `rid`'s row lock, so the row read here for
+    /// the index diff is the row the heap replaces, and it is returned
+    /// as is rather than decoded a second time.
     pub fn update(&self, rid: RowId, new_row: &Row) -> Result<Row> {
         self.schema.validate_row(new_row)?;
         let old_row = self.heap.get(rid).ok_or(Error::RowNotFound)?;
@@ -230,17 +232,16 @@ impl Table {
             }
             moved.push((n, old_key, new_key));
         }
-        self.heap
-            .update(rid, new_row)
-            .ok_or(Error::RowNotFound)
-            .inspect_err(|_| {
-                // Heap row vanished between get and update (concurrent
-                // delete) — restore index moves.
-                for (m, ok, nk) in moved.iter().rev() {
-                    indexes[*m].remove(nk, rid);
-                    let _ = indexes[*m].insert(self.name(), ok.clone(), rid);
-                }
-            })
+        if !self.heap.update(rid, new_row) {
+            // Heap row vanished between get and update (concurrent
+            // delete) — restore index moves.
+            for (m, ok, nk) in moved.into_iter().rev() {
+                indexes[m].remove(&nk, rid);
+                let _ = indexes[m].insert(self.name(), ok, rid);
+            }
+            return Err(Error::RowNotFound);
+        }
+        Ok(old_row)
     }
 
     /// Deletes the row at `rid` (tombstone + index cleanup), returning it.

@@ -17,11 +17,6 @@ RUST_TEST_THREADS=16 cargo test -q -p bullfrog-txn wal
 RUST_TEST_THREADS=16 cargo test -q -p bullfrog-engine --test durability
 RUST_TEST_THREADS=16 cargo test -q -p bullfrog-txn lock
 
-echo "== cluster scale bench (machine-readable JSON) =="
-BENCH_CLUSTER_JSON="$PWD/target/BENCH_cluster.json" \
-  timeout 120 cargo bench -q -p bullfrog-bench --bench cluster_scale
-grep -q '"bench": "cluster_scale"' target/BENCH_cluster.json
-
 echo "== net protocol bench (QUERY vs prepared vs pipelined, machine-readable JSON) =="
 BENCH_NET_JSON="$PWD/target/BENCH_net.json" \
   timeout 120 cargo bench -q -p bullfrog-bench --bench micro_net

@@ -15,10 +15,6 @@
 //!   and `CREATE TABLE ... AS SELECT` migration DDL.
 //! - [`net`] — the BFNET1 TCP server/client: lazy migrations under real
 //!   multi-client traffic.
-//! - [`cluster`] — shared-nothing distributed lazy migration: hash
-//!   partitioning by shard map, a routing/scatter-gather client, and a
-//!   two-phase schema-flip coordinator with cross-node aggregate
-//!   exchange (the `clusterd` binary).
 //! - [`repl`] — physical replication by WAL shipping: primary-side
 //!   sender, read-only replicas, and snapshot bootstrap.
 //! - [`ha`] — fenced failover, quorum leases, synchronous replication,
@@ -28,7 +24,6 @@
 //! See the `examples/` directory for end-to-end usage, starting with
 //! `quickstart.rs`.
 
-pub use bullfrog_cluster as cluster;
 pub use bullfrog_common as common;
 pub use bullfrog_core as core;
 pub use bullfrog_engine as engine;

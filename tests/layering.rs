@@ -14,7 +14,6 @@ use std::collections::BTreeSet;
 use std::process::Command;
 
 const ALLOWED: &[&str] = &[
-    "bullfrog -> bullfrog-cluster",
     "bullfrog -> bullfrog-common",
     "bullfrog -> bullfrog-core",
     "bullfrog -> bullfrog-engine",
@@ -34,12 +33,6 @@ const ALLOWED: &[&str] = &[
     "bullfrog-bench -> bullfrog-tpcc",
     "bullfrog-bench -> bullfrog-txn",
     "bullfrog-bench -> parking_lot",
-    "bullfrog-cluster -> bullfrog-common",
-    "bullfrog-cluster -> bullfrog-core",
-    "bullfrog-cluster -> bullfrog-engine",
-    "bullfrog-cluster -> bullfrog-net",
-    "bullfrog-cluster -> bullfrog-obs",
-    "bullfrog-cluster -> bullfrog-query",
     "bullfrog-core -> bullfrog-common",
     "bullfrog-core -> bullfrog-engine",
     "bullfrog-core -> bullfrog-query",

@@ -1,4 +1,4 @@
-//! Child daemons for the multi-process tests (`repld`, `clusterd`).
+//! Child daemons for the multi-process tests (`repld`).
 //!
 //! A [`Daemon`] is ready once it has printed its `… serving on <addr>`
 //! line and a client has connected to that address. It is killed on
@@ -6,8 +6,6 @@
 //! deadline, and its panic names what never arrived.
 //!
 //! Included by path from each crate's test file that spawns daemons.
-
-#![allow(dead_code)]
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
