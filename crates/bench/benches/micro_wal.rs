@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use bullfrog_common::{row, RowId, TableId, TxnId};
+use bullfrog_common::{row, RowId, TableId};
 use bullfrog_txn::wal::{LogRecord, Wal};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -33,23 +33,17 @@ fn bench_path(tag: &str) -> PathBuf {
 /// bytes written, not only the fsync.
 const ROWS_PER_TXN: usize = 8;
 
-/// One committer's transaction batch: Begin + inserts + Commit for a txn
-/// id unique to `(worker, i)`.
+/// One committer's transaction: the inserts its commit appends as one
+/// frame, at row ids unique to `(worker, i)`.
 fn batch(worker: usize, i: usize) -> Vec<LogRecord> {
-    let txn = TxnId((worker * 1_000_000 + i + 1) as u64);
     let payload = "x".repeat(256);
-    let mut records = Vec::with_capacity(ROWS_PER_TXN + 2);
-    records.push(LogRecord::Begin(txn));
-    for r in 0..ROWS_PER_TXN {
-        records.push(LogRecord::Insert {
-            txn,
-            table: TableId(1),
+    (0..ROWS_PER_TXN)
+        .map(|r| LogRecord::Insert {
+            table: TableId(1 + worker as u32),
             rid: RowId::from_ordinal((i * ROWS_PER_TXN + r) as u64, 64),
             row: row![r as i64, payload.as_str()],
-        });
-    }
-    records.push(LogRecord::Commit(txn));
-    records
+        })
+        .collect()
 }
 
 /// A fresh file-backed log for one measured burst, so every sample
@@ -72,7 +66,7 @@ fn wal_commit(c: &mut Criterion) {
                         let wal = Arc::clone(&wal);
                         s.spawn(move || {
                             for i in 0..TXNS_PER_COMMITTER {
-                                black_box(wal.append(batch(w, i), None)).wait();
+                                black_box(wal.append(batch(w, i), false)).wait();
                             }
                         });
                     }
@@ -98,7 +92,7 @@ fn wal_commit(c: &mut Criterion) {
                         s.spawn(move || {
                             let mut last = None;
                             for i in 0..TXNS_PER_COMMITTER {
-                                last = Some(wal.append(batch(w, i), None));
+                                last = Some(wal.append(batch(w, i), false));
                             }
                             // Ack latency is off the committer's path;
                             // only the burst's last ticket is awaited.

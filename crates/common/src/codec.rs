@@ -104,10 +104,10 @@ pub fn get_varint(buf: &mut &[u8]) -> Result<u64> {
     Err(Error::Wal("over-long varint".into()))
 }
 
-/// Reads an element count and bounds it by the bytes left, so a hostile
-/// count can never size an allocation: every element takes at least one
-/// byte.
-fn get_count(buf: &mut &[u8]) -> Result<usize> {
+/// Reads an element count or a length and bounds it by the bytes left,
+/// so a hostile count can never size an allocation: every element takes
+/// at least one byte.
+pub fn get_count(buf: &mut &[u8]) -> Result<usize> {
     let n = get_varint(buf)?;
     if n > buf.len() as u64 {
         return Err(Error::Wal(format!(
@@ -323,7 +323,7 @@ mod tests {
     }
 
     /// The bytes of one row holding every variant, pinned: the log
-    /// (`BFWAL7`), the checkpoint sidecar and the wire all carry them,
+    /// (`BFWAL8`), the checkpoint sidecar and the wire all carry them,
     /// so any change here is a format change.
     #[test]
     fn golden_bytes_of_every_variant() {

@@ -704,7 +704,6 @@ fn migrate_granule(
     }
     // Granule record for tracker recovery (§3.5).
     txn.push_redo(LogRecord::MigrationGranule {
-        txn: txn.id(),
         migration: rt.id,
         granule: match g {
             Granule::Ordinal(o) => GranuleKey::Ordinal(*o),

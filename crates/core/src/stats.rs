@@ -127,9 +127,10 @@ mod tests {
             .unwrap();
             db.with_txn(|txn| db.insert(txn, "t", row![1]).map(|_| ()))
                 .unwrap();
-            // One txn = Insert + Commit records.
-            assert_eq!(db.wal().len(), 2);
-            assert_eq!(db.wal().resident_records(), 2);
+            // One txn = one frame of its one Insert record.
+            assert_eq!(db.wal().len(), 1);
+            assert_eq!(db.wal().resident_records(), 1);
+            assert_eq!(db.wal().snapshot().len(), 1);
         }
     }
 

@@ -1,23 +1,26 @@
 //! Checkpointing: bound the WAL by snapshotting its committed prefix.
 //!
-//! A checkpoint turns the log prefix below a transaction-safe cut (see
-//! [`Wal::safe_cut`](bullfrog_txn::Wal::safe_cut)) into a
-//! [`CheckpointImage`] — the rows every table would hold after
-//! replaying that prefix, plus the migration granules
-//! whose migration committed in it. The image is **built by replay, not by
-//! scanning live heaps**, so it needs no table locks and is trivially
+//! A checkpoint turns the log below a cut into a [`CheckpointImage`] —
+//! the rows every table would hold after replaying that prefix, plus the
+//! migration granules whose migration committed in it. The log holds
+//! committed transactions only, one frame each, and the cut is the log's
+//! frontier, which is always a frame boundary, so the prefix is a whole
+//! number of committed transactions. The image is **built by replay, not
+//! by scanning live heaps**, so it needs no table locks and is trivially
 //! consistent: it is exactly what recovery would have produced.
 //!
 //! Images are incremental. Each checkpoint folds only the log delta
 //! since the previous cut into the running image — streamed off the log's
-//! bytes one record at a time (`CheckpointImage::fold_from`), so the
+//! bytes one frame at a time (`CheckpointImage::fold_from`), so the
 //! delta is never resident as records — persists the image to a sidecar
 //! file (temp + [`durable_rename`], so a crash never leaves a
 //! half-written image and a power loss never undoes the rename), and only
 //! then truncates the log
-//! ([`Wal::truncate_to`](bullfrog_txn::Wal::truncate_to)).
-//! Crashing between those steps is safe in both orders: recovery replays
-//! `image + tail records at or above the image's base LSN`, and
+//! ([`Wal::truncate_to`](bullfrog_txn::Wal::truncate_to), which holds
+//! the cut below a tailing replica's retain horizon and on a frame
+//! boundary). Crashing between those steps is safe in both orders:
+//! recovery replays `image + tail frames at or above the image's base
+//! LSN`, and
 //! [`recovery::load_from_files`](crate::recovery::load_from_files)
 //! skips the already-absorbed file prefix.
 
@@ -25,16 +28,16 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use bullfrog_common::fs::durable_rename;
-use bullfrog_common::{Error, Result, Row, RowId, TableId, TxnId};
-use bullfrog_txn::wal::{codec, GranuleKey};
+use bullfrog_common::{Error, Result, Row, RowId, TableId};
+use bullfrog_txn::wal::{codec, Frame, GranuleKey};
 use bullfrog_txn::{LogRecord, Wal};
 pub use bytes::Bytes;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use parking_lot::Mutex;
 
 use crate::db::Database;
-use crate::recovery::{CommitBuffer, RecoveryStats};
+use crate::recovery::RecoveryStats;
 
 /// Magic prefix of checkpoint sidecar files, the only image format: the
 /// header fields fixed-width, the rows, row ids and granules in the WAL's
@@ -49,7 +52,7 @@ pub struct CheckpointImage {
     /// Records below this LSN are covered by the image.
     pub base_lsn: u64,
     /// Highest commit timestamp folded into the image (0 when the
-    /// absorbed prefix held no `CommitTs` records). Recovery resumes the
+    /// absorbed prefix held no stamped frames). Recovery resumes the
     /// timestamp oracle past this, so post-restart commits never reuse a
     /// timestamp the image already covers.
     pub base_ts: u64,
@@ -70,75 +73,48 @@ impl CheckpointImage {
         self.tables.values().map(|t| t.len()).sum()
     }
 
-    /// Folds a log delta into the image. The delta must be the records in
-    /// `[self.base_lsn, cut)` for a transaction-safe `cut`: every
-    /// transaction in it is then fully contained, so commit status is
-    /// decidable from the slice alone. Transactions left without an
-    /// outcome (a crash tail) are not applied.
-    pub fn absorb(&mut self, delta: &[LogRecord], cut: u64) {
-        let committed: std::collections::HashSet<TxnId> = delta
-            .iter()
-            .filter_map(|r| if r.is_commit() { Some(r.txn()) } else { None })
-            .collect();
-        if let Some(max_ts) = delta.iter().filter_map(|r| r.commit_ts()).max() {
-            self.base_ts = self.base_ts.max(max_ts);
-        }
-        for rec in delta {
-            if committed.contains(&rec.txn()) {
-                self.put(rec.clone());
-            }
+    /// Folds a log delta into the image: `frames` are the committed
+    /// transactions in `[self.base_lsn, cut)`, in LSN order.
+    pub fn absorb(&mut self, frames: impl IntoIterator<Item = Frame>, cut: u64) {
+        for frame in frames {
+            self.put(frame);
         }
         self.base_lsn = cut;
     }
 
-    /// As [`CheckpointImage::absorb`] over `wal`'s records in
-    /// `[self.base_lsn, cut)`, but streamed: each record is decoded once,
-    /// straight off the log's bytes ([`Wal::scan`]), buffered with its
-    /// transaction until the outcome (`recovery::CommitBuffer`, shared with
-    /// [`crate::recovery::StreamingReplay`]) and then moved into the image.
-    /// Only unresolved transactions are ever held, never the delta.
-    /// Returns the records folded.
+    /// As [`CheckpointImage::absorb`] over `wal`'s frames in
+    /// `[self.base_lsn, cut)`, but streamed: each frame is decoded once,
+    /// straight off the log's bytes ([`Wal::scan`]), and moved into the
+    /// image, so the delta is never held. Returns the records folded.
     pub(crate) fn fold_from(&mut self, wal: &Wal, cut: u64) -> usize {
-        let mut pending = CommitBuffer::default();
-        let folded = wal.scan(self.base_lsn, cut, |_, rec| {
-            if let Some(ts) = rec.commit_ts() {
-                self.base_ts = self.base_ts.max(ts);
-            }
-            for committed in pending.feed(rec).into_iter().flatten() {
-                self.put(committed);
-            }
-        });
+        let folded = wal.scan(self.base_lsn, cut, |frame| self.put(frame));
         self.base_lsn = cut;
         folded
     }
 
-    /// Applies one record of a committed transaction, moving its row in.
-    fn put(&mut self, rec: LogRecord) {
-        match rec {
-            LogRecord::Insert {
-                table, rid, row, ..
+    /// Applies one committed transaction, moving its rows in.
+    fn put(&mut self, frame: Frame) {
+        self.base_ts = self.base_ts.max(frame.commit_ts);
+        for rec in frame.records {
+            match rec {
+                LogRecord::Insert { table, rid, row }
+                | LogRecord::Update {
+                    table,
+                    rid,
+                    after: row,
+                } => {
+                    self.tables.entry(table).or_default().insert(rid, row);
+                }
+                LogRecord::Delete { table, rid } => {
+                    self.tables.entry(table).or_default().remove(&rid);
+                }
+                LogRecord::MigrationGranule { migration, granule } => {
+                    self.migrated.push((migration, granule))
+                }
+                // The epoch's durable home is its sidecar (and the retained
+                // log tail); the image does not carry it.
+                LogRecord::Epoch { .. } => {}
             }
-            | LogRecord::Update {
-                table,
-                rid,
-                after: row,
-                ..
-            } => {
-                self.tables.entry(table).or_default().insert(rid, row);
-            }
-            LogRecord::Delete { table, rid, .. } => {
-                self.tables.entry(table).or_default().remove(&rid);
-            }
-            LogRecord::MigrationGranule {
-                migration, granule, ..
-            } => self.migrated.push((migration, granule)),
-            // The epoch's durable home is its sidecar (and the retained
-            // log tail); the image does not carry it.
-            LogRecord::Epoch { .. }
-            | LogRecord::Begin(_)
-            | LogRecord::Commit(_)
-            | LogRecord::CommitTs { .. }
-            | LogRecord::Abort(_) => {}
         }
     }
 
@@ -191,15 +167,14 @@ impl CheckpointImage {
     /// Parses an image produced by [`CheckpointImage::encode`]; any other
     /// format is an error.
     pub fn decode(bytes: impl Into<Bytes>) -> Result<Self> {
-        let mut bytes = bytes.into();
-        if !bytes.starts_with(&CKPT_MAGIC) {
+        let bytes = bytes.into();
+        let Some(mut bytes) = bytes.strip_prefix(&CKPT_MAGIC[..]) else {
             let found = &bytes[..bytes.len().min(CKPT_MAGIC.len())];
             return Err(Error::Wal(format!(
                 "not a BFCKPT3 checkpoint image: it starts {:?}",
                 String::from_utf8_lossy(found)
             )));
-        }
-        bytes.advance(CKPT_MAGIC.len());
+        };
         let base_lsn = codec::get_u64(&mut bytes)?;
         let base_ts = codec::get_u64(&mut bytes)?;
         let mut tables = BTreeMap::new();
@@ -218,7 +193,7 @@ impl CheckpointImage {
         let nmigrated = codec::get_u32(&mut bytes)?;
         // Every granule takes at least a byte: the count cannot size an
         // allocation past what is left.
-        let mut migrated = Vec::with_capacity((nmigrated as usize).min(bytes.remaining()));
+        let mut migrated = Vec::with_capacity((nmigrated as usize).min(bytes.len()));
         for _ in 0..nmigrated {
             let migration = codec::get_u32(&mut bytes)?;
             migrated.push((migration, codec::get_granule(&mut bytes)?));
@@ -235,7 +210,7 @@ impl CheckpointImage {
 /// Outcome of one [`Database::checkpoint`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointStats {
-    /// The transaction-safe cut the checkpoint covered up to.
+    /// The frame boundary the checkpoint's image covers up to.
     pub cut_lsn: u64,
     /// Log records folded into the image this round.
     pub absorbed_records: usize,
@@ -286,15 +261,15 @@ impl Checkpointer {
         *self.image.lock() = image;
     }
 
-    /// Runs one checkpoint cycle against `db`: pick the cut, fold the
-    /// delta into the image as it streams off the log, persist the image,
-    /// truncate the log.
+    /// Runs one checkpoint cycle against `db`: cut at the log's frontier,
+    /// fold the delta into the image as it streams off the log, persist
+    /// the image, truncate the log.
     pub fn run(&self, db: &Database) -> Result<CheckpointStats> {
         let mut image = self.image.lock();
-        let cut = db.wal().safe_cut();
+        let cut = db.wal().frontier();
         if cut <= image.base_lsn {
-            // Nothing new is coverable (e.g. a long-running transaction
-            // pins the cut); report without touching the log.
+            // Nothing was committed since the last cut; report without
+            // touching the log.
             return Ok(CheckpointStats {
                 cut_lsn: image.base_lsn,
                 absorbed_records: 0,
@@ -342,48 +317,48 @@ mod tests {
     use crate::db::{DbConfig, EngineMode};
     use bullfrog_common::{row, Value};
 
+    fn insert(slot: u16, v: i64, text: &str) -> LogRecord {
+        LogRecord::Insert {
+            table: TableId(0),
+            rid: RowId::new(0, slot),
+            row: row![v, text],
+        }
+    }
+
+    fn frame(first_lsn: u64, commit_ts: u64, records: Vec<LogRecord>) -> Frame {
+        Frame {
+            first_lsn,
+            commit_ts,
+            records,
+        }
+    }
+
     fn sample_image() -> CheckpointImage {
         let mut img = CheckpointImage::new();
         img.absorb(
-            &[
-                LogRecord::Begin(TxnId(1)),
-                LogRecord::Insert {
-                    txn: TxnId(1),
-                    table: TableId(0),
-                    rid: RowId::new(0, 0),
-                    row: row![1, "one"],
-                },
-                LogRecord::Insert {
-                    txn: TxnId(1),
-                    table: TableId(0),
-                    rid: RowId::new(0, 1),
-                    row: row![2, "two"],
-                },
-                LogRecord::MigrationGranule {
-                    txn: TxnId(1),
-                    migration: 3,
-                    granule: GranuleKey::Group(vec![Value::Int(9)]),
-                },
-                LogRecord::Commit(TxnId(1)),
-                // Uncommitted noise that must not surface.
-                LogRecord::Begin(TxnId(2)),
-                LogRecord::Insert {
-                    txn: TxnId(2),
-                    table: TableId(0),
-                    rid: RowId::new(0, 2),
-                    row: row![3, "ghost"],
-                },
-                LogRecord::Abort(TxnId(2)),
-            ],
-            8,
+            [frame(
+                0,
+                0,
+                vec![
+                    insert(0, 1, "one"),
+                    insert(1, 2, "two"),
+                    LogRecord::MigrationGranule {
+                        migration: 3,
+                        granule: GranuleKey::Group(vec![Value::Int(9)]),
+                    },
+                ],
+            )],
+            3,
         );
         img
     }
 
     #[test]
     fn absorb_applies_committed_only() {
+        // Only committed transactions reach the log, so everything
+        // absorbed lands: the rows and the granule of the one frame.
         let img = sample_image();
-        assert_eq!(img.base_lsn, 8);
+        assert_eq!(img.base_lsn, 3);
         assert_eq!(img.row_count(), 2);
         assert_eq!(
             img.migrated,
@@ -395,23 +370,24 @@ mod tests {
     fn absorb_folds_updates_and_deletes() {
         let mut img = sample_image();
         img.absorb(
-            &[
-                LogRecord::Update {
-                    txn: TxnId(4),
-                    table: TableId(0),
-                    rid: RowId::new(0, 0),
-                    after: row![1, "uno"],
-                },
-                LogRecord::Delete {
-                    txn: TxnId(4),
-                    table: TableId(0),
-                    rid: RowId::new(0, 1),
-                },
-                LogRecord::Commit(TxnId(4)),
-            ],
-            11,
+            [frame(
+                3,
+                0,
+                vec![
+                    LogRecord::Update {
+                        table: TableId(0),
+                        rid: RowId::new(0, 0),
+                        after: row![1, "uno"],
+                    },
+                    LogRecord::Delete {
+                        table: TableId(0),
+                        rid: RowId::new(0, 1),
+                    },
+                ],
+            )],
+            5,
         );
-        assert_eq!(img.base_lsn, 11);
+        assert_eq!(img.base_lsn, 5);
         let rows = &img.tables[&TableId(0)];
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[&RowId::new(0, 0)], row![1, "uno"]);
@@ -420,63 +396,49 @@ mod tests {
     #[test]
     fn streaming_fold_matches_slice_absorb() {
         let wal = Wal::new();
-        let ins = |txn, slot, v: i64| LogRecord::Insert {
-            txn: TxnId(txn),
-            table: TableId(0),
-            rid: RowId::new(0, slot),
-            row: row![v, "x"],
-        };
-        let upd = |txn, slot, v: i64| LogRecord::Update {
-            txn: TxnId(txn),
+        let upd = |slot, v: i64| LogRecord::Update {
             table: TableId(0),
             rid: RowId::new(0, slot),
             after: row![v, "y"],
         };
-        let granule = |txn, key| LogRecord::MigrationGranule {
-            txn: TxnId(txn),
+        let granule = |key| LogRecord::MigrationGranule {
             migration: 4,
             granule: key,
         };
-        // T1 commits stamped (a `CommitTs`); T2's insert is interleaved
-        // with T3's batch and aborts; T3 and T4 update the same row, T3
-        // deletes one and migrates a granule; T5 aborts in one batch; T6
-        // commits plainly.
-        wal.append(
-            [LogRecord::Begin(TxnId(1)), ins(1, 0, 1), ins(1, 1, 2)],
-            Some(TxnId(1)),
-        );
-        wal.append([LogRecord::Begin(TxnId(2)), ins(2, 2, 3)], None);
-        wal.append(
-            [
-                upd(3, 0, 10),
+        // T1 commits stamped; T2 and T3 update the same row, T2 deletes
+        // one and migrates a granule; T4 commits plainly.
+        let commit = |records: Vec<LogRecord>, stamp: bool| {
+            let ticket = wal.append(records, stamp);
+            if let Some(ts) = ticket.commit_ts() {
+                wal.oracle().finish(ts);
+            }
+        };
+        commit(vec![insert(0, 1, "x"), insert(1, 2, "x")], true);
+        commit(
+            vec![
+                upd(0, 10),
                 LogRecord::Delete {
-                    txn: TxnId(3),
                     table: TableId(0),
                     rid: RowId::new(0, 1),
                 },
-                granule(3, GranuleKey::Ordinal(7)),
+                granule(GranuleKey::Ordinal(7)),
             ],
-            Some(TxnId(3)),
+            true,
         );
-        wal.append([LogRecord::Abort(TxnId(2))], None);
-        let mid = wal.len() as u64;
-        wal.append(
-            [
-                upd(4, 0, 20),
-                granule(4, GranuleKey::Group(vec![Value::Int(5)])),
-            ],
-            Some(TxnId(4)),
+        let mid = wal.frontier();
+        commit(
+            vec![upd(0, 20), granule(GranuleKey::Group(vec![Value::Int(5)]))],
+            true,
         );
-        wal.append([ins(5, 3, 9), LogRecord::Abort(TxnId(5))], None);
-        wal.append([ins(6, 4, 6), LogRecord::Commit(TxnId(6))], None);
-        let cut = wal.len() as u64;
+        commit(vec![insert(4, 6, "x")], false);
+        let cut = wal.frontier();
 
         let mut absorbed = CheckpointImage::new();
-        absorbed.absorb(&wal.snapshot(), cut);
+        absorbed.absorb(wal.snapshot(), cut);
         let mut streamed = CheckpointImage::new();
         assert_eq!(streamed.fold_from(&wal, cut), cut as usize);
         assert_eq!(streamed, absorbed);
-        // Two folds split at a transaction boundary give the same image.
+        // Two folds split at a frame boundary give the same image.
         let mut stepped = CheckpointImage::new();
         stepped.fold_from(&wal, mid);
         assert_eq!(stepped.fold_from(&wal, cut), (cut - mid) as usize);
@@ -526,22 +488,19 @@ mod tests {
             eprintln!("engine mode: {mode:?}");
             let mut img = CheckpointImage::new();
             img.absorb(
-                &[
-                    LogRecord::Insert {
-                        txn: TxnId(1),
+                [frame(
+                    0,
+                    17,
+                    vec![LogRecord::Insert {
                         table: TableId(1), // catalog ids start at 1
                         rid: RowId::new(0, 0),
                         row: row![1, "one"],
-                    },
-                    LogRecord::CommitTs {
-                        txn: TxnId(1),
-                        ts: 17,
-                    },
-                ],
-                2,
+                    }],
+                )],
+                1,
             );
             assert_eq!(img.base_ts, 17);
-            assert_eq!(img.row_count(), 1, "CommitTs marks the txn committed");
+            assert_eq!(img.row_count(), 1);
             let round = CheckpointImage::decode(img.encode()).unwrap();
             assert_eq!(round.base_ts, 17);
 

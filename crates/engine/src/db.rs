@@ -385,21 +385,20 @@ impl Database {
         }
     }
 
-    /// Commits: appends the redo batch + `Commit` atomically to the WAL,
-    /// waits on the group-commit barrier until the batch is on disk
-    /// (no-op for in-memory databases), marks the transaction committed,
-    /// and releases its locks.
+    /// Commits: appends the redo records to the WAL as one frame, waits
+    /// on the group-commit barrier until the frame is on disk (no-op for
+    /// in-memory databases), marks the transaction committed, and
+    /// releases its locks.
     ///
     /// Read-only transactions (empty redo) skip the WAL entirely: there
-    /// is nothing to replay, so appending a lone `Commit` and parking on
-    /// the commit barrier would buy no durability — just an fsync and a
-    /// stall behind unrelated writers.
+    /// is nothing to replay, so parking on the commit barrier would buy
+    /// no durability — just a stall behind unrelated writers.
     ///
     /// When synchronous replication is armed (`SET SYNC_REPLICAS`), the
     /// acknowledgement additionally waits on the WAL's
     /// [`SyncGate`](bullfrog_txn::SyncGate) (local durability first,
     /// replica quorum second). A fenced node completes the local commit
-    /// — the batch is already in the log and locks must not leak — but
+    /// — the frame is already in the log and locks must not leak — but
     /// returns [`Error::Fenced`] so the client is never acked and
     /// re-routes to the current primary.
     pub fn commit(&self, txn: &mut Transaction) -> Result<()> {
@@ -412,9 +411,8 @@ impl Database {
         }
         let mut outcome = AckOutcome::Synced;
         if !txn.redo.is_empty() {
-            let mut batch = std::mem::take(&mut txn.redo);
-            batch.push(LogRecord::Commit(txn.id()));
-            outcome = self.wal.append(batch, None).wait_acked();
+            let redo = std::mem::take(&mut txn.redo);
+            outcome = self.wal.append(redo, false).wait_acked();
         }
         txn.mark_committed()?;
         self.locks_hist.record(txn.locks.len() as u64);
@@ -428,10 +426,10 @@ impl Database {
         Ok(())
     }
 
-    /// Snapshot-mode commit: the redo batch is appended together with a
-    /// `CommitTs` record whose timestamp is drawn under the WAL core
-    /// mutex (so timestamp order equals LSN order), the batch is made
-    /// durable, and only then are this transaction's in-place writes
+    /// Snapshot-mode commit: the redo records are appended as a frame
+    /// stamped with a commit timestamp drawn under the WAL core mutex (so
+    /// timestamp order equals LSN order), the frame is made durable, and
+    /// only then are this transaction's in-place writes
     /// published by installing chain versions at that timestamp. The
     /// oracle's stable horizon advances past the timestamp only after
     /// installation finishes, so no reader can snapshot at a timestamp
@@ -443,8 +441,8 @@ impl Database {
             self.release_locks(txn);
             return Ok(());
         }
-        let batch = std::mem::take(&mut txn.redo);
-        let ticket = self.wal.append(batch, Some(txn.id()));
+        let redo = std::mem::take(&mut txn.redo);
+        let ticket = self.wal.append(redo, true);
         let outcome = ticket.wait_acked();
         let ts = ticket
             .commit_ts()
@@ -491,16 +489,16 @@ impl Database {
         }
     }
 
-    /// Asynchronous commit: appends the redo batch + `Commit` atomically
-    /// and returns a [`CommitTicket`] **at enqueue time**, without waiting
+    /// Asynchronous commit: appends the redo records as one frame and
+    /// returns a [`CommitTicket`] **at enqueue time**, without waiting
     /// for the flush. The caller keeps running (and may start its next
-    /// transaction) while the WAL flusher makes the batch durable; call
+    /// transaction) while the WAL flusher makes the frame durable; call
     /// [`CommitTicket::wait`] before acknowledging the commit to anyone
     /// who needs durability. Locks are released immediately — sound
     /// because the log is one file written in LSN order: a later
     /// transaction that read this data appends at a higher LSN, so its
-    /// acknowledgement (at the durable horizon) covers this batch too,
-    /// and a crash can lose this unacknowledged batch only together with
+    /// acknowledgement (at the durable horizon) covers this frame too,
+    /// and a crash can lose this unacknowledged frame only together with
     /// everything after it — never a dependent commit alone.
     ///
     /// Read-only transactions get a trivially-durable ticket.
@@ -515,9 +513,9 @@ impl Database {
             // Snapshot-mode async commit: versions are installed at
             // enqueue time, before durability — the same contract as the
             // 2PL NOWAIT path, which releases X locks at enqueue. A crash
-            // may lose the batch, but never an acknowledged dependent.
-            let batch = std::mem::take(&mut txn.redo);
-            let ticket = self.wal.append(batch, Some(txn.id()));
+            // may lose the frame, but never an acknowledged dependent.
+            let redo = std::mem::take(&mut txn.redo);
+            let ticket = self.wal.append(redo, true);
             let ts = ticket
                 .commit_ts()
                 .expect("a stamped append draws a timestamp");
@@ -528,9 +526,8 @@ impl Database {
             visible_ts = Some(ts);
             ticket
         } else {
-            let mut batch = std::mem::take(&mut txn.redo);
-            batch.push(LogRecord::Commit(txn.id()));
-            self.wal.append(batch, None)
+            let redo = std::mem::take(&mut txn.redo);
+            self.wal.append(redo, false)
         };
         txn.mark_committed()?;
         self.release_locks(txn);
@@ -571,14 +568,15 @@ impl Database {
         &self.ckpt
     }
 
-    /// Aborts: applies the undo log in reverse, writes an `Abort` record,
-    /// and releases locks. Safe to call on an already-aborted transaction
-    /// (idempotent no-op) so error paths can abort unconditionally.
+    /// Aborts: applies the undo log in reverse, drops the redo records
+    /// (they never reached the log, so the log learns nothing of the
+    /// abort), and releases locks. Safe to call on an already-aborted
+    /// transaction (idempotent no-op) so error paths can abort
+    /// unconditionally.
     pub fn abort(&self, txn: &mut Transaction) {
         if txn.assert_active().is_err() {
             return;
         }
-        let wrote = !txn.redo.is_empty() || !txn.undo.is_empty();
         let mut touched: Vec<(bullfrog_common::TableId, RowId)> = Vec::new();
         for rec in std::mem::take(&mut txn.undo).into_iter().rev() {
             // Undo application must not fail: the operations below only
@@ -614,10 +612,6 @@ impl Database {
             txn.release_snapshot();
         }
         txn.redo.clear();
-        // A transaction that never wrote leaves no trace to disclaim.
-        if wrote {
-            self.wal.append([LogRecord::Abort(txn.id())], None);
-        }
         txn.mark_aborted().expect("active checked above");
         self.release_locks(txn);
     }
@@ -801,7 +795,6 @@ impl Database {
         self.lock(txn, LockKey::Row(t.id(), rid), LockMode::X)?;
         txn.push_undo(UndoRecord::Insert { table: t.id(), rid });
         txn.push_redo(LogRecord::Insert {
-            txn: txn.id(),
             table: t.id(),
             rid,
             row,
@@ -870,7 +863,6 @@ impl Database {
             old,
         });
         txn.push_redo(LogRecord::Update {
-            txn: txn.id(),
             table: t.id(),
             rid,
             after: new_row,
@@ -902,11 +894,7 @@ impl Database {
             rid,
             old: old.clone(),
         });
-        txn.push_redo(LogRecord::Delete {
-            txn: txn.id(),
-            table: t.id(),
-            rid,
-        });
+        txn.push_redo(LogRecord::Delete { table: t.id(), rid });
         Ok(old)
     }
 
@@ -1580,32 +1568,28 @@ mod tests {
 
     #[test]
     fn commit_writes_atomic_wal_batch() {
-        // Asserts the 2PL commit-record shape (`Commit`, not `CommitTs`).
-        let db = Database::with_config(DbConfig {
-            mode: EngineMode::TwoPL,
-            ..DbConfig::default()
-        });
-        db.create_table(
-            TableSchema::new(
-                "accounts",
-                vec![
-                    ColumnDef::new("id", DataType::Int),
-                    ColumnDef::new("owner", DataType::Text),
-                    ColumnDef::new("balance", DataType::Decimal),
-                ],
-            )
-            .with_primary_key(&["id"]),
-        )
-        .unwrap();
-        db.with_txn(|txn| {
-            db.insert(txn, "accounts", row![1, "a", 0])?;
-            db.insert(txn, "accounts", row![2, "b", 0])
-        })
-        .unwrap();
-        let records = db.wal().snapshot();
-        assert_eq!(records.len(), 3);
-        assert!(matches!(records[0], LogRecord::Insert { .. }));
-        assert!(matches!(records[2], LogRecord::Commit(_)));
+        // One commit is one frame of its redo records; a snapshot-mode
+        // frame carries its commit timestamp, a 2PL frame 0.
+        for mode in EngineMode::ALL {
+            eprintln!("engine mode: {mode:?}");
+            let db = db_with_accounts(mode);
+            assert_eq!(db.config().mode, mode);
+            let before = db.wal().frontier();
+            db.with_txn(|txn| {
+                db.insert(txn, "accounts", row![1, "a", 0])?;
+                db.insert(txn, "accounts", row![2, "b", 0])
+            })
+            .unwrap();
+            let frames = db.wal().snapshot();
+            let frame = frames.last().unwrap();
+            assert_eq!(frame.first_lsn, before);
+            assert_eq!(frame.records.len(), 2);
+            assert!(frame
+                .records
+                .iter()
+                .all(|r| matches!(r, LogRecord::Insert { .. })));
+            assert_eq!(frame.commit_ts > 0, mode.is_snapshot());
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! restart (`bullfrog_repl::restore`) and a replica's snapshot bootstrap
 //! share three pieces: [`load_from_files`] reads the checkpoint sidecar
 //! and the LSN-contiguous WAL tail, [`CheckpointImage::apply_to`] places
-//! the image's rows, and [`StreamingReplay::apply`] turns redo records
-//! into rows. Records of uncommitted/aborted transactions are never
-//! applied (the log is redo-only; the in-memory heaps die with the
+//! the image's rows, and [`apply_frame`] turns a committed transaction's
+//! redo records into rows. The log holds committed transactions only,
+//! one [`Frame`] each, so a replay is a fold of [`apply_frame`] over the
+//! frames (the log is redo-only; the in-memory heaps die with the
 //! process, so there is nothing to undo).
 //!
 //! DDL is not logged: the caller re-creates the catalog (same tables, same
@@ -18,22 +19,21 @@
 //! [`recover_from_files`]) turn a non-zero count into
 //! [`Error::TableNotFound`] just before they return.
 //!
-//! `MigrationGranule` records of committed transactions are returned to the
-//! caller; `bullfrog-core` uses them to rebuild its bitmap/hashmap trackers
-//! (paper §3.5 — listed there as unimplemented future work).
+//! `MigrationGranule` records are returned to the caller; `bullfrog-core`
+//! uses them to rebuild its bitmap/hashmap trackers (paper §3.5 — listed
+//! there as unimplemented future work).
 
-use std::collections::HashMap;
 use std::path::Path;
 
-use bullfrog_common::{Error, Result, TableId, TxnId};
+use bullfrog_common::{Error, Result, TableId};
 use bullfrog_storage::Table;
-use bullfrog_txn::wal::GranuleKey;
+use bullfrog_txn::wal::{Frame, GranuleKey};
 use bullfrog_txn::{LogRecord, Wal};
 
 use crate::checkpoint::CheckpointImage;
 use crate::db::Database;
 
-/// Outcome of applying records or an image to a database.
+/// Outcome of applying frames or an image to a database.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryStats {
     /// Number of committed transactions applied.
@@ -87,30 +87,33 @@ impl RecoveryStats {
     }
 }
 
-/// Replays `records` into `db` (whose catalog must already hold the same
-/// tables, created in the same order as the original): a fold of one
-/// [`StreamingReplay`] over the slice.
-pub fn replay(db: &Database, records: &[LogRecord]) -> Result<RecoveryStats> {
-    fold(db, records, RecoveryStats::default())?.strict()
+/// Replays `frames` into `db` (whose catalog must already hold the same
+/// tables, created in the same order as the original): a fold of
+/// [`apply_frame`] over them.
+pub fn replay(db: &Database, frames: impl IntoIterator<Item = Frame>) -> Result<RecoveryStats> {
+    fold(db, frames, RecoveryStats::default())?.strict()
 }
 
 /// Replays a checkpoint image plus the log tail: the image's rows and
-/// migrated granules are applied first, then `tail` (whose records must
-/// all be at or above `image.base_lsn` — the part of the log the image
-/// does not cover). Equivalent to [`replay`] over the full original log,
-/// because checkpoint cuts are transaction-safe.
+/// migrated granules are applied first, then `tail` (whose frames must
+/// all start at or above `image.base_lsn` — the part of the log the
+/// image does not cover). Equivalent to [`replay`] over the full
+/// original log, because a checkpoint cuts at a frame boundary.
 pub fn replay_with_checkpoint(
     db: &Database,
     image: &CheckpointImage,
-    tail: &[LogRecord],
+    tail: impl IntoIterator<Item = Frame>,
 ) -> Result<RecoveryStats> {
     fold(db, tail, image.apply_to(db)?)?.strict()
 }
 
-fn fold(db: &Database, records: &[LogRecord], mut stats: RecoveryStats) -> Result<RecoveryStats> {
-    let mut stream = StreamingReplay::new();
-    for rec in records {
-        stats.add(stream.apply(db, rec)?);
+fn fold(
+    db: &Database,
+    frames: impl IntoIterator<Item = Frame>,
+    mut stats: RecoveryStats,
+) -> Result<RecoveryStats> {
+    for frame in frames {
+        stats.add(apply_frame(db, frame)?);
     }
     Ok(stats)
 }
@@ -120,9 +123,9 @@ fn fold(db: &Database, records: &[LogRecord], mut stats: RecoveryStats) -> Resul
 pub struct OnDisk {
     /// The checkpoint sidecar's image (empty when there is no sidecar).
     pub image: CheckpointImage,
-    /// The WAL file's records from `image.base_lsn` on; record `i` sits
-    /// at LSN `image.base_lsn + i`.
-    pub tail: Vec<LogRecord>,
+    /// The WAL file's frames from `image.base_lsn` on, each starting
+    /// where the one before ended.
+    pub tail: Vec<Frame>,
     /// Highest fencing epoch over every on-disk record, including those
     /// below the image base (0 = none logged): an epoch, once observed,
     /// must never regress, even if the surrounding commit never
@@ -134,13 +137,13 @@ pub struct OnDisk {
 /// `wal_path`. A missing sidecar gives an empty image; any other sidecar
 /// read or decode error, or an unreadable WAL, is an error.
 ///
-/// The tail is the run of log records starting at the image base, each
-/// at the LSN after the one before. Records below the base are already
-/// folded into the image: a crash between sidecar persistence and log
-/// rotation leaves both on disk, and those records are skipped. The file
-/// is written in LSN order and its scan stops at the first torn or
-/// damaged frame, so what it holds is a prefix of the log: a crash loses
-/// only a suffix, never an earlier batch while a later one survives.
+/// The tail is the run of frames starting at the image base, each at the
+/// LSN after the one before. Frames below the base are already folded
+/// into the image: a crash between sidecar persistence and log rotation
+/// leaves both on disk, and those frames are skipped. The file is written
+/// in LSN order and its scan stops at the first torn or damaged frame, so
+/// what it holds is a prefix of the log: a crash loses only a suffix,
+/// never an earlier transaction while a later one survives.
 pub fn load_from_files(wal_path: impl AsRef<Path>, ckpt_path: impl AsRef<Path>) -> Result<OnDisk> {
     let mut disk = OnDisk::default();
     match std::fs::read(ckpt_path.as_ref()) {
@@ -149,13 +152,15 @@ pub fn load_from_files(wal_path: impl AsRef<Path>, ckpt_path: impl AsRef<Path>) 
         Err(e) => return Err(Error::Wal(format!("read checkpoint sidecar: {e}"))),
     }
     let mut expect = disk.image.base_lsn;
-    for (lsn, r) in Wal::load(wal_path)? {
-        if let LogRecord::Epoch { epoch, .. } = r {
-            disk.max_epoch = disk.max_epoch.max(epoch);
+    for frame in Wal::load(wal_path)? {
+        for r in &frame.records {
+            if let LogRecord::Epoch { epoch } = r {
+                disk.max_epoch = disk.max_epoch.max(*epoch);
+            }
         }
-        if lsn == expect {
-            disk.tail.push(r);
-            expect += 1;
+        if frame.first_lsn == expect {
+            expect = frame.end_lsn();
+            disk.tail.push(frame);
         }
     }
     Ok(disk)
@@ -170,127 +175,55 @@ pub fn recover_from_files(
     ckpt_path: impl AsRef<Path>,
 ) -> Result<RecoveryStats> {
     let disk = load_from_files(wal_path, ckpt_path)?;
-    replay_with_checkpoint(db, &disk.image, &disk.tail)
-}
-
-/// The buffering both folds of the log share — [`StreamingReplay`] into
-/// heaps and the checkpoint fold into an image: each transaction's
-/// records are held from its first record until its outcome, handed out
-/// at its `Commit`/`CommitTs` and dropped at its `Abort`. Only unresolved
-/// transactions are ever held, never the stream.
-///
-/// Handing a transaction out at its commit, rather than applying every
-/// committed record in log order, gives the same rows at the same rids: a
-/// commit appends the transaction's whole redo batch followed by its
-/// commit record as one [`Wal::append`] under the log's core lock, so one
-/// transaction's records are never interleaved with another's; and heap
-/// slots are never reused, so every insert places its row at the rid it
-/// was logged with, whatever order the transactions committed in.
-#[derive(Debug, Default)]
-pub(crate) struct CommitBuffer {
-    buffered: HashMap<TxnId, Vec<LogRecord>>,
-}
-
-impl CommitBuffer {
-    /// Feeds the next record in LSN order: a commit record returns its
-    /// transaction's buffered records, in log order; every other record
-    /// returns `None` (an abort drops the transaction's records, a data
-    /// record is buffered).
-    pub(crate) fn feed(&mut self, rec: LogRecord) -> Option<Vec<LogRecord>> {
-        match rec {
-            LogRecord::Begin(txn) => {
-                self.buffered.entry(txn).or_default();
-            }
-            LogRecord::Abort(txn) => {
-                self.buffered.remove(&txn);
-            }
-            commit if commit.is_commit() => {
-                return Some(self.buffered.remove(&commit.txn()).unwrap_or_default());
-            }
-            data => self.buffered.entry(data.txn()).or_default().push(data),
-        }
-        None
-    }
+    replay_with_checkpoint(db, &disk.image, disk.tail)
 }
 
 /// The redo applier: the only code that writes a [`LogRecord`] into a
-/// heap. It feeds on records in LSN order, one at a time, so it serves
-/// a replication stream that never ends as well as a finished log.
+/// heap. It applies one committed transaction at a time, so it serves a
+/// replication stream that never ends as well as a finished log; a
+/// replica holds its apply gate around each batch of frames, so readers
+/// never see half a transaction. Rows move from the frame into the
+/// heaps; the frame's commit timestamp keeps the local oracle past it.
 ///
-/// Each transaction's records buffer (`CommitBuffer`) until its
-/// `Commit` arrives (then the whole txn applies atomically from the
-/// caller's perspective) or its `Abort` (then they drop). A replica only
-/// ever receives frames below the primary's durable horizon, so
-/// the stream it sees is a recoverable log prefix.
+/// Applying transactions in log order gives the rows at the rids they
+/// were logged with: heap slots are never reused, so every insert places
+/// its row at its own rid, whatever order the transactions ran in.
 ///
 /// Records whose table is unknown locally are skipped and counted in
 /// [`RecoveryStats::skipped_unknown_table`], not fatal: a mirror applies
 /// DDL at journal-defined points, and a record for a table dropped by a
 /// later `FINALIZE MIGRATION` can legitimately still sit in the tail.
-#[derive(Debug, Default)]
-pub struct StreamingReplay {
-    pending: CommitBuffer,
-}
-
-impl StreamingReplay {
-    /// An empty replay with no buffered transactions.
-    pub fn new() -> Self {
-        Self::default()
+pub fn apply_frame(db: &Database, frame: Frame) -> Result<RecoveryStats> {
+    let mut out = RecoveryStats {
+        committed_txns: 1,
+        ..RecoveryStats::default()
+    };
+    // Snapshot-mode commits carry a timestamp: keep the local oracle past
+    // it so post-recovery commits (and a promoted replica's) continue the
+    // timestamp space instead of reusing it.
+    if frame.commit_ts > 0 {
+        db.wal().oracle().resume_past(frame.commit_ts);
     }
-
-    /// Drops every buffered transaction (re-bootstrap from a snapshot:
-    /// the image's cut is transaction-safe, so any half-buffered txn is
-    /// either fully inside the image or will be re-streamed above it).
-    pub fn clear(&mut self) {
-        self.pending.buffered.clear();
-    }
-
-    /// Transactions currently buffered awaiting their outcome.
-    pub fn buffered_txns(&self) -> usize {
-        self.pending.buffered.len()
-    }
-
-    /// Feeds the next record in LSN order. Data records buffer; `Commit`
-    /// applies the transaction's buffered records to `db` and reports
-    /// what it applied (`committed_txns` is then 1); `Abort` discards
-    /// them.
-    pub fn apply(&mut self, db: &Database, rec: &LogRecord) -> Result<RecoveryStats> {
-        let mut out = RecoveryStats::default();
-        let Some(records) = self.pending.feed(rec.clone()) else {
-            return Ok(out);
-        };
-        out.committed_txns = 1;
-        // Snapshot-mode commits carry a timestamp: keep the local oracle
-        // past it so post-recovery commits (and a promoted replica's)
-        // continue the timestamp space instead of reusing it.
-        if let Some(ts) = rec.commit_ts() {
-            db.wal().oracle().resume_past(ts);
-        }
-        for rec in records {
-            match rec {
-                LogRecord::Insert {
-                    table, rid, row, ..
-                } => out.write(db, table, 1, |t| t.place(rid, row))?,
-                LogRecord::Update {
-                    table, rid, after, ..
-                } => out.write(db, table, 1, |t| t.update(rid, &after).map(drop))?,
-                LogRecord::Delete { table, rid, .. } => {
-                    out.write(db, table, 1, |t| t.delete(rid).map(drop))?
-                }
-                LogRecord::MigrationGranule {
-                    migration, granule, ..
-                } => out.migrated_granules.push((migration, granule)),
-                // The fencing epoch's durable home is its sidecar;
-                // `load_from_files` reports the log's highest.
-                LogRecord::Epoch { .. }
-                | LogRecord::Begin(_)
-                | LogRecord::Commit(_)
-                | LogRecord::CommitTs { .. }
-                | LogRecord::Abort(_) => {}
+    for rec in frame.records {
+        match rec {
+            LogRecord::Insert { table, rid, row } => {
+                out.write(db, table, 1, |t| t.place(rid, row))?
             }
+            LogRecord::Update { table, rid, after } => {
+                out.write(db, table, 1, |t| t.update(rid, &after).map(drop))?
+            }
+            LogRecord::Delete { table, rid } => {
+                out.write(db, table, 1, |t| t.delete(rid).map(drop))?
+            }
+            LogRecord::MigrationGranule { migration, granule } => {
+                out.migrated_granules.push((migration, granule))
+            }
+            // The fencing epoch's durable home is its sidecar;
+            // `load_from_files` reports the log's highest.
+            LogRecord::Epoch { .. } => {}
         }
-        Ok(out)
     }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -354,7 +287,7 @@ mod tests {
             // Fresh database, same DDL, replay.
             let db2 = db_in(mode);
             db2.create_table(schema()).unwrap();
-            let stats = replay(&db2, &db.wal().snapshot()).unwrap();
+            let stats = replay(&db2, db.wal().snapshot()).unwrap();
             assert_eq!(stats.committed_txns, 2);
 
             let rows = db2.select_unlocked("t", None).unwrap();
@@ -393,7 +326,7 @@ mod tests {
 
             let db2 = db_in(mode);
             db2.create_table(schema()).unwrap();
-            replay(&db2, &db.wal().snapshot()).unwrap();
+            replay(&db2, db.wal().snapshot()).unwrap();
             let t = db2.table("t").unwrap();
             assert_eq!(t.heap().get(rid1), Some(row![1, "first"]));
             assert_eq!(t.heap().get(rid2), Some(row![2, "second"]));
@@ -416,7 +349,7 @@ mod tests {
 
             let db2 = db_in(mode);
             db2.create_table(schema()).unwrap();
-            let stats = replay(&db2, &db.wal().snapshot()).unwrap();
+            let stats = replay(&db2, db.wal().snapshot()).unwrap();
             assert_eq!(stats.applied, 1);
             let t = db2.table("t").unwrap();
             assert_eq!(t.live_count(), 1);
@@ -436,7 +369,6 @@ mod tests {
             // Committed migration txn.
             let mut t1 = db.begin();
             t1.push_redo(LogRecord::MigrationGranule {
-                txn: t1.id(),
                 migration: 1,
                 granule: GranuleKey::Ordinal(5),
             });
@@ -444,7 +376,6 @@ mod tests {
             // Aborted migration txn.
             let mut t2 = db.begin();
             t2.push_redo(LogRecord::MigrationGranule {
-                txn: t2.id(),
                 migration: 1,
                 granule: GranuleKey::Ordinal(9),
             });
@@ -452,7 +383,7 @@ mod tests {
 
             let db2 = db_in(mode);
             db2.create_table(schema()).unwrap();
-            let stats = replay(&db2, &db.wal().snapshot()).unwrap();
+            let stats = replay(&db2, db.wal().snapshot()).unwrap();
             assert_eq!(stats.migrated_granules, vec![(1, GranuleKey::Ordinal(5))]);
         }
     }
@@ -482,13 +413,17 @@ mod tests {
 
             let db2 = db_in(mode);
             db2.create_table(schema()).unwrap();
-            let mut stream = StreamingReplay::new();
+            let frames = db.wal().snapshot();
+            // One frame per committed transaction; the aborted insert
+            // never logged.
+            assert_eq!(frames.len(), 2);
             let mut applied = 0;
-            for rec in db.wal().snapshot() {
-                applied += stream.apply(&db2, &rec).unwrap().applied;
+            for frame in frames {
+                let out = apply_frame(&db2, frame).unwrap();
+                assert_eq!(out.committed_txns, 1);
+                applied += out.applied;
             }
-            assert_eq!(stream.buffered_txns(), 0);
-            // Two inserts and one delete; the aborted insert never logged.
+            // Two inserts and one delete.
             assert_eq!(applied, 3);
             // Same rows at the same rids as the database that wrote the log.
             assert_eq!(
@@ -507,33 +442,28 @@ mod tests {
             let db = db_in(mode);
             assert_eq!(db.config().mode, mode);
             db.create_table(schema()).unwrap();
-            let txn = TxnId(7);
-            let recs = vec![
-                LogRecord::Begin(txn),
-                LogRecord::Insert {
-                    txn,
-                    table: TableId(99),
-                    rid: bullfrog_common::RowId::new(0, 0),
-                    row: row![1, "orphan"],
-                },
-                LogRecord::MigrationGranule {
-                    txn,
-                    migration: 2,
-                    granule: GranuleKey::Ordinal(4),
-                },
-                LogRecord::Commit(txn),
-            ];
-            let mut stream = StreamingReplay::new();
-            let mut last = RecoveryStats::default();
-            for rec in &recs {
-                last = stream.apply(&db, rec).unwrap();
-            }
-            assert_eq!(last.committed_txns, 1);
-            assert_eq!(last.applied, 0);
-            assert_eq!(last.skipped_unknown_table, 1);
-            assert_eq!(last.migrated_granules, vec![(2, GranuleKey::Ordinal(4))]);
-            // The strict entry point refuses the same records.
-            assert!(matches!(replay(&db, &recs), Err(Error::TableNotFound(_))));
+            let frame = Frame {
+                first_lsn: 0,
+                commit_ts: 0,
+                records: vec![
+                    LogRecord::Insert {
+                        table: TableId(99),
+                        rid: bullfrog_common::RowId::new(0, 0),
+                        row: row![1, "orphan"],
+                    },
+                    LogRecord::MigrationGranule {
+                        migration: 2,
+                        granule: GranuleKey::Ordinal(4),
+                    },
+                ],
+            };
+            let out = apply_frame(&db, frame.clone()).unwrap();
+            assert_eq!(out.committed_txns, 1);
+            assert_eq!(out.applied, 0);
+            assert_eq!(out.skipped_unknown_table, 1);
+            assert_eq!(out.migrated_granules, vec![(2, GranuleKey::Ordinal(4))]);
+            // The strict entry point refuses the same frame.
+            assert!(matches!(replay(&db, [frame]), Err(Error::TableNotFound(_))));
         }
     }
 }

@@ -118,6 +118,42 @@ fn read_only_commit_issues_zero_flushes() {
     }
 }
 
+/// An abort appends nothing: the transaction's redo never reached the
+/// log, so there is nothing to disclaim, and the flusher neither writes
+/// nor syncs for it.
+#[test]
+fn an_abort_leaves_the_file_untouched() {
+    for mode in EngineMode::ALL {
+        eprintln!("engine mode: {mode:?}");
+        let (db, wal_path, ckpt_path) = file_db(mode, "abort");
+        assert_eq!(db.config().mode, mode);
+        db.with_txn(|txn| db.insert(txn, "t", row![1, 10]).map(|_| ()))
+            .unwrap();
+        db.wal().sync();
+        let file_len = || std::fs::metadata(&wal_path).unwrap().len();
+        let before = (db.wal().len(), file_len(), db.wal().stats().flushes);
+
+        // A transaction that inserts, updates and deletes, then aborts.
+        let mut txn = db.begin();
+        db.insert(&mut txn, "t", row![2, 20]).unwrap();
+        let (rid, _) = db
+            .get_by_pk(&mut txn, "t", &[Value::Int(1)], LockPolicy::Exclusive)
+            .unwrap()
+            .unwrap();
+        db.update(&mut txn, "t", rid, row![1, 11]).unwrap();
+        db.delete(&mut txn, "t", rid).unwrap();
+        db.abort(&mut txn);
+        db.wal().sync();
+
+        let after = (db.wal().len(), file_len(), db.wal().stats().flushes);
+        assert_eq!(after, before, "(wal.len(), file length, wal.flushes)");
+        drop(db);
+        assert_eq!(recovered_rows(mode, &wal_path, &ckpt_path), vec![(1, 10)]);
+        std::fs::remove_file(&wal_path).unwrap();
+        let _ = std::fs::remove_file(&ckpt_path);
+    }
+}
+
 /// A fenced node refuses every writing commit, in-memory or file-backed
 /// log alike: the synchronous path returns `Error::Fenced` and the
 /// ticket's acked wait says `Fenced`. A read-only transaction appends
@@ -339,13 +375,13 @@ fn checkpoint_truncation_respects_retain_horizon() {
             mid,
             "truncation must clamp to the registered retain horizon"
         );
-        let (tail, _) = db.wal().durable_records_from(mid, usize::MAX);
+        let (tail, _) = db.wal().durable_frames_from(mid, usize::MAX);
         assert!(
-            !tail.is_empty() && tail[0].0 == mid,
+            !tail.is_empty() && tail[0].first_lsn == mid,
             "the retained tail must still be streamable from the horizon"
         );
 
-        // Release, write a little more (so the next safe cut moves), and the
+        // Release, write a little more (so the frontier moves), and the
         // next checkpoint reclaims the formerly pinned tail.
         db.wal().release_retain(retain_id);
         for i in 60..70i64 {

@@ -6,7 +6,7 @@
 //! from identical inputs, so they share the code that does it. Rows come
 //! from the engine's own appliers,
 //! [`CheckpointImage::apply_to`](bullfrog_engine::CheckpointImage::apply_to)
-//! and [`StreamingReplay`](bullfrog_engine::recovery::StreamingReplay).
+//! and [`apply_frame`](bullfrog_engine::recovery::apply_frame).
 
 use std::sync::Arc;
 

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use bullfrog_common::Result;
 use bullfrog_core::Bullfrog;
 use bullfrog_engine::checkpoint::checkpoint_path_for;
-use bullfrog_engine::recovery::{load_from_files, OnDisk, StreamingReplay};
+use bullfrog_engine::recovery::{apply_frame, load_from_files, OnDisk};
 use bullfrog_engine::{Database, DbConfig};
 use bullfrog_txn::WalOptions;
 
@@ -42,7 +42,7 @@ pub struct RestoreReport {
     pub image_rows_skipped: usize,
     /// Data records applied from the log tail.
     pub tail_records: usize,
-    /// Transactions the tail committed.
+    /// Transactions (frames) in the tail.
     pub tail_txns: usize,
     /// DDL journal events re-applied.
     pub ddl_applied: usize,
@@ -50,7 +50,7 @@ pub struct RestoreReport {
     pub granules: usize,
     /// First LSN of the replayed tail (the image's base).
     pub start_lsn: u64,
-    /// One past the last contiguous tail record.
+    /// One past the last record of the contiguous tail.
     pub end_lsn: u64,
     /// Restored fencing epoch: the max of the `.epoch` sidecar and any
     /// `Epoch` record in the on-disk log, persisted back to the
@@ -93,7 +93,7 @@ pub fn restore(
     let bf = Arc::new(Bullfrog::new(Arc::clone(&db)));
     let mut report = RestoreReport {
         start_lsn: image.base_lsn,
-        end_lsn: image.base_lsn + tail.len() as u64,
+        end_lsn: tail.last().map_or(image.base_lsn, |f| f.end_lsn()),
         epoch: epoch_store.epoch(),
         ..RestoreReport::default()
     };
@@ -117,19 +117,19 @@ pub fn restore(
     report.granules += mark_granules(&bf, &placed.migrated_granules);
 
     // 3. The tail, interleaving the remaining journal events at their
-    // apply points — the same txn-at-a-time streaming apply a replica
-    // uses, so transactions straddling a DDL boundary buffer across it.
-    let mut replay = StreamingReplay::new();
-    for (lsn, rec) in (image.base_lsn..).zip(&tail) {
+    // apply points (frame boundaries) — the same frame-at-a-time apply a
+    // replica uses. Each frame is also folded into the image (step 4).
+    for frame in tail {
         while let Some(e) = pending.peek() {
-            if e.apply_at_lsn > lsn {
+            if e.apply_at_lsn > frame.first_lsn {
                 break;
             }
             apply_ddl_event(&bf, &e.event)?;
             report.ddl_applied += 1;
             pending.next();
         }
-        let out = replay.apply(&db, rec)?;
+        image.absorb([frame.clone()], frame.end_lsn());
+        let out = apply_frame(&db, frame)?;
         report.tail_records += out.applied;
         report.tail_txns += out.committed_txns;
         report.granules += mark_granules(&bf, &out.migrated_granules);
@@ -140,14 +140,12 @@ pub fn restore(
         report.ddl_applied += 1;
     }
 
-    // 4. Fold the replayed tail into the image and seed the
-    // checkpointer, so the next checkpoint builds on restored state
-    // instead of re-reading a log prefix that may partially truncate.
-    // Transactions left unfinished at the crash never commit (their
-    // writers are gone), so the full tail is a transaction-safe delta;
-    // records between the tail's end and the resume frontier (past a
-    // gap) belong to commits that never acknowledged and are dropped.
-    image.absorb(&tail, report.end_lsn.max(resume_frontier));
+    // 4. Seed the checkpointer with the image the tail was folded into,
+    // so the next checkpoint builds on restored state instead of
+    // re-reading a log prefix that may partially truncate. Frames between
+    // the tail's end and the resume frontier (past a gap) belong to
+    // commits that never acknowledged and are dropped.
+    image.base_lsn = image.base_lsn.max(resume_frontier);
     db.checkpointer().seed(image);
 
     // 5. The crash dropped the previous process's background sweeper

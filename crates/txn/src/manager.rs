@@ -270,7 +270,7 @@ mod tests {
             table: TableId(1),
             rid: bullfrog_common::RowId::new(0, 0),
         });
-        t.push_redo(LogRecord::Begin(t.id()));
+        t.push_redo(LogRecord::Epoch { epoch: 1 });
         assert_eq!(t.locks.len(), 1);
         assert_eq!(t.undo.len(), 1);
         assert_eq!(t.redo.len(), 1);

@@ -10,59 +10,72 @@
 //!    inside migration transactions, so replay can mark exactly the
 //!    granules whose migration committed as `[0 1]`/`migrated`.
 //!
+//! # A frame is one committed transaction
+//!
+//! The log holds only committed work. A transaction's redo stays in its
+//! own buffer until it commits, and its commit appends all of it as one
+//! **frame**: the transaction's records at consecutive LSNs and its
+//! commit timestamp (0 under 2PL). An abort appends nothing, and a
+//! record names no transaction: the frame it sits in is the transaction.
+//! The frame is the unit everywhere — in memory, in the file and in
+//! replication `FRAMES` — so every reader takes whole frames, and every
+//! frame boundary is a safe place to cut the log.
+//!
 //! # Structure
 //!
-//! The log keeps its records **encoded**, in the record codec's bytes
+//! The log keeps its frames **encoded**, in the record codec's bytes
 //! ([`codec`]), never decoded. They live in **segments** of about 64 KiB:
-//! an open segment receives each batch's bytes under a short mutex, and a
-//! full segment is sealed into an immutable `Arc<Segment>` by a move.
-//! Readers share the segments under the mutex (copying at most the open
-//! one) and decode after releasing it. LSNs are record offsets from the
-//! birth of the log and are assigned under the same mutex, so batches stay
-//! contiguous and totally ordered.
+//! an open segment receives each frame's bytes under a short mutex, and a
+//! full segment is sealed into an immutable `Arc<Segment>` by a move; a
+//! frame never spans two segments. Readers share the segments under the
+//! mutex (copying at most the open one) and decode after releasing it.
+//! LSNs are record offsets from the birth of the log and are assigned
+//! under the same mutex, so frames stay contiguous and totally ordered.
 //!
 //! # Group commit
 //!
 //! Durability is decoupled from appending: a file-backed log has one
 //! backing file, one staging queue and one flusher thread, as PostgreSQL
-//! has one WAL stream and one group-commit writer. A committing batch is
-//! encoded once, *outside* the lock, assigned contiguous LSNs under it,
-//! and its bytes are both kept in the open segment and staged on the
-//! queue. The flusher takes everything staged, writes it as one frame per
-//! batch with one write and one `fdatasync`, and wakes every committer
-//! the flush covered.
+//! has one WAL stream and one group-commit writer. A committing frame's
+//! records are encoded once, *outside* the lock, assigned contiguous LSNs
+//! under it, and its bytes are both kept in the open segment and staged
+//! on the queue. The flusher takes everything staged, writes it as one
+//! file frame per transaction with one write and one `fdatasync`, and
+//! wakes every committer the flush covered.
 //!
 //! The commit barrier is the **durable horizon**: `durable_lsn` is the
 //! first LSN still staged or in flight (`next_lsn` when the queue is
 //! drained). It is recomputed under the log mutex whenever a flush
 //! completes; every record below it is on disk. Because the file is
 //! written in LSN order, a crash can only lose a suffix of the log, never
-//! an earlier batch while keeping a later one.
+//! an earlier frame while keeping a later one.
 //!
 //! # One append path
 //!
-//! [`Wal::append`] is the only way into the log. It stages a batch and
+//! [`Wal::append`] is the only way into the log. It stages a frame and
 //! returns a [`CommitTicket`] at enqueue time; the caller picks the wait:
 //! [`CommitTicket::wait`] parks on the barrier (local durability),
 //! [`CommitTicket::wait_acked`] additionally consults the [`SyncGate`]
 //! (replica quorum, fencing), and an asynchronous committer may simply
-//! keep the ticket and wait (or poll) later. A `stamp` makes the batch a
-//! snapshot-mode commit: a [`LogRecord::CommitTs`] is appended whose
-//! timestamp is drawn under the log mutex, so timestamp order equals LSN
-//! order. No fsync ever happens under the log lock.
+//! keep the ticket and wait (or poll) later. A stamped append is a
+//! snapshot-mode commit: its frame carries a commit timestamp drawn under
+//! the log mutex, so timestamp order equals LSN order. No fsync ever
+//! happens under the log lock, and no checksum is computed at append: the
+//! flusher and rotation compute the file's.
 //!
 //! # File format
 //!
-//! The file starts with a `BFWAL7` header (the base LSN) and holds
-//! **frames**: `first_lsn:u64 nbytes:u32 crc32c:u32 payload`, where the
-//! payload is one or more contiguous records starting at `first_lsn`, in
-//! the varint record codec (see the grammar above [`codec`]), and the
-//! CRC-32C covers `first_lsn`, `nbytes` and the payload. Each frame starts
-//! where the previous one ended (the first at the header's base LSN).
-//! `BFWAL7` is the only format: a file with any other header —
-//! `BFWAL6`'s sharded files, `BFWAL5`'s unchecksummed frames and
-//! `BFWAL4`'s fixed-width records included — is refused with an
-//! [`Error::Wal`] naming the header found, and left untouched.
+//! The file starts with a `BFWAL8` header (the base LSN) and holds one
+//! **file frame** per transaction: `first_lsn:u64 nbytes:u32 crc32c:u32
+//! body`, where the body is the record count, the commit timestamp and
+//! the records (see the grammar above [`codec`]), and the CRC-32C covers
+//! `first_lsn`, `nbytes` and the body. Each frame starts where the
+//! previous one ended (the first at the header's base LSN). `BFWAL8` is
+//! the only format: a file with any other header — `BFWAL7`'s frames of
+//! records that each named their transaction, `BFWAL6`'s sharded files,
+//! `BFWAL5`'s unchecksummed frames and `BFWAL4`'s fixed-width records
+//! included — is refused with an [`Error::Wal`] naming the header found,
+//! and left untouched.
 //!
 //! The file is written in place, not appended to: it is kept zero-filled
 //! ahead of its last frame (a 64 KiB extent at first, then extents as
@@ -70,19 +83,18 @@
 //! its `fdatasync` commits no file-size change. The scan reads
 //! `nbytes == 0` as the end of the frames, and stops at a frame whose
 //! checksum fails (a torn write in a zero-filled file leaves zeros inside
-//! a frame, and zeros decode as valid records) or whose `first_lsn` is
-//! not the previous frame's end (in one file written in LSN order, that
-//! can only be damage). Opening a file cuts it at its last clean frame,
-//! so nothing past a torn or damaged frame ever follows new frames; a
-//! clean close (dropping the [`Wal`]) trims the zero tail, so a file at
-//! rest ends at its last frame. A file shorter than a header whose bytes
-//! are a prefix of one (a crash tore the header write) is reset to an
-//! empty log. Rotation replaces the file through
-//! [`bullfrog_common::fs::durable_rename`], so a power loss cannot bring
-//! the pre-rotation file back.
+//! a frame) or whose `first_lsn` is not the previous frame's end (in one
+//! file written in LSN order, that can only be damage). Opening a file
+//! cuts it at its last clean frame, so nothing past a torn or damaged
+//! frame ever follows new frames; a clean close (dropping the [`Wal`])
+//! trims the zero tail, so a file at rest ends at its last frame. A file
+//! shorter than a header whose bytes are a prefix of one (a crash tore
+//! the header write) is reset to an empty log. Rotation replaces the file
+//! through [`bullfrog_common::fs::durable_rename`], so a power loss
+//! cannot bring the pre-rotation file back.
 //!
 //! [`Wal::truncate_to`] supports checkpointing: once a caller has
-//! persisted a snapshot of the committed prefix (see
+//! persisted a snapshot of the log below a frame boundary (see
 //! `bullfrog-engine::checkpoint`), the prefix is dropped from memory at
 //! segment granularity and the file is rotated to a fresh log holding
 //! only the tail. Rotation copies the in-memory segments' bytes — a
@@ -90,18 +102,19 @@
 //! commit can never drop staged-but-unflushed bytes past the cut.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bullfrog_common::codec::{get_count, put_varint, Sink};
 use bullfrog_common::fs::{durable_rename, parent_dir, sync_dir};
 use bullfrog_common::hash::{crc32c, crc32c_extend};
-use bullfrog_common::{Error, Result, Row, RowId, TableId, TxnId, Value};
+use bullfrog_common::{Error, Result, Row, RowId, TableId, Value};
 use bullfrog_obs::{Counter, Histogram, Registry};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex};
 
 use crate::sync_gate::{AckOutcome, SyncGate};
@@ -116,15 +129,12 @@ pub enum GranuleKey {
     Group(Vec<Value>),
 }
 
-/// One WAL record.
+/// One WAL record: one change a committed transaction made. The
+/// transaction is the [`Frame`] the record sits in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
-    /// Transaction start (informational).
-    Begin(TxnId),
     /// Row inserted.
     Insert {
-        /// Writing transaction.
-        txn: TxnId,
         /// Table mutated.
         table: TableId,
         /// Row id assigned.
@@ -134,8 +144,6 @@ pub enum LogRecord {
     },
     /// Row updated.
     Update {
-        /// Writing transaction.
-        txn: TxnId,
         /// Table mutated.
         table: TableId,
         /// Row id updated.
@@ -145,93 +153,63 @@ pub enum LogRecord {
     },
     /// Row deleted.
     Delete {
-        /// Writing transaction.
-        txn: TxnId,
         /// Table mutated.
         table: TableId,
         /// Row id deleted.
         rid: RowId,
     },
-    /// A migration granule was physically migrated inside `txn`; replay
-    /// marks it migrated iff `txn` committed.
+    /// A migration granule was physically migrated by the transaction;
+    /// replay marks it migrated.
     MigrationGranule {
-        /// Migrating transaction.
-        txn: TxnId,
         /// Which migration statement (assigned by `bullfrog-core`).
         migration: u32,
         /// The granule.
         granule: GranuleKey,
     },
-    /// Transaction committed — all earlier records of `txn` are durable.
-    Commit(TxnId),
-    /// Transaction committed at commit timestamp `ts` (Snapshot engine
-    /// mode). The timestamp is drawn under the same mutex that assigns
-    /// LSNs (a stamped [`Wal::append`]), so timestamp order and LSN
-    /// order agree; replay treats it exactly like [`LogRecord::Commit`]
-    /// and additionally resumes the timestamp oracle past `ts`.
-    CommitTs {
-        /// Committing transaction.
-        txn: TxnId,
-        /// Its global commit timestamp.
-        ts: u64,
-    },
-    /// Transaction aborted (written for completeness; replay ignores the
-    /// transaction's records either way).
-    Abort(TxnId),
     /// The fencing epoch was raised to `epoch` (promotion, or adoption of
-    /// a higher epoch observed from a peer). Written inside its own
-    /// committed batch (`[Begin, Epoch, Commit]`) so it rides the normal
-    /// committed-transaction replay and replication machinery; recovery
-    /// takes the max over all committed `Epoch` records and the sidecar
+    /// a higher epoch observed from a peer). Appended as a one-record
+    /// frame, so it rides the normal replay and replication machinery;
+    /// recovery takes the max over all `Epoch` records and the sidecar
     /// (see `epoch::EpochStore`), so the fence survives even a lost
     /// sidecar file.
     Epoch {
-        /// Carrier transaction (allocated solely for this record).
-        txn: TxnId,
         /// The epoch in force from this point of the log onward.
         epoch: u64,
     },
 }
 
-impl LogRecord {
-    /// The transaction a record belongs to.
-    pub fn txn(&self) -> TxnId {
-        match self {
-            LogRecord::Begin(t) | LogRecord::Commit(t) | LogRecord::Abort(t) => *t,
-            LogRecord::Insert { txn, .. }
-            | LogRecord::Update { txn, .. }
-            | LogRecord::Delete { txn, .. }
-            | LogRecord::MigrationGranule { txn, .. }
-            | LogRecord::CommitTs { txn, .. }
-            | LogRecord::Epoch { txn, .. } => *txn,
-        }
-    }
+/// One committed transaction as the log holds it: its records, at the
+/// consecutive LSNs from `first_lsn`, and its commit timestamp.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    /// LSN of the first record; record `i` sits at `first_lsn + i`.
+    pub first_lsn: u64,
+    /// The snapshot-mode commit timestamp, drawn under the log mutex so
+    /// that timestamp order is LSN order; 0 for a 2PL commit.
+    pub commit_ts: u64,
+    /// The transaction's records, in the order it made them.
+    pub records: Vec<LogRecord>,
+}
 
-    /// The commit timestamp, for commit records that carry one.
-    pub fn commit_ts(&self) -> Option<u64> {
-        match self {
-            LogRecord::CommitTs { ts, .. } => Some(*ts),
-            _ => None,
-        }
-    }
-
-    /// True for the records that mark a transaction committed.
-    pub fn is_commit(&self) -> bool {
-        matches!(self, LogRecord::Commit(_) | LogRecord::CommitTs { .. })
+impl Frame {
+    /// One past the LSN of the last record. Saturates: `first_lsn`
+    /// may come from a file or a peer.
+    pub fn end_lsn(&self) -> u64 {
+        self.first_lsn.saturating_add(self.records.len() as u64)
     }
 }
 
 /// Target bytes per segment. The open segment reserves this much and is
-/// sealed when the next batch would not fit, so a sealed segment wastes
-/// at most one batch's worth of capacity, and a reader copying the open
+/// sealed when the next frame would not fit, so a sealed segment wastes
+/// at most one frame's worth of capacity, and a reader copying the open
 /// segment copies at most about this much.
 const SEGMENT_BYTES: usize = 64 << 10;
 
 /// Magic prefix of the WAL file, the only on-disk log format.
-const FILE_MAGIC: [u8; 6] = *b"BFWAL7";
+const FILE_MAGIC: [u8; 6] = *b"BFWAL8";
 /// File header: magic + base_lsn:u64.
 const HEADER_LEN: usize = FILE_MAGIC.len() + 8;
-/// Frame header: first_lsn:u64 + nbytes:u32 + crc32c:u32.
+/// File frame header: first_lsn:u64 + nbytes:u32 + crc32c:u32.
 const FRAME_HEADER_LEN: usize = 8 + 4 + 4;
 /// The file is zero-filled ahead of its last frame in extents of at most
 /// this many bytes, so a flush that lands inside the zeroed region
@@ -247,7 +225,7 @@ static ZEROS: [u8; ZERO_STEP] = [0; ZERO_STEP];
 
 thread_local! {
     /// Each appending thread's encode buffer, kept between appends so
-    /// encoding a batch grows no fresh allocation. One a bulk batch grew
+    /// encoding a frame grows no fresh allocation. One a bulk frame grew
     /// past `SEGMENT_BYTES` is released after that append.
     static ENCODE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
@@ -315,11 +293,63 @@ impl LogFile {
     }
 }
 
-/// A run of encoded records starting at a fixed LSN: the bytes
-/// [`Wal::append`] encoded, back to back, and how many records they hold.
-/// The open segment grows under the log mutex; sealed segments are
-/// immutable and shared out under `Arc`, so readers decode them without
-/// holding the lock.
+/// A few varints encoded on the stack: the length, count and timestamp
+/// in front of a frame's records.
+struct Head {
+    buf: [u8; 30],
+    len: usize,
+}
+
+impl Head {
+    /// The varints of `values`, in order.
+    fn of(values: &[u64]) -> Self {
+        let mut head = Head {
+            buf: [0; 30],
+            len: 0,
+        };
+        for v in values {
+            put_varint(&mut head, *v);
+        }
+        head
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+impl Sink for Head {
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+}
+
+/// A frame inside a segment, not yet decoded: its first LSN, its record
+/// count and its body (`count commit_ts record*`, what a file frame
+/// carries after its header).
+struct RawFrame<'a> {
+    first_lsn: u64,
+    count: u64,
+    body: &'a [u8],
+}
+
+impl RawFrame<'_> {
+    fn end_lsn(&self) -> u64 {
+        self.first_lsn + self.count
+    }
+
+    /// Decodes the frame; the log decodes only what it encoded.
+    fn decode(&self) -> Frame {
+        codec::get_frame(&mut &self.body[..], self.first_lsn)
+            .expect("a log segment decodes what append encoded")
+    }
+}
+
+/// A run of encoded frames starting at a fixed LSN, each `len:varint
+/// body`, and how many records they hold. The open segment grows under
+/// the log mutex; sealed segments are immutable and shared out under
+/// `Arc`, so readers decode them without holding the lock.
 #[derive(Debug, Clone)]
 struct Segment {
     base_lsn: u64,
@@ -341,59 +371,42 @@ impl Segment {
         self.base_lsn + self.count
     }
 
-    /// Parses the records with LSN in `[lo, hi)` with `parse` — a full
-    /// decode ([`codec::get_record`]) or a skim that builds nothing
-    /// ([`codec::skim_record`]) — handing each result to `f` with its LSN
-    /// and its encoded bytes.
-    fn walk<T>(
-        &self,
-        lo: u64,
-        hi: u64,
-        parse: impl Fn(&mut &[u8]) -> Result<T>,
-        mut f: impl FnMut(u64, T, &[u8]),
-    ) {
+    /// The segment's frames, in LSN order.
+    fn frames(&self) -> impl Iterator<Item = RawFrame<'_>> {
         let mut rest: &[u8] = &self.bytes;
-        for lsn in self.base_lsn..self.end_lsn().min(hi) {
-            let before = rest;
-            let r = parse(&mut rest).expect("a log segment parses what append encoded");
-            if lsn >= lo {
-                f(lsn, r, &before[..before.len() - rest.len()]);
+        let mut lsn = self.base_lsn;
+        std::iter::from_fn(move || {
+            if rest.is_empty() {
+                return None;
             }
-        }
-    }
-
-    /// The bytes of the records with LSN at or above `lsn`: all of them
-    /// when the segment starts there, else what follows the records below
-    /// `lsn`, which are skimmed to find where they end.
-    fn bytes_from(&self, lsn: u64) -> &[u8] {
-        let mut skipped = 0;
-        self.walk(
-            self.base_lsn,
-            lsn,
-            |b| codec::skim_record(b),
-            |_, _, raw| skipped += raw.len(),
-        );
-        &self.bytes[skipped..]
+            let len = get_count(&mut rest).expect("a segment frame length");
+            let (body, tail) = rest.split_at(len);
+            rest = tail;
+            let count = get_count(&mut &body[..]).expect("a segment frame count") as u64;
+            let frame = RawFrame {
+                first_lsn: lsn,
+                count,
+                body,
+            };
+            lsn += count;
+            Some(frame)
+        })
     }
 }
 
-/// [`Segment::walk`] over every segment of `segments`, in order.
-fn walk_range<T>(
-    segments: &[Arc<Segment>],
-    lo: u64,
-    hi: u64,
-    parse: impl Fn(&mut &[u8]) -> Result<T> + Copy,
-    mut f: impl FnMut(u64, T, &[u8]),
-) {
-    for seg in segments {
-        seg.walk(lo, hi, parse, &mut f);
-    }
+/// The frames of `segments` that start in `[lo, hi)`, in LSN order.
+fn frames_in(segments: &[Arc<Segment>], lo: u64, hi: u64) -> impl Iterator<Item = RawFrame<'_>> {
+    segments
+        .iter()
+        .flat_map(|s| s.frames())
+        .skip_while(move |f| f.first_lsn < lo)
+        .take_while(move |f| f.first_lsn < hi)
 }
 
 /// Tuning knobs for a file-backed log.
 #[derive(Debug, Clone, Default)]
 pub struct WalOptions {
-    /// How long the flusher waits after the first staged batch before
+    /// How long the flusher waits after the first staged frame before
     /// issuing the combined write+fsync, to let concurrent committers
     /// pile into the same group. Zero (the default) flushes as soon as
     /// the flusher is free — grouping then happens naturally while a
@@ -407,7 +420,7 @@ pub struct WalOptions {
 pub struct WalStatsSnapshot {
     /// Combined write+fsync calls issued (`wal.flushes`).
     pub flushes: u64,
-    /// Commit batches covered by those flushes (`wal.flushed_batches`).
+    /// Committed frames covered by those flushes (`wal.flushed_batches`).
     pub flushed_batches: u64,
     /// Bytes written (`wal.flushed_bytes`).
     pub flushed_bytes: u64,
@@ -417,30 +430,31 @@ pub struct WalStatsSnapshot {
     pub truncated_records: u64,
 }
 
-/// One appended batch awaiting its flush, which writes it as one frame:
-/// the body bytes the open segment holds too and, for a stamped batch,
-/// the `CommitTs` record drawn under the log mutex.
-struct StagedBatch {
+/// One appended frame awaiting its flush: the record bytes the open
+/// segment holds too, with the count and timestamp the file frame puts
+/// in front of them.
+struct StagedFrame {
     first_lsn: u64,
-    body: Bytes,
-    commit: Option<Bytes>,
+    count: u64,
+    commit_ts: u64,
+    records: Bytes,
 }
 
 /// The flusher's staging state (under the log mutex).
 #[derive(Default)]
 struct Pending {
-    /// Encoded-but-unflushed batches, in LSN order.
-    queue: Vec<StagedBatch>,
-    /// When the oldest staged batch arrived (drives the group window).
+    /// Encoded-but-unflushed frames, in LSN order.
+    queue: Vec<StagedFrame>,
+    /// When the oldest staged frame arrived (drives the group window).
     since: Option<Instant>,
-    /// First LSN of the batch group currently being written+fsynced, if
+    /// First LSN of the frame group currently being written+fsynced, if
     /// any. Pins the durable horizon until the flush completes.
     inflight_first: Option<u64>,
 }
 
 impl Pending {
     /// The first LSN not yet durable: the in-flight group's first, else
-    /// the oldest staged batch's, else `None` (everything is on disk).
+    /// the oldest staged frame's, else `None` (everything is on disk).
     fn frontier(&self) -> Option<u64> {
         self.inflight_first
             .or_else(|| self.queue.first().map(|b| b.first_lsn))
@@ -448,8 +462,8 @@ impl Pending {
 }
 
 /// Log state under the (short) log mutex. Appenders copy their
-/// pre-encoded batch into the open segment and stage a copy of it for
-/// the flusher; nothing here does IO or decodes.
+/// pre-encoded records into the open segment and stage a copy of them
+/// for the flusher; nothing here does IO or decodes.
 struct WalCore {
     /// Sealed, immutable segments in LSN order, all below `open.base_lsn`.
     sealed: Vec<Arc<Segment>>,
@@ -466,22 +480,28 @@ struct WalCore {
 }
 
 impl WalCore {
-    /// Adds `records` encoded records to the open segment, sealing it
-    /// first when they would not fit its reserved capacity. Sealing moves
-    /// the segment behind an `Arc`; it copies nothing.
-    fn push(&mut self, bytes: &[u8], records: u64) {
+    /// Adds one frame of `count` encoded records to the open segment,
+    /// sealing it first when the frame would not fit its reserved
+    /// capacity. Sealing moves the segment behind an `Arc`; it copies
+    /// nothing.
+    fn push(&mut self, records: &[u8], count: u64, commit_ts: u64) {
+        let body_head = Head::of(&[count, commit_ts]);
+        let head = Head::of(&[(body_head.len + records.len()) as u64]);
+        let len = head.len + body_head.len + records.len();
         let open = &mut self.open;
-        if open.count > 0 && open.bytes.len() + bytes.len() > open.bytes.capacity() {
+        if open.count > 0 && open.bytes.len() + len > open.bytes.capacity() {
             let full = std::mem::replace(open, Segment::empty(self.next_lsn));
             self.sealed.push(Arc::new(full));
         }
         let open = &mut self.open;
         if open.bytes.capacity() == 0 {
-            open.bytes.reserve_exact(SEGMENT_BYTES.max(bytes.len()));
+            open.bytes.reserve_exact(SEGMENT_BYTES.max(len));
         }
-        open.bytes.extend_from_slice(bytes);
-        open.count += records;
-        self.next_lsn += records;
+        open.bytes.extend_from_slice(head.bytes());
+        open.bytes.extend_from_slice(body_head.bytes());
+        open.bytes.extend_from_slice(records);
+        open.count += count;
+        self.next_lsn += count;
     }
 
     /// The segments holding the records with LSN in `[lo, hi)`: sealed
@@ -500,6 +520,15 @@ impl WalCore {
         out
     }
 
+    /// The first LSN of the frame holding `lsn` (`lsn` itself when a
+    /// frame starts there or it is the end of the log).
+    fn frame_start(&self, lsn: u64) -> u64 {
+        self.resident()
+            .find(|s| s.end_lsn() > lsn)
+            .and_then(|s| s.frames().find(|f| f.end_lsn() > lsn))
+            .map_or(lsn, |f| f.first_lsn)
+    }
+
     fn resident(&self) -> impl Iterator<Item = &Segment> {
         self.sealed.iter().map(|s| &**s).chain([&self.open])
     }
@@ -509,7 +538,7 @@ impl WalCore {
 /// outstanding [`CommitTicket`]s.
 struct WalShared {
     core: Mutex<WalCore>,
-    /// Signaled when the queue gains a batch or shutdown is requested.
+    /// Signaled when the queue gains a frame or shutdown is requested.
     /// Waits on `core`.
     work: Condvar,
     /// The commit barrier: signaled when `durable_lsn` advances.
@@ -518,7 +547,7 @@ struct WalShared {
     /// Every acknowledgement — every [`CommitTicket`] wait — parks on it.
     durable_lsn: AtomicU64,
     /// Every record below this LSN is in the file the last checkpoint
-    /// rotation wrote: a flush skips staged batches below it instead of
+    /// rotation wrote: a flush skips staged frames below it instead of
     /// appending them to the new file a second time.
     rotated_below: AtomicU64,
     /// Set when a flush failed; waiters panic rather than hang.
@@ -594,7 +623,7 @@ impl WalObs {
 /// Recomputes the durable horizon from the queue's frontier and
 /// publishes it. Must be called with the `core` lock held — LSN
 /// assignment and staging are atomic under it, so the frontier can never
-/// miss a batch that exists but is not yet visible.
+/// miss a frame that exists but is not yet visible.
 fn advance_durable(core: &WalCore, shared: &WalShared) {
     let horizon = core.pending.frontier().unwrap_or(core.next_lsn);
     if shared.durable_lsn.load(Ordering::Acquire) < horizon {
@@ -625,7 +654,7 @@ fn wait_durable_shared(shared: &WalShared, lsn: u64) {
 }
 
 /// The acknowledgement handle [`Wal::append`] returns at enqueue time:
-/// the batch is in the log and will be flushed, but may not be durable
+/// the frame is in the log and will be flushed, but may not be durable
 /// yet. Detached from the `Wal` handle, so it can outlive it — dropping
 /// the `Wal` drains the queue, at which point all tickets are trivially
 /// durable.
@@ -641,7 +670,7 @@ pub struct CommitTicket {
 
 impl CommitTicket {
     /// The LSN the durable horizon must reach for this commit to
-    /// be durable (one past the batch's last record).
+    /// be durable (one past the frame's last record).
     pub fn wait_lsn(&self) -> u64 {
         self.lsn
     }
@@ -655,7 +684,7 @@ impl CommitTicket {
         self.ts
     }
 
-    /// True once the durable horizon covers the batch (always, for an
+    /// True once the durable horizon covers the frame (always, for an
     /// in-memory log). Never blocks.
     pub fn is_durable(&self) -> bool {
         match &self.shared {
@@ -664,8 +693,8 @@ impl CommitTicket {
         }
     }
 
-    /// Blocks until the durable horizon covers the batch — i.e. this
-    /// commit *and every batch ordered before it* are on disk, so an
+    /// Blocks until the durable horizon covers the frame — i.e. this
+    /// commit *and every frame ordered before it* are on disk, so an
     /// earlier enqueued commit whose locks were already released (a
     /// possible dependency of this one) is durable too. Panics if the
     /// flusher died of an IO error — acknowledging a commit without
@@ -703,8 +732,8 @@ impl std::fmt::Debug for CommitTicket {
     }
 }
 
-/// The write-ahead log: an append-only, atomically-batched, segmented
-/// record list, optionally made durable in one file by a group-commit
+/// The write-ahead log: an append-only sequence of committed frames in
+/// segments, optionally made durable in one file by a group-commit
 /// flusher thread.
 pub struct Wal {
     shared: Arc<WalShared>,
@@ -724,7 +753,7 @@ impl Wal {
     }
 
     /// A log mirrored to the file at `path` (created or appended to) with
-    /// default options. Existing records in the file are **not** loaded
+    /// default options. Existing frames in the file are **not** loaded
     /// into memory — use [`Wal::load`] first and replay them, as recovery
     /// does — but the LSN frontier resumes past them, so new appends never
     /// reuse an LSN already on disk.
@@ -786,10 +815,10 @@ impl Wal {
         }
     }
 
-    /// Reads the WAL file at `path` into its LSN-tagged records, in LSN
+    /// Reads the WAL file at `path` into its committed frames, in LSN
     /// order. The scan stops at a torn or damaged frame (see the module
     /// docs), so a crash's torn tail is tolerated.
-    pub fn load(path: impl AsRef<Path>) -> Result<Vec<(u64, LogRecord)>> {
+    pub fn load(path: impl AsRef<Path>) -> Result<Vec<Frame>> {
         let bytes =
             std::fs::read(path.as_ref()).map_err(|e| Error::Wal(format!("read wal file: {e}")))?;
         Ok(match parse_file_header(&bytes)? {
@@ -798,49 +827,40 @@ impl Wal {
         })
     }
 
-    /// Appends a batch atomically and returns its [`CommitTicket`] at
-    /// enqueue time, without waiting for durability. A committing
-    /// transaction appends its redo records and its commit record in one
-    /// call, so no reader can observe a commit without its payload.
+    /// Appends one committed transaction's records as a frame and returns
+    /// its [`CommitTicket`] at enqueue time, without waiting for
+    /// durability. An empty batch appends nothing.
     ///
-    /// With `stamp: Some(txn)` a [`LogRecord::CommitTs`] for `txn` closes
-    /// the batch, its timestamp drawn **under the core mutex** so that two
-    /// commits' timestamps compare exactly like their LSNs; the ticket
-    /// carries it ([`CommitTicket::commit_ts`]). An empty unstamped batch
-    /// stages nothing.
+    /// A `stamp`ed append is a snapshot-mode commit: its commit
+    /// timestamp is drawn **under the core mutex** so that two commits'
+    /// timestamps compare exactly like their LSNs, and the frame and the
+    /// ticket carry it ([`CommitTicket::commit_ts`]).
     ///
-    /// The batch is encoded once, outside the lock, into the appending
+    /// The records are encoded once, outside the lock, into the appending
     /// thread's reusable buffer, so appenders pay serialization in
     /// parallel and allocate nothing for it; the critical section copies
-    /// those bytes into the open segment and, for a file-backed log,
-    /// stages a shared copy of them (`Bytes`) for the flusher. Only the
-    /// small `CommitTs` is encoded inside it, because its timestamp does
-    /// not exist until drawn.
+    /// those bytes into the open segment behind a few bytes of frame head
+    /// and, for a file-backed log, stages a shared copy of them (`Bytes`)
+    /// for the flusher.
     ///
     /// Acknowledge with [`CommitTicket::wait`] or
     /// [`CommitTicket::wait_acked`]. Both park on the durable horizon,
-    /// which covers every batch below this one too.
-    pub fn append(
-        &self,
-        batch: impl IntoIterator<Item = LogRecord>,
-        stamp: Option<TxnId>,
-    ) -> CommitTicket {
+    /// which covers every frame below this one too.
+    pub fn append(&self, batch: impl IntoIterator<Item = LogRecord>, stamp: bool) -> CommitTicket {
         let started = Instant::now();
         let shared = &self.shared;
-        let (end, ts) = ENCODE_BUF.with_borrow_mut(|body| {
-            body.clear();
+        let (end, ts) = ENCODE_BUF.with_borrow_mut(|records| {
+            records.clear();
             let mut count = 0u64;
             for r in batch {
-                codec::put_record(body, &r);
+                codec::put_record(records, &r);
                 count += 1;
             }
-            // A file-backed log stages a copy of the bytes for its flusher;
-            // an empty unstamped batch stages nothing.
-            let staged = (shared.file_backed() && (count > 0 || stamp.is_some()))
-                .then(|| Bytes::copy_from_slice(body));
-            let span = self.enqueue(body, count, stamp, staged);
-            if body.capacity() > SEGMENT_BYTES {
-                *body = Vec::new();
+            let staged =
+                (shared.file_backed() && count > 0).then(|| Bytes::copy_from_slice(records));
+            let span = self.enqueue(records, count, stamp, staged);
+            if records.capacity() > SEGMENT_BYTES {
+                *records = Vec::new();
             }
             span
         });
@@ -852,47 +872,40 @@ impl Wal {
         }
     }
 
-    /// The critical section of [`Wal::append`]: assigns the batch its
-    /// LSNs, copies its bytes into the open segment, draws and appends the
-    /// `CommitTs` of a stamped batch, and stages the batch for the
-    /// flusher. Returns the batch's end LSN and the drawn timestamp.
+    /// The critical section of [`Wal::append`]: assigns the frame its
+    /// LSNs, draws the commit timestamp of a stamped frame, copies the
+    /// frame into the open segment and stages it for the flusher. Returns
+    /// the frame's end LSN and the drawn timestamp.
     fn enqueue(
         &self,
-        body: &[u8],
+        records: &[u8],
         count: u64,
-        stamp: Option<TxnId>,
+        stamp: bool,
         staged: Option<Bytes>,
     ) -> (u64, Option<u64>) {
         let shared = &self.shared;
         let mut core = shared.core.lock();
-        let first = core.next_lsn;
-        if count > 0 {
-            core.push(body, count);
+        let first_lsn = core.next_lsn;
+        if count == 0 {
+            return (first_lsn, None);
         }
-        let (ts, commit) = match stamp {
-            Some(txn) => {
-                let ts = shared.oracle.draw();
-                let mut rec = BytesMut::new();
-                codec::put_record(&mut rec, &LogRecord::CommitTs { txn, ts });
-                core.push(&rec, 1);
-                (Some(ts), Some(rec))
-            }
-            None => (None, None),
-        };
-        let end = core.next_lsn;
-        if let Some(body) = staged {
+        let ts = stamp.then(|| shared.oracle.draw());
+        let commit_ts = ts.unwrap_or(0);
+        core.push(records, count, commit_ts);
+        if let Some(records) = staged {
             let pending = &mut core.pending;
             if pending.queue.is_empty() {
                 pending.since = Some(Instant::now());
             }
-            pending.queue.push(StagedBatch {
-                first_lsn: first,
-                body,
-                commit: commit.map(BytesMut::freeze),
+            pending.queue.push(StagedFrame {
+                first_lsn,
+                count,
+                commit_ts,
+                records,
             });
             shared.work.notify_one();
         }
-        (end, ts)
+        (core.next_lsn, ts)
     }
 
     /// The commit-timestamp oracle stamped appends draw from (snapshot
@@ -963,7 +976,7 @@ impl Wal {
         core.resident().map(|s| s.count as usize).sum()
     }
 
-    /// Encoded bytes of the records resident in memory — what the
+    /// Encoded bytes of the frames resident in memory — what the
     /// records counted by [`Wal::resident_records`] occupy.
     pub fn resident_bytes(&self) -> usize {
         let core = self.shared.core.lock();
@@ -982,32 +995,33 @@ impl Wal {
         }
     }
 
-    /// Snapshot of the retained log (recovery input).
-    pub fn snapshot(&self) -> Vec<LogRecord> {
+    /// Every retained frame (recovery input).
+    pub fn snapshot(&self) -> Vec<Frame> {
         let mut out = Vec::new();
-        self.scan(0, u64::MAX, |_, r| out.push(r));
+        self.scan(0, u64::MAX, |f| out.push(f));
         out
     }
 
-    /// Streams the retained records with LSN in `[lo, hi)` to `f` in LSN
-    /// order, each with its LSN, straight off the segment bytes: a record
-    /// is decoded when `f` gets it and is `f`'s to keep, so a caller that
-    /// folds the range (a checkpoint) never holds it as records. Returns
-    /// how many records `f` got.
-    pub fn scan(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, LogRecord)) -> usize {
+    /// Streams the retained frames that start in `[lo, hi)` to `f` in LSN
+    /// order, straight off the segment bytes: a frame is decoded when `f`
+    /// gets it and is `f`'s to keep, so a caller that folds the range (a
+    /// checkpoint) never holds it as frames. Bounds are frame boundaries
+    /// for every caller. Returns how many records `f` got.
+    pub fn scan(&self, lo: u64, hi: u64, mut f: impl FnMut(Frame)) -> usize {
         let (segments, lo, hi) = self.view(lo, hi);
         let mut n = 0;
-        walk_range(
-            &segments,
-            lo,
-            hi,
-            |b| codec::get_record(b),
-            |lsn, r, _| {
-                n += 1;
-                f(lsn, r)
-            },
-        );
+        for raw in frames_in(&segments, lo, hi) {
+            n += raw.count as usize;
+            f(raw.decode());
+        }
         n
+    }
+
+    /// Encoded bytes of the retained frames that start in `[lo, hi)`,
+    /// counted off the segments without decoding a record.
+    pub fn encoded_bytes(&self, lo: u64, hi: u64) -> usize {
+        let (segments, lo, hi) = self.view(lo, hi);
+        frames_in(&segments, lo, hi).map(|f| f.body.len()).sum()
     }
 
     /// The segments holding the retained records with LSN in `[lo, hi)`,
@@ -1019,45 +1033,39 @@ impl Wal {
         (core.segments(lo, hi), lo, hi)
     }
 
-    /// The end of the LSN space (the next LSN to be assigned). Unlike
-    /// [`Wal::durable_lsn`] this moves at append time, so it is the right
-    /// sample point for "everything logged after this instant".
+    /// The end of the LSN space (the next LSN to be assigned), always a
+    /// frame boundary. Unlike [`Wal::durable_lsn`] this moves at append
+    /// time, so it is the right sample point for "everything logged after
+    /// this instant".
     pub fn frontier(&self) -> u64 {
         self.shared.core.lock().next_lsn
     }
 
-    /// The retained records with LSN in `[lo, hi)`, tagged with their
-    /// LSNs — the form a log shipper needs, since a reopened log's
-    /// retained range does not start at 0 and recovery holes make the
-    /// stream non-dense.
-    pub fn records_with_lsns(&self, lo: u64, hi: u64) -> Vec<(u64, LogRecord)> {
-        let mut out = Vec::new();
-        self.scan(lo, hi, |lsn, r| out.push((lsn, r)));
-        out
-    }
-
-    /// Durable-tail iteration for replication: up to `max` retained
-    /// records with LSN in `[from, durable_lsn)`, plus the durable
-    /// horizon itself. Only records below the horizon are ever returned,
-    /// so a consumer can never observe a commit the log would refuse to
+    /// Durable-tail iteration for replication: the retained frames that
+    /// start in `[from, durable_lsn)`, whole, up to `max` records — but
+    /// at least one frame, however large — plus the durable horizon
+    /// itself. Only frames below the horizon are ever returned, so a
+    /// consumer can never observe a commit the log would refuse to
     /// acknowledge.
-    pub fn durable_records_from(&self, from: u64, max: usize) -> (Vec<(u64, LogRecord)>, u64) {
+    pub fn durable_frames_from(&self, from: u64, max: usize) -> (Vec<Frame>, u64) {
         let durable = self.shared.durable_lsn.load(Ordering::Acquire);
-        let (segments, lo, hi) = {
+        let (segments, lo) = {
             let core = self.shared.core.lock();
             let lo = from.max(core.base_lsn);
-            // Resident LSNs are dense: `max` records end at `lo + max`.
+            // Resident LSNs are dense: the frames that start below
+            // `lo + max` lie in the segments up to there.
             let hi = durable.min(lo.saturating_add(max as u64));
-            (core.segments(lo, hi), lo, hi)
+            (core.segments(lo, hi), lo)
         };
         let mut out = Vec::new();
-        walk_range(
-            &segments,
-            lo,
-            hi,
-            |b| codec::get_record(b),
-            |lsn, r, _| out.push((lsn, r)),
-        );
+        let mut taken = 0u64;
+        for raw in frames_in(&segments, lo, durable) {
+            if taken > 0 && taken + raw.count > max as u64 {
+                break;
+            }
+            taken += raw.count;
+            out.push(raw.decode());
+        }
         (out, durable)
     }
 
@@ -1118,81 +1126,26 @@ impl Wal {
         self.shared.retain.lock().values().min().copied()
     }
 
-    /// Serializes the retained log to its binary image: the segments'
-    /// bytes from the base LSN on.
-    pub fn encode_all(&self) -> Bytes {
-        let (segments, lo, _) = self.view(0, u64::MAX);
-        let mut buf = BytesMut::new();
-        for seg in &segments {
-            buf.put_slice(seg.bytes_from(lo));
-        }
-        buf.freeze()
-    }
-
-    /// Parses a binary image produced by [`Wal::encode_all`].
-    pub fn decode_all(mut bytes: Bytes) -> Result<Vec<LogRecord>> {
-        let mut out = Vec::new();
-        while bytes.has_remaining() {
-            out.push(codec::get_record(&mut bytes)?);
-        }
-        Ok(out)
-    }
-
-    /// The largest transaction-interval-safe cut: no transaction has
-    /// records both below and at-or-above the returned LSN (transactions
-    /// without a `Commit`/`Abort` yet may still append, so they pin the
-    /// cut below their first record). Never below the current base LSN.
-    ///
-    /// One skim over the retained records finds it. The walk keeps only
-    /// the transactions it has seen a record of but no `Commit`, `Abort`
-    /// or `CommitTs` yet, and remembers the last record boundary at which
-    /// that set was empty. This rests on one invariant of the log: **no
-    /// record of a transaction follows its resolving record.** Every
-    /// append is a whole transaction ending in its resolution, or a lone
-    /// `Abort` (`bullfrog-engine`'s commit and abort paths, and a
-    /// replica's applier), so a resolved transaction is never reopened.
-    pub fn safe_cut(&self) -> u64 {
-        let (segments, base, next) = self.view(0, u64::MAX);
-        let mut open: HashSet<TxnId> = HashSet::new();
-        let mut cut = base;
-        walk_range(
-            &segments,
-            base,
-            next,
-            |b| codec::skim_record(b),
-            |lsn, (txn, resolves), _| {
-                if resolves {
-                    open.remove(&txn);
-                } else {
-                    open.insert(txn);
-                }
-                if open.is_empty() {
-                    cut = lsn + 1;
-                }
-            },
-        );
-        cut
-    }
-
-    /// Truncates the log at `cut` (clamped to a valid range): sealed
-    /// segments wholly below `cut` are dropped from memory (the open one
-    /// too when `cut` covers all of it), and the file of a file-backed
-    /// log is rotated to a fresh one holding only the records at or above
-    /// `cut`. The rotation image is copied from the in-memory segments —
-    /// a superset of anything staged or in flight — and the rotation
-    /// itself fsyncs, so the whole tail becomes durable and no
-    /// staged-but-unflushed batch can be lost to a racing checkpoint.
+    /// Truncates the log at `cut`: clamped to the retained range, then
+    /// to the lowest retain horizon, then down to the start of the frame
+    /// holding it, so the cut is always a frame boundary. Sealed segments
+    /// wholly below the cut are dropped from memory (the open one too
+    /// when the cut covers all of it), and the file of a file-backed log
+    /// is rotated to a fresh one holding only the frames at or above the
+    /// cut. The rotation image is copied from the in-memory segments — a
+    /// superset of anything staged or in flight — and the rotation itself
+    /// fsyncs, so the whole tail becomes durable and no
+    /// staged-but-unflushed frame can be lost to a racing checkpoint.
     /// Returns the records dropped.
     ///
     /// The log mutex is held only to share the segments and, at the end,
     /// to drop them and unstage what the rotation wrote; the image is
-    /// built and written while appends go on. A batch appended in between
+    /// built and written while appends go on. A frame appended in between
     /// stays staged and reaches the new file through the flusher, which
-    /// skips every batch below `rotated_below`.
+    /// skips every frame below `rotated_below`.
     ///
     /// The caller is responsible for having persisted a checkpoint image
-    /// covering everything below `cut` first, and for picking a
-    /// transaction-safe `cut` (see [`Wal::safe_cut`]).
+    /// covering everything below `cut` first.
     pub fn truncate_to(&self, cut: u64) -> Result<u64> {
         let shared = &self.shared;
         // Lock order: retain registry, then the file, then core — the
@@ -1215,6 +1168,7 @@ impl Wal {
             if let Some(floor) = retain.values().min() {
                 cut = cut.min((*floor).max(core.base_lsn));
             }
+            let cut = core.frame_start(cut);
             let segments = if file.is_some() {
                 core.segments(cut, core.next_lsn)
             } else {
@@ -1241,7 +1195,7 @@ impl Wal {
         let mut core = shared.core.lock();
         if shared.file_backed() {
             // Everything below `end` is durable in the rotated file;
-            // batches appended since stay staged for the flusher.
+            // frames appended since stay staged for the flusher.
             let pending = &mut core.pending;
             pending.queue.retain(|b| b.first_lsn >= end);
             if pending.queue.is_empty() {
@@ -1322,16 +1276,16 @@ impl std::fmt::Debug for Wal {
 }
 
 /// The group-commit flusher: drains the staging queue with one combined
-/// write+fsync per wakeup (one frame per batch), then advances the
-/// durable horizon and wakes every committer it covered. Exits when the
-/// log shuts down and the queue is drained.
+/// write+fsync per wakeup (one file frame per transaction), then advances
+/// the durable horizon and wakes every committer it covered. Exits when
+/// the log shuts down and the queue is drained.
 fn flusher_loop(shared: &WalShared) {
     let (_, file) = shared
         .file
         .as_ref()
         .expect("only a file-backed log flushes");
     loop {
-        let batches = {
+        let frames = {
             let mut core = shared.core.lock();
             loop {
                 if core.pending.queue.is_empty() {
@@ -1342,7 +1296,7 @@ fn flusher_loop(shared: &WalShared) {
                     continue;
                 }
                 if !core.shutdown && !shared.group_window.is_zero() {
-                    let deadline = core.pending.since.expect("staged batch implies since")
+                    let deadline = core.pending.since.expect("staged frame implies since")
                         + shared.group_window;
                     if Instant::now() < deadline {
                         shared.work.wait_until(&mut core, deadline);
@@ -1352,10 +1306,10 @@ fn flusher_loop(shared: &WalShared) {
                 break;
             }
             let pending = &mut core.pending;
-            let batches = std::mem::take(&mut pending.queue);
+            let frames = std::mem::take(&mut pending.queue);
             pending.since = None;
-            pending.inflight_first = Some(batches[0].first_lsn);
-            batches
+            pending.inflight_first = Some(frames[0].first_lsn);
+            frames
         };
         let started = Instant::now();
         let mut buf = BytesMut::new();
@@ -1363,13 +1317,13 @@ fn flusher_loop(shared: &WalShared) {
         {
             let mut file = file.lock();
             // A checkpoint may have rotated the file while this flush
-            // waited for the lock; the rotation already wrote every batch
+            // waited for the lock; the rotation already wrote every frame
             // below `rotated_below`, so writing those again would
             // duplicate them.
             let rotated = shared.rotated_below.load(Ordering::Acquire);
-            for b in batches.iter().filter(|b| b.first_lsn >= rotated) {
-                let commit = b.commit.as_deref().unwrap_or_default();
-                put_frame(&mut buf, b.first_lsn, &[&b.body, commit]);
+            for f in frames.iter().filter(|f| f.first_lsn >= rotated) {
+                let head = Head::of(&[f.count, f.commit_ts]);
+                put_file_frame(&mut buf, f.first_lsn, &[head.bytes(), &f.records]);
                 written += 1;
             }
             if !buf.is_empty() {
@@ -1402,7 +1356,7 @@ fn flusher_loop(shared: &WalShared) {
 
 // --- file helpers ----------------------------------------------------------
 
-/// `BFWAL7` header bytes for a file whose log starts at `base_lsn`.
+/// `BFWAL8` header bytes for a file whose log starts at `base_lsn`.
 fn encode_header(base_lsn: u64) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[..FILE_MAGIC.len()].copy_from_slice(&FILE_MAGIC);
@@ -1410,7 +1364,7 @@ fn encode_header(base_lsn: u64) -> [u8; HEADER_LEN] {
     h
 }
 
-/// Reads a WAL file's header: `Some(base_lsn)` for a `BFWAL7` file,
+/// Reads a WAL file's header: `Some(base_lsn)` for a `BFWAL8` file,
 /// `None` for a file shorter than a header whose bytes are a prefix of
 /// one (a crash tore the header write, so the log is empty), and an
 /// error for anything else.
@@ -1418,7 +1372,7 @@ fn parse_file_header(bytes: &[u8]) -> Result<Option<u64>> {
     let magic = bytes.len().min(FILE_MAGIC.len());
     if bytes[..magic] != FILE_MAGIC[..magic] {
         return Err(Error::Wal(format!(
-            "not a BFWAL7 log file: its header starts {:?}",
+            "not a BFWAL8 log file: its header starts {:?}",
             String::from_utf8_lossy(&bytes[..magic])
         )));
     }
@@ -1430,19 +1384,18 @@ fn parse_file_header(bytes: &[u8]) -> Result<Option<u64>> {
     Ok(Some(u64::from_be_bytes(base)))
 }
 
-/// Appends one frame: `first_lsn:u64 nbytes:u32 crc32c:u32 payload`, the
-/// payload being `parts` back to back and the checksum covering
-/// `first_lsn`, `nbytes` and the payload. The length field is a u32; a
-/// payload past that would silently truncate `nbytes` and tear the frame
-/// stream at decode, so oversized payloads are a hard error here
-/// (rotation writes one frame per segment, well below this; a single
-/// transaction batch this large is unsupported). A payload is never
-/// empty, so `nbytes == 0` can mark the end of the frames.
-fn put_frame(buf: &mut BytesMut, first_lsn: u64, parts: &[&[u8]]) {
+/// Appends one file frame: `first_lsn:u64 nbytes:u32 crc32c:u32 body`,
+/// the body being `parts` back to back and the checksum covering
+/// `first_lsn`, `nbytes` and the body. The length field is a u32; a body
+/// past that would silently truncate `nbytes` and tear the frame stream
+/// at decode, so an oversized body is a hard error here (a single
+/// transaction this large is unsupported). A body is never empty, so
+/// `nbytes == 0` can mark the end of the frames.
+fn put_file_frame(buf: &mut BytesMut, first_lsn: u64, parts: &[&[u8]]) {
     let len: usize = parts.iter().map(|p| p.len()).sum();
     assert!(
         len <= u32::MAX as usize,
-        "WAL frame payload of {len} bytes overflows the u32 length field"
+        "WAL frame body of {len} bytes overflows the u32 length field"
     );
     assert!(
         len > 0,
@@ -1461,30 +1414,27 @@ fn put_frame(buf: &mut BytesMut, first_lsn: u64, parts: &[&[u8]]) {
     }
 }
 
-/// The rotated file: a header at `cut`, then the records in `[cut, end)`
-/// as one frame per segment, their bytes copied from the segments, not
-/// encoded again.
+/// The rotated file: a header at `cut`, then one file frame per resident
+/// transaction at or above it, their bodies copied from the segments,
+/// not encoded again.
 fn rotation_image(segments: &[Arc<Segment>], cut: u64) -> BytesMut {
     let mut image = BytesMut::new();
     image.put_slice(&encode_header(cut));
-    for seg in segments {
-        let bytes = seg.bytes_from(cut);
-        if !bytes.is_empty() {
-            put_frame(&mut image, seg.base_lsn.max(cut), &[bytes]);
-        }
+    for f in frames_in(segments, cut, u64::MAX) {
+        put_file_frame(&mut image, f.first_lsn, &[f.body]);
     }
     image
 }
 
-/// Decodes the frames after the header of a file whose log starts at
-/// `base`, returning LSN-tagged records and the byte offset of the end of
-/// the last clean frame. The scan stops at the zero tail of a file still
-/// open (`nbytes == 0`) and at a torn or damaged frame: a short header or
-/// payload, a checksum mismatch (a torn write inside the zero-filled
-/// region leaves zeros, not a short file), a payload whose records do not
-/// decode cleanly, or a frame that does not start where the previous one
-/// ended (the first at `base`).
-fn decode_frames(bytes: &[u8], base: u64) -> (Vec<(u64, LogRecord)>, usize) {
+/// Decodes the file frames after the header of a file whose log starts
+/// at `base`, returning them and the byte offset of the end of the last
+/// clean one. The scan stops at the zero tail of a file still open
+/// (`nbytes == 0`) and at a torn or damaged frame: a short header or
+/// body, a checksum mismatch (a torn write inside the zero-filled region
+/// leaves zeros, not a short file), a body that does not decode to
+/// exactly its bytes, or a frame that does not start where the previous
+/// one ended (the first at `base`).
+fn decode_frames(bytes: &[u8], base: u64) -> (Vec<Frame>, usize) {
     let mut out = Vec::new();
     let mut pos = HEADER_LEN;
     let mut expect = base;
@@ -1499,42 +1449,25 @@ fn decode_frames(bytes: &[u8], base: u64) -> (Vec<(u64, LogRecord)>, usize) {
         if n == 0 || first != expect || bytes.len().saturating_sub(pos + FRAME_HEADER_LEN) < n {
             break;
         }
-        let payload = &bytes[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + n];
-        if crc32c_extend(crc32c(head), payload) != crc {
+        let mut body = &bytes[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + n];
+        if crc32c_extend(crc32c(head), body) != crc {
             break;
         }
-        let (records, consumed) = decode_prefix(payload);
-        if consumed != n {
-            break;
+        match codec::get_frame(&mut body, first) {
+            Ok(frame) if body.is_empty() => {
+                expect = frame.end_lsn();
+                out.push(frame);
+            }
+            _ => break,
         }
-        expect = first + records.len() as u64;
-        out.extend((first..).zip(records));
         pos += FRAME_HEADER_LEN + n;
     }
     (out, pos)
 }
 
-/// Decodes records until the bytes run out or a record is torn;
-/// returns the records and how many bytes were consumed cleanly.
-fn decode_prefix(mut buf: &[u8]) -> (Vec<LogRecord>, usize) {
-    let mut out = Vec::new();
-    let mut consumed = 0usize;
-    while buf.has_remaining() {
-        let before = buf.remaining();
-        match codec::get_record(&mut buf) {
-            Ok(r) => {
-                out.push(r);
-                consumed += before - buf.remaining();
-            }
-            Err(_) => break,
-        }
-    }
-    (out, consumed)
-}
-
 /// Opens the WAL file for writing at the end of its last clean frame,
 /// returning it and one past the highest LSN the file holds. A fresh
-/// file, or one whose header write a crash tore, gets a fresh `BFWAL7`
+/// file, or one whose header write a crash tore, gets a fresh `BFWAL8`
 /// header. Whatever follows the last clean frame — a zero tail left by a
 /// crash, a torn or damaged frame, and every frame after it — is cut off,
 /// so no stale byte can ever follow a new frame. A file in any other
@@ -1562,189 +1495,149 @@ fn open_log(path: &Path) -> Result<(LogFile, u64)> {
         file.set_len(clean as u64)
             .map_err(|e| Error::Wal(format!("truncate torn wal tail: {e}")))?;
     }
-    let end = frames.last().map_or(base, |(l, _)| l + 1);
+    let end = frames.last().map_or(base, Frame::end_lsn);
     Ok((LogFile::at_end(file, clean as u64), end))
 }
 
 // --- binary format -------------------------------------------------------
 //
 // file    := header frame* zero*
-// header  := "BFWAL7" base_lsn:u64
-// frame   := first_lsn:u64 nbytes:u32 crc32c:u32 record*
+// header  := "BFWAL8" base_lsn:u64
+// frame   := first_lsn:u64 nbytes:u32 crc32c:u32 body
+// body    := count:varint commit_ts:varint record{count}
 //
-// `nbytes` counts the records' bytes and is never 0; `crc32c` covers
-// `first_lsn`, `nbytes` and the records. The first frame starts at
-// `base_lsn` and each later one where the previous one ended. The zeros
-// are an open file's zero-filled extent (a clean close trims them); a
-// scan reads their `nbytes == 0` as the end.
-// record  := tag:u8 txn:varint body
+// A frame is one committed transaction. `nbytes` counts the body's bytes
+// and is never 0; `crc32c` covers `first_lsn`, `nbytes` and the body.
+// `commit_ts` is the snapshot-mode commit timestamp, 0 under 2PL. The
+// first frame starts at `base_lsn` and each later one where the previous
+// one ended (`first_lsn + count`). The zeros are an open file's
+// zero-filled extent (a clean close trims them); a scan reads their
+// `nbytes == 0` as the end. In memory a segment holds `len:varint body`
+// per frame, and replication `FRAMES` carry `first_lsn:u64 body`.
+//
+// record  := 1 table:varint rid row      (insert)
+//          | 2 table:varint rid row      (update: the after-image)
+//          | 3 table:varint rid          (delete)
+//          | 4 migration:varint granule  (migration granule)
+//          | 5 epoch:varint              (fencing epoch)
 // rid     := page:varint slot:varint
+// granule := 0 ordinal:varint | 1 row
 // row     := count:varint value*
 //
 // Rows, values and varints are `bullfrog_common::codec`'s encoding, the
 // one the heap stores its tuples in.
 
-/// The record codec: the log's record encoding, shared with the
+/// The record codec: the log's frame and record encoding, shared with the
 /// checkpoint image in `bullfrog-engine`, the BFNET1 wire protocol, and
 /// replication `FRAMES` (same value/row/granule encoding everywhere).
 /// Values and rows are [`bullfrog_common::codec`]'s.
 ///
-/// Decoders read any [`Buf`] — a `Bytes` payload or a borrowed `&[u8]`
-/// — and never trust a count: a preallocation is bounded by the bytes
-/// left, since every element takes at least one.
+/// Decoders read a `&mut &[u8]`, advance it past what they read, and
+/// hand every value straight to the shared value codec; a caller holding
+/// `Bytes` passes its slice and advances by what was read. They never
+/// trust a count: a preallocation is bounded by the bytes left, since
+/// every element takes at least one.
 pub mod codec {
-    use bullfrog_common::codec::{self as value_codec, Sink};
-    use bullfrog_common::{Error, Result, Row, RowId, TableId, TxnId, Value};
+    use bullfrog_common::codec::{self as value_codec, get_varint, Sink};
+    use bullfrog_common::{Error, Result, Row, RowId, TableId};
     use bytes::{Buf, BufMut};
 
-    use super::{GranuleKey, LogRecord};
+    use super::{Frame, GranuleKey, LogRecord};
 
-    const TAG_BEGIN: u8 = 1;
-    const TAG_INSERT: u8 = 2;
-    const TAG_UPDATE: u8 = 3;
-    const TAG_DELETE: u8 = 4;
-    const TAG_GRANULE: u8 = 5;
-    const TAG_COMMIT: u8 = 6;
-    const TAG_ABORT: u8 = 7;
-    /// Commit with an explicit commit timestamp.
-    const TAG_COMMIT_TS: u8 = 8;
-    /// Fencing-epoch raise.
-    const TAG_EPOCH: u8 = 9;
+    const TAG_INSERT: u8 = 1;
+    const TAG_UPDATE: u8 = 2;
+    const TAG_DELETE: u8 = 3;
+    const TAG_GRANULE: u8 = 4;
+    const TAG_EPOCH: u8 = 5;
 
-    /// Encodes a full log record (the WAL's record format; also the
-    /// payload format of replication `FRAMES`).
+    /// Encodes a frame's body: its record count, its commit timestamp
+    /// and its records (the body of a file frame, and of a frame in
+    /// replication `FRAMES`).
+    pub fn put_frame(buf: &mut impl BufMut, frame: &Frame) {
+        put_varint(buf, frame.records.len() as u64);
+        put_varint(buf, frame.commit_ts);
+        for r in &frame.records {
+            put_record(buf, r);
+        }
+    }
+
+    /// Decodes a frame body written by [`put_frame`] as the frame at
+    /// `first_lsn`. A record count past the bytes left is an error, not
+    /// an allocation.
+    pub fn get_frame(buf: &mut &[u8], first_lsn: u64) -> Result<Frame> {
+        let count = value_codec::get_count(buf)?;
+        let commit_ts = get_varint(buf)?;
+        let mut records = Vec::with_capacity(count);
+        for _ in 0..count {
+            records.push(get_record(buf)?);
+        }
+        Ok(Frame {
+            first_lsn,
+            commit_ts,
+            records,
+        })
+    }
+
+    /// Encodes one log record.
     pub fn put_record(buf: &mut impl BufMut, r: &LogRecord) {
         match r {
-            LogRecord::Begin(t) => put_tag_varint(buf, TAG_BEGIN, t.0),
-            LogRecord::Insert {
-                txn,
-                table,
-                rid,
-                row,
-            } => {
-                put_tag_varint(buf, TAG_INSERT, txn.0);
-                put_varint(buf, table.0.into());
-                put_rid(buf, *rid);
+            LogRecord::Insert { table, rid, row } => {
+                put_table_rid(buf, TAG_INSERT, *table, *rid);
                 put_row(buf, row);
             }
-            LogRecord::Update {
-                txn,
-                table,
-                rid,
-                after,
-            } => {
-                put_tag_varint(buf, TAG_UPDATE, txn.0);
-                put_varint(buf, table.0.into());
-                put_rid(buf, *rid);
+            LogRecord::Update { table, rid, after } => {
+                put_table_rid(buf, TAG_UPDATE, *table, *rid);
                 put_row(buf, after);
             }
-            LogRecord::Delete { txn, table, rid } => {
-                put_tag_varint(buf, TAG_DELETE, txn.0);
-                put_varint(buf, table.0.into());
-                put_rid(buf, *rid);
-            }
-            LogRecord::MigrationGranule {
-                txn,
-                migration,
-                granule,
-            } => {
-                put_tag_varint(buf, TAG_GRANULE, txn.0);
+            LogRecord::Delete { table, rid } => put_table_rid(buf, TAG_DELETE, *table, *rid),
+            LogRecord::MigrationGranule { migration, granule } => {
+                buf.put_u8(TAG_GRANULE);
                 put_varint(buf, (*migration).into());
                 put_granule(buf, granule);
             }
-            LogRecord::Commit(t) => put_tag_varint(buf, TAG_COMMIT, t.0),
-            LogRecord::CommitTs { txn, ts } => {
-                put_tag_varint(buf, TAG_COMMIT_TS, txn.0);
-                put_varint(buf, *ts);
-            }
-            LogRecord::Abort(t) => put_tag_varint(buf, TAG_ABORT, t.0),
-            LogRecord::Epoch { txn, epoch } => {
-                put_tag_varint(buf, TAG_EPOCH, txn.0);
+            LogRecord::Epoch { epoch } => {
+                buf.put_u8(TAG_EPOCH);
                 put_varint(buf, *epoch);
             }
         }
     }
 
     /// Decodes a log record written by [`put_record`].
-    pub fn get_record(buf: &mut impl Buf) -> Result<LogRecord> {
-        let tag = get_u8(buf)?;
-        if !(TAG_BEGIN..=TAG_EPOCH).contains(&tag) {
-            return Err(Error::Wal(format!("bad record tag {tag}")));
-        }
-        let txn = TxnId(get_varint(buf)?);
-        Ok(match tag {
-            TAG_BEGIN => LogRecord::Begin(txn),
+    pub fn get_record(buf: &mut &[u8]) -> Result<LogRecord> {
+        Ok(match get_u8(buf)? {
             TAG_INSERT => LogRecord::Insert {
-                txn,
-                table: TableId(get_varint_u32(buf)?),
+                table: get_table(buf)?,
                 rid: get_rid(buf)?,
                 row: get_row(buf)?,
             },
             TAG_UPDATE => LogRecord::Update {
-                txn,
-                table: TableId(get_varint_u32(buf)?),
+                table: get_table(buf)?,
                 rid: get_rid(buf)?,
                 after: get_row(buf)?,
             },
             TAG_DELETE => LogRecord::Delete {
-                txn,
-                table: TableId(get_varint_u32(buf)?),
+                table: get_table(buf)?,
                 rid: get_rid(buf)?,
             },
             TAG_GRANULE => LogRecord::MigrationGranule {
-                txn,
                 migration: get_varint_u32(buf)?,
                 granule: get_granule(buf)?,
             },
-            TAG_COMMIT => LogRecord::Commit(txn),
-            TAG_ABORT => LogRecord::Abort(txn),
-            TAG_COMMIT_TS => LogRecord::CommitTs {
-                txn,
-                ts: get_varint(buf)?,
-            },
-            _ => LogRecord::Epoch {
-                txn,
+            TAG_EPOCH => LogRecord::Epoch {
                 epoch: get_varint(buf)?,
             },
+            tag => return Err(Error::Wal(format!("bad record tag {tag}"))),
         })
     }
 
-    /// Steps over one record written by [`put_record`] without building
-    /// it, returning its transaction and whether the record resolves it
-    /// (a commit or an abort). Scans that need only those — the safe
-    /// checkpoint cut and rotation — skip a decode's allocations.
-    pub fn skim_record(buf: &mut impl Buf) -> Result<(TxnId, bool)> {
-        let tag = get_u8(buf)?;
-        if !(TAG_BEGIN..=TAG_EPOCH).contains(&tag) {
-            return Err(Error::Wal(format!("bad record tag {tag}")));
-        }
-        let txn = TxnId(get_varint(buf)?);
-        match tag {
-            TAG_INSERT | TAG_UPDATE => {
-                get_varint(buf)?;
-                get_rid(buf)?;
-                skim_values(buf)?;
-            }
-            TAG_DELETE => {
-                get_varint(buf)?;
-                get_rid(buf)?;
-            }
-            TAG_GRANULE => {
-                get_varint(buf)?;
-                match get_u8(buf)? {
-                    0 => {
-                        get_varint(buf)?;
-                    }
-                    1 => skim_values(buf)?,
-                    k => return Err(Error::Wal(format!("bad granule kind {k}"))),
-                }
-            }
-            TAG_COMMIT_TS | TAG_EPOCH => {
-                get_varint(buf)?;
-            }
-            _ => {}
-        }
-        Ok((txn, matches!(tag, TAG_COMMIT | TAG_ABORT | TAG_COMMIT_TS)))
+    fn put_table_rid(buf: &mut impl BufMut, tag: u8, table: TableId, rid: RowId) {
+        buf.put_u8(tag);
+        put_varint(buf, table.0.into());
+        put_rid(buf, rid);
+    }
+
+    fn get_table(buf: &mut &[u8]) -> Result<TableId> {
+        get_varint_u32(buf).map(TableId)
     }
 
     /// Encodes a granule key.
@@ -1756,16 +1649,16 @@ pub mod codec {
             }
             GranuleKey::Group(vals) => {
                 buf.put_u8(1);
-                put_values(buf, vals);
+                value_codec::put_values(&mut Out(buf), vals);
             }
         }
     }
 
     /// Decodes a granule key.
-    pub fn get_granule(buf: &mut impl Buf) -> Result<GranuleKey> {
+    pub fn get_granule(buf: &mut &[u8]) -> Result<GranuleKey> {
         match get_u8(buf)? {
             0 => Ok(GranuleKey::Ordinal(get_varint(buf)?)),
-            1 => Ok(GranuleKey::Group(get_values(buf)?)),
+            1 => Ok(GranuleKey::Group(value_codec::get_values(buf)?)),
             k => Err(Error::Wal(format!("bad granule kind {k}"))),
         }
     }
@@ -1777,7 +1670,7 @@ pub mod codec {
     }
 
     /// Decodes a row id.
-    pub fn get_rid(buf: &mut impl Buf) -> Result<RowId> {
+    pub fn get_rid(buf: &mut &[u8]) -> Result<RowId> {
         let page = get_varint_u32(buf)?;
         let slot = u16::try_from(get_varint(buf)?)
             .map_err(|_| Error::Wal("row slot out of range".into()))?;
@@ -1786,24 +1679,12 @@ pub mod codec {
 
     /// Encodes a row ([`value_codec::put_values`]).
     pub fn put_row(buf: &mut impl BufMut, row: &Row) {
-        put_values(buf, &row.0);
+        value_codec::put_values(&mut Out(buf), &row.0);
     }
 
     /// Decodes a row.
-    pub fn get_row(buf: &mut impl Buf) -> Result<Row> {
-        get_values(buf).map(Row)
-    }
-
-    fn put_values(buf: &mut impl BufMut, vals: &[Value]) {
-        value_codec::put_values(&mut Out(buf), vals);
-    }
-
-    fn get_values(buf: &mut impl Buf) -> Result<Vec<Value>> {
-        via_slice(buf, value_codec::get_values)
-    }
-
-    fn skim_values(buf: &mut impl Buf) -> Result<()> {
-        via_slice(buf, value_codec::skim_values)
+    pub fn get_row(buf: &mut &[u8]) -> Result<Row> {
+        value_codec::get_values(buf).map(Row)
     }
 
     /// Appends `v` as an unsigned LEB128 varint
@@ -1812,26 +1693,16 @@ pub mod codec {
         value_codec::put_varint(&mut Out(buf), v);
     }
 
-    fn put_tag_varint(buf: &mut impl BufMut, tag: u8, v: u64) {
-        buf.put_u8(tag);
-        put_varint(buf, v);
-    }
-
-    /// Reads a varint written by [`put_varint`]
-    /// ([`value_codec::get_varint`]).
-    pub fn get_varint(buf: &mut impl Buf) -> Result<u64> {
-        via_slice(buf, value_codec::get_varint)
-    }
-
-    fn get_varint_u32(buf: &mut impl Buf) -> Result<u32> {
+    fn get_varint_u32(buf: &mut &[u8]) -> Result<u32> {
         u32::try_from(get_varint(buf)?).map_err(|_| Error::Wal("varint overflows u32".into()))
     }
 
-    fn get_u8(buf: &mut impl Buf) -> Result<u8> {
-        if buf.remaining() < 1 {
-            return Err(Error::Wal("truncated u8".into()));
-        }
-        Ok(buf.get_u8())
+    fn get_u8(buf: &mut &[u8]) -> Result<u8> {
+        let (&b, rest) = buf
+            .split_first()
+            .ok_or_else(|| Error::Wal("truncated u8".into()))?;
+        *buf = rest;
+        Ok(b)
     }
 
     /// Lets the shared value codec append to any [`BufMut`].
@@ -1847,21 +1718,6 @@ pub mod codec {
         fn put_u8(&mut self, b: u8) {
             self.0.put_u8(b);
         }
-    }
-
-    /// Runs a decoder of the shared value codec over `buf`'s bytes and
-    /// advances `buf` past what it read. Every [`Buf`] the log, the
-    /// checkpoint and the wire decode (`Bytes`, `&[u8]`) is one
-    /// contiguous chunk.
-    #[inline]
-    fn via_slice<T>(buf: &mut impl Buf, decode: impl FnOnce(&mut &[u8]) -> Result<T>) -> Result<T> {
-        debug_assert_eq!(buf.chunk().len(), buf.remaining(), "a contiguous buffer");
-        let mut rd = buf.chunk();
-        let len = rd.len();
-        let out = decode(&mut rd);
-        let used = len - rd.len();
-        buf.advance(used);
-        out
     }
 
     /// Decodes a big-endian u32 with truncation checking.
@@ -1889,37 +1745,39 @@ mod tests {
 
     fn sample_records() -> Vec<LogRecord> {
         vec![
-            LogRecord::Begin(TxnId(1)),
             LogRecord::Insert {
-                txn: TxnId(1),
                 table: TableId(2),
                 rid: RowId::new(0, 3),
                 row: row![42, "hello", 2.5],
             },
             LogRecord::Update {
-                txn: TxnId(1),
                 table: TableId(2),
                 rid: RowId::new(0, 3),
                 after: Row(vec![Value::Null, Value::Bool(true), Value::Decimal(199)]),
             },
             LogRecord::Delete {
-                txn: TxnId(1),
                 table: TableId(2),
                 rid: RowId::new(1, 0),
             },
             LogRecord::MigrationGranule {
-                txn: TxnId(1),
                 migration: 7,
                 granule: GranuleKey::Ordinal(12345),
             },
             LogRecord::MigrationGranule {
-                txn: TxnId(1),
                 migration: 7,
                 granule: GranuleKey::Group(vec![Value::Int(1), Value::text("grp")]),
             },
-            LogRecord::Commit(TxnId(1)),
-            LogRecord::Abort(TxnId(2)),
+            LogRecord::Epoch { epoch: 7 },
         ]
+    }
+
+    /// A delete naming `(table, slot)`: a small record that says which
+    /// appender wrote it.
+    fn delete(table: u32, slot: u64) -> LogRecord {
+        LogRecord::Delete {
+            table: TableId(table),
+            rid: RowId::new(0, slot as u16),
+        }
     }
 
     /// A per-test temp file path (tests run in one process, so the pid
@@ -1933,55 +1791,76 @@ mod tests {
         path
     }
 
-    /// The file's records in LSN order, without LSNs.
+    /// The file's records in LSN order, frames flattened.
     fn load(path: &Path) -> Vec<LogRecord> {
-        let records = Wal::load(path).unwrap();
-        records.into_iter().map(|(_, r)| r).collect()
+        let frames = Wal::load(path).unwrap();
+        frames.into_iter().flat_map(|f| f.records).collect()
+    }
+
+    /// A frame body's bytes.
+    fn body(frame: &Frame) -> Vec<u8> {
+        let mut buf = Vec::new();
+        codec::put_frame(&mut buf, frame);
+        buf
+    }
+
+    /// The frame of the 2PL commit of `records` at `first_lsn`.
+    fn frame(first_lsn: u64, records: Vec<LogRecord>) -> Frame {
+        Frame {
+            first_lsn,
+            commit_ts: 0,
+            records,
+        }
     }
 
     #[test]
     fn binary_round_trip() {
         let wal = Wal::new();
-        wal.append(sample_records(), None);
-        let bytes = wal.encode_all();
-        let decoded = Wal::decode_all(bytes).unwrap();
-        assert_eq!(decoded, sample_records());
+        wal.append(sample_records(), false);
+        let expect = frame(0, sample_records());
+        assert_eq!(wal.snapshot(), vec![expect.clone()]);
+        let bytes = body(&expect);
+        let mut rd: &[u8] = &bytes;
+        assert_eq!(codec::get_frame(&mut rd, 0).unwrap(), expect);
+        assert!(rd.is_empty());
     }
 
     #[test]
     fn commit_ts_round_trips_and_resolves() {
-        let rec = LogRecord::CommitTs {
-            txn: TxnId(7),
-            ts: 41,
-        };
-        let mut buf = BytesMut::new();
-        codec::put_record(&mut buf, &rec);
-        let mut bytes = buf.freeze();
-        assert_eq!(codec::get_record(&mut bytes).unwrap(), rec);
-        assert_eq!(rec.txn(), TxnId(7));
-        assert_eq!(rec.commit_ts(), Some(41));
-        assert!(rec.is_commit());
-        assert_eq!(LogRecord::Commit(TxnId(7)).commit_ts(), None);
+        // A stamped commit's frame carries its timestamp, in memory, in
+        // the file and through the codec.
+        let path = temp_wal("commit-ts");
+        let wal = Wal::with_file(&path).unwrap();
+        wal.append([delete(1, 0)], false).wait();
+        let ticket = wal.append([delete(1, 1), delete(1, 2)], true);
+        assert_eq!(ticket.commit_ts(), Some(1));
+        ticket.wait();
+        wal.oracle().finish(1);
+        let expect = vec![
+            frame(0, vec![delete(1, 0)]),
+            Frame {
+                first_lsn: 1,
+                commit_ts: 1,
+                records: vec![delete(1, 1), delete(1, 2)],
+            },
+        ];
+        assert_eq!(wal.snapshot(), expect);
+        drop(wal);
+        assert_eq!(Wal::load(&path).unwrap(), expect);
+        let bytes = body(&expect[1]);
+        assert_eq!(codec::get_frame(&mut &bytes[..], 1).unwrap(), expect[1]);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn stamped_append_draws_ts_in_lsn_order() {
         let wal = Arc::new(Wal::new());
         let mut handles = Vec::new();
-        for t in 1..=8u64 {
+        for t in 1..=8u32 {
             let wal = Arc::clone(&wal);
             handles.push(std::thread::spawn(move || {
                 for i in 0..50 {
-                    let txn = TxnId(t * 1000 + i);
-                    let batch = vec![
-                        LogRecord::Begin(txn),
-                        LogRecord::Delete {
-                            txn,
-                            table: TableId(1),
-                            rid: RowId::new(0, 0),
-                        },
-                    ];
-                    let ts = wal.append(batch, Some(txn)).commit_ts().unwrap();
+                    let ts = wal.append([delete(t, i)], true).commit_ts().unwrap();
                     wal.oracle().finish(ts);
                 }
             }));
@@ -1991,11 +1870,13 @@ mod tests {
         }
         // Commit timestamps must appear in strictly increasing LSN order.
         let mut last_ts = 0;
-        for r in wal.snapshot() {
-            if let Some(ts) = r.commit_ts() {
-                assert!(ts > last_ts, "ts {ts} out of LSN order (prev {last_ts})");
-                last_ts = ts;
-            }
+        for f in wal.snapshot() {
+            assert!(
+                f.commit_ts > last_ts,
+                "ts {} out of LSN order (prev {last_ts})",
+                f.commit_ts
+            );
+            last_ts = f.commit_ts;
         }
         assert_eq!(last_ts, 400);
         assert_eq!(wal.oracle().stable(), 400);
@@ -2004,26 +1885,29 @@ mod tests {
     #[test]
     fn foreign_header_is_refused_and_left_untouched() {
         let path = temp_wal("foreign");
-        let mut records = BytesMut::new();
-        for r in &sample_records() {
-            codec::put_record(&mut records, r);
-        }
+        let records = body(&frame(0, sample_records()));
         let mut bfwal1 = b"BFWAL1".to_vec();
         bfwal1.extend_from_slice(&5u64.to_be_bytes());
         bfwal1.extend_from_slice(&records);
         // The sharded layout: base_lsn:u64 shard:u32 shards:u32, then frames.
-        let framed = |magic: &[u8; 6]| {
+        let sharded = |magic: &[u8; 6]| {
             let mut b = BytesMut::new();
             b.put_slice(magic);
             b.put_u64(0);
             b.put_u32(0);
             b.put_u32(1);
-            put_frame(&mut b, 0, &[&records]);
+            put_file_frame(&mut b, 0, &[&records]);
             b
         };
         let [bfwal2, bfwal4, bfwal5, bfwal6] =
-            [b"BFWAL2", b"BFWAL4", b"BFWAL5", b"BFWAL6"].map(framed);
-        let cases: [&[u8]; 7] = [
+            [b"BFWAL2", b"BFWAL4", b"BFWAL5", b"BFWAL6"].map(sharded);
+        // The one-file layout with per-record transactions: a header and
+        // a checksummed frame, exactly like this format's but for the tag.
+        let mut bfwal7 = BytesMut::new();
+        bfwal7.put_slice(b"BFWAL7");
+        bfwal7.put_u64(0);
+        put_file_frame(&mut bfwal7, 0, &[&records]);
+        let cases: [&[u8]; 8] = [
             b"not a log\n",
             &records,
             &bfwal1,
@@ -2031,6 +1915,7 @@ mod tests {
             &bfwal4,
             &bfwal5,
             &bfwal6,
+            &bfwal7,
         ];
         for bytes in cases {
             std::fs::write(&path, bytes).unwrap();
@@ -2039,19 +1924,55 @@ mod tests {
             // Neither extended, zero-filled nor trimmed.
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "file was modified");
         }
-        // The fixed-width, the unchecksummed and the sharded predecessors
-        // are refused by name, by the opener and the loader alike.
+        // The fixed-width, the unchecksummed, the sharded and the
+        // per-record-transaction predecessors are refused by name, by the
+        // opener and the loader alike.
         for (bytes, name) in [
             (&bfwal4, "BFWAL4"),
             (&bfwal5, "BFWAL5"),
             (&bfwal6, "BFWAL6"),
+            (&bfwal7, "BFWAL7"),
         ] {
             std::fs::write(&path, bytes).unwrap();
             let err = Wal::load(&path).unwrap_err();
             assert!(err.to_string().contains(name), "{err}");
             let err = Wal::with_file(&path).unwrap_err();
             assert!(err.to_string().contains(name), "{err}");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                &bytes[..],
+                "file was modified"
+            );
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_file_frame_is_pinned() {
+        // One 2PL commit of one delete, then one stamped commit of an
+        // epoch, as the file holds them: any change here is a format
+        // change.
+        let path = temp_wal("pinned");
+        let wal = Wal::with_file(&path).unwrap();
+        wal.append([delete(3, 4)], false).wait();
+        let ticket = wal.append([LogRecord::Epoch { epoch: 300 }], true);
+        ticket.wait();
+        wal.oracle().finish(ticket.commit_ts().unwrap());
+        drop(wal);
+        let frame = |lsn: u8, body: &[u8]| {
+            let mut head = vec![0, 0, 0, 0, 0, 0, 0, lsn, 0, 0, 0, body.len() as u8];
+            let crc = crc32c_extend(crc32c(&head), body);
+            head.extend_from_slice(&crc.to_be_bytes());
+            head.extend_from_slice(body);
+            head
+        };
+        let mut golden = b"BFWAL8".to_vec();
+        golden.extend_from_slice(&0u64.to_be_bytes());
+        // count 1, commit_ts 0, delete: tag 3, table 3, page 0, slot 4.
+        golden.extend(frame(0, &[1, 0, 3, 3, 0, 4]));
+        // count 1, commit_ts 1, epoch: tag 5, 300 as a varint.
+        golden.extend(frame(1, &[1, 1, 5, 0xAC, 0x02]));
+        assert_eq!(std::fs::read(&path).unwrap(), golden);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2063,22 +1984,19 @@ mod tests {
             assert!(load(&path).is_empty());
             let wal = Wal::with_file(&path).unwrap();
             assert_eq!(wal.len(), 0);
-            wal.append([LogRecord::Begin(TxnId(1))], None).wait();
+            wal.append([delete(1, 1)], false).wait();
             drop(wal);
-            assert_eq!(load(&path), vec![LogRecord::Begin(TxnId(1))]);
+            assert_eq!(load(&path), vec![delete(1, 1)]);
         }
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn decode_rejects_truncation() {
-        let wal = Wal::new();
-        wal.append(sample_records(), None);
-        let bytes = wal.encode_all();
-        for cut in [1usize, 5, bytes.len() - 1] {
-            let truncated = bytes.slice(..cut);
+        let bytes = body(&frame(0, sample_records()));
+        for cut in 0..bytes.len() {
             assert!(
-                Wal::decode_all(truncated).is_err(),
+                codec::get_frame(&mut &bytes[..cut], 0).is_err(),
                 "cut at {cut} should fail"
             );
         }
@@ -2086,59 +2004,60 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_tag() {
-        let bytes = Bytes::from_static(&[0xFF]);
-        assert!(matches!(Wal::decode_all(bytes), Err(Error::Wal(_))));
+        for tag in [0u8, 6, 0xFF] {
+            assert!(matches!(
+                codec::get_record(&mut &[tag][..]),
+                Err(Error::Wal(_))
+            ));
+            // A frame of one record with that tag.
+            assert!(codec::get_frame(&mut &[1, 0, tag][..], 0).is_err());
+        }
     }
 
     #[test]
     fn lsn_is_record_offset() {
         let wal = Wal::new();
-        let ticket = wal.append([LogRecord::Begin(TxnId(1))], None);
+        let ticket = wal.append([delete(1, 0)], false);
         assert_eq!(ticket.wait_lsn(), 1);
-        let batch = [LogRecord::Commit(TxnId(1)), LogRecord::Begin(TxnId(2))];
-        assert_eq!(wal.append(batch, None).wait_lsn(), 3);
-        // An empty batch stages nothing and ends where the log does.
-        assert_eq!(wal.append([], None).wait_lsn(), 3);
+        assert_eq!(
+            wal.append([delete(1, 1), delete(1, 2)], false).wait_lsn(),
+            3
+        );
+        // An empty batch appends nothing and ends where the log does.
+        let empty = wal.append([], true);
+        assert_eq!((empty.wait_lsn(), empty.commit_ts()), (3, None));
         assert_eq!(wal.len(), 3);
+        let firsts: Vec<u64> = wal.snapshot().iter().map(|f| f.first_lsn).collect();
+        assert_eq!(firsts, vec![0, 1]);
     }
 
     #[test]
     fn append_is_atomic_under_concurrency() {
         let wal = Arc::new(Wal::new());
         let mut handles = Vec::new();
-        for t in 1..=8u64 {
+        for t in 1..=8u32 {
             let wal = Arc::clone(&wal);
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
-                    let txn = TxnId(t * 1000 + i);
-                    wal.append(
-                        [
-                            LogRecord::Begin(txn),
-                            LogRecord::Delete {
-                                txn,
-                                table: TableId(1),
-                                rid: RowId::new(0, 0),
-                            },
-                            LogRecord::Commit(txn),
-                        ],
-                        None,
-                    );
+                    wal.append([delete(t, i), delete(t, i), delete(t, i)], false);
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        // Every txn's three records must be contiguous.
-        let records = wal.snapshot();
-        assert_eq!(records.len(), 2400);
-        for chunk in records.chunks(3) {
-            let t = chunk[0].txn();
-            assert!(matches!(chunk[0], LogRecord::Begin(_)));
-            assert!(matches!(chunk[2], LogRecord::Commit(_)));
-            assert_eq!(chunk[1].txn(), t);
-            assert_eq!(chunk[2].txn(), t);
+        // Every append is one frame of its three records, at
+        // consecutive LSNs.
+        let frames = wal.snapshot();
+        assert_eq!(frames.len(), 800);
+        let mut lsn = 0;
+        for f in frames {
+            assert_eq!(f.first_lsn, lsn);
+            assert_eq!(f.records.len(), 3);
+            assert!(f.records.iter().all(|r| *r == f.records[0]));
+            lsn = f.end_lsn();
         }
+        assert_eq!(lsn, 2400);
     }
 
     #[test]
@@ -2146,22 +2065,21 @@ mod tests {
         let path = temp_wal("mirror");
         {
             let wal = Wal::with_file(&path).unwrap();
-            wal.append(sample_records(), None);
+            wal.append(sample_records(), false);
         }
         let loaded = load(&path);
         assert_eq!(loaded, sample_records());
-        // Reopening an existing log keeps prior records and
-        // resumes the LSN frontier past them.
+        // Reopening an existing log keeps prior frames and resumes the
+        // LSN frontier past them.
         {
             let wal = Wal::with_file(&path).unwrap();
             assert_eq!(wal.len(), sample_records().len());
-            wal.append([LogRecord::Begin(TxnId(9))], None);
+            wal.append([delete(9, 9)], false);
         }
-        let loaded = Wal::load(&path).unwrap();
-        assert_eq!(loaded.len(), sample_records().len() + 1);
+        let n = sample_records().len() as u64;
         assert_eq!(
-            loaded.last().unwrap(),
-            &(sample_records().len() as u64, LogRecord::Begin(TxnId(9)))
+            Wal::load(&path).unwrap(),
+            vec![frame(0, sample_records()), frame(n, vec![delete(9, 9)])]
         );
         std::fs::remove_file(&path).unwrap();
     }
@@ -2174,7 +2092,7 @@ mod tests {
             // One frame per record, so chopping the tail kills exactly
             // the last frame.
             for r in sample_records() {
-                wal.append([r], None).wait();
+                wal.append([r], false).wait();
             }
         }
         // Chop a few bytes off the end — a crash mid-append.
@@ -2187,28 +2105,26 @@ mod tests {
         {
             let wal = Wal::with_file(&path).unwrap();
             assert_eq!(wal.len(), sample_records().len() - 1);
-            wal.append([LogRecord::Begin(TxnId(50))], None).wait();
+            wal.append([delete(5, 0)], false).wait();
         }
         let loaded = load(&path);
         assert_eq!(loaded.len(), sample_records().len());
-        assert_eq!(loaded.last().unwrap(), &LogRecord::Begin(TxnId(50)));
+        assert_eq!(loaded.last().unwrap(), &delete(5, 0));
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// A log holding `sample_records()` one frame per record,
-    /// still open. Returns it with the byte offset where each frame
-    /// starts, and the end of the last frame.
+    /// A log holding `sample_records()` one frame per record, still
+    /// open. Returns it with the byte offset where each frame starts,
+    /// and the end of the last frame.
     fn open_log_of_one_record_frames(tag: &str) -> (PathBuf, Wal, Vec<usize>, usize) {
         let path = temp_wal(tag);
         let wal = Wal::with_file(&path).unwrap();
         let mut starts = Vec::new();
         let mut end = HEADER_LEN;
         for r in sample_records() {
-            let mut payload = BytesMut::new();
-            codec::put_record(&mut payload, &r);
             starts.push(end);
-            end += FRAME_HEADER_LEN + payload.len();
-            wal.append([r], None).wait();
+            end += FRAME_HEADER_LEN + body(&frame(0, vec![r.clone()])).len();
+            wal.append([r], false).wait();
         }
         (path, wal, starts, end)
     }
@@ -2227,7 +2143,7 @@ mod tests {
         assert_eq!(load(&copy), sample_records());
         // A torn last frame, zeroed in place (a torn write inside the
         // zero-filled extent) or cut off: either way that frame alone is
-        // dropped. Its last byte zeroed still decodes (`Abort(TxnId(0))`)
+        // dropped. Its last byte zeroed still decodes (`Epoch { epoch: 0 }`)
         // — only the checksum tells.
         let last = *starts.last().unwrap();
         for k in [1, 2, 5, end - last] {
@@ -2246,10 +2162,10 @@ mod tests {
         {
             let reopened = Wal::with_file(&copy).unwrap();
             assert_eq!(reopened.len(), sample_records().len());
-            reopened.append([LogRecord::Begin(TxnId(50))], None).wait();
+            reopened.append([delete(5, 0)], false).wait();
         }
         let mut expect = sample_records();
-        expect.push(LogRecord::Begin(TxnId(50)));
+        expect.push(delete(5, 0));
         assert_eq!(load(&copy), expect);
         drop(wal);
         std::fs::remove_file(&copy).unwrap();
@@ -2261,22 +2177,22 @@ mod tests {
         let (path, wal, starts, _) = open_log_of_one_record_frames("flip");
         drop(wal);
         let mut bytes = std::fs::read(&path).unwrap();
-        // Flip one payload byte of the fourth frame: its records may
-        // still decode, but its checksum no longer matches.
+        // Flip one body byte of the fourth frame: its records may still
+        // decode, but its checksum no longer matches.
         bytes[starts[3] + FRAME_HEADER_LEN] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(load(&path)[..], sample_records()[..3]);
         {
             let wal = Wal::with_file(&path).unwrap();
             assert_eq!(wal.len(), 3, "the log resumes at the damaged frame");
-            wal.append([LogRecord::Begin(TxnId(50))], None).wait();
+            wal.append([delete(5, 0)], false).wait();
         }
         // Reopened again: the frames past the damage never come back.
         let wal = Wal::with_file(&path).unwrap();
         assert_eq!(wal.len(), 4);
         drop(wal);
         let mut expect = sample_records()[..3].to_vec();
-        expect.push(LogRecord::Begin(TxnId(50)));
+        expect.push(delete(5, 0));
         assert_eq!(load(&path), expect);
         std::fs::remove_file(&path).unwrap();
     }
@@ -2285,10 +2201,8 @@ mod tests {
     fn a_frame_that_skips_or_repeats_lsns_ends_the_log() {
         let path = temp_wal("noncontiguous");
         let records = sample_records();
-        let frame = |b: &mut BytesMut, lsn: u64, r: &LogRecord| {
-            let mut payload = BytesMut::new();
-            codec::put_record(&mut payload, r);
-            put_frame(b, lsn, &[&payload]);
+        let put = |b: &mut BytesMut, lsn: u64, r: &LogRecord| {
+            put_file_frame(b, lsn, &[&body(&frame(lsn, vec![r.clone()]))]);
         };
         // Frames at LSNs 0 and 1, then a third whose checksum is valid but
         // whose `first_lsn` skips ahead or repeats LSN 1, then a fourth
@@ -2296,25 +2210,24 @@ mod tests {
         for third in [7u64, 1] {
             let mut b = BytesMut::new();
             b.put_slice(&encode_header(0));
-            frame(&mut b, 0, &records[0]);
-            frame(&mut b, 1, &records[1]);
-            frame(&mut b, third, &records[2]);
-            frame(&mut b, third + 1, &records[3]);
+            put(&mut b, 0, &records[0]);
+            put(&mut b, 1, &records[1]);
+            put(&mut b, third, &records[2]);
+            put(&mut b, third + 1, &records[3]);
             std::fs::write(&path, &b).unwrap();
             assert_eq!(load(&path)[..], records[..2], "third frame at {third}");
             // Reopening cuts the stray frames off before appending.
             {
                 let wal = Wal::with_file(&path).unwrap();
                 assert_eq!(wal.len(), 2);
-                wal.append([LogRecord::Begin(TxnId(50))], None).wait();
+                wal.append([delete(5, 0)], false).wait();
             }
-            let loaded = Wal::load(&path).unwrap();
             assert_eq!(
-                loaded,
+                Wal::load(&path).unwrap(),
                 vec![
-                    (0, records[0].clone()),
-                    (1, records[1].clone()),
-                    (2, LogRecord::Begin(TxnId(50))),
+                    frame(0, vec![records[0].clone()]),
+                    frame(1, vec![records[1].clone()]),
+                    frame(2, vec![delete(5, 0)]),
                 ]
             );
         }
@@ -2322,7 +2235,7 @@ mod tests {
         // stray too.
         let mut b = BytesMut::new();
         b.put_slice(&encode_header(10));
-        frame(&mut b, 11, &records[0]);
+        put(&mut b, 11, &records[0]);
         std::fs::write(&path, &b).unwrap();
         assert!(load(&path).is_empty());
         std::fs::remove_file(&path).unwrap();
@@ -2332,13 +2245,7 @@ mod tests {
     fn commits_inside_the_zeroed_extent_change_no_file_size() {
         let path = temp_wal("extent");
         let wal = Wal::with_file(&path).unwrap();
-        let commit = |t: u64| {
-            wal.append(
-                [LogRecord::Begin(TxnId(t)), LogRecord::Commit(TxnId(t))],
-                None,
-            )
-            .wait()
-        };
+        let commit = |t: u64| wal.append([delete(1, t)], false).wait();
         commit(0);
         let len = std::fs::metadata(&path).unwrap().len();
         let zeros = wal.obs().counter("wal.zero_fill_bytes");
@@ -2349,7 +2256,7 @@ mod tests {
         }
         assert_eq!(zeros.get(), ZERO_FIRST as u64);
         drop(wal);
-        assert_eq!(load(&path).len(), 202);
+        assert_eq!(Wal::load(&path).unwrap().len(), 101);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2363,31 +2270,10 @@ mod tests {
     }
 
     #[test]
-    fn decode_prefix_reports_consumed_bytes() {
-        let wal = Wal::new();
-        wal.append(sample_records(), None);
-        let bytes = wal.encode_all();
-        let full = bytes.len();
-        let (records, consumed) = decode_prefix(&bytes);
-        assert_eq!(records.len(), sample_records().len());
-        assert_eq!(consumed, full);
-        let (records, consumed) = decode_prefix(&bytes[..full - 1]);
-        assert!(consumed < full - 1 || records.len() == sample_records().len() - 1);
-    }
-
-    #[test]
-    fn txn_accessor() {
-        for r in sample_records() {
-            let t = r.txn();
-            assert!(t == TxnId(1) || t == TxnId(2));
-        }
-    }
-
-    #[test]
     fn durable_append_is_on_disk_when_it_returns() {
         let path = temp_wal("durable");
         let wal = Wal::with_file(&path).unwrap();
-        wal.append(sample_records(), None).wait();
+        wal.append(sample_records(), false).wait();
         // No drop, no join: the file must already hold every record.
         let loaded = load(&path);
         assert_eq!(loaded, sample_records());
@@ -2400,14 +2286,14 @@ mod tests {
     fn commit_ticket_acknowledges_durability() {
         let path = temp_wal("ticket");
         let wal = Wal::with_file(&path).unwrap();
-        let ticket = wal.append(sample_records(), None);
+        let ticket = wal.append(sample_records(), false);
         assert_eq!(ticket.wait_lsn(), sample_records().len() as u64);
         ticket.wait();
         assert!(ticket.is_durable());
         assert!(wal.durable_lsn() >= ticket.wait_lsn());
         // A ticket outlives the handle: dropping the log drains the queue
         // first, so the ticket resolves durable.
-        let late = wal.append([LogRecord::Begin(TxnId(42))], None);
+        let late = wal.append([delete(4, 2)], false);
         drop(wal);
         late.wait();
         assert!(late.is_durable());
@@ -2417,11 +2303,11 @@ mod tests {
         // In-memory logs hand out trivially-durable tickets; a stamped
         // append's ticket carries the timestamp it drew.
         let mem = Wal::new();
-        let t = mem.append(sample_records(), None);
+        let t = mem.append(sample_records(), false);
         assert!(t.is_durable());
         t.wait();
         assert_eq!(t.commit_ts(), None);
-        let stamped = mem.append([LogRecord::Begin(TxnId(3))], Some(TxnId(3)));
+        let stamped = mem.append([delete(3, 0)], true);
         assert_eq!(stamped.commit_ts(), Some(1));
         assert_eq!(stamped.wait_acked(), AckOutcome::Synced);
         mem.oracle().finish(1);
@@ -2449,9 +2335,7 @@ mod tests {
             let barrier = Arc::clone(&barrier);
             handles.push(std::thread::spawn(move || {
                 barrier.wait();
-                let txn = TxnId(t + 1);
-                wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
-                    .wait();
+                wal.append([delete(1, t)], false).wait();
             }));
         }
         for h in handles {
@@ -2469,20 +2353,11 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn safe_cut_respects_unresolved_transactions() {
-        let wal = Wal::new();
-        let t1 = TxnId(1);
-        wal.append([LogRecord::Begin(t1), LogRecord::Commit(t1)], None);
-        assert_eq!(wal.safe_cut(), 2);
-        // An unresolved transaction pins the cut below its first record.
-        let t2 = TxnId(2);
-        wal.append([LogRecord::Begin(t2)], None);
-        let t3 = TxnId(3);
-        wal.append([LogRecord::Begin(t3), LogRecord::Commit(t3)], None);
-        assert_eq!(wal.safe_cut(), 2);
-        wal.append([LogRecord::Commit(t2)], None);
-        assert_eq!(wal.safe_cut(), wal.len() as u64);
+    /// A log of `n` two-record frames.
+    fn log_of_pairs(wal: &Wal, n: u64) {
+        for t in 0..n {
+            wal.append([delete(1, t), delete(2, t)], false);
+        }
     }
 
     #[test]
@@ -2491,28 +2366,24 @@ mod tests {
         // the first LSN it still needs; truncation must never cut past it,
         // or frames disappear under the reader mid-stream.
         let wal = Wal::new();
-        for t in 0..100u64 {
-            let txn = TxnId(t);
-            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None);
-        }
+        log_of_pairs(&wal, 100);
         let (id, granted) = wal.register_retain(40);
         assert_eq!(granted, 40);
-        let cut = wal.safe_cut();
-        assert_eq!(cut, 200);
-        wal.truncate_to(cut).unwrap();
-        // The cut was clamped to the retain horizon, not the checkpoint LSN.
+        wal.truncate_to(wal.frontier()).unwrap();
+        // The cut was clamped to the retain horizon, not the frontier.
         assert_eq!(wal.base_lsn(), 40);
-        let kept = wal.records_with_lsns(40, 200);
-        assert_eq!(kept.len(), 160);
-        assert_eq!(kept.first().unwrap().0, 40);
+        let mut kept = 0;
+        assert_eq!(wal.scan(40, 200, |_| kept += 1), 160);
+        assert_eq!(kept, 80);
+        assert_eq!(wal.snapshot()[0].first_lsn, 40);
         // The consumer advances; truncation follows it.
         wal.advance_retain(id, 150);
-        wal.truncate_to(wal.safe_cut()).unwrap();
+        wal.truncate_to(wal.frontier()).unwrap();
         assert_eq!(wal.base_lsn(), 150);
         // Releasing the horizon lets truncation cut the full prefix again.
         wal.release_retain(id);
         assert_eq!(wal.retain_floor(), None);
-        wal.truncate_to(wal.safe_cut()).unwrap();
+        wal.truncate_to(wal.frontier()).unwrap();
         assert_eq!(wal.base_lsn(), 200);
     }
 
@@ -2522,11 +2393,8 @@ mod tests {
         // those records are gone, and the consumer must be told where the
         // guarantee actually starts (it will re-bootstrap from a snapshot).
         let wal = Wal::new();
-        for t in 0..10u64 {
-            let txn = TxnId(t);
-            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None);
-        }
-        wal.truncate_to(wal.safe_cut()).unwrap();
+        log_of_pairs(&wal, 10);
+        wal.truncate_to(wal.frontier()).unwrap();
         assert_eq!(wal.base_lsn(), 20);
         let (_, granted) = wal.register_retain(5);
         assert_eq!(granted, 20);
@@ -2536,19 +2404,36 @@ mod tests {
     fn durable_records_from_stops_at_durable_horizon() {
         let path = temp_wal("durable-from");
         let wal = Wal::with_file(&path).unwrap();
-        let t1 = TxnId(1);
-        wal.append([LogRecord::Begin(t1), LogRecord::Commit(t1)], None)
-            .wait();
-        let (recs, durable) = wal.durable_records_from(0, usize::MAX);
-        assert_eq!(durable, 2);
+        wal.append([delete(1, 0), delete(1, 1)], false).wait();
+        wal.append([delete(2, 0)], false).wait();
+        let (frames, durable) = wal.durable_frames_from(0, usize::MAX);
+        assert_eq!(durable, 3);
         assert_eq!(
-            recs,
-            vec![(0, LogRecord::Begin(t1)), (1, LogRecord::Commit(t1)),]
+            frames,
+            vec![
+                frame(0, vec![delete(1, 0), delete(1, 1)]),
+                frame(2, vec![delete(2, 0)])
+            ]
         );
-        // `max` bounds the batch; the durable horizon is still reported.
-        let (recs, durable) = wal.durable_records_from(0, 1);
-        assert_eq!(durable, 2);
-        assert_eq!(recs.len(), 1);
+        // `max` bounds the records, but never splits a frame: the first
+        // frame ships whole however large it is.
+        let (frames, durable) = wal.durable_frames_from(0, 1);
+        assert_eq!(durable, 3);
+        assert_eq!(frames, vec![frame(0, vec![delete(1, 0), delete(1, 1)])]);
+        let (frames, _) = wal.durable_frames_from(2, 1);
+        assert_eq!(frames, vec![frame(2, vec![delete(2, 0)])]);
+        // Nothing past the horizon: a frame staged behind a long group
+        // window is not durable yet.
+        drop(wal);
+        let wal = Wal::with_file_opts(
+            &path,
+            WalOptions {
+                group_window: Duration::from_secs(5),
+            },
+        )
+        .unwrap();
+        wal.append([delete(3, 0)], false);
+        assert_eq!(wal.durable_frames_from(3, 10), (Vec::new(), 3));
         drop(wal);
         std::fs::remove_file(&path).unwrap();
     }
@@ -2558,20 +2443,12 @@ mod tests {
         let path = temp_wal("durable-from-base");
         let wal = Wal::with_file(&path).unwrap();
         for t in 1..=3u64 {
-            let txn = TxnId(t);
-            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
-                .wait();
+            wal.append([delete(1, t), delete(2, t)], false).wait();
         }
         wal.truncate_to(2).unwrap();
-        let (recs, durable) = wal.durable_records_from(0, 2);
+        let (frames, durable) = wal.durable_frames_from(0, 2);
         assert_eq!(durable, 6);
-        assert_eq!(
-            recs,
-            vec![
-                (2, LogRecord::Begin(TxnId(2))),
-                (3, LogRecord::Commit(TxnId(2)))
-            ]
-        );
+        assert_eq!(frames, vec![frame(2, vec![delete(1, 2), delete(2, 2)])]);
         drop(wal);
         std::fs::remove_file(&path).unwrap();
     }
@@ -2579,14 +2456,10 @@ mod tests {
     #[test]
     fn truncation_bounds_resident_memory() {
         let wal = Wal::new();
-        for t in 0..3000u64 {
-            let txn = TxnId(t);
-            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None);
-        }
+        log_of_pairs(&wal, 3000);
         let before = wal.resident_records();
         assert_eq!(before, 6000);
-        let cut = wal.safe_cut();
-        assert_eq!(cut, 6000);
+        let cut = wal.frontier();
         let dropped = wal.truncate_to(cut).unwrap();
         // The cut covers every record, so every segment is gone, the
         // open one included.
@@ -2600,10 +2473,9 @@ mod tests {
         assert_eq!(stats.checkpoints, 1);
         assert_eq!(stats.truncated_records, dropped);
         // The log keeps working after truncation.
-        let txn = TxnId(9000);
-        let ticket = wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None);
+        let ticket = wal.append([delete(9, 0), delete(9, 1)], false);
         assert_eq!(ticket.wait_lsn(), 6002);
-        assert_eq!(wal.snapshot().len(), 2);
+        assert_eq!(wal.snapshot().len(), 1);
     }
 
     #[test]
@@ -2611,37 +2483,27 @@ mod tests {
         let path = temp_wal("rotate");
         let wal = Wal::with_file(&path).unwrap();
         for t in 0..50u64 {
-            let txn = TxnId(t);
-            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
-                .wait();
+            wal.append([delete(1, t), delete(2, t)], false).wait();
         }
-        let cut = wal.safe_cut();
-        assert_eq!(cut, 100);
-        wal.truncate_to(cut).unwrap();
+        wal.truncate_to(wal.frontier()).unwrap();
         // Post-truncation appends land in the rotated file.
-        let txn = TxnId(77);
-        wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
-            .wait();
+        wal.append([delete(7, 7), delete(7, 8)], false).wait();
         drop(wal);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(parse_file_header(&bytes).unwrap(), Some(100));
-        let records = Wal::load(&path).unwrap();
         assert_eq!(
-            records,
-            vec![
-                (100, LogRecord::Begin(TxnId(77))),
-                (101, LogRecord::Commit(TxnId(77)))
-            ]
+            Wal::load(&path).unwrap(),
+            vec![frame(100, vec![delete(7, 7), delete(7, 8)])]
         );
         // Reopening appends after the rotated tail.
         {
             let wal = Wal::with_file(&path).unwrap();
             assert_eq!(wal.len(), 102);
-            wal.append([LogRecord::Begin(TxnId(78))], None);
+            wal.append([delete(7, 9)], false);
         }
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(parse_file_header(&bytes).unwrap(), Some(100));
-        assert_eq!(Wal::load(&path).unwrap().len(), 3);
+        assert_eq!(load(&path).len(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2659,53 +2521,56 @@ mod tests {
             },
         )
         .unwrap();
-        let (t1, t2) = (TxnId(1), TxnId(2));
-        // Both batches are staged but unflushed: the 5s group window
+        // Both frames are staged but unflushed: the 5s group window
         // keeps the flusher parked.
-        wal.append([LogRecord::Begin(t1), LogRecord::Commit(t1)], None);
-        wal.append([LogRecord::Begin(t2), LogRecord::Commit(t2)], None);
+        wal.append([delete(1, 0), delete(1, 1)], false);
+        wal.append([delete(2, 0), delete(2, 1)], false);
         assert_eq!(wal.durable_lsn(), 0);
-        // Checkpoint cuts between the batches while both sit staged.
+        // Checkpoint cuts between the frames while both sit staged.
         wal.truncate_to(2).unwrap();
         // The rotation itself made the whole tail durable — nothing for
         // the second committer to lose.
         assert_eq!(wal.durable_lsn(), 4);
         drop(wal);
-        let loaded = Wal::load(&path).unwrap();
         assert_eq!(
-            loaded,
-            vec![(2, LogRecord::Begin(t2)), (3, LogRecord::Commit(t2)),]
+            Wal::load(&path).unwrap(),
+            vec![frame(2, vec![delete(2, 0), delete(2, 1)])]
         );
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn rotation_keeps_the_tail_behind_an_unresolved_transaction() {
-        let path = temp_wal("rotate-unresolved");
+    fn rotation_writes_one_file_frame_per_transaction() {
+        let path = temp_wal("rotate-frames");
         let wal = Wal::with_file(&path).unwrap();
-        for t in 0..50u64 {
-            let txn = TxnId(t);
-            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
-                .wait();
+        let mut lsn = 0;
+        for t in 0..60u64 {
+            let n = 1 + t % 4;
+            let ticket = wal.append((0..n).map(|i| delete(t as u32, i)), t % 3 == 0);
+            if let Some(ts) = ticket.commit_ts() {
+                wal.oracle().finish(ts);
+            }
+            lsn += n;
         }
-        // An unresolved transaction pins the cut at its first record, so
-        // the rotated tail spans many transactions.
-        wal.append([LogRecord::Begin(TxnId(500))], None).wait();
-        for t in 600..610u64 {
-            let txn = TxnId(t);
-            wal.append([LogRecord::Begin(txn), LogRecord::Commit(txn)], None)
-                .wait();
-        }
-        let cut = wal.safe_cut();
-        assert_eq!(cut, 100);
-        wal.truncate_to(cut).unwrap();
+        assert_eq!(wal.frontier(), lsn);
+        // A cut inside a frame lands on the frame's start: frame 10 holds
+        // LSNs 23..26, so a cut at 24 keeps all of it.
+        let tenth = wal.snapshot()[10].clone();
+        assert_eq!((tenth.first_lsn, tenth.end_lsn()), (23, 26));
+        wal.truncate_to(24).unwrap();
+        assert_eq!(wal.base_lsn(), 23);
         let snapshot = wal.snapshot();
+        assert_eq!(snapshot[0], tenth);
         drop(wal);
-        let loaded = Wal::load(&path).unwrap();
-        assert_eq!(loaded.first().unwrap().0, 100);
-        assert_eq!(loaded.len(), snapshot.len());
-        let records: Vec<LogRecord> = loaded.into_iter().map(|(_, r)| r).collect();
-        assert_eq!(records, snapshot);
+        // The rotated file holds exactly the resident frames, each a
+        // file frame of its own, stamps included.
+        assert_eq!(Wal::load(&path).unwrap(), snapshot);
+        let bytes = std::fs::read(&path).unwrap();
+        let framed: usize = snapshot
+            .iter()
+            .map(|f| FRAME_HEADER_LEN + body(f).len())
+            .sum();
+        assert_eq!(bytes.len(), HEADER_LEN + framed);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2713,46 +2578,46 @@ mod tests {
     fn scan_walks_segment_ranges() {
         let wal = Wal::new();
         for t in 0..2000u64 {
-            wal.append([LogRecord::Begin(TxnId(t))], None);
+            wal.append([delete(1, t)], false);
         }
         let mut mid = Vec::new();
-        assert_eq!(wal.scan(1500, 1503, |lsn, r| mid.push((lsn, r))), 3);
+        assert_eq!(wal.scan(1500, 1503, |f| mid.push(f)), 3);
         assert_eq!(
             mid,
             vec![
-                (1500, LogRecord::Begin(TxnId(1500))),
-                (1501, LogRecord::Begin(TxnId(1501))),
-                (1502, LogRecord::Begin(TxnId(1502))),
+                frame(1500, vec![delete(1, 1500)]),
+                frame(1501, vec![delete(1, 1501)]),
+                frame(1502, vec![delete(1, 1502)]),
             ]
         );
-        assert_eq!(wal.records_with_lsns(1500, 1503), mid);
-        assert_eq!(wal.scan(1999, 5000, |_, _| {}), 1);
-        assert_eq!(wal.scan(5000, 6000, |_, _| {}), 0);
+        assert_eq!(wal.scan(1999, 5000, |_| {}), 1);
+        assert_eq!(wal.scan(5000, 6000, |_| {}), 0);
+        // Four bytes a frame: count, commit_ts, tag, table; then page and
+        // slot (1500 as a varint is two bytes).
+        assert_eq!(wal.encoded_bytes(1500, 1503), 3 * 7);
     }
 
     #[test]
     fn resident_log_is_sealed_bytes() {
         let wal = Wal::new();
         let batch = |t: u64| {
-            let txn = TxnId(t);
             [
-                LogRecord::Begin(txn),
                 LogRecord::Insert {
-                    txn,
                     table: TableId(3),
                     rid: RowId::new(t as u32, 7),
                     row: row![t as i64, "some text", 2.5],
                 },
-                LogRecord::Commit(txn),
+                delete(3, t),
+                LogRecord::Epoch { epoch: t },
             ]
         };
         for t in 0..8000u64 {
-            wal.append(batch(t), None);
+            wal.append(batch(t), false);
         }
         let core = wal.shared.core.lock();
         assert!(core.sealed.len() > 2, "appends sealed segments");
         for seg in &core.sealed {
-            // Sealed at the reserved size: at most one batch of slack.
+            // Sealed at the reserved size: at most one frame of slack.
             assert!(seg.bytes.len() <= SEGMENT_BYTES);
             assert!(seg.bytes.len() > SEGMENT_BYTES - 100);
             assert_eq!(seg.bytes.capacity(), SEGMENT_BYTES);
@@ -2760,41 +2625,46 @@ mod tests {
         let bytes: usize = core.resident().map(|s| s.bytes.len()).sum();
         drop(core);
         assert_eq!(wal.resident_bytes(), bytes);
-        assert_eq!(wal.encode_all().len(), bytes);
         assert_eq!(wal.resident_records(), 24_000);
-        let all = wal.records_with_lsns(0, u64::MAX);
-        assert_eq!(all.len(), 24_000);
-        for (i, (lsn, r)) in all.iter().enumerate() {
-            assert_eq!(*lsn, i as u64);
-            assert_eq!(r, &batch(i as u64 / 3)[i % 3]);
+        let all = wal.snapshot();
+        assert_eq!(all.len(), 8000);
+        // Each frame costs its body and one length byte.
+        let bodies: usize = all.iter().map(|f| body(f).len()).sum();
+        assert_eq!(bytes, bodies + all.len());
+        assert_eq!(wal.encoded_bytes(0, u64::MAX), bodies);
+        for (i, f) in all.iter().enumerate() {
+            assert_eq!(*f, frame(3 * i as u64, batch(i as u64).to_vec()));
         }
         // A range reader decodes across a segment boundary.
         let first = wal.shared.core.lock().sealed[0].end_lsn();
-        let across = wal.records_with_lsns(first - 1, first + 1);
-        assert_eq!(across, all[first as usize - 1..first as usize + 1]);
-        let (tail, durable) = wal.durable_records_from(23_990, 4);
+        let mut across = Vec::new();
+        wal.scan(first - 3, first + 3, |f| across.push(f));
+        assert_eq!(across, all[first as usize / 3 - 1..first as usize / 3 + 1]);
+        let (tail, durable) = wal.durable_frames_from(23_990, 4);
         assert_eq!(durable, 0, "an in-memory log reports no durable horizon");
         assert!(tail.is_empty());
     }
 
     #[test]
     fn over_long_varints_are_refused() {
+        use bullfrog_common::codec::get_varint;
         // Eleven continuation bytes: refused, never shifted past bit 63.
         let eleven = [0xFFu8; 11];
-        assert!(codec::get_varint(&mut &eleven[..]).is_err());
+        assert!(get_varint(&mut &eleven[..]).is_err());
         // A tenth byte may carry only bit 63.
         let mut max = [0xFFu8; 10];
         max[9] = 0x01;
-        assert_eq!(codec::get_varint(&mut &max[..]).unwrap(), u64::MAX);
+        assert_eq!(get_varint(&mut &max[..]).unwrap(), u64::MAX);
         let mut encoded = Vec::new();
         codec::put_varint(&mut encoded, u64::MAX);
         assert_eq!(encoded, max);
         max[9] = 0x02;
-        assert!(codec::get_varint(&mut &max[..]).is_err());
-        // A record or row whose varint never ends is an error too.
-        for bytes in [&[2u8, 0x80, 0x80][..], &[0xFFu8; 22][..]] {
+        assert!(get_varint(&mut &max[..]).is_err());
+        // A record, row or frame whose varint never ends is an error too.
+        for bytes in [&[1u8, 0x80, 0x80][..], &[0xFFu8; 22][..]] {
             assert!(codec::get_record(&mut &bytes[..]).is_err());
             assert!(codec::get_row(&mut &bytes[..]).is_err());
+            assert!(codec::get_frame(&mut &bytes[..], 0).is_err());
         }
     }
 
@@ -2814,12 +2684,30 @@ mod tests {
         let mut row = vec![1u8];
         row.extend_from_slice(&text);
         assert!(codec::get_row(&mut &row[..]).is_err());
+        // A frame claiming u32::MAX records with one record behind it.
+        let mut hostile = Vec::new();
+        codec::put_varint(&mut hostile, u64::from(u32::MAX));
+        hostile.push(0);
+        codec::put_record(&mut hostile, &delete(1, 1));
+        let err = codec::get_frame(&mut &hostile[..], 0).unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        // In a file, behind a valid checksum, the same frame ends the log
+        // after the frames before it.
+        let path = temp_wal("hostile-count");
+        let mut file = BytesMut::new();
+        file.put_slice(&encode_header(0));
+        put_file_frame(&mut file, 0, &[&body(&frame(0, vec![delete(1, 0)]))]);
+        put_file_frame(&mut file, 1, &[&hostile]);
+        std::fs::write(&path, &file).unwrap();
+        assert_eq!(load(&path), vec![delete(1, 0)]);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn orderline_stock_insert_encodes_small() {
         // An `orderline_stock` row at the top of TPC-C's ranges: twelve
-        // small integers. The fixed-width codec spent 131 bytes on it.
+        // small integers. The fixed-width codec spent 131 bytes on it,
+        // the records that each named their transaction 52.
         let ints = |v: &[i64]| v.iter().map(|i| Value::Int(*i)).collect::<Vec<_>>();
         let mut row = ints(&[10, 10, 3000, 15, 100_000, 0, 10]);
         row.push(Value::Decimal(999_999));
@@ -2827,14 +2715,13 @@ mod tests {
         row.push(Value::Decimal(100_000));
         row.extend(ints(&[100]));
         let rec = LogRecord::Insert {
-            txn: TxnId((1 << 21) - 1),
             table: TableId(40),
             rid: RowId::new(20_000, 40),
             row: Row(row),
         };
         let mut buf = Vec::new();
         codec::put_record(&mut buf, &rec);
-        assert!(buf.len() <= 52, "{} bytes", buf.len());
+        assert!(buf.len() <= 49, "{} bytes", buf.len());
         assert_eq!(codec::get_record(&mut &buf[..]).unwrap(), rec);
     }
 
@@ -2878,7 +2765,6 @@ mod tests {
 
     /// Every record variant, its integers at their edges.
     fn edge_record() -> impl Strategy<Value = LogRecord> {
-        let txn = || edge_u64().prop_map(TxnId);
         let table = || prop_oneof![Just(u32::MAX), Just(0u32), any::<u32>()].prop_map(TableId);
         let rid = || {
             (
@@ -2889,54 +2775,37 @@ mod tests {
         };
         let row = || proptest::collection::vec(edge_value(), 0..14).prop_map(Row);
         prop_oneof![
-            txn().prop_map(LogRecord::Begin),
-            (txn(), table(), rid(), row()).prop_map(|(txn, table, rid, row)| LogRecord::Insert {
-                txn,
+            (table(), rid(), row()).prop_map(|(table, rid, row)| LogRecord::Insert {
                 table,
                 rid,
                 row
             }),
-            (txn(), table(), rid(), row()).prop_map(|(txn, table, rid, after)| {
-                LogRecord::Update {
-                    txn,
-                    table,
-                    rid,
-                    after,
-                }
-            }),
-            (txn(), table(), rid()).prop_map(|(txn, table, rid)| LogRecord::Delete {
-                txn,
+            (table(), rid(), row()).prop_map(|(table, rid, after)| LogRecord::Update {
                 table,
-                rid
+                rid,
+                after
             }),
-            (txn(), any::<u32>(), edge_u64()).prop_map(|(txn, migration, o)| {
+            (table(), rid()).prop_map(|(table, rid)| LogRecord::Delete { table, rid }),
+            (any::<u32>(), edge_u64()).prop_map(|(migration, o)| {
                 LogRecord::MigrationGranule {
-                    txn,
                     migration,
                     granule: GranuleKey::Ordinal(o),
                 }
             }),
-            (
-                txn(),
-                any::<u32>(),
-                proptest::collection::vec(edge_value(), 0..4)
-            )
-                .prop_map(|(txn, migration, vals)| LogRecord::MigrationGranule {
-                    txn,
+            (any::<u32>(), proptest::collection::vec(edge_value(), 0..4)).prop_map(
+                |(migration, vals)| LogRecord::MigrationGranule {
                     migration,
                     granule: GranuleKey::Group(vals),
-                }),
-            txn().prop_map(LogRecord::Commit),
-            (txn(), edge_u64()).prop_map(|(txn, ts)| LogRecord::CommitTs { txn, ts }),
-            txn().prop_map(LogRecord::Abort),
-            (txn(), edge_u64()).prop_map(|(txn, epoch)| LogRecord::Epoch { txn, epoch }),
+                }
+            ),
+            edge_u64().prop_map(|epoch| LogRecord::Epoch { epoch }),
         ]
     }
 
     /// A row holding every value variant encodes to the same bytes as
-    /// before the value codec moved to `bullfrog-common`, so `BFWAL7`
-    /// files, sidecars and wire frames are unchanged, and the log writes
-    /// exactly the bytes the heap stores.
+    /// before the value codec moved to `bullfrog-common`, so `BFWAL8`
+    /// files, sidecars and wire frames carry them unchanged, and the log
+    /// writes exactly the bytes the heap stores.
     #[test]
     fn put_row_bytes_are_pinned() {
         let row = Row(vec![
@@ -2957,7 +2826,7 @@ mod tests {
         codec::put_row(&mut buf, &row);
         assert_eq!(&buf[..], golden);
         assert_eq!(&*bullfrog_common::codec::encode_values(&row.0), golden);
-        let mut rd = Bytes::from(golden.to_vec());
+        let mut rd = golden;
         assert_eq!(codec::get_row(&mut rd).unwrap(), row);
         assert!(rd.is_empty());
     }
@@ -2965,22 +2834,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
-        /// Every record variant round-trips at its boundary values, the
-        /// skim agrees with the decode, and every proper prefix of the
-        /// encoding is an error to both, never a shorter record.
+        /// Every record variant round-trips at its boundary values, alone
+        /// and in a frame, and every proper prefix of either encoding is
+        /// an error, never a shorter record or frame.
         #[test]
-        fn codec_round_trips_at_the_boundaries(r in edge_record()) {
+        fn codec_round_trips_at_the_boundaries(
+            records in proptest::collection::vec(edge_record(), 1..4),
+            commit_ts in edge_u64(),
+        ) {
+            let r = &records[0];
             let mut buf = Vec::new();
-            codec::put_record(&mut buf, &r);
+            codec::put_record(&mut buf, r);
             let mut whole: &[u8] = &buf;
-            prop_assert_eq!(codec::get_record(&mut whole).unwrap(), r.clone());
+            prop_assert_eq!(&codec::get_record(&mut whole).unwrap(), r);
             prop_assert!(whole.is_empty());
-            // The skim steps over exactly the same bytes.
-            let mut skimmed: &[u8] = &buf;
-            let (txn, resolves) = codec::skim_record(&mut skimmed).unwrap();
-            prop_assert!(skimmed.is_empty());
-            prop_assert_eq!(txn, r.txn());
-            prop_assert_eq!(resolves, r.is_commit() || matches!(r, LogRecord::Abort(_)));
             for cut in 0..buf.len() {
                 prop_assert!(
                     codec::get_record(&mut &buf[..cut]).is_err(),
@@ -2988,7 +2855,14 @@ mod tests {
                     cut,
                     buf.len()
                 );
-                prop_assert!(codec::skim_record(&mut &buf[..cut]).is_err());
+            }
+            let f = Frame { first_lsn: 9, commit_ts, records };
+            let bytes = body(&f);
+            let mut whole: &[u8] = &bytes;
+            prop_assert_eq!(codec::get_frame(&mut whole, 9).unwrap(), f);
+            prop_assert!(whole.is_empty());
+            for cut in 0..bytes.len() {
+                prop_assert!(codec::get_frame(&mut &bytes[..cut], 9).is_err());
             }
         }
     }
@@ -2999,7 +2873,7 @@ mod tests {
         /// The durable horizon never runs ahead of the queue's first
         /// staged or in-flight LSN, which never runs ahead of the log end,
         /// under randomized concurrent interleavings; and the file
-        /// replays to exactly the in-memory stream.
+        /// replays to exactly the in-memory frames.
         #[test]
         fn durable_horizon_trails_the_first_staged_lsn(
             batches in proptest::collection::vec((1u64..64, 1usize..4, any::<bool>()), 1..24),
@@ -3031,11 +2905,8 @@ mod tests {
                     .copied()
                     .collect();
                 appenders.push(std::thread::spawn(move || {
-                    for (txn, count, wait) in mine {
-                        let txn = TxnId(txn);
-                        let mut batch = vec![LogRecord::Begin(txn)];
-                        batch.extend((1..count).map(|_| LogRecord::Commit(txn)));
-                        let ticket = wal.append(batch, None);
+                    for (t, count, wait) in mine {
+                        let ticket = wal.append((0..count as u64).map(|i| delete(t as u32, i)), false);
                         if wait {
                             ticket.wait();
                         }
@@ -3054,148 +2925,10 @@ mod tests {
             let total: usize = batches.iter().map(|(_, c, _)| *c).sum();
             prop_assert_eq!(next as usize, total);
             let snapshot = wal.snapshot();
+            prop_assert_eq!(snapshot.len(), batches.len());
             drop(wal);
-            let loaded = Wal::load(&path).unwrap();
-            prop_assert_eq!(loaded.len(), total);
-            for (i, (lsn, r)) in loaded.iter().enumerate() {
-                prop_assert_eq!(*lsn, i as u64);
-                prop_assert_eq!(r, &snapshot[i]);
-            }
+            prop_assert_eq!(Wal::load(&path).unwrap(), snapshot);
             std::fs::remove_file(&path).unwrap();
-        }
-    }
-
-    /// The fixpoint `Wal::safe_cut` replaced, kept as the reference the
-    /// one-pass walk is checked against: per transaction the first and
-    /// last retained record and whether it is resolved, then the cut
-    /// lowered to the first record of any transaction straddling it
-    /// until none does.
-    fn fixpoint_cut(wal: &Wal) -> u64 {
-        let (segments, base, next) = wal.view(0, u64::MAX);
-        let mut spans: HashMap<TxnId, (u64, u64, bool)> = HashMap::new();
-        walk_range(
-            &segments,
-            base,
-            next,
-            |b| codec::skim_record(b),
-            |lsn, (txn, resolves), _| {
-                let e = spans.entry(txn).or_insert((lsn, lsn, false));
-                e.1 = lsn;
-                e.2 |= resolves;
-            },
-        );
-        let mut cut = next;
-        loop {
-            let mut moved = false;
-            for (first, last, resolved) in spans.values() {
-                let hi = if *resolved { *last } else { u64::MAX };
-                if *first < cut && cut <= hi {
-                    cut = *first;
-                    moved = true;
-                }
-            }
-            if !moved {
-                break;
-            }
-        }
-        cut.max(base)
-    }
-
-    /// One step of a generated log that keeps the invariant `safe_cut`
-    /// rests on: no record of a transaction follows its resolution.
-    #[derive(Debug, Clone)]
-    enum Step {
-        /// A whole transaction in one batch: `Begin`, data, and its
-        /// resolution (0 `Commit`, 1 `CommitTs`, 2 `Abort`).
-        Whole(usize, u8),
-        /// A lone `Abort` of a transaction that logged nothing else.
-        LoneAbort,
-        /// `Begin` and data of a transaction left open.
-        Open(usize),
-        /// More data for the `k`-th open transaction (modulo how many).
-        More(usize, usize),
-        /// Data and the resolution of the `k`-th open transaction.
-        Resolve(usize, usize, u8),
-        /// A checkpoint truncation at this share (per mille) of the log.
-        Truncate(u16),
-    }
-
-    fn step() -> impl Strategy<Value = Step> {
-        prop_oneof![
-            (0usize..4, 0u8..3).prop_map(|(n, how)| Step::Whole(n, how)),
-            Just(Step::LoneAbort),
-            (0usize..4).prop_map(Step::Open),
-            (any::<usize>(), 1usize..4).prop_map(|(k, n)| Step::More(k, n)),
-            (any::<usize>(), 0usize..3, 0u8..3).prop_map(|(k, n, how)| Step::Resolve(k, n, how)),
-            (0u16..=1000).prop_map(Step::Truncate),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(300))]
-
-        /// The one-pass cut equals the reference fixpoint on logs with
-        /// unresolved tails, lone aborts, interleaved batches and
-        /// truncations, after every step.
-        #[test]
-        fn one_pass_cut_equals_the_fixpoint(steps in proptest::collection::vec(step(), 0..40)) {
-            let wal = Wal::new();
-            let mut next_txn = 1u64;
-            let mut open: Vec<TxnId> = Vec::new();
-            let data = |txn: TxnId, n: usize| {
-                (0..n).map(move |i| LogRecord::Delete {
-                    txn,
-                    table: TableId(1),
-                    rid: RowId::new(0, i as u16),
-                })
-            };
-            let resolve = |txn: TxnId, how: u8| match how {
-                0 => LogRecord::Commit(txn),
-                1 => LogRecord::CommitTs { txn, ts: txn.0 },
-                _ => LogRecord::Abort(txn),
-            };
-            for s in steps {
-                let mut fresh = || {
-                    next_txn += 1;
-                    TxnId(next_txn)
-                };
-                match s {
-                    Step::Whole(n, how) => {
-                        let txn = fresh();
-                        let mut batch = vec![LogRecord::Begin(txn)];
-                        batch.extend(data(txn, n));
-                        batch.push(resolve(txn, how));
-                        wal.append(batch, None);
-                    }
-                    Step::LoneAbort => {
-                        wal.append([LogRecord::Abort(fresh())], None);
-                    }
-                    Step::Open(n) => {
-                        let txn = fresh();
-                        let mut batch = vec![LogRecord::Begin(txn)];
-                        batch.extend(data(txn, n));
-                        wal.append(batch, None);
-                        open.push(txn);
-                    }
-                    Step::More(k, n) if !open.is_empty() => {
-                        let txn = open[k % open.len()];
-                        wal.append(data(txn, n), None);
-                    }
-                    Step::Resolve(k, n, how) if !open.is_empty() => {
-                        let txn = open.remove(k % open.len());
-                        let mut batch: Vec<LogRecord> = data(txn, n).collect();
-                        batch.push(resolve(txn, how));
-                        wal.append(batch, None);
-                    }
-                    Step::Truncate(share) => {
-                        let (base, next) = (wal.base_lsn(), wal.len() as u64);
-                        wal.truncate_to(base + (next - base) * u64::from(share) / 1000)
-                            .unwrap();
-                    }
-                    Step::More(..) | Step::Resolve(..) => {}
-                }
-                prop_assert_eq!(wal.safe_cut(), fixpoint_cut(&wal));
-            }
         }
     }
 }

@@ -140,11 +140,12 @@ fn main() {
             .unwrap();
         db.commit(&mut txn).unwrap();
     }
-    let wal_image = db.wal().encode_all();
+    let frames = db.wal().snapshot();
     println!(
-        "  'crash' with {} of 400 rows migrated; WAL image: {} bytes",
+        "  'crash' with {} of 400 rows migrated; WAL: {} committed frames, {} bytes",
         db.table("events_v2").unwrap().live_count(),
-        wal_image.len()
+        frames.len(),
+        db.wal().resident_bytes()
     );
     drop(bf);
     drop(db);
@@ -175,8 +176,7 @@ fn main() {
         .with_primary_key(&["e_id"]),
     )
     .unwrap();
-    let records = bullfrog::txn::Wal::decode_all(wal_image).unwrap();
-    let stats = bullfrog::engine::recovery::replay(&db, &records).unwrap();
+    let stats = bullfrog::engine::recovery::replay(&db, frames).unwrap();
     println!(
         "  replayed {} records from {} committed txns; {} migrated granules recorded",
         stats.applied,

@@ -1,4 +1,4 @@
-//! Cross-crate crash-recovery test: WAL binary round trip, data replay,
+//! Cross-crate crash-recovery test: data replay from the log's frames,
 //! tracker rebuild (§3.5), and migration resumption — including the
 //! mixed case where some granules were migrated by committed transactions
 //! and others were in flight (uncommitted) at the crash.
@@ -107,7 +107,7 @@ fn crash_recovery_resumes_both_tracker_kinds() {
         .unwrap();
         db.commit(&mut txn).unwrap();
     }
-    let image = db.wal().encode_all();
+    let frames = db.wal().snapshot();
     drop(bf);
     drop(db);
 
@@ -121,8 +121,7 @@ fn crash_recovery_resumes_both_tracker_kinds() {
     db.create_table(recovered_plan.statements[1].output.clone())
         .unwrap();
 
-    let records = Wal::decode_all(image).unwrap();
-    let stats = replay(&db, &records).unwrap();
+    let stats = replay(&db, frames).unwrap();
     // Data recovered: 200 source rows, 60 migrated copies, 3 totals.
     assert_eq!(db.table("readings").unwrap().live_count(), 200);
     assert_eq!(db.table("readings_v2").unwrap().live_count(), 60);
@@ -183,23 +182,6 @@ fn crash_recovery_resumes_both_tracker_kinds() {
 }
 
 #[test]
-fn wal_image_survives_byte_round_trip() {
-    let db = Arc::new(Database::new());
-    make_schema(&db);
-    for i in 0..50i64 {
-        db.with_txn(|txn| db.insert(txn, "readings", row![i, i % 4, i]))
-            .unwrap();
-    }
-    let image = db.wal().encode_all();
-    let records = Wal::decode_all(image.clone()).unwrap();
-    assert_eq!(records.len(), db.wal().len());
-    // Re-encode equals original image (canonical format).
-    let wal2 = Wal::new();
-    wal2.append(records, None);
-    assert_eq!(wal2.encode_all(), image);
-}
-
-#[test]
 fn durable_wal_file_survives_process_style_crash() {
     // Same flow as above but through the on-disk WAL: open a file-backed
     // database, do work, "crash" (drop everything), then recover a fresh
@@ -234,17 +216,13 @@ fn durable_wal_file_survives_process_style_crash() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
 
-    let records: Vec<_> = Wal::load(&path)
-        .unwrap()
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
+    let frames = Wal::load(&path).unwrap();
     let db = Arc::new(Database::new());
     make_schema(&db);
-    replay(&db, &records).unwrap();
-    // The torn record belonged to the last commit batch; since its Commit
-    // record is gone, the whole last transaction is ignored — atomicity
-    // across the crash.
+    replay(&db, frames).unwrap();
+    // The torn bytes belonged to the last transaction's frame; its
+    // checksum fails, so the whole last transaction is ignored —
+    // atomicity across the crash.
     let t = db.table("readings").unwrap();
     assert_eq!(t.live_count(), 80);
     let (_, r) = t.get_by_pk(&[Value::Int(7)]).unwrap();
@@ -313,18 +291,14 @@ fn torn_tail_mid_group_commit_batch_keeps_atomicity() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
 
-    let records: Vec<_> = Wal::load(&path)
-        .unwrap()
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
+    let frames = Wal::load(&path).unwrap();
     let db = Arc::new(Database::new());
     make_schema(&db);
-    let stats = replay(&db, &records).unwrap();
+    let stats = replay(&db, frames).unwrap();
     let t = db.table("readings").unwrap();
     // Each transaction inserted exactly one row, so atomicity means:
-    // rows recovered == transactions whose Commit survived the tear, and
-    // the torn transaction (its Commit was cut) is dropped entirely.
+    // rows recovered == transactions whose frame survived the tear, and
+    // the torn transaction is dropped entirely.
     assert_eq!(t.live_count(), stats.committed_txns);
     assert!(
         stats.committed_txns < (THREADS * PER_THREAD) as usize,
